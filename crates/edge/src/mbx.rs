@@ -136,72 +136,72 @@ impl Middlebox {
     }
 
     /// Observe an upstream (client → origin) packet; ACK frames drive
-    /// loss inference. Returns buffered packets to re-inject onto the
-    /// client-side downlink (early retransmits), in packet-number
-    /// order. The observed packet always continues to the origin.
-    pub fn on_uplink(&mut self, now: SimTime, pkt: &Packet<Wire>) -> Vec<Packet<Wire>> {
+    /// loss inference. Appends to `retx` the buffered packets to
+    /// re-inject onto the client-side downlink (early retransmits), in
+    /// packet-number order. The observed packet always continues to
+    /// the origin.
+    pub fn on_uplink(&mut self, now: SimTime, pkt: &Packet<Wire>, retx: &mut Vec<Packet<Wire>>) {
         let Wire::Quic(q) = &pkt.payload else {
-            return Vec::new();
+            return;
         };
         if !q.from_client {
-            return Vec::new();
+            return;
         }
         let flow = self.flows.entry(pkt.conn.0).or_default();
         if q.ack_eliciting() && flow.up_pending.is_none() {
             flow.up_pending = Some(now);
         }
 
-        let mut acked_ranges: Vec<pq_transport::Range> = Vec::new();
-        for f in &q.frames {
-            if let QuicFrame::Ack { ranges } = f {
-                acked_ranges.extend(ranges.iter().copied());
-            }
-        }
-        if acked_ranges.is_empty() {
-            return Vec::new();
-        }
-        let covered = |pn: u64| acked_ranges.iter().any(|r| r.contains(pn));
-        let highest = acked_ranges
-            .iter()
-            .map(|r| r.end.saturating_sub(1))
-            .max()
-            .unwrap_or(0);
+        let acked_ranges = || {
+            q.frames.iter().flat_map(|f| match f {
+                QuicFrame::Ack { ranges } => ranges.as_slice(),
+                _ => &[],
+            })
+        };
+        let Some(highest) = acked_ranges().map(|r| r.end.saturating_sub(1)).max() else {
+            return;
+        };
         flow.highest_acked = Some(flow.highest_acked.map_or(highest, |h| h.max(highest)));
         let highest_acked = flow.highest_acked.unwrap_or(0);
 
-        // Client-side RTT: newest acked buffered packet's
-        // forward→ACK delay, then free everything acknowledged.
-        let acked_pns: Vec<u64> = flow.buf.keys().copied().filter(|&pn| covered(pn)).collect();
-        if let Some(&newest) = acked_pns.last() {
-            if let Some(bp) = flow.buf.get(&newest) {
-                ewma(&mut self.client_srtt, (now - bp.at).as_secs_f64());
+        // Free everything acknowledged — each range's slice of the
+        // buffer, so the long tail of ranges retired long ago costs a
+        // lookup apiece — and sample the client-side RTT from the
+        // newest acked buffered packet's forward→ACK delay.
+        let mut newest: Option<(u64, SimTime)> = None;
+        for r in acked_ranges() {
+            let mut from = r.start;
+            while from < r.end {
+                let Some((&pn, bp)) = flow.buf.range(from..r.end).next() else {
+                    break;
+                };
+                if newest.is_none_or(|(n, _)| pn > n) {
+                    newest = Some((pn, bp.at));
+                }
+                flow.buf_bytes = flow.buf_bytes.saturating_sub(u64::from(bp.pkt.size));
+                flow.buf.remove(&pn);
+                flow.retxed.remove(&pn);
+                from = pn + 1;
             }
         }
-        for pn in acked_pns {
-            if let Some(bp) = flow.buf.remove(&pn) {
-                flow.buf_bytes = flow.buf_bytes.saturating_sub(u64::from(bp.pkt.size));
-            }
-            flow.retxed.remove(&pn);
+        if let Some((_, at)) = newest {
+            ewma(&mut self.client_srtt, (now - at).as_secs_f64());
         }
 
-        // Early retransmit: buffered, unacked, flowlet closed, and
-        // enough acknowledged packets above it to rule out
-        // reordering. Each packet retransmits at most once.
-        let mut out = Vec::new();
-        for (&pn, bp) in &flow.buf {
-            let flowlet_closed = pn < flow.flowlet_open_pn;
-            let reorder_margin = highest_acked >= pn.saturating_add(self.reorder_threshold);
-            if flowlet_closed && reorder_margin && !flow.retxed.contains(&pn) {
-                out.push(bp.pkt.clone());
+        // Early retransmit: buffered, unacked, flowlet closed
+        // (`pn < flowlet_open_pn`), and enough acknowledged packets
+        // above it to rule out reordering (`pn + threshold <=
+        // highest_acked`). Each packet retransmits at most once.
+        let Some(top) = highest_acked.checked_sub(self.reorder_threshold) else {
+            return;
+        };
+        let below = flow.flowlet_open_pn.min(top.saturating_add(1));
+        for (&pn, bp) in flow.buf.range(..below) {
+            if flow.retxed.insert(pn) {
+                retx.push(bp.pkt.clone());
+                self.early_retx += 1;
             }
         }
-        for p in &out {
-            if let Wire::Quic(q) = &p.payload {
-                flow.retxed.insert(q.pn);
-            }
-        }
-        self.early_retx += out.len() as u64;
-        out
     }
 
     /// Packets early-retransmitted so far.
@@ -277,6 +277,13 @@ mod tests {
         Middlebox::new(&EdgeConfig::default())
     }
 
+    /// `on_uplink` with a fresh buffer: the early retransmits.
+    fn uplink(m: &mut Middlebox, now: SimTime, pkt: &Packet<Wire>) -> Vec<Packet<Wire>> {
+        let mut retx = Vec::new();
+        m.on_uplink(now, pkt, &mut retx);
+        retx
+    }
+
     /// Feed pns as one flowlet (1 µs apart), close it with a time
     /// gap, then ack exactly `acked`.
     fn run_case(m: &mut Middlebox, pns: &[u64], acked: Vec<Range>) -> Vec<u64> {
@@ -286,7 +293,7 @@ mod tests {
         // Gap well past the flowlet threshold closes the flowlet.
         let late = t(1_000_000);
         m.on_downlink(late, &data(pns.iter().max().copied().unwrap_or(0) + 50));
-        m.on_uplink(late + SimDuration::from_micros(10), &ack(acked))
+        uplink(m, late + SimDuration::from_micros(10), &ack(acked))
             .iter()
             .filter_map(|p| match &p.payload {
                 Wire::Quic(q) => Some(q.pn),
@@ -308,7 +315,11 @@ mod tests {
         assert_eq!(retx, vec![2]);
         assert_eq!(m.early_retransmits(), 1);
         // The same ACK pattern again must not retransmit twice.
-        let again = m.on_uplink(t(2_000_000), &ack(vec![Range::new(0, 2), Range::new(3, 7)]));
+        let again = uplink(
+            &mut m,
+            t(2_000_000),
+            &ack(vec![Range::new(0, 2), Range::new(3, 7)]),
+        );
         assert!(again.is_empty());
     }
 
@@ -344,7 +355,11 @@ mod tests {
         for (i, pn) in [0u64, 1, 3, 4, 5, 6, 7].iter().enumerate() {
             m.on_downlink(t(i as u64), &data(*pn));
         }
-        let retx = m.on_uplink(t(100), &ack(vec![Range::new(0, 2), Range::new(3, 8)]));
+        let retx = uplink(
+            &mut m,
+            t(100),
+            &ack(vec![Range::new(0, 2), Range::new(3, 8)]),
+        );
         assert!(retx.is_empty(), "open flowlet must not retransmit");
     }
 
@@ -379,11 +394,11 @@ mod tests {
                 }],
             }),
         };
-        m.on_uplink(t(0), &req);
+        uplink(&mut m, t(0), &req);
         // … origin replies 40 ms later (origin-side RTT sample) …
         m.on_downlink(t(40_000), &data(0));
         // … client acks 6 ms after that (client-side RTT sample).
-        m.on_uplink(t(46_000), &ack(vec![Range::new(0, 1)]));
+        uplink(&mut m, t(46_000), &ack(vec![Range::new(0, 1)]));
         let (client_ms, origin_ms) = m.rtt_split_ms().expect("both samples present");
         assert!((client_ms - 6.0).abs() < 0.1, "client {client_ms}");
         assert!((origin_ms - 40.0).abs() < 0.1, "origin {origin_ms}");
@@ -426,7 +441,7 @@ mod tests {
             let retx = run_case(&mut m, &pns, acked.clone());
             prop_assert_eq!(retx, vec![lost]);
             // Replaying the ACK must not duplicate the retransmit.
-            let again = m.on_uplink(t(5_000_000), &ack(acked));
+            let again = uplink(&mut m, t(5_000_000), &ack(acked));
             prop_assert!(again.is_empty());
         }
     }

@@ -39,7 +39,7 @@ pub use alloc::{
     LaneAlloc, PhaseAlloc,
 };
 pub use span::{
-    current_path, flush_thread, folded, reset_spans, set_spans_enabled, span, span_dyn,
+    current_path, flush_thread, folded, reset_spans, set_spans_enabled, span, span_dyn, span_with,
     spans_enabled, tick, ticks, worker_span, write_folded, Span,
 };
 

@@ -97,6 +97,18 @@ pub fn span(name: &str) -> Span {
     push_frame(path)
 }
 
+/// Like [`span`] but the name is picked lazily — `name` runs only when
+/// profiling is enabled, so a site that maps a value to its static
+/// bucket name (e.g. the event loop's per-event-type buckets) pays
+/// one relaxed load and no match on the disabled path.
+#[inline]
+pub fn span_with(name: impl FnOnce() -> &'static str) -> Span {
+    if !spans_enabled() {
+        return Span { armed: false };
+    }
+    span(name())
+}
+
 /// Like [`span`] but the name is built lazily — the closure runs only
 /// when profiling is enabled, keeping dynamic-name sites (e.g.
 /// per-protocol labels) free on the disabled path.
@@ -310,6 +322,31 @@ mod tests {
         }
         assert!(folded().is_empty());
         assert!(ticks().is_empty());
+    }
+
+    #[test]
+    fn span_with_names_lazily_and_folds_like_span() {
+        let _g = test_lock();
+        reset_spans();
+        set_spans_enabled(false);
+        {
+            let _off = span_with(|| unreachable!("disabled: the name is never picked"));
+        }
+        assert!(folded().is_empty());
+        set_spans_enabled(true);
+        {
+            let _a = span("outer");
+            let _b = span_with(|| "event:timer");
+        }
+        {
+            let _a = span("outer");
+            let _b = span("event:timer");
+        }
+        set_spans_enabled(false);
+        let rows = folded();
+        let bucket = rows.iter().find(|(p, _, _)| p == "outer;event:timer");
+        assert_eq!(bucket.map(|b| b.1), Some(2), "same bucket either way");
+        reset_spans();
     }
 
     #[test]

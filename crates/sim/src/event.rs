@@ -7,44 +7,44 @@
 //! keeps runs deterministic.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Pops between flushes of the global `sim.events_processed` counter:
 /// batching keeps the per-pop cost of metrics at ~1/4096 of a mutex.
 const OBS_FLUSH_EVERY: u64 = 4096;
 
-/// Internal heap entry; ordered by `(time, seq)` ascending.
-struct Entry<E> {
+/// Children per heap node. Four keys share a cache line and a half, so
+/// a level costs about what a binary level does at half the depth.
+const ARITY: usize = 4;
+
+/// What the heap sifts: the `(time, seq)` sort key plus the slab slot
+/// holding the payload.
+#[derive(Clone, Copy)]
+struct Key {
     time: SimTime,
     seq: u64,
-    event: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl Key {
+    /// `(time, seq)` as one integer: earlier time first, then FIFO.
+    /// `seq` is unique, so no two keys rank equal.
+    fn rank(&self) -> u128 {
+        (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 
 /// A deterministic future-event list.
+///
+/// A min-heap of 24-byte [`Key`]s over a slab of payloads: sifting
+/// moves keys only, and an event is written once on `schedule` and
+/// read once on `pop` however far its key travels.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Implicit [`ARITY`]-ary min-heap ordered by `(time, seq)`.
+    heap: Vec<Key>,
+    /// Payloads, addressed by `Key::slot`; `None` = free.
+    slab: Vec<Option<E>>,
+    /// Free slab slots, reused LIFO.
+    free: Vec<u32>,
     seq: u64,
     now: SimTime,
     processed: u64,
@@ -64,7 +64,9 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
@@ -118,25 +120,114 @@ impl<E> EventQueue<E> {
     /// debug builds assert so tests catch it.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "scheduled event in the past");
-        let at = at.max(self.now);
-        self.heap.push(Entry {
-            time: at,
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                if let Some(cell) = self.slab.get_mut(slot as usize) {
+                    *cell = Some(event);
+                }
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        let key = Key {
+            time: at.max(self.now),
             seq: self.seq,
-            event,
-        });
+            slot,
+        };
         self.seq += 1;
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1, key);
+    }
+
+    /// Place `key` at or above leaf position `i`: parents that sort
+    /// after it move down into the hole.
+    fn sift_up(&mut self, mut i: usize, key: Key) {
+        let rank = key.rank();
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            let Some(&p) = self.heap.get(parent) else {
+                break;
+            };
+            if p.rank() <= rank {
+                break;
+            }
+            if let Some(hole) = self.heap.get_mut(i) {
+                *hole = p;
+            }
+            i = parent;
+        }
+        if let Some(hole) = self.heap.get_mut(i) {
+            *hole = key;
+        }
+    }
+
+    /// Position and key of the least of the up-to-[`ARITY`] children
+    /// starting at `first`; `None` when there are none.
+    fn least_child(&self, first: usize) -> Option<(usize, Key)> {
+        /// Offset of the least key. Selects instead of branches: which
+        /// child is least is a coin toss the predictor loses.
+        fn least<'a>(kids: impl IntoIterator<Item = &'a Key>) -> usize {
+            let mut at = 0;
+            let mut least = u128::MAX;
+            for (i, kid) in kids.into_iter().enumerate() {
+                let rank = kid.rank();
+                let earlier = rank < least;
+                least = if earlier { rank } else { least };
+                at = if earlier { i } else { at };
+            }
+            at
+        }
+        let kids = self.heap.get(first..)?;
+        let at = match kids.first_chunk::<ARITY>() {
+            Some(full) => least(full),
+            None => least(kids),
+        };
+        kids.get(at).map(|kid| (first + at, *kid))
+    }
+
+    /// Place `key` at or below the root: the least child moves up into
+    /// the hole until none sorts before `key`.
+    fn sift_down(&mut self, key: Key) {
+        let rank = key.rank();
+        let mut i = 0;
+        while let Some((at, kid)) = self.least_child(i * ARITY + 1) {
+            if rank <= kid.rank() {
+                break;
+            }
+            if let Some(hole) = self.heap.get_mut(i) {
+                *hole = kid;
+            }
+            i = at;
+        }
+        if let Some(hole) = self.heap.get_mut(i) {
+            *hole = key;
+        }
     }
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.first().map(|k| k.time)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     // pq-lint: hot-root(experiment) -- every simulated event passes through this heap pop
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
+        let last = self.heap.pop()?;
+        let top = match self.heap.first() {
+            Some(&top) => {
+                self.sift_down(last);
+                top
+            }
+            None => last,
+        };
+        let event = self.slab.get_mut(top.slot as usize).and_then(Option::take);
+        debug_assert!(event.is_some(), "heap key without a payload");
+        let event = event?;
+        self.free.push(top.slot);
+        self.now = top.time;
         self.processed += 1;
         if self.processed.is_multiple_of(OBS_FLUSH_EVERY) {
             self.flush_obs();
@@ -148,13 +239,13 @@ impl<E> EventQueue<E> {
                         "event queue depth",
                         pid,
                         tid,
-                        entry.time.as_nanos(),
+                        top.time.as_nanos(),
                         self.heap.len() as f64,
                     );
                 }
             }
         }
-        Some((entry.time, entry.event))
+        Some((top.time, event))
     }
 
     /// Drop every pending event (used when a run finishes early, e.g.
@@ -162,6 +253,8 @@ impl<E> EventQueue<E> {
     /// counter are unaffected.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 }
 

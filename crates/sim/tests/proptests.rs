@@ -27,6 +27,88 @@ proptest! {
         }
     }
 
+    /// The key-heap-over-slab queue against the obvious reference, a
+    /// `Vec` kept sorted by `(time, seq)`: any interleaving of
+    /// schedule / pop / clear yields the same `(time, event)` pops,
+    /// the same `len` and `peek_time`, and `processed()` counts pops
+    /// across clears. Times are drawn from a small set so equal-time
+    /// FIFO order is exercised constantly.
+    #[test]
+    fn event_queue_matches_sorted_vec_reference(
+        ops in prop::collection::vec((0u8..10, 0u64..12), 1..400)
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut reference: Vec<(SimTime, u64, u64)> = Vec::new(); // (time, seq, event)
+        let mut seq = 0u64;
+        let mut popped = 0u64;
+        for (op, arg) in ops {
+            match op {
+                // Schedule at now + a small offset (often colliding).
+                0..=5 => {
+                    let at = q.now() + SimDuration::from_nanos(arg / 2);
+                    q.schedule(at, seq);
+                    let slot = reference.partition_point(|e| (e.0, e.1) <= (at, seq));
+                    reference.insert(slot, (at, seq, seq));
+                    seq += 1;
+                }
+                6..=8 => {
+                    let want = if reference.is_empty() {
+                        None
+                    } else {
+                        let (t, _, ev) = reference.remove(0);
+                        Some((t, ev))
+                    };
+                    let got = q.pop();
+                    prop_assert_eq!(got, want);
+                    if let Some((t, _)) = got {
+                        popped += 1;
+                        prop_assert_eq!(q.now(), t);
+                    }
+                }
+                _ => {
+                    q.clear();
+                    reference.clear();
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            prop_assert_eq!(q.is_empty(), reference.is_empty());
+            prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
+            prop_assert_eq!(q.processed(), popped, "clear() must keep processed()");
+        }
+        // Drain: the tail must come out in reference order too.
+        for (t, _, ev) in reference {
+            prop_assert_eq!(q.pop(), Some((t, ev)));
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+
+    /// Release builds clamp a past-time schedule to `now` instead of
+    /// asserting: the clamped event sorts as "now, after everything
+    /// already scheduled for now", exactly as the reference does.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn event_queue_clamps_past_times_like_the_reference(
+        times in prop::collection::vec(0u64..50, 2..120)
+    ) {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut reference: Vec<(SimTime, usize)> = Vec::new();
+        for (i, &t) in times.iter().enumerate() {
+            // Pop every third step so `now` moves past some later times.
+            if i % 3 == 2 {
+                let want = (!reference.is_empty()).then(|| reference.remove(0));
+                prop_assert_eq!(q.pop(), want);
+            }
+            let at = SimTime::from_nanos(t);
+            q.schedule(at, i);
+            let clamped = at.max(q.now());
+            let slot = reference.partition_point(|e| e.0 <= clamped);
+            reference.insert(slot, (clamped, i));
+        }
+        for want in reference {
+            prop_assert_eq!(q.pop(), Some(want));
+        }
+    }
+
     /// Drop-tail queues conserve bytes: popped ≤ pushed, and the
     /// internal byte counter never exceeds capacity.
     #[test]

@@ -111,12 +111,22 @@ impl Connection {
         }
     }
 
-    /// Drain pending outputs.
-    pub fn take_outputs(&mut self) -> Vec<Output> {
+    /// Move pending outputs to the end of `into`, oldest first. The
+    /// pump loops call this once or more per event with a buffer they
+    /// keep, so neither side allocates in steady state.
+    pub fn drain_outputs(&mut self, into: &mut Vec<Output>) {
         match self {
-            Connection::Tcp(c) => c.take_outputs(),
-            Connection::Quic(c) => c.take_outputs(),
+            Connection::Tcp(c) => c.drain_outputs(into),
+            Connection::Quic(c) => c.drain_outputs(into),
         }
+    }
+
+    /// Pending outputs as a fresh `Vec`: [`Connection::drain_outputs`]
+    /// for callers without a buffer to reuse.
+    pub fn take_outputs(&mut self) -> Vec<Output> {
+        let mut outputs = Vec::new();
+        self.drain_outputs(&mut outputs);
+        outputs
     }
 
     /// True once the client may send application data.

@@ -221,7 +221,7 @@ impl std::fmt::Display for Protocol {
 }
 
 /// Concrete knob settings for one connection.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct StackConfig {
     /// Which stack this is.
     pub protocol: Protocol,

@@ -35,6 +35,7 @@ pub mod quic;
 pub mod rangeset;
 pub mod rate;
 pub mod rtt;
+pub(crate) mod sentlog;
 pub mod tcp;
 pub mod wire;
 

@@ -19,9 +19,10 @@ use crate::pacing::Pacer;
 use crate::rangeset::{Range, RangeSet};
 use crate::rate::{RateSampler, TxRecord};
 use crate::rtt::RttEstimator;
+use crate::sentlog::SentLog;
 use crate::wire::{QuicFrame, QuicPacket, Wire};
 use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime, TraceKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// SHLO/REJ flight: server config + certs ≈ 2 packets.
 const SHLO_PARTS: u8 = 2;
@@ -51,9 +52,17 @@ enum SentFrame {
 struct SentPacket {
     size: u32,
     sent_at: SimTime,
-    frames: Vec<SentFrame>,
+    /// The one retransmittable frame a packet carries, if any (ACK
+    /// frames are never tracked).
+    frame: Option<SentFrame>,
     tx: TxRecord,
-    ack_eliciting: bool,
+}
+
+impl SentPacket {
+    /// Pure-ACK packets carry no tracked frame and elicit nothing.
+    fn ack_eliciting(&self) -> bool {
+        self.frame.is_some()
+    }
 }
 
 /// Sending side of one stream.
@@ -92,7 +101,9 @@ struct QuicEndpoint {
     is_client: bool,
     mss: u64,
     next_pn: u64,
-    sent: BTreeMap<u64, SentPacket>,
+    sent: SentLog<SentPacket>,
+    /// Ack-eliciting packets in `sent` (the RTO is armed while > 0).
+    eliciting_in_flight: u32,
     bytes_in_flight: u64,
     largest_acked: Option<u64>,
     /// Receive state: which packet numbers arrived.
@@ -104,6 +115,11 @@ struct QuicEndpoint {
     /// immediate ACK, as reordering/loss feedback must be prompt).
     ooo_pending: bool,
     send_streams: BTreeMap<u64, SendStream>,
+    /// Streams with a non-empty `lost` set, so `next_chunk` never
+    /// walks the finished ones.
+    lossy_streams: BTreeSet<u64>,
+    /// Streams with unsent fresh data (`next_offset < limit`).
+    fresh_streams: BTreeSet<u64>,
     recv_streams: BTreeMap<u64, RecvStream>,
     cc: Box<dyn CongestionControl>,
     pacer: Pacer,
@@ -133,7 +149,8 @@ impl QuicEndpoint {
             is_client,
             mss: cfg.mss,
             next_pn: 1,
-            sent: BTreeMap::new(),
+            sent: SentLog::new(),
+            eliciting_in_flight: 0,
             bytes_in_flight: 0,
             largest_acked: None,
             recv_pns: RangeSet::new(),
@@ -142,6 +159,8 @@ impl QuicEndpoint {
             eliciting_since_ack: 0,
             ooo_pending: false,
             send_streams: BTreeMap::new(),
+            lossy_streams: BTreeSet::new(),
+            fresh_streams: BTreeSet::new(),
             recv_streams: BTreeMap::new(),
             cc: cfg
                 .cc
@@ -205,20 +224,36 @@ impl QuicEndpoint {
         })
     }
 
+    /// The application appended `bytes` to `stream`.
+    fn write(&mut self, stream: u64, bytes: u64, fin: bool) {
+        let s = self.send_streams.entry(stream).or_default();
+        s.limit += bytes;
+        s.fin = fin;
+        if s.next_offset < s.limit {
+            self.fresh_streams.insert(stream);
+        }
+        self.rate.set_app_limited(false);
+    }
+
     /// Choose the next stream chunk to send: retransmissions first
     /// (lowest stream id), then fresh data round-robin by stream id.
-    fn next_chunk(&mut self) -> Option<(u64, u64, u32, bool, bool)> {
+    fn next_chunk(&self) -> Option<(u64, u64, u32, bool, bool)> {
         // (stream, offset, len, fin, is_retx)
-        for (id, s) in self.send_streams.iter() {
-            if let Some(r) = s.lost.iter().next() {
-                let len = r.len().min(self.mss) as u32;
-                // FIN is a property of the stream's end, recomputed so
-                // retransmitted tails keep it.
-                let fin = s.fin && r.start + u64::from(len) >= s.limit;
-                return Some((*id, r.start, len, fin, true));
-            }
+        let lossy = self.lossy_streams.first().and_then(|id| {
+            let s = self.send_streams.get(id)?;
+            Some((*id, s, s.lost.iter().next()?))
+        });
+        if let Some((id, s, r)) = lossy {
+            let len = r.len().min(self.mss) as u32;
+            // FIN is a property of the stream's end, recomputed so
+            // retransmitted tails keep it.
+            let fin = s.fin && r.start + u64::from(len) >= s.limit;
+            return Some((id, r.start, len, fin, true));
         }
-        for (id, s) in self.send_streams.iter() {
+        for id in &self.fresh_streams {
+            let Some(s) = self.send_streams.get(id) else {
+                continue;
+            };
             // Flow control: stay within a window of the contiguously
             // ACKed prefix (the receiving browser drains instantly, so
             // ACKed ≈ consumed).
@@ -234,10 +269,52 @@ impl QuicEndpoint {
 
     fn has_pending(&self) -> bool {
         !self.hs_queue.is_empty()
-            || self
-                .send_streams
-                .values()
-                .any(|s| !s.lost.is_empty() || s.next_offset < s.limit)
+            || !self.lossy_streams.is_empty()
+            || !self.fresh_streams.is_empty()
+    }
+
+    /// Log a packet that just left as `pn`.
+    fn log_sent(&mut self, now: SimTime, pn: u64, size: u32, frame: Option<SentFrame>) {
+        self.eliciting_in_flight += u32::from(frame.is_some());
+        self.sent.push(
+            pn,
+            SentPacket {
+                size,
+                sent_at: now,
+                frame,
+                tx: self.rate.on_send(now),
+            },
+        );
+    }
+
+    /// Take `pn` out of the sent log (ACKed or declared lost).
+    fn unlog(&mut self, pn: u64) -> Option<SentPacket> {
+        let sp = self.sent.remove(pn)?;
+        if sp.ack_eliciting() {
+            self.eliciting_in_flight -= 1;
+            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(u64::from(sp.size));
+        }
+        Some(sp)
+    }
+
+    /// Emit a packet carrying nothing but the pending ACK frame.
+    fn send_pure_ack(&mut self, now: SimTime, conn: ConnId, out: &mut Vec<Output>) {
+        let Some(ack) = self.maybe_ack_frame() else {
+            return;
+        };
+        let pn = self.next_pn;
+        self.next_pn += 1;
+        let pkt = QuicPacket {
+            from_client: self.is_client,
+            pn,
+            frames: vec![ack],
+        };
+        let size = pkt.wire_size();
+        self.log_sent(now, pn, size, None);
+        out.push(Output::Send(
+            self.direction(),
+            Packet::new(conn, size, Wire::Quic(pkt)),
+        ));
     }
 
     /// Packetize and emit everything congestion control and pacing
@@ -285,9 +362,9 @@ impl QuicEndpoint {
                 }
             }
 
-            // Build the packet.
-            let mut frames = Vec::new();
-            let mut sent_frames = Vec::new();
+            // Build the packet: at most an ACK plus one tracked frame.
+            let mut frames = Vec::with_capacity(2);
+            let mut sent_frame = None;
             if let Some(ack) = self.maybe_ack_frame() {
                 frames.push(ack);
             }
@@ -302,7 +379,7 @@ impl QuicEndpoint {
                     // pq-lint: allow(panic) -- hs_queue only ever holds Chlo/Shlo; stream data goes through send_streams
                     SentFrame::Stream { .. } => unreachable!(),
                 }
-                sent_frames.push(f);
+                sent_frame = Some(f);
             } else if let Some((id, offset, len, fin, is_retx)) = chunk {
                 // A chunk always references a live send stream; if the
                 // map ever disagrees, drop the frame (the next poll
@@ -310,6 +387,9 @@ impl QuicEndpoint {
                 if let Some(s) = self.send_streams.get_mut(&id) {
                     if is_retx {
                         s.lost.remove(offset, offset + u64::from(len));
+                        if s.lost.is_empty() {
+                            self.lossy_streams.remove(&id);
+                        }
                         self.retransmits += 1;
                         out.push(Output::Trace(TraceKind::Retransmit, id));
                         crate::obs::instant(
@@ -321,6 +401,9 @@ impl QuicEndpoint {
                         );
                     } else {
                         s.next_offset = offset + u64::from(len);
+                        if s.next_offset >= s.limit {
+                            self.fresh_streams.remove(&id);
+                        }
                     }
                     frames.push(QuicFrame::Stream {
                         id,
@@ -328,7 +411,7 @@ impl QuicEndpoint {
                         len,
                         fin,
                     });
-                    sent_frames.push(SentFrame::Stream { id, offset, len });
+                    sent_frame = Some(SentFrame::Stream { id, offset, len });
                 }
             }
 
@@ -340,24 +423,14 @@ impl QuicEndpoint {
                 frames,
             };
             let size = pkt.wire_size();
-            let ack_eliciting = pkt.ack_eliciting();
-            if ack_eliciting {
+            if sent_frame.is_some() {
                 self.bytes_in_flight += u64::from(size);
                 self.pacer.on_send(now, u64::from(size));
                 if self.rto_at.is_none() {
                     self.rto_at = Some(now + self.rtt.rto());
                 }
             }
-            self.sent.insert(
-                pn,
-                SentPacket {
-                    size,
-                    sent_at: now,
-                    frames: sent_frames,
-                    tx: self.rate.on_send(now),
-                    ack_eliciting,
-                },
-            );
+            self.log_sent(now, pn, size, sent_frame);
             out.push(Output::Send(
                 self.direction(),
                 Packet::new(conn, size, Wire::Quic(pkt)),
@@ -408,21 +481,21 @@ impl QuicEndpoint {
         let mut largest_newly = None;
 
         for r in ranges {
-            let pns: Vec<u64> = self.sent.range(r.start..r.end).map(|(p, _)| *p).collect();
-            for pn in pns {
-                let Some(sp) = self.sent.remove(&pn) else {
-                    continue; // pn was collected from `sent` just above
+            // Most advertised ranges lie wholly below the oldest
+            // outstanding packet (retired long ago): clamping to the
+            // log's span makes those cost one comparison.
+            let outstanding = r.start.max(self.sent.first_pn())..r.end.min(self.sent.end());
+            for pn in outstanding {
+                let Some(sp) = self.unlog(pn) else {
+                    continue; // ACKed before, or declared lost
                 };
-                if sp.ack_eliciting {
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(u64::from(sp.size));
+                if sp.ack_eliciting() {
                     newly_acked_bytes += u64::from(sp.size);
                 }
                 largest_newly = Some(largest_newly.map_or(pn, |l: u64| l.max(pn)));
-                for f in &sp.frames {
-                    if let SentFrame::Stream { id, offset, len } = f {
-                        if let Some(s) = self.send_streams.get_mut(id) {
-                            s.acked.insert(*offset, *offset + u64::from(*len));
-                        }
+                if let Some(SentFrame::Stream { id, offset, len }) = sp.frame {
+                    if let Some(s) = self.send_streams.get_mut(&id) {
+                        s.acked.insert(offset, offset + u64::from(len));
                     }
                 }
                 let sample = self.rate.on_ack(now, u64::from(sp.size), sp.tx);
@@ -440,37 +513,36 @@ impl QuicEndpoint {
             self.rtt.on_sample(s);
         }
 
-        // Loss detection: packet threshold + time threshold.
-        let mut lost_pns = Vec::new();
+        // Loss detection: packet threshold + time threshold, over the
+        // packets still outstanding below the largest ACKed one.
+        let mut max_lost_eliciting: Option<u64> = None;
         if let Some(largest) = self.largest_acked {
             let time_thresh = self
                 .rtt
                 .srtt_or(SimDuration::from_millis(100))
                 .max(self.rtt.latest())
                 .mul_f64(1.125);
-            for (pn, sp) in self.sent.iter() {
-                if *pn >= largest {
-                    break;
-                }
+            for pn in self.sent.first_pn()..largest.min(self.sent.end()) {
+                let Some(sp) = self.sent.get(pn) else {
+                    continue;
+                };
                 let by_count = largest >= pn + PKT_THRESH;
-                let by_time = sp.sent_at + time_thresh <= now && largest > *pn;
-                if by_count || by_time {
-                    lost_pns.push(*pn);
+                let by_time = sp.sent_at + time_thresh <= now;
+                if !(by_count || by_time) {
+                    continue;
+                }
+                let Some(sp) = self.unlog(pn) else {
+                    continue; // `get` just found it
+                };
+                if sp.ack_eliciting() {
+                    // Only real data losses are congestion signals; a
+                    // "lost" pure-ACK packet carries nothing.
+                    max_lost_eliciting = Some(pn);
+                }
+                if let Some(frame) = sp.frame {
+                    self.requeue_frame(frame);
                 }
             }
-        }
-        let mut max_lost_eliciting: Option<u64> = None;
-        for pn in &lost_pns {
-            let Some(sp) = self.sent.remove(pn) else {
-                continue; // lost pns were collected from `sent` above
-            };
-            if sp.ack_eliciting {
-                // Only real data losses are congestion signals; a
-                // "lost" pure-ACK packet carries nothing.
-                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(u64::from(sp.size));
-                max_lost_eliciting = Some(max_lost_eliciting.map_or(*pn, |m| m.max(*pn)));
-            }
-            self.requeue_frames(sp.frames);
         }
         if let Some(lost_pn) = max_lost_eliciting {
             // New cutback only for losses of packets sent after the
@@ -502,7 +574,7 @@ impl QuicEndpoint {
             );
         }
 
-        self.rto_at = if self.sent.values().any(|s| s.ack_eliciting) {
+        self.rto_at = if self.eliciting_in_flight > 0 {
             Some(now + self.rtt.rto())
         } else {
             None
@@ -511,21 +583,28 @@ impl QuicEndpoint {
         self.try_send(now, conn, out);
     }
 
-    fn requeue_frames(&mut self, frames: Vec<SentFrame>) {
-        for f in frames {
-            match f {
-                SentFrame::Chlo | SentFrame::Shlo { .. } => self.hs_queue.push(f),
-                SentFrame::Stream { id, offset, len } => {
-                    if let Some(s) = self.send_streams.get_mut(&id) {
-                        // Only re-queue what the peer hasn't ACKed.
-                        let end = offset + u64::from(len);
-                        if !s.acked.contains_range(offset, end) {
-                            s.lost.insert(offset, end);
-                            for r in s.acked.iter().collect::<Vec<_>>() {
-                                s.lost.remove(r.start, r.end);
-                            }
-                        }
-                    }
+    /// Queue a lost packet's frame for retransmission.
+    fn requeue_frame(&mut self, frame: SentFrame) {
+        match frame {
+            SentFrame::Chlo | SentFrame::Shlo { .. } => self.hs_queue.push(frame),
+            SentFrame::Stream { id, offset, len } => {
+                let Some(s) = self.send_streams.get_mut(&id) else {
+                    return;
+                };
+                // Only re-queue what the peer hasn't ACKed: the gaps
+                // between the ACKed ranges inside the frame. (`lost`
+                // and `acked` never overlap — a byte is re-queued only
+                // once no packet carrying it is outstanding — so this
+                // is all the subtraction there is to do.)
+                let end = offset + u64::from(len);
+                let mut gap_start = offset;
+                for r in s.acked.overlapping(offset, end) {
+                    s.lost.insert(gap_start, r.start);
+                    gap_start = r.end;
+                }
+                s.lost.insert(gap_start, end);
+                if !s.lost.is_empty() {
+                    self.lossy_streams.insert(id);
                 }
             }
         }
@@ -543,15 +622,10 @@ impl QuicEndpoint {
         self.rtt.on_rto_fired();
         self.cc.on_rto(now);
         // Declare everything outstanding lost.
-        let pns: Vec<u64> = self.sent.keys().copied().collect();
-        for pn in pns {
-            let Some(sp) = self.sent.remove(&pn) else {
-                continue; // pns snapshot taken from `sent` just above
-            };
-            if sp.ack_eliciting {
-                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(u64::from(sp.size));
+        for pn in self.sent.first_pn()..self.sent.end() {
+            if let Some(frame) = self.unlog(pn).and_then(|sp| sp.frame) {
+                self.requeue_frame(frame);
             }
-            self.requeue_frames(sp.frames);
         }
         self.cutback_pn = self.next_pn;
         self.rto_at = Some(now + self.rtt.rto());
@@ -580,6 +654,9 @@ pub struct QuicConnection {
     established_server: bool,
     shlo_recv: u8,
     out: Vec<Output>,
+    /// Scratch for the `(stream, delivered, fin)` progress one arriving
+    /// packet causes; kept for its capacity.
+    progress: Vec<(u64, u64, bool)>,
     /// When the connection was opened (handshake-span start).
     opened_at: SimTime,
     /// Protocol label for the handshake span.
@@ -605,6 +682,7 @@ impl QuicConnection {
             established_server: false,
             shlo_recv: 0,
             out: Vec::new(),
+            progress: Vec::new(),
             opened_at: now,
             proto_label: cfg.protocol.label(),
             obs_track: None,
@@ -612,9 +690,7 @@ impl QuicConnection {
         if zero_rtt {
             conn.out.push(Output::HandshakeDone);
         }
-        let mut out = Vec::new();
-        conn.client.try_send(now, id, &mut out);
-        conn.out.extend(out);
+        conn.client.try_send(now, id, &mut conn.out);
         conn
     }
 
@@ -642,9 +718,9 @@ impl QuicConnection {
         self.client.retransmits + self.server.retransmits
     }
 
-    /// Drain pending outputs.
-    pub fn take_outputs(&mut self) -> Vec<Output> {
-        std::mem::take(&mut self.out)
+    /// Move pending outputs to the end of `into`, oldest first.
+    pub fn drain_outputs(&mut self, into: &mut Vec<Output>) {
+        into.append(&mut self.out);
     }
 
     /// Drop buffered outgoing packets (fault injection). Non-`Send`
@@ -658,10 +734,7 @@ impl QuicConnection {
     /// The client opens a request stream carrying `bytes` and closing
     /// with FIN (an HTTP request).
     pub fn client_open_stream(&mut self, now: SimTime, stream: StreamId, bytes: u64) {
-        let s = self.client.send_streams.entry(stream.0).or_default();
-        s.limit += bytes;
-        s.fin = true;
-        self.client.rate.set_app_limited(false);
+        self.client.write(stream.0, bytes, true);
         if self.established_client {
             self.client.try_send(now, self.id, &mut self.out);
         }
@@ -669,10 +742,7 @@ impl QuicConnection {
 
     /// The server writes response bytes onto `stream`.
     pub fn server_write(&mut self, now: SimTime, stream: StreamId, bytes: u64, fin: bool) {
-        let s = self.server.send_streams.entry(stream.0).or_default();
-        s.limit += bytes;
-        s.fin = fin;
-        self.server.rate.set_app_limited(false);
+        self.server.write(stream.0, bytes, fin);
         if self.established_server {
             self.server.try_send(now, self.id, &mut self.out);
         }
@@ -694,7 +764,7 @@ impl QuicConnection {
         }
         ep.note_received(now, pkt.pn, pkt.ack_eliciting());
 
-        let mut stream_progress: Vec<(u64, u64, bool)> = Vec::new();
+        let mut stream_progress = std::mem::take(&mut self.progress);
         let mut got_chlo = false;
         let mut got_shlo_parts = 0u8;
         let mut shlo_of = 0u8;
@@ -738,32 +808,7 @@ impl QuicConnection {
             ep.try_send(now, id, &mut self.out);
             // try_send may not have produced anything if cwnd-limited;
             // force a pure-ACK packet in that case.
-            if ep.ack_pending {
-                if let Some(ackf) = ep.maybe_ack_frame() {
-                    let pn = ep.next_pn;
-                    ep.next_pn += 1;
-                    let pkt = QuicPacket {
-                        from_client: ep.is_client,
-                        pn,
-                        frames: vec![ackf],
-                    };
-                    let size = pkt.wire_size();
-                    ep.sent.insert(
-                        pn,
-                        SentPacket {
-                            size,
-                            sent_at: now,
-                            frames: Vec::new(),
-                            tx: ep.rate.on_send(now),
-                            ack_eliciting: false,
-                        },
-                    );
-                    self.out.push(Output::Send(
-                        ep.direction(),
-                        Packet::new(id, size, Wire::Quic(pkt)),
-                    ));
-                }
-            }
+            ep.send_pure_ack(now, id, &mut self.out);
         }
 
         // Handshake progression.
@@ -775,9 +820,7 @@ impl QuicConnection {
                     of: SHLO_PARTS,
                 });
             }
-            let mut out = Vec::new();
-            self.server.try_send(now, id, &mut out);
-            self.out.extend(out);
+            self.server.try_send(now, id, &mut self.out);
         }
         if got_shlo_parts > 0 && arrived == Direction::Down && !self.established_client {
             self.shlo_recv += got_shlo_parts;
@@ -786,14 +829,12 @@ impl QuicConnection {
                 self.out.push(Output::HandshakeDone);
                 self.out.push(Output::Trace(TraceKind::HandshakeDone, 0));
                 crate::obs::handshake_span(self.obs_track, self.opened_at, now, self.proto_label);
-                let mut out = Vec::new();
-                self.client.try_send(now, id, &mut out);
-                self.out.extend(out);
+                self.client.try_send(now, id, &mut self.out);
             }
         }
 
         // Emit application progress events.
-        for (sid, delivered, fin) in stream_progress {
+        for (sid, delivered, fin) in stream_progress.drain(..) {
             let ev = match arrived {
                 Direction::Up => Output::ServerStreamProgress {
                     stream: StreamId(sid),
@@ -808,6 +849,7 @@ impl QuicConnection {
             };
             self.out.push(ev);
         }
+        self.progress = stream_progress;
     }
 
     /// Earliest internal timer.
@@ -833,30 +875,7 @@ impl QuicConnection {
                 ep.try_send(now, id, &mut self.out);
             }
             if ep.ack_at.is_some_and(|t| t <= now) {
-                if let Some(ackf) = ep.maybe_ack_frame() {
-                    let pn = ep.next_pn;
-                    ep.next_pn += 1;
-                    let pkt = QuicPacket {
-                        from_client: ep.is_client,
-                        pn,
-                        frames: vec![ackf],
-                    };
-                    let size = pkt.wire_size();
-                    ep.sent.insert(
-                        pn,
-                        SentPacket {
-                            size,
-                            sent_at: now,
-                            frames: Vec::new(),
-                            tx: ep.rate.on_send(now),
-                            ack_eliciting: false,
-                        },
-                    );
-                    self.out.push(Output::Send(
-                        ep.direction(),
-                        Packet::new(id, size, Wire::Quic(pkt)),
-                    ));
-                }
+                ep.send_pure_ack(now, id, &mut self.out);
             }
         }
     }
@@ -907,8 +926,14 @@ mod tests {
         QuicConnection::new(ConnId(2), proto.config(&net), SimTime::ZERO)
     }
 
+    fn outputs(c: &mut QuicConnection) -> Vec<Output> {
+        let mut out = Vec::new();
+        c.drain_outputs(&mut out);
+        out
+    }
+
     fn sent(c: &mut QuicConnection) -> Vec<(Direction, QuicPacket)> {
-        c.take_outputs()
+        outputs(c)
             .into_iter()
             .filter_map(|o| match o {
                 Output::Send(d, p) => match p.payload {
@@ -989,8 +1014,7 @@ mod tests {
             &Wire::Quic(pkt(11, 7, 0, 300, true)),
             Direction::Down,
         );
-        let progress: Vec<(u64, u64, bool)> = c
-            .take_outputs()
+        let progress: Vec<(u64, u64, bool)> = outputs(&mut c)
             .iter()
             .filter_map(|o| match o {
                 Output::ClientStreamProgress {

@@ -70,47 +70,55 @@ impl RangeSet {
         if end <= start {
             return 0;
         }
-        // Find the first range that could interact (ends at or after start).
-        let mut i = self.ranges.partition_point(|r| r.end < start);
-        let mut new_start = start;
-        let mut new_end = end;
+        // Tail paths: received packet numbers, ACKed stream bytes and
+        // in-order data almost always land at or beyond the last range.
+        match self.ranges.last_mut() {
+            None => {
+                self.ranges.push(Range { start, end });
+                return end - start;
+            }
+            Some(last) if start > last.end => {
+                self.ranges.push(Range { start, end });
+                return end - start;
+            }
+            // Only the last range can interact: every earlier one ends
+            // below `last.start`.
+            Some(last) if start >= last.start => {
+                let newly = end.saturating_sub(last.end.max(start));
+                last.end = last.end.max(end);
+                return newly;
+            }
+            Some(_) => {}
+        }
+        // General path: ranges `i..j` overlap or touch `[start, end)`.
+        let i = self.ranges.partition_point(|r| r.end < start);
+        let mut merged = Range { start, end };
         let mut covered_before = 0u64;
         let mut j = i;
-        while j < self.ranges.len() && self.ranges[j].start <= end {
-            let r = self.ranges[j];
-            // Overlap between r and [start, end).
-            let lo = r.start.max(start);
-            let hi = r.end.min(end);
-            if hi > lo {
-                covered_before += hi - lo;
-            }
-            new_start = new_start.min(r.start);
-            new_end = new_end.max(r.end);
+        for r in self.ranges.iter().skip(i).take_while(|r| r.start <= end) {
+            covered_before += r.end.min(end).saturating_sub(r.start.max(start));
+            merged.start = merged.start.min(r.start);
+            merged.end = merged.end.max(r.end);
             j += 1;
         }
-        self.ranges.splice(i..j, [Range::new(new_start, new_end)]);
-        // Also merge with a preceding range that exactly touches.
-        if i > 0 && self.ranges[i - 1].end == new_start {
-            let prev = self.ranges[i - 1];
-            self.ranges
-                .splice(i - 1..=i, [Range::new(prev.start, new_end)]);
-            i -= 1;
+        match self.ranges.get_mut(i) {
+            Some(first) if i < j => {
+                *first = merged;
+                self.ranges.drain(i + 1..j);
+            }
+            _ => self.ranges.insert(i, merged),
         }
-        let _ = i;
         (end - start) - covered_before
     }
 
     /// Remove every value below `below` (e.g. advance past a cumulative
     /// ACK point).
     pub fn remove_below(&mut self, below: u64) {
-        self.ranges.retain_mut(|r| {
-            if r.end <= below {
-                false
-            } else {
-                r.start = r.start.max(below);
-                true
-            }
-        });
+        let gone = self.ranges.partition_point(|r| r.end <= below);
+        self.ranges.drain(..gone);
+        if let Some(first) = self.ranges.first_mut() {
+            first.start = first.start.max(below);
+        }
     }
 
     /// Remove the interval `[start, end)` wherever covered.
@@ -118,20 +126,49 @@ impl RangeSet {
         if end <= start {
             return;
         }
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        for r in &self.ranges {
-            if r.end <= start || r.start >= end {
-                out.push(*r);
-                continue;
+        // Ranges `i..j` overlap `[start, end)`.
+        let i = self.ranges.partition_point(|r| r.end <= start);
+        let j = i + self
+            .ranges
+            .iter()
+            .skip(i)
+            .take_while(|r| r.start < end)
+            .count();
+        if i == j {
+            return;
+        }
+        let (Some(&first), Some(&last)) = (self.ranges.get(i), self.ranges.get(j - 1)) else {
+            return;
+        };
+        // What survives: the first range's part below `start` and the
+        // last range's part from `end` up.
+        let left = (first.start < start).then_some(Range {
+            start: first.start,
+            end: start,
+        });
+        let right = (last.end > end).then_some(Range {
+            start: end,
+            end: last.end,
+        });
+        match (left, right) {
+            (Some(l), Some(r)) if j - i == 1 => {
+                // One range split in two: the only growing case.
+                if let Some(slot) = self.ranges.get_mut(i) {
+                    *slot = l;
+                }
+                self.ranges.insert(i + 1, r);
             }
-            if r.start < start {
-                out.push(Range::new(r.start, start));
-            }
-            if r.end > end {
-                out.push(Range::new(end, r.end));
+            _ => {
+                let mut keep = i;
+                for part in [left, right].into_iter().flatten() {
+                    if let Some(slot) = self.ranges.get_mut(keep) {
+                        *slot = part;
+                    }
+                    keep += 1;
+                }
+                self.ranges.drain(keep..j);
             }
         }
-        self.ranges = out;
     }
 
     /// True when `v` is covered.
@@ -172,6 +209,33 @@ impl RangeSet {
         self.ranges.iter().copied()
     }
 
+    /// The ranges that overlap `[start, end)`, ascending, untrimmed.
+    pub fn overlapping(&self, start: u64, end: u64) -> impl Iterator<Item = Range> + '_ {
+        let first = self.ranges.partition_point(|r| r.end <= start);
+        self.ranges
+            .iter()
+            .skip(first)
+            .take_while(move |r| r.start < end)
+            .copied()
+    }
+
+    /// Where the top of the set begins, if the top is the fewest
+    /// highest ranges that together cover at least `count` values:
+    /// the start of the lowest of them. The ranges starting at or
+    /// above a value `v` cover at least `count` exactly when `v` is at
+    /// or below this start. `None` when the whole set covers less.
+    pub fn start_of_top(&self, count: u64) -> Option<u64> {
+        if count == 0 {
+            return Some(u64::MAX); // nothing to cover: true for every `v`
+        }
+        let mut covered = 0u64;
+        let lowest = self.ranges.iter().rev().find(|r| {
+            covered += r.len();
+            covered >= count
+        })?;
+        Some(lowest.start)
+    }
+
     /// The highest covered value + 1, or 0 when empty.
     pub fn max_end(&self) -> u64 {
         self.ranges.last().map_or(0, |r| r.end)
@@ -195,7 +259,11 @@ impl RangeSet {
     /// The `n` ranges with the highest starts (most recently useful for
     /// SACK blocks), descending by start.
     pub fn highest(&self, n: usize) -> Vec<Range> {
-        self.ranges.iter().rev().take(n).copied().collect()
+        // A reversed slice knows its length: one exact allocation
+        // (none for an empty answer) and a straight copy.
+        let top = self.ranges.len().saturating_sub(n);
+        let top = self.ranges.get(top..).unwrap_or_default();
+        top.iter().rev().copied().collect()
     }
 
     #[cfg(test)]

@@ -88,6 +88,9 @@ struct TcpSender {
     congestion_events: u64,
     /// Trace track for cwnd counters / loss instants (`None` = off).
     obs: crate::obs::Track,
+    /// Scratch for the `(start, end)` of segments an ACK picks out of
+    /// `inflight` (SACK-retired, marked lost); kept for its capacity.
+    picked: Vec<(u64, u64)>,
 }
 
 impl TcpSender {
@@ -119,6 +122,7 @@ impl TcpSender {
             retransmits: 0,
             congestion_events: 0,
             obs: None,
+            picked: Vec::new(),
         }
     }
 
@@ -288,32 +292,25 @@ impl TcpSender {
             newly_acked += cum - self.snd_una;
             // Drop covered segments, sampling from the newest
             // non-retransmitted one (Karn's rule).
-            let covered: Vec<u64> = self.inflight.range(..cum).map(|(s, _)| *s).collect();
-            for start in covered {
-                let seg = self.inflight[&start];
-                if seg.end <= cum {
-                    self.inflight.remove(&start);
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.end - start);
-                    if !seg.retx {
-                        rtt_sample = Some(now - seg.sent_at);
-                    }
-                    self.track_delivered(seg.sent_at, start);
-                    let sample = self.rate.on_ack(now, seg.end - start, seg.tx);
-                    if sample.is_some() {
-                        rate_sample = sample;
-                    }
-                } else {
+            while let Some(entry) = self.inflight.first_entry() {
+                let start = *entry.key();
+                if start >= cum {
+                    break;
+                }
+                let mut seg = entry.remove();
+                let acked = seg.end.min(cum) - start;
+                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(acked);
+                if seg.end <= cum && !seg.retx {
+                    rtt_sample = Some(now - seg.sent_at);
+                }
+                self.track_delivered(seg.sent_at, start);
+                let sample = self.rate.on_ack(now, acked, seg.tx);
+                if sample.is_some() {
+                    rate_sample = sample;
+                }
+                if seg.end > cum {
                     // Partial coverage (a retransmission chunk spanned
                     // the ACK point): shrink the segment.
-                    let Some(mut seg) = self.inflight.remove(&start) else {
-                        continue; // start came from the range scan above
-                    };
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(cum - start);
-                    self.track_delivered(seg.sent_at, start);
-                    let sample = self.rate.on_ack(now, cum - start, seg.tx);
-                    if sample.is_some() {
-                        rate_sample = sample;
-                    }
                     seg.tx = self.rate.on_send(now); // refresh baseline
                     self.inflight.insert(cum, seg);
                 }
@@ -332,13 +329,14 @@ impl TcpSender {
             if added > 0 {
                 newly_acked += added;
                 // Retire fully-SACKed segments.
-                let covered: Vec<u64> = self
-                    .inflight
-                    .range(r.start.saturating_sub(self.mss)..r.end)
-                    .filter(|(s, seg)| self.sacked.contains_range(**s, seg.end))
-                    .map(|(s, _)| *s)
-                    .collect();
-                for start in covered {
+                let mut covered = std::mem::take(&mut self.picked);
+                covered.extend(
+                    self.inflight
+                        .range(r.start.saturating_sub(self.mss)..r.end)
+                        .filter(|(s, seg)| self.sacked.contains_range(**s, seg.end))
+                        .map(|(s, seg)| (*s, seg.end)),
+                );
+                for (start, _) in covered.drain(..) {
                     let Some(seg) = self.inflight.remove(&start) else {
                         continue; // covered starts came from `inflight`
                     };
@@ -352,6 +350,7 @@ impl TcpSender {
                         rate_sample = sample;
                     }
                 }
+                self.picked = covered;
                 // Anything the receiver holds beyond this block was
                 // also delivered; the watermark advances via segments.
             }
@@ -365,33 +364,32 @@ impl TcpSender {
         // SACKed above it *and* something sent after it was delivered
         // (RACK tie-break handles retransmissions).
         let mut lost_any = false;
-        if !self.sacked.is_empty() {
-            let high = self.sacked.max_end();
-            let to_mark: Vec<(u64, u64)> = self
-                .inflight
-                .range(..high)
-                .filter(|(start, seg)| {
-                    let sacked_above = self
-                        .sacked
-                        .iter()
-                        .filter(|r| r.start >= seg.end)
-                        .map(|r| r.len())
-                        .sum::<u64>();
-                    sacked_above >= DUP_THRESH_SEGS * self.mss
-                        && (self.newest_delivered > (seg.sent_at, **start))
-                        && !self.sacked.contains_range(**start, seg.end)
-                })
-                .map(|(s, seg)| (*s, seg.end))
-                .collect();
-            for (start, end) in to_mark {
+        // "≥ DUP_THRESH·MSS SACKed above it" holds exactly for the
+        // segments ending at or below one cutoff, found once per ACK.
+        if let Some(cutoff) = self.sacked.start_of_top(DUP_THRESH_SEGS * self.mss) {
+            let mut to_mark = std::mem::take(&mut self.picked);
+            to_mark.extend(
+                self.inflight
+                    .range(..cutoff)
+                    .filter(|(start, seg)| {
+                        seg.end <= cutoff
+                            && (self.newest_delivered > (seg.sent_at, **start))
+                            && !self.sacked.contains_range(**start, seg.end)
+                    })
+                    .map(|(s, seg)| (*s, seg.end)),
+            );
+            for (start, end) in to_mark.drain(..) {
                 self.inflight.remove(&start);
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(end - start);
                 self.lost.insert(start, end);
+                lost_any = true;
+            }
+            self.picked = to_mark;
+            if lost_any {
                 // Exclude any SACKed slivers.
-                for r in self.sacked.iter().collect::<Vec<_>>() {
+                for r in self.sacked.iter() {
                     self.lost.remove(r.start, r.end);
                 }
-                lost_any = true;
             }
         }
         if lost_any && self.snd_una >= self.recovery_until {
@@ -450,13 +448,11 @@ impl TcpSender {
         self.rtt.on_rto_fired();
         self.cc.on_rto(now);
         // Everything unSACKed in flight is presumed lost.
-        let segs: Vec<(u64, u64)> = self.inflight.iter().map(|(s, seg)| (*s, seg.end)).collect();
-        for (start, end) in segs {
-            self.inflight.remove(&start);
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(end - start);
-            self.lost.insert(start, end);
+        while let Some((start, seg)) = self.inflight.pop_first() {
+            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.end - start);
+            self.lost.insert(start, seg.end);
         }
-        for r in self.sacked.iter().collect::<Vec<_>>() {
+        for r in self.sacked.iter() {
             self.lost.remove(r.start, r.end);
         }
         self.recovery_until = self.snd_nxt;
@@ -657,11 +653,11 @@ impl TcpConnection {
         self.c2s_snd.retransmits + self.s2c_snd.retransmits
     }
 
-    /// Drain pending outputs (send requests, progress events, traces).
-    pub fn take_outputs(&mut self) -> Vec<Output> {
-        let mut v = std::mem::take(&mut self.out);
+    /// Move pending outputs (send requests, progress events, traces)
+    /// to the end of `into`, oldest first.
+    pub fn drain_outputs(&mut self, into: &mut Vec<Output>) {
         // Stamp conn ids and wire sizes on outgoing packets.
-        for o in &mut v {
+        for o in &mut self.out {
             if let Output::Send(_, pkt) = o {
                 pkt.conn = self.id;
                 if let Wire::Tcp(seg) = &pkt.payload {
@@ -669,7 +665,7 @@ impl TcpConnection {
                 }
             }
         }
-        v
+        into.append(&mut self.out);
     }
 
     /// Drop buffered outgoing packets (fault injection). Non-`Send`
@@ -976,8 +972,14 @@ mod tests {
     }
 
     /// Drain outputs, returning just the sent segments.
+    fn outputs(c: &mut TcpConnection) -> Vec<Output> {
+        let mut out = Vec::new();
+        c.drain_outputs(&mut out);
+        out
+    }
+
     fn sent(c: &mut TcpConnection) -> Vec<(Direction, TcpSegment)> {
-        c.take_outputs()
+        outputs(c)
             .into_iter()
             .filter_map(|o| match o {
                 Output::Send(d, p) => match p.payload {
@@ -1132,7 +1134,7 @@ mod tests {
     #[test]
     fn progress_reported_in_order_only() {
         let mut c = conn(Protocol::Tcp);
-        let _syn = c.take_outputs();
+        let _syn = outputs(&mut c);
         let mk = |seq: u64| TcpSegment {
             from_client: false,
             kind: TcpSegKind::Data {
@@ -1146,8 +1148,7 @@ mod tests {
             &Wire::Tcp(mk(1000)),
             Direction::Down,
         );
-        let progress: Vec<u64> = c
-            .take_outputs()
+        let progress: Vec<u64> = outputs(&mut c)
             .iter()
             .filter_map(|o| match o {
                 Output::ClientStreamProgress { delivered, .. } => Some(*delivered),
@@ -1156,8 +1157,7 @@ mod tests {
             .collect();
         assert!(progress.is_empty(), "hole blocks delivery: {progress:?}");
         c.on_packet(SimTime::from_millis(2), &Wire::Tcp(mk(0)), Direction::Down);
-        let progress: Vec<u64> = c
-            .take_outputs()
+        let progress: Vec<u64> = outputs(&mut c)
             .iter()
             .filter_map(|o| match o {
                 Output::ClientStreamProgress { delivered, .. } => Some(*delivered),
@@ -1188,7 +1188,7 @@ mod tests {
     #[test]
     fn wire_sizes_are_stamped_on_outputs() {
         let mut c = conn(Protocol::Tcp);
-        for o in c.take_outputs() {
+        for o in outputs(&mut c) {
             if let Output::Send(_, p) = o {
                 assert!(p.size > 0, "caller-visible packets have sizes");
                 assert_eq!(p.conn, ConnId(1));

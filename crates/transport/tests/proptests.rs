@@ -14,7 +14,102 @@ fn model_insert(model: &mut BTreeSet<u64>, start: u64, end: u64) {
     }
 }
 
+/// Reference model for the in-place `RangeSet` paths: a bitmap, and the
+/// canonical range list read back off it.
+const BITMAP: usize = 260;
+
+fn bitmap_ranges(bits: &[bool]) -> Vec<(u64, u64)> {
+    let mut ranges = Vec::new();
+    let mut start = None;
+    for (v, &set) in bits.iter().chain([&false]).enumerate() {
+        match (set, start) {
+            (true, None) => start = Some(v as u64),
+            (false, Some(s)) => {
+                ranges.push((s, v as u64));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    ranges
+}
+
+fn rangeset_ranges(rs: &RangeSet) -> Vec<(u64, u64)> {
+    rs.iter().map(|r| (r.start, r.end)).collect()
+}
+
+/// The returned newly-covered count on each shape of insert the tail
+/// paths and the merge path distinguish.
+#[test]
+fn insert_counts_by_shape() {
+    let mut rs = RangeSet::new();
+    assert_eq!(rs.insert(10, 20), 10, "into the empty set");
+    assert_eq!(rs.insert(30, 40), 10, "tail-append past a gap");
+    assert_eq!(rs.insert(40, 45), 5, "tail-extend, touching");
+    assert_eq!(rs.insert(42, 50), 5, "tail-extend, overlapping");
+    assert_eq!(rs.insert(31, 49), 0, "fully covered by the last range");
+    assert_eq!(rs.insert(30, 50), 0, "exactly the last range");
+    assert_eq!(rangeset_ranges(&rs), vec![(10, 20), (30, 50)]);
+    assert_eq!(rs.insert(15, 35), 10, "bridge two ranges");
+    assert_eq!(rangeset_ranges(&rs), vec![(10, 50)]);
+    assert_eq!(rs.insert(60, 70), 10);
+    assert_eq!(rs.insert(0, 5), 5, "head insert, no merge");
+    assert_eq!(rs.insert(5, 10), 5, "fills a touching gap on both sides");
+    assert_eq!(rs.insert(12, 18), 0, "fully covered in the middle");
+    assert_eq!(rs.insert(0, 100), 40, "swallows everything");
+    assert_eq!(rangeset_ranges(&rs), vec![(0, 100)]);
+}
+
 proptest! {
+    /// Insert (with its returned count), remove and remove_below,
+    /// interleaved, against the bitmap: the exact range list after
+    /// every operation, plus `overlapping` and `start_of_top` (the
+    /// SACK loss-marking cutoff) against their definitions.
+    #[test]
+    fn rangeset_matches_bitmap_under_interleaved_ops(
+        ops in prop::collection::vec((0u8..8, 0u64..220, 0u64..36), 1..80),
+        probe in (0u64..240, 0u64..40, 0u64..90),
+    ) {
+        let mut rs = RangeSet::new();
+        let mut bits = vec![false; BITMAP];
+        for &(op, start, len) in &ops {
+            let end = start + len;
+            let window = start as usize..end as usize;
+            match op {
+                0..=4 => {
+                    let fresh = bits[window.clone()].iter().filter(|b| !**b).count() as u64;
+                    prop_assert_eq!(rs.insert(start, end), fresh, "insert [{}, {})", start, end);
+                    bits[window].fill(true);
+                }
+                5..=6 => {
+                    rs.remove(start, end);
+                    bits[window].fill(false);
+                }
+                _ => {
+                    rs.remove_below(start);
+                    bits[..start as usize].fill(false);
+                }
+            }
+            prop_assert_eq!(rangeset_ranges(&rs), bitmap_ranges(&bits), "after op {} [{}, {})", op, start, end);
+        }
+        let (at, span, count) = probe;
+        let naive: Vec<(u64, u64)> = rs
+            .iter()
+            .filter(|r| r.start < at + span && r.end > at)
+            .map(|r| (r.start, r.end))
+            .collect();
+        let got: Vec<(u64, u64)> = rs.overlapping(at, at + span).map(|r| (r.start, r.end)).collect();
+        prop_assert_eq!(got, if span == 0 { Vec::new() } else { naive });
+        // TCP loss marking: "at least `count` values SACKed in ranges
+        // starting at or above v", summed per v as the sender used to,
+        // against the one cutoff it computes per ACK now.
+        let cutoff = rs.start_of_top(count);
+        for v in 0..BITMAP as u64 {
+            let above: u64 = rs.iter().filter(|r| r.start >= v).map(|r| r.len()).sum();
+            prop_assert_eq!(above >= count, cutoff.is_some_and(|c| v <= c), "v {} count {}", v, count);
+        }
+    }
+
     /// RangeSet agrees with a naive set model under arbitrary inserts.
     #[test]
     fn rangeset_matches_model(ops in prop::collection::vec((0u64..200, 0u64..32), 1..60)) {

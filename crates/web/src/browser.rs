@@ -9,7 +9,7 @@
 //! from.
 
 use crate::http1::{H1Conn, H1Pool};
-use crate::http2::H2Mux;
+use crate::http2::{H2Mux, ResponseProgress};
 use crate::http3::H3Map;
 use crate::object::{ObjectId, WebObject};
 use crate::website::Website;
@@ -262,6 +262,16 @@ struct Loader<'a> {
     /// `&mut self`, so the candidate list is staged here instead of a
     /// fresh per-event `Vec` (the former top `hot-alloc` finding).
     kid_buf: Vec<ObjectId>,
+    /// Scratch buffers of the pump loops, staged the same way: a pump
+    /// takes one, fills and drains it, and puts it back for its
+    /// capacity (a nested pump finds an empty one and starts cold).
+    out_buf: Vec<Output>,
+    /// Objects whose requests just arrived at a server.
+    ready_buf: Vec<ObjectId>,
+    /// Per-object progress of one H2 delivery.
+    progress_buf: Vec<ResponseProgress>,
+    /// The middlebox's early retransmits for one uplink packet.
+    retx_buf: Vec<Packet<Wire>>,
 }
 
 /// Load `site` over `net` with `protocol`; `seed` drives every source
@@ -429,7 +439,7 @@ pub fn load_page_with_config(
         conns: Vec::new(),
         origin_conn: BTreeMap::new(),
         h1_pools: BTreeMap::new(),
-        cfg: cfg.clone(),
+        cfg: *cfg,
         think_rng: rng.fork("server-think"),
         children,
         discovered: vec![false; n],
@@ -451,6 +461,10 @@ pub fn load_page_with_config(
         faults,
         edge,
         kid_buf: Vec::new(),
+        out_buf: Vec::new(),
+        ready_buf: Vec::new(),
+        progress_buf: Vec::new(),
+        retx_buf: Vec::new(),
     };
 
     let _load_span = pq_prof::span_dyn(|| format!("load:{}", protocol.label()));
@@ -584,7 +598,7 @@ impl<'a> Loader<'a> {
 
     fn open_conn(&mut self, now: SimTime, mux: Mux) -> u32 {
         let ci = self.conns.len() as u32;
-        let mut conn = Connection::open(ConnId(ci), self.cfg.clone(), now);
+        let mut conn = Connection::open(ConnId(ci), self.cfg, now);
         // Handshake fault: the first client flight never reaches the
         // wire; the transport's own handshake timeout / RTO machinery
         // must recover (that recovery is exactly what we're testing).
@@ -601,6 +615,7 @@ impl<'a> Loader<'a> {
             pq_obs::tracer().name_track(
                 pid,
                 tid,
+                // pq-lint: allow(hot-alloc) -- once per connection, and only with a tracer pid; tracing-off runs never get here
                 &format!("conn {ci} ({})", self.protocol.label()),
             );
         }
@@ -654,9 +669,10 @@ impl<'a> Loader<'a> {
     /// Drain a connection's outputs, route packets, apply progress, and
     /// reschedule its wakeup.
     fn pump(&mut self, now: SimTime, ci: u32) {
+        let mut outputs = std::mem::take(&mut self.out_buf);
         loop {
             let state = &mut self.conns[ci as usize];
-            let outputs = state.conn.take_outputs();
+            state.conn.drain_outputs(&mut outputs);
             if outputs.is_empty() {
                 // Let the H2 writer top up the transport.
                 let more = match &mut state.mux {
@@ -677,10 +693,11 @@ impl<'a> Loader<'a> {
                 }
                 continue;
             }
-            for out in outputs {
+            for out in outputs.drain(..) {
                 self.route_output(now, ci, out);
             }
         }
+        self.out_buf = outputs;
         let state = &mut self.conns[ci as usize];
         let at = state.conn.poll_at();
         if at != SimTime::MAX {
@@ -737,18 +754,14 @@ impl<'a> Loader<'a> {
                 fin,
             } => {
                 let state = &mut self.conns[ci as usize];
-                let ready: Vec<ObjectId> = match &mut state.mux {
-                    Mux::H1(h) => h.on_server_delivered(delivered).into_iter().collect(),
-                    Mux::H2(m) => m.on_server_delivered(delivered),
-                    Mux::H3(m) => {
-                        if fin {
-                            m.on_server_stream_fin(stream).into_iter().collect()
-                        } else {
-                            Vec::new()
-                        }
-                    }
-                };
-                for obj in ready {
+                let mut ready = std::mem::take(&mut self.ready_buf);
+                match &mut state.mux {
+                    Mux::H1(h) => ready.extend(h.on_server_delivered(delivered)),
+                    Mux::H2(m) => m.on_server_delivered(delivered, &mut ready),
+                    Mux::H3(m) if fin => ready.extend(m.on_server_stream_fin(stream)),
+                    Mux::H3(_) => {}
+                }
+                for obj in ready.drain(..) {
                     // Proxied stacks: the "server" side of the client
                     // connection is the proxy — no think time here;
                     // the request continues on a pooled origin leg
@@ -771,6 +784,7 @@ impl<'a> Loader<'a> {
                         Ev::Respond(ci, obj),
                     );
                 }
+                self.ready_buf = ready;
             }
             Output::ClientStreamProgress {
                 stream,
@@ -800,12 +814,14 @@ impl<'a> Loader<'a> {
                         }
                     }
                     Mux::H2(m) => {
-                        let progress = m.on_client_delivered(delivered);
-                        for p in progress {
+                        let mut progress = std::mem::take(&mut self.progress_buf);
+                        m.on_client_delivered(delivered, &mut progress);
+                        for p in progress.drain(..) {
                             let idx = p.object.0 as usize;
                             let got = self.got[idx] + p.new_bytes;
                             self.object_progress(now, p.object, got);
                         }
+                        self.progress_buf = progress;
                     }
                     Mux::H3(m) => {
                         if let Some(p) = m.on_client_delivered(stream, delivered, fin) {
@@ -863,7 +879,7 @@ impl<'a> Loader<'a> {
             return 0;
         };
         let li = edge.legs.len() as u32;
-        let mut conn = Connection::open(ConnId(li), edge.leg_cfg.clone(), now);
+        let mut conn = Connection::open(ConnId(li), edge.leg_cfg, now);
         // Legs have their own handshake-fault key space, offset past
         // the client connections' — the satellite case "hs-drop
         // through the proxy" exercises both sides independently.
@@ -879,6 +895,7 @@ impl<'a> Loader<'a> {
         if let Some(pid) = self.obs_pid {
             let tid = TID_LEG_BASE + li;
             conn.set_obs_track(pid, tid);
+            // pq-lint: allow(hot-alloc) -- once per proxy leg, and only with a tracer pid; tracing-off runs never get here
             pq_obs::tracer().name_track(pid, tid, &format!("leg {li} (H2 → origin {origin})"));
         }
         edge.legs.push(LegState {
@@ -895,14 +912,9 @@ impl<'a> Loader<'a> {
     /// Drain a proxy leg's outputs (mirror of [`Loader::pump`] for the
     /// origin segment) and reschedule its wakeup.
     fn pump_leg(&mut self, now: SimTime, li: u32) {
-        loop {
-            let Some(edge) = self.edge.as_mut() else {
-                return;
-            };
-            let Some(leg) = edge.legs.get_mut(li as usize) else {
-                return;
-            };
-            let outputs = leg.conn.take_outputs();
+        let mut outputs = std::mem::take(&mut self.out_buf);
+        while let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
+            leg.conn.drain_outputs(&mut outputs);
             if outputs.is_empty() {
                 let more = if let Connection::Tcp(c) = &mut leg.conn {
                     let before = c.server_backlog();
@@ -916,14 +928,12 @@ impl<'a> Loader<'a> {
                 }
                 continue;
             }
-            for out in outputs {
+            for out in outputs.drain(..) {
                 self.route_leg_output(now, li, out);
             }
         }
-        let Some(edge) = self.edge.as_mut() else {
-            return;
-        };
-        let Some(leg) = edge.legs.get_mut(li as usize) else {
+        self.out_buf = outputs;
+        let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) else {
             return;
         };
         let at = leg.conn.poll_at();
@@ -959,11 +969,11 @@ impl<'a> Loader<'a> {
             Output::ServerStreamProgress { delivered, .. } => {
                 // The request reached the real origin: think, then
                 // respond on this leg.
-                let ready = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                    Some(leg) => leg.mux.on_server_delivered(delivered),
-                    None => Vec::new(),
-                };
-                for obj in ready {
+                let mut ready = std::mem::take(&mut self.ready_buf);
+                if let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
+                    leg.mux.on_server_delivered(delivered, &mut ready);
+                }
+                for obj in ready.drain(..) {
                     let mut think = self.opts.think_base_ms
                         + self.think_rng.exponential(self.opts.think_jitter_ms);
                     let stall = self.faults.as_ref().and_then(|f| f.server_stall_ms(obj.0));
@@ -976,17 +986,19 @@ impl<'a> Loader<'a> {
                         Ev::EdgeRespond(li, obj),
                     );
                 }
+                self.ready_buf = ready;
             }
             Output::ClientStreamProgress { delivered, .. } => {
                 // Origin bytes arrived back at the proxy: relay them
                 // proportionally onto the client-facing stream.
-                let progress = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                    Some(leg) => leg.mux.on_client_delivered(delivered),
-                    None => Vec::new(),
-                };
-                for p in progress {
+                let mut progress = std::mem::take(&mut self.progress_buf);
+                if let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
+                    leg.mux.on_client_delivered(delivered, &mut progress);
+                }
+                for p in progress.drain(..) {
                     self.bridge_advance(now, p.object, p.new_bytes);
                 }
+                self.progress_buf = progress;
             }
             Output::Trace(kind, detail) => {
                 self.trace.record(now, kind, detail);
@@ -1048,11 +1060,11 @@ impl<'a> Loader<'a> {
     /// onto the backbone toward the origin.
     fn mbx_junction_up(&mut self, now: SimTime, pkt: Packet<Wire>) {
         let _sp = pq_prof::span("edge:mbx");
-        let retx = match self.edge.as_mut().and_then(|e| e.mbx.as_mut()) {
-            Some(m) => m.on_uplink(now, &pkt),
-            None => Vec::new(),
-        };
-        for r in retx {
+        let mut retx = std::mem::take(&mut self.retx_buf);
+        if let Some(m) = self.edge.as_mut().and_then(|e| e.mbx.as_mut()) {
+            m.on_uplink(now, &pkt, &mut retx);
+        }
+        for r in retx.drain(..) {
             self.trace.record(now, TraceKind::Retransmit, 0);
             match self.down.push(now, r) {
                 PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::DownTx),
@@ -1060,6 +1072,7 @@ impl<'a> Loader<'a> {
                 PushOutcome::Queued => {}
             }
         }
+        self.retx_buf = retx;
         if let Some(edge) = self.edge.as_mut() {
             match edge.o_up.push(now, pkt) {
                 PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::EdgeUpTx),
@@ -1342,7 +1355,7 @@ impl<'a> Loader<'a> {
                 break;
             }
             let Some((now, ev)) = self.q.pop() else { break };
-            let _ev_span = pq_prof::span(ev_name(&ev));
+            let _ev_span = pq_prof::span_with(|| ev_name(&ev));
             match ev {
                 Ev::UpTx => {
                     let txd = self.up.on_tx_done(now);

@@ -83,20 +83,17 @@ impl H2Mux {
         conn.client_write(now, REQUEST_BYTES);
     }
 
-    /// The server's request stream advanced; returns objects whose
-    /// requests are now fully received (the server can start thinking).
-    pub fn on_server_delivered(&mut self, delivered: u64) -> Vec<ObjectId> {
-        let mut done = Vec::new();
-        while self.served < self.req_ends.len() {
-            let (end, obj) = self.req_ends[self.served];
-            if delivered >= end {
-                done.push(obj);
-                self.served += 1;
-            } else {
+    /// The server's request stream advanced; appends to `done` the
+    /// objects whose requests are now fully received (the server can
+    /// start thinking).
+    pub fn on_server_delivered(&mut self, delivered: u64, done: &mut Vec<ObjectId>) {
+        while let Some(&(end, obj)) = self.req_ends.get(self.served) {
+            if delivered < end {
                 break;
             }
+            done.push(obj);
+            self.served += 1;
         }
-        done
     }
 
     /// The server finished generating the response for `object`
@@ -155,15 +152,18 @@ impl H2Mux {
     }
 
     /// The client's response stream advanced to `delivered`; attribute
-    /// the new bytes to objects.
-    pub fn on_client_delivered(&mut self, delivered: u64) -> Vec<ResponseProgress> {
-        let mut out: Vec<ResponseProgress> = Vec::new();
-        while self.read_pos < delivered && self.span_cursor < self.spans.len() {
-            let (end, obj) = self.spans[self.span_cursor];
+    /// the new bytes to objects, one entry per object appended to
+    /// `out`.
+    pub fn on_client_delivered(&mut self, delivered: u64, out: &mut Vec<ResponseProgress>) {
+        let before = out.len();
+        while self.read_pos < delivered {
+            let Some(&(end, obj)) = self.spans.get(self.span_cursor) else {
+                break;
+            };
             let take = end.min(delivered) - self.read_pos;
             self.read_pos += take;
             if take > 0 {
-                match out.iter_mut().find(|p| p.object == obj) {
+                match out.iter_mut().skip(before).find(|p| p.object == obj) {
                     Some(p) => p.new_bytes += take,
                     None => out.push(ResponseProgress {
                         object: obj,
@@ -175,7 +175,6 @@ impl H2Mux {
                 self.span_cursor += 1;
             }
         }
-        out
     }
 
     /// Responses not yet fully committed to the transport.
@@ -205,13 +204,15 @@ mod tests {
         let mut c = conn();
         mux.request(&mut c, SimTime::ZERO, ObjectId(1));
         mux.request(&mut c, SimTime::ZERO, ObjectId(2));
-        assert_eq!(mux.on_server_delivered(REQUEST_BYTES - 1), vec![]);
-        assert_eq!(mux.on_server_delivered(REQUEST_BYTES), vec![ObjectId(1)]);
-        assert_eq!(
-            mux.on_server_delivered(2 * REQUEST_BYTES),
-            vec![ObjectId(2)]
-        );
-        assert_eq!(mux.on_server_delivered(10 * REQUEST_BYTES), vec![]);
+        let mut served = |delivered| {
+            let mut done = Vec::new();
+            mux.on_server_delivered(delivered, &mut done);
+            done
+        };
+        assert_eq!(served(REQUEST_BYTES - 1), vec![]);
+        assert_eq!(served(REQUEST_BYTES), vec![ObjectId(1)]);
+        assert_eq!(served(2 * REQUEST_BYTES), vec![ObjectId(2)]);
+        assert_eq!(served(10 * REQUEST_BYTES), vec![]);
     }
 
     #[test]
@@ -243,11 +244,13 @@ mod tests {
         let mut c = conn();
         mux.respond(&mut c, SimTime::ZERO, ObjectId(7), 10_000);
         let total = H2Mux::response_stream_bytes(10_000);
-        let p = mux.on_client_delivered(total / 2);
+        let mut p = Vec::new();
+        mux.on_client_delivered(total / 2, &mut p);
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].object, ObjectId(7));
         assert_eq!(p[0].new_bytes, total / 2);
-        let p2 = mux.on_client_delivered(total);
+        let mut p2 = Vec::new();
+        mux.on_client_delivered(total, &mut p2);
         assert_eq!(p2[0].new_bytes, total - total / 2);
         // Total attributed equals total streamed.
         assert_eq!(p[0].new_bytes + p2[0].new_bytes, total);
