@@ -8,7 +8,7 @@
 //! users would notice per the Study-1 psychophysics.
 //!
 //! The grid cells are independent page-load simulations seeded purely
-//! by the cell, so they execute on the `pq-par` work-stealing pool
+//! by the cell, so they execute on the `pq-par` pool
 //! (`PQ_JOBS` workers) and print in canonical order with bit-identical
 //! values at any worker count.
 //!

@@ -25,13 +25,13 @@
 //! ## Parallel execution
 //!
 //! The stimulus grid, both studies and the `sweep` grid execute on the
-//! `pq-par` work-stealing pool. `PQ_JOBS` sets the worker count
-//! (default: available parallelism; unparsable values warn via the
-//! tracer). Output is **bit-identical at any worker count** — every
-//! page load and participant derives its RNG purely from
-//! `(seed, cell indices)` — and the run manifest records both `jobs`
-//! and a `study_digest` so CI can diff a `PQ_JOBS=4` run against
-//! `PQ_JOBS=1` and prove it.
+//! `pq-par` pool (workers claim index chunks from one atomic cursor).
+//! `PQ_JOBS` sets the worker count (default: available parallelism;
+//! unparsable values warn via the tracer). Output is **bit-identical
+//! at any worker count** — every page load and participant derives its
+//! RNG purely from `(seed, cell indices)` — and the run manifest
+//! records both `jobs` and a `study_digest` so CI can diff a
+//! `PQ_JOBS=4` run against `PQ_JOBS=1` and prove it.
 //!
 //! ## Fault injection
 //!
@@ -69,15 +69,15 @@
 //! `runall` additionally writes `results/manifest.json` — scale, seed,
 //! git rev, per-phase wall-times, Table-3 funnel counts and
 //! per-protocol PLT p50/p90/p99 (see [`manifest::Manifest`]) — and
-//! `results/BENCH_obs.json`, the phase-timing + events/sec regression
-//! baseline.
+//! `results/BENCH_obs.json`, the run report (phase wall-times,
+//! events/sec, per-worker task counts). Its timings are one sample
+//! from one machine; speed is measured by `benches/perf`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod manifest;
 pub mod report;
-pub mod trajectory;
 
 use pq_sim::NetworkKind;
 use pq_study::{run_study_with, StimulusSet, StudyData};

@@ -11,7 +11,15 @@ use pq_obs::json::Value;
 use pq_obs::{MetricSnapshot, PhaseTimer};
 use pq_study::{Group, StudyData};
 
-/// Accumulating FNV-1a/64 hasher for the study digest.
+/// The study digest's per-byte multiplier: 2⁴⁸ + 0x1b3. This is **not**
+/// the FNV-1a/64 prime (2⁴⁰ + 0x1b3, `0x0000_0100_0000_01b3`), and it
+/// stays as it is: every pinned digest in CI, CHANGES.md and
+/// `benches/perf` was computed with it. Do not "dedupe" this hasher
+/// into `pq_ckpt::fnv1a`.
+const DIGEST_MULTIPLIER: u64 = 0x1_0000_0000_01b3;
+
+/// Accumulating hasher for the study digest: FNV-1a's offset basis and
+/// xor-then-multiply step, with [`DIGEST_MULTIPLIER`] as the multiplier.
 struct Fnv(u64);
 
 impl Fnv {
@@ -20,7 +28,7 @@ impl Fnv {
     }
     fn byte(&mut self, b: u8) {
         self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x1_0000_0000_01b3);
+        self.0 = self.0.wrapping_mul(DIGEST_MULTIPLIER);
     }
     fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
@@ -38,7 +46,8 @@ impl Fnv {
     }
 }
 
-/// A 64-bit FNV-1a digest over *every bit that analysis consumes* of a
+/// A 64-bit FNV-1a-style digest (same shape, its own multiplier: see
+/// [`DIGEST_MULTIPLIER`]) over *every bit that analysis consumes* of a
 /// study execution: all A/B votes, all rating votes (float bits
 /// included) and both funnel tables, in canonical order.
 ///
@@ -183,10 +192,9 @@ pub struct Manifest {
     /// Study seed.
     pub seed: u64,
     /// `pq-par` worker count the run executed with (the `PQ_JOBS`
-    /// knob) — lets the perf trajectory distinguish serial from
-    /// parallel baselines.
+    /// knob) — keeps serial and parallel runs distinguishable.
     pub jobs: u64,
-    /// Hex FNV-1a/64 digest over the full study dataset (all votes +
+    /// Hex 64-bit digest over the full study dataset (all votes +
     /// funnels, see [`study_digest`]); identical across worker counts
     /// by the pq-par determinism contract.
     pub study_digest: String,
@@ -654,15 +662,11 @@ pub fn bench_obs_json(timer: &PhaseTimer, scale: &str, seed: u64) -> Value {
         Some(MetricSnapshot::Counter(v)) => v,
         _ => 0,
     };
-    let par_steals = match reg.get("par.steals") {
-        Some(MetricSnapshot::Counter(v)) => v,
-        _ => 0,
-    };
     // Per-worker balance: scan the registry for the labelled
-    // `par.worker_tasks{worker="N"}` counters the pool flushes, pair
-    // each with its steal counter, and sort by worker id so scheduler
-    // skew is visible in the baseline (not just the totals).
-    let mut workers: Vec<(u64, u64, u64)> = reg
+    // `par.worker_tasks{worker="N"}` counters the pool flushes and
+    // sort by worker id so scheduler skew is visible in the report
+    // (not just the total).
+    let mut workers: Vec<(u64, u64)> = reg
         .snapshot()
         .keys()
         .filter_map(|name| {
@@ -671,9 +675,7 @@ pub fn bench_obs_json(timer: &PhaseTimer, scale: &str, seed: u64) -> Value {
                 .strip_suffix("\"}")?
                 .parse()
                 .ok()?;
-            let tasks = reg.counter_value(name);
-            let steals = reg.counter_value(&format!("par.worker_steals{{worker=\"{id}\"}}"));
-            Some((id, tasks, steals))
+            Some((id, reg.counter_value(name)))
         })
         .collect();
     workers.sort_unstable();
@@ -684,17 +686,11 @@ pub fn bench_obs_json(timer: &PhaseTimer, scale: &str, seed: u64) -> Value {
         .with("seed", seed)
         .with("jobs", pq_par::jobs() as u64)
         .with("par_tasks", par_tasks)
-        .with("par_steals", par_steals)
         .with(
             "workers",
             workers
                 .into_iter()
-                .map(|(id, tasks, steals)| {
-                    Value::obj()
-                        .with("worker", id)
-                        .with("tasks", tasks)
-                        .with("steals", steals)
-                })
+                .map(|(id, tasks)| Value::obj().with("worker", id).with("tasks", tasks))
                 .collect::<Vec<_>>(),
         )
         .with("total_secs", total)
@@ -710,8 +706,8 @@ pub fn bench_obs_json(timer: &PhaseTimer, scale: &str, seed: u64) -> Value {
         )
         .with("pageloads", pageloads)
         // Crash-safety accounting: zeros on a fresh un-journalled run,
-        // so the baseline shape is stable while resumed / watchdogged
-        // runs stay distinguishable in the perf trajectory.
+        // so the report's shape is stable while resumed / watchdogged
+        // runs stay distinguishable.
         .with(
             "resumed_from_cells",
             match reg.get("run.resumed_cells") {
@@ -766,6 +762,27 @@ pub fn bench_obs_edge_json() -> Option<Value> {
 mod tests {
     use super::*;
     use pq_transport::Protocol;
+
+    #[test]
+    fn digest_hasher_is_pinned_and_is_not_fnv1a() {
+        let mut h = Fnv::new();
+        h.byte(7);
+        h.u64(0x0123_4567_89ab_cdef);
+        h.f64(1.5);
+        h.str("QUIC");
+        assert_eq!(
+            h.0, 0x4bf4_7bf2_1457_7b61,
+            "every pinned study_digest moves with this"
+        );
+
+        // The same byte stream through real FNV-1a/64 hashes differently.
+        let mut bytes = vec![7u8];
+        bytes.extend(0x0123_4567_89ab_cdef_u64.to_le_bytes());
+        bytes.extend(1.5f64.to_bits().to_le_bytes());
+        bytes.extend(4u64.to_le_bytes());
+        bytes.extend(b"QUIC");
+        assert_ne!(h.0, pq_ckpt::fnv1a(&bytes));
+    }
 
     fn sample() -> Manifest {
         Manifest {

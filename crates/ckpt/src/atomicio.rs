@@ -66,7 +66,7 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
 /// Append `line` to `path` durably: open with `O_APPEND` (creating the
 /// file and parent directories if needed), write the line plus a
 /// trailing newline if it lacks one, and fdatasync before returning.
-/// Suitable for `BENCH_history.jsonl`-style ledgers where each line
+/// Suitable for append-only ledgers where each line
 /// must survive a crash the instant the call returns.
 pub fn durable_append(path: impl AsRef<Path>, line: &str) -> io::Result<()> {
     let path = path.as_ref();

@@ -190,9 +190,9 @@ impl StimulusSet {
     /// `runs` times (the paper uses ≥31).
     ///
     /// The site × network × protocol grid executes on the `pq-par`
-    /// work-stealing pool (`PQ_JOBS` workers); each cell's RNG derives
-    /// from [`run_seed`] alone, so the result is bit-identical to a
-    /// serial build regardless of worker count.
+    /// pool (`PQ_JOBS` workers); each cell's RNG derives from
+    /// [`run_seed`] alone, so the result is bit-identical to a serial
+    /// build regardless of worker count.
     pub fn build(
         sites: &[Website],
         networks: &[NetworkKind],

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use crate::rng::{derive_seed, FaultRng};
+use crate::rng::{derive_seed, fnv1a, FaultRng};
 use crate::spec::{FaultPlan, GeConfig};
 
 /// Per-link fault state: advanced once per transmitted packet and
@@ -144,7 +144,7 @@ impl LoadFaults {
         }
         Some(LinkFault::new(
             &self.plan,
-            derive_seed(self.key, "link", fnv_str(dir)),
+            derive_seed(self.key, "link", fnv1a(dir.bytes())),
         ))
     }
 
@@ -184,17 +184,6 @@ impl LoadFaults {
         let mut rng = FaultRng::new(derive_seed(self.key, "hs", u64::from(conn)));
         rng.chance(h.p)
     }
-}
-
-/// Stable 64-bit hash of a label (FNV-1a), used to fold string keys
-/// into `derive_seed`'s numeric index slot.
-fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -200,8 +200,7 @@ pub struct FnDef {
     /// worker_span}` in the body (format literals keep their prefix
     /// before `{`), used to map findings onto measured profiles.
     pub span_literals: Vec<String>,
-    /// Body fans out over `pq_par` (`par_map`/`par_map_indexed`/
-    /// `try_par_map`).
+    /// Body fans out over `pq_par` (`par_map`/`try_par_map`).
     pub has_par_call: bool,
     has_body: bool,
 }
@@ -729,10 +728,7 @@ fn scan_body_token(toks: &[Tok], i: usize, f: &mut FnDef, loop_depth: u32) {
         }
     }
 
-    if matches!(
-        t.text.as_str(),
-        "par_map" | "par_map_indexed" | "try_par_map"
-    ) {
+    if matches!(t.text.as_str(), "par_map" | "try_par_map") {
         f.has_par_call = true;
     }
 

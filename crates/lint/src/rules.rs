@@ -47,7 +47,7 @@ pub const DIGEST_CRATES: &[&str] = &["core", "edge", "sim", "transport", "web"];
 /// Crates allowed to read wall-clock time (harness timing, never
 /// digest-affecting values). `prof` observes wall time by design — it
 /// measures the hot loop, it never feeds it.
-pub const TIME_ALLOWED_CRATES: &[&str] = &["obs", "bench", "criterion", "prof"];
+pub const TIME_ALLOWED_CRATES: &[&str] = &["obs", "bench", "prof"];
 
 /// The one file allowed to touch `std::env` directly.
 pub const ENV_FUNNEL_FILE: &str = "crates/obs/src/env.rs";
@@ -102,7 +102,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "time",
         family: Family::D,
-        what: "Instant::now/SystemTime::now/RandomState outside the obs/bench/criterion \
+        what: "Instant::now/SystemTime::now/RandomState outside the obs/bench/prof \
                allowlist (wall-clock must never feed simulated data)",
     },
     RuleInfo {
@@ -402,13 +402,9 @@ fn rule_float_sum(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         return;
     }
     let toks = ctx.tokens;
-    let uses_par = toks.iter().any(|t| {
-        t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "par_map" | "par_map_indexed" | "try_par_map"
-            )
-    });
+    let uses_par = toks
+        .iter()
+        .any(|t| t.kind == TokKind::Ident && matches!(t.text.as_str(), "par_map" | "try_par_map"));
     if !uses_par {
         return;
     }
@@ -925,13 +921,10 @@ fn rule_float_flow(
         return;
     }
     // Same-file fan-out is float-sum's business.
-    let uses_par = ctx.tokens.iter().any(|t| {
-        t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "par_map" | "par_map_indexed" | "try_par_map"
-            )
-    });
+    let uses_par = ctx
+        .tokens
+        .iter()
+        .any(|t| t.kind == TokKind::Ident && matches!(t.text.as_str(), "par_map" | "try_par_map"));
     if uses_par {
         return;
     }

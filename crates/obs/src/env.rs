@@ -30,8 +30,6 @@ use std::sync::Mutex;
 /// Shim variables owned by the OS/toolchain (`HOME`, `CI`, …) are not
 /// listed; they go through [`var_os`] at sanctioned call sites.
 pub const KNOWN_VARS: &[&str] = &[
-    "CRITERION_SAMPLE_MS",
-    "PQ_BENCH_TOLERANCE",
     "PQ_CELL_TIMEOUT_MS",
     "PQ_EDGE_BB_MBPS",
     "PQ_EDGE_IDLE_MS",

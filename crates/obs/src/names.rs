@@ -23,11 +23,9 @@ pub const METRIC_NAMES: &[&str] = &[
     "edge.mbx_early_retx",
     "edge.origin_rtt_ms",
     "fault.injected",
-    "par.steals",
     "par.task_panics",
     "par.tasks",
     "par.watchdog_stalls",
-    "par.worker_steals",
     "par.worker_tasks",
     "prof.alloc.allocs",
     "prof.alloc.bytes",
@@ -92,7 +90,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "link:",
     "load:",
     "par:run",
-    "par:wait",
     "par:worker",
     "quic:rto",
     "table1",

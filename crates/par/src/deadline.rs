@@ -9,6 +9,10 @@
 //! accounted as `cells_timed_out` in the manifest — instead of
 //! blocking the grid.
 //!
+//! A [`Watchdog`] thread per parallel batch adds visibility: it warns
+//! about a worker stuck past budget before the cell reaches its next
+//! cancellation point (or if it never does).
+//!
 //! Wall-clock time here never feeds simulated data; with the knob
 //! unset (the default) the whole module is inert and the determinism
 //! contract is untouched. With it set, which cells exceed the budget
@@ -16,9 +20,9 @@
 //! liveness in long unattended sweeps, not for baseline digests.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Sentinel: no programmatic override installed.
 const NO_OVERRIDE: u64 = u64::MAX;
@@ -93,6 +97,91 @@ pub fn cell_deadline_exceeded() -> Option<u64> {
         Some(elapsed)
     } else {
         None
+    }
+}
+
+/// Supervision of one parallel batch, built only when a cell deadline
+/// is configured: workers record a heartbeat per task, and a thread
+/// running [`Watchdog::run`] reports (once per stall, through
+/// pq-ckpt's warn sink + the `par.watchdog_stalls` counter) any worker
+/// whose *current* task has overrun the budget. Enforcement stays
+/// cooperative — the overrunning cell quarantines itself at its next
+/// [`cell_deadline_exceeded`] check — so the watchdog's job is
+/// visibility, not preemption.
+pub(crate) struct Watchdog {
+    /// The deadline the batch was started under.
+    timeout_ms: u64,
+    /// Heartbeats are milliseconds since this instant.
+    epoch: Instant,
+    /// One heartbeat slot per worker: 0 = idle, else ms-since-epoch of
+    /// the current task's start + 1.
+    beats: Vec<AtomicU64>,
+    /// Set by [`Watchdog::stop`] once every worker is joined.
+    workers_done: AtomicBool,
+}
+
+impl Watchdog {
+    /// A watchdog for `workers` workers, or `None` when no deadline is
+    /// configured.
+    pub(crate) fn armed(workers: usize) -> Option<Watchdog> {
+        let timeout_ms = cell_timeout_ms()?;
+        Some(Watchdog {
+            timeout_ms,
+            // pq-lint: allow(time) -- watchdog heartbeat epoch; only armed when PQ_CELL_TIMEOUT_MS is set and never feeds simulated data
+            epoch: Instant::now(),
+            beats: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            workers_done: AtomicBool::new(false),
+        })
+    }
+
+    fn epoch_ms(&self) -> u64 {
+        self.epoch.elapsed().as_millis() as u64
+    }
+
+    /// Record worker `who`'s heartbeat: a task has just begun, or
+    /// (`busy == false`) the worker is between chunks.
+    pub(crate) fn beat(&self, who: usize, busy: bool) {
+        if let Some(slot) = self.beats.get(who) {
+            let at = if busy { self.epoch_ms() + 1 } else { 0 };
+            slot.store(at, Ordering::Relaxed);
+        }
+    }
+
+    /// The supervision loop: poll the heartbeats every quarter budget
+    /// (5–200 ms) until [`Watchdog::stop`]. It parks between polls, so
+    /// an armed watchdog adds no wall time to a batch.
+    pub(crate) fn run(&self) {
+        let timeout_ms = self.timeout_ms;
+        let quantum = Duration::from_millis((timeout_ms / 4).clamp(5, 200));
+        let mut warned = vec![false; self.beats.len()];
+        while !self.workers_done.load(Ordering::Acquire) {
+            std::thread::park_timeout(quantum);
+            let now = self.epoch_ms();
+            for (who, (slot, flag)) in self.beats.iter().zip(&mut warned).enumerate() {
+                let beat = slot.load(Ordering::Relaxed);
+                if beat == 0 {
+                    *flag = false;
+                    continue;
+                }
+                let elapsed = now.saturating_sub(beat - 1);
+                if elapsed > timeout_ms && !*flag {
+                    *flag = true;
+                    pq_ckpt::warn(&format!(
+                        "watchdog: pq-par worker {who} has spent {elapsed} ms on one cell \
+                         (budget {timeout_ms} ms); the cell will be quarantined at its next \
+                         cancellation point"
+                    ));
+                    pq_obs::registry().counter_add("par.watchdog_stalls", 1);
+                }
+            }
+        }
+    }
+
+    /// End supervision: every worker is joined. Wakes `thread` (the one
+    /// in [`Watchdog::run`]) out of its park so it returns at once.
+    pub(crate) fn stop(&self, thread: &std::thread::Thread) {
+        self.workers_done.store(true, Ordering::Release);
+        thread.unpark();
     }
 }
 

@@ -1,4 +1,4 @@
-//! # pq-par — deterministic work-stealing execution for the grid
+//! # pq-par — deterministic parallel execution for the grid
 //!
 //! The experiment pipeline is embarrassingly parallel: 36 sites × 4
 //! networks × 5 stacks × ≥31 runs of independent page-load simulations
@@ -7,11 +7,11 @@
 //! that spreads that grid across cores **without changing a single
 //! bit of output**:
 //!
-//! * [`par_map`] / [`par_map_indexed`] — order-preserving
-//!   scatter-gather over a slice. Work is cut into contiguous index
-//!   chunks and scheduled on a `std::thread`-scoped work-stealing pool
-//!   (per-worker chunked deques, a shared injector behind a
-//!   `Mutex`/`Condvar`, panic propagation to the caller).
+//! * [`par_map`] / [`try_par_map`] — order-preserving scatter-gather
+//!   over a slice. The index space is cut into contiguous chunks and
+//!   `std::thread`-scoped workers claim them from one atomic cursor
+//!   until it runs out; panics propagate to the caller (`par_map`) or
+//!   fail only their own slot (`try_par_map`).
 //! * [`jobs`] — the worker count: the `PQ_JOBS` environment knob,
 //!   defaulting to [`std::thread::available_parallelism`]. Unparsable
 //!   values warn through the `pq-obs` tracer (once) instead of being
@@ -32,27 +32,23 @@
 //! indices)` — e.g. `StimulusSet::build` keys each page load's RNG as
 //! `fork_idx("site/net/proto", run)` from the root seed, and the study
 //! runner keys each participant as `fork_idx(group, id)`. No RNG is
-//! ever threaded sequentially across cells, so chunk placement, steal
-//! order and worker count cannot influence results. `PQ_JOBS=1` and
-//! `PQ_JOBS=32` produce the same manifest digests, figures and tables;
-//! the cross-crate test suite pins this.
+//! ever threaded sequentially across cells, so which worker claims
+//! which chunk, and how many workers there are, cannot influence
+//! results. `PQ_JOBS=1` and `PQ_JOBS=32` produce the same manifest
+//! digests, figures and tables; the cross-crate test suite pins this.
 //!
 //! ## Observability
 //!
 //! With `PQ_TRACE=info` each worker gets its own trace track
-//! (`pq-par worker-N`) carrying a lifetime span (tasks/chunks/steals
-//! args) and, at `debug`, one span per executed chunk. Every batch
-//! adds to the global `par.tasks` / `par.steals` registry counters,
-//! and `pq-bench`'s run manifest records the `jobs` value so serial
-//! and parallel baselines are never conflated.
+//! (`pq-par worker-N`) carrying a lifetime span (tasks/chunks args)
+//! and, at `debug`, one span per executed chunk. Every batch adds to
+//! the global `par.tasks` and per-worker `par.worker_tasks` registry
+//! counters, and `pq-bench`'s run manifest records the `jobs` value so
+//! serial and parallel baselines are never conflated.
 //!
 //! ```
 //! let squares = pq_par::par_map(&[1u64, 2, 3, 4], |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! // Indexed variant: derive per-cell streams from the index.
-//! let cells = pq_par::par_map_indexed(&["a", "b"], |i, s| format!("{i}:{s}"));
-//! assert_eq!(cells, vec!["0:a".to_string(), "1:b".to_string()]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -137,40 +133,7 @@ where
     pool::execute(jobs(), items, |_, t| f(t))
 }
 
-/// [`par_map`] with the item index passed to `f` — the variant every
-/// deterministic call site wants, since the index is what keys the
-/// per-cell RNG stream.
-pub fn par_map_indexed<T, R>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    pool::execute(jobs(), items, f)
-}
-
-/// [`par_map`] with an explicit worker count (ignores [`jobs`]).
-pub fn par_map_with<T, R>(workers: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    pool::execute(workers, items, |_, t| f(t))
-}
-
-/// [`par_map_indexed`] with an explicit worker count.
-pub fn par_map_indexed_with<T, R>(
-    workers: usize,
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    pool::execute(workers, items, f)
-}
-
-/// A single task panicked inside a `try_par_map*` call. The panic was
+/// A single task panicked inside a [`try_par_map`] call. The panic was
 /// contained: sibling tasks ran to completion and their results were
 /// delivered — only the panicking task's slot carries this error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,16 +152,16 @@ impl std::fmt::Display for TaskPanic {
 impl std::error::Error for TaskPanic {}
 
 thread_local! {
-    /// Whether the current thread is inside a `try_par_map*` task
+    /// Whether the current thread is inside a `try_par_map` task
     /// whose panic will be caught — used by the quiet panic hook to
     /// suppress the default stderr backtrace spam for *contained*
     /// panics only.
     static CATCHING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Install (once) a panic hook that stays silent for panics the
-/// `try_par_map*` family is about to catch, and defers to the
-/// previously installed hook for everything else.
+/// Install (once) a panic hook that stays silent for panics
+/// [`try_par_map`] is about to catch, and defers to the previously
+/// installed hook for everything else.
 fn install_quiet_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -249,31 +212,6 @@ where
     pool::execute(jobs(), items, |_, t| run_caught(|| f(t)))
 }
 
-/// Panic-isolating [`par_map_indexed`].
-pub fn try_par_map_indexed<T, R>(
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-{
-    pool::execute(jobs(), items, |i, t| run_caught(|| f(i, t)))
-}
-
-/// [`try_par_map_indexed`] with an explicit worker count.
-pub fn try_par_map_indexed_with<T, R>(
-    workers: usize,
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-{
-    pool::execute(workers, items, |i, t| run_caught(|| f(i, t)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,19 +232,18 @@ mod tests {
     #[test]
     fn empty_input() {
         let none: Vec<u32> = Vec::new();
-        assert!(par_map_with(4, &none, |x| x + 1).is_empty());
-        assert!(par_map_indexed_with(4, &none, |i, x| x + i as u32).is_empty());
+        assert!(pool::execute(4, &none, |i, x| x + i as u32).is_empty());
     }
 
     #[test]
     fn single_item_runs_inline() {
-        assert_eq!(par_map_with(8, &[41u32], |x| x + 1), vec![42]);
+        assert_eq!(pool::execute(8, &[41u32], |_, x| x + 1), vec![42]);
     }
 
     #[test]
     fn more_workers_than_items() {
         let items: Vec<u32> = (0..3).collect();
-        let out = par_map_with(64, &items, |&x| x * 2);
+        let out = pool::execute(64, &items, |_, &x| x * 2);
         assert_eq!(out, vec![0, 2, 4]);
     }
 
@@ -316,8 +253,8 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let f = |i: usize, &x: &u64| ((x as f64) + 0.1).sin() * (i as f64 + 0.7).cos();
         let serial: Vec<f64> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        for workers in [1usize, 2, 3, 8] {
-            let par = par_map_indexed_with(workers, &items, f);
+        for workers in [1usize, 2, 3, 8, 64] {
+            let par = pool::execute(workers, &items, f);
             let same = serial
                 .iter()
                 .zip(&par)
@@ -328,35 +265,40 @@ mod tests {
 
     #[test]
     fn panic_propagates_with_payload() {
+        // First chunk, a middle one, and the last (the cursor is
+        // already past the end when it unwinds): the call returns and
+        // the payload reaches the caller.
         let items: Vec<u32> = (0..100).collect();
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            par_map_with(4, &items, |&x| {
-                if x == 37 {
-                    panic!("cell 37 exploded");
-                }
-                x
-            })
-        }))
-        .expect_err("panic must reach the caller");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("cell 37 exploded"), "payload: {msg}");
+        for bad in [0u32, 37, 99] {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                pool::execute(4, &items, |_, &x| {
+                    if x == bad {
+                        panic!("cell {x} exploded");
+                    }
+                    x
+                })
+            }))
+            .expect_err("panic must reach the caller");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .map(String::from)
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert_eq!(msg, format!("cell {bad} exploded"));
+        }
     }
 
     #[test]
     fn panic_aborts_remaining_work_eventually() {
         // After a panic the batch drains without running *every* cell:
-        // with 1 chunk per grab and an immediate abort flag, at most
-        // the in-flight chunks complete. We only assert the call
-        // returns (no deadlock) and panics.
+        // the abort flag stops further claims, so at most the chunks
+        // already held complete. We only assert the call returns (no
+        // deadlock) and panics.
         let done = AtomicU64::new(0);
         let items: Vec<u32> = (0..10_000).collect();
         let res = catch_unwind(AssertUnwindSafe(|| {
-            par_map_with(4, &items, |&x| {
+            pool::execute(4, &items, |_, &x| {
                 if x == 0 {
                     panic!("early");
                 }
@@ -376,9 +318,11 @@ mod tests {
 
     #[test]
     fn par_tasks_counter_advances() {
+        // Lower bound only: sibling tests add to the same process-wide
+        // counter. `tests/counters.rs` pins the exact amount.
         let before = pq_obs::registry().counter_value("par.tasks");
         let items: Vec<u32> = (0..256).collect();
-        let _ = par_map_with(4, &items, |&x| x);
+        let _ = pool::execute(4, &items, |_, &x| x);
         let after = pq_obs::registry().counter_value("par.tasks");
         assert!(
             after >= before + 256,
@@ -397,11 +341,13 @@ mod tests {
         // result is delivered, in order.
         let items: Vec<u32> = (0..200).collect();
         for workers in [1usize, 4] {
-            let out = try_par_map_indexed_with(workers, &items, |_, &x| {
-                if x == 57 {
-                    panic!("task 57 exploded");
-                }
-                x * 2
+            let out = with_override(Some(workers), || {
+                try_par_map(&items, |&x| {
+                    if x == 57 {
+                        panic!("task 57 exploded");
+                    }
+                    x * 2
+                })
             });
             assert_eq!(out.len(), 200);
             for (i, r) in out.iter().enumerate() {
@@ -436,8 +382,12 @@ mod tests {
     #[test]
     fn try_map_all_ok_matches_par_map() {
         let items: Vec<u64> = (0..512).collect();
-        let plain = par_map_with(4, &items, |&x| x.wrapping_mul(2654435761));
-        let tried = try_par_map_indexed_with(4, &items, |_, &x| x.wrapping_mul(2654435761));
+        let (plain, tried) = with_override(Some(4), || {
+            (
+                par_map(&items, |&x| x.wrapping_mul(2654435761)),
+                try_par_map(&items, |&x| x.wrapping_mul(2654435761)),
+            )
+        });
         let unwrapped: Vec<u64> = tried.into_iter().map(|r| r.expect("no panics")).collect();
         assert_eq!(plain, unwrapped);
     }

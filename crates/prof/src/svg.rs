@@ -65,11 +65,7 @@ fn escape(s: &str) -> String {
 /// Deterministic warm colour from the frame name (FNV-1a spread over
 /// a red/orange/yellow palette, flamegraph-style).
 fn color(name: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = pq_ckpt::fnv1a(name.as_bytes());
     let r = 205 + (h % 50) as u32;
     let g = (h >> 8) % 230;
     let b = (h >> 16) % 55;

@@ -16,7 +16,7 @@
 //! * [`metrics`] — visual metrics and study recordings,
 //! * [`stats`] — CIs, ANOVA, correlation, normality,
 //! * [`study`] — participants, the A/B and rating studies, analysis,
-//! * [`par`] — the deterministic work-stealing execution engine that
+//! * [`par`] — the deterministic parallel execution engine that
 //!   spreads the stimulus/study grid across cores (`PQ_JOBS`) with
 //!   bit-identical output,
 //! * [`fault`] — seed-deterministic fault injection (`PQ_FAULTS`) and
@@ -50,7 +50,7 @@ pub use pq_web as web;
 /// The most common imports for experiments.
 pub mod prelude {
     pub use pq_metrics::{Metric, MetricSet, Recording, VisualTimeline};
-    pub use pq_par::{par_map, par_map_indexed};
+    pub use pq_par::par_map;
     pub use pq_sim::{NetworkConfig, NetworkKind, SimDuration, SimRng, SimTime};
     pub use pq_study::{run_study, AbChoice, Environment, Group, StimulusSet, StudyData};
     pub use pq_transport::Protocol;
