@@ -103,7 +103,6 @@ impl Participant {
         for wi in &mut w {
             *wi = wi.max(0.01);
         }
-        // pq-lint: allow(float-flow) -- fixed 3-element array; summation order is positional, not chunk-dependent
         let sum: f64 = w.iter().sum();
         for wi in &mut w {
             *wi /= sum;

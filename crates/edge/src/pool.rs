@@ -261,7 +261,6 @@ mod tests {
     use pq_sim::SimDuration;
 
     fn pools(cfg: &EdgeConfig) -> EdgePools {
-        // pq-lint: allow(rng) -- test-local seed; production forks from the load seed
         EdgePools::new(cfg, SimRng::new(42).fork("edge-pool"))
     }
 

@@ -1,14 +1,6 @@
-//! The lint engine: workspace walk → lex → parse → symbol table +
-//! call graph → rules → suppressions → baseline comparison.
-//!
-//! ## Two passes
-//!
-//! Pass 1 lexes and structurally parses every file (see
-//! [`crate::ast`]) and builds the workspace symbol table and call
-//! graph. Pass 2 runs the token rules and the semantic families
-//! against each file with that cross-file context in hand. Single-file
-//! entry points ([`lint_source`]) build a one-file workspace, so the
-//! same rules run everywhere.
+//! The lint engine: workspace walk → lex → token rules →
+//! suppressions → baseline comparison. One pass, one file at a time,
+//! no cross-file state.
 //!
 //! ## Suppressions
 //!
@@ -22,20 +14,9 @@
 //!
 //! The `-- <reason>` is **mandatory**: a reasonless (or unknown-rule)
 //! suppression does not suppress anything and is itself reported under
-//! the `suppression` rule.
-//!
-//! ## Hot-root annotations
-//!
-//! The H family propagates from functions annotated on the line(s)
-//! directly above their `fn`:
-//!
-//! ```text
-//! // pq-lint: hot-root(experiment) -- per-event dispatch loop
-//! pub fn run(mut self) -> PageLoad { … }
-//! ```
-//!
-//! The parenthesized profile-frame hint is optional; the reason is
-//! mandatory, exactly like suppressions.
+//! the `suppression` rule. So is a suppression in non-test code that
+//! matches no finding: like a stale baseline entry, an excuse whose
+//! offence is gone must be deleted, so every remaining allow is live.
 //!
 //! ## Baseline
 //!
@@ -47,15 +28,10 @@
 //! than line numbers keep entries stable under unrelated edits while
 //! still enforcing the ratchet.
 
-use crate::ast::{parse, FileAst, HotRootAnn};
 use crate::baseline::Baseline;
-use crate::callgraph::CallGraph;
-use crate::lexer::{lex, Comment, Tok};
-use crate::rules::{
-    check_file, check_semantic, first_cfg_test_line, rule, Family, FileContext, Finding,
-};
-use crate::symbols::{FileEntry, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lexer::{lex, Comment};
+use crate::rules::{check_file, first_cfg_test_line, rule, FileContext, Finding};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// A finding bound to its file.
@@ -101,10 +77,6 @@ pub struct Report {
     pub suppressed: usize,
     /// Files scanned.
     pub files: usize,
-    /// Every H-family finding (post-suppression, pre-baseline) — the
-    /// input to `--profile` ranking, which must see grandfathered
-    /// debt too.
-    pub hot: Vec<FileFinding>,
 }
 
 impl Report {
@@ -124,294 +96,146 @@ struct Suppression {
     used: bool,
 }
 
-/// All directives parsed from one file's comments.
-#[derive(Default)]
-struct Directives {
-    sups: Vec<Suppression>,
-    hot_roots: Vec<HotRootAnn>,
-    /// Malformed directives, reported as `suppression` findings.
-    malformed: Vec<Finding>,
-}
-
-impl Directives {
-    fn push_malformed(&mut self, c: &Comment, snippet: &str, message: String) {
-        self.malformed.push(Finding {
-            rule: "suppression",
-            line: c.line,
-            col: c.col,
-            snippet: snippet.to_string(),
-            message,
-            frames: Vec::new(),
-        });
+/// A `suppression` (family L) finding about a directive itself.
+fn hygiene(line: u32, col: u32, snippet: String, message: String) -> Finding {
+    Finding {
+        rule: "suppression",
+        line,
+        col,
+        snippet,
+        message,
     }
 }
 
-/// Parse `allow(panic, index) -- reason` suppressions and
-/// `hot-root[(frame)] -- reason` annotations out of the comments
-/// (both behind the usual directive prefix).
-fn parse_directives(comments: &[Comment]) -> Directives {
-    let mut out = Directives::default();
+/// Parse `allow(panic, index) -- reason` suppressions out of the
+/// comments. Malformed directives come back as `suppression`
+/// findings.
+fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<Finding>) {
+    let mut sups = Vec::new();
+    let mut malformed = Vec::new();
     for c in comments {
+        // Doc comments describe directives (this crate's own docs quote
+        // them); only plain comments issue them.
+        if c.text.starts_with("///") || c.text.starts_with("//!") {
+            continue;
+        }
         let Some(at) = c.text.find("pq-lint:") else {
             continue;
         };
         let rest = c.text[at + "pq-lint:".len()..].trim_start();
-        if let Some(tail) = rest.strip_prefix("hot-root") {
-            let tail = tail.trim_start();
-            let (frame, tail) = if let Some(inner) = tail.strip_prefix('(') {
-                match inner.find(')') {
-                    Some(close) => (
-                        Some(inner[..close].trim().to_string()).filter(|f| !f.is_empty()),
-                        inner[close + 1..].trim_start(),
-                    ),
-                    None => {
-                        out.push_malformed(
-                            c,
-                            "hot-root(",
-                            "malformed hot-root annotation; expected \
-                             `// pq-lint: hot-root[(<frame>)] -- <reason>`"
-                                .into(),
-                        );
-                        continue;
-                    }
-                }
-            } else {
-                (None, tail)
-            };
-            let has_reason = tail
-                .strip_prefix("--")
-                .map(|r| !r.trim().is_empty())
-                .unwrap_or(false);
-            if !has_reason {
-                out.push_malformed(
-                    c,
-                    "hot-root",
-                    "hot-root annotation lacks the mandatory `-- <reason>`; say why \
-                     this function anchors the hot path"
-                        .into(),
-                );
-                continue;
-            }
-            out.hot_roots.push(HotRootAnn {
-                line: c.end_line,
-                frame,
-            });
-            continue;
-        }
-        let Some(list) = rest.strip_prefix("allow(") else {
+        let parsed = rest.strip_prefix("allow(").and_then(|list| {
+            let close = list.find(')')?;
+            let rules: Vec<String> = list[..close]
+                .split(',')
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .collect();
+            (!rules.is_empty()).then(|| (rules, list[close + 1..].trim_start()))
+        });
+        let Some((rules, tail)) = parsed else {
             // An unparsable directive is itself a lint error.
-            out.push_malformed(
-                c,
-                "pq-lint:",
-                "malformed suppression; expected \
-                 `// pq-lint: allow(<rule>[, <rule>…]) -- <reason>` or \
-                 `// pq-lint: hot-root[(<frame>)] -- <reason>`"
-                    .into(),
-            );
-            continue;
-        };
-        let Some(close) = list.find(')') else {
-            out.push_malformed(
-                c,
-                "pq-lint:",
+            malformed.push(hygiene(
+                c.line,
+                c.col,
+                "pq-lint:".into(),
                 "malformed suppression; expected \
                  `// pq-lint: allow(<rule>[, <rule>…]) -- <reason>`"
                     .into(),
-            );
+            ));
             continue;
         };
-        let rules: Vec<String> = list[..close]
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        let tail = list[close + 1..].trim_start();
-        let has_reason = tail
-            .strip_prefix("--")
-            .map(|r| !r.trim().is_empty())
-            .unwrap_or(false);
-        if rules.is_empty() {
-            out.push_malformed(
-                c,
-                "allow()",
-                "malformed suppression; expected \
-                 `// pq-lint: allow(<rule>[, <rule>…]) -- <reason>`"
-                    .into(),
-            );
-            continue;
-        }
-        out.sups.push(Suppression {
+        sups.push(Suppression {
             rules,
-            has_reason,
+            has_reason: tail
+                .strip_prefix("--")
+                .is_some_and(|r| !r.trim().is_empty()),
             line: c.line,
             end_line: c.end_line,
             col: c.col,
             used: false,
         });
     }
-    out
+    (sups, malformed)
 }
 
-/// Pass-1 product for one file: everything both passes need.
-struct ParsedFile {
-    rel: String,
-    tokens: Vec<Tok>,
-    directives: Directives,
-    ast: FileAst,
-    crate_name: Option<String>,
-    is_test: bool,
-    test_from_line: Option<u32>,
-    is_crate_root: bool,
-}
-
-fn parse_file(rel: &str, src: &str) -> ParsedFile {
-    let (tokens, comments) = lex(src);
-    let directives = parse_directives(&comments);
-    let ast = parse(&tokens, &directives.hot_roots);
-    ParsedFile {
-        rel: rel.to_string(),
-        test_from_line: first_cfg_test_line(&tokens),
-        tokens,
-        ast,
-        directives,
-        crate_name: crate_of(rel).map(String::from),
-        is_test: is_test_path(rel),
-        is_crate_root: is_crate_root(rel),
-    }
-}
-
-impl ParsedFile {
-    fn entry(&self) -> FileEntry {
-        FileEntry {
-            rel_path: self.rel.clone(),
-            crate_name: self.crate_name.clone(),
-            ast: self.ast.clone(),
-            is_test: self.is_test,
-            test_from_line: self.test_from_line,
-        }
-    }
-
-    fn context(&self) -> FileContext<'_> {
-        FileContext {
-            rel_path: &self.rel,
-            crate_name: self.crate_name.as_deref(),
-            is_test_file: self.is_test,
-            test_from_line: self.test_from_line,
-            tokens: &self.tokens,
-            is_crate_root: self.is_crate_root,
-        }
-    }
-
-    /// Apply suppressions to raw findings and append directive
-    /// hygiene findings. Returns (survivors, suppressed count).
-    fn finish(&mut self, raw: Vec<Finding>) -> (Vec<Finding>, usize) {
-        let sups = &mut self.directives.sups;
-        let mut findings = Vec::new();
-        let mut suppressed = 0usize;
-        for f in raw {
-            let hit = sups.iter_mut().find(|s| {
-                (f.line == s.line || f.line == s.end_line + 1)
-                    && s.has_reason
-                    && s.rules.iter().any(|r| r == f.rule || r == "all")
-            });
-            match hit {
-                Some(s) => {
-                    s.used = true;
-                    suppressed += 1;
-                }
-                None => findings.push(f),
-            }
-        }
-        // Directive hygiene: unknown rule names or missing reasons.
-        for s in sups.iter() {
-            let unknown: Vec<&str> = s
-                .rules
-                .iter()
-                .filter(|r| r.as_str() != "all" && rule(r).is_none())
-                .map(String::as_str)
-                .collect();
-            if !s.has_reason {
-                findings.push(Finding {
-                    rule: "suppression",
-                    line: s.line,
-                    col: s.col,
-                    snippet: format!("allow({})", s.rules.join(", ")),
-                    message: "suppression lacks the mandatory `-- <reason>`; say why the \
-                              invariant holds"
-                        .into(),
-                    frames: Vec::new(),
-                });
-            } else if !unknown.is_empty() {
-                findings.push(Finding {
-                    rule: "suppression",
-                    line: s.line,
-                    col: s.col,
-                    snippet: format!("allow({})", unknown.join(", ")),
-                    message: format!(
-                        "unknown rule name(s) {}; see --rules for the registry",
-                        unknown.join(", ")
-                    ),
-                    frames: Vec::new(),
-                });
-            }
-        }
-        findings.append(&mut self.directives.malformed);
-        findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-        (findings, suppressed)
-    }
-}
-
-/// Lint one file's source text with a single-file workspace (the
-/// semantic families see only this file's symbols). Returns
-/// unsuppressed findings plus the number suppressed.
+/// Lint one file's source text: token rules, then suppressions, then
+/// suppression hygiene. Returns unsuppressed findings plus the number
+/// suppressed.
 pub fn lint_source(rel_path: &str, src: &str) -> (Vec<Finding>, usize) {
-    let mut pf = parse_file(rel_path, src);
-    let ws = Workspace::build(vec![pf.entry()]);
-    let g = CallGraph::build(&ws);
-    let ctx = pf.context();
-    let mut raw = check_file(&ctx);
-    check_semantic(&ctx, 0, &ws, &g, &mut raw);
-    pf.finish(raw)
+    let (tokens, comments) = lex(src);
+    let ctx = FileContext {
+        rel_path,
+        crate_name: crate_of(rel_path),
+        is_test_file: is_test_path(rel_path),
+        test_from_line: first_cfg_test_line(&tokens),
+        tokens: &tokens,
+        is_crate_root: is_crate_root(rel_path),
+    };
+    let (mut sups, mut findings) = parse_suppressions(&comments);
+    let mut suppressed = 0usize;
+    for f in check_file(&ctx) {
+        let hit = sups.iter_mut().find(|s| {
+            (f.line == s.line || f.line == s.end_line + 1)
+                && s.has_reason
+                && s.rules.iter().any(|r| r == f.rule || r == "all")
+        });
+        match hit {
+            Some(s) => {
+                s.used = true;
+                suppressed += 1;
+            }
+            None => findings.push(f),
+        }
+    }
+    // Hygiene: a missing reason, an unknown rule name, or an allow
+    // that suppressed nothing — stale, like a stale baseline entry.
+    // Test code is exempt from the rules, so an allow there has
+    // nothing to match and is left alone.
+    for s in &sups {
+        let unknown: Vec<&str> = s
+            .rules
+            .iter()
+            .filter(|r| r.as_str() != "all" && rule(r).is_none())
+            .map(String::as_str)
+            .collect();
+        let snippet = format!("allow({})", s.rules.join(", "));
+        if !s.has_reason {
+            findings.push(hygiene(
+                s.line,
+                s.col,
+                snippet,
+                "suppression lacks the mandatory `-- <reason>`; say why the \
+                 invariant holds"
+                    .into(),
+            ));
+        } else if !unknown.is_empty() {
+            findings.push(hygiene(
+                s.line,
+                s.col,
+                format!("allow({})", unknown.join(", ")),
+                format!(
+                    "unknown rule name(s) {}; see --rules for the registry",
+                    unknown.join(", ")
+                ),
+            ));
+        } else if !s.used && !ctx.in_test(s.line) {
+            findings.push(hygiene(
+                s.line,
+                s.col,
+                snippet,
+                "suppression matches no finding on its line or the next; the code it \
+                 excused is gone or was never flagged — delete the comment"
+                    .into(),
+            ));
+        }
+    }
+    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
+    (findings, suppressed)
 }
 
 /// `crates/<name>/…` → `Some(name)`.
 fn crate_of(rel: &str) -> Option<&str> {
     rel.strip_prefix("crates/")?.split('/').next()
-}
-
-/// Crate → path-dependency crates, from each `crates/*/Cargo.toml`'s
-/// `path = "../<name>"` entries (dev-dependencies included — test
-/// symbols are excluded from the graph anyway, and over-approximating
-/// here only adds edges). Crates without a readable manifest get an
-/// empty dep set; a workspace with no manifests at all (fixtures)
-/// yields an empty map, which disables the filter.
-fn read_crate_deps(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
-    let mut deps: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let crates_dir = root.join("crates");
-    let Ok(entries) = std::fs::read_dir(&crates_dir) else {
-        return deps;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Ok(manifest) = std::fs::read_to_string(entry.path().join("Cargo.toml")) else {
-            continue;
-        };
-        let mut set = BTreeSet::new();
-        for line in manifest.lines() {
-            // `pq-web = { path = "../web" }` (any section).
-            let Some(rest) = line.split("path").nth(1) else {
-                continue;
-            };
-            let Some(dep) = rest.split('"').nth(1) else {
-                continue;
-            };
-            if let Some(dep) = dep.strip_prefix("../") {
-                set.insert(dep.trim_end_matches('/').to_string());
-            }
-        }
-        deps.insert(name, set);
-    }
-    deps
 }
 
 /// Whole-file test/bench/example context, by path.
@@ -482,68 +306,43 @@ pub fn rel_str(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Everything one full-workspace lint produces, before baseline
-/// accounting.
-struct WorkspaceLint {
-    files: usize,
-    suppressed: usize,
-    by_key: BTreeMap<(String, String), Vec<FileFinding>>,
-    hot: Vec<FileFinding>,
-}
+/// Surviving findings grouped for baseline accounting.
+type ByKey = BTreeMap<(String, String), Vec<FileFinding>>;
 
-/// Both passes over the whole workspace.
-fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceLint> {
+/// One pass over the workspace: `(files scanned, findings suppressed,
+/// surviving findings by (rule, path))`.
+fn lint_workspace(root: &Path) -> std::io::Result<(usize, usize, ByKey)> {
     let files = workspace_files(root)?;
-    let mut parsed: Vec<ParsedFile> = Vec::with_capacity(files.len());
+    let mut suppressed = 0usize;
+    let mut by_key = ByKey::new();
     for path in &files {
         let rel = rel_str(root, path);
         let src = std::fs::read_to_string(path)?;
-        parsed.push(parse_file(&rel, &src));
-    }
-    let mut ws = Workspace::build(parsed.iter().map(ParsedFile::entry).collect());
-    ws.crate_deps = read_crate_deps(root);
-    let g = CallGraph::build(&ws);
-
-    let mut out = WorkspaceLint {
-        files: parsed.len(),
-        suppressed: 0,
-        by_key: BTreeMap::new(),
-        hot: Vec::new(),
-    };
-    for (i, pf) in parsed.iter_mut().enumerate() {
-        let ctx = pf.context();
-        let mut raw = check_file(&ctx);
-        check_semantic(&ctx, i, &ws, &g, &mut raw);
-        let (findings, suppressed) = pf.finish(raw);
-        out.suppressed += suppressed;
-        for f in findings {
-            let ff = FileFinding {
-                path: pf.rel.clone(),
-                finding: f,
-            };
-            if rule(ff.finding.rule).is_some_and(|r| r.family == Family::H) {
-                out.hot.push(ff.clone());
-            }
-            out.by_key
-                .entry((ff.finding.rule.to_string(), pf.rel.clone()))
+        let (findings, n) = lint_source(&rel, &src);
+        suppressed += n;
+        for finding in findings {
+            by_key
+                .entry((finding.rule.to_string(), rel.clone()))
                 .or_default()
-                .push(ff);
+                .push(FileFinding {
+                    path: rel.clone(),
+                    finding,
+                });
         }
     }
-    Ok(out)
+    Ok((files.len(), suppressed, by_key))
 }
 
 /// Lint the whole workspace under `root` against `baseline`.
 pub fn run(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
-    let lint = lint_workspace(root)?;
+    let (files, suppressed, by_key) = lint_workspace(root)?;
     let mut report = Report {
-        files: lint.files,
-        suppressed: lint.suppressed,
-        hot: lint.hot,
+        files,
+        suppressed,
         ..Report::default()
     };
     // Compare against the baseline in both directions.
-    for ((rule_name, path), found) in &lint.by_key {
+    for ((rule_name, path), found) in &by_key {
         let allowed = baseline.count(rule_name, path);
         match found.len().cmp(&allowed) {
             std::cmp::Ordering::Greater => {
@@ -562,7 +361,7 @@ pub fn run(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
     // Baseline entries whose file no longer has any finding at all
     // (or no longer exists) are stale too.
     for (rule_name, path, allowed) in baseline.entries() {
-        if allowed > 0 && !lint.by_key.contains_key(&(rule_name.clone(), path.clone())) {
+        if allowed > 0 && !by_key.contains_key(&(rule_name.clone(), path.clone())) {
             report.stale.push((rule_name, path, allowed, 0));
         }
     }
@@ -572,8 +371,8 @@ pub fn run(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
 
 /// Current (rule, path) → count map for `--write-baseline`.
 pub fn current_counts(root: &Path) -> std::io::Result<BTreeMap<(String, String), usize>> {
-    let lint = lint_workspace(root)?;
-    Ok(lint.by_key.into_iter().map(|(k, v)| (k, v.len())).collect())
+    let (_, _, by_key) = lint_workspace(root)?;
+    Ok(by_key.into_iter().map(|(k, v)| (k, v.len())).collect())
 }
 
 #[cfg(test)]
@@ -632,59 +431,31 @@ fn f(v: &[u32]) -> u32 {
     }
 
     #[test]
-    fn hot_root_annotation_drives_h_family() {
+    fn stale_suppressions_fire_outside_test_code() {
+        // Used: quiet. Unused in non-test code: a `suppression`
+        // finding. Unused below `#[cfg(test)]` or in a test file: the
+        // rules skip test code, so there is nothing it could match.
+        // A doc comment quoting a directive is not a directive.
         let src = "\
-// pq-lint: hot-root(experiment) -- the per-event dispatch loop
-fn run(n: u32) {
-    for _ in 0..n {
-        dispatch();
-    }
+/// Callers write `// pq-lint: allow(panic) -- why` above the call.
+fn f(x: Option<u32>) -> u32 {
+    // pq-lint: allow(panic) -- x checked by caller
+    let a = x.unwrap();
+    // pq-lint: allow(panic) -- nothing panics here any more
+    a + x.unwrap_or(0)
 }
-fn dispatch() {
-    let label = 3u32.to_string();
-    let _ = label;
-}
-fn cold() {
-    let label = 3u32.to_string();
-    let _ = label;
+#[cfg(test)]
+mod tests {
+    // pq-lint: allow(rng) -- test-local seed
+    fn g() {}
 }
 ";
-        let (findings, _) = lint_source("crates/sim/src/x.rs", src);
-        let hot: Vec<(&str, u32)> = findings
-            .iter()
-            .filter(|f| f.rule.starts_with("hot"))
-            .map(|f| (f.rule, f.line))
-            .collect();
-        assert_eq!(hot, [("hot-alloc", 8)], "{findings:?}");
-        // The finding carries the root's frame hint for --profile.
-        let f = findings.iter().find(|f| f.rule == "hot-alloc").unwrap();
-        assert_eq!(f.frames, ["experiment"]);
-    }
-
-    #[test]
-    fn hot_root_requires_reason() {
-        let src = "// pq-lint: hot-root\nfn run() {}\n";
-        let (findings, _) = lint_source("crates/sim/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "suppression");
-        assert!(findings[0].message.contains("hot-root"), "{findings:?}");
-    }
-
-    #[test]
-    fn hot_findings_are_suppressible() {
-        let src = "\
-// pq-lint: hot-root -- service loop
-fn run(n: u32) {
-    for _ in 0..n {
-        // pq-lint: allow(hot-loop-alloc) -- cold error path only
-        let s = n.to_string();
-        let _ = s;
-    }
-}
-";
-        let (findings, suppressed) = lint_source("crates/sim/src/x.rs", src);
-        assert!(findings.is_empty(), "{findings:?}");
+        let (findings, suppressed) = lint_source("crates/core/src/x.rs", src);
         assert_eq!(suppressed, 1);
+        let stale: Vec<(&str, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(stale, [("suppression", 5)], "{findings:?}");
+        let (in_test_file, _) = lint_source("crates/core/tests/x.rs", src);
+        assert!(in_test_file.is_empty(), "{in_test_file:?}");
     }
 
     #[test]

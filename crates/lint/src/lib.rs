@@ -10,50 +10,42 @@
 //! judgement call into a rule table.
 //!
 //! The checker tokenizes every workspace `.rs` file with a small
-//! hand-rolled lexer ([`lexer`] — comments, strings, idents, no full
-//! parse), structurally parses the token stream into a lightweight
-//! AST ([`ast`] — fns/impls, loops, calls, allocation shapes), builds
-//! a workspace symbol table ([`symbols`]) and a conservative
-//! call graph with hot-path reachability from annotated roots
-//! ([`callgraph`]), then runs a registry of project-invariant rules
-//! ([`rules`]) in six families:
+//! hand-rolled lexer ([`lexer`] — comments, strings, idents, no
+//! parse) and runs a registry of project-invariant rules ([`rules`])
+//! over each file's token stream, one file at a time, in three
+//! families:
 //!
 //! | family | rules | invariant |
 //! |--------|-------|-----------|
 //! | **D** (determinism) | `hash`, `time`, `rng`, `float-sum` | digest-affecting code is a pure function of `(seed, cell coordinates)` |
 //! | **P** (panic-safety) | `panic`, `index`, `unsafe`, `results-io` | hot paths degrade through `PqError`, never abort the grid |
 //! | **O** (observability) | `env`, `metric-name`, `prof-name` | config flows through `pq_obs::env`; metric names stay `crate.noun_verb` |
-//! | **H** (hot-path) | `hot-loop-alloc`, `hot-alloc` | no transient heap traffic in code reachable from a `hot-root` annotation |
-//! | **D2** (determinism dataflow) | `hash-flow`, `float-flow` | the D invariants hold across aliases and file boundaries |
-//! | **A** (API hygiene) | `env-name`, `name-registry` | every env var / metric / span name matches a registry declared in source |
 //!
 //! Findings are reported as `file:line:col` with the offending span.
 //! Inline suppression is `// pq-lint: allow(panic) -- reason` with a
-//! **mandatory** reason; hot roots are annotated
-//! `// pq-lint: hot-root(frame) -- reason` above the `fn`. The
-//! committed `pq-lint.baseline` holds grandfathered findings so
+//! **mandatory** reason, and a suppression that no longer matches a
+//! finding is itself a finding (`suppression`). The committed
+//! `pq-lint.baseline` holds grandfathered findings so
 //! `cargo run -p pq-lint -- --deny` gates CI from day one — new
 //! violations fail, and the baseline can only ever shrink (a stale
 //! entry is itself an error). See [`engine`] and [`baseline`] for the
-//! exact semantics. `--profile results/prof.folded` re-ranks H-family
-//! findings by measured self-time ([`profile`]), so the burn-down
-//! order follows where the cycles actually go.
+//! exact semantics.
+//!
+//! What a token scan cannot see is measured, not approximated:
+//! allocations per simulated event have a ceiling in
+//! `tests/event_sequence.rs`, digests are pinned across `PQ_JOBS` in
+//! `tests/determinism.rs`, and the env / metric / span name
+//! registries are checked where the names are used
+//! (`pq_obs::env`, `tests/end_to_end.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod baseline;
-pub mod callgraph;
 pub mod engine;
 pub mod lexer;
-pub mod profile;
 pub mod rules;
-pub mod symbols;
 
 pub use baseline::Baseline;
-pub use callgraph::{CallGraph, Hotness};
 pub use engine::{lint_source, run, workspace_files, Report};
-pub use profile::Profile;
 pub use rules::{Family, Finding, RuleInfo, RULES};
-pub use symbols::Workspace;

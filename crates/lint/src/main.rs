@@ -6,9 +6,6 @@
 //! cargo run -p pq-lint -- --write-baseline   # regenerate pq-lint.baseline
 //! cargo run -p pq-lint -- --rules            # print the rule registry
 //! cargo run -p pq-lint -- --root <dir>       # lint another checkout
-//! cargo run -p pq-lint -- --profile results/prof.folded
-//!                                            # rank H-family findings by
-//!                                            # measured self-time
 //! ```
 
 #![forbid(unsafe_code)]
@@ -26,7 +23,6 @@ fn real_main() -> i32 {
     let mut show_rules = false;
     let mut root: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut profile_path: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -36,7 +32,6 @@ fn real_main() -> i32 {
             "--rules" => show_rules = true,
             "--root" => root = args.next().map(PathBuf::from),
             "--baseline" => baseline_path = args.next().map(PathBuf::from),
-            "--profile" => profile_path = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 print_help();
                 return 0;
@@ -96,45 +91,6 @@ fn real_main() -> i32 {
         }
     };
 
-    // Profile-guided ranking: every H-family finding — grandfathered
-    // debt included, that's the burn-down queue — ordered by measured
-    // inclusive self-time of its best-matching frame.
-    if let Some(pp) = &profile_path {
-        let prof = match pq_lint::Profile::load(pp) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("pq-lint: reading profile {} failed: {e}", pp.display());
-                return 2;
-            }
-        };
-        let mut ranked: Vec<(u64, &pq_lint::engine::FileFinding)> = report
-            .hot
-            .iter()
-            .map(|f| (prof.weight(&f.finding.frames), f))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.0.cmp(&a.0)
-                .then_with(|| (&a.1.path, a.1.finding.line).cmp(&(&b.1.path, b.1.finding.line)))
-        });
-        println!(
-            "ranked hot-path findings ({} total, profile {}):",
-            ranked.len(),
-            pp.display()
-        );
-        for (i, (w, f)) in ranked.iter().enumerate() {
-            println!(
-                "{:>4}. {:>9.3}ms {}:{}:{} [{}] {}",
-                i + 1,
-                *w as f64 / 1e6,
-                f.path,
-                f.finding.line,
-                f.finding.col,
-                f.finding.rule,
-                f.finding.snippet
-            );
-        }
-    }
-
     for f in &report.new {
         println!("{}", f.render());
     }
@@ -170,18 +126,15 @@ fn print_help() {
         "pq-lint — workspace invariant checker (determinism / panic-safety / observability)\n\
          \n\
          USAGE: pq-lint [--deny] [--write-baseline] [--rules] [--root DIR] [--baseline FILE]\n\
-         \u{20}               [--profile FOLDED]\n\
          \n\
          --deny            exit 1 on new findings or stale baseline entries (the CI gate)\n\
          --write-baseline  regenerate the grandfathered-findings baseline\n\
          --rules           print the rule registry\n\
          --root DIR        workspace root to lint (default .)\n\
          --baseline FILE   baseline path (default <root>/pq-lint.baseline)\n\
-         --profile FOLDED  rank hot-path (H) findings, grandfathered debt included, by\n\
-         \u{20}                 measured self-time from a pq-prof collapsed-stack file\n\
          \n\
          Suppress a finding with `// pq-lint: allow(<rule>) -- <reason>` on the same\n\
-         line or the line above; the reason is mandatory. Anchor the H family with\n\
-         `// pq-lint: hot-root[(<frame>)] -- <reason>` above a fn."
+         line or the line above; the reason is mandatory, and an allow that matches\n\
+         no finding is itself reported."
     );
 }

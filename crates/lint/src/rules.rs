@@ -1,6 +1,6 @@
 //! The project-invariant lint registry.
 //!
-//! Token-level families, mirroring the repo's three hard conventions:
+//! Three families, mirroring the repo's three hard conventions:
 //!
 //! * **D (determinism)** — the pipeline's headline guarantee is that
 //!   study digests are bit-identical across `PQ_JOBS` and fault seeds;
@@ -15,30 +15,16 @@
 //!   `pq_obs::env` and metric names follow the `crate.noun_verb`
 //!   convention, so runs stay explainable.
 //!
-//! Semantic families, working from the [`crate::ast`] parse, the
-//! [`crate::symbols`] table and the [`crate::callgraph`] reachability
-//! pass:
-//!
-//! * **H (hot-path)** — allocation inside loops reachable from an
-//!   annotated hot root, and per-event transient allocation sites;
-//!   optionally re-ranked by a measured pq-prof profile.
-//! * **D2 (determinism dataflow)** — hash iteration and float
-//!   accumulation that reach a digest crate through aliases or
-//!   cross-file helpers the token scan cannot see.
-//! * **A (API hygiene)** — every env var and metric/span name must
-//!   match a registry declared in the linted source itself.
-//!
-//! Token rules exploit cheap structural regularities — no type
-//! information, by design: like the paper's conformance filter
-//! (Table 3, R1–R7) — and the committed baseline absorbs the grey
-//! zone. The semantic families keep the same contract, deliberately
-//! over-approximating (a spurious call edge only grandfathers a
-//! finding; a missed one would hide a real per-event allocation).
+//! The rules exploit cheap structural regularities of the token
+//! stream — no parse, no type information, no cross-file state, by
+//! design: like the paper's conformance filter (Table 3, R1–R7) — and
+//! the committed baseline absorbs the grey zone. What a token scan
+//! cannot see is measured instead of over-approximated: per-event
+//! allocation by the ceiling in `tests/event_sequence.rs`, digest
+//! stability by the `PQ_JOBS` pins in `tests/determinism.rs`, and the
+//! name registries by the checks at the `pq_obs` sinks themselves.
 
-use crate::ast::skip_turbofish;
-use crate::callgraph::{CallGraph, Hotness};
 use crate::lexer::{Tok, TokKind};
-use crate::symbols::Workspace;
 
 /// Crates whose output feeds the study digest: any nondeterminism
 /// here invalidates every recorded baseline.
@@ -56,9 +42,8 @@ pub const ENV_FUNNEL_FILE: &str = "crates/obs/src/env.rs";
 /// therefore construct RNGs from raw integers.
 pub const RNG_DEF_FILES: &[&str] = &["crates/sim/src/rng.rs", "crates/fault/src/rng.rs"];
 
-/// Severity family of a rule (`D`/`P`/`O` token families, `H`/`D2`/`A`
-/// semantic families, plus `L` for lint-usage errors like malformed
-/// suppressions).
+/// Severity family of a rule (`D`/`P`/`O`, plus `L` for lint-usage
+/// errors like malformed or stale suppressions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// Determinism.
@@ -67,15 +52,8 @@ pub enum Family {
     P,
     /// Observability / configuration.
     O,
-    /// Hot-path allocation (call-graph reachability from annotated
-    /// roots; profile-rankable).
-    H,
-    /// Determinism dataflow (cross-file hash/float flows).
-    D2,
-    /// API hygiene (declared name registries).
-    A,
-    /// Lint usage (bad suppression comments); never suppressible or
-    /// baselined away silently.
+    /// Lint usage (bad or stale suppression comments); never
+    /// suppressible or baselined away silently.
     L,
 }
 
@@ -160,50 +138,10 @@ pub const RULES: &[RuleInfo] = &[
                metric name violating the dotted-lowercase convention",
     },
     RuleInfo {
-        name: "hot-loop-alloc",
-        family: Family::H,
-        what: "allocation (Vec::new/clone/format!/to_string/collect/Box::new/…) inside a \
-               loop of a function reachable from an annotated hot root; hoist into a \
-               reused buffer",
-    },
-    RuleInfo {
-        name: "hot-alloc",
-        family: Family::H,
-        what: "allocation in a function reached through a loop-borne call from a hot \
-               root, i.e. executed once per event; reuse a caller-held buffer instead",
-    },
-    RuleInfo {
-        name: "hash-flow",
-        family: Family::D2,
-        what: "hash-container use reaching a digest crate through a type alias or a \
-               cross-file helper returning HashMap/HashSet (the token-level `hash` rule \
-               cannot see these)",
-    },
-    RuleInfo {
-        name: "float-flow",
-        family: Family::D2,
-        what: ".sum() in a digest-crate function that the call graph reaches from a \
-               pq-par fan-out in another file; accumulation order must not depend on \
-               chunk placement (integer turbofish sums are exempt)",
-    },
-    RuleInfo {
-        name: "env-name",
-        family: Family::A,
-        what: "pq_obs::env read of a variable not declared in KNOWN_VARS \
-               (crates/obs/src/env.rs); every knob must be registered",
-    },
-    RuleInfo {
-        name: "name-registry",
-        family: Family::A,
-        what: "metric or span/tick literal not declared in METRIC_NAMES/SPAN_NAMES \
-               (crates/obs/src/names.rs); dashboards and profiles must never reference \
-               a name the registry does not know",
-    },
-    RuleInfo {
         name: "suppression",
         family: Family::L,
-        what: "malformed pq-lint suppression or hot-root annotation (unknown rule name \
-               or missing '-- <reason>')",
+        what: "malformed pq-lint suppression (unknown rule name or missing \
+               '-- <reason>'), or one that no longer suppresses any finding",
     },
 ];
 
@@ -226,9 +164,6 @@ pub struct Finding {
     pub snippet: String,
     /// Human explanation.
     pub message: String,
-    /// Candidate profile frames (most-specific first) for `--profile`
-    /// ranking; empty for token-family findings.
-    pub frames: Vec<String>,
 }
 
 /// Everything the rules need to know about one file.
@@ -250,7 +185,7 @@ pub struct FileContext<'a> {
 }
 
 impl FileContext<'_> {
-    fn in_test(&self, line: u32) -> bool {
+    pub(crate) fn in_test(&self, line: u32) -> bool {
         self.is_test_file || self.test_from_line.is_some_and(|t| line >= t)
     }
 
@@ -297,7 +232,6 @@ fn push(out: &mut Vec<Finding>, rule: &'static str, t: &Tok, snippet: String, me
         col: t.col,
         snippet,
         message,
-        frames: Vec::new(),
     });
 }
 
@@ -542,7 +476,6 @@ fn rule_unsafe(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             message: "crate root lacks #![forbid(unsafe_code)]; the workspace is \
                       100% safe Rust and stays that way"
                 .into(),
-            frames: Vec::new(),
         });
     }
 }
@@ -757,356 +690,6 @@ fn rule_prof_name(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
                      corrupt prof.folded lines)"
                 ),
             );
-        }
-    }
-}
-
-/// Run the semantic rule families over one file, given the workspace
-/// symbol table and the propagated call graph. `file_idx` indexes
-/// `ws.files`.
-pub fn check_semantic(
-    ctx: &FileContext<'_>,
-    file_idx: usize,
-    ws: &Workspace,
-    g: &CallGraph,
-    out: &mut Vec<Finding>,
-) {
-    rule_hot_alloc(ctx, file_idx, ws, g, out);
-    rule_hash_flow(ctx, file_idx, ws, g, out);
-    rule_float_flow(ctx, file_idx, ws, g, out);
-    rule_env_name(ctx, ws, out);
-    rule_name_registry(ctx, ws, out);
-    out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-}
-
-/// H: allocations in hot-reachable functions — inside loops
-/// (`hot-loop-alloc`) or anywhere in a per-event function
-/// (`hot-alloc`).
-fn rule_hot_alloc(
-    ctx: &FileContext<'_>,
-    file_idx: usize,
-    ws: &Workspace,
-    g: &CallGraph,
-    out: &mut Vec<Finding>,
-) {
-    for (ai, f) in ws.files[file_idx].ast.fns.iter().enumerate() {
-        let Some(&fid) = ws.fn_ids.get(&(file_idx, ai)) else {
-            continue;
-        };
-        let state = g.hotness[fid];
-        if state == Hotness::Cold {
-            continue;
-        }
-        let chain = g.chain_desc(ws, fid);
-        let frames = g.frames_for(ws, fid);
-        for a in &f.allocs {
-            if ctx.in_test(a.line) {
-                continue;
-            }
-            let (rule_name, how) = if a.loop_depth > 0 {
-                ("hot-loop-alloc", "inside a loop")
-            } else if state == Hotness::PerEvent {
-                ("hot-alloc", "once per event")
-            } else {
-                continue;
-            };
-            out.push(Finding {
-                rule: rule_name,
-                line: a.line,
-                col: a.col,
-                snippet: a.what.clone(),
-                message: format!(
-                    "`{}` allocates {how} in `{}` — {chain}; hoist into a reused \
-                     buffer or restructure to borrow",
-                    a.what, f.name
-                ),
-                frames: frames.clone(),
-            });
-        }
-    }
-}
-
-/// D2: hash-container order reaching a digest crate through a type
-/// alias or a cross-file helper that returns `HashMap`/`HashSet`.
-fn rule_hash_flow(
-    ctx: &FileContext<'_>,
-    file_idx: usize,
-    ws: &Workspace,
-    g: &CallGraph,
-    out: &mut Vec<Finding>,
-) {
-    if !ctx.in_digest_crate() {
-        return;
-    }
-    // (a) Uses of workspace aliases that stand for hash containers.
-    let toks = ctx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
-            continue;
-        }
-        let Some(alias) = ws.hash_aliases.get(&t.text) else {
-            continue;
-        };
-        // Skip the declaration site itself (`type X = …` / `… as X`):
-        // if it sits in a digest crate the token-level `hash` rule
-        // already flags the right-hand side.
-        if i > 0 && matches!(toks[i - 1].text.as_str(), "type" | "as") {
-            continue;
-        }
-        push(
-            out,
-            "hash-flow",
-            t,
-            t.text.clone(),
-            format!(
-                "`{}` aliases a hash container ({}:{}); its randomized iteration \
-                 order leaks into this digest crate — use a BTree alias or sort \
-                 before iterating",
-                t.text, alias.decl_path, alias.decl_line
-            ),
-        );
-    }
-    // (b) Calls into helpers (defined outside digest crates, where the
-    // token rule is silent) whose return type mentions a hash
-    // container.
-    for (ai, f) in ws.files[file_idx].ast.fns.iter().enumerate() {
-        if !ws.fn_ids.contains_key(&(file_idx, ai)) {
-            continue;
-        }
-        for call in &f.calls {
-            if ctx.in_test(call.line) {
-                continue;
-            }
-            let from_crate = ws.files[file_idx].crate_name.clone();
-            let offender = g
-                .resolve(ws, from_crate.as_deref(), call)
-                .into_iter()
-                .find(|t| {
-                    ws.hash_returning.contains(t)
-                        && !ws.crate_of(*t).is_some_and(|c| DIGEST_CRATES.contains(&c))
-                });
-            if let Some(target) = offender {
-                out.push(Finding {
-                    rule: "hash-flow",
-                    line: call.line,
-                    col: call.col,
-                    snippet: format!("{}(…)", call.name),
-                    message: format!(
-                        "`{}` returns a hash container ({}:{}); iterating the result \
-                         in a digest crate is order-randomized — collect into a \
-                         BTreeMap or sort first",
-                        call.name,
-                        ws.path_of(target),
-                        ws.def(target).line
-                    ),
-                    frames: Vec::new(),
-                });
-            }
-        }
-    }
-}
-
-/// D2: `.sum()` in a digest-crate function that the call graph
-/// reaches from a pq-par fan-out *in another file* — the token-level
-/// `float-sum` rule only sees fan-out and accumulation in the same
-/// file.
-fn rule_float_flow(
-    ctx: &FileContext<'_>,
-    file_idx: usize,
-    ws: &Workspace,
-    g: &CallGraph,
-    out: &mut Vec<Finding>,
-) {
-    if !ctx.in_digest_crate() {
-        return;
-    }
-    // Same-file fan-out is float-sum's business.
-    let uses_par = ctx
-        .tokens
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && matches!(t.text.as_str(), "par_map" | "try_par_map"));
-    if uses_par {
-        return;
-    }
-    for (ai, f) in ws.files[file_idx].ast.fns.iter().enumerate() {
-        let Some(&fid) = ws.fn_ids.get(&(file_idx, ai)) else {
-            continue;
-        };
-        if !g.par_reachable[fid] {
-            continue;
-        }
-        for s in &f.sums {
-            if ctx.in_test(s.line) {
-                continue;
-            }
-            out.push(Finding {
-                rule: "float-flow",
-                line: s.line,
-                col: s.col,
-                snippet: ".sum()".into(),
-                message: format!(
-                    "`{}` is reachable from a pq-par fan-out in another file; float \
-                     accumulation order must not depend on chunk placement — sum in \
-                     index order, or pin an integer turbofish if the elements are \
-                     integral",
-                    f.name
-                ),
-                frames: Vec::new(),
-            });
-        }
-    }
-}
-
-/// A: literal arguments to `pq_obs::env::{var, var_os, var_parsed}`
-/// must be declared in `KNOWN_VARS`. Inactive when the linted
-/// workspace declares no registry.
-fn rule_env_name(ctx: &FileContext<'_>, ws: &Workspace, out: &mut Vec<Finding>) {
-    if ws.known_env_vars.is_empty() {
-        return;
-    }
-    let toks = ctx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "env" || ctx.in_test(t.line) {
-            continue;
-        }
-        // `std::env::…` is the O-family `env` rule's business.
-        if i >= 3 && toks[i - 1].text == ":" && toks[i - 2].text == ":" && toks[i - 3].text == "std"
-        {
-            continue;
-        }
-        if !(toks.get(i + 1).is_some_and(|n| n.text == ":")
-            && toks.get(i + 2).is_some_and(|n| n.text == ":"))
-        {
-            continue;
-        }
-        let Some(callee) = toks.get(i + 3) else {
-            continue;
-        };
-        if !matches!(callee.text.as_str(), "var" | "var_os" | "var_parsed") {
-            continue;
-        }
-        let (after_tf, _) = skip_turbofish(toks, i + 4);
-        if toks.get(after_tf).is_none_or(|n| n.text != "(") {
-            continue;
-        }
-        let Some(arg) = toks.get(after_tf + 1) else {
-            continue;
-        };
-        if arg.kind != TokKind::Str {
-            continue;
-        }
-        let name = arg.text.trim_matches('"');
-        if !ws.known_env_vars.contains(name) {
-            push(
-                out,
-                "env-name",
-                arg,
-                arg.text.clone(),
-                format!(
-                    "env var {name:?} is not declared in KNOWN_VARS \
-                     ({}); register every knob so the config surface stays \
-                     complete and greppable",
-                    crate::symbols::ENV_REGISTRY_FILE
-                ),
-            );
-        }
-    }
-}
-
-/// A: metric literals at registry sinks and frame literals at
-/// `pq_prof::{span, tick, span_dyn, worker_span}` must match the
-/// declared `METRIC_NAMES` / `SPAN_NAMES` sets. Each half is inactive
-/// when its registry is undeclared.
-fn rule_name_registry(ctx: &FileContext<'_>, ws: &Workspace, out: &mut Vec<Finding>) {
-    let toks = ctx.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
-            continue;
-        }
-        // Metric sinks: `.sink("lit"…)` or `.sink(&format!("lit…"…)`.
-        if !ws.metric_names.is_empty()
-            && matches!(
-                t.text.as_str(),
-                "counter_add" | "observe" | "gauge_set" | "counter" | "gauge"
-            )
-            && i > 0
-            && toks[i - 1].text == "."
-            && toks.get(i + 1).is_some_and(|n| n.text == "(")
-        {
-            let arg = match toks.get(i + 2) {
-                Some(a) if a.kind == TokKind::Str => Some(a),
-                Some(a) if a.text == "&" => {
-                    // `&format!("lit…", …)`
-                    let m = toks.get(i + 3);
-                    if m.is_some_and(|m| m.text == "format")
-                        && toks.get(i + 4).is_some_and(|n| n.text == "!")
-                        && toks.get(i + 5).is_some_and(|n| n.text == "(")
-                    {
-                        toks.get(i + 6).filter(|a| a.kind == TokKind::Str)
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            };
-            if let Some(arg) = arg {
-                let name = arg.text.trim_matches('"');
-                let bare = name.split('{').next().unwrap_or(name);
-                if !bare.is_empty() && !ws.metric_names.contains(bare) {
-                    push(
-                        out,
-                        "name-registry",
-                        arg,
-                        arg.text.clone(),
-                        format!(
-                            "metric name {bare:?} is not declared in METRIC_NAMES \
-                             ({}); add it to the registry",
-                            crate::symbols::NAME_REGISTRY_FILE
-                        ),
-                    );
-                }
-            }
-        }
-        // Profiler frames: `pq_prof::span("lit")` etc.
-        if !ws.span_names.is_empty()
-            && t.text == "pq_prof"
-            && toks.get(i + 1).is_some_and(|n| n.text == ":")
-            && toks.get(i + 2).is_some_and(|n| n.text == ":")
-        {
-            let Some(callee) = toks.get(i + 3) else {
-                continue;
-            };
-            if !matches!(
-                callee.text.as_str(),
-                "span" | "tick" | "span_dyn" | "worker_span"
-            ) || toks.get(i + 4).is_none_or(|n| n.text != "(")
-            {
-                continue;
-            }
-            // Direct literal, or the first literal of the dyn/worker
-            // forms (a format! string keeps its prefix before `{`).
-            let Some(arg) = toks[i + 5..toks.len().min(i + 13)]
-                .iter()
-                .find(|x| x.kind == TokKind::Str)
-            else {
-                continue;
-            };
-            let lit = arg.text.trim_matches('"');
-            let prefix = lit.split('{').next().unwrap_or(lit);
-            if !prefix.is_empty() && !ws.span_name_ok(prefix) {
-                push(
-                    out,
-                    "name-registry",
-                    arg,
-                    arg.text.clone(),
-                    format!(
-                        "span/tick name {prefix:?} is not declared in SPAN_NAMES \
-                         ({}); declare it (use a trailing-colon entry for dynamic \
-                         label prefixes)",
-                        crate::symbols::NAME_REGISTRY_FILE
-                    ),
-                );
-            }
         }
     }
 }

@@ -12,5 +12,8 @@ pub fn typical(v: &[f64], m: &HashMap<u32, u32>) -> u64 {
     let second = v.get(1).unwrap();
     let _ = std::env::var("PQ_FIXTURE");
     reg.counter_add("BadName", 1);
+    let _ = std::fs::write("results/fixture.json", b"x");
+    let _span = pq_prof::span("Bad Frame");
+    // pq-lint: allow(index)
     (s + first + second + rng.next_f64() + m.len() as f64) as u64
 }

@@ -13,7 +13,9 @@
 //!    `PQ_SEED` already follow — instead of quietly falling back.
 //! 3. **Enforceability.** With exactly one sanctioned call site,
 //!    `pq-lint`'s `env` rule can mechanically reject raw
-//!    `std::env::var` reads anywhere else in the workspace.
+//!    `std::env::var` reads anywhere else in the workspace, and the
+//!    funnel itself rejects (debug builds) a `PQ_*` read that
+//!    [`KNOWN_VARS`] does not declare.
 //!
 //! Reads are intentionally *uncached*: tests mutate the environment
 //! between cases, and the knobs are read a handful of times per
@@ -23,10 +25,12 @@ use std::collections::BTreeSet;
 use std::str::FromStr;
 use std::sync::Mutex;
 
-/// Every environment knob the workspace reads, sorted. `pq-lint`'s
-/// `env-name` rule parses this list straight out of the source and
-/// rejects reads of undeclared names — a typo'd knob (`PQ_SEEED=7`)
-/// then fails the lint instead of silently configuring nothing.
+/// Every environment knob the workspace reads, sorted. [`var`],
+/// [`var_os`] and [`var_parsed`] `debug_assert!` that a `PQ_*` name
+/// they are asked for is listed, so code reading an undeclared knob
+/// fails the first test that reaches it. This guards the *source*: a
+/// user's typo on the command line (`PQ_SEEED=7`) is never read by
+/// anything and still configures nothing, silently.
 /// Shim variables owned by the OS/toolchain (`HOME`, `CI`, …) are not
 /// listed; they go through [`var_os`] at sanctioned call sites.
 pub const KNOWN_VARS: &[&str] = &[
@@ -59,12 +63,21 @@ pub const KNOWN_VARS: &[&str] = &[
 /// (one warning per variable per process, like the `PQ_JOBS` policy).
 static WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
+/// Debug builds reject a `PQ_*` read that [`KNOWN_VARS`] does not
+/// declare; any other name is a shim.
+fn assert_declared(name: &str) {
+    debug_assert!(
+        !name.starts_with("PQ_") || KNOWN_VARS.contains(&name),
+        "{name} is not declared in KNOWN_VARS"
+    );
+}
+
 /// Read `name` from the process environment.
 ///
 /// Returns `None` when the variable is unset **or** not valid Unicode
 /// (the latter warns — a mangled knob must not be silently ignored).
-// pq-lint: allow(env) -- this module IS the sanctioned funnel
 pub fn var(name: &str) -> Option<String> {
+    assert_declared(name);
     match std::env::var(name) {
         Ok(v) => Some(v),
         Err(std::env::VarError::NotPresent) => None,
@@ -82,8 +95,8 @@ pub fn var(name: &str) -> Option<String> {
 
 /// Read `name` as an OS string (for paths, which need not be Unicode).
 /// `None` when unset.
-// pq-lint: allow(env) -- this module IS the sanctioned funnel
 pub fn var_os(name: &str) -> Option<std::ffi::OsString> {
+    assert_declared(name);
     std::env::var_os(name)
 }
 
@@ -134,29 +147,36 @@ mod tests {
     #[test]
     fn unset_is_none() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("PQ_ENV_TEST_UNSET");
-        assert_eq!(var("PQ_ENV_TEST_UNSET"), None);
-        assert_eq!(var_parsed::<u64>("PQ_ENV_TEST_UNSET"), None);
-        assert!(var_os("PQ_ENV_TEST_UNSET").is_none());
+        std::env::remove_var("OBS_ENV_TEST_UNSET");
+        assert_eq!(var("OBS_ENV_TEST_UNSET"), None);
+        assert_eq!(var_parsed::<u64>("OBS_ENV_TEST_UNSET"), None);
+        assert!(var_os("OBS_ENV_TEST_UNSET").is_none());
     }
 
     #[test]
     fn set_round_trips() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("PQ_ENV_TEST_SET", "1910");
-        assert_eq!(var("PQ_ENV_TEST_SET").as_deref(), Some("1910"));
-        assert_eq!(var_parsed::<u64>("PQ_ENV_TEST_SET"), Some(1910));
-        assert_eq!(var_parsed::<f64>("PQ_ENV_TEST_SET"), Some(1910.0));
-        std::env::remove_var("PQ_ENV_TEST_SET");
+        std::env::set_var("OBS_ENV_TEST_SET", "1910");
+        assert_eq!(var("OBS_ENV_TEST_SET").as_deref(), Some("1910"));
+        assert_eq!(var_parsed::<u64>("OBS_ENV_TEST_SET"), Some(1910));
+        assert_eq!(var_parsed::<f64>("OBS_ENV_TEST_SET"), Some(1910.0));
+        std::env::remove_var("OBS_ENV_TEST_SET");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "PQ_SEEED is not declared in KNOWN_VARS")]
+    fn undeclared_pq_knob_is_rejected_where_it_is_read() {
+        let _ = var_parsed::<u64>("PQ_SEEED");
     }
 
     #[test]
     fn unparsable_warns_and_falls_back() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("PQ_ENV_TEST_BAD", "not-a-number");
-        assert_eq!(var_parsed::<u64>("PQ_ENV_TEST_BAD"), None);
+        std::env::set_var("OBS_ENV_TEST_BAD", "not-a-number");
+        assert_eq!(var_parsed::<u64>("OBS_ENV_TEST_BAD"), None);
         // Second read: still None, and the warn-once set stays sane.
-        assert_eq!(var_parsed::<u64>("PQ_ENV_TEST_BAD"), None);
-        std::env::remove_var("PQ_ENV_TEST_BAD");
+        assert_eq!(var_parsed::<u64>("OBS_ENV_TEST_BAD"), None);
+        std::env::remove_var("OBS_ENV_TEST_BAD");
     }
 }

@@ -1,13 +1,14 @@
-//! The declared name registries (`pq-lint` rules `name-registry`,
-//! `env-name` reads its sibling in [`crate::env`]).
+//! The declared name registries (the env knobs' sibling list is
+//! [`crate::env::KNOWN_VARS`]).
 //!
 //! Dashboards, the perf gate and the profile tooling all address
 //! series and frames *by name*; a typo'd literal silently creates a
 //! parallel series nobody reads. These constants make the name sets
-//! explicit: `pq-lint`'s A-family parses them straight out of this
-//! file and rejects any metric/span literal the registry does not
-//! know. Adding a metric is a two-line diff — the call site and the
-//! registry entry — and the lint keeps them in sync forever.
+//! explicit, and `tests/determinism.rs` holds a run to them: after a
+//! profiled study it rejects any registry series or profiler frame
+//! that was emitted but is not listed here — formatted names included,
+//! since it reads what the run produced, not the source. Adding a
+//! metric is a two-line diff: the call site and the registry entry.
 //!
 //! Keep both lists sorted.
 
@@ -60,8 +61,7 @@ pub const METRIC_NAMES: &[&str] = &[
 /// Every span/tick frame name in collapsed-stack output. Entries with
 /// a trailing `:` are dynamic-label prefixes (`link:` covers
 /// `link:uplink`, `load:` covers `load:QUIC`, …); phase frames opened
-/// by the bench harness are listed so `hot-root(<frame>)` hints and
-/// `--profile` ranking resolve against the same registry.
+/// by the bench harness are listed too.
 pub const SPAN_NAMES: &[&str] = &[
     "ablation",
     "agreement",

@@ -39,7 +39,6 @@ fn env_timeout() -> Option<u64> {
             Err(_) => {
                 pq_obs::tracer().warn(
                     "par",
-                    // pq-lint: allow(hot-alloc) -- inside a OnceLock init: runs at most once per process, and only on a bad knob
                     format!(
                         "unparsable PQ_CELL_TIMEOUT_MS={raw:?} (want milliseconds >= 1, \
                          or 0 to disable); the cell watchdog stays off"

@@ -96,7 +96,6 @@ impl Batch {
 /// One worker's batch loop. `prof_root` is the spawning thread's open
 /// `pq-prof` span path, so worker time folds under the phase that
 /// launched the batch (chunk execution shows up as `par:run`).
-// pq-lint: hot-root(par:worker) -- the claim loop every parallel cell executes inside
 fn worker_loop<T, R>(
     id: usize,
     batch: &Batch,
@@ -134,7 +133,6 @@ where
             let t0 = tracer.wall_ns();
             let _run_span = pq_prof::span("par:run");
             let run = catch_unwind(AssertUnwindSafe(|| {
-                // pq-lint: allow(hot-loop-alloc) -- the chunk's owned output, handed to result assembly; one alloc amortized over the chunk's tasks
                 let mut out = Vec::with_capacity(end - start);
                 for (i, item) in (start..end).zip(&items[start..end]) {
                     crate::deadline::task_started();
@@ -152,13 +150,11 @@ where
                         tracer.span(
                             Level::Debug,
                             "par",
-                            // pq-lint: allow(hot-loop-alloc) -- behind the enabled(Debug) gate; off in every measured configuration
                             format!("chunk {start}..{end}"),
                             pid,
                             0,
                             t0,
                             tracer.wall_ns(),
-                            // pq-lint: allow(hot-loop-alloc) -- behind the enabled(Debug) gate; off in every measured configuration
                             vec![("items", ArgValue::U64((end - start) as u64))],
                         );
                     }

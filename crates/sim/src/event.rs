@@ -213,7 +213,6 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
-    // pq-lint: hot-root(experiment) -- every simulated event passes through this heap pop
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let last = self.heap.pop()?;
         let top = match self.heap.first() {

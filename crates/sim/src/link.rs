@@ -218,7 +218,6 @@ impl<P> Link<P> {
     }
 
     /// Offer a packet to the link at time `now`.
-    // pq-lint: hot-root(link:) -- called once per packet offered to either direction of every emulated link
     pub fn push(&mut self, now: SimTime, pkt: Packet<P>) -> PushOutcome {
         self.stats.offered += 1;
         if self.in_flight.is_none() {
@@ -254,7 +253,6 @@ impl<P> Link<P> {
 
     /// The owner calls this at the instant returned by
     /// [`PushOutcome::StartedTx`] / [`TxDone::next_tx_done`].
-    // pq-lint: hot-root(link:) -- fires once per serialized packet; the loss draw and delivery scheduling live here
     pub fn on_tx_done(&mut self, now: SimTime) -> TxDone<P> {
         let _link_span = pq_prof::span_dyn(|| format!("link:{}", self.obs_label));
         let pkt = self

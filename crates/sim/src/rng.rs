@@ -181,7 +181,7 @@ impl SimRng {
         if xs.is_empty() {
             None
         } else {
-            Some(&xs[self.below(xs.len() as u64) as usize])
+            xs.get(self.below(xs.len() as u64) as usize)
         }
     }
 }

@@ -14,8 +14,15 @@ use pq_sim::{SimDuration, SimTime};
 /// 2/ln(2): fastest gain that still doubles delivery rate per round.
 const STARTUP_GAIN: f64 = 2.885;
 const DRAIN_GAIN: f64 = 1.0 / 2.885;
-/// ProbeBW gain cycle.
-const CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+/// ProbeBW gain cycle: probe, drain, then six phases of cruising.
+const CYCLE_LEN: usize = 8;
+const fn cycle_gain(phase: usize) -> f64 {
+    match phase {
+        0 => 1.25,
+        1 => 0.75,
+        _ => 1.0,
+    }
+}
 /// Bandwidth-filter window, in packet-timed rounds.
 const BW_WINDOW_ROUNDS: u64 = 10;
 /// min_rtt validity window.
@@ -152,15 +159,15 @@ impl Bbr {
         // Start the cycle at a random-ish phase in real BBR; we start
         // past the 1.25 probe to avoid an immediate overshoot.
         self.cycle_index = 2;
-        self.pacing_gain = CYCLE[self.cycle_index];
+        self.pacing_gain = cycle_gain(self.cycle_index);
         self.cycle_stamp = now;
     }
 
     fn advance_cycle(&mut self, now: SimTime) {
         let rtt = self.min_rtt.unwrap_or(SimDuration::from_millis(100));
         if now.saturating_since(self.cycle_stamp) >= rtt {
-            self.cycle_index = (self.cycle_index + 1) % CYCLE.len();
-            self.pacing_gain = CYCLE[self.cycle_index];
+            self.cycle_index = (self.cycle_index + 1) % CYCLE_LEN;
+            self.pacing_gain = cycle_gain(self.cycle_index);
             self.cycle_stamp = now;
         }
     }

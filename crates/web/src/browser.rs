@@ -260,7 +260,7 @@ struct Loader<'a> {
     edge: Option<EdgeState>,
     /// Reused scratch for newly-released children: `discover` needs
     /// `&mut self`, so the candidate list is staged here instead of a
-    /// fresh per-event `Vec` (the former top `hot-alloc` finding).
+    /// fresh per-event `Vec`.
     kid_buf: Vec<ObjectId>,
     /// Scratch buffers of the pump loops, staged the same way: a pump
     /// takes one, fills and drains it, and puts it back for its
@@ -584,12 +584,10 @@ impl<'a> Loader<'a> {
                 pq_obs::tracer().instant(
                     Level::Info,
                     "fault",
-                    // pq-lint: allow(hot-alloc) -- fault-injection path behind the enabled() gate; never taken on clean runs
                     what.to_string(),
                     pid,
                     TID_PAGE,
                     now.as_nanos(),
-                    // pq-lint: allow(hot-alloc) -- fault-injection path behind the enabled() gate; never taken on clean runs
                     vec![("id", ArgValue::U64(detail))],
                 );
             }
@@ -615,7 +613,6 @@ impl<'a> Loader<'a> {
             pq_obs::tracer().name_track(
                 pid,
                 tid,
-                // pq-lint: allow(hot-alloc) -- once per connection, and only with a tracer pid; tracing-off runs never get here
                 &format!("conn {ci} ({})", self.protocol.label()),
             );
         }
@@ -895,7 +892,6 @@ impl<'a> Loader<'a> {
         if let Some(pid) = self.obs_pid {
             let tid = TID_LEG_BASE + li;
             conn.set_obs_track(pid, tid);
-            // pq-lint: allow(hot-alloc) -- once per proxy leg, and only with a tracer pid; tracing-off runs never get here
             pq_obs::tracer().name_track(pid, tid, &format!("leg {li} (H2 → origin {origin})"));
         }
         edge.legs.push(LegState {
@@ -1112,7 +1108,6 @@ impl<'a> Loader<'a> {
         pq_obs::tracer().name_track(
             pid,
             TID_OBJ_BASE + id.0,
-            // pq-lint: allow(hot-alloc) -- behind the enabled() early-return; tracing-off runs never get here
             &format!("obj {} ({:?})", id.0, o.kind),
         );
     }
@@ -1133,13 +1128,11 @@ impl<'a> Loader<'a> {
         pq_obs::tracer().span(
             Level::Info,
             "web",
-            // pq-lint: allow(hot-alloc) -- behind the enabled() early-return; tracing-off runs never get here
             format!("{:?} {}", o.kind, o.size),
             pid,
             TID_OBJ_BASE + id.0,
             start.as_nanos(),
             now.as_nanos(),
-            // pq-lint: allow(hot-alloc) -- behind the enabled() early-return; tracing-off runs never get here
             vec![
                 ("origin", ArgValue::U64(u64::from(o.origin.0))),
                 ("size", ArgValue::U64(o.size)),
@@ -1341,7 +1334,6 @@ impl<'a> Loader<'a> {
         mark("PLT", Some(plt), metrics.plt_ms);
     }
 
-    // pq-lint: hot-root(experiment) -- the per-event dispatch loop; every simulated packet, wake and layout event funnels through here
     fn run(mut self) -> PageLoadResult {
         let horizon = SimTime::ZERO + self.opts.horizon;
         let max_events = 200_000_000u64;

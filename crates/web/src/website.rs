@@ -84,7 +84,7 @@ impl Website {
         let tail_scale = rng.lognormal(0.0, 0.8).clamp(0.3, 8.0);
         let mut prev_beacon: Option<ObjectId> = None;
 
-        for i in 0..rest {
+        for (i, size) in (0..rest).zip(sizes) {
             let id = ObjectId(i + 1);
             let kind = if i < blocking {
                 if rng.chance(0.6) {
@@ -155,7 +155,7 @@ impl Website {
             objects.push(WebObject {
                 id,
                 origin,
-                size: sizes[i as usize],
+                size,
                 kind,
                 render_weight: 0.0,
                 render_blocking: i < blocking,
@@ -169,25 +169,23 @@ impl Website {
         // --- visual weights: HTML text ≈ 25 %, images by size^0.7,
         // fonts small, CSS paints via the blocks it styles (weight 0 —
         // but it *gates* first paint), beacons/XHR zero.
-        let mut weights = vec![0.0f64; objects.len()];
-        weights[0] = 0.25;
-        for (i, o) in objects.iter().enumerate().skip(1) {
-            weights[i] = match o.kind {
+        for o in &mut objects {
+            o.render_weight = match o.kind {
                 ObjectKind::Image => (o.size as f64).powf(0.7),
                 ObjectKind::Font => (o.size as f64).powf(0.5) * 0.2,
                 _ => 0.0,
             };
         }
-        let vis_sum: f64 = weights.iter().skip(1).sum();
-        if vis_sum > 0.0 {
-            for w in weights.iter_mut().skip(1) {
-                *w *= 0.75 / vis_sum;
+        if let Some((html, visual)) = objects.split_first_mut() {
+            let vis_sum: f64 = visual.iter().map(|o| o.render_weight).sum();
+            if vis_sum > 0.0 {
+                html.render_weight = 0.25;
+                for o in visual {
+                    o.render_weight *= 0.75 / vis_sum;
+                }
+            } else {
+                html.render_weight = 1.0;
             }
-        } else {
-            weights[0] = 1.0;
-        }
-        for (o, w) in objects.iter_mut().zip(&weights) {
-            o.render_weight = *w;
         }
 
         Website {

@@ -5,8 +5,8 @@
 //! to 1 (the serial reference), 2 and 8 via `pq_par::set_jobs`, and
 //! compare outputs **bitwise** (`f64::to_bits`, not approximate
 //! equality). Every stage derives its RNG purely from `(seed, cell
-//! indices)`, so chunk placement, steal order and worker count are
-//! invisible in the data — this suite is the proof.
+//! indices)`, so chunk placement and worker count are invisible in the
+//! data — this suite is the proof.
 //!
 //! The worker-count override is process-global, so the tests that
 //! sweep it serialise on one mutex.
@@ -147,11 +147,42 @@ fn study_digest_identical_with_profiling_on_and_off() {
         pq_prof::configure(true, true);
         pq_prof::reset();
         let profiled = with_jobs(jobs, digest);
+        assert_emitted_names_are_declared();
         pq_prof::configure(false, false);
         pq_prof::reset();
         assert_eq!(
             plain, profiled,
             "profiling perturbed the study digest at jobs={jobs}"
+        );
+    }
+}
+
+/// Every series the run put in the registry and every frame and tick
+/// the profiler recorded must be declared in `pq_obs::names` — checked
+/// on what was emitted, formatted names included.
+fn assert_emitted_names_are_declared() {
+    use pq_obs::names::{METRIC_NAMES, SPAN_NAMES};
+    pq_obs::profile::export_metrics();
+    for series in pq_obs::registry().snapshot().keys() {
+        let name = series.split('{').next().unwrap_or(series);
+        assert!(
+            METRIC_NAMES.contains(&name),
+            "metric {series:?} is emitted but not declared in METRIC_NAMES"
+        );
+    }
+    let declared = |frame: &str| {
+        SPAN_NAMES
+            .iter()
+            .any(|n| frame == *n || (n.ends_with(':') && frame.starts_with(n)))
+    };
+    let folded = pq_prof::folded();
+    let ticks = pq_prof::ticks();
+    assert!(!folded.is_empty(), "the profiled run recorded no spans");
+    let frames = folded.iter().flat_map(|(path, ..)| path.split(';'));
+    for frame in frames.chain(ticks.iter().map(|(name, _)| name.as_str())) {
+        assert!(
+            declared(frame),
+            "span/tick {frame:?} is emitted but not declared in SPAN_NAMES"
         );
     }
 }

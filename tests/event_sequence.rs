@@ -7,25 +7,36 @@
 //! stack, so a change that adds, drops or reorders an event fails
 //! `cargo test` with the stack named.
 //!
+//! So is what an event costs the heap: the same loads run once more
+//! under pq-prof's counting allocator against a per-stack ceiling on
+//! allocations per popped event — a measurement of the hot path, where
+//! a static rule could only guess at it.
+//!
 //! One `#[test]` in its own binary: `sim.events_processed` lives in
-//! the process-global obs registry and the span profiler is
-//! process-global too, so nothing else may run beside it.
+//! the process-global obs registry and the span profiler and the
+//! allocation counters are process-global too, so nothing else may run
+//! beside it.
 
 use perceiving_quic::prelude::*;
 
 const SEED: u64 = 1910;
 
-/// `(stack, events popped, PLT in ns, retransmits, connections)` of
-/// `corpus()[0]` over DA2GC at seed 1910.
-const PINS: [(Protocol, u64, u64, u64, u32); 8] = [
-    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3),
-    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3),
-    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3),
-    (Protocol::Quic, 1126, 7_471_238_185, 69, 3),
-    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3),
-    (Protocol::QuicEdge, 2462, 4_731_629_218, 54, 12),
-    (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3),
-    (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11),
+/// `(stack, events popped, PLT in ns, retransmits, connections,
+/// allocation ceiling per event)` of `corpus()[0]` over DA2GC at seed
+/// 1910. The ceiling is the measured allocations / events of the whole
+/// load (setup included) plus 10–14 % headroom for toolchain drift
+/// (measured at PR 16: 0.266, 0.243, 0.198, 0.706, 0.668, 0.391, 0.652,
+/// 0.202); one more allocation per event adds 1.0 and fails every row.
+/// Lower it when the hot path gets leaner.
+const PINS: [(Protocol, u64, u64, u64, u32, f64); 8] = [
+    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.30),
+    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.27),
+    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3, 0.22),
+    (Protocol::Quic, 1126, 7_471_238_185, 69, 3, 0.78),
+    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3, 0.74),
+    (Protocol::QuicEdge, 2462, 4_731_629_218, 54, 12, 0.43),
+    (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3, 0.72),
+    (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11, 0.23),
 ];
 
 /// One load and the number of events its queue popped.
@@ -40,7 +51,7 @@ fn load(site: &Website, protocol: Protocol) -> (PageLoadResult, u64) {
 #[test]
 fn every_stack_executes_its_pinned_event_sequence() {
     let site = web::corpus().into_iter().next().expect("corpus site 0");
-    for (protocol, events, plt_ns, retransmits, connections) in PINS {
+    for (protocol, events, plt_ns, retransmits, connections, _) in PINS {
         let (r, popped) = load(&site, protocol);
         assert_eq!(
             (popped, r.plt.as_nanos(), r.retransmits, r.connections),
@@ -81,4 +92,28 @@ fn every_stack_executes_its_pinned_event_sequence() {
     }
     pq_prof::set_spans_enabled(false);
     pq_prof::reset_spans();
+
+    // With the counting allocator on, the sequence holds and each
+    // load stays under its allocation ceiling.
+    pq_prof::set_alloc_enabled(true);
+    for (protocol, events, plt_ns, .., ceiling) in PINS {
+        pq_prof::reset_alloc();
+        let (r, popped) = load(&site, protocol);
+        let allocs = pq_prof::alloc_snapshot().total_allocs;
+        assert_eq!(
+            (popped, r.plt.as_nanos()),
+            (events, plt_ns),
+            "{}: allocation counting moved the event sequence",
+            protocol.label()
+        );
+        assert!(
+            allocs as f64 <= ceiling * popped as f64,
+            "{}: {allocs} allocations over {popped} events = {:.3}/event, ceiling {ceiling} — \
+             something on the per-event path started allocating",
+            protocol.label(),
+            allocs as f64 / popped as f64
+        );
+    }
+    pq_prof::set_alloc_enabled(false);
+    pq_prof::reset_alloc();
 }
