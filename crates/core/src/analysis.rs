@@ -7,7 +7,9 @@ use crate::rating::{Environment, RatingVote};
 use crate::stimulus::StimulusSet;
 use pq_metrics::Metric;
 use pq_sim::NetworkKind;
-use pq_stats::{median, one_way_anova, pearson, t_interval, AnovaResult, ConfidenceInterval};
+use pq_stats::{
+    median, one_way_anova, pearson, t_interval, AnovaResult, ConfidenceInterval, TIntervals,
+};
 use pq_transport::Protocol;
 
 /// Vote shares of one A/B cell (one bar of Figure 4).
@@ -88,6 +90,24 @@ pub fn rating_interval(
     Some(t_interval(&xs, confidence))
 }
 
+/// Speed votes grouped in one scan of `votes`: bucket `k` of the `n`
+/// returned holds, in vote order, the speed of every valid vote that
+/// `key` maps to `Some(k)`. A vote mapped to `None`, or to a bucket
+/// past `n`, belongs to no cell of the caller's and is ignored.
+fn group_speeds(
+    votes: &[RatingVote],
+    n: usize,
+    key: impl Fn(&RatingVote) -> Option<usize>,
+) -> Vec<Vec<f64>> {
+    let mut buckets = vec![Vec::new(); n];
+    for v in votes.iter().filter(|v| v.valid) {
+        if let Some(bucket) = key(v).and_then(|k| buckets.get_mut(k)) {
+            bucket.push(v.speed);
+        }
+    }
+    buckets
+}
+
 /// §4.4 significance: one-way ANOVA across the five protocols within
 /// an environment × network cell.
 pub fn anova_across_protocols(
@@ -97,11 +117,19 @@ pub fn anova_across_protocols(
     protocols: &[Protocol],
     group: Group,
 ) -> Option<AnovaResult> {
-    let samples: Vec<Vec<f64>> = protocols
+    // A protocol listed twice reads the bucket of its first listing.
+    let slot = |p: Protocol| protocols.iter().position(|&q| q == p);
+    let samples = group_speeds(votes, protocols.len(), |v| {
+        if v.environment != env || v.group != group || network.is_some_and(|n| v.network != n) {
+            return None;
+        }
+        slot(v.protocol)
+    });
+    let refs: Vec<&[f64]> = protocols
         .iter()
-        .map(|&p| rating_sample(votes, env, network, p, group))
+        .filter_map(|&p| samples.get(slot(p)?))
+        .map(Vec::as_slice)
         .collect();
-    let refs: Vec<&[f64]> = samples.iter().map(Vec::as_slice).collect();
     one_way_anova(&refs)
 }
 
@@ -133,31 +161,32 @@ pub fn per_site_differences(
     confidence: f64,
     n_sites: u16,
 ) -> Vec<SiteDifference> {
+    // One bucket per site × protocol side of a pair; a protocol named
+    // more than once reads the bucket of its first mention, and a site
+    // ≥ `n_sites` lands past the last bucket.
+    let named: Vec<Protocol> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+    let slot = |p: Protocol| named.iter().position(|&q| q == p);
+    let cell = |site: u16, p: Protocol| Some(usize::from(site) * named.len() + slot(p)?);
+    let samples = group_speeds(votes, usize::from(n_sites) * named.len(), |v| {
+        if v.group != group || v.network != network {
+            return None;
+        }
+        cell(v.site, v.protocol)
+    });
     let mut out = Vec::new();
     for site in 0..n_sites {
         for &(a, b) in pairs {
-            let sample = |p: Protocol| -> Vec<f64> {
-                votes
-                    .iter()
-                    .filter(|v| {
-                        v.valid
-                            && v.group == group
-                            && v.site == site
-                            && v.network == network
-                            && v.protocol == p
-                    })
-                    .map(|v| v.speed)
-                    .collect()
+            let sample = |p: Protocol| cell(site, p).and_then(|k| samples.get(k));
+            let (Some(xs), Some(ys)) = (sample(a), sample(b)) else {
+                continue;
             };
-            let xs = sample(a);
-            let ys = sample(b);
             if xs.len() < 4 || ys.len() < 4 {
                 continue;
             }
-            if let Some(r) = one_way_anova(&[&xs, &ys]) {
+            if let Some(r) = one_way_anova(&[xs, ys]) {
                 if r.significant_at(confidence) {
-                    let ma = pq_stats::mean(&xs);
-                    let mb = pq_stats::mean(&ys);
+                    let ma = pq_stats::mean(xs);
+                    let mb = pq_stats::mean(ys);
                     let (better, worse, diff) = if ma >= mb {
                         (a, b, ma - mb)
                     } else {
@@ -192,21 +221,16 @@ pub fn metric_correlation(
     group: Group,
     envs: &[Environment],
 ) -> Option<f64> {
+    let samples = group_speeds(votes, usize::from(stimuli.site_count()), |v| {
+        (v.protocol == protocol
+            && v.network == network
+            && v.group == group
+            && envs.contains(&v.environment))
+        .then_some(usize::from(v.site))
+    });
     let mut xs = Vec::new(); // metric value per site
     let mut ys = Vec::new(); // mean vote per site
-    for site in 0..stimuli.site_count() {
-        let sample: Vec<f64> = votes
-            .iter()
-            .filter(|v| {
-                v.valid
-                    && v.group == group
-                    && v.site == site
-                    && v.network == network
-                    && v.protocol == protocol
-                    && envs.contains(&v.environment)
-            })
-            .map(|v| v.speed)
-            .collect();
+    for (sample, site) in samples.iter().zip(0u16..) {
         if sample.is_empty() {
             continue;
         }
@@ -215,7 +239,7 @@ pub fn metric_correlation(
             continue;
         };
         xs.push(stim.metrics.get(metric));
-        ys.push(pq_stats::mean(&sample));
+        ys.push(pq_stats::mean(sample));
     }
     pearson(&xs, &ys)
 }
@@ -298,20 +322,25 @@ pub fn fig3_agreement(votes: &[RatingVote], confidence: f64) -> Vec<AgreementRow
     let mut per_cond: BTreeMap<Key, [Vec<f64>; 3]> = BTreeMap::new();
     for v in votes.iter().filter(|v| v.valid) {
         let key = (v.site, v.network, v.protocol, v.environment);
-        per_cond.entry(key).or_default()[v.group.idx()].push(v.speed);
+        if let Some(sample) = per_cond.entry(key).or_default().get_mut(v.group.idx()) {
+            sample.push(v.speed);
+        }
     }
+    // Conditions share a few dozen sample sizes between them: one t
+    // quantile per size, not one per row per group.
+    let mut intervals = TIntervals::new(confidence);
     let mut rows: Vec<AgreementRow> = per_cond
         .into_iter()
-        .filter(|(_, samples)| samples[0].len() >= 2 && samples[1].len() >= 2)
+        .filter(|(_, [lab, micro, _])| lab.len() >= 2 && micro.len() >= 2)
         .map(
-            |((site, network, protocol, environment), samples)| AgreementRow {
+            |((site, network, protocol, environment), [lab, micro, internet])| AgreementRow {
                 site,
                 network,
                 protocol,
                 environment,
-                lab: t_interval(&samples[0], confidence),
-                micro: t_interval(&samples[1], confidence),
-                internet_median: (!samples[2].is_empty()).then(|| median(&samples[2])),
+                lab: intervals.interval(&lab),
+                micro: intervals.interval(&micro),
+                internet_median: (!internet.is_empty()).then(|| median(&internet)),
             },
         )
         .collect();
@@ -498,5 +527,44 @@ mod tests {
         assert!(rows[0].lab.mean < rows[1].lab.mean);
         assert!(rows[0].micro_agrees(), "µW mean within lab CI");
         assert!(rows[0].internet_median.is_none());
+    }
+
+    #[test]
+    fn agreement_rows_with_equal_lab_mean_keep_key_order() {
+        // Two conditions tie on the lab mean. The sort is stable over
+        // the (site, network, protocol, environment) key order, so the
+        // tie resolves by key whatever order the votes arrive in.
+        let mut votes = Vec::new();
+        let conditions = [
+            (2u16, Protocol::Tcp, 40.0),
+            (1u16, Protocol::Quic, 40.0),
+            (1u16, Protocol::Tcp, 40.0),
+            (3u16, Protocol::Tcp, 20.0),
+        ];
+        for (site, protocol, base) in conditions {
+            for i in 0..4 {
+                for group in [Group::Lab, Group::MicroWorker] {
+                    votes.push(vote(
+                        group,
+                        site,
+                        NetworkKind::Lte,
+                        protocol,
+                        Environment::FreeTime,
+                        base + i as f64,
+                    ));
+                }
+            }
+        }
+        let rows = fig3_agreement(&votes, 0.99);
+        let order: Vec<(u16, Protocol)> = rows.iter().map(|r| (r.site, r.protocol)).collect();
+        assert_eq!(
+            order,
+            [
+                (3, Protocol::Tcp),
+                (1, Protocol::Tcp),
+                (1, Protocol::Quic),
+                (2, Protocol::Tcp)
+            ]
+        );
     }
 }

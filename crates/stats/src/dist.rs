@@ -42,21 +42,42 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
     }
 }
 
-/// Two-sided critical t value for a given confidence level (e.g.
-/// `0.99`) and degrees of freedom, via bisection on the CDF.
-pub fn t_critical(confidence: f64, df: f64) -> f64 {
-    let tail = (1.0 - confidence) / 2.0;
-    let target = 1.0 - tail;
-    let (mut lo, mut hi) = (0.0, 1e3);
-    for _ in 0..200 {
+/// Two-sided critical value of a distribution symmetric about zero:
+/// the point in `[0, hi]` where `cdf` reaches `(1 + confidence) / 2`,
+/// by bisection. `NaN` unless `confidence` lies strictly inside (0, 1).
+///
+/// The bisection runs to its fixed point. Once `mid` equals `lo` or
+/// `hi` the two are adjacent doubles and `mid` is an end the CDF has
+/// already placed, so no further step can move either of them.
+fn critical(confidence: f64, hi: f64, cdf: impl Fn(f64) -> f64) -> f64 {
+    if !(confidence > 0.0 && confidence < 1.0) {
+        return f64::NAN;
+    }
+    // Spelled as the solvers always computed it: `(1 + c) / 2` may
+    // round to the neighbouring double and move every interval.
+    let target = 1.0 - (1.0 - confidence) / 2.0;
+    let (mut lo, mut hi) = (0.0, hi);
+    loop {
         let mid = 0.5 * (lo + hi);
-        if t_cdf(mid, df) < target {
+        if mid == lo || mid == hi {
+            return mid;
+        }
+        if cdf(mid) < target {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    0.5 * (lo + hi)
+}
+
+/// Two-sided critical t value for a given confidence level (e.g.
+/// `0.99`) and degrees of freedom, via bisection on the CDF. `NaN`
+/// for a confidence outside (0, 1) or `df ≤ 0`, like [`t_cdf`].
+pub fn t_critical(confidence: f64, df: f64) -> f64 {
+    if df.is_nan() || df <= 0.0 {
+        return f64::NAN;
+    }
+    critical(confidence, 1e3, |t| t_cdf(t, df))
 }
 
 /// F-distribution CDF with `d1`/`d2` degrees of freedom.
@@ -72,19 +93,10 @@ pub fn chi2_cdf(x: f64, k: f64) -> f64 {
     gamma_inc_lower(k / 2.0, x / 2.0)
 }
 
-/// Two-sided critical z value for a confidence level.
+/// Two-sided critical z value for a confidence level; `NaN` for a
+/// confidence outside (0, 1).
 pub fn z_critical(confidence: f64) -> f64 {
-    let target = 1.0 - (1.0 - confidence) / 2.0;
-    let (mut lo, mut hi) = (0.0, 40.0);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if normal_cdf(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
+    critical(confidence, 40.0, normal_cdf)
 }
 
 #[cfg(test)]
@@ -120,10 +132,72 @@ mod tests {
 
     #[test]
     fn t_critical_matches_tables() {
-        // Two-sided 95 % with df=10 → 2.228; 99 % df=30 → 2.750.
-        assert!((t_critical(0.95, 10.0) - 2.228).abs() < 1e-3);
-        assert!((t_critical(0.99, 30.0) - 2.750).abs() < 1e-3);
-        assert!((t_critical(0.90, 5.0) - 2.015).abs() < 1e-3);
+        // Published two-sided critical values, three decimals.
+        let table = [
+            (1.0, [6.314, 12.706, 63.657]),
+            (2.0, [2.920, 4.303, 9.925]),
+            (5.0, [2.015, 2.571, 4.032]),
+            (10.0, [1.812, 2.228, 3.169]),
+            (30.0, [1.697, 2.042, 2.750]),
+            (60.0, [1.671, 2.000, 2.660]),
+            (120.0, [1.658, 1.980, 2.617]),
+        ];
+        for (df, row) in table {
+            for (confidence, want) in [0.90, 0.95, 0.99].into_iter().zip(row) {
+                let got = t_critical(confidence, df);
+                assert!(
+                    (got - want).abs() < 1e-3,
+                    "df={df} {confidence}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    /// The solver as it was: always 200 halvings, converged or not.
+    fn critical_200_steps(confidence: f64, hi: f64, cdf: impl Fn(f64) -> f64) -> f64 {
+        let target = 1.0 - (1.0 - confidence) / 2.0;
+        let (mut lo, mut hi) = (0.0, hi);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if cdf(mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn bisection_to_the_fixed_point_returns_the_200_step_double() {
+        for confidence in [0.90, 0.95, 0.99] {
+            assert_eq!(
+                z_critical(confidence).to_bits(),
+                critical_200_steps(confidence, 40.0, normal_cdf).to_bits(),
+                "z {confidence}"
+            );
+            for df in (1..=200).map(f64::from) {
+                assert_eq!(
+                    t_critical(confidence, df).to_bits(),
+                    critical_200_steps(confidence, 1e3, |t| t_cdf(t, df)).to_bits(),
+                    "t {confidence} df={df}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn critical_values_are_nan_outside_the_domain() {
+        for confidence in [0.0, 1.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            assert!(t_critical(confidence, 10.0).is_nan(), "t {confidence}");
+            assert!(z_critical(confidence).is_nan(), "z {confidence}");
+        }
+        for df in [0.0, -1.0, f64::NAN] {
+            assert!(t_critical(0.99, df).is_nan(), "df {df}");
+        }
+        // The edges of the domain still solve.
+        assert!(t_critical(1e-9, 10.0) > 0.0);
+        assert!(t_critical(1.0 - 1e-9, 10.0).is_finite());
     }
 
     #[test]

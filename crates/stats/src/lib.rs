@@ -21,7 +21,7 @@ pub mod special;
 pub mod ttest;
 
 pub use anova::{one_way_anova, AnovaResult};
-pub use ci::{t_interval, z_interval, ConfidenceInterval};
+pub use ci::{t_interval, z_interval, ConfidenceInterval, TIntervals};
 pub use corr::{pearson, spearman};
 pub use desc::{excess_kurtosis, mean, median, quantile, sem, skewness, std_dev, variance};
 pub use dist::{chi2_cdf, f_cdf, normal_cdf, t_cdf, t_critical, z_critical};
