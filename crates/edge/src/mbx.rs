@@ -153,7 +153,7 @@ impl Middlebox {
         }
 
         let acked_ranges = || {
-            q.frames.iter().flat_map(|f| match f {
+            q.frames().flat_map(|f| match f {
                 QuicFrame::Ack { ranges } => ranges.as_slice(),
                 _ => &[],
             })
@@ -251,12 +251,15 @@ mod tests {
             payload: Wire::Quic(QuicPacket {
                 from_client: false,
                 pn,
-                frames: vec![QuicFrame::Stream {
-                    id: 5,
-                    offset: pn * 1300,
-                    len: 1300,
-                    fin: false,
-                }],
+                frames: [
+                    Some(QuicFrame::Stream {
+                        id: 5,
+                        offset: pn * 1300,
+                        len: 1300,
+                        fin: false,
+                    }),
+                    None,
+                ],
             }),
         }
     }
@@ -268,7 +271,7 @@ mod tests {
             payload: Wire::Quic(QuicPacket {
                 from_client: true,
                 pn: 1000,
-                frames: vec![QuicFrame::Ack { ranges }],
+                frames: [Some(QuicFrame::Ack { ranges }), None],
             }),
         }
     }
@@ -386,12 +389,15 @@ mod tests {
             payload: Wire::Quic(QuicPacket {
                 from_client: true,
                 pn: 1,
-                frames: vec![QuicFrame::Stream {
-                    id: 5,
-                    offset: 0,
-                    len: 100,
-                    fin: true,
-                }],
+                frames: [
+                    Some(QuicFrame::Stream {
+                        id: 5,
+                        offset: 0,
+                        len: 100,
+                        fin: true,
+                    }),
+                    None,
+                ],
             }),
         };
         uplink(&mut m, t(0), &req);

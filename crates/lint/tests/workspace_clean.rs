@@ -15,7 +15,7 @@ fn workspace_is_clean_modulo_baseline() {
     // The ratchet in numbers. Lower MAX_DEBT with every paydown; any
     // rule other than `index` is fixed or justified inline, never
     // grandfathered.
-    const MAX_DEBT: usize = 66;
+    const MAX_DEBT: usize = 64;
     assert!(
         baseline.total() <= MAX_DEBT,
         "pq-lint.baseline grew: {} > {MAX_DEBT} grandfathered findings",

@@ -179,35 +179,52 @@ impl Registry {
         Registry::default()
     }
 
+    /// Update the metric `name` in place, or insert `fresh()` and
+    /// update that. Looks up by `&str`: only a first insert allocates
+    /// the key.
+    fn upsert(&self, name: &str, fresh: impl FnOnce() -> Metric, update: impl FnOnce(&mut Metric)) {
+        let mut m = self.inner.lock().expect("registry poisoned");
+        match m.get_mut(name) {
+            Some(metric) => update(metric),
+            None => update(m.entry(name.to_string()).or_insert_with(fresh)),
+        }
+    }
+
     /// Add `delta` to the counter `name` (creating it at zero).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut m = self.inner.lock().expect("registry poisoned");
-        match m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(v) => *v += delta,
-            other => *other = Metric::Counter(delta),
-        }
+        self.upsert(
+            name,
+            || Metric::Counter(0),
+            |metric| match metric {
+                Metric::Counter(v) => *v += delta,
+                other => *other = Metric::Counter(delta),
+            },
+        );
     }
 
     /// Set the gauge `name`.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut m = self.inner.lock().expect("registry poisoned");
-        m.insert(name.to_string(), Metric::Gauge(value));
+        self.upsert(
+            name,
+            || Metric::Gauge(value),
+            |metric| *metric = Metric::Gauge(value),
+        );
     }
 
     /// Record one observation into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        let mut m = self.inner.lock().expect("registry poisoned");
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Box::new(Histo::new())))
-        {
-            Metric::Histogram(h) => h.observe(value),
-            other => {
-                let mut h = Box::new(Histo::new());
-                h.observe(value);
-                *other = Metric::Histogram(h);
-            }
-        }
+        self.upsert(
+            name,
+            || Metric::Histogram(Box::new(Histo::new())),
+            |metric| match metric {
+                Metric::Histogram(h) => h.observe(value),
+                other => {
+                    let mut h = Box::new(Histo::new());
+                    h.observe(value);
+                    *other = Metric::Histogram(h);
+                }
+            },
+        );
     }
 
     /// Current counter value (0 when absent).

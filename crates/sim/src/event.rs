@@ -16,21 +16,35 @@ const OBS_FLUSH_EVERY: u64 = 4096;
 /// a level costs about what a binary level does at half the depth.
 const ARITY: usize = 4;
 
-/// What the heap sifts: the `(time, seq)` sort key plus the slab slot
-/// holding the payload.
-#[derive(Clone, Copy)]
-struct Key {
+/// An event's place in the run: its firing time, then the order in
+/// which the queue handed stamps out — unique per queue, so the order
+/// is total. [`EventQueue::schedule`] stamps what it stores; an owner
+/// that keeps already-ordered events outside the heap (a
+/// [`crate::Lane`]) takes [`EventQueue::stamp`]s and merges by them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Stamp {
     time: SimTime,
     seq: u64,
-    slot: u32,
 }
 
-impl Key {
+impl Stamp {
+    /// When the event fires.
+    pub fn time(&self) -> SimTime {
+        self.time
+    }
+
     /// `(time, seq)` as one integer: earlier time first, then FIFO.
-    /// `seq` is unique, so no two keys rank equal.
     fn rank(&self) -> u128 {
         (u128::from(self.time.as_nanos()) << 64) | u128::from(self.seq)
     }
+}
+
+/// What the heap sifts: the sort key plus the slab slot holding the
+/// payload.
+#[derive(Clone, Copy)]
+struct Key {
+    stamp: Stamp,
+    slot: u32,
 }
 
 /// A deterministic future-event list.
@@ -45,9 +59,14 @@ pub struct EventQueue<E> {
     slab: Vec<Option<E>>,
     /// Free slab slots, reused LIFO.
     free: Vec<u32>,
+    /// Stamps handed out so far.
     seq: u64,
     now: SimTime,
     processed: u64,
+    /// Stamped events [`EventQueue::clear`] discarded: the other
+    /// `seq − processed − dropped` are pending, in the heap or with
+    /// whoever took their stamp.
+    dropped: u64,
     /// Pops already flushed into the global metrics registry.
     obs_flushed: u64,
     /// Trace track `(pid, tid)` for queue-depth counter samples.
@@ -70,6 +89,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
+            dropped: 0,
             obs_flushed: 0,
             obs_track: None,
         }
@@ -93,33 +113,48 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current virtual time: the timestamp of the last popped event.
+    /// Current virtual time: the timestamp of the last fired event.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Number of events popped so far.
+    /// Number of events fired so far, `pop` and `advance` alike.
     pub fn processed(&self) -> u64 {
         self.processed
     }
 
-    /// Number of pending events.
+    /// Number of events pending in the heap.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True when no events are pending.
+    /// True when no events are pending in the heap.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// The stamp [`EventQueue::schedule`] gives an event scheduled at
+    /// `at` right now, for an event the caller keeps outside the heap
+    /// and fires, in stamp order against [`EventQueue::peek`], with
+    /// [`EventQueue::advance`].
     ///
-    /// Scheduling in the past is a logic error in the caller; we clamp
-    /// to `now` (the event fires immediately) rather than panic, and
-    /// debug builds assert so tests catch it.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    /// A time in the past is a logic error in the caller; we clamp to
+    /// `now` (the event fires immediately) rather than panic, and debug
+    /// builds assert so tests catch it.
+    pub fn stamp(&mut self, at: SimTime) -> Stamp {
         debug_assert!(at >= self.now, "scheduled event in the past");
+        let stamp = Stamp {
+            time: at.max(self.now),
+            seq: self.seq,
+        };
+        self.seq += 1;
+        stamp
+    }
+
+    /// Schedule `event` at absolute time `at`, clamped like
+    /// [`EventQueue::stamp`].
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        let stamp = self.stamp(at);
         let slot = match self.free.pop() {
             Some(slot) => {
                 if let Some(cell) = self.slab.get_mut(slot as usize) {
@@ -132,12 +167,7 @@ impl<E> EventQueue<E> {
                 (self.slab.len() - 1) as u32
             }
         };
-        let key = Key {
-            time: at.max(self.now),
-            seq: self.seq,
-            slot,
-        };
-        self.seq += 1;
+        let key = Key { stamp, slot };
         self.heap.push(key);
         self.sift_up(self.heap.len() - 1, key);
     }
@@ -145,13 +175,13 @@ impl<E> EventQueue<E> {
     /// Place `key` at or above leaf position `i`: parents that sort
     /// after it move down into the hole.
     fn sift_up(&mut self, mut i: usize, key: Key) {
-        let rank = key.rank();
+        let rank = key.stamp.rank();
         while i > 0 {
             let parent = (i - 1) / ARITY;
             let Some(&p) = self.heap.get(parent) else {
                 break;
             };
-            if p.rank() <= rank {
+            if p.stamp.rank() <= rank {
                 break;
             }
             if let Some(hole) = self.heap.get_mut(i) {
@@ -173,7 +203,7 @@ impl<E> EventQueue<E> {
             let mut at = 0;
             let mut least = u128::MAX;
             for (i, kid) in kids.into_iter().enumerate() {
-                let rank = kid.rank();
+                let rank = kid.stamp.rank();
                 let earlier = rank < least;
                 least = if earlier { rank } else { least };
                 at = if earlier { i } else { at };
@@ -191,10 +221,10 @@ impl<E> EventQueue<E> {
     /// Place `key` at or below the root: the least child moves up into
     /// the hole until none sorts before `key`.
     fn sift_down(&mut self, key: Key) {
-        let rank = key.rank();
+        let rank = key.stamp.rank();
         let mut i = 0;
         while let Some((at, kid)) = self.least_child(i * ARITY + 1) {
-            if rank <= kid.rank() {
+            if rank <= kid.stamp.rank() {
                 break;
             }
             if let Some(hole) = self.heap.get_mut(i) {
@@ -207,9 +237,54 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Timestamp of the next event pending in the heap, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.time)
+        self.heap.first().map(|k| k.stamp.time)
+    }
+
+    /// Stamp of the next event pending in the heap, if any.
+    pub fn peek(&self) -> Option<Stamp> {
+        self.heap.first().map(|k| k.stamp)
+    }
+
+    /// Fire an event the caller kept outside the heap under `stamp`:
+    /// clock, count and metrics move exactly as if `pop` had returned
+    /// it. The caller fires stamps in order, heap top included.
+    pub fn advance(&mut self, stamp: Stamp) {
+        debug_assert!(
+            self.peek().is_none_or(|top| stamp < top),
+            "advanced past the heap top"
+        );
+        self.fired(stamp.time);
+    }
+
+    /// One event fired at `time`: move the clock and count it; small
+    /// enough to inline, so the [`OBS_FLUSH_EVERY`]th event's work is not.
+    fn fired(&mut self, time: SimTime) {
+        self.now = time;
+        self.processed += 1;
+        if self.processed.is_multiple_of(OBS_FLUSH_EVERY) {
+            self.report();
+        }
+    }
+
+    /// Flush the count; at `PQ_TRACE=debug` sample the events pending.
+    #[cold]
+    fn report(&mut self) {
+        self.flush_obs();
+        if let Some((pid, tid)) = self.obs_track {
+            if pq_obs::enabled(pq_obs::Level::Debug) {
+                pq_obs::tracer().counter(
+                    pq_obs::Level::Debug,
+                    "sim",
+                    "event queue depth",
+                    pid,
+                    tid,
+                    self.now.as_nanos(),
+                    (self.seq - self.processed).saturating_sub(self.dropped) as f64,
+                );
+            }
+        }
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -226,34 +301,19 @@ impl<E> EventQueue<E> {
         debug_assert!(event.is_some(), "heap key without a payload");
         let event = event?;
         self.free.push(top.slot);
-        self.now = top.time;
-        self.processed += 1;
-        if self.processed.is_multiple_of(OBS_FLUSH_EVERY) {
-            self.flush_obs();
-            if let Some((pid, tid)) = self.obs_track {
-                if pq_obs::enabled(pq_obs::Level::Debug) {
-                    pq_obs::tracer().counter(
-                        pq_obs::Level::Debug,
-                        "sim",
-                        "event queue depth",
-                        pid,
-                        tid,
-                        top.time.as_nanos(),
-                        self.heap.len() as f64,
-                    );
-                }
-            }
-        }
-        Some((top.time, event))
+        self.fired(top.stamp.time);
+        Some((top.stamp.time, event))
     }
 
     /// Drop every pending event (used when a run finishes early, e.g.
-    /// once a page load completes). The clock and the processed-event
-    /// counter are unaffected.
+    /// once a page load completes) and forget the outstanding stamps —
+    /// whoever holds them drops what they stamped. The clock and the
+    /// processed-event counter are unaffected.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.slab.clear();
         self.free.clear();
+        self.dropped = self.seq - self.processed;
     }
 }
 
@@ -376,6 +436,28 @@ mod tests {
             assert_eq!(q.is_empty(), expected_len == 0);
         }
         assert_eq!(q.processed(), popped);
+    }
+
+    #[test]
+    fn stamped_events_sort_and_count_like_scheduled_ones() {
+        // b is kept outside the heap, between a and c in schedule order.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        q.schedule(t, "a");
+        let b = q.stamp(t);
+        q.schedule(t, "c");
+        q.schedule(SimTime::from_millis(1), "first");
+        assert_eq!(b.time(), t);
+        assert_eq!(q.len(), 3, "a stamp is not a heap entry");
+
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), "first")));
+        assert!(q.peek().is_some_and(|a| a < b), "a was scheduled before b");
+        assert_eq!(q.pop(), Some((t, "a")));
+        assert!(q.peek().is_some_and(|c| b < c), "c was scheduled after b");
+        q.advance(b);
+        assert_eq!((q.now(), q.processed()), (t, 3));
+        assert_eq!(q.pop(), Some((t, "c")));
+        assert_eq!(q.peek(), None);
     }
 
     /// In release builds the past-scheduling debug_assert compiles

@@ -19,6 +19,8 @@
 //! * [`EventQueue`] — the future-event list with FIFO tie-breaking.
 //! * [`Link`] — one direction of the access link (shaping + queue +
 //!   delay + loss), driven by `push`/`on_tx_done` callbacks.
+//! * [`Lane`] — a link plus its pending tx-done and in-propagation
+//!   packets, merged with the queue by [`Stamp`] instead of stored in it.
 //! * [`NetworkKind`] — the DSL / LTE / DA2GC / MSS presets (Table 2).
 //! * [`Trace`] — counters (retransmissions, handshakes, …) used by the
 //!   paper's analysis.
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod lane;
 pub mod link;
 pub mod netconfig;
 pub mod packet;
@@ -35,7 +38,8 @@ pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use event::EventQueue;
+pub use event::{EventQueue, Stamp};
+pub use lane::{Lane, LaneEvent, Source};
 pub use link::{Link, LinkConfig, LinkStats, PushOutcome, TxDone};
 pub use netconfig::{NetworkConfig, NetworkKind};
 pub use packet::{ConnId, Direction, OriginId, Packet};

@@ -275,19 +275,19 @@ impl<P> Link<P> {
             // Attribute the loss: the i.i.d. stream takes precedence
             // (it would have killed the packet with or without
             // faults), injected faults claim the remainder.
-            let (category, name) = if iid_lost {
+            let (category, what) = if iid_lost {
                 self.stats.lost += 1;
-                ("sim", format!("{} random loss", self.obs_label))
+                ("sim", "random loss")
             } else {
                 self.stats.fault_lost += 1;
-                ("fault", format!("{} injected loss", self.obs_label))
+                ("fault", "injected loss")
             };
             if let Some((pid, tid)) = self.obs_track {
                 if pq_obs::enabled(pq_obs::Level::Debug) {
                     pq_obs::tracer().instant(
                         pq_obs::Level::Debug,
                         category,
-                        name,
+                        format!("{} {what}", self.obs_label),
                         pid,
                         tid,
                         now.as_nanos(),

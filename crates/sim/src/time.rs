@@ -149,12 +149,14 @@ impl SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::MAX;
         }
-        let bits = (bytes as u128) * 8 * 1_000_000_000;
-        let ns = bits / bits_per_sec as u128;
-        if ns >= u64::MAX as u128 {
-            SimDuration::MAX
-        } else {
-            SimDuration(ns as u64)
+        // Once per packet per link: divide in 64 bits whenever the
+        // bit-nanoseconds fit (below 2.3 GB), in 128 only past that.
+        match bytes.checked_mul(8_000_000_000) {
+            Some(bit_ns) => SimDuration(bit_ns / bits_per_sec),
+            None => {
+                let ns = u128::from(bytes) * 8_000_000_000 / u128::from(bits_per_sec);
+                SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
+            }
         }
     }
 }

@@ -1,10 +1,35 @@
 //! Property-based tests for the simulation substrate.
 
 use pq_sim::{
-    ConnId, DropTailQueue, EventQueue, Link, LinkConfig, Packet, PushOutcome, SimDuration, SimRng,
-    SimTime,
+    ConnId, DropTailQueue, EventQueue, Lane, LaneEvent, Link, LinkConfig, Packet, PushOutcome,
+    SimDuration, SimRng, SimTime, Source,
 };
 use proptest::prelude::*;
+
+/// What the one-heap reference of the lane merge holds: everything.
+#[derive(Debug, PartialEq)]
+enum Held {
+    Timer(u64),
+    TxDone(usize),
+    Arrival(usize, u64),
+}
+
+/// Four links that collide constantly: one byte serializes in one
+/// nanosecond, delays are 0–3 ns (lane 0 delivers at its tx-done
+/// instant), the queue holds two small packets, lane 3 loses a third.
+fn colliding_links() -> Vec<Link<u64>> {
+    (0..4u64)
+        .map(|i| {
+            let cfg = LinkConfig {
+                rate_bps: 8_000_000_000,
+                prop_delay: SimDuration::from_nanos(i),
+                loss: if i == 3 { 0.3 } else { 0.0 },
+                queue_bytes: 6,
+            };
+            Link::new(cfg, SimRng::new(7 + i))
+        })
+        .collect()
+}
 
 proptest! {
     /// The event queue always pops in non-decreasing time order, with
@@ -107,6 +132,140 @@ proptest! {
         for want in reference {
             prop_assert_eq!(q.pop(), Some(want));
         }
+    }
+
+    /// The merge is the heap. One world keeps timers in an
+    /// `EventQueue` and link events in four `Lane`s, fired in
+    /// `earliest` order; the other drives four identical bare links
+    /// and schedules every tx-done and arrival into one `EventQueue`,
+    /// as the page loader did before lanes. Any interleaving of timer
+    /// schedules, sends, stray arrivals (a jittering link: due times
+    /// out of lane order), pops and `clear()` fires the same events at
+    /// the same times in the same order, with `now()` and
+    /// `processed()` equal after every pop. Times come from a small
+    /// set so ties across sources are the common case; release builds
+    /// also schedule into the past (debug builds assert on it).
+    #[test]
+    fn lane_merge_pops_like_one_heap(
+        ops in prop::collection::vec((0u8..12, 0usize..4, 0u64..8), 1..400)
+    ) {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut lanes: Vec<Lane<u64>> = colliding_links().into_iter().map(Lane::new).collect();
+        let mut r: EventQueue<Held> = EventQueue::new();
+        let mut links = colliding_links();
+        let mut id = 0u64;
+        // The ops, then pops (`DRAIN`) until the tail is out too.
+        const DRAIN: u8 = u8::MAX;
+        let drain = std::iter::repeat((DRAIN, 0usize, 0u64));
+        for (op, l, arg) in ops.into_iter().chain(drain) {
+            id += 1;
+            let now = q.now();
+            let at = if op % 2 == 1 && !cfg!(debug_assertions) {
+                SimTime::from_nanos(now.as_nanos().saturating_sub(arg))
+            } else {
+                now + SimDuration::from_nanos(arg / 2)
+            };
+            match op {
+                0 | 1 => {
+                    q.schedule(at, id);
+                    r.schedule(at, Held::Timer(id));
+                }
+                2..=5 => {
+                    let pkt = || Packet::new(ConnId(0), 1 + arg as u32 % 4, id);
+                    let Some((lane, link)) = lanes.get_mut(l).zip(links.get_mut(l)) else {
+                        continue;
+                    };
+                    let want = link.push(now, pkt());
+                    if let PushOutcome::StartedTx(done) = want {
+                        r.schedule(done, Held::TxDone(l));
+                    }
+                    prop_assert_eq!(lane.push(&mut q, now, pkt()), want);
+                }
+                6 | 7 => {
+                    if let Some(lane) = lanes.get_mut(l) {
+                        lane.insert(q.stamp(at), Packet::new(ConnId(0), 1, id));
+                    }
+                    r.schedule(at, Held::Arrival(l, id));
+                }
+                8 => {
+                    q.clear();
+                    r.clear();
+                    // The links' packets in flight lost their
+                    // callbacks: start both worlds over.
+                    lanes = colliding_links().into_iter().map(Lane::new).collect();
+                    links = colliding_links();
+                }
+                _ => {
+                    let Some((t, held)) = r.pop() else {
+                        prop_assert_eq!(pq_sim::lane::earliest(&q, &lanes), None);
+                        if op == DRAIN {
+                            break;
+                        }
+                        continue;
+                    };
+                    if let Held::TxDone(l) = held {
+                        let txd = links.get_mut(l).expect("lane index").on_tx_done(t);
+                        if let Some((due, pkt)) = txd.delivery {
+                            r.schedule(due, Held::Arrival(l, pkt.payload));
+                        }
+                        if let Some(next) = txd.next_tx_done {
+                            r.schedule(next, Held::TxDone(l));
+                        }
+                    }
+                    let Some((stamp, source)) = pq_sim::lane::earliest(&q, &lanes) else {
+                        prop_assert!(false, "merge ran dry before the heap: {held:?} at {t:?}");
+                        continue;
+                    };
+                    let fired = match source {
+                        Source::Heap => q.pop().map(|(_, id)| Held::Timer(id)),
+                        Source::Lane(l, what) => {
+                            q.advance(stamp);
+                            let lane = lanes.get_mut(l).expect("lane index");
+                            match what {
+                                LaneEvent::TxDone => {
+                                    lane.on_tx_done(&mut q, stamp.time());
+                                    Some(Held::TxDone(l))
+                                }
+                                LaneEvent::Arrival => {
+                                    lane.pop_arrival().map(|p| Held::Arrival(l, p.payload))
+                                }
+                            }
+                        }
+                    };
+                    prop_assert_eq!((stamp.time(), fired), (t, Some(held)));
+                }
+            }
+            prop_assert_eq!(q.now(), r.now());
+            prop_assert_eq!(q.processed(), r.processed());
+        }
+        prop_assert_eq!(r.pop(), None);
+    }
+
+    /// The 64-bit fast path of the serialization delay is the 128-bit
+    /// formula it stands in for — for packets on links, around the
+    /// byte count where bit-nanoseconds stop fitting in 64 bits, on a
+    /// stalled link and at either integer's limit.
+    #[test]
+    fn serialization_delay_matches_the_u128_form(
+        shape in 0u8..6, a in any::<u64>(), b in any::<u64>()
+    ) {
+        const LAST_U64_BYTES: u64 = u64::MAX / 8_000_000_000;
+        let (bytes, rate) = match shape {
+            0 => (a, b),
+            1 => (a % 100_000, b % 10_000_000_000),
+            2 => (LAST_U64_BYTES - 8 + a % 17, 1 + b % 1_000),
+            3 => (a, 0),
+            4 => (a, u64::MAX),
+            _ => (u64::MAX, b),
+        };
+        let reference = match u128::from(bytes) * 8 * 1_000_000_000 {
+            _ if rate == 0 => SimDuration::MAX,
+            bit_ns => match u64::try_from(bit_ns / u128::from(rate)) {
+                Ok(ns) => SimDuration::from_nanos(ns),
+                Err(_) => SimDuration::MAX,
+            },
+        };
+        prop_assert_eq!(SimDuration::for_bytes_at_rate(bytes, rate), reference);
     }
 
     /// Drop-tail queues conserve bytes: popped ≤ pushed, and the

@@ -307,7 +307,7 @@ impl QuicEndpoint {
         let pkt = QuicPacket {
             from_client: self.is_client,
             pn,
-            frames: vec![ack],
+            frames: [Some(ack), None],
         };
         let size = pkt.wire_size();
         self.log_sent(now, pn, size, None);
@@ -363,22 +363,20 @@ impl QuicEndpoint {
             }
 
             // Build the packet: at most an ACK plus one tracked frame.
-            let mut frames = Vec::with_capacity(2);
+            let ack = self.maybe_ack_frame();
+            let mut tracked = None;
             let mut sent_frame = None;
-            if let Some(ack) = self.maybe_ack_frame() {
-                frames.push(ack);
-            }
             if hs {
                 let f = self.hs_queue.remove(0);
-                match &f {
-                    SentFrame::Chlo => frames.push(QuicFrame::Chlo),
-                    SentFrame::Shlo { part, of } => frames.push(QuicFrame::Shlo {
+                tracked = Some(match &f {
+                    SentFrame::Chlo => QuicFrame::Chlo,
+                    SentFrame::Shlo { part, of } => QuicFrame::Shlo {
                         part: *part,
                         of: *of,
-                    }),
+                    },
                     // pq-lint: allow(panic) -- hs_queue only ever holds Chlo/Shlo; stream data goes through send_streams
                     SentFrame::Stream { .. } => unreachable!(),
-                }
+                });
                 sent_frame = Some(f);
             } else if let Some((id, offset, len, fin, is_retx)) = chunk {
                 // A chunk always references a live send stream; if the
@@ -405,7 +403,7 @@ impl QuicEndpoint {
                             self.fresh_streams.remove(&id);
                         }
                     }
-                    frames.push(QuicFrame::Stream {
+                    tracked = Some(QuicFrame::Stream {
                         id,
                         offset,
                         len,
@@ -420,7 +418,7 @@ impl QuicEndpoint {
             let pkt = QuicPacket {
                 from_client: self.is_client,
                 pn,
-                frames,
+                frames: [ack, tracked],
             };
             let size = pkt.wire_size();
             if sent_frame.is_some() {
@@ -768,7 +766,7 @@ impl QuicConnection {
         let mut got_chlo = false;
         let mut got_shlo_parts = 0u8;
         let mut shlo_of = 0u8;
-        for frame in &pkt.frames {
+        for frame in pkt.frames() {
             match frame {
                 QuicFrame::Chlo => got_chlo = true,
                 QuicFrame::Shlo { of, .. } => {
@@ -951,7 +949,7 @@ mod tests {
         let out = sent(&mut c);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, Direction::Up);
-        assert!(out[0].1.frames.iter().any(|f| matches!(f, QuicFrame::Chlo)));
+        assert!(out[0].1.frames().any(|f| matches!(f, QuicFrame::Chlo)));
         assert!(!c.is_established());
     }
 
@@ -963,7 +961,7 @@ mod tests {
         let flight = sent(&mut c);
         let shlo_parts = flight
             .iter()
-            .flat_map(|(_, p)| &p.frames)
+            .flat_map(|(_, p)| p.frames())
             .filter(|f| matches!(f, QuicFrame::Shlo { .. }))
             .count();
         assert_eq!(shlo_parts, 2, "SHLO flight in 2 packets");
@@ -996,12 +994,15 @@ mod tests {
         let pkt = |pn, id, offset, len, fin| QuicPacket {
             from_client: false,
             pn,
-            frames: vec![QuicFrame::Stream {
-                id,
-                offset,
-                len,
-                fin,
-            }],
+            frames: [
+                Some(QuicFrame::Stream {
+                    id,
+                    offset,
+                    len,
+                    fin,
+                }),
+                None,
+            ],
         };
         // Stream 5 has a hole; stream 7 is complete.
         c.on_packet(
@@ -1045,18 +1046,21 @@ mod tests {
             let p = QuicPacket {
                 from_client: false,
                 pn,
-                frames: vec![QuicFrame::Stream {
-                    id: 5,
-                    offset: pn * 100,
-                    len: 50,
-                    fin: false,
-                }],
+                frames: [
+                    Some(QuicFrame::Stream {
+                        id: 5,
+                        offset: pn * 100,
+                        len: 50,
+                        fin: false,
+                    }),
+                    None,
+                ],
             };
             c.on_packet(SimTime::from_millis(pn), &Wire::Quic(p), Direction::Down);
         }
         let max_ranges = sent(&mut c)
             .iter()
-            .flat_map(|(_, p)| &p.frames)
+            .flat_map(|(_, p)| p.frames())
             .filter_map(|f| match f {
                 QuicFrame::Ack { ranges } => Some(ranges.len()),
                 _ => None,
@@ -1101,7 +1105,7 @@ mod tests {
         let out = sent(&mut c);
         assert!(
             out.iter()
-                .any(|(_, p)| p.frames.iter().any(|f| matches!(f, QuicFrame::Chlo))),
+                .any(|(_, p)| p.frames().any(|f| matches!(f, QuicFrame::Chlo))),
             "CHLO retransmitted on timeout"
         );
     }

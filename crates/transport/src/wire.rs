@@ -95,8 +95,9 @@ pub struct QuicPacket {
     /// Monotonically increasing packet number (never reused — the
     /// property that makes QUIC loss detection unambiguous).
     pub pn: u64,
-    /// The frames bundled into this packet.
-    pub frames: Vec<QuicFrame>,
+    /// The frames bundled into this packet, in slot order: at most an
+    /// ACK plus one tracked frame, so two inline slots and no list.
+    pub frames: [Option<QuicFrame>; 2],
 }
 
 /// QUIC frames (the subset the page-load workload needs).
@@ -144,17 +145,20 @@ impl QuicFrame {
 }
 
 impl QuicPacket {
+    /// The frames present, in slot order.
+    pub fn frames(&self) -> impl Iterator<Item = &QuicFrame> {
+        self.frames.iter().flatten()
+    }
+
     /// On-the-wire size of this packet in bytes.
     pub fn wire_size(&self) -> u32 {
-        QUIC_OVERHEAD + self.frames.iter().map(QuicFrame::size).sum::<u32>()
+        QUIC_OVERHEAD + self.frames().map(QuicFrame::size).sum::<u32>()
     }
 
     /// True when the packet must be acknowledged (contains more than
     /// ACK frames).
     pub fn ack_eliciting(&self) -> bool {
-        self.frames
-            .iter()
-            .any(|f| !matches!(f, QuicFrame::Ack { .. }))
+        self.frames().any(|f| !matches!(f, QuicFrame::Ack { .. }))
     }
 }
 
@@ -193,16 +197,16 @@ mod tests {
         let pkt = QuicPacket {
             from_client: false,
             pn: 7,
-            frames: vec![
-                QuicFrame::Stream {
+            frames: [
+                Some(QuicFrame::Stream {
                     id: 3,
                     offset: 0,
                     len: 1000,
                     fin: false,
-                },
-                QuicFrame::Ack {
+                }),
+                Some(QuicFrame::Ack {
                     ranges: vec![Range::new(0, 5)],
-                },
+                }),
             ],
         };
         assert_eq!(pkt.wire_size(), QUIC_OVERHEAD + 1008 + 16);
@@ -211,8 +215,15 @@ mod tests {
         let pure_ack = QuicPacket {
             from_client: true,
             pn: 8,
-            frames: vec![QuicFrame::Ack { ranges: vec![] }],
+            frames: [Some(QuicFrame::Ack { ranges: vec![] }), None],
         };
         assert!(!pure_ack.ack_eliciting());
+    }
+
+    /// Packets are moved by value link → lane → endpoint; the two
+    /// inline frame slots must not make that a bulk copy.
+    #[test]
+    fn packets_stay_small() {
+        assert!(std::mem::size_of::<pq_sim::Packet<Wire>>() <= 96);
     }
 }

@@ -17,8 +17,8 @@ use pq_edge::{Dispatch, EdgeConfig, EdgePools, Middlebox};
 use pq_metrics::{MetricSet, Recording, VisualTimeline};
 use pq_obs::{ArgValue, Level};
 use pq_sim::{
-    ConnId, Direction, EventQueue, Link, NetworkConfig, Packet, PushOutcome, SimDuration, SimRng,
-    SimTime, Trace, TraceKind,
+    ConnId, Direction, EventQueue, Lane, LaneEvent, Link, NetworkConfig, Packet, PushOutcome,
+    SimDuration, SimRng, SimTime, Source, Trace, TraceKind,
 };
 use pq_transport::{Connection, Output, Protocol, Wire};
 use std::collections::BTreeMap;
@@ -135,10 +135,10 @@ pub struct PageLoadResult {
     pub trace: Trace,
 }
 
+/// What the event queue holds: timers. Link tx-dones and packets in
+/// propagation wait in the [`Loader::lanes`] instead.
+#[derive(Clone, Copy)]
 enum Ev {
-    UpTx,
-    DownTx,
-    Deliver(Direction, Packet<Wire>),
     Wake(u32, u64),
     Respond(u32, ObjectId),
     /// Client-side processing of a fully delivered object finished.
@@ -147,19 +147,30 @@ enum Ev {
     DeferredRequest(ObjectId),
     /// Style + first layout done: painting may start.
     GateOpen,
-    /// Transmission slot opened on the origin-segment uplink.
-    EdgeUpTx,
-    /// Transmission slot opened on the origin-segment downlink.
-    EdgeDownTx,
-    /// A packet crossed the origin segment (proxied modes: to/from a
-    /// proxy leg; middlebox mode: to the origin endpoint or back to
-    /// the junction).
-    EdgeDeliver(Direction, Packet<Wire>),
     /// A proxy leg's transport timer expired.
     EdgeWake(u32, u64),
     /// The origin finished thinking about an object requested through
     /// proxy leg `.0`.
     EdgeRespond(u32, ObjectId),
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
+
+/// Lanes of the client segment, uplink and downlink…
+const UP: usize = 0;
+const DOWN: usize = 1;
+/// …and of the origin segment, junction to origin (edge stacks only).
+const O_UP: usize = 2;
+const O_DOWN: usize = 3;
+
+/// The lane carrying `dir` on the client or the origin segment.
+fn lane_of(dir: Direction, origin: bool) -> usize {
+    match (origin, dir) {
+        (false, Direction::Up) => UP,
+        (false, Direction::Down) => DOWN,
+        (true, Direction::Up) => O_UP,
+        (true, Direction::Down) => O_DOWN,
+    }
 }
 
 enum Mux {
@@ -201,13 +212,11 @@ struct Bridge {
     fin_sent: bool,
 }
 
-/// Everything the edge stacks add to a page load: the origin path
-/// segment, the proxy's pooled legs and relay bridges, and the
-/// transparent middlebox. `None` on the Table-1 stacks — their event
+/// Everything the edge stacks add to a page load besides the origin
+/// segment's two lanes: the proxy's pooled legs and relay bridges, and
+/// the transparent middlebox. `None` on the Table-1 stacks — their event
 /// sequence is untouched.
 struct EdgeState {
-    o_up: Link<Wire>,
-    o_down: Link<Wire>,
     leg_cfg: pq_transport::StackConfig,
     legs: Vec<LegState>,
     pools: EdgePools,
@@ -220,8 +229,9 @@ struct Loader<'a> {
     protocol: Protocol,
     opts: &'a LoadOptions,
     q: EventQueue<Ev>,
-    up: Link<Wire>,
-    down: Link<Wire>,
+    /// One per link direction, indexed [`UP`]‥[`O_DOWN`] (two on the
+    /// Table-1 stacks, four on the edge stacks).
+    lanes: Vec<Lane<Wire>>,
     conns: Vec<ConnState>,
     origin_conn: BTreeMap<u16, u32>,
     /// HTTP/1.1 connection pools per origin (empty under H2/H3).
@@ -404,6 +414,7 @@ pub fn load_page_with_config(
         down.set_fault(f.link_fault("downlink"));
     }
 
+    let mut lanes = vec![Lane::new(up), Lane::new(down)];
     let edge = edge_cfg.map(|ec| {
         let origin_net = net.origin_segment(ec.client_rtt_share, ec.backbone_bps);
         let mut o_up = Link::new(origin_net.uplink(), rng.fork("origin-uplink-loss"));
@@ -418,9 +429,8 @@ pub fn load_page_with_config(
             o_up.set_fault(f.link_fault("origin-uplink"));
             o_down.set_fault(f.link_fault("origin-downlink"));
         }
+        lanes.extend([Lane::new(o_up), Lane::new(o_down)]);
         EdgeState {
-            o_up,
-            o_down,
             leg_cfg: Protocol::TcpPlus.config(&origin_net),
             legs: Vec::new(),
             pools: EdgePools::new(&ec, rng.fork("edge-pool")),
@@ -434,8 +444,7 @@ pub fn load_page_with_config(
         protocol,
         opts,
         q,
-        up,
-        down,
+        lanes,
         conns: Vec::new(),
         origin_conn: BTreeMap::new(),
         h1_pools: BTreeMap::new(),
@@ -474,21 +483,27 @@ pub fn load_page_with_config(
 
 /// Profiler bucket name for an event — the per-event-type subdivision
 /// of the `experiment` phase in the folded profile.
-fn ev_name(ev: &Ev) -> &'static str {
+fn ev_name(ev: Ev) -> &'static str {
     match ev {
-        Ev::UpTx => "event:tx-up",
-        Ev::DownTx => "event:tx-down",
-        Ev::Deliver(..) => "event:arrival",
         Ev::Wake(..) => "event:timer",
         Ev::Respond(..) => "event:respond",
         Ev::Processed(..) => "event:process",
         Ev::DeferredRequest(..) => "event:defer",
         Ev::GateOpen => "event:gate",
-        Ev::EdgeUpTx => "event:edge-tx-up",
-        Ev::EdgeDownTx => "event:edge-tx-down",
-        Ev::EdgeDeliver(..) => "event:edge-arrival",
         Ev::EdgeWake(..) => "event:edge-timer",
         Ev::EdgeRespond(..) => "event:edge-respond",
+    }
+}
+
+/// The same for what a lane fires.
+fn lane_ev_name(lane: usize, what: LaneEvent) -> &'static str {
+    match (what, lane) {
+        (LaneEvent::TxDone, UP) => "event:tx-up",
+        (LaneEvent::TxDone, DOWN) => "event:tx-down",
+        (LaneEvent::TxDone, O_UP) => "event:edge-tx-up",
+        (LaneEvent::TxDone, _) => "event:edge-tx-down",
+        (LaneEvent::Arrival, UP | DOWN) => "event:arrival",
+        (LaneEvent::Arrival, _) => "event:edge-arrival",
     }
 }
 
@@ -704,6 +719,46 @@ impl<'a> Loader<'a> {
         }
     }
 
+    /// `obj`'s request reached its server: fire `respond` once the
+    /// server has thought about it.
+    fn think(&mut self, now: SimTime, obj: ObjectId, respond: Ev) {
+        // The baseline think-time draw always happens, so the jitter
+        // stream is identical with faults off.
+        let mut think =
+            self.opts.think_base_ms + self.think_rng.exponential(self.opts.think_jitter_ms);
+        let stall = self.faults.as_ref().and_then(|f| f.server_stall_ms(obj.0));
+        if let Some(extra) = stall {
+            think += extra;
+            self.note_fault(now, "server stall", u64::from(obj.0));
+        }
+        self.q
+            .schedule(now + SimDuration::from_secs_f64(think / 1e3), respond);
+    }
+
+    /// The body bytes a server sends for `obj`.
+    fn response_body(&mut self, now: SimTime, obj: ObjectId) -> u64 {
+        let body = self.obj(obj).size;
+        // Truncated-response fault: the server closes the stream
+        // early, so the client can never reach the expected byte count
+        // and the object stays open — the page load ends incomplete at
+        // the horizon.
+        let Some(frac) = self.faults.as_ref().and_then(|f| f.truncate(obj.0)) else {
+            return body;
+        };
+        self.note_fault(now, "truncated response", u64::from(obj.0));
+        ((body as f64 * frac) as u64).min(body.saturating_sub(1))
+    }
+
+    /// Offer `pkt` to `lane`'s link.
+    fn send(&mut self, now: SimTime, lane: usize, pkt: Packet<Wire>) {
+        let Some(lane) = self.lanes.get_mut(lane) else {
+            return;
+        };
+        if lane.push(&mut self.q, now, pkt) == PushOutcome::TailDropped {
+            self.trace.record(now, TraceKind::TailDrop, 0);
+        }
+    }
+
     fn route_output(&mut self, now: SimTime, ci: u32, out: Output) {
         match out {
             Output::Send(dir, pkt) => {
@@ -711,35 +766,8 @@ impl<'a> Loader<'a> {
                 // origin, so its downstream packets enter on the
                 // backbone segment (and reach the client via the
                 // junction). Client-side sends are unchanged.
-                if dir == Direction::Down && self.protocol.has_middlebox() {
-                    if let Some(edge) = self.edge.as_mut() {
-                        match edge.o_down.push(now, pkt) {
-                            PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::EdgeDownTx),
-                            PushOutcome::TailDropped => {
-                                self.trace.record(now, TraceKind::TailDrop, 0);
-                            }
-                            PushOutcome::Queued => {}
-                        }
-                    }
-                    return;
-                }
-                let link = match dir {
-                    Direction::Up => &mut self.up,
-                    Direction::Down => &mut self.down,
-                };
-                match link.push(now, pkt) {
-                    PushOutcome::StartedTx(t) => {
-                        let ev = match dir {
-                            Direction::Up => Ev::UpTx,
-                            Direction::Down => Ev::DownTx,
-                        };
-                        self.q.schedule(t, ev);
-                    }
-                    PushOutcome::TailDropped => {
-                        self.trace.record(now, TraceKind::TailDrop, 0);
-                    }
-                    PushOutcome::Queued => {}
-                }
+                let at_origin = dir == Direction::Down && self.protocol.has_middlebox();
+                self.send(now, lane_of(dir, at_origin), pkt);
             }
             Output::HandshakeDone => {
                 self.trace
@@ -767,19 +795,7 @@ impl<'a> Loader<'a> {
                         self.edge_dispatch(now, obj);
                         continue;
                     }
-                    // The baseline think-time draw always happens, so
-                    // the jitter stream is identical with faults off.
-                    let mut think = self.opts.think_base_ms
-                        + self.think_rng.exponential(self.opts.think_jitter_ms);
-                    let stall = self.faults.as_ref().and_then(|f| f.server_stall_ms(obj.0));
-                    if let Some(extra) = stall {
-                        think += extra;
-                        self.note_fault(now, "server stall", u64::from(obj.0));
-                    }
-                    self.q.schedule(
-                        now + SimDuration::from_secs_f64(think / 1e3),
-                        Ev::Respond(ci, obj),
-                    );
+                    self.think(now, obj, Ev::Respond(ci, obj));
                 }
                 self.ready_buf = ready;
             }
@@ -942,22 +958,7 @@ impl<'a> Loader<'a> {
 
     fn route_leg_output(&mut self, now: SimTime, li: u32, out: Output) {
         match out {
-            Output::Send(dir, pkt) => {
-                let Some(edge) = self.edge.as_mut() else {
-                    return;
-                };
-                let (link, ev) = match dir {
-                    Direction::Up => (&mut edge.o_up, Ev::EdgeUpTx),
-                    Direction::Down => (&mut edge.o_down, Ev::EdgeDownTx),
-                };
-                match link.push(now, pkt) {
-                    PushOutcome::StartedTx(t) => self.q.schedule(t, ev),
-                    PushOutcome::TailDropped => {
-                        self.trace.record(now, TraceKind::TailDrop, 0);
-                    }
-                    PushOutcome::Queued => {}
-                }
-            }
+            Output::Send(dir, pkt) => self.send(now, lane_of(dir, true), pkt),
             Output::HandshakeDone => {
                 self.trace
                     .record(now, TraceKind::HandshakeDone, u64::from(LEG_KEY_BASE + li));
@@ -970,17 +971,7 @@ impl<'a> Loader<'a> {
                     leg.mux.on_server_delivered(delivered, &mut ready);
                 }
                 for obj in ready.drain(..) {
-                    let mut think = self.opts.think_base_ms
-                        + self.think_rng.exponential(self.opts.think_jitter_ms);
-                    let stall = self.faults.as_ref().and_then(|f| f.server_stall_ms(obj.0));
-                    if let Some(extra) = stall {
-                        think += extra;
-                        self.note_fault(now, "server stall", u64::from(obj.0));
-                    }
-                    self.q.schedule(
-                        now + SimDuration::from_secs_f64(think / 1e3),
-                        Ev::EdgeRespond(li, obj),
-                    );
+                    self.think(now, obj, Ev::EdgeRespond(li, obj));
                 }
                 self.ready_buf = ready;
             }
@@ -1062,20 +1053,10 @@ impl<'a> Loader<'a> {
         }
         for r in retx.drain(..) {
             self.trace.record(now, TraceKind::Retransmit, 0);
-            match self.down.push(now, r) {
-                PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::DownTx),
-                PushOutcome::TailDropped => self.trace.record(now, TraceKind::TailDrop, 0),
-                PushOutcome::Queued => {}
-            }
+            self.send(now, DOWN, r);
         }
         self.retx_buf = retx;
-        if let Some(edge) = self.edge.as_mut() {
-            match edge.o_up.push(now, pkt) {
-                PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::EdgeUpTx),
-                PushOutcome::TailDropped => self.trace.record(now, TraceKind::TailDrop, 0),
-                PushOutcome::Queued => {}
-            }
-        }
+        self.send(now, O_UP, pkt);
     }
 
     /// An origin packet reached the junction (middlebox mode): buffer
@@ -1086,11 +1067,7 @@ impl<'a> Loader<'a> {
         if let Some(m) = self.edge.as_mut().and_then(|e| e.mbx.as_mut()) {
             m.on_downlink(now, &pkt);
         }
-        match self.down.push(now, pkt) {
-            PushOutcome::StartedTx(t) => self.q.schedule(t, Ev::DownTx),
-            PushOutcome::TailDropped => self.trace.record(now, TraceKind::TailDrop, 0),
-            PushOutcome::Queued => {}
-        }
+        self.send(now, DOWN, pkt);
     }
 
     /// Note the request-issue instant of `id` — start of its waterfall
@@ -1334,6 +1311,146 @@ impl<'a> Loader<'a> {
         mark("PLT", Some(plt), metrics.plt_ms);
     }
 
+    /// A lane fired: its link finished a packet, or a packet came out
+    /// of its far end.
+    fn on_lane(&mut self, now: SimTime, lane: usize, what: LaneEvent) {
+        let _ev_span = pq_prof::span_with(|| lane_ev_name(lane, what));
+        let Some(l) = self.lanes.get_mut(lane) else {
+            return;
+        };
+        if what == LaneEvent::TxDone {
+            if !l.on_tx_done(&mut self.q, now) {
+                self.trace.record(now, TraceKind::RandomLoss, 0);
+            }
+            return;
+        }
+        let Some(pkt) = l.pop_arrival() else { return };
+        let dir = match lane {
+            UP | O_UP => Direction::Up,
+            _ => Direction::Down,
+        };
+        let id = pkt.conn.0;
+        match (self.protocol.has_middlebox(), lane) {
+            // Middlebox mode: the client-segment uplink and the origin
+            // segment's downlink end at the junction.
+            (true, UP) => self.mbx_junction_up(now, pkt),
+            (true, O_DOWN) => self.mbx_junction_down(now, pkt),
+            // Proxied: the origin segment carries leg traffic in both
+            // directions.
+            (false, O_UP | O_DOWN) => {
+                if let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(id as usize)) {
+                    leg.conn.on_packet(now, &pkt.payload, dir);
+                    self.pump_leg(now, id);
+                }
+            }
+            // End to end, whichever segment finishes the trip.
+            _ => {
+                if let Some(state) = self.conns.get_mut(id as usize) {
+                    state.conn.on_packet(now, &pkt.payload, dir);
+                    self.pump(now, id);
+                }
+            }
+        }
+    }
+
+    /// A timer popped off the event queue.
+    fn on_timer(&mut self, now: SimTime, ev: Ev) {
+        let _ev_span = pq_prof::span_with(|| ev_name(ev));
+        match ev {
+            Ev::Wake(ci, version) => {
+                let state = self.conns.get_mut(ci as usize);
+                if let Some(state) = state.filter(|s| s.wake_version == version) {
+                    state.conn.on_wake(now);
+                    self.pump(now, ci);
+                }
+            }
+            Ev::Processed(id) => {
+                self.object_processed(now, id);
+            }
+            Ev::DeferredRequest(id) => {
+                self.request_object(now, id);
+            }
+            Ev::GateOpen => {
+                self.gate_open = true;
+                if self.vc > 0.0 {
+                    self.timeline.push(now, self.vc);
+                }
+            }
+            Ev::Respond(ci, obj) => {
+                let body = self.response_body(now, obj);
+                let Some(state) = self.conns.get_mut(ci as usize) else {
+                    return;
+                };
+                match &mut state.mux {
+                    Mux::H1(h) => {
+                        let Connection::Tcp(c) = &mut state.conn else {
+                            // pq-lint: allow(panic) -- open_conn pairs Mux::H1 with Connection::Tcp, always
+                            unreachable!()
+                        };
+                        h.respond(c, now, body);
+                    }
+                    Mux::H2(m) => {
+                        let Connection::Tcp(c) = &mut state.conn else {
+                            // pq-lint: allow(panic) -- open_conn pairs Mux::H2 with Connection::Tcp, always
+                            unreachable!()
+                        };
+                        m.respond(c, now, obj, body);
+                    }
+                    Mux::H3(m) => {
+                        let Connection::Quic(c) = &mut state.conn else {
+                            // pq-lint: allow(panic) -- open_conn pairs Mux::H3 with Connection::Quic, always
+                            unreachable!()
+                        };
+                        m.respond(c, now, obj, body);
+                    }
+                }
+                self.pump(now, ci);
+            }
+            Ev::EdgeWake(li, version) => {
+                let woke = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
+                    Some(leg) if leg.wake_version == version => {
+                        leg.conn.on_wake(now);
+                        true
+                    }
+                    _ => false,
+                };
+                if woke {
+                    self.pump_leg(now, li);
+                }
+            }
+            Ev::EdgeRespond(li, obj) => {
+                let body = self.response_body(now, obj);
+                let client_total = if self.protocol.is_quic() {
+                    crate::http3::RESPONSE_HEADER + body
+                } else {
+                    H2Mux::response_stream_bytes(body)
+                };
+                let origin = self.obj(obj).origin.0;
+                let Some(edge) = self.edge.as_mut() else {
+                    return;
+                };
+                edge.bridges.insert(
+                    obj,
+                    Bridge {
+                        origin_total: H2Mux::response_stream_bytes(body),
+                        origin_got: 0,
+                        client_total,
+                        client_written: 0,
+                        leg: li,
+                        origin,
+                        fin_sent: false,
+                    },
+                );
+                if let Some(leg) = edge.legs.get_mut(li as usize) {
+                    if let Connection::Tcp(c) = &mut leg.conn {
+                        leg.mux.respond(c, now, obj, body);
+                    }
+                }
+                self.pump_leg(now, li);
+            }
+        }
+    }
+
     fn run(mut self) -> PageLoadResult {
         let horizon = SimTime::ZERO + self.opts.horizon;
         let max_events = 200_000_000u64;
@@ -1342,205 +1459,20 @@ impl<'a> Loader<'a> {
         // gate's layout event can be scheduled past the last object on
         // small fast pages).
         while self.plt_at.is_none() || !self.gate_open {
-            let Some(t) = self.q.peek_time() else { break };
-            if t > horizon || self.q.processed() > max_events {
+            let Some((stamp, source)) = pq_sim::lane::earliest(&self.q, &self.lanes) else {
+                break;
+            };
+            if stamp.time() > horizon || self.q.processed() > max_events {
                 break;
             }
-            let Some((now, ev)) = self.q.pop() else { break };
-            let _ev_span = pq_prof::span_with(|| ev_name(&ev));
-            match ev {
-                Ev::UpTx => {
-                    let txd = self.up.on_tx_done(now);
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::Deliver(Direction::Up, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
-                    }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::UpTx);
-                    }
+            match source {
+                Source::Heap => {
+                    let Some((now, ev)) = self.q.pop() else { break };
+                    self.on_timer(now, ev);
                 }
-                Ev::DownTx => {
-                    let txd = self.down.on_tx_done(now);
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::Deliver(Direction::Down, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
-                    }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::DownTx);
-                    }
-                }
-                Ev::Deliver(dir, pkt) => {
-                    // Middlebox mode: the client-segment uplink ends
-                    // at the junction, not at the server.
-                    if dir == Direction::Up && self.protocol.has_middlebox() {
-                        self.mbx_junction_up(now, pkt);
-                        continue;
-                    }
-                    let ci = pkt.conn.0;
-                    if let Some(state) = self.conns.get_mut(ci as usize) {
-                        state.conn.on_packet(now, &pkt.payload, dir);
-                        self.pump(now, ci);
-                    }
-                }
-                Ev::Wake(ci, version) => {
-                    let state = &mut self.conns[ci as usize];
-                    if state.wake_version == version {
-                        state.conn.on_wake(now);
-                        self.pump(now, ci);
-                    }
-                }
-                Ev::Processed(id) => {
-                    self.object_processed(now, id);
-                }
-                Ev::DeferredRequest(id) => {
-                    self.request_object(now, id);
-                }
-                Ev::GateOpen => {
-                    self.gate_open = true;
-                    if self.vc > 0.0 {
-                        self.timeline.push(now, self.vc);
-                    }
-                }
-                Ev::Respond(ci, obj) => {
-                    let mut body = self.obj(obj).size;
-                    // Truncated-response fault: the server closes the
-                    // stream early, so the client can never reach the
-                    // expected byte count and the object stays open —
-                    // the page load ends incomplete at the horizon.
-                    let trunc = self.faults.as_ref().and_then(|f| f.truncate(obj.0));
-                    if let Some(frac) = trunc {
-                        body = ((body as f64 * frac) as u64).min(body.saturating_sub(1));
-                        self.note_fault(now, "truncated response", u64::from(obj.0));
-                    }
-                    let state = &mut self.conns[ci as usize];
-                    match &mut state.mux {
-                        Mux::H1(h) => {
-                            let Connection::Tcp(c) = &mut state.conn else {
-                                // pq-lint: allow(panic) -- open_conn pairs Mux::H1 with Connection::Tcp, always
-                                unreachable!()
-                            };
-                            h.respond(c, now, body);
-                        }
-                        Mux::H2(m) => {
-                            let Connection::Tcp(c) = &mut state.conn else {
-                                // pq-lint: allow(panic) -- open_conn pairs Mux::H2 with Connection::Tcp, always
-                                unreachable!()
-                            };
-                            m.respond(c, now, obj, body);
-                        }
-                        Mux::H3(m) => {
-                            let Connection::Quic(c) = &mut state.conn else {
-                                // pq-lint: allow(panic) -- open_conn pairs Mux::H3 with Connection::Quic, always
-                                unreachable!()
-                            };
-                            m.respond(c, now, obj, body);
-                        }
-                    }
-                    self.pump(now, ci);
-                }
-                Ev::EdgeUpTx => {
-                    let txd = match self.edge.as_mut() {
-                        Some(edge) => edge.o_up.on_tx_done(now),
-                        None => continue,
-                    };
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::EdgeDeliver(Direction::Up, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
-                    }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::EdgeUpTx);
-                    }
-                }
-                Ev::EdgeDownTx => {
-                    let txd = match self.edge.as_mut() {
-                        Some(edge) => edge.o_down.on_tx_done(now),
-                        None => continue,
-                    };
-                    if let Some((at, pkt)) = txd.delivery {
-                        self.q.schedule(at, Ev::EdgeDeliver(Direction::Down, pkt));
-                    } else {
-                        self.trace.record(now, TraceKind::RandomLoss, 0);
-                    }
-                    if let Some(next) = txd.next_tx_done {
-                        self.q.schedule(next, Ev::EdgeDownTx);
-                    }
-                }
-                Ev::EdgeDeliver(dir, pkt) => {
-                    if self.protocol.has_middlebox() {
-                        // End-to-end connections: upstream packets
-                        // complete their trip to the origin endpoint;
-                        // downstream ones reach the junction.
-                        match dir {
-                            Direction::Up => {
-                                let ci = pkt.conn.0;
-                                if let Some(state) = self.conns.get_mut(ci as usize) {
-                                    state.conn.on_packet(now, &pkt.payload, dir);
-                                    self.pump(now, ci);
-                                }
-                            }
-                            Direction::Down => self.mbx_junction_down(now, pkt),
-                        }
-                    } else {
-                        // Proxied: the origin segment carries leg
-                        // traffic in both directions.
-                        let li = pkt.conn.0;
-                        if let Some(leg) =
-                            self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize))
-                        {
-                            leg.conn.on_packet(now, &pkt.payload, dir);
-                            self.pump_leg(now, li);
-                        }
-                    }
-                }
-                Ev::EdgeWake(li, version) => {
-                    let woke = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                        Some(leg) if leg.wake_version == version => {
-                            leg.conn.on_wake(now);
-                            true
-                        }
-                        _ => false,
-                    };
-                    if woke {
-                        self.pump_leg(now, li);
-                    }
-                }
-                Ev::EdgeRespond(li, obj) => {
-                    let mut body = self.obj(obj).size;
-                    let trunc = self.faults.as_ref().and_then(|f| f.truncate(obj.0));
-                    if let Some(frac) = trunc {
-                        body = ((body as f64 * frac) as u64).min(body.saturating_sub(1));
-                        self.note_fault(now, "truncated response", u64::from(obj.0));
-                    }
-                    let client_total = if self.protocol.is_quic() {
-                        crate::http3::RESPONSE_HEADER + body
-                    } else {
-                        H2Mux::response_stream_bytes(body)
-                    };
-                    let origin = self.obj(obj).origin.0;
-                    let Some(edge) = self.edge.as_mut() else {
-                        continue;
-                    };
-                    edge.bridges.insert(
-                        obj,
-                        Bridge {
-                            origin_total: H2Mux::response_stream_bytes(body),
-                            origin_got: 0,
-                            client_total,
-                            client_written: 0,
-                            leg: li,
-                            origin,
-                            fin_sent: false,
-                        },
-                    );
-                    if let Some(leg) = edge.legs.get_mut(li as usize) {
-                        if let Connection::Tcp(c) = &mut leg.conn {
-                            leg.mux.respond(c, now, obj, body);
-                        }
-                    }
-                    self.pump_leg(now, li);
+                Source::Lane(lane, what) => {
+                    self.q.advance(stamp);
+                    self.on_lane(stamp.time(), lane, what);
                 }
             }
         }

@@ -7,6 +7,13 @@
 //! stack, so a change that adds, drops or reorders an event fails
 //! `cargo test` with the stack named.
 //!
+//! So is which events they are: with the span profiler on, every pop
+//! lands in an `event:*` bucket named after what fired — a timer out of
+//! the queue's heap, or a tx-done / arrival out of a link's lane — and
+//! the per-stack vector of bucket counts is pinned, so a lane firing
+//! under the wrong name, or two sources trading events at an unchanged
+//! total, fails with the stack named too.
+//!
 //! So is what an event costs the heap: the same loads run once more
 //! under pq-prof's counting allocator against a per-stack ceiling on
 //! allocations per popped event — a measurement of the hot path, where
@@ -24,19 +31,52 @@ const SEED: u64 = 1910;
 /// `(stack, events popped, PLT in ns, retransmits, connections,
 /// allocation ceiling per event)` of `corpus()[0]` over DA2GC at seed
 /// 1910. The ceiling is the measured allocations / events of the whole
-/// load (setup included) plus 10–14 % headroom for toolchain drift
-/// (measured at PR 16: 0.266, 0.243, 0.198, 0.706, 0.668, 0.391, 0.652,
-/// 0.202); one more allocation per event adds 1.0 and fails every row.
-/// Lower it when the hot path gets leaner.
+/// load (setup included) plus 10 % headroom for toolchain drift, rounded
+/// up (measured at PR 18: 0.230, 0.210, 0.168, 0.344, 0.338, 0.232,
+/// 0.224, 0.187; at PR 16, before QUIC packets carried their frames
+/// inline: 0.266, 0.243, 0.198, 0.706, 0.668, 0.391, 0.652, 0.202); one
+/// more allocation per event adds 1.0 and fails every row. Lower it
+/// when the hot path gets leaner.
+/// The `event:*` buckets, in the order [`MIX`] counts them.
+const KINDS: [&str; 13] = [
+    "tx-up",
+    "tx-down",
+    "arrival",
+    "timer",
+    "respond",
+    "process",
+    "defer",
+    "gate",
+    "edge-tx-up",
+    "edge-tx-down",
+    "edge-arrival",
+    "edge-timer",
+    "edge-respond",
+];
+
+/// Events popped per bucket, one row per [`PINS`] row; each row sums to
+/// its stack's event count. Measured at PR 17, when all thirteen kinds
+/// still went through the one heap.
+const MIX: [[u64; 13]; 8] = [
+    [164, 181, 327, 367, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [161, 179, 322, 443, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [144, 171, 301, 490, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [128, 178, 291, 465, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [138, 178, 300, 499, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [120, 185, 291, 579, 0, 22, 19, 1, 184, 201, 385, 453, 22],
+    [186, 228, 395, 626, 22, 22, 19, 1, 178, 347, 521, 0, 0],
+    [174, 191, 349, 745, 0, 22, 19, 1, 175, 197, 372, 444, 22],
+];
+
 const PINS: [(Protocol, u64, u64, u64, u32, f64); 8] = [
-    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.30),
-    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.27),
-    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3, 0.22),
-    (Protocol::Quic, 1126, 7_471_238_185, 69, 3, 0.78),
-    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3, 0.74),
-    (Protocol::QuicEdge, 2462, 4_731_629_218, 54, 12, 0.43),
-    (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3, 0.72),
-    (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11, 0.23),
+    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.26),
+    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.24),
+    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3, 0.19),
+    (Protocol::Quic, 1126, 7_471_238_185, 69, 3, 0.38),
+    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3, 0.38),
+    (Protocol::QuicEdge, 2462, 4_731_629_218, 54, 12, 0.26),
+    (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3, 0.25),
+    (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11, 0.21),
 ];
 
 /// One load and the number of events its queue popped.
@@ -63,10 +103,10 @@ fn every_stack_executes_its_pinned_event_sequence() {
     }
 
     // With the span profiler on, the loop opens one `event:*` span per
-    // pop — the lazily named spans must still account for every event
-    // and leave the sequence alone.
+    // pop — the lazily named spans must leave the sequence alone and
+    // sort every event into its pinned bucket.
     pq_prof::set_spans_enabled(true);
-    for (protocol, events, plt_ns, ..) in PINS {
+    for ((protocol, events, plt_ns, ..), mix) in PINS.into_iter().zip(MIX) {
         pq_prof::reset_spans();
         let (r, popped) = load(&site, protocol);
         assert_eq!(
@@ -78,15 +118,24 @@ fn every_stack_executes_its_pinned_event_sequence() {
         // Exactly `load:<stack>;event:<kind>`: deeper paths are spans
         // opened inside an event.
         let root = format!("load:{};event:", protocol.label());
-        let spans: u64 = pq_prof::folded()
+        let folded = pq_prof::folded();
+        let buckets: Vec<(&str, u64)> = folded
             .iter()
-            .filter(|(path, ..)| path.starts_with(&root) && path.matches(';').count() == 1)
-            .map(|(_, count, _)| count)
-            .sum();
+            .filter_map(|(path, count, _)| Some((path.strip_prefix(&root)?, *count)))
+            .filter(|(kind, _)| !kind.contains(';'))
+            .collect();
+        let count_of = |kind| buckets.iter().find(|b| b.0 == kind).map_or(0, |b| b.1);
         assert_eq!(
-            spans,
-            events,
-            "{}: event:* buckets do not add up to the events popped",
+            KINDS.map(count_of),
+            mix,
+            "{}: the event mix moved (buckets {KINDS:?})",
+            protocol.label()
+        );
+        assert_eq!(
+            (buckets.len(), mix.iter().sum::<u64>()),
+            (mix.iter().filter(|&&n| n > 0).count(), events),
+            "{}: an event:* bucket outside the pinned ones, or a row that \
+             does not add up to the events popped",
             protocol.label()
         );
     }
