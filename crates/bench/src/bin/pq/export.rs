@@ -1,19 +1,16 @@
-//! Exports the raw study data as JSON — mirroring the paper's public
-//! data release (https://study.netray.io). Writes `study_data.json`
-//! in the working directory (or the path given as the first argument).
+//! `pq export [path]`: the raw study data as JSON — mirroring the
+//! paper's public data release (https://study.netray.io). Writes
+//! `study_data.json` in the working directory, or `path` when given.
 //!
 //! ```sh
-//! PQ_SCALE=reduced cargo run --release -p pq-bench --bin export -- out.json
+//! PQ_SCALE=reduced cargo run --release -p pq-bench --bin pq -- export out.json
 //! ```
-
-#![forbid(unsafe_code)]
 
 use pq_obs::json::Value;
 
-fn main() {
-    pq_obs::init_from_env();
+pub fn run() {
     let path = std::env::args()
-        .nth(1)
+        .nth(2)
         .unwrap_or_else(|| "study_data.json".into());
     let e = pq_bench::run_experiment_from_env("export");
 
@@ -129,5 +126,4 @@ fn main() {
         e.data.ratings.len(),
         e.stimuli.iter().count()
     );
-    pq_obs::flush_to_env();
 }

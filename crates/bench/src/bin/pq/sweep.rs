@@ -1,4 +1,4 @@
-//! Parameter sweep: where does QUIC's perceptible advantage live?
+//! `pq sweep`: where does QUIC's perceptible advantage live?
 //!
 //! The paper samples four points of the network space (Table 2) and
 //! concludes that QUIC's edge grows as networks get slower and
@@ -13,10 +13,8 @@
 //! values at any worker count.
 //!
 //! ```sh
-//! PQ_JOBS=8 cargo run --release -p pq-bench --bin sweep
+//! PQ_JOBS=8 cargo run --release -p pq-bench --bin pq -- sweep
 //! ```
-
-#![forbid(unsafe_code)]
 
 use pq_sim::{NetworkConfig, NetworkKind, SimDuration};
 use pq_transport::Protocol;
@@ -54,8 +52,7 @@ fn cell(ratio: f64) -> String {
     format!("{ratio:>6.3}{mark}")
 }
 
-fn main() {
-    pq_obs::init_from_env();
+pub fn run() {
     let Some(site) = catalogue::site("gov.uk") else {
         eprintln!("[sweep] corpus site gov.uk missing — corpus changed? aborting");
         std::process::exit(1);
@@ -129,5 +126,4 @@ fn main() {
     println!("\nExpected shape (paper takeaway): the ratio grows down-and-right");
     println!("(slower, lossier) and with RTT — QUIC's 1-RTT handshake and loss");
     println!("recovery matter most exactly where networks are worst.");
-    pq_obs::flush_to_env();
 }

@@ -1,10 +1,11 @@
 //! # pq-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (run with
-//! `cargo run --release -p pq-bench --bin <name>`):
+//! One binary, `pq`, with one subcommand per table/figure of the paper
+//! (run with `cargo run --release -p pq-bench --bin pq -- <command>`;
+//! no or an unknown command lists them on stderr and exits 2):
 //!
-//! | Binary | Artefact |
-//! |--------|----------|
+//! | Command | Artefact |
+//! |---------|----------|
 //! | `table1` | Table 1 — protocol configurations |
 //! | `table2` | Table 2 — network configurations + emulation validation |
 //! | `table3` | Table 3 — participation / conformance-filter funnel |
@@ -15,8 +16,9 @@
 //! | `agreement` | §4.2 — answer times, replays, demographics |
 //! | `ablation`  | extra — filtering, 0-RTT and processing ablations |
 //! | `sweep`     | extra — bandwidth × loss × RTT map of the QUIC/TCP+ SI ratio |
-//! | `export`    | raw study data as JSON (mirrors the paper's data release) |
-//! | `runall` | everything above, in order |
+//! | `export [path]` | raw study data as JSON (mirrors the paper's data release) |
+//! | `edge_cell` | extra — one edge-stack grid cell's study digest, for CI |
+//! | `runall` | every table and figure above, in order, plus the run manifest |
 //!
 //! The experiment scale is controlled with `PQ_SCALE`
 //! (`smoke` / `reduced` / `full`) and `PQ_SEED`; `full` matches the
@@ -45,7 +47,8 @@
 //!
 //! ## Observability
 //!
-//! Every binary initialises [`pq_obs`] from the environment:
+//! `pq` initialises [`pq_obs`] from the environment before the
+//! command runs and flushes it after:
 //!
 //! * `PQ_TRACE` — trace level (`off`/`error`/`warn`/`info`/`debug`/
 //!   `trace`; default `off`). At `info` each page load records its
@@ -62,16 +65,15 @@
 //!
 //! ```sh
 //! PQ_SCALE=smoke PQ_TRACE=info PQ_TRACE_OUT=results/trace.json \
-//!     cargo run --release -p pq-bench --bin fig4
+//!     cargo run --release -p pq-bench --bin pq -- fig4
 //! # then load results/trace.json into https://ui.perfetto.dev
 //! ```
 //!
 //! `runall` additionally writes `results/manifest.json` — scale, seed,
 //! git rev, per-phase wall-times, Table-3 funnel counts and
-//! per-protocol PLT p50/p90/p99 (see [`manifest::Manifest`]) — and
-//! `results/BENCH_obs.json`, the run report (phase wall-times,
-//! events/sec, per-worker task counts). Its timings are one sample
-//! from one machine; speed is measured by `benches/perf`.
+//! per-protocol PLT p50/p90/p99 (see [`manifest::manifest_json`]). Its
+//! timings are one sample from one machine; speed is measured by
+//! `benches/perf`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
-//! Kill-resume end-to-end: SIGKILL `runall` mid-sweep, resume with
-//! `PQ_RESUME=1`, and require a `study_digest` bit-identical to an
-//! uninterrupted run — across different `PQ_JOBS` worker counts.
+//! Kill-resume end-to-end: SIGKILL `pq runall` mid-sweep, resume with
+//! `PQ_RESUME=1` at a different `PQ_JOBS` worker count, and require the
+//! pinned `study_digest` bit-for-bit — clean and under the CI chaos
+//! spec.
 //!
 //! This is the acceptance test of the crash-safety layer: the child
 //! process is killed without any chance to clean up (SIGKILL, not
@@ -9,68 +10,51 @@
 
 #![cfg(unix)]
 
-use pq_bench::manifest::Manifest;
 use pq_obs::json::Value;
 use std::path::Path;
 use std::process::{Command, Stdio};
 
-/// Run `runall` to completion in `dir` and return its parsed manifest.
-fn run_to_completion(dir: &Path, jobs: &str, resume: bool) -> Manifest {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_runall"));
-    cmd.current_dir(dir)
+/// The chaos spec of the CI `chaos-smoke` job.
+const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
+                          stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05;panic:p=0.05";
+
+/// `pq runall` at smoke scale, seed 1910, in `dir`.
+fn runall(dir: &Path, faults: Option<&str>, jobs: u32) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pq"));
+    cmd.arg("runall")
+        .current_dir(dir)
         .env("PQ_SCALE", "smoke")
         .env("PQ_SEED", "1910")
-        .env("PQ_JOBS", jobs)
+        .env("PQ_JOBS", jobs.to_string())
         .stdout(Stdio::null())
         .stderr(Stdio::null());
-    if resume {
-        cmd.env("PQ_RESUME", "1");
+    if let Some(spec) = faults {
+        cmd.env("PQ_FAULTS", spec);
     }
-    let status = cmd.status().expect("spawn runall");
-    assert!(status.success(), "runall failed in {}", dir.display());
-    let text = std::fs::read_to_string(dir.join("results/manifest.json")).expect("manifest");
-    Manifest::from_json(&Value::parse(&text).expect("manifest JSON")).expect("manifest decodes")
+    cmd
 }
 
-/// Count intact journal records (complete lines) in `dir`.
-fn journal_lines(dir: &Path) -> usize {
-    std::fs::read_to_string(dir.join("results/journal.jsonl"))
+/// Count intact journal records (complete lines).
+fn journal_lines(journal: &Path) -> usize {
+    std::fs::read_to_string(journal)
         .map(|s| s.lines().count())
         .unwrap_or(0)
 }
 
-#[test]
-fn sigkill_mid_sweep_then_resume_is_bit_identical() {
-    let base = std::env::temp_dir().join(format!("pq-kill-resume-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-    let clean_dir = base.join("clean");
-    let killed_dir = base.join("killed");
-    std::fs::create_dir_all(&clean_dir).unwrap();
-    std::fs::create_dir_all(&killed_dir).unwrap();
+fn kill_then_resume(faults: Option<&str>, kill_jobs: u32, resume_jobs: u32, pinned_digest: &str) {
+    let dir = std::env::temp_dir().join(format!(
+        "pq-kill-resume-{}-{pinned_digest}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("results/journal.jsonl");
 
-    // Uninterrupted baseline at 4 workers.
-    let clean = run_to_completion(&clean_dir, "4", false);
-    assert_eq!(clean.resumed_from_cells, 0);
-    assert!(!clean.resumable);
-    assert!(
-        !clean_dir.join("results/journal.jsonl").exists(),
-        "journal must be retired after a completed run"
-    );
-
-    // Interrupted run at 1 worker: SIGKILL as soon as a few cells are
-    // durable — no destructors, no signal handler, nothing but the
-    // journal survives.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_runall"))
-        .current_dir(&killed_dir)
-        .env("PQ_SCALE", "smoke")
-        .env("PQ_SEED", "1910")
-        .env("PQ_JOBS", "1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn runall");
+    // SIGKILL as soon as a few cells are durable — no destructors, no
+    // signal handler, nothing but the journal survives.
+    let mut child = runall(&dir, faults, kill_jobs).spawn().expect("spawn pq");
     let mut polls = 0;
-    while journal_lines(&killed_dir) < 4 {
+    while journal_lines(&journal) < 4 {
         polls += 1;
         assert!(polls < 6000, "journal never grew; is checkpointing wired?");
         if let Some(status) = child.try_wait().expect("try_wait") {
@@ -78,31 +62,58 @@ fn sigkill_mid_sweep_then_resume_is_bit_identical() {
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    child.kill().expect("SIGKILL runall");
-    child.wait().expect("reap runall");
-    let after_kill = journal_lines(&killed_dir);
-    assert!(
-        killed_dir.join("results/journal.jsonl").exists(),
-        "journal must survive a SIGKILL"
-    );
+    child.kill().expect("SIGKILL pq");
+    child.wait().expect("reap pq");
+    let after_kill = journal_lines(&journal);
+    assert!(journal.exists(), "journal must survive a SIGKILL");
 
-    // Resume at 4 workers: completed cells replayed, the rest rebuilt,
-    // output digest bit-identical to the uninterrupted baseline.
-    let resumed = run_to_completion(&killed_dir, "4", true);
+    // Resume at the other worker count: completed cells replayed, the
+    // rest rebuilt, output digest bit-identical to the pinned one.
+    let status = runall(&dir, faults, resume_jobs)
+        .env("PQ_RESUME", "1")
+        .status()
+        .expect("spawn pq");
+    assert!(status.success(), "resumed runall failed");
+    let text = std::fs::read_to_string(dir.join("results/manifest.json")).expect("manifest");
+    let m = Value::parse(&text).expect("manifest JSON");
+    let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("manifest has {key}"));
     assert_eq!(
-        resumed.study_digest, clean.study_digest,
-        "resumed digest diverged from the uninterrupted baseline"
+        get("study_digest").as_str(),
+        Some(pinned_digest),
+        "resumed digest diverged from the pinned baseline"
     );
     assert!(
-        resumed.resumed_from_cells > 0,
+        get("resumed_from_cells").as_u64() > Some(0),
         "nothing was resumed (journal had {after_kill} lines at kill time)"
     );
-    assert!(!resumed.resumable);
-    assert!(resumed.journal_records > 0);
+    assert_eq!(get("resumable").as_bool(), Some(false));
+    assert!(get("journal_records").as_u64() > Some(0));
+    assert_eq!(get("jobs").as_u64(), Some(u64::from(resume_jobs)));
+    assert_eq!(get("fault_spec").as_str(), Some(faults.unwrap_or("")));
     assert!(
-        !killed_dir.join("results/journal.jsonl").exists(),
+        !journal.exists(),
         "journal must be retired after the resumed run completes"
     );
 
-    std::fs::remove_dir_all(&base).ok();
+    // The child ran in a temp directory: the lint debt it records must
+    // still be the repository's, not "no baseline here, so none".
+    let baseline = Path::new(pq_bench::manifest::LINT_BASELINE_PATH);
+    assert!(baseline.is_file(), "{} is committed", baseline.display());
+    let debt = pq_lint::Baseline::load(baseline).expect("baseline parses");
+    assert_eq!(
+        get("lint_baseline_count").as_u64(),
+        Some(debt.total() as u64)
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn smoke_killed_at_1_worker_resumes_at_4_to_the_pinned_digest() {
+    kill_then_resume(None, 1, 4, "c0d50f06ad80383f");
+}
+
+#[test]
+fn chaos_killed_at_4_workers_resumes_at_1_to_the_pinned_digest() {
+    kill_then_resume(Some(CHAOS_SPEC), 4, 1, "6a3c5bc812ebed5d");
 }

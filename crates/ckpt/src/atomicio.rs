@@ -7,7 +7,6 @@
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 
 /// Substring that marks a temp file as ours. The pid suffix keeps
 /// concurrent processes writing the same target from colliding.
@@ -57,8 +56,6 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     })();
     if write.is_err() {
         let _ = fs::remove_file(&tmp);
-    } else {
-        crate::ATOMIC_WRITES.fetch_add(1, Ordering::Relaxed);
     }
     write
 }
@@ -82,7 +79,6 @@ pub fn durable_append(path: impl AsRef<Path>, line: &str) -> io::Result<()> {
         f.write_all(b"\n")?;
     }
     f.sync_data()?;
-    crate::DURABLE_APPENDS.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 
@@ -114,7 +110,6 @@ pub fn recover_stale_temps(dir: impl AsRef<Path>) -> io::Result<usize> {
             removed += 1;
         }
     }
-    crate::STALE_TEMPS_REMOVED.fetch_add(removed as u64, Ordering::Relaxed);
     Ok(removed)
 }
 

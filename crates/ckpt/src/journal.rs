@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use crate::fnv::fnv1a;
@@ -328,9 +327,7 @@ fn replay_file(path: &Path) -> io::Result<(ReplayMap, Replay)> {
         let f = fs::OpenOptions::new().write(true).open(path)?;
         f.set_len(off as u64)?;
         f.sync_all()?;
-        crate::TORN_TRUNCATIONS.fetch_add(1, Ordering::Relaxed);
     }
-    crate::RECORDS_REPLAYED.fetch_add(info.records as u64, Ordering::Relaxed);
     Ok((map, info))
 }
 
@@ -408,7 +405,6 @@ pub fn journal_append(rec: &Record) -> io::Result<()> {
         st.writer.write_all(line.as_bytes())?;
         st.writer.sync_data()?;
         st.written += 1;
-        crate::RECORDS_WRITTEN.fetch_add(1, Ordering::Relaxed);
         Ok(())
     })
 }
@@ -490,7 +486,6 @@ fn append_locked(st: &mut State, rec: &Record) -> io::Result<()> {
     st.writer.write_all(line.as_bytes())?;
     st.writer.sync_data()?;
     st.written += 1;
-    crate::RECORDS_WRITTEN.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 

@@ -50,7 +50,6 @@ pub use journal::{
 };
 pub use sig::{install_signal_handlers, interrupted, set_interrupted};
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Lossless `f64` encoding for journal fields: the IEEE-754 bit
@@ -81,45 +80,6 @@ pub fn u64_from_hex(s: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(s, 16).ok()
-}
-
-/// Monotonic counters describing everything pq-ckpt has done this
-/// process. `pq-bench` bridges these into the metrics registry as
-/// `ckpt.*` counters at manifest-collection time (this crate cannot —
-/// it sits below `pq-obs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Journal records appended (cells, quarantines, meta).
-    pub records_written: u64,
-    /// Intact records replayed from a pre-existing journal.
-    pub records_replayed: u64,
-    /// Torn/corrupt journal tails detected and truncated.
-    pub torn_truncations: u64,
-    /// Successful [`atomic_write`] calls.
-    pub atomic_writes: u64,
-    /// Successful [`durable_append`] calls.
-    pub durable_appends: u64,
-    /// Stale `*.pq-tmp.*` files removed at recovery.
-    pub stale_temps_removed: u64,
-}
-
-pub(crate) static RECORDS_WRITTEN: AtomicU64 = AtomicU64::new(0);
-pub(crate) static RECORDS_REPLAYED: AtomicU64 = AtomicU64::new(0);
-pub(crate) static TORN_TRUNCATIONS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static ATOMIC_WRITES: AtomicU64 = AtomicU64::new(0);
-pub(crate) static DURABLE_APPENDS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static STALE_TEMPS_REMOVED: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the crate-wide counters.
-pub fn stats() -> Stats {
-    Stats {
-        records_written: RECORDS_WRITTEN.load(Ordering::Relaxed),
-        records_replayed: RECORDS_REPLAYED.load(Ordering::Relaxed),
-        torn_truncations: TORN_TRUNCATIONS.load(Ordering::Relaxed),
-        atomic_writes: ATOMIC_WRITES.load(Ordering::Relaxed),
-        durable_appends: DURABLE_APPENDS.load(Ordering::Relaxed),
-        stale_temps_removed: STALE_TEMPS_REMOVED.load(Ordering::Relaxed),
-    }
 }
 
 type WarnSink = Box<dyn Fn(&str) + Send + Sync>;

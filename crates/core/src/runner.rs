@@ -18,29 +18,15 @@ use crate::stimulus::StimulusSet;
 use pq_obs::{ArgValue, Level};
 use pq_transport::Protocol;
 
-/// Record one group×study execution: funnel R1–R7 gauges + vote
-/// counter in the registry, plus a wall-clock progress span on the
-/// harness track (`pid 0`).
+/// Record one group×study execution: the vote counter in the
+/// registry, plus a wall-clock progress span on the harness track
+/// (`pid 0`).
 fn obs_study(study: &'static str, group: Group, funnel: &Funnel, votes: usize, start_ns: u64) {
     let g = group.name();
-    let reg = pq_obs::registry();
-    reg.counter_add(
+    pq_obs::registry().counter_add(
         &format!("study.votes{{study=\"{study}\",group=\"{g}\"}}"),
         votes as u64,
     );
-    reg.gauge_set(
-        &format!("study.funnel{{study=\"{study}\",group=\"{g}\",stage=\"recruited\"}}"),
-        f64::from(funnel.recruited),
-    );
-    for (i, &n) in funnel.after.iter().enumerate() {
-        reg.gauge_set(
-            &format!(
-                "study.funnel{{study=\"{study}\",group=\"{g}\",stage=\"R{}\"}}",
-                i + 1
-            ),
-            f64::from(n),
-        );
-    }
     if pq_obs::enabled(Level::Info) {
         let t = pq_obs::tracer();
         t.span(

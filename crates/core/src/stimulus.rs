@@ -532,12 +532,6 @@ impl StimulusSet {
         if !quarantined.is_empty() {
             reg.counter_add("run.quarantined", quarantined.len() as u64);
         }
-        if resumed_cells > 0 {
-            reg.counter_add("run.resumed_cells", resumed_cells);
-        }
-        if cells_timed_out > 0 {
-            reg.counter_add("run.cells_timed_out", cells_timed_out);
-        }
         StimulusSet {
             site_names: sites.iter().map(|s| s.name.clone()).collect(),
             map,

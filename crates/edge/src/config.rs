@@ -5,30 +5,28 @@ use pq_transport::Protocol;
 
 /// Tunables of the edge topology and its two network functions.
 ///
-/// Every field has a conservative default; [`EdgeConfig::from_env`]
-/// overrides from `PQ_EDGE_*` variables through the `pq_obs::env`
-/// funnel. The config is bound per page load (never read inside the
-/// event loop), so a load's behaviour is a pure function of
-/// `(config, derived seed)`.
+/// Every field has a conservative default, which is what the study
+/// grids run with; a caller that wants another cell (pq-perf's PEMI
+/// probe, the pool and middlebox tests) fills fields directly and
+/// passes the config in `LoadOptions.edge`. The config is bound per
+/// page load (never read inside the event loop), so a load's behaviour
+/// is a pure function of `(config, derived seed)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EdgeConfig {
-    /// Pooled H2/TCP connections the proxy keeps per replica origin
-    /// (`PQ_EDGE_POOL`).
+    /// Pooled H2/TCP connections the proxy keeps per replica origin.
     pub pool_size: u32,
     /// Idle timeout after which an unused pooled connection is
-    /// evicted (`PQ_EDGE_IDLE_MS`).
+    /// evicted.
     pub idle: SimDuration,
     /// Replica origins per logical origin the proxy load-balances
-    /// across (`PQ_EDGE_REPLICAS`).
+    /// across.
     pub replicas: u32,
     /// Share of the end-to-end minimum RTT on the client-side path
-    /// segment; the rest is backbone (`PQ_EDGE_RTT_SPLIT`).
+    /// segment; the rest is backbone.
     pub client_rtt_share: f64,
-    /// Backbone bandwidth, both directions (`PQ_EDGE_BB_MBPS`,
-    /// megabits per second).
+    /// Backbone bandwidth in bits per second, both directions.
     pub backbone_bps: u64,
-    /// Middlebox packet-buffer budget in bytes (`PQ_EDGE_MBX_BUF_KB`,
-    /// kilobytes).
+    /// Middlebox packet-buffer budget in bytes.
     pub mbx_buffer_bytes: u64,
     /// Packet-number reordering margin before the middlebox declares
     /// a buffered packet lost (the gQUIC kReorderingThreshold shape);
@@ -50,45 +48,6 @@ impl Default for EdgeConfig {
             mbx_buffer_bytes: 256 * 1024,
             mbx_reorder_threshold: 3,
             mbx_flowlet_gap: SimDuration::from_millis(8),
-        }
-    }
-}
-
-impl EdgeConfig {
-    /// Defaults overridden by the `PQ_EDGE_*` environment knobs (read
-    /// through `pq_obs::env`, so set-but-unparsable values warn once
-    /// instead of being silently swallowed).
-    pub fn from_env() -> EdgeConfig {
-        let d = EdgeConfig::default();
-        let pool_size = pq_obs::env::var_parsed::<u32>("PQ_EDGE_POOL")
-            .filter(|&n| n > 0)
-            .unwrap_or(d.pool_size);
-        let idle = pq_obs::env::var_parsed::<u64>("PQ_EDGE_IDLE_MS")
-            .filter(|&ms| ms > 0)
-            .map(SimDuration::from_millis)
-            .unwrap_or(d.idle);
-        let replicas = pq_obs::env::var_parsed::<u32>("PQ_EDGE_REPLICAS")
-            .filter(|&n| n > 0)
-            .unwrap_or(d.replicas);
-        let client_rtt_share = pq_obs::env::var_parsed::<f64>("PQ_EDGE_RTT_SPLIT")
-            .filter(|s| s.is_finite() && *s > 0.0 && *s < 1.0)
-            .unwrap_or(d.client_rtt_share);
-        let backbone_bps = pq_obs::env::var_parsed::<u64>("PQ_EDGE_BB_MBPS")
-            .filter(|&m| m > 0)
-            .map(|m| m * 1_000_000)
-            .unwrap_or(d.backbone_bps);
-        let mbx_buffer_bytes = pq_obs::env::var_parsed::<u64>("PQ_EDGE_MBX_BUF_KB")
-            .filter(|&k| k > 0)
-            .map(|k| k * 1024)
-            .unwrap_or(d.mbx_buffer_bytes);
-        EdgeConfig {
-            pool_size,
-            idle,
-            replicas,
-            client_rtt_share,
-            backbone_bps,
-            mbx_buffer_bytes,
-            ..d
         }
     }
 }
@@ -161,34 +120,6 @@ mod tests {
         assert!(d.pool_size > 0 && d.replicas > 0);
         assert!(d.client_rtt_share > 0.0 && d.client_rtt_share < 1.0);
         assert!(d.mbx_reorder_threshold >= 1);
-    }
-
-    #[test]
-    fn env_overrides_apply() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("PQ_EDGE_POOL", "5");
-        std::env::set_var("PQ_EDGE_REPLICAS", "3");
-        std::env::set_var("PQ_EDGE_RTT_SPLIT", "0.4");
-        let c = EdgeConfig::from_env();
-        assert_eq!(c.pool_size, 5);
-        assert_eq!(c.replicas, 3);
-        assert!((c.client_rtt_share - 0.4).abs() < 1e-12);
-        std::env::remove_var("PQ_EDGE_POOL");
-        std::env::remove_var("PQ_EDGE_REPLICAS");
-        std::env::remove_var("PQ_EDGE_RTT_SPLIT");
-        assert_eq!(EdgeConfig::from_env(), EdgeConfig::default());
-    }
-
-    #[test]
-    fn bad_env_values_fall_back() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::set_var("PQ_EDGE_POOL", "0");
-        std::env::set_var("PQ_EDGE_RTT_SPLIT", "1.5");
-        let c = EdgeConfig::from_env();
-        assert_eq!(c.pool_size, EdgeConfig::default().pool_size);
-        assert_eq!(c.client_rtt_share, EdgeConfig::default().client_rtt_share);
-        std::env::remove_var("PQ_EDGE_POOL");
-        std::env::remove_var("PQ_EDGE_RTT_SPLIT");
     }
 
     #[test]

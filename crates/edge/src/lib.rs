@@ -22,8 +22,7 @@
 //!
 //! Neither type performs I/O or reads clocks; the `pq-web` edge
 //! loader drives them from its event loop. [`EdgeConfig`] carries the
-//! knobs, readable from the environment via [`EdgeConfig::from_env`]
-//! (`PQ_EDGE_*`, funnelled through `pq_obs::env`), and
+//! tunables (`LoadOptions.edge`; `None` runs the defaults), and
 //! [`stacks_from_env`] parses the `PQ_STACKS` stack selection.
 
 #![forbid(unsafe_code)]

@@ -254,8 +254,10 @@ fn is_test_path(rel: &str) -> bool {
 /// Crate roots where `#![forbid(unsafe_code)]` is required.
 fn is_crate_root(rel: &str) -> bool {
     rel.ends_with("src/lib.rs") || rel.ends_with("src/main.rs") || {
-        // Binary roots: crates/<c>/src/bin/<b>.rs
-        rel.contains("/src/bin/") && rel.ends_with(".rs")
+        // Binary roots: crates/<c>/src/bin/<b>.rs and
+        // src/bin/<b>/main.rs, whose sibling files are its modules.
+        rel.split_once("/src/bin/")
+            .is_some_and(|(_, bin)| bin.ends_with("/main.rs") || !bin.contains('/'))
     }
 }
 
@@ -468,7 +470,9 @@ mod tests {
         assert!(is_test_path("crates/web/src/browser_tests.rs"));
         assert!(is_test_path("crates/transport/src/testutil.rs"));
         assert!(!is_test_path("crates/web/src/browser.rs"));
-        assert!(is_crate_root("crates/bench/src/bin/runall.rs"));
+        assert!(is_crate_root("crates/lint/src/bin/tool.rs"));
+        assert!(is_crate_root("crates/bench/src/bin/pq/main.rs"));
+        assert!(!is_crate_root("crates/bench/src/bin/pq/runall.rs"));
         assert!(is_crate_root("src/lib.rs"));
         assert!(!is_crate_root("crates/web/src/browser.rs"));
     }

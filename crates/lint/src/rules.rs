@@ -134,7 +134,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "prof-name",
         family: Family::O,
-        what: "profiler span/tick literal not collapsed-stack-safe, or a prof-prefixed \
+        what: "profiler span literal not collapsed-stack-safe, or a prof-prefixed \
                metric name violating the dotted-lowercase convention",
     },
     RuleInfo {
@@ -573,7 +573,7 @@ fn rule_metric_name(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         }
         let is_sink = matches!(
             t.text.as_str(),
-            "counter_add" | "observe" | "gauge_set" | "counter" | "gauge"
+            "counter_add" | "observe" | "counter" | "gauge"
         );
         if !is_sink {
             continue;
@@ -618,7 +618,7 @@ fn metric_name_ok(name: &str) -> bool {
         })
 }
 
-/// A span/tick frame name that survives collapsed-stack output: the
+/// A span frame name that survives collapsed-stack output: the
 /// `;`-joined, space-separated folded format corrupts if a frame name
 /// itself contains a space or `;` (and ` ` would split the count off).
 fn folded_name_ok(name: &str) -> bool {
@@ -631,8 +631,8 @@ fn folded_name_ok(name: &str) -> bool {
 
 /// O: profiler naming. Two checks:
 ///
-/// * literal frame names passed to `pq_prof::span(` / `pq_prof::tick(`
-///   must be folded-safe (see [`folded_name_ok`]) — a space or `;`
+/// * literal frame names passed to `pq_prof::span(` must be
+///   folded-safe (see [`folded_name_ok`]) — a space or `;`
 ///   silently corrupts every collapsed-stack line the frame appears in;
 /// * any string literal starting with `prof.` is a profiler metric
 ///   name; stripped of a `{label="…"}` suffix it must pass the same
@@ -662,15 +662,9 @@ fn rule_prof_name(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             }
             continue;
         }
-        // `pq_prof::span("literal")` / `pq_prof::tick("literal")` —
-        // formatted names (span_dyn closures) are exempt by
-        // construction, same as metric-name.
-        if t.kind != TokKind::Ident || t.text != "pq_prof" {
-            continue;
-        }
-        let span = matches_at(toks, i, &["pq_prof", ":", ":", "span", "("]);
-        let tick = matches_at(toks, i, &["pq_prof", ":", ":", "tick", "("]);
-        if !span && !tick {
+        // `pq_prof::span("literal")` — formatted names (span_dyn
+        // closures) are exempt by construction, same as metric-name.
+        if !matches_at(toks, i, &["pq_prof", ":", ":", "span", "("]) {
             continue;
         }
         let Some(arg) = toks.get(i + 5) else { continue };
@@ -875,13 +869,13 @@ mod tests {
 
     #[test]
     fn prof_frame_names_must_be_folded_safe() {
-        let bad = "let _s = pq_prof::span(\"RTO retransmit\"); pq_prof::tick(\"has;semi\");";
+        let bad = "let _s = pq_prof::span(\"RTO retransmit\"); pq_prof::span(\"has;semi\");";
         assert_eq!(
             rules_hit(bad, "crates/transport/src/x.rs", Some("transport")),
             ["prof-name", "prof-name"]
         );
         let good =
-            "let _s = pq_prof::span(\"transport:rto-retransmit\"); pq_prof::tick(\"quic:rto\");";
+            "let _s = pq_prof::span(\"transport:rto-retransmit\"); pq_prof::span(\"par:run\");";
         assert!(rules_hit(good, "crates/transport/src/x.rs", Some("transport")).is_empty());
         // Formatted names (span_dyn closures) are exempt by construction.
         let dy = "let _s = pq_prof::span_dyn(|| format!(\"link:{label}\"));";
@@ -897,7 +891,7 @@ mod tests {
             rules_hit(bad, "crates/obs/src/x.rs", Some("obs")),
             ["prof-name"]
         );
-        let good = "reg.gauge_set(\"prof.alloc.peak_bytes\", 1.0); \
+        let good = "reg.counter_add(\"prof.alloc.peak_bytes\", 1); \
                     reg.counter_add(&format!(\"prof.span.count{{path=\\\"{p}\\\"}}\"), 1);";
         assert!(rules_hit(good, "crates/obs/src/x.rs", Some("obs")).is_empty());
     }

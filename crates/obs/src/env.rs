@@ -35,17 +35,9 @@ use std::sync::Mutex;
 /// listed; they go through [`var_os`] at sanctioned call sites.
 pub const KNOWN_VARS: &[&str] = &[
     "PQ_CELL_TIMEOUT_MS",
-    "PQ_EDGE_BB_MBPS",
-    "PQ_EDGE_IDLE_MS",
-    "PQ_EDGE_MBX_BUF_KB",
-    "PQ_EDGE_POOL",
-    "PQ_EDGE_REPLICAS",
-    "PQ_EDGE_RTT_SPLIT",
     "PQ_FAULTS",
-    "PQ_FIXTURE",
     "PQ_JOBS",
     "PQ_JOURNAL",
-    "PQ_PROF",
     "PQ_PROF_ALLOC",
     "PQ_PROF_OUT",
     "PQ_PROF_SVG",

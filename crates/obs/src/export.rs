@@ -249,67 +249,6 @@ mod tests {
         assert_eq!(span.get("dur").and_then(Value::as_f64), Some(2.5));
     }
 
-    // Prometheus text exposition coverage (the other exposition format
-    // a run exports, via `Registry::to_prometheus`): name/label
-    // escaping, quantile line ordering, and the empty-registry case.
-
-    #[test]
-    fn prometheus_escapes_labelled_names() {
-        let r = crate::metrics::Registry::new();
-        r.counter_add("par.worker_tasks{worker=\"3\"}", 11);
-        r.gauge_set("prof.alloc.peak_bytes", 42.0);
-        let text = r.to_prometheus();
-        // Every non-alphanumeric char maps to '_': braces, quotes,
-        // '=', '.' — the exposition must never emit raw label syntax.
-        assert!(text.contains("# TYPE par_worker_tasks_worker__3__ counter"));
-        assert!(text.contains("par_worker_tasks_worker__3__ 11"));
-        assert!(text.contains("prof_alloc_peak_bytes 42"));
-        for line in text.lines() {
-            assert!(
-                !line.contains('{') && !line.contains('"'),
-                "unescaped label syntax in {line:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn prometheus_summary_line_order() {
-        let r = crate::metrics::Registry::new();
-        for v in [1.0, 10.0, 100.0] {
-            r.observe("web.plt_ms", v);
-        }
-        let text = r.to_prometheus();
-        let idx = |needle: &str| {
-            text.find(needle)
-                .unwrap_or_else(|| panic!("missing {needle}"))
-        };
-        let type_line = idx("# TYPE web_plt_ms summary");
-        let q50 = idx("web_plt_ms{quantile=\"0.5\"}");
-        let q90 = idx("web_plt_ms{quantile=\"0.9\"}");
-        let q99 = idx("web_plt_ms{quantile=\"0.99\"}");
-        let sum = idx("web_plt_ms_sum");
-        let count = idx("web_plt_ms_count");
-        assert!(type_line < q50 && q50 < q90 && q90 < q99 && q99 < sum && sum < count);
-        assert!(text.contains("web_plt_ms_count 3"));
-    }
-
-    #[test]
-    fn prometheus_empty_registry_is_empty() {
-        let r = crate::metrics::Registry::new();
-        assert_eq!(r.to_prometheus(), "");
-    }
-
-    #[test]
-    fn prometheus_mixed_types_sorted_by_name() {
-        let r = crate::metrics::Registry::new();
-        r.gauge_set("b.gauge", 1.0);
-        r.counter_add("a.counter", 1);
-        let text = r.to_prometheus();
-        let a = text.find("a_counter").expect("counter present");
-        let b = text.find("b_gauge").expect("gauge present");
-        assert!(a < b, "exposition is name-sorted");
-    }
-
     #[test]
     fn jsonl_lines_parse_individually() {
         let events = vec![

@@ -54,14 +54,6 @@ impl Value {
         self
     }
 
-    /// Remove a key from an object, returning its value. `None` when
-    /// the key is absent or `self` is not an object.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let Value::Obj(map) = self else { return None };
-        let idx = map.iter().position(|(k, _)| k == key)?;
-        Some(map.remove(idx).1)
-    }
-
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {

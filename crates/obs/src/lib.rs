@@ -12,10 +12,12 @@
 //!   load, so the instrumented hot paths cost (near) nothing when
 //!   disabled. Enable with `PQ_TRACE=info` (or `error`/`warn`/`debug`/
 //!   `trace`) and direct the export with `PQ_TRACE_OUT=path`.
-//! * [`metrics`] — a process-global registry of counters, gauges and
-//!   log-bucketed histograms (p50/p90/p99) with Prometheus-text and
-//!   JSON exposition. Always on (the emitting layers batch updates so
-//!   the per-event cost stays negligible).
+//! * [`metrics`] — a process-global registry of counters and
+//!   log-bucketed histograms (p50/p90/p99), read by name through typed
+//!   accessors: the run manifest, `benches/perf` and the tests are its
+//!   readers, and [`names::METRIC_NAMES`] lists only series one of
+//!   them reads. Always on (the emitting layers batch updates so the
+//!   per-event cost stays negligible).
 //! * [`export`] — serialisers for the trace buffer: JSONL event logs
 //!   (`*.jsonl`) and the Chrome trace-event format (anything else),
 //!   which renders page loads as waterfalls in Perfetto or
@@ -26,9 +28,10 @@
 //!   fills the gap with ~300 auditable lines).
 //! * [`timing`] — wall-clock phase timers for the experiment harness.
 //! * [`profile`] — the bridge to `pq-prof`: configures the counting
-//!   allocator and span profiler from `PQ_PROF_*` knobs, mirrors the
-//!   profile into `prof.*` registry metrics, and writes the
+//!   allocator and span profiler from `PQ_PROF_*` knobs and writes the
 //!   collapsed-stack / flamegraph-SVG outputs at exit.
+//! * [`names`] — the declared metric and span-frame names a run is
+//!   held to.
 //! * [`env`] — the central environment-variable funnel: every `PQ_*`
 //!   knob in the workspace reads through [`env::var`] /
 //!   [`env::var_parsed`] (unparsable values warn via the tracer), and
@@ -43,9 +46,8 @@
 //! | `PQ_TRACE_OUT` | export path; `.jsonl` → JSONL, else Chrome trace JSON |
 //! | `PQ_TRACE_BUF` | ring capacity in events (default 262144) |
 //! | `PQ_PROF_ALLOC` | `1` enables the counting allocator (per-phase/per-worker alloc attribution) |
-//! | `PQ_PROF` | `1` enables the span-stack profiler without writing a file |
-//! | `PQ_PROF_OUT` | collapsed-stack output path (implies the span profiler on) |
-//! | `PQ_PROF_SVG` | flamegraph SVG output path (implies the span profiler on) |
+//! | `PQ_PROF_OUT` | collapsed-stack output path (turns the span profiler on) |
+//! | `PQ_PROF_SVG` | flamegraph SVG output path (turns the span profiler on) |
 //!
 //! ## Track conventions
 //!

@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges, log-bucketed histograms.
+//! The metrics registry: counters and log-bucketed histograms.
 //!
 //! A single process-global [`Registry`] accumulates metrics across an
 //! entire experiment (thousands of simulated page loads). Histograms
@@ -7,11 +7,10 @@
 //! for regression tracking — while staying allocation-free after the
 //! first observation.
 //!
-//! Exposition: [`Registry::to_prometheus`] (text format 0.0.4) and
-//! [`Registry::to_json`], plus typed [`MetricSnapshot`]s for the run
-//! manifests in `pq-bench`.
+//! Readers take typed values: [`Registry::counter_value`] (the run
+//! manifest, `benches/perf`) and [`MetricSnapshot`]s (the manifest's
+//! `plt_ms` rows, the emitted-name check in `tests/determinism.rs`).
 
-use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -25,7 +24,6 @@ const BUCKET_FLOOR: f64 = 1e-3;
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(u64),
-    Gauge(f64),
     Histogram(Box<Histo>),
 }
 
@@ -111,8 +109,6 @@ impl Histo {
 pub enum MetricSnapshot {
     /// Monotonic counter value.
     Counter(u64),
-    /// Last-set gauge value.
-    Gauge(f64),
     /// Histogram summary.
     Histogram {
         /// Number of observations.
@@ -130,33 +126,6 @@ pub enum MetricSnapshot {
         /// ~99th percentile.
         p99: f64,
     },
-}
-
-impl MetricSnapshot {
-    /// Encode as a JSON value (used by manifests).
-    pub fn to_json(&self) -> Value {
-        match self {
-            MetricSnapshot::Counter(v) => Value::obj().with("type", "counter").with("value", *v),
-            MetricSnapshot::Gauge(v) => Value::obj().with("type", "gauge").with("value", *v),
-            MetricSnapshot::Histogram {
-                count,
-                sum,
-                min,
-                max,
-                p50,
-                p90,
-                p99,
-            } => Value::obj()
-                .with("type", "histogram")
-                .with("count", *count)
-                .with("sum", *sum)
-                .with("min", *min)
-                .with("max", *max)
-                .with("p50", *p50)
-                .with("p90", *p90)
-                .with("p99", *p99),
-        }
-    }
 }
 
 /// A registry of named metrics. One global instance lives behind
@@ -202,15 +171,6 @@ impl Registry {
         );
     }
 
-    /// Set the gauge `name`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.upsert(
-            name,
-            || Metric::Gauge(value),
-            |metric| *metric = Metric::Gauge(value),
-        );
-    }
-
     /// Record one observation into histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
         self.upsert(
@@ -235,14 +195,6 @@ impl Registry {
         }
     }
 
-    /// Current gauge value.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        match self.inner.lock().expect("registry poisoned").get(name) {
-            Some(Metric::Gauge(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Snapshot one metric.
     pub fn get(&self, name: &str) -> Option<MetricSnapshot> {
         self.inner
@@ -261,68 +213,11 @@ impl Registry {
             .map(|(k, v)| (k.clone(), snapshot_of(v)))
             .collect()
     }
-
-    /// Remove all metrics whose name starts with `prefix` (used by
-    /// harness phases that want per-phase deltas, and by tests).
-    pub fn clear_prefix(&self, prefix: &str) {
-        self.inner
-            .lock()
-            .expect("registry poisoned")
-            .retain(|k, _| !k.starts_with(prefix));
-    }
-
-    /// Prometheus text exposition (format 0.0.4). Metric names have
-    /// `.`/`-` mapped to `_`; histograms expose `_count`, `_sum` and
-    /// quantile gauges.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, snap) in self.snapshot() {
-            let pname: String = name
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            match snap {
-                MetricSnapshot::Counter(v) => {
-                    let _ = writeln!(out, "# TYPE {pname} counter\n{pname} {v}");
-                }
-                MetricSnapshot::Gauge(v) => {
-                    let _ = writeln!(out, "# TYPE {pname} gauge\n{pname} {v}");
-                }
-                MetricSnapshot::Histogram {
-                    count,
-                    sum,
-                    p50,
-                    p90,
-                    p99,
-                    ..
-                } => {
-                    let _ = writeln!(out, "# TYPE {pname} summary");
-                    let _ = writeln!(out, "{pname}{{quantile=\"0.5\"}} {p50}");
-                    let _ = writeln!(out, "{pname}{{quantile=\"0.9\"}} {p90}");
-                    let _ = writeln!(out, "{pname}{{quantile=\"0.99\"}} {p99}");
-                    let _ = writeln!(out, "{pname}_sum {sum}");
-                    let _ = writeln!(out, "{pname}_count {count}");
-                }
-            }
-        }
-        out
-    }
-
-    /// JSON exposition: `{name: {type, …}}`.
-    pub fn to_json(&self) -> Value {
-        let mut obj = Value::obj();
-        for (name, snap) in self.snapshot() {
-            obj.set(&name, snap.to_json());
-        }
-        obj
-    }
 }
 
 fn snapshot_of(m: &Metric) -> MetricSnapshot {
     match m {
         Metric::Counter(v) => MetricSnapshot::Counter(*v),
-        Metric::Gauge(v) => MetricSnapshot::Gauge(*v),
         Metric::Histogram(h) => MetricSnapshot::Histogram {
             count: h.count,
             sum: h.sum,
@@ -340,13 +235,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges() {
+    fn counters_accumulate() {
         let r = Registry::new();
         r.counter_add("test.c", 2);
         r.counter_add("test.c", 3);
-        r.gauge_set("test.g", 1.5);
         assert_eq!(r.counter_value("test.c"), 5);
-        assert_eq!(r.gauge_value("test.g"), Some(1.5));
         assert_eq!(r.counter_value("absent"), 0);
     }
 
@@ -393,48 +286,5 @@ mod tests {
         assert_eq!(count, 2);
         assert_eq!(min, -5.0);
         assert!(p50 <= 0.0, "clamped to observed range, got {p50}");
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let r = Registry::new();
-        r.counter_add("sim.events_processed", 7);
-        r.observe("web.plt_ms.quic", 1234.0);
-        let text = r.to_prometheus();
-        assert!(text.contains("# TYPE sim_events_processed counter"));
-        assert!(text.contains("sim_events_processed 7"));
-        assert!(text.contains("web_plt_ms_quic_count 1"));
-        assert!(text.contains("quantile=\"0.99\""));
-    }
-
-    #[test]
-    fn json_exposition_parses() {
-        let r = Registry::new();
-        r.counter_add("a", 1);
-        r.observe("b", 2.0);
-        let text = r.to_json().to_pretty();
-        let v = crate::json::Value::parse(&text).expect("valid JSON");
-        assert_eq!(
-            v.get("a")
-                .and_then(|m| m.get("value"))
-                .and_then(Value::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            v.get("b")
-                .and_then(|m| m.get("count"))
-                .and_then(Value::as_u64),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn clear_prefix_scopes() {
-        let r = Registry::new();
-        r.counter_add("x.a", 1);
-        r.counter_add("y.b", 1);
-        r.clear_prefix("x.");
-        assert_eq!(r.counter_value("x.a"), 0);
-        assert_eq!(r.counter_value("y.b"), 1);
     }
 }

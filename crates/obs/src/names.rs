@@ -1,7 +1,7 @@
 //! The declared name registries (the env knobs' sibling list is
 //! [`crate::env::KNOWN_VARS`]).
 //!
-//! Dashboards, the perf gate and the profile tooling all address
+//! The run manifest, `benches/perf` and the profile tooling all address
 //! series and frames *by name*; a typo'd literal silently creates a
 //! parallel series nobody reads. These constants make the name sets
 //! explicit, and `tests/determinism.rs` holds a run to them: after a
@@ -13,59 +13,42 @@
 //! Keep both lists sorted.
 
 /// Every metric name the workspace emits through the registry sinks
-/// (`counter_add` / `observe` / `gauge_set`). Formatted names are
-/// checked by their literal prefix before the first `{`.
+/// (`counter_add` / `observe`). Formatted names are checked by their
+/// literal prefix before the first `{`. A series is listed — and
+/// emitted — only while something reads it: the run manifest,
+/// `benches/perf`, CI or a test.
 pub const METRIC_NAMES: &[&str] = &[
-    "bench.phase_secs",
-    "edge.client_rtt_ms",
     "edge.conns_evicted",
     "edge.conns_opened",
     "edge.conns_reused",
     "edge.mbx_early_retx",
-    "edge.origin_rtt_ms",
     "fault.injected",
     "par.task_panics",
     "par.tasks",
     "par.watchdog_stalls",
     "par.worker_tasks",
-    "prof.alloc.allocs",
-    "prof.alloc.bytes",
-    "prof.alloc.peak_bytes",
-    "prof.alloc.total_allocs",
-    "prof.alloc.total_bytes",
-    "prof.span.count",
-    "prof.span.self_ns",
-    "prof.tick.count",
-    "run.cells_timed_out",
     "run.quarantined",
-    "run.resumed_cells",
     "run.retries",
     "sim.events_processed",
-    "sim.link.bytes_delivered",
     "sim.link.delivered",
     "sim.link.fault_lost",
     "sim.link.offered",
     "sim.link.random_lost",
     "sim.link.tail_dropped",
-    "study.funnel",
     "study.votes",
     "trace.dropped",
-    "web.fvc_ms",
     "web.pageloads",
     "web.pageloads_incomplete",
     "web.plt_ms",
-    "web.plt_ms.quic",
-    "web.si_ms",
 ];
 
-/// Every span/tick frame name in collapsed-stack output. Entries with
+/// Every span frame name in collapsed-stack output. Entries with
 /// a trailing `:` are dynamic-label prefixes (`link:` covers
 /// `link:uplink`, `load:` covers `load:QUIC`, …); phase frames opened
 /// by the bench harness are listed too.
 pub const SPAN_NAMES: &[&str] = &[
     "ablation",
     "agreement",
-    "bridge:tick",
     "edge:dispatch",
     "edge:mbx",
     "event:arrival",
@@ -81,7 +64,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "event:timer",
     "event:tx-down",
     "event:tx-up",
-    "event:unknown",
     "experiment",
     "fig3",
     "fig4",
@@ -91,11 +73,9 @@ pub const SPAN_NAMES: &[&str] = &[
     "load:",
     "par:run",
     "par:worker",
-    "quic:rto",
     "table1",
     "table2",
     "table3",
-    "tcp:rto",
     "transport:rto-retransmit",
 ];
 

@@ -5,11 +5,8 @@
 //! the sanctioned [`crate::env`] funnel:
 //!
 //! * [`init_from_env`] — enable the counting allocator
-//!   (`PQ_PROF_ALLOC`) and the span profiler (`PQ_PROF`, or implied by
-//!   `PQ_PROF_OUT`/`PQ_PROF_SVG`).
-//! * [`export_metrics`] — mirror the profile into `prof.*` metrics in
-//!   the global registry, for Prometheus/JSON exposition next to
-//!   everything else.
+//!   (`PQ_PROF_ALLOC`) and the span profiler (exactly when
+//!   `PQ_PROF_OUT` or `PQ_PROF_SVG` names somewhere to put its result).
 //! * [`flush_to_env`] — write the collapsed-stack file and/or the
 //!   flamegraph SVG at end of run.
 //! * [`alloc_summary`] — a one-line human allocation report for the
@@ -17,63 +14,15 @@
 
 use std::path::PathBuf;
 
-/// Truthy env flag: set and neither empty nor `0`.
-fn flag(name: &str) -> bool {
-    crate::env::var(name).is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Configure `pq-prof` from the environment. Called by
 /// [`crate::trace::init_from_env`], so any binary that initialises
 /// tracing gets profiling knobs for free.
 pub fn init_from_env() {
-    let alloc_on = flag("PQ_PROF_ALLOC");
-    let spans_on = flag("PQ_PROF")
-        || crate::env::var("PQ_PROF_OUT").is_some()
-        || crate::env::var("PQ_PROF_SVG").is_some();
+    // Truthy: set and neither empty nor `0`.
+    let alloc_on = crate::env::var("PQ_PROF_ALLOC").is_some_and(|v| !v.is_empty() && v != "0");
+    let spans_on =
+        crate::env::var("PQ_PROF_OUT").is_some() || crate::env::var("PQ_PROF_SVG").is_some();
     pq_prof::configure(alloc_on, spans_on);
-}
-
-/// Mirror the current profile into `prof.*` metrics in the global
-/// registry: allocation totals/per-phase/per-lane, span self-times and
-/// call counts, and tick counters. Idempotent only in the sense that
-/// counters accumulate — call it once, at end of run.
-pub fn export_metrics() {
-    let reg = crate::metrics::registry();
-    if pq_prof::alloc_enabled() {
-        let snap = pq_prof::alloc_snapshot();
-        reg.counter_add("prof.alloc.total_allocs", snap.total_allocs);
-        reg.counter_add("prof.alloc.total_bytes", snap.total_bytes);
-        reg.gauge_set("prof.alloc.peak_bytes", snap.peak_bytes as f64);
-        for p in &snap.phases {
-            reg.counter_add(
-                &format!("prof.alloc.allocs{{phase=\"{}\"}}", p.phase),
-                p.allocs,
-            );
-            reg.counter_add(
-                &format!("prof.alloc.bytes{{phase=\"{}\"}}", p.phase),
-                p.bytes,
-            );
-        }
-        for l in &snap.lanes {
-            reg.counter_add(
-                &format!("prof.alloc.allocs{{worker=\"{}\"}}", l.lane),
-                l.allocs,
-            );
-            reg.counter_add(
-                &format!("prof.alloc.bytes{{worker=\"{}\"}}", l.lane),
-                l.bytes,
-            );
-        }
-    }
-    if pq_prof::spans_enabled() {
-        for (path, count, self_ns) in pq_prof::folded() {
-            reg.counter_add(&format!("prof.span.count{{path=\"{path}\"}}"), count);
-            reg.counter_add(&format!("prof.span.self_ns{{path=\"{path}\"}}"), self_ns);
-        }
-        for (name, count) in pq_prof::ticks() {
-            reg.counter_add(&format!("prof.tick.count{{name=\"{name}\"}}"), count);
-        }
-    }
 }
 
 /// Write the collapsed-stack profile to `PQ_PROF_OUT` and/or the
@@ -133,32 +82,6 @@ pub fn alloc_summary() -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn export_metrics_mirrors_alloc_and_spans() {
-        // Serialise against other tests that toggle the global flags.
-        let reg = crate::metrics::registry();
-        reg.clear_prefix("prof.");
-        pq_prof::reset();
-        pq_prof::configure(true, true);
-        {
-            let _p = pq_prof::phase_scope("bridge_probe");
-            let v: Vec<u8> = Vec::with_capacity(128 * 1024);
-            std::hint::black_box(&v);
-        }
-        pq_prof::tick("bridge:tick");
-        export_metrics();
-        pq_prof::configure(false, false);
-        assert!(reg.counter_value("prof.alloc.total_allocs") >= 1);
-        assert!(reg.counter_value("prof.alloc.allocs{phase=\"bridge_probe\"}") >= 1);
-        assert!(reg.counter_value("prof.span.count{path=\"bridge_probe\"}") >= 1);
-        assert_eq!(
-            reg.counter_value("prof.tick.count{name=\"bridge:tick\"}"),
-            1
-        );
-        reg.clear_prefix("prof.");
-        pq_prof::reset();
-    }
 
     #[test]
     fn alloc_summary_off_is_none() {

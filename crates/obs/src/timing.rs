@@ -3,9 +3,8 @@
 //! The bench binaries split a run into named phases (`stimuli`,
 //! `study`, `report`, …). A [`PhaseTimer`] measures each phase with
 //! wall time, records a span on the harness track (`pid 0`) so the
-//! phases show up in the exported trace, feeds a
-//! `bench.phase_secs{phase}` histogram in the metrics registry, and
-//! keeps the `(name, seconds)` pairs for the run manifest.
+//! phases show up in the exported trace, and keeps the
+//! `(name, seconds)` pairs for the run manifest.
 //!
 //! [`Stopwatch`] is the single-interval building block.
 
@@ -59,8 +58,6 @@ impl Stopwatch {
 ///
 /// * emits an `Info` span on the harness track (`pid 0`, `tid 0`,
 ///   category `bench`) so Perfetto shows the pipeline timeline,
-/// * observes its duration into the `bench.phase_secs{phase}`
-///   histogram of the global metrics registry,
 /// * is remembered in [`PhaseTimer::phases`] for the run manifest.
 ///
 /// ```
@@ -69,7 +66,6 @@ impl Stopwatch {
 /// let out = timer.phase("main", || "done");
 /// assert_eq!(out, "done");
 /// assert_eq!(timer.phases().len(), 2);
-/// assert!(timer.total_secs() >= 0.0);
 /// ```
 #[derive(Debug, Default)]
 pub struct PhaseTimer {
@@ -96,54 +92,25 @@ impl PhaseTimer {
             f()
         };
         let secs = sw.elapsed_secs();
-        let end_ns = t.wall_ns();
-        self.record(name, secs, start_ns, end_ns);
-        out
-    }
-
-    /// Record an externally measured phase of `secs` seconds ending
-    /// now. Useful when the timed region does not fit a closure.
-    pub fn note(&mut self, name: &str, secs: f64) {
-        let t = tracer();
-        let end_ns = t.wall_ns();
-        let start_ns = end_ns.saturating_sub((secs.max(0.0) * 1e9) as u64);
-        self.record(name, secs, start_ns, end_ns);
-    }
-
-    fn record(&mut self, name: &str, secs: f64, start_ns: u64, end_ns: u64) {
         if crate::trace::enabled(Level::Info) {
-            tracer().span(
+            t.span(
                 Level::Info,
                 "bench",
                 name,
                 0,
                 0,
                 start_ns,
-                end_ns,
+                t.wall_ns(),
                 vec![("secs", ArgValue::F64(secs))],
             );
         }
-        crate::metrics::registry().observe(&format!("bench.phase_secs{{phase=\"{name}\"}}"), secs);
         self.phases.push((name.to_string(), secs));
+        out
     }
 
     /// The completed `(phase, seconds)` pairs, in execution order.
     pub fn phases(&self) -> &[(String, f64)] {
         &self.phases
-    }
-
-    /// Sum of all phase durations in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.phases.iter().map(|(_, s)| s).sum()
-    }
-
-    /// Phase durations as a JSON object `{phase: secs, ...}`.
-    pub fn to_json(&self) -> crate::json::Value {
-        let mut obj = crate::json::Value::obj();
-        for (name, secs) in &self.phases {
-            obj.set(name, crate::json::Value::Num(*secs));
-        }
-        obj
     }
 }
 
@@ -164,29 +131,13 @@ mod tests {
     }
 
     #[test]
-    fn phase_timer_records_order_and_total() {
+    fn phase_timer_records_in_order() {
         let mut timer = PhaseTimer::new();
         let v = timer.phase("one", || 41 + 1);
         assert_eq!(v, 42);
         timer.phase("two", || ());
-        timer.note("three", 0.25);
         let names: Vec<&str> = timer.phases().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["one", "two", "three"]);
-        assert!(timer.total_secs() >= 0.25);
-        let json = timer.to_json();
-        assert_eq!(
-            json.get("three").and_then(crate::json::Value::as_f64),
-            Some(0.25)
-        );
-    }
-
-    #[test]
-    fn phase_timer_feeds_histogram() {
-        let mut timer = PhaseTimer::new();
-        timer.note("hist_probe_phase", 0.5);
-        let snap = crate::metrics::registry().snapshot();
-        assert!(snap
-            .iter()
-            .any(|(name, _)| name.contains("hist_probe_phase")));
+        assert_eq!(names, ["one", "two"]);
+        assert!(timer.phases().iter().all(|(_, secs)| *secs >= 0.0));
     }
 }

@@ -167,8 +167,8 @@ where
         }
     }
 
-    // Per-worker balance counter (scheduler-skew visibility in
-    // BENCH_obs.json); the formatted name carries the worker id as a label.
+    // Per-worker balance counter (read by pq-perf's traced run); the
+    // formatted name carries the worker id as a label.
     pq_obs::registry().counter_add(&format!("par.worker_tasks{{worker=\"{id}\"}}"), local_tasks);
     pq_prof::flush_thread();
     pq_prof::set_lane(0);

@@ -23,9 +23,9 @@
 //!
 //! This crate reads no environment variables and writes no output on
 //! its own: `pq-obs` configures it from `PQ_PROF_ALLOC` / `PQ_PROF_OUT`
-//! through the sanctioned env funnel and exposes the `prof.*` metrics
-//! through its registry; `pq-bench` folds the allocation report into
-//! the run manifest.
+//! / `PQ_PROF_SVG` through the sanctioned env funnel and writes the
+//! folded profile; `pq-bench` folds the allocation report into the run
+//! manifest.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +40,7 @@ pub use alloc::{
 };
 pub use span::{
     current_path, flush_thread, folded, reset_spans, set_spans_enabled, span, span_dyn, span_with,
-    spans_enabled, tick, ticks, worker_span, write_folded, Span,
+    spans_enabled, worker_span, write_folded, Span,
 };
 
 /// The process-wide counting allocator. Costs one relaxed atomic load
@@ -85,8 +85,8 @@ pub fn configure(alloc_on: bool, spans_on: bool) {
     set_spans_enabled(spans_on);
 }
 
-/// Reset all accumulated state (tests): span folds, ticks and
-/// allocation counters. Does not change the enabled flags.
+/// Reset all accumulated state (tests): span folds and allocation
+/// counters. Does not change the enabled flags.
 pub fn reset() {
     reset_spans();
     reset_alloc();

@@ -49,7 +49,6 @@ thread_local! {
 }
 
 static GLOBAL_FOLDED: Mutex<BTreeMap<String, Bucket>> = Mutex::new(BTreeMap::new());
-static TICKS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
 /// Is span profiling active?
 #[inline(always)]
@@ -169,22 +168,6 @@ impl Drop for Span {
     }
 }
 
-/// Count a rare named event (e.g. an RTO retransmit) without opening a
-/// span. Mutex-backed — keep it off per-event hot paths.
-pub fn tick(name: &str) {
-    if !spans_enabled() {
-        return;
-    }
-    let mut t = TICKS.lock().unwrap_or_else(|e| e.into_inner());
-    *t.entry(name.to_string()).or_insert(0) += 1;
-}
-
-/// Snapshot all tick counters as sorted `(name, count)` pairs.
-pub fn ticks() -> Vec<(String, u64)> {
-    let t = TICKS.lock().unwrap_or_else(|e| e.into_inner());
-    t.iter().map(|(k, v)| (k.clone(), *v)).collect()
-}
-
 /// Merge the current thread's folded table into the process-global
 /// one. Worker threads call this before exiting; threads that never
 /// profiled do nothing.
@@ -232,14 +215,13 @@ pub fn write_folded(path: &std::path::Path) -> io::Result<usize> {
     Ok(rows.len())
 }
 
-/// Clear all span state: the global folded table, tick counters and
-/// the calling thread's local table/stack (tests).
+/// Clear all span state: the global folded table and the calling
+/// thread's local table/stack (tests).
 pub fn reset_spans() {
     GLOBAL_FOLDED
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .clear();
-    TICKS.lock().unwrap_or_else(|e| e.into_inner()).clear();
     TPROF.with(|t| {
         let mut t = t.borrow_mut();
         t.folded.clear();
@@ -318,10 +300,8 @@ mod tests {
         set_spans_enabled(false);
         {
             let _a = span("ghost");
-            tick("ghost:tick");
         }
         assert!(folded().is_empty());
-        assert!(ticks().is_empty());
     }
 
     #[test]
@@ -346,19 +326,6 @@ mod tests {
         let rows = folded();
         let bucket = rows.iter().find(|(p, _, _)| p == "outer;event:timer");
         assert_eq!(bucket.map(|b| b.1), Some(2), "same bucket either way");
-        reset_spans();
-    }
-
-    #[test]
-    fn ticks_accumulate() {
-        let _g = test_lock();
-        reset_spans();
-        set_spans_enabled(true);
-        tick("transport:retransmit");
-        tick("transport:retransmit");
-        set_spans_enabled(false);
-        let t = ticks();
-        assert_eq!(t, vec![("transport:retransmit".to_string(), 2)]);
         reset_spans();
     }
 

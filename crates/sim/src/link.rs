@@ -327,7 +327,6 @@ impl<P> Drop for Link<P> {
         let reg = pq_obs::registry();
         reg.counter_add("sim.link.offered", s.offered);
         reg.counter_add("sim.link.delivered", s.delivered);
-        reg.counter_add("sim.link.bytes_delivered", s.bytes_delivered);
         if s.tail_dropped > 0 {
             reg.counter_add("sim.link.tail_dropped", s.tail_dropped);
         }

@@ -866,7 +866,6 @@ impl QuicConnection {
             };
             if ep.rto_at.is_some_and(|t| t <= now) {
                 let _rto_span = pq_prof::span("transport:rto-retransmit");
-                pq_prof::tick("quic:rto");
                 ep.on_rto(now, id, &mut self.out);
             }
             if ep.pacing_at.is_some_and(|t| t <= now) {

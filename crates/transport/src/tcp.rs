@@ -923,12 +923,10 @@ impl TcpConnection {
         // RTOs and pacing resumes.
         if self.c2s_snd.rto_at.is_some_and(|t| t <= now) {
             let _rto_span = pq_prof::span("transport:rto-retransmit");
-            pq_prof::tick("tcp:rto");
             self.c2s_snd.on_rto(now, self.cfg.pacing, &mut self.out);
         }
         if self.s2c_snd.rto_at.is_some_and(|t| t <= now) {
             let _rto_span = pq_prof::span("transport:rto-retransmit");
-            pq_prof::tick("tcp:rto");
             self.s2c_snd.on_rto(now, self.cfg.pacing, &mut self.out);
         }
         if self.c2s_snd.pacing_at.is_some_and(|t| t <= now) {

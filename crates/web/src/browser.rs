@@ -78,10 +78,9 @@ pub struct LoadOptions {
     /// copies it in at the runner layer.
     pub faults: Option<std::sync::Arc<pq_fault::FaultPlan>>,
     /// Edge-topology knobs for the edge stacks (`QUIC-EDGE`,
-    /// `QUIC-MBX`, `H2-EDGE`). `None` — the default — reads
-    /// `PQ_EDGE_*` from the environment at load entry. Ignored
-    /// entirely by the Table-1 stacks, which keep their single-link
-    /// topology bit-for-bit.
+    /// `QUIC-MBX`, `H2-EDGE`). `None` — the default — means
+    /// `EdgeConfig::default()`. Ignored entirely by the Table-1
+    /// stacks, which keep their single-link topology bit-for-bit.
     pub edge: Option<EdgeConfig>,
 }
 
@@ -395,7 +394,7 @@ pub fn load_page_with_config(
     // single end-to-end link untouched.
     let edge_cfg = protocol
         .is_edge()
-        .then(|| opts.edge.clone().unwrap_or_else(EdgeConfig::from_env));
+        .then(|| opts.edge.clone().unwrap_or_default());
     let link_net = match &edge_cfg {
         Some(ec) => net.client_segment(ec.client_rtt_share),
         None => net.clone(),
@@ -1266,8 +1265,6 @@ impl<'a> Loader<'a> {
             reg.counter_add("web.pageloads_incomplete", 1);
         }
         reg.observe(&format!("web.plt_ms{{proto=\"{label}\"}}"), metrics.plt_ms);
-        reg.observe(&format!("web.fvc_ms{{proto=\"{label}\"}}"), metrics.fvc_ms);
-        reg.observe(&format!("web.si_ms{{proto=\"{label}\"}}"), metrics.si_ms);
 
         if let Some(edge) = &self.edge {
             let st = edge.pools.stats();
@@ -1276,16 +1273,6 @@ impl<'a> Loader<'a> {
             reg.counter_add("edge.conns_evicted", st.evicted);
             if let Some(mbx) = &edge.mbx {
                 reg.counter_add("edge.mbx_early_retx", mbx.early_retransmits());
-                if let Some((client_ms, origin_ms)) = mbx.rtt_split_ms() {
-                    reg.observe(
-                        &format!("edge.client_rtt_ms{{proto=\"{label}\"}}"),
-                        client_ms,
-                    );
-                    reg.observe(
-                        &format!("edge.origin_rtt_ms{{proto=\"{label}\"}}"),
-                        origin_ms,
-                    );
-                }
             }
         }
 

@@ -3,22 +3,12 @@
 
 use crate::browser::{load_page, LoadOptions, PageLoadResult};
 use crate::catalogue;
-use pq_edge::EdgeConfig;
 use pq_sim::{NetworkConfig, NetworkKind};
 use pq_transport::Protocol;
 
-/// Options with the edge knobs pinned, so tests neither read nor race
-/// on `PQ_EDGE_*` environment variables.
-fn edge_opts() -> LoadOptions {
-    LoadOptions {
-        edge: Some(EdgeConfig::default()),
-        ..LoadOptions::default()
-    }
-}
-
 fn load(site_name: &str, net: &NetworkConfig, proto: Protocol, seed: u64) -> PageLoadResult {
     let site = catalogue::site(site_name).expect("site in corpus");
-    load_page(&site, net, proto, seed, &edge_opts())
+    load_page(&site, net, proto, seed, &LoadOptions::default())
 }
 
 #[test]
@@ -59,8 +49,8 @@ fn proxy_pools_multi_origin_site_over_fewer_legs() {
     // with pool_size 2 × replicas 2, reuse must kick in.
     let net = NetworkKind::Dsl.config();
     let site = catalogue::site("nytimes.com").expect("site");
-    let plain = load_page(&site, &net, Protocol::Quic, 3, &edge_opts());
-    let edge = load_page(&site, &net, Protocol::QuicEdge, 3, &edge_opts());
+    let plain = load_page(&site, &net, Protocol::Quic, 3, &LoadOptions::default());
+    let edge = load_page(&site, &net, Protocol::QuicEdge, 3, &LoadOptions::default());
     assert!(edge.complete, "QUIC-EDGE incomplete");
     // Total connections (client + legs) stays bounded by the pools;
     // plain QUIC opens one per origin from the client.
@@ -141,7 +131,11 @@ fn table1_stacks_ignore_edge_options() {
     let site = catalogue::site("apache.org").expect("site");
     for proto in [Protocol::Quic, Protocol::TcpPlus] {
         let plain = load_page(&site, &net, proto, 7, &LoadOptions::default());
-        let with_edge = load_page(&site, &net, proto, 7, &edge_opts());
+        let edge_opts = LoadOptions {
+            edge: Some(pq_edge::EdgeConfig::default()),
+            ..LoadOptions::default()
+        };
+        let with_edge = load_page(&site, &net, proto, 7, &edge_opts);
         assert_eq!(
             plain.metrics.plt_ms,
             with_edge.metrics.plt_ms,

@@ -157,12 +157,11 @@ fn study_digest_identical_with_profiling_on_and_off() {
     }
 }
 
-/// Every series the run put in the registry and every frame and tick
-/// the profiler recorded must be declared in `pq_obs::names` — checked
-/// on what was emitted, formatted names included.
+/// Every series the run put in the registry and every frame the
+/// profiler recorded must be declared in `pq_obs::names` — checked on
+/// what was emitted, formatted names included.
 fn assert_emitted_names_are_declared() {
     use pq_obs::names::{METRIC_NAMES, SPAN_NAMES};
-    pq_obs::profile::export_metrics();
     for series in pq_obs::registry().snapshot().keys() {
         let name = series.split('{').next().unwrap_or(series);
         assert!(
@@ -176,13 +175,11 @@ fn assert_emitted_names_are_declared() {
             .any(|n| frame == *n || (n.ends_with(':') && frame.starts_with(n)))
     };
     let folded = pq_prof::folded();
-    let ticks = pq_prof::ticks();
     assert!(!folded.is_empty(), "the profiled run recorded no spans");
-    let frames = folded.iter().flat_map(|(path, ..)| path.split(';'));
-    for frame in frames.chain(ticks.iter().map(|(name, _)| name.as_str())) {
+    for frame in folded.iter().flat_map(|(path, ..)| path.split(';')) {
         assert!(
             declared(frame),
-            "span/tick {frame:?} is emitted but not declared in SPAN_NAMES"
+            "span {frame:?} is emitted but not declared in SPAN_NAMES"
         );
     }
 }
