@@ -20,8 +20,9 @@
 //!   a client/origin RTT-split estimate — without terminating the
 //!   connection (the PEMI shape).
 //!
-//! Neither type performs I/O or reads clocks; the `pq-web` edge
-//! loader drives them from its event loop. [`EdgeConfig`] carries the
+//! Neither type performs I/O or reads clocks; `pq-web`'s `junction`
+//! module owns one of them per page load and the loader's event loop
+//! drives it from there. [`EdgeConfig`] carries the
 //! tunables (`LoadOptions.edge`; `None` runs the defaults), and
 //! [`stacks_from_env`] parses the `PQ_STACKS` stack selection.
 

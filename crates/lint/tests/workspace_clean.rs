@@ -2,8 +2,8 @@
 //! baseline. This is the same verdict `cargo run -p pq-lint -- --deny`
 //! gates CI on, so a violation fails `cargo test` too — you cannot
 //! merge code that the gate would reject. The same test caps the
-//! baseline: the engine only proves it matches the code, this proves
-//! it did not grow.
+//! baseline and the inline suppressions: the engine only proves they
+//! match the code, this proves they did not grow.
 
 use pq_lint::{engine, Baseline};
 use std::path::Path;
@@ -15,12 +15,15 @@ fn workspace_is_clean_modulo_baseline() {
     // The ratchet in numbers. Lower MAX_DEBT with every paydown; any
     // rule other than `index` is fixed or justified inline, never
     // grandfathered.
-    const MAX_DEBT: usize = 64;
+    const MAX_DEBT: usize = 37;
     assert!(
         baseline.total() <= MAX_DEBT,
         "pq-lint.baseline grew: {} > {MAX_DEBT} grandfathered findings",
         baseline.total()
     );
+    // Inline `allow(...)` comments ratchet the same way: a new one
+    // replaces an old one or comes with a lower count elsewhere.
+    const MAX_SUPPRESSED: usize = 16;
     for (rule, path, count) in baseline.entries() {
         assert_eq!(
             rule, "index",
@@ -32,6 +35,11 @@ fn workspace_is_clean_modulo_baseline() {
         report.files > 50,
         "walk found too few files: {}",
         report.files
+    );
+    assert!(
+        report.suppressed <= MAX_SUPPRESSED,
+        "inline suppressions grew: {} > {MAX_SUPPRESSED}",
+        report.suppressed
     );
     let rendered: Vec<String> = report.new.iter().map(|f| f.render()).collect();
     assert!(

@@ -47,8 +47,8 @@ pub enum Output {
 }
 
 /// A transport connection of either flavour; the browser layer treats
-/// them uniformly and uses the flavour-specific write methods through
-/// the enum.
+/// them uniformly, writing through [`Connection::client_write`] and
+/// [`Connection::server_write`] and reading [`Output`]s back.
 #[derive(Debug)]
 pub enum Connection {
     /// TCP + TLS 1.3 carrying HTTP/2.
@@ -68,11 +68,32 @@ impl Connection {
         }
     }
 
-    /// The connection id.
-    pub fn id(&self) -> ConnId {
+    /// The client writes a `bytes`-long request. QUIC opens `stream`
+    /// for it and closes it with FIN; TCP appends to its one byte
+    /// stream, [`StreamId`]`(0)`, whatever `stream` says.
+    pub fn client_write(&mut self, now: SimTime, stream: StreamId, bytes: u64) {
         match self {
-            Connection::Tcp(c) => c.id(),
-            Connection::Quic(c) => c.id(),
+            Connection::Tcp(c) => c.client_write(now, bytes),
+            Connection::Quic(c) => c.client_open_stream(now, stream, bytes),
+        }
+    }
+
+    /// The server writes `bytes` of response onto `stream`, `fin`
+    /// closing it (QUIC), or onto the byte stream (TCP, which has no
+    /// per-response end to mark).
+    pub fn server_write(&mut self, now: SimTime, stream: StreamId, bytes: u64, fin: bool) {
+        match self {
+            Connection::Tcp(c) => c.server_write(now, bytes),
+            Connection::Quic(c) => c.server_write(now, stream, bytes, fin),
+        }
+    }
+
+    /// Bytes the server application wrote that the transport has not
+    /// yet sent for the first time.
+    pub fn server_backlog(&self) -> u64 {
+        match self {
+            Connection::Tcp(c) => c.server_backlog(),
+            Connection::Quic(c) => c.server_backlog(),
         }
     }
 

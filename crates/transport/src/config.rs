@@ -134,8 +134,8 @@ impl Protocol {
         )
     }
 
-    /// True for any of the three edge stacks (loads take the split
-    /// client/origin path through `pq-web`'s edge loader).
+    /// True for any of the three edge stacks (loads split the path at
+    /// a junction, see `pq-web`'s `junction` module).
     pub fn is_edge(self) -> bool {
         matches!(
             self,
@@ -166,36 +166,32 @@ impl Protocol {
     /// Build the full stack configuration for a given network (tuned
     /// buffers depend on the network's BDP).
     pub fn config(self, net: &NetworkConfig) -> StackConfig {
-        let mss = if self.is_quic() { QUIC_MSS } else { TCP_MSS };
-        let (iw_segments, pacing, tuned_buffers, ss_after_idle) = match self {
-            Protocol::Tcp => (10, false, false, true),
-            Protocol::TcpPlus | Protocol::TcpPlusBbr => (32, true, true, false),
-            Protocol::Quic | Protocol::QuicBbr => (32, true, true, false),
-            // Edge client legs mirror the stack they wrap: stock gQUIC
-            // knobs for the QUIC legs, TCP+ knobs for H2-EDGE.
-            Protocol::QuicEdge | Protocol::QuicMbx => (32, true, true, false),
-            Protocol::H2Edge => (32, true, true, false),
-        };
+        // Table 1 has two rows of knobs: stock Linux TCP, and the tuning
+        // TCP+ applies to match what gQUIC ships with. Edge client legs
+        // mirror the stack they wrap.
+        let tuned = self != Protocol::Tcp;
         // Stock buffer model: 128 KiB (a conservative mid-autotuning
         // value); tuned: at least 2×BDP ("we enlarge the send and
         // receive buffers according to the BDP", §3).
-        let stock = 128 * 1024;
-        let recv_buffer = if tuned_buffers {
-            stock.max(2 * net.bdp_bytes())
-        } else {
-            stock
-        };
+        let stock_buffer = 128 * 1024;
         StackConfig {
             protocol: self,
             cc: self.cc(),
-            mss,
-            initial_window_segments: iw_segments,
-            pacing,
-            slow_start_after_idle: ss_after_idle,
-            recv_buffer_bytes: recv_buffer,
-            // Linux TCP with timestamps fits 3 SACK blocks per ACK;
-            // gQUIC ACK frames carry up to 256 ranges.
-            max_sack_blocks: if self.is_quic() { 256 } else { 3 },
+            mss: if self.is_quic() { QUIC_MSS } else { TCP_MSS },
+            initial_window_segments: if tuned { 32 } else { 10 },
+            pacing: tuned,
+            slow_start_after_idle: !tuned,
+            recv_buffer_bytes: if tuned {
+                stock_buffer.max(2 * net.bdp_bytes())
+            } else {
+                stock_buffer
+            },
+            // Linux TCP with timestamps fits 3 SACK blocks per ACK; a
+            // gQUIC ACK frame advertises its 32 most recent ranges
+            // (older holes are permanent: lost packet numbers are
+            // never resent) — still an order of magnitude more range
+            // feedback than TCP's.
+            max_sack_blocks: if self.is_quic() { 32 } else { 3 },
             // Chromium gQUIC ships Cubic in 2-connection emulation
             // (β = 0.85, doubled Reno increase).
             cubic_connections: if self.is_quic() { 2 } else { 1 },
@@ -283,7 +279,7 @@ mod tests {
         assert_eq!(quic.initial_window_segments, 32);
         assert!(quic.pacing);
         assert_eq!(quic.cc, CcAlgorithm::Cubic);
-        assert_eq!(quic.max_sack_blocks, 256);
+        assert_eq!(quic.max_sack_blocks, 32);
 
         assert_eq!(Protocol::TcpPlusBbr.config(&net).cc, CcAlgorithm::Bbr);
         assert_eq!(Protocol::QuicBbr.config(&net).cc, CcAlgorithm::Bbr);

@@ -20,8 +20,10 @@
 //! * TCP: SACK scoreboard (3 blocks/ACK), RACK-gated loss marking,
 //!   RTO backoff, delayed ACKs, receive windows, idle restart and the
 //!   2-RTT TCP+TLS 1.3 handshake;
-//! * gQUIC: 1-RTT handshake, independent streams, unbounded ACK
-//!   ranges, packet-number loss detection.
+//! * gQUIC: 1-RTT handshake, independent streams, 32 ACK ranges per
+//!   frame, packet-number loss detection;
+//! * one `sender` core under both: what Table 1 gives TCP+ and QUIC
+//!   alike (IW, pacing, congestion control, RTO) is written once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +37,7 @@ pub mod quic;
 pub mod rangeset;
 pub mod rate;
 pub mod rtt;
+pub(crate) mod sender;
 pub(crate) mod sentlog;
 pub mod tcp;
 pub mod wire;

@@ -8,17 +8,15 @@
 //! * **Independent streams**: a lost packet only stalls the streams
 //!   whose frames it carried; other responses keep rendering.
 //! * **Unambiguous loss detection**: packet numbers are never reused,
-//!   and ACK frames carry an unbounded range list (vs. TCP's 3 SACK
-//!   blocks), so a burst of losses is repaired in one round trip.
+//!   and an ACK frame carries its 32 most recent ranges (vs. TCP's 3
+//!   SACK blocks), so a burst of losses is repaired in one round trip.
 //! * Pacing and IW32 are on by default (Table 1), Cubic or BBRv1.
 
 use crate::api::{Output, StreamId};
-use crate::cc::{AckInfo, CongestionControl};
 use crate::config::StackConfig;
-use crate::pacing::Pacer;
 use crate::rangeset::{Range, RangeSet};
-use crate::rate::{RateSampler, TxRecord};
-use crate::rtt::RttEstimator;
+use crate::rate::TxRecord;
+use crate::sender::SenderCore;
 use crate::sentlog::SentLog;
 use crate::wire::{QuicFrame, QuicPacket, Wire};
 use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime, TraceKind};
@@ -33,12 +31,6 @@ const ACK_DELAY: SimDuration = SimDuration::from_millis(25);
 /// Per-stream flow-control window (gQUIC defaults are generous; the
 /// receiving browser drains instantly so this almost never binds).
 const STREAM_WINDOW: u64 = 6 * 1024 * 1024;
-/// Most recent received-packet ranges advertised per ACK frame. Lost
-/// packet numbers are never resent, so old holes are permanent;
-/// advertising the full history would bloat ACKs without information
-/// (the sender has long declared those packets lost). Still an order
-/// of magnitude more range feedback than TCP's 3 SACK blocks.
-const MAX_ACK_RANGES: usize = 32;
 
 /// Frames that need retransmission tracking.
 #[derive(Clone, Debug)]
@@ -79,12 +71,6 @@ struct SendStream {
     acked: RangeSet,
 }
 
-impl SendStream {
-    fn fully_acked(&self) -> bool {
-        self.acked.covered() >= self.limit && self.next_offset >= self.limit
-    }
-}
-
 /// Receiving side of one stream.
 #[derive(Debug, Default)]
 struct RecvStream {
@@ -98,16 +84,22 @@ struct RecvStream {
 /// One QUIC endpoint (client or server half).
 #[derive(Debug)]
 struct QuicEndpoint {
-    is_client: bool,
-    mss: u64,
+    /// Congestion control, pacing, RTT and the RTO / pacing timers;
+    /// its `bytes_in_flight` counts ack-eliciting packets only.
+    core: SenderCore,
     next_pn: u64,
     sent: SentLog<SentPacket>,
     /// Ack-eliciting packets in `sent` (the RTO is armed while > 0).
     eliciting_in_flight: u32,
-    bytes_in_flight: u64,
     largest_acked: Option<u64>,
     /// Receive state: which packet numbers arrived.
     recv_pns: RangeSet,
+    /// Most recent received-packet ranges advertised per ACK frame
+    /// ([`StackConfig::max_sack_blocks`]). Lost packet numbers are
+    /// never resent, so old holes are permanent; advertising the full
+    /// history would bloat ACKs without information (the sender has
+    /// long declared those packets lost).
+    max_ack_ranges: usize,
     ack_pending: bool,
     ack_at: Option<SimTime>,
     eliciting_since_ack: u32,
@@ -121,12 +113,6 @@ struct QuicEndpoint {
     /// Streams with unsent fresh data (`next_offset < limit`).
     fresh_streams: BTreeSet<u64>,
     recv_streams: BTreeMap<u64, RecvStream>,
-    cc: Box<dyn CongestionControl>,
-    pacer: Pacer,
-    rtt: RttEstimator,
-    rate: RateSampler,
-    rto_at: Option<SimTime>,
-    pacing_at: Option<SimTime>,
     /// Congestion-cutback marker: only the loss of a packet *sent
     /// after* the previous cutback triggers a new one (gQUIC's
     /// `largest_sent_at_last_cutback` rule) — otherwise a burst of
@@ -134,26 +120,18 @@ struct QuicEndpoint {
     cutback_pn: u64,
     /// Handshake frames pending (re)transmission.
     hs_queue: Vec<SentFrame>,
-    retransmits: u64,
-    pacing_cfg: bool,
-    /// Congestion events (cwnd reductions) — diagnostics.
-    congestion_events: u64,
-    /// Trace track for cwnd counters / loss instants (`None` = off).
-    obs: crate::obs::Track,
 }
 
 impl QuicEndpoint {
-    fn new(is_client: bool, cfg: &StackConfig, now: SimTime) -> Self {
-        let _ = now;
+    fn new(is_client: bool, cfg: &StackConfig) -> Self {
         QuicEndpoint {
-            is_client,
-            mss: cfg.mss,
+            core: SenderCore::new(is_client, cfg),
             next_pn: 1,
             sent: SentLog::new(),
             eliciting_in_flight: 0,
-            bytes_in_flight: 0,
             largest_acked: None,
             recv_pns: RangeSet::new(),
+            max_ack_ranges: cfg.max_sack_blocks,
             ack_pending: false,
             ack_at: None,
             eliciting_since_ack: 0,
@@ -162,51 +140,8 @@ impl QuicEndpoint {
             lossy_streams: BTreeSet::new(),
             fresh_streams: BTreeSet::new(),
             recv_streams: BTreeMap::new(),
-            cc: cfg
-                .cc
-                .build(cfg.mss, cfg.initial_window_bytes(), cfg.cubic_connections),
-            pacer: Pacer::new(cfg.mss, 10, 2),
-            rtt: RttEstimator::new(),
-            rate: RateSampler::new(),
-            rto_at: None,
-            pacing_at: None,
             cutback_pn: 0,
             hs_queue: Vec::new(),
-            retransmits: 0,
-            pacing_cfg: cfg.pacing,
-            congestion_events: 0,
-            obs: None,
-        }
-    }
-
-    /// Direction label for trace-event names.
-    fn dir_label(&self) -> &'static str {
-        if self.is_client {
-            "up"
-        } else {
-            "down"
-        }
-    }
-
-    fn direction(&self) -> Direction {
-        if self.is_client {
-            Direction::Up
-        } else {
-            Direction::Down
-        }
-    }
-
-    fn update_pacing_rate(&mut self) {
-        if let Some(rate) = self.cc.pacing_rate(self.rtt.srtt()) {
-            self.pacer.set_rate(Some(rate));
-        } else if self.pacing_cfg {
-            if let Some(srtt) = self.rtt.srtt() {
-                let factor = if self.cc.in_slow_start() { 2.0 } else { 1.2 };
-                let rate = factor * self.cc.cwnd() as f64 / srtt.as_secs_f64().max(1e-6);
-                self.pacer.set_rate(Some(rate));
-            }
-        } else {
-            self.pacer.set_rate(None);
         }
     }
 
@@ -220,7 +155,7 @@ impl QuicEndpoint {
         self.eliciting_since_ack = 0;
         self.ooo_pending = false;
         Some(QuicFrame::Ack {
-            ranges: self.recv_pns.highest(MAX_ACK_RANGES),
+            ranges: self.recv_pns.highest(self.max_ack_ranges),
         })
     }
 
@@ -232,7 +167,7 @@ impl QuicEndpoint {
         if s.next_offset < s.limit {
             self.fresh_streams.insert(stream);
         }
-        self.rate.set_app_limited(false);
+        self.core.rate.set_app_limited(false);
     }
 
     /// Choose the next stream chunk to send: retransmissions first
@@ -244,7 +179,7 @@ impl QuicEndpoint {
             Some((*id, s, s.lost.iter().next()?))
         });
         if let Some((id, s, r)) = lossy {
-            let len = r.len().min(self.mss) as u32;
+            let len = r.len().min(self.core.mss) as u32;
             // FIN is a property of the stream's end, recomputed so
             // retransmitted tails keep it.
             let fin = s.fin && r.start + u64::from(len) >= s.limit;
@@ -259,7 +194,7 @@ impl QuicEndpoint {
             // ACKed ≈ consumed).
             let consumed = s.acked.advance_from(0);
             if s.next_offset < s.limit && s.next_offset < consumed + STREAM_WINDOW {
-                let len = (s.limit - s.next_offset).min(self.mss) as u32;
+                let len = (s.limit - s.next_offset).min(self.core.mss) as u32;
                 let fin = s.fin && s.next_offset + u64::from(len) >= s.limit;
                 return Some((*id, s.next_offset, len, fin, false));
             }
@@ -282,7 +217,7 @@ impl QuicEndpoint {
                 size,
                 sent_at: now,
                 frame,
-                tx: self.rate.on_send(now),
+                tx: self.core.rate.on_send(now),
             },
         );
     }
@@ -292,7 +227,8 @@ impl QuicEndpoint {
         let sp = self.sent.remove(pn)?;
         if sp.ack_eliciting() {
             self.eliciting_in_flight -= 1;
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(u64::from(sp.size));
+            self.core.bytes_in_flight =
+                self.core.bytes_in_flight.saturating_sub(u64::from(sp.size));
         }
         Some(sp)
     }
@@ -305,14 +241,14 @@ impl QuicEndpoint {
         let pn = self.next_pn;
         self.next_pn += 1;
         let pkt = QuicPacket {
-            from_client: self.is_client,
+            from_client: self.core.from_client,
             pn,
             frames: [Some(ack), None],
         };
         let size = pkt.wire_size();
         self.log_sent(now, pn, size, None);
         out.push(Output::Send(
-            self.direction(),
+            self.core.direction(),
             Packet::new(conn, size, Wire::Quic(pkt)),
         ));
     }
@@ -320,8 +256,7 @@ impl QuicEndpoint {
     /// Packetize and emit everything congestion control and pacing
     /// allow right now.
     fn try_send(&mut self, now: SimTime, conn: ConnId, out: &mut Vec<Output>) {
-        self.pacing_at = None;
-        self.update_pacing_rate();
+        self.core.start_round();
 
         loop {
             let hs = !self.hs_queue.is_empty();
@@ -329,7 +264,7 @@ impl QuicEndpoint {
             let ack_only = !hs && chunk.is_none();
             if ack_only && !self.ack_pending {
                 if !self.has_pending() {
-                    self.rate.set_app_limited(true);
+                    self.core.rate.set_app_limited(true);
                 }
                 break;
             }
@@ -341,25 +276,12 @@ impl QuicEndpoint {
                 chunk.map_or(80, |c| u64::from(c.2) + 80)
             };
 
-            if !ack_only {
-                // Min-one-packet rule: with nothing in flight a sender
-                // may always emit one packet, or a collapsed cwnd
-                // (below one handshake packet) would deadlock.
-                if self.bytes_in_flight > 0 && self.bytes_in_flight + est_size > self.cc.cwnd() {
-                    break;
-                }
-                let release = self.pacer.release_time(now, est_size);
-                if release > now {
-                    crate::obs::instant(
-                        self.obs,
-                        pq_obs::Level::Debug,
-                        now,
-                        || format!("pacing hold {}", self.dir_label()),
-                        || vec![("wait_ns", pq_obs::ArgValue::U64((release - now).as_nanos()))],
-                    );
-                    self.pacing_at = Some(release);
-                    break;
-                }
+            // A pure ACK is not congestion-controlled; anything else
+            // passes the cwnd gate, then the pacing gate.
+            if !ack_only
+                && (!self.core.cwnd_allows(est_size) || self.core.pacer_holds(now, est_size))
+            {
+                break;
             }
 
             // Build the packet: at most an ACK plus one tracked frame.
@@ -388,15 +310,7 @@ impl QuicEndpoint {
                         if s.lost.is_empty() {
                             self.lossy_streams.remove(&id);
                         }
-                        self.retransmits += 1;
-                        out.push(Output::Trace(TraceKind::Retransmit, id));
-                        crate::obs::instant(
-                            self.obs,
-                            pq_obs::Level::Info,
-                            now,
-                            || format!("retransmit {}", self.dir_label()),
-                            || vec![("stream", pq_obs::ArgValue::U64(id))],
-                        );
+                        self.core.note_retransmit(now, "stream", id, out);
                     } else {
                         s.next_offset = offset + u64::from(len);
                         if s.next_offset >= s.limit {
@@ -416,21 +330,17 @@ impl QuicEndpoint {
             let pn = self.next_pn;
             self.next_pn += 1;
             let pkt = QuicPacket {
-                from_client: self.is_client,
+                from_client: self.core.from_client,
                 pn,
                 frames: [ack, tracked],
             };
             let size = pkt.wire_size();
             if sent_frame.is_some() {
-                self.bytes_in_flight += u64::from(size);
-                self.pacer.on_send(now, u64::from(size));
-                if self.rto_at.is_none() {
-                    self.rto_at = Some(now + self.rtt.rto());
-                }
+                self.core.on_sent(now, u64::from(size));
             }
             self.log_sent(now, pn, size, sent_frame);
             out.push(Output::Send(
-                self.direction(),
+                self.core.direction(),
                 Packet::new(conn, size, Wire::Quic(pkt)),
             ));
 
@@ -496,7 +406,7 @@ impl QuicEndpoint {
                         s.acked.insert(offset, offset + u64::from(len));
                     }
                 }
-                let sample = self.rate.on_ack(now, u64::from(sp.size), sp.tx);
+                let sample = self.core.rate.on_ack(now, u64::from(sp.size), sp.tx);
                 if sample.is_some() {
                     rate_sample = sample;
                 }
@@ -508,7 +418,7 @@ impl QuicEndpoint {
         }
 
         if let Some(s) = rtt_sample {
-            self.rtt.on_sample(s);
+            self.core.rtt.on_sample(s);
         }
 
         // Loss detection: packet threshold + time threshold, over the
@@ -516,9 +426,10 @@ impl QuicEndpoint {
         let mut max_lost_eliciting: Option<u64> = None;
         if let Some(largest) = self.largest_acked {
             let time_thresh = self
+                .core
                 .rtt
                 .srtt_or(SimDuration::from_millis(100))
-                .max(self.rtt.latest())
+                .max(self.core.rtt.latest())
                 .mul_f64(1.125);
             for pn in self.sent.first_pn()..largest.min(self.sent.end()) {
                 let Some(sp) = self.sent.get(pn) else {
@@ -546,38 +457,14 @@ impl QuicEndpoint {
             // New cutback only for losses of packets sent after the
             // previous cutback.
             if lost_pn >= self.cutback_pn {
-                self.cc.on_congestion_event(now, self.bytes_in_flight);
-                self.congestion_events += 1;
+                self.core.on_congestion_event(now);
                 self.cutback_pn = self.next_pn;
             }
         }
 
-        if newly_acked_bytes > 0 {
-            self.cc.on_ack(&AckInfo {
-                now,
-                acked_bytes: newly_acked_bytes,
-                rtt: rtt_sample,
-                srtt: self.rtt.srtt(),
-                min_rtt: Some(self.rtt.min_rtt()),
-                rate: rate_sample,
-                in_flight: self.bytes_in_flight,
-            });
-            crate::obs::ack_counters(
-                self.obs,
-                now,
-                self.dir_label(),
-                self.cc.cwnd(),
-                self.cc.ssthresh(),
-                self.rtt.srtt(),
-            );
-        }
-
-        self.rto_at = if self.eliciting_in_flight > 0 {
-            Some(now + self.rtt.rto())
-        } else {
-            None
-        };
-
+        self.core
+            .on_acked(now, newly_acked_bytes, rtt_sample, rate_sample);
+        self.core.rearm_rto(now, self.eliciting_in_flight > 0);
         self.try_send(now, conn, out);
     }
 
@@ -609,16 +496,7 @@ impl QuicEndpoint {
     }
 
     fn on_rto(&mut self, now: SimTime, conn: ConnId, out: &mut Vec<Output>) {
-        out.push(Output::Trace(TraceKind::Rto, self.next_pn));
-        crate::obs::instant(
-            self.obs,
-            pq_obs::Level::Info,
-            now,
-            || format!("RTO {}", self.dir_label()),
-            Vec::new,
-        );
-        self.rtt.on_rto_fired();
-        self.cc.on_rto(now);
+        self.core.on_rto(now, self.next_pn, out);
         // Declare everything outstanding lost.
         for pn in self.sent.first_pn()..self.sent.end() {
             if let Some(frame) = self.unlog(pn).and_then(|sp| sp.frame) {
@@ -626,19 +504,12 @@ impl QuicEndpoint {
             }
         }
         self.cutback_pn = self.next_pn;
-        self.rto_at = Some(now + self.rtt.rto());
+        self.core.rearm_rto(now, true);
         self.try_send(now, conn, out);
     }
 
     fn poll_at(&self) -> SimTime {
-        let mut t = SimTime::MAX;
-        for x in [self.rto_at, self.pacing_at, self.ack_at]
-            .into_iter()
-            .flatten()
-        {
-            t = t.min(x);
-        }
-        t
+        self.core.poll_at().min(self.ack_at.unwrap_or(SimTime::MAX))
     }
 }
 
@@ -666,8 +537,8 @@ pub struct QuicConnection {
 impl QuicConnection {
     /// Open a connection: the client immediately emits its CHLO.
     pub fn new(id: ConnId, cfg: StackConfig, now: SimTime) -> Self {
-        let mut client = QuicEndpoint::new(true, &cfg, now);
-        let server = QuicEndpoint::new(false, &cfg, now);
+        let mut client = QuicEndpoint::new(true, &cfg);
+        let server = QuicEndpoint::new(false, &cfg);
         client.hs_queue.push(SentFrame::Chlo);
         // 0-RTT: the client resumes a cached server config and may
         // bundle request data with (or right after) the CHLO.
@@ -692,18 +563,13 @@ impl QuicConnection {
         conn
     }
 
-    /// The connection id.
-    pub fn id(&self) -> ConnId {
-        self.id
-    }
-
     /// Attach the connection to a trace track (`pid` = the page load,
     /// `tid` = this connection's row): enables cwnd/ssthresh/sRTT
     /// counters, retransmit/RTO instants and the handshake span.
     pub fn set_obs_track(&mut self, pid: u32, tid: u32) {
         self.obs_track = Some((pid, tid));
-        self.client.obs = Some((pid, tid));
-        self.server.obs = Some((pid, tid));
+        self.client.core.obs = Some((pid, tid));
+        self.server.core.obs = Some((pid, tid));
     }
 
     /// True once the client may send stream data.
@@ -713,7 +579,7 @@ impl QuicConnection {
 
     /// Total retransmitted stream chunks across both endpoints.
     pub fn retransmits(&self) -> u64 {
-        self.client.retransmits + self.server.retransmits
+        self.client.core.retransmits + self.server.core.retransmits
     }
 
     /// Move pending outputs to the end of `into`, oldest first.
@@ -744,6 +610,18 @@ impl QuicConnection {
         if self.established_server {
             self.server.try_send(now, self.id, &mut self.out);
         }
+    }
+
+    /// Server-side send backlog: bytes written by the server
+    /// application but not yet packetized for the first time.
+    pub fn server_backlog(&self) -> u64 {
+        let unsent = |id| {
+            self.server
+                .send_streams
+                .get(id)
+                .map(|s| s.limit - s.next_offset)
+        };
+        self.server.fresh_streams.iter().filter_map(unsent).sum()
     }
 
     /// A packet arrived at one endpoint (`Direction::Up` = at server).
@@ -864,11 +742,11 @@ impl QuicConnection {
             } else {
                 &mut self.server
             };
-            if ep.rto_at.is_some_and(|t| t <= now) {
+            if ep.core.rto_at.is_some_and(|t| t <= now) {
                 let _rto_span = pq_prof::span("transport:rto-retransmit");
                 ep.on_rto(now, id, &mut self.out);
             }
-            if ep.pacing_at.is_some_and(|t| t <= now) {
+            if ep.core.pacing_at.is_some_and(|t| t <= now) {
                 ep.try_send(now, id, &mut self.out);
             }
             if ep.ack_at.is_some_and(|t| t <= now) {
@@ -879,35 +757,17 @@ impl QuicConnection {
 
     /// Server-side congestion window in bytes (diagnostics).
     pub fn server_cwnd(&self) -> u64 {
-        self.server.cc.cwnd()
+        self.server.core.cc.cwnd()
     }
 
     /// Server-side congestion events.
     pub fn server_congestion_events(&self) -> u64 {
-        self.server.congestion_events
+        self.server.core.congestion_events
     }
 
     /// Server-side smoothed RTT (diagnostics).
     pub fn server_srtt(&self) -> Option<SimDuration> {
-        self.server.rtt.srtt()
-    }
-
-    /// Server-side bytes currently in flight (diagnostics).
-    pub fn server_in_flight(&self) -> u64 {
-        self.server.bytes_in_flight
-    }
-
-    /// True when both endpoints have nothing left to send or await.
-    pub fn quiescent(&self) -> bool {
-        self.client
-            .send_streams
-            .values()
-            .all(SendStream::fully_acked)
-            && self
-                .server
-                .send_streams
-                .values()
-                .all(SendStream::fully_acked)
+        self.server.core.rtt.srtt()
     }
 }
 
@@ -1066,7 +926,10 @@ mod tests {
             })
             .max()
             .expect("acks were sent");
-        assert!(max_ranges <= MAX_ACK_RANGES, "ranges bounded: {max_ranges}");
+        let bound = Protocol::Quic
+            .config(&NetworkKind::Dsl.config())
+            .max_sack_blocks;
+        assert!(max_ranges <= bound, "ranges bounded: {max_ranges}");
         assert!(
             max_ranges > 3,
             "still far richer than TCP SACK: {max_ranges}"

@@ -1,6 +1,6 @@
 //! RTT estimation (RFC 6298) shared by TCP and QUIC senders.
 
-use pq_sim::{SimDuration, SimTime};
+use pq_sim::SimDuration;
 
 /// Smoothed RTT estimator with RFC 6298 retransmission timeouts.
 #[derive(Clone, Debug)]
@@ -105,12 +105,6 @@ impl RttEstimator {
     /// Current backoff exponent (0 = no backoff).
     pub fn backoff(&self) -> u32 {
         self.backoff
-    }
-
-    /// Expiry instant for a packet sent at `sent_at` under the current
-    /// RTO.
-    pub fn rto_deadline(&self, sent_at: SimTime) -> SimTime {
-        sent_at + self.rto()
     }
 }
 

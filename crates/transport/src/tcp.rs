@@ -24,12 +24,10 @@
 //!   independent streams win on lossy links (§4.3).
 
 use crate::api::{Output, StreamId};
-use crate::cc::{AckInfo, CongestionControl};
 use crate::config::StackConfig;
-use crate::pacing::Pacer;
 use crate::rangeset::{Range, RangeSet};
-use crate::rate::{RateSampler, TxRecord};
-use crate::rtt::RttEstimator;
+use crate::rate::TxRecord;
+use crate::sender::SenderCore;
 use crate::wire::{TcpSegKind, TcpSegment, Wire};
 use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime, TraceKind};
 use std::collections::BTreeMap;
@@ -56,24 +54,17 @@ struct SentSeg {
 /// One direction's sending half.
 #[derive(Debug)]
 struct TcpSender {
-    from_client: bool,
-    mss: u64,
+    /// Congestion control, pacing, RTT and the RTO / pacing timers.
+    core: SenderCore,
     /// Total bytes the application has written so far.
     app_limit: u64,
     snd_una: u64,
     snd_nxt: u64,
     inflight: BTreeMap<u64, SentSeg>,
-    bytes_in_flight: u64,
     /// Bytes SACKed above `snd_una`.
     sacked: RangeSet,
     /// Bytes marked lost, awaiting retransmission.
     lost: RangeSet,
-    cc: Box<dyn CongestionControl>,
-    pacer: Pacer,
-    rtt: RttEstimator,
-    rate: RateSampler,
-    rto_at: Option<SimTime>,
-    pacing_at: Option<SimTime>,
     /// Recovery episode marker: one cwnd reduction per episode.
     recovery_until: u64,
     /// RACK-style newest delivered (sent_at, seq) watermark.
@@ -83,11 +74,6 @@ struct TcpSender {
     peer_rwnd: u64,
     slow_start_after_idle: bool,
     initial_window: u64,
-    retransmits: u64,
-    /// Congestion events (cwnd reductions) — diagnostics.
-    congestion_events: u64,
-    /// Trace track for cwnd counters / loss instants (`None` = off).
-    obs: crate::obs::Track,
     /// Scratch for the `(start, end)` of segments an ACK picks out of
     /// `inflight` (SACK-retired, marked lost); kept for its capacity.
     picked: Vec<(u64, u64)>,
@@ -96,70 +82,27 @@ struct TcpSender {
 impl TcpSender {
     fn new(from_client: bool, cfg: &StackConfig, now: SimTime) -> Self {
         TcpSender {
-            from_client,
-            mss: cfg.mss,
+            core: SenderCore::new(from_client, cfg),
             app_limit: 0,
             snd_una: 0,
             snd_nxt: 0,
             inflight: BTreeMap::new(),
-            bytes_in_flight: 0,
             sacked: RangeSet::new(),
             lost: RangeSet::new(),
-            cc: cfg
-                .cc
-                .build(cfg.mss, cfg.initial_window_bytes(), cfg.cubic_connections),
-            pacer: Pacer::new(cfg.mss, 10, 2),
-            rtt: RttEstimator::new(),
-            rate: RateSampler::new(),
-            rto_at: None,
-            pacing_at: None,
             recovery_until: 0,
             newest_delivered: (SimTime::ZERO, 0),
             last_send: now,
             peer_rwnd: cfg.recv_buffer_bytes,
             slow_start_after_idle: cfg.slow_start_after_idle,
             initial_window: cfg.initial_window_bytes(),
-            retransmits: 0,
-            congestion_events: 0,
-            obs: None,
             picked: Vec::new(),
-        }
-    }
-
-    /// Direction label for trace-event names.
-    fn dir_label(&self) -> &'static str {
-        if self.from_client {
-            "up"
-        } else {
-            "down"
-        }
-    }
-
-    fn pacing_enabled(&self) -> bool {
-        true // the pacer itself is a no-op unless a rate is set
-    }
-
-    fn update_pacing_rate(&mut self, cfg_pacing: bool) {
-        if let Some(rate) = self.cc.pacing_rate(self.rtt.srtt()) {
-            // BBR dictates its own rate regardless of the FQ knob.
-            self.pacer.set_rate(Some(rate));
-        } else if cfg_pacing {
-            // Generic FQ rule: factor × cwnd / srtt, factor 2 in slow
-            // start and 1.2 afterwards (Linux sysctl defaults).
-            if let Some(srtt) = self.rtt.srtt() {
-                let factor = if self.cc.in_slow_start() { 2.0 } else { 1.2 };
-                let rate = factor * self.cc.cwnd() as f64 / srtt.as_secs_f64().max(1e-6);
-                self.pacer.set_rate(Some(rate));
-            }
-        } else {
-            self.pacer.set_rate(None);
         }
     }
 
     /// Append application data.
     fn write(&mut self, bytes: u64) {
         self.app_limit += bytes;
-        self.rate.set_app_limited(false);
+        self.core.rate.set_app_limited(false);
     }
 
     fn has_pending(&self) -> bool {
@@ -169,96 +112,66 @@ impl TcpSender {
     /// Emit as many segments as congestion, flow control and pacing
     /// allow. Pushes `Send` outputs and returns nothing; an exhausted
     /// pacer sets `pacing_at`.
-    fn try_send(&mut self, now: SimTime, cfg_pacing: bool, out: &mut Vec<Output>) {
+    fn try_send(&mut self, now: SimTime, out: &mut Vec<Output>) {
         // Idle restart (stock TCP only): collapse to IW after idle.
         if self.slow_start_after_idle
-            && self.bytes_in_flight == 0
+            && self.core.bytes_in_flight == 0
             && self.has_pending()
-            && now.saturating_since(self.last_send) > self.rtt.rto()
+            && now.saturating_since(self.last_send) > self.core.rtt.rto()
         {
-            self.cc.clamp_cwnd(self.initial_window);
+            self.core.cc.clamp_cwnd(self.initial_window);
         }
-        self.pacing_at = None;
-        self.update_pacing_rate(cfg_pacing);
+        self.core.start_round();
 
         loop {
             // 1. pick what to send: retransmissions first.
             let (seq, len, retx) = if let Some(r) = self.lost.iter().next() {
-                (r.start, r.len().min(self.mss) as u32, true)
+                (r.start, r.len().min(self.core.mss) as u32, true)
             } else if self.snd_nxt < self.app_limit {
                 // Flow control: never exceed the peer's buffer.
                 if self.snd_nxt - self.snd_una >= self.peer_rwnd {
                     break;
                 }
-                let len = (self.app_limit - self.snd_nxt).min(self.mss) as u32;
+                let len = (self.app_limit - self.snd_nxt).min(self.core.mss) as u32;
                 (self.snd_nxt, len, false)
             } else {
-                self.rate.set_app_limited(true);
+                self.core.rate.set_app_limited(true);
                 break;
             };
 
-            // 2. congestion window gate. When nothing is in flight the
-            // sender may always emit one segment (otherwise a cwnd
-            // collapsed below one MSS would deadlock the connection).
-            if self.bytes_in_flight > 0 && self.bytes_in_flight + u64::from(len) > self.cc.cwnd() {
+            // 2. congestion window gate, 3. pacing gate.
+            if !self.core.cwnd_allows(u64::from(len)) || self.core.pacer_holds(now, u64::from(len))
+            {
                 break;
-            }
-
-            // 3. pacing gate.
-            if self.pacing_enabled() {
-                let release = self.pacer.release_time(now, u64::from(len));
-                if release > now {
-                    crate::obs::instant(
-                        self.obs,
-                        pq_obs::Level::Debug,
-                        now,
-                        || format!("pacing hold {}", self.dir_label()),
-                        || vec![("wait_ns", pq_obs::ArgValue::U64((release - now).as_nanos()))],
-                    );
-                    self.pacing_at = Some(release);
-                    break;
-                }
             }
 
             // Commit the send.
             let end = seq + u64::from(len);
             if retx {
                 self.lost.remove(seq, end);
-                self.retransmits += 1;
-                out.push(Output::Trace(TraceKind::Retransmit, seq));
-                crate::obs::instant(
-                    self.obs,
-                    pq_obs::Level::Info,
-                    now,
-                    || format!("retransmit {}", self.dir_label()),
-                    || vec![("seq", pq_obs::ArgValue::U64(seq))],
-                );
+                self.core.note_retransmit(now, "seq", seq, out);
             }
-            self.pacer.on_send(now, u64::from(len));
             self.inflight.insert(
                 seq,
                 SentSeg {
                     end,
                     sent_at: now,
                     retx,
-                    tx: self.rate.on_send(now),
+                    tx: self.core.rate.on_send(now),
                 },
             );
-            self.bytes_in_flight += u64::from(len);
+            self.core.on_sent(now, u64::from(len));
             if !retx {
                 self.snd_nxt = end;
             }
             self.last_send = now;
-            if self.rto_at.is_none() {
-                self.rto_at = Some(now + self.rtt.rto());
-            }
             out.push(Output::Send(
-                self.direction(),
+                self.core.direction(),
                 Packet::new(
                     ConnId(0), // caller rewrites
                     0,         // caller computes from wire_size
                     Wire::Tcp(TcpSegment {
-                        from_client: self.from_client,
+                        from_client: self.core.from_client,
                         kind: TcpSegKind::Data { seq, len, retx },
                     }),
                 ),
@@ -266,23 +179,8 @@ impl TcpSender {
         }
     }
 
-    fn direction(&self) -> Direction {
-        if self.from_client {
-            Direction::Up
-        } else {
-            Direction::Down
-        }
-    }
-
     /// Process an ACK for this direction's data.
-    fn on_ack(
-        &mut self,
-        now: SimTime,
-        cum: u64,
-        sacks: &[Range],
-        cfg_pacing: bool,
-        out: &mut Vec<Output>,
-    ) {
+    fn on_ack(&mut self, now: SimTime, cum: u64, sacks: &[Range], out: &mut Vec<Output>) {
         let mut newly_acked = 0u64;
         let mut rtt_sample: Option<SimDuration> = None;
         let mut rate_sample = None;
@@ -299,19 +197,19 @@ impl TcpSender {
                 }
                 let mut seg = entry.remove();
                 let acked = seg.end.min(cum) - start;
-                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(acked);
+                self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(acked);
                 if seg.end <= cum && !seg.retx {
                     rtt_sample = Some(now - seg.sent_at);
                 }
                 self.track_delivered(seg.sent_at, start);
-                let sample = self.rate.on_ack(now, acked, seg.tx);
+                let sample = self.core.rate.on_ack(now, acked, seg.tx);
                 if sample.is_some() {
                     rate_sample = sample;
                 }
                 if seg.end > cum {
                     // Partial coverage (a retransmission chunk spanned
                     // the ACK point): shrink the segment.
-                    seg.tx = self.rate.on_send(now); // refresh baseline
+                    seg.tx = self.core.rate.on_send(now); // refresh baseline
                     self.inflight.insert(cum, seg);
                 }
             }
@@ -332,7 +230,7 @@ impl TcpSender {
                 let mut covered = std::mem::take(&mut self.picked);
                 covered.extend(
                     self.inflight
-                        .range(r.start.saturating_sub(self.mss)..r.end)
+                        .range(r.start.saturating_sub(self.core.mss)..r.end)
                         .filter(|(s, seg)| self.sacked.contains_range(**s, seg.end))
                         .map(|(s, seg)| (*s, seg.end)),
                 );
@@ -340,12 +238,13 @@ impl TcpSender {
                     let Some(seg) = self.inflight.remove(&start) else {
                         continue; // covered starts came from `inflight`
                     };
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.end - start);
+                    self.core.bytes_in_flight =
+                        self.core.bytes_in_flight.saturating_sub(seg.end - start);
                     if !seg.retx {
                         rtt_sample = Some(now - seg.sent_at);
                     }
                     self.track_delivered(seg.sent_at, start);
-                    let sample = self.rate.on_ack(now, seg.end - start, seg.tx);
+                    let sample = self.core.rate.on_ack(now, seg.end - start, seg.tx);
                     if sample.is_some() {
                         rate_sample = sample;
                     }
@@ -357,7 +256,7 @@ impl TcpSender {
         }
 
         if let Some(s) = rtt_sample {
-            self.rtt.on_sample(s);
+            self.core.rtt.on_sample(s);
         }
 
         // Loss marking: a hole is lost when ≥ DUP_THRESH·MSS bytes are
@@ -366,7 +265,7 @@ impl TcpSender {
         let mut lost_any = false;
         // "≥ DUP_THRESH·MSS SACKed above it" holds exactly for the
         // segments ending at or below one cutoff, found once per ACK.
-        if let Some(cutoff) = self.sacked.start_of_top(DUP_THRESH_SEGS * self.mss) {
+        if let Some(cutoff) = self.sacked.start_of_top(DUP_THRESH_SEGS * self.core.mss) {
             let mut to_mark = std::mem::take(&mut self.picked);
             to_mark.extend(
                 self.inflight
@@ -380,7 +279,7 @@ impl TcpSender {
             );
             for (start, end) in to_mark.drain(..) {
                 self.inflight.remove(&start);
-                self.bytes_in_flight = self.bytes_in_flight.saturating_sub(end - start);
+                self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(end - start);
                 self.lost.insert(start, end);
                 lost_any = true;
             }
@@ -394,39 +293,15 @@ impl TcpSender {
         }
         if lost_any && self.snd_una >= self.recovery_until {
             // Enter a new recovery episode: one reduction per episode.
-            self.cc.on_congestion_event(now, self.bytes_in_flight);
-            self.congestion_events += 1;
+            self.core.on_congestion_event(now);
             self.recovery_until = self.snd_nxt;
         }
 
-        if newly_acked > 0 {
-            self.cc.on_ack(&AckInfo {
-                now,
-                acked_bytes: newly_acked,
-                rtt: rtt_sample,
-                srtt: self.rtt.srtt(),
-                min_rtt: Some(self.rtt.min_rtt()),
-                rate: rate_sample,
-                in_flight: self.bytes_in_flight,
-            });
-            crate::obs::ack_counters(
-                self.obs,
-                now,
-                self.dir_label(),
-                self.cc.cwnd(),
-                self.cc.ssthresh(),
-                self.rtt.srtt(),
-            );
-        }
-
-        // Re-arm or clear the RTO.
-        self.rto_at = if self.inflight.is_empty() && self.lost.is_empty() {
-            None
-        } else {
-            Some(now + self.rtt.rto())
-        };
-
-        self.try_send(now, cfg_pacing, out);
+        self.core
+            .on_acked(now, newly_acked, rtt_sample, rate_sample);
+        self.core
+            .rearm_rto(now, !(self.inflight.is_empty() && self.lost.is_empty()));
+        self.try_send(now, out);
     }
 
     fn track_delivered(&mut self, sent_at: SimTime, seq: u64) {
@@ -436,43 +311,19 @@ impl TcpSender {
     }
 
     /// Fire the retransmission timeout.
-    fn on_rto(&mut self, now: SimTime, cfg_pacing: bool, out: &mut Vec<Output>) {
-        out.push(Output::Trace(TraceKind::Rto, self.snd_una));
-        crate::obs::instant(
-            self.obs,
-            pq_obs::Level::Info,
-            now,
-            || format!("RTO {}", self.dir_label()),
-            Vec::new,
-        );
-        self.rtt.on_rto_fired();
-        self.cc.on_rto(now);
+    fn on_rto(&mut self, now: SimTime, out: &mut Vec<Output>) {
+        self.core.on_rto(now, self.snd_una, out);
         // Everything unSACKed in flight is presumed lost.
         while let Some((start, seg)) = self.inflight.pop_first() {
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.end - start);
+            self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(seg.end - start);
             self.lost.insert(start, seg.end);
         }
         for r in self.sacked.iter() {
             self.lost.remove(r.start, r.end);
         }
         self.recovery_until = self.snd_nxt;
-        self.rto_at = Some(now + self.rtt.rto());
-        self.try_send(now, cfg_pacing, out);
-    }
-
-    fn poll_at(&self) -> SimTime {
-        let mut t = SimTime::MAX;
-        if let Some(x) = self.rto_at {
-            t = t.min(x);
-        }
-        if let Some(x) = self.pacing_at {
-            t = t.min(x);
-        }
-        t
-    }
-
-    fn all_acked(&self) -> bool {
-        self.snd_una >= self.app_limit
+        self.core.rearm_rto(now, true);
+        self.try_send(now, out);
     }
 }
 
@@ -628,18 +479,13 @@ impl TcpConnection {
         conn
     }
 
-    /// The connection id.
-    pub fn id(&self) -> ConnId {
-        self.id
-    }
-
     /// Attach the connection to a trace track (`pid` = the page load,
     /// `tid` = this connection's row): enables cwnd/ssthresh/sRTT
     /// counters, retransmit/RTO instants and the handshake span.
     pub fn set_obs_track(&mut self, pid: u32, tid: u32) {
         self.obs_track = Some((pid, tid));
-        self.c2s_snd.obs = Some((pid, tid));
-        self.s2c_snd.obs = Some((pid, tid));
+        self.c2s_snd.core.obs = Some((pid, tid));
+        self.s2c_snd.core.obs = Some((pid, tid));
     }
 
     /// True once the client may send application data.
@@ -650,7 +496,7 @@ impl TcpConnection {
     /// Total retransmitted segments over both directions (the §4.3
     /// TCP+ diagnostic).
     pub fn retransmits(&self) -> u64 {
-        self.c2s_snd.retransmits + self.s2c_snd.retransmits
+        self.c2s_snd.core.retransmits + self.s2c_snd.core.retransmits
     }
 
     /// Move pending outputs (send requests, progress events, traces)
@@ -694,7 +540,7 @@ impl TcpConnection {
     pub fn client_write(&mut self, now: SimTime, bytes: u64) {
         self.c2s_snd.write(bytes);
         if self.hs == HsState::Established {
-            self.c2s_snd.try_send(now, self.cfg.pacing, &mut self.out);
+            self.c2s_snd.try_send(now, &mut self.out);
         }
     }
 
@@ -702,13 +548,8 @@ impl TcpConnection {
     pub fn server_write(&mut self, now: SimTime, bytes: u64) {
         self.s2c_snd.write(bytes);
         if self.server_established {
-            self.s2c_snd.try_send(now, self.cfg.pacing, &mut self.out);
+            self.s2c_snd.try_send(now, &mut self.out);
         }
-    }
-
-    /// Bytes of client data delivered in order at the server.
-    pub fn server_delivered(&self) -> u64 {
-        self.c2s_rcv.rcv_nxt
     }
 
     /// Server-side send backlog: bytes written by the server
@@ -718,11 +559,6 @@ impl TcpConnection {
     /// responses can still be multiplexed fairly).
     pub fn server_backlog(&self) -> u64 {
         self.s2c_snd.app_limit - self.s2c_snd.snd_nxt
-    }
-
-    /// Bytes of server data delivered in order at the client.
-    pub fn client_delivered(&self) -> u64 {
-        self.s2c_rcv.rcv_nxt
     }
 
     /// A packet arrived at one endpoint (`Direction::Up` = at server).
@@ -738,35 +574,34 @@ impl TcpConnection {
                 self.srv_hs_timer = Some(now + SimDuration::from_secs(1));
             }
             (TcpSegKind::SynAck, Direction::Down) if self.hs == HsState::SynSent => {
-                self.c2s_snd.rtt.on_sample(now - self.syn_sent_at);
+                self.c2s_snd.core.rtt.on_sample(now - self.syn_sent_at);
                 self.hs = HsState::HelloSent;
                 self.send_ctl(true, TcpSegKind::ClientHello);
                 self.hs_backoff = 0;
-                self.hs_timer = Some(now + self.c2s_snd.rtt.rto());
+                self.hs_timer = Some(now + self.c2s_snd.core.rtt.rto());
             }
             (TcpSegKind::ClientHello, Direction::Up) => {
-                self.s2c_snd.rtt.on_sample(now - self.synack_sent_at);
+                self.s2c_snd.core.rtt.on_sample(now - self.synack_sent_at);
                 self.send_server_flight(now);
             }
-            (TcpSegKind::ServerFlight { part, of }, Direction::Down) => {
-                let _ = part;
-                if self.hs != HsState::Established {
-                    self.flight_recv += 1;
-                    if self.flight_recv >= *of {
-                        self.hs = HsState::Established;
-                        self.hs_timer = None;
-                        self.send_ctl(true, TcpSegKind::ClientFinished);
-                        self.out.push(Output::HandshakeDone);
-                        self.out.push(Output::Trace(TraceKind::HandshakeDone, 0));
-                        crate::obs::handshake_span(
-                            self.obs_track,
-                            self.opened_at,
-                            now,
-                            self.cfg.protocol.label(),
-                        );
-                        // Any queued request leaves right now.
-                        self.c2s_snd.try_send(now, self.cfg.pacing, &mut self.out);
-                    }
+            (TcpSegKind::ServerFlight { of, .. }, Direction::Down)
+                if self.hs != HsState::Established =>
+            {
+                self.flight_recv += 1;
+                if self.flight_recv >= *of {
+                    self.hs = HsState::Established;
+                    self.hs_timer = None;
+                    self.send_ctl(true, TcpSegKind::ClientFinished);
+                    self.out.push(Output::HandshakeDone);
+                    self.out.push(Output::Trace(TraceKind::HandshakeDone, 0));
+                    crate::obs::handshake_span(
+                        self.obs_track,
+                        self.opened_at,
+                        now,
+                        self.cfg.protocol.label(),
+                    );
+                    // Any queued request leaves right now.
+                    self.c2s_snd.try_send(now, &mut self.out);
                 }
             }
             (TcpSegKind::ClientFinished, Direction::Up) => {
@@ -825,7 +660,7 @@ impl TcpConnection {
                     Direction::Up => &mut self.s2c_snd,
                     Direction::Down => &mut self.c2s_snd,
                 };
-                snd.on_ack(now, *cum, sacks, self.cfg.pacing, &mut self.out);
+                snd.on_ack(now, *cum, sacks, &mut self.out);
             }
             // Stray packets (e.g. a retransmitted SYN after
             // establishment) are ignored.
@@ -837,7 +672,7 @@ impl TcpConnection {
         if !self.server_established {
             self.server_established = true;
             self.srv_hs_timer = None;
-            self.s2c_snd.try_send(now, self.cfg.pacing, &mut self.out);
+            self.s2c_snd.try_send(now, &mut self.out);
         }
     }
 
@@ -852,7 +687,7 @@ impl TcpConnection {
                 },
             );
         }
-        self.srv_hs_timer = Some(now + self.s2c_snd.rtt.rto().max(SimDuration::from_secs(1)));
+        self.srv_hs_timer = Some(now + self.s2c_snd.core.rtt.rto().max(SimDuration::from_secs(1)));
     }
 
     /// Earliest internal timer.
@@ -869,7 +704,8 @@ impl TcpConnection {
         {
             t = t.min(x);
         }
-        t.min(self.c2s_snd.poll_at()).min(self.s2c_snd.poll_at())
+        t.min(self.c2s_snd.core.poll_at())
+            .min(self.s2c_snd.core.poll_at())
     }
 
     /// Service any expired timers.
@@ -921,40 +757,35 @@ impl TcpConnection {
             ));
         }
         // RTOs and pacing resumes.
-        if self.c2s_snd.rto_at.is_some_and(|t| t <= now) {
+        if self.c2s_snd.core.rto_at.is_some_and(|t| t <= now) {
             let _rto_span = pq_prof::span("transport:rto-retransmit");
-            self.c2s_snd.on_rto(now, self.cfg.pacing, &mut self.out);
+            self.c2s_snd.on_rto(now, &mut self.out);
         }
-        if self.s2c_snd.rto_at.is_some_and(|t| t <= now) {
+        if self.s2c_snd.core.rto_at.is_some_and(|t| t <= now) {
             let _rto_span = pq_prof::span("transport:rto-retransmit");
-            self.s2c_snd.on_rto(now, self.cfg.pacing, &mut self.out);
+            self.s2c_snd.on_rto(now, &mut self.out);
         }
-        if self.c2s_snd.pacing_at.is_some_and(|t| t <= now) {
-            self.c2s_snd.try_send(now, self.cfg.pacing, &mut self.out);
+        if self.c2s_snd.core.pacing_at.is_some_and(|t| t <= now) {
+            self.c2s_snd.try_send(now, &mut self.out);
         }
-        if self.s2c_snd.pacing_at.is_some_and(|t| t <= now) {
-            self.s2c_snd.try_send(now, self.cfg.pacing, &mut self.out);
+        if self.s2c_snd.core.pacing_at.is_some_and(|t| t <= now) {
+            self.s2c_snd.try_send(now, &mut self.out);
         }
     }
 
     /// Server-side congestion window in bytes (diagnostics).
     pub fn server_cwnd(&self) -> u64 {
-        self.s2c_snd.cc.cwnd()
+        self.s2c_snd.core.cc.cwnd()
     }
 
     /// Server-side congestion events and RTO-driven collapses.
     pub fn server_congestion_events(&self) -> u64 {
-        self.s2c_snd.congestion_events
+        self.s2c_snd.core.congestion_events
     }
 
     /// Server-side smoothed RTT (diagnostics).
     pub fn server_srtt(&self) -> Option<pq_sim::SimDuration> {
-        self.s2c_snd.rtt.srtt()
-    }
-
-    /// True when every written byte in both directions was ACKed.
-    pub fn quiescent(&self) -> bool {
-        self.c2s_snd.all_acked() && self.s2c_snd.all_acked()
+        self.s2c_snd.core.rtt.srtt()
     }
 }
 

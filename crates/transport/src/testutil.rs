@@ -70,14 +70,11 @@ impl MiniWorld {
     /// stream) once the request fully arrives.
     pub fn request(&mut self, now: SimTime, stream: u64, req_bytes: u64, response: u64) {
         self.responses.insert(stream, response);
-        match &mut self.conn {
-            Connection::Quic(q) => q.client_open_stream(now, StreamId(stream), req_bytes),
-            Connection::Tcp(t) => {
-                let prev_end = self.tcp_requests.last().map_or(0, |(e, _)| *e);
-                self.tcp_requests.push((prev_end + req_bytes, stream));
-                t.client_write(now, req_bytes);
-            }
+        if let Connection::Tcp(_) = self.conn {
+            let prev_end = self.tcp_requests.last().map_or(0, |(e, _)| *e);
+            self.tcp_requests.push((prev_end + req_bytes, stream));
         }
+        self.conn.client_write(now, StreamId(stream), req_bytes);
         self.pump(now);
     }
 
@@ -142,21 +139,21 @@ impl MiniWorld {
     }
 
     fn on_server_progress(&mut self, now: SimTime, stream: u64, delivered: u64, fin: bool) {
-        match &mut self.conn {
-            Connection::Quic(q) => {
+        match self.conn {
+            Connection::Quic(_) => {
                 if fin && !self.served.get(&stream).copied().unwrap_or(false) {
                     self.served.insert(stream, true);
                     let resp = self.responses.get(&stream).copied().unwrap_or(0);
-                    q.server_write(now, StreamId(stream), resp, true);
+                    self.conn.server_write(now, StreamId(stream), resp, true);
                 }
             }
-            Connection::Tcp(t) => {
+            Connection::Tcp(_) => {
                 // Serve every request whose bytes fully arrived.
                 while self.tcp_served_upto < self.tcp_requests.len() {
                     let (end, key) = self.tcp_requests[self.tcp_served_upto];
                     if delivered >= end {
                         let resp = self.responses.get(&key).copied().unwrap_or(0);
-                        t.server_write(now, resp);
+                        self.conn.server_write(now, StreamId(0), resp, false);
                         self.tcp_served_upto += 1;
                     } else {
                         break;
@@ -234,12 +231,8 @@ pub fn fetch_once(
     let hs = w
         .handshake_done_at
         .unwrap_or_else(|| panic!("{}: handshake incomplete", protocol.label()));
-    let expected = match &w.conn {
-        Connection::Quic(_) => response,
-        Connection::Tcp(_) => response,
-    };
     assert!(
-        w.stream_done(if protocol.is_quic() { 1 } else { 0 }, expected),
+        w.stream_done(if protocol.is_quic() { 1 } else { 0 }, response),
         "{}: transfer incomplete: {:?}",
         protocol.label(),
         w.client_progress

@@ -123,9 +123,9 @@ pub enum QuicFrame {
         /// Final frame of the stream.
         fin: bool,
     },
-    /// Acknowledgement of received packet numbers. Unlike TCP's 3-block
-    /// SACK cap, the range list is unbounded ("QUIC's large SACK
-    /// ranges", §4.3).
+    /// Acknowledgement of received packet numbers: where TCP fits 3
+    /// SACK blocks, the sender's `max_sack_blocks` (32) most recent
+    /// ranges ("QUIC's large SACK ranges", §4.3).
     Ack {
         /// Ranges of received packet numbers.
         ranges: Vec<Range>,

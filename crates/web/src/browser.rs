@@ -7,26 +7,40 @@
 //! document streams in, and paint events build the visual-completeness
 //! timeline that the metrics and the user-study stimuli are derived
 //! from.
+//!
+//! This file is the loader core: one table of objects, one table of
+//! connections addressed by key, and one event loop that pumps a
+//! connection's outputs onto the links' lanes and its progress into
+//! objects (`browser/page.rs` is the half that knows what the browser
+//! does with the bytes). Which HTTP mapping a connection carries is
+//! `mux.rs`'s business; what stands between browser and origins —
+//! nothing, a middlebox, a terminating proxy with legs of its own — is
+//! `junction.rs`'s, and the paper's five stacks take the `Direct` arm of
+//! every match on it.
 
-use crate::http1::{H1Conn, H1Pool};
-use crate::http2::{H2Mux, ResponseProgress};
-use crate::http3::H3Map;
-use crate::object::{ObjectId, WebObject};
+use crate::http1::MAX_CONNS_PER_ORIGIN;
+use crate::http2::H2Mux;
+use crate::junction::Junction;
+use crate::mux::{ConnState, Mux};
+use crate::object::{Got, ObjectId, Progress};
 use crate::website::Website;
-use pq_edge::{Dispatch, EdgeConfig, EdgePools, Middlebox};
+use pq_edge::EdgeConfig;
 use pq_metrics::{MetricSet, Recording, VisualTimeline};
 use pq_obs::{ArgValue, Level};
 use pq_sim::{
-    ConnId, Direction, EventQueue, Lane, LaneEvent, Link, NetworkConfig, Packet, PushOutcome,
-    SimDuration, SimRng, SimTime, Source, Trace, TraceKind,
+    ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, NetworkConfig, Packet,
+    PushOutcome, SimDuration, SimRng, SimTime, Source, Trace, TraceKind,
 };
-use pq_transport::{Connection, Output, Protocol, Wire};
-use std::collections::BTreeMap;
+use pq_transport::{Connection, Output, Protocol, StackConfig, Wire};
+use std::collections::{BTreeMap, VecDeque};
+
+mod page;
+use page::ObjState;
 
 /// Trace-track layout of one page load (one tracer `pid` per load):
 /// `tid 0` carries the page-level markers (FVC/LVC/PLT, queue depth,
-/// link queues), `tid 1 + ci` one row per connection, `tid 100 + obj`
-/// one row per web object.
+/// link queues), `tid 1 + ci` one row per connection, `tid 60 + li` one
+/// per proxy leg, `tid 100 + obj` one row per web object.
 const TID_PAGE: u32 = 0;
 /// First connection row.
 const TID_CONN_BASE: u32 = 1;
@@ -34,12 +48,10 @@ const TID_CONN_BASE: u32 = 1;
 const TID_OBJ_BASE: u32 = 100;
 /// First proxy-leg (origin-side connection) row.
 const TID_LEG_BASE: u32 = 60;
-/// Offset distinguishing proxy-leg handshake fault keys and trace
-/// details from client-side connection indices.
-const LEG_KEY_BASE: u32 = 1000;
 
-/// HTTP version used over the TCP stacks (QUIC always uses its own
-/// stream mapping).
+/// HTTP version used over the three plain TCP stacks (`TCP`, `TCP+`,
+/// `TCP+BBR`). QUIC always uses its own stream mapping, and `H2-EDGE`'s
+/// client leg is HTTP/2 by name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum HttpVersion {
     /// HTTP/1.1: one request per connection, a pool of up to 6
@@ -58,19 +70,13 @@ pub struct LoadOptions {
     pub fps: u32,
     /// Give up after this much virtual time.
     pub horizon: SimDuration,
-    /// Server think time: fixed base in milliseconds…
-    pub think_base_ms: f64,
-    /// …plus an exponential jitter with this mean (run-to-run
-    /// variation, as in any real testbed).
-    pub think_jitter_ms: f64,
-    /// Detailed trace-event capacity (0 = counters only).
-    pub trace_capacity: usize,
     /// Scale factor on client-side processing costs (parse, script
     /// execution, image decode, style+layout). 1.0 = calibrated
     /// defaults; 0.0 disables processing entirely (network-only loads,
     /// useful for ablations).
     pub processing_scale: f64,
-    /// HTTP version for the TCP stacks (ignored by QUIC).
+    /// HTTP version for the plain TCP stacks (ignored by the QUIC
+    /// stacks and by `H2-EDGE`, see [`HttpVersion`]).
     pub http_version: HttpVersion,
     /// Fault-injection plan for this load (`None` = no injection; the
     /// default). Tests should thread a plan here explicitly; the
@@ -89,9 +95,6 @@ impl Default for LoadOptions {
         LoadOptions {
             fps: 0,
             horizon: SimDuration::from_secs(300),
-            think_base_ms: 4.0,
-            think_jitter_ms: 3.0,
-            trace_capacity: 0,
             processing_scale: 1.0,
             http_version: HttpVersion::Http2,
             faults: None,
@@ -100,17 +103,11 @@ impl Default for LoadOptions {
     }
 }
 
-/// Style-recalc + first-layout cost paid once before first paint.
-const STYLE_LAYOUT_MS: f64 = 250.0;
-/// Progressive resources paint up to this share from raw bytes; the
-/// rest appears when decoding/layout finishes.
-const PROGRESSIVE_CAP: f64 = 0.9;
-/// The HTML parser works through the document over roughly this long
-/// (main-thread parsing + preload-scanner yield), so subresources are
-/// discovered staggered rather than in one instant — which also
-/// staggers the per-origin initial-window bursts.
-const PARSE_SPREAD_MS: f64 = 350.0;
-
+/// Server think time: fixed base…
+const THINK_BASE_MS: f64 = 4.0;
+/// …plus an exponential jitter with this mean (run-to-run variation,
+/// as in any real testbed).
+const THINK_JITTER_MS: f64 = 3.0;
 /// Outcome of one page load.
 #[derive(Clone, Debug)]
 pub struct PageLoadResult {
@@ -138,7 +135,11 @@ pub struct PageLoadResult {
 /// propagation wait in the [`Loader::lanes`] instead.
 #[derive(Clone, Copy)]
 enum Ev {
+    /// Connection `.0`'s transport timer expired; `.1` tells the
+    /// latest scheduled wake-up from the stale ones.
     Wake(u32, u64),
+    /// The server at the far end of connection `.0` finished thinking
+    /// about an object.
     Respond(u32, ObjectId),
     /// Client-side processing of a fully delivered object finished.
     Processed(ObjectId),
@@ -146,11 +147,6 @@ enum Ev {
     DeferredRequest(ObjectId),
     /// Style + first layout done: painting may start.
     GateOpen,
-    /// A proxy leg's transport timer expired.
-    EdgeWake(u32, u64),
-    /// The origin finished thinking about an object requested through
-    /// proxy leg `.0`.
-    EdgeRespond(u32, ObjectId),
 }
 
 const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
@@ -172,85 +168,36 @@ fn lane_of(dir: Direction, origin: bool) -> usize {
     }
 }
 
-enum Mux {
-    H1(H1Conn),
-    H2(H2Mux),
-    H3(H3Map),
-}
+/// Connections go by key: the browser's by index, a proxy's legs by
+/// `LEG_KEY_BASE` + theirs — as event targets, as handshake-fault keys
+/// and as trace details alike.
+const LEG_KEY_BASE: u32 = 1000;
 
-struct ConnState {
-    conn: Connection,
-    mux: Mux,
-    wake_version: u64,
-}
-
-/// One origin-side proxy connection (always TCP+ carrying HTTP/2).
-/// The pool remembers which origin each leg serves; relay bridges
-/// carry the `(origin, leg)` pair they complete on.
-struct LegState {
-    conn: Connection,
-    mux: H2Mux,
-    wake_version: u64,
-}
-
-/// Relay state of one object flowing origin-leg → client-connection
-/// through the terminating proxy. Progress maps proportionally: the
-/// proxy has relayed `client_total · origin_got / origin_total` bytes
-/// onto the client-facing stream at any instant (cut-through, not
-/// store-and-forward).
-struct Bridge {
-    /// H2 stream bytes the origin response occupies on the leg.
-    origin_total: u64,
-    origin_got: u64,
-    /// Stream bytes the response occupies client-side (H3 or H2
-    /// framing, matching the client connection's mux).
-    client_total: u64,
-    client_written: u64,
-    leg: u32,
-    origin: u16,
-    fin_sent: bool,
-}
-
-/// Everything the edge stacks add to a page load besides the origin
-/// segment's two lanes: the proxy's pooled legs and relay bridges, and
-/// the transparent middlebox. `None` on the Table-1 stacks — their event
-/// sequence is untouched.
-struct EdgeState {
-    leg_cfg: pq_transport::StackConfig,
-    legs: Vec<LegState>,
-    pools: EdgePools,
-    mbx: Option<Middlebox>,
-    bridges: BTreeMap<ObjectId, Bridge>,
+/// The proxy leg `key` names, if it names one.
+fn leg_of(key: u32) -> Option<u32> {
+    key.checked_sub(LEG_KEY_BASE)
 }
 
 struct Loader<'a> {
-    site: &'a Website,
-    protocol: Protocol,
     opts: &'a LoadOptions,
     q: EventQueue<Ev>,
     /// One per link direction, indexed [`UP`]‥[`O_DOWN`] (two on the
     /// Table-1 stacks, four on the edge stacks).
     lanes: Vec<Lane<Wire>>,
+    /// The browser's connections, by key (a proxy's legs live in the
+    /// junction, see [`Loader::table_mut`])…
     conns: Vec<ConnState>,
-    origin_conn: BTreeMap<u16, u32>,
-    /// HTTP/1.1 connection pools per origin (empty under H2/H3).
-    h1_pools: BTreeMap<u16, H1Pool>,
-    cfg: pq_transport::StackConfig,
+    /// …of which an origin gets this many: one multiplexed connection,
+    /// or HTTP/1.1's pool.
+    conns_per_origin: usize,
+    /// HTTP/1.1 requests waiting for an idle connection, per origin.
+    waiting: BTreeMap<u16, VecDeque<ObjectId>>,
+    junction: Junction,
+    cfg: StackConfig,
     think_rng: SimRng,
-    /// Children of each object, sorted by discovery fraction.
-    children: Vec<Vec<(f64, ObjectId)>>,
-    discovered: Vec<bool>,
-    /// Response-stream progress fraction per object.
-    frac: Vec<f64>,
-    /// Delivery finished; processing scheduled.
-    processing: Vec<bool>,
-    done_at: Vec<Option<SimTime>>,
+    /// Indexed by [`ObjectId`].
+    objs: Vec<ObjState<'a>>,
     n_done: usize,
-    /// Stream bytes expected per object (protocol-specific overheads).
-    expect: Vec<u64>,
-    got: Vec<u64>,
-    /// Current paint contribution per object.
-    contrib: Vec<f64>,
     timeline: VisualTimeline,
     vc: f64,
     gate_open: bool,
@@ -261,24 +208,17 @@ struct Loader<'a> {
     trace: Trace,
     /// Tracer process id of this page load (`None` with tracing off).
     obs_pid: Option<u32>,
-    /// Request-issue instant per object (waterfall span start).
-    req_at: Vec<Option<SimTime>>,
     /// Per-load fault view (`None` = injection off).
     faults: Option<pq_fault::LoadFaults>,
-    /// Edge topology state (`None` on the Table-1 stacks).
-    edge: Option<EdgeState>,
-    /// Reused scratch for newly-released children: `discover` needs
-    /// `&mut self`, so the candidate list is staged here instead of a
-    /// fresh per-event `Vec`.
-    kid_buf: Vec<ObjectId>,
-    /// Scratch buffers of the pump loops, staged the same way: a pump
-    /// takes one, fills and drains it, and puts it back for its
-    /// capacity (a nested pump finds an empty one and starts cold).
+    /// Scratch buffers of the pump loop: routing an output needs
+    /// `&mut self`, so a pump takes one, fills and drains it, and puts
+    /// it back for its capacity (a nested pump finds an empty one and
+    /// starts cold) instead of a fresh per-event `Vec`.
     out_buf: Vec<Output>,
     /// Objects whose requests just arrived at a server.
     ready_buf: Vec<ObjectId>,
-    /// Per-object progress of one H2 delivery.
-    progress_buf: Vec<ResponseProgress>,
+    /// Per-object progress of one delivery.
+    progress_buf: Vec<Progress>,
     /// The middlebox's early retransmits for one uplink packet.
     retx_buf: Vec<Packet<Wire>>,
 }
@@ -312,13 +252,8 @@ pub fn try_load_page(
     opts: &LoadOptions,
 ) -> Result<PageLoadResult, pq_fault::PqError> {
     let net = net.clone().checked()?;
-    Ok(load_page_with_config(
-        site,
-        &net,
-        &protocol.config(&net),
-        seed,
-        opts,
-    ))
+    let cfg = protocol.config(&net);
+    Ok(load_page_with_config(site, &net, &cfg, seed, opts))
 }
 
 /// Load with an explicit stack configuration — the knob-by-knob API
@@ -326,28 +261,14 @@ pub fn try_load_page(
 pub fn load_page_with_config(
     site: &Website,
     net: &NetworkConfig,
-    cfg: &pq_transport::StackConfig,
+    cfg: &StackConfig,
     seed: u64,
     opts: &LoadOptions,
 ) -> PageLoadResult {
     let protocol = cfg.protocol;
     // pq-lint: allow(rng) -- load-entry derivation point: `seed` is the per-cell run_seed; every sub-stream forks from it
     let rng = SimRng::new(seed);
-    let n = site.objects.len();
-
-    let mut children: Vec<Vec<(f64, ObjectId)>> = vec![Vec::new(); n];
-    for o in &site.objects {
-        if let Some(parent) = o.discovered_by {
-            if let Some(row) = children.get_mut(parent.0 as usize) {
-                row.push((o.discovery_at, o.id));
-            }
-        }
-    }
-    for c in &mut children {
-        // total_cmp: discovery fractions are finite by construction,
-        // but the sort must never be the thing that panics.
-        c.sort_by(|a, b| a.0.total_cmp(&b.0));
-    }
+    let client_mux = Mux::for_client(protocol, opts.http_version);
 
     // Bind the fault plan (if any) to this load, keyed by its seed —
     // every injection decision below is a pure function of
@@ -357,20 +278,6 @@ pub fn load_page_with_config(
         .as_ref()
         .filter(|p| !p.is_empty())
         .map(|p| pq_fault::LoadFaults::new(p.clone(), seed));
-
-    let expect: Vec<u64> = site
-        .objects
-        .iter()
-        .map(|o| {
-            if protocol.is_quic() {
-                crate::http3::RESPONSE_HEADER + o.size
-            } else if opts.http_version == HttpVersion::Http1 {
-                crate::http1::RESPONSE_HEADER + o.size
-            } else {
-                H2Mux::response_stream_bytes(o.size)
-            }
-        })
-        .collect();
 
     // One tracer process per page load; every connection, object and
     // queue-depth sample of this load lands on its tracks.
@@ -387,88 +294,58 @@ pub fn load_page_with_config(
         None
     };
 
-    // Edge stacks split the path at the junction: the client-side
-    // segment keeps the access link's character (bandwidth, loss,
-    // queue) over a fraction of the RTT, and a clean fat backbone
-    // segment covers the rest to the origin. Table-1 stacks keep the
-    // single end-to-end link untouched.
-    let edge_cfg = protocol
-        .is_edge()
-        .then(|| opts.edge.clone().unwrap_or_default());
-    let link_net = match &edge_cfg {
-        Some(ec) => net.client_segment(ec.client_rtt_share),
-        None => net.clone(),
-    };
-
     let mut q = EventQueue::new();
-    let mut up = Link::new(link_net.uplink(), rng.fork("uplink-loss"));
-    let mut down = Link::new(link_net.downlink(), rng.fork("downlink-loss"));
     if let Some(pid) = obs_pid {
         q.set_obs_track(pid, TID_PAGE);
-        up.set_obs_track(pid, TID_PAGE, "uplink");
-        down.set_obs_track(pid, TID_PAGE, "downlink");
     }
-    if let Some(f) = &faults {
-        up.set_fault(f.link_fault("uplink"));
-        down.set_fault(f.link_fault("downlink"));
-    }
-
-    let mut lanes = vec![Lane::new(up), Lane::new(down)];
-    let edge = edge_cfg.map(|ec| {
-        let origin_net = net.origin_segment(ec.client_rtt_share, ec.backbone_bps);
-        let mut o_up = Link::new(origin_net.uplink(), rng.fork("origin-uplink-loss"));
-        let mut o_down = Link::new(origin_net.downlink(), rng.fork("origin-downlink-loss"));
+    // Edge stacks split the path at the junction; Table-1 stacks keep
+    // the single end-to-end link untouched. Fault clauses bind to each
+    // path segment independently: every link has its own fault key.
+    let (junction, client_net, origin_net) =
+        Junction::build(protocol, opts.edge.as_ref(), net, &rng);
+    let lane = |link: LinkConfig, name: &'static str, loss: &str| {
+        let mut link = Link::new(link, rng.fork(loss));
         if let Some(pid) = obs_pid {
-            o_up.set_obs_track(pid, TID_PAGE, "origin-uplink");
-            o_down.set_obs_track(pid, TID_PAGE, "origin-downlink");
+            link.set_obs_track(pid, TID_PAGE, name);
         }
-        // Fault clauses bind to each path segment independently: the
-        // origin segment has its own link-fault keys.
         if let Some(f) = &faults {
-            o_up.set_fault(f.link_fault("origin-uplink"));
-            o_down.set_fault(f.link_fault("origin-downlink"));
+            link.set_fault(f.link_fault(name));
         }
-        lanes.extend([Lane::new(o_up), Lane::new(o_down)]);
-        EdgeState {
-            leg_cfg: Protocol::TcpPlus.config(&origin_net),
-            legs: Vec::new(),
-            pools: EdgePools::new(&ec, rng.fork("edge-pool")),
-            mbx: protocol.has_middlebox().then(|| Middlebox::new(&ec)),
-            bridges: BTreeMap::new(),
-        }
-    });
+        Lane::new(link)
+    };
+    let mut lanes = vec![
+        lane(client_net.uplink(), "uplink", "uplink-loss"),
+        lane(client_net.downlink(), "downlink", "downlink-loss"),
+    ];
+    if let Some(net) = origin_net {
+        let up = lane(net.uplink(), "origin-uplink", "origin-uplink-loss");
+        let down = lane(net.downlink(), "origin-downlink", "origin-downlink-loss");
+        lanes.extend([up, down]);
+    }
 
     let mut loader = Loader {
-        site,
-        protocol,
         opts,
         q,
         lanes,
         conns: Vec::new(),
-        origin_conn: BTreeMap::new(),
-        h1_pools: BTreeMap::new(),
+        conns_per_origin: match client_mux {
+            Mux::H1(_) => MAX_CONNS_PER_ORIGIN,
+            Mux::H2(_) | Mux::H3(_) => 1,
+        },
+        waiting: BTreeMap::new(),
+        junction,
         cfg: *cfg,
         think_rng: rng.fork("server-think"),
-        children,
-        discovered: vec![false; n],
-        frac: vec![0.0; n],
-        processing: vec![false; n],
-        done_at: vec![None; n],
+        objs: page::table(site, &client_mux),
         n_done: 0,
-        expect,
-        got: vec![0; n],
-        contrib: vec![0.0; n],
         timeline: VisualTimeline::new(),
         vc: 0.0,
         gate_open: false,
         gate_scheduled: false,
         plt_at: None,
-        trace: Trace::with_capacity(opts.trace_capacity),
+        trace: Trace::counters_only(),
         obs_pid,
-        req_at: vec![None; n],
         faults,
-        edge,
-        kid_buf: Vec::new(),
         out_buf: Vec::new(),
         ready_buf: Vec::new(),
         progress_buf: Vec::new(),
@@ -484,13 +361,13 @@ pub fn load_page_with_config(
 /// of the `experiment` phase in the folded profile.
 fn ev_name(ev: Ev) -> &'static str {
     match ev {
+        Ev::Wake(key, _) if leg_of(key).is_some() => "event:edge-timer",
         Ev::Wake(..) => "event:timer",
+        Ev::Respond(key, _) if leg_of(key).is_some() => "event:edge-respond",
         Ev::Respond(..) => "event:respond",
         Ev::Processed(..) => "event:process",
         Ev::DeferredRequest(..) => "event:defer",
         Ev::GateOpen => "event:gate",
-        Ev::EdgeWake(..) => "event:edge-timer",
-        Ev::EdgeRespond(..) => "event:edge-respond",
     }
 }
 
@@ -506,237 +383,177 @@ fn lane_ev_name(lane: usize, what: LaneEvent) -> &'static str {
     }
 }
 
-impl<'a> Loader<'a> {
-    fn obj(&self, id: ObjectId) -> &'a WebObject {
-        &self.site.objects[id.0 as usize]
+impl Loader<'_> {
+    /// The table connection `key` lives in and its index there: the
+    /// browser's connections by key, a proxy's legs from
+    /// [`LEG_KEY_BASE`] up.
+    fn table_mut(&mut self, key: u32) -> Option<(&mut Vec<ConnState>, u32)> {
+        match (leg_of(key), &mut self.junction) {
+            (None, _) => Some((&mut self.conns, key)),
+            (Some(li), Junction::Proxy(proxy)) => Some((&mut proxy.legs, li)),
+            (Some(_), _) => None,
+        }
     }
 
-    /// An object became discovered: request it (immediately, or after
-    /// its lazy-load deferral).
-    fn discover(&mut self, now: SimTime, id: ObjectId) {
-        let idx = id.0 as usize;
-        match self.discovered.get_mut(idx) {
-            Some(seen @ false) => *seen = true,
-            _ => return, // already discovered
-        }
-        let o = self.obj(id);
-        // Parser stagger: children of the root document become visible
-        // to the fetcher as the parser reaches them.
-        let stagger = if o.discovered_by == Some(ObjectId(0)) {
-            o.discovery_at * PARSE_SPREAD_MS
-        } else {
-            0.0
-        };
-        let defer = (o.defer_ms + stagger) * self.opts.processing_scale;
-        if defer > 0.0 {
-            self.q.schedule(
-                now + SimDuration::from_secs_f64(defer / 1e3),
-                Ev::DeferredRequest(id),
-            );
-            return;
-        }
-        self.request_object(now, id);
+    fn conn_mut(&mut self, key: u32) -> Option<&mut ConnState> {
+        let (table, index) = self.table_mut(key)?;
+        table.get_mut(index as usize)
     }
 
-    /// Issue the request on the origin's connection (opening the
-    /// connection on first use). HTTP/1.1 uses a connection pool.
+    /// The tracer process of this load, while anyone is listening.
+    fn obs_track(&self) -> Option<u32> {
+        self.obs_pid.filter(|_| pq_obs::enabled(Level::Info))
+    }
+
+    /// Issue the request on a connection to the object's origin that
+    /// can take it; failing that open one, while the origin may have
+    /// more (its first — under HTTP/1.1 up to the browser's pool
+    /// limit), or queue.
     fn request_object(&mut self, now: SimTime, id: ObjectId) {
-        if !self.protocol.is_quic() && self.opts.http_version == HttpVersion::Http1 {
-            self.request_object_h1(now, id);
+        let Some(o) = self.objs.get(id.0 as usize) else {
             return;
-        }
+        };
         // The terminating proxy fronts every origin behind one
         // client-facing connection (CDN-style coalescing): the origin
-        // fan-out happens on the proxy's pooled legs instead.
-        let origin = if self.protocol.is_proxied() {
-            0
-        } else {
-            self.obj(id).origin.0
+        // fan-out happens on its pooled legs instead.
+        let origin = match self.junction {
+            Junction::Proxy(_) => 0,
+            Junction::Direct | Junction::Middlebox(_) => o.spec.origin.0,
         };
-        let ci = match self.origin_conn.get(&origin) {
-            Some(&ci) => ci,
+        let to_origin = || self.conns.iter().filter(|c| c.origin == origin);
+        // HTTP/1.1 serves one request at a time.
+        let busy = |c: &ConnState| matches!(&c.mux, Mux::H1(h) if !h.is_idle());
+        let usable = |c: &ConnState| c.origin == origin && !busy(c);
+        let key = match self.conns.iter().position(usable) {
+            Some(i) => i as u32,
+            None if to_origin().count() < self.conns_per_origin => {
+                let key = self.conns.len() as u32;
+                let mux = Mux::for_client(self.cfg.protocol, self.opts.http_version);
+                self.open(now, key, self.cfg, mux, origin);
+                key
+            }
             None => {
-                let mux = if self.protocol.is_quic() {
-                    Mux::H3(H3Map::new())
-                } else {
-                    Mux::H2(H2Mux::new())
-                };
-                self.open_conn(now, mux)
+                self.waiting.entry(origin).or_default().push_back(id);
+                return;
             }
         };
-        self.origin_conn.insert(origin, ci);
         self.trace.record(now, TraceKind::Request, u64::from(id.0));
         self.obs_request(now, id);
-        let state = &mut self.conns[ci as usize];
-        match &mut state.mux {
-            // pq-lint: allow(panic) -- H1 requests take the pool path above; mux/transport pairing is fixed at open_conn
-            Mux::H1(_) => unreachable!("pool handled above"),
-            Mux::H2(m) => {
-                let Connection::Tcp(c) = &mut state.conn else {
-                    // pq-lint: allow(panic) -- open_conn pairs Mux::H2 with Connection::Tcp, always
-                    unreachable!("H2 over TCP")
-                };
-                m.request(c, now, id);
-            }
-            Mux::H3(m) => {
-                let Connection::Quic(c) = &mut state.conn else {
-                    // pq-lint: allow(panic) -- open_conn pairs Mux::H3 with Connection::Quic, always
-                    unreachable!("H3 over QUIC")
-                };
-                m.request(c, now, id);
-            }
+        self.send_request(now, key, id);
+    }
+
+    /// Put `id`'s request on connection `key`.
+    fn send_request(&mut self, now: SimTime, key: u32, id: ObjectId) {
+        if let Some(c) = self.conn_mut(key) {
+            c.request(now, id);
         }
-        self.pump(now, ci);
+        self.pump(now, key);
     }
 
     /// Record one injected fault: bump the global counter and drop an
     /// instant on the page track's `fault` category.
     fn note_fault(&mut self, now: SimTime, what: &str, detail: u64) {
         pq_obs::registry().counter_add("fault.injected", 1);
-        if let Some(pid) = self.obs_pid {
-            if pq_obs::enabled(Level::Info) {
-                pq_obs::tracer().instant(
-                    Level::Info,
-                    "fault",
-                    what.to_string(),
-                    pid,
-                    TID_PAGE,
-                    now.as_nanos(),
-                    vec![("id", ArgValue::U64(detail))],
-                );
-            }
-        }
+        let Some(pid) = self.obs_track() else { return };
+        pq_obs::tracer().instant(
+            Level::Info,
+            "fault",
+            what.to_string(),
+            pid,
+            TID_PAGE,
+            now.as_nanos(),
+            vec![("id", ArgValue::U64(detail))],
+        );
     }
 
-    fn open_conn(&mut self, now: SimTime, mux: Mux) -> u32 {
-        let ci = self.conns.len() as u32;
-        let mut conn = Connection::open(ConnId(ci), self.cfg, now);
+    /// Open connection `key` — the next of its table — to `origin`,
+    /// carrying `mux` over a `cfg` stack. This is the one place a
+    /// transport flavour and an HTTP mapping are paired.
+    fn open(&mut self, now: SimTime, key: u32, cfg: StackConfig, mux: Mux, origin: u16) {
+        let leg = leg_of(key);
+        let mut conn = Connection::open(ConnId(leg.unwrap_or(key)), cfg, now);
         // Handshake fault: the first client flight never reaches the
         // wire; the transport's own handshake timeout / RTO machinery
         // must recover (that recovery is exactly what we're testing).
+        // Keyed by `key`, so legs draw apart from the browser's
+        // connections — "hs-drop through the proxy" exercises both
+        // sides independently.
         let hs_lost = self
             .faults
             .as_ref()
-            .is_some_and(|f| f.handshake_flight_lost(ci));
+            .is_some_and(|f| f.handshake_flight_lost(key));
         if hs_lost && conn.discard_pending_sends() > 0 {
-            self.note_fault(now, "handshake flight lost", u64::from(ci));
+            self.note_fault(now, "handshake flight lost", u64::from(key));
         }
         if let Some(pid) = self.obs_pid {
-            let tid = TID_CONN_BASE + ci;
-            conn.set_obs_track(pid, tid);
-            pq_obs::tracer().name_track(
-                pid,
-                tid,
-                &format!("conn {ci} ({})", self.protocol.label()),
-            );
-        }
-        self.conns.push(ConnState {
-            conn,
-            mux,
-            wake_version: 0,
-        });
-        ci
-    }
-
-    /// HTTP/1.1 request dispatch: reuse an idle pooled connection, grow
-    /// the pool up to the browser limit, or queue.
-    fn request_object_h1(&mut self, now: SimTime, id: ObjectId) {
-        let origin = self.obj(id).origin.0;
-        let pool = self.h1_pools.entry(origin).or_default();
-        let idle = pool
-            .conns
-            .iter()
-            .copied()
-            .find(|&ci| matches!(&self.conns[ci as usize].mux, Mux::H1(h) if h.is_idle()));
-        let ci = match idle {
-            Some(ci) => ci,
-            None if pool.can_grow() => {
-                let ci = self.open_conn(now, Mux::H1(H1Conn::new()));
-                if let Some(pool) = self.h1_pools.get_mut(&origin) {
-                    pool.conns.push(ci);
+            let (tid, name) = match leg {
+                None => {
+                    let stack = self.cfg.protocol.label();
+                    (TID_CONN_BASE + key, format!("conn {key} ({stack})"))
                 }
-                ci
-            }
-            None => {
-                pool.waiting.push_back(id);
-                return;
-            }
-        };
-        self.trace.record(now, TraceKind::Request, u64::from(id.0));
-        self.obs_request(now, id);
-        let state = &mut self.conns[ci as usize];
-        let Mux::H1(h) = &mut state.mux else {
-            // pq-lint: allow(panic) -- pool connections are opened as Mux::H1 in this very function
-            unreachable!()
-        };
-        let Connection::Tcp(c) = &mut state.conn else {
-            // pq-lint: allow(panic) -- open_conn pairs Mux::H1 with Connection::Tcp, always
-            unreachable!("H1 over TCP")
-        };
-        h.request(c, now, id);
-        self.pump(now, ci);
+                Some(li) => {
+                    let name = format!("leg {li} (H2 → origin {origin})");
+                    (TID_LEG_BASE + li, name)
+                }
+            };
+            conn.set_obs_track(pid, tid);
+            pq_obs::tracer().name_track(pid, tid, &name);
+        }
+        if let Some((table, _)) = self.table_mut(key) {
+            table.push(ConnState {
+                conn,
+                mux,
+                origin,
+                wake_version: 0,
+            });
+        }
     }
 
     /// Drain a connection's outputs, route packets, apply progress, and
     /// reschedule its wakeup.
-    fn pump(&mut self, now: SimTime, ci: u32) {
+    fn pump(&mut self, now: SimTime, key: u32) {
         let mut outputs = std::mem::take(&mut self.out_buf);
-        loop {
-            let state = &mut self.conns[ci as usize];
-            state.conn.drain_outputs(&mut outputs);
+        while let Some(c) = self.conn_mut(key) {
+            c.conn.drain_outputs(&mut outputs);
             if outputs.is_empty() {
                 // Let the H2 writer top up the transport.
-                let more = match &mut state.mux {
-                    Mux::H1(_) => false,
-                    Mux::H2(m) => {
-                        if let Connection::Tcp(c) = &mut state.conn {
-                            let before = c.server_backlog();
-                            m.pump(c, now);
-                            c.server_backlog() != before
-                        } else {
-                            false
-                        }
-                    }
-                    Mux::H3(_) => false,
-                };
-                if !more {
+                if !c.top_up(now) {
                     break;
                 }
                 continue;
             }
             for out in outputs.drain(..) {
-                self.route_output(now, ci, out);
+                self.route_output(now, key, out);
             }
         }
         self.out_buf = outputs;
-        let state = &mut self.conns[ci as usize];
-        let at = state.conn.poll_at();
+        let Some(c) = self.conn_mut(key) else { return };
+        let at = c.conn.poll_at();
         if at != SimTime::MAX {
-            state.wake_version += 1;
-            self.q
-                .schedule(at.max(now), Ev::Wake(ci, state.wake_version));
+            c.wake_version += 1;
+            let version = c.wake_version;
+            self.q.schedule(at.max(now), Ev::Wake(key, version));
         }
     }
 
-    /// `obj`'s request reached its server: fire `respond` once the
-    /// server has thought about it.
-    fn think(&mut self, now: SimTime, obj: ObjectId, respond: Ev) {
+    /// `obj`'s request reached the origin behind connection `key`:
+    /// answer once the server has thought about it.
+    fn think(&mut self, now: SimTime, key: u32, obj: ObjectId) {
         // The baseline think-time draw always happens, so the jitter
         // stream is identical with faults off.
-        let mut think =
-            self.opts.think_base_ms + self.think_rng.exponential(self.opts.think_jitter_ms);
+        let mut think = THINK_BASE_MS + self.think_rng.exponential(THINK_JITTER_MS);
         let stall = self.faults.as_ref().and_then(|f| f.server_stall_ms(obj.0));
         if let Some(extra) = stall {
             think += extra;
             self.note_fault(now, "server stall", u64::from(obj.0));
         }
-        self.q
-            .schedule(now + SimDuration::from_secs_f64(think / 1e3), respond);
+        let at = now + SimDuration::from_secs_f64(think / 1e3);
+        self.q.schedule(at, Ev::Respond(key, obj));
     }
 
     /// The body bytes a server sends for `obj`.
     fn response_body(&mut self, now: SimTime, obj: ObjectId) -> u64 {
-        let body = self.obj(obj).size;
+        let body = self.objs.get(obj.0 as usize).map_or(0, |o| o.spec.size);
         // Truncated-response fault: the server closes the stream
         // early, so the client can never reach the expected byte count
         // and the object stays open — the page load ends incomplete at
@@ -758,528 +575,123 @@ impl<'a> Loader<'a> {
         }
     }
 
-    fn route_output(&mut self, now: SimTime, ci: u32, out: Output) {
+    fn route_output(&mut self, now: SimTime, key: u32, out: Output) {
         match out {
             Output::Send(dir, pkt) => {
-                // Middlebox topology: the server endpoint sits at the
-                // origin, so its downstream packets enter on the
-                // backbone segment (and reach the client via the
-                // junction). Client-side sends are unchanged.
-                let at_origin = dir == Direction::Down && self.protocol.has_middlebox();
+                let at_origin = match self.junction {
+                    Junction::Direct => false,
+                    // The server endpoint sits at the origin, so its
+                    // downstream packets enter on the backbone segment
+                    // (and reach the client via the junction).
+                    // Client-side sends are unchanged.
+                    Junction::Middlebox(_) => dir == Direction::Down,
+                    // The origin segment is the legs'.
+                    Junction::Proxy(_) => leg_of(key).is_some(),
+                };
                 self.send(now, lane_of(dir, at_origin), pkt);
             }
             Output::HandshakeDone => {
-                self.trace
-                    .record(now, TraceKind::HandshakeDone, u64::from(ci));
+                let conn = u64::from(key);
+                self.trace.record(now, TraceKind::HandshakeDone, conn);
             }
             Output::ServerStreamProgress {
                 stream,
                 delivered,
                 fin,
             } => {
-                let state = &mut self.conns[ci as usize];
                 let mut ready = std::mem::take(&mut self.ready_buf);
-                match &mut state.mux {
-                    Mux::H1(h) => ready.extend(h.on_server_delivered(delivered)),
-                    Mux::H2(m) => m.on_server_delivered(delivered, &mut ready),
-                    Mux::H3(m) if fin => ready.extend(m.on_server_stream_fin(stream)),
-                    Mux::H3(_) => {}
+                if let Some(c) = self.conn_mut(key) {
+                    c.on_server_progress(stream, delivered, fin, &mut ready);
                 }
                 for obj in ready.drain(..) {
-                    // Proxied stacks: the "server" side of the client
-                    // connection is the proxy — no think time here;
-                    // the request continues on a pooled origin leg
-                    // (think happens at the real origin).
-                    if self.protocol.is_proxied() {
-                        self.edge_dispatch(now, obj);
-                        continue;
-                    }
-                    self.think(now, obj, Ev::Respond(ci, obj));
+                    self.on_request(now, key, obj);
                 }
                 self.ready_buf = ready;
             }
             Output::ClientStreamProgress {
-                stream,
-                delivered,
-                fin,
+                stream, delivered, ..
             } => {
-                let state = &mut self.conns[ci as usize];
-                match &mut state.mux {
-                    Mux::H1(h) => {
-                        if let Some(p) = h.on_client_delivered(delivered) {
-                            let idx = p.object.0 as usize;
-                            let got = (crate::http1::RESPONSE_HEADER + p.delivered_body)
-                                .min(self.expect[idx]);
-                            self.object_progress(now, p.object, got.max(self.got[idx]));
-                            if p.done {
-                                // Connection idle: serve the next
-                                // queued request of this origin.
-                                let origin = self.obj(p.object).origin.0;
-                                if let Some(next) = self
-                                    .h1_pools
-                                    .get_mut(&origin)
-                                    .and_then(|pool| pool.waiting.pop_front())
-                                {
-                                    self.request_object_h1(now, next);
-                                }
-                            }
-                        }
-                    }
-                    Mux::H2(m) => {
-                        let mut progress = std::mem::take(&mut self.progress_buf);
-                        m.on_client_delivered(delivered, &mut progress);
-                        for p in progress.drain(..) {
-                            let idx = p.object.0 as usize;
-                            let got = self.got[idx] + p.new_bytes;
-                            self.object_progress(now, p.object, got);
-                        }
-                        self.progress_buf = progress;
-                    }
-                    Mux::H3(m) => {
-                        if let Some(p) = m.on_client_delivered(stream, delivered, fin) {
-                            let idx = p.object.0 as usize;
-                            let got = (crate::http3::RESPONSE_HEADER + p.delivered_body)
-                                .min(self.expect[idx]);
-                            self.object_progress(now, p.object, got.max(self.got[idx]));
-                        }
-                    }
-                }
-            }
-            Output::Trace(kind, detail) => {
-                self.trace.record(now, kind, detail);
-            }
-        }
-    }
-
-    /// Route a request that reached the proxy onto a pooled origin
-    /// leg: reuse an existing H2 connection, or open a new one to the
-    /// replica the least-outstanding balancer picked.
-    fn edge_dispatch(&mut self, now: SimTime, obj: ObjectId) {
-        let _sp = pq_prof::span("edge:dispatch");
-        let origin = self.obj(obj).origin.0;
-        let Some(edge) = self.edge.as_mut() else {
-            return;
-        };
-        // Evicted legs simply go quiescent: the pool stops routing to
-        // them and their transport state has nothing left to send.
-        let outcome = edge.pools.dispatch(origin, now);
-        let li = match outcome.action {
-            Dispatch::Reuse(leg) => leg,
-            Dispatch::Open { replica } => {
-                let li = self.open_leg(now, origin);
-                if let Some(edge) = self.edge.as_mut() {
-                    edge.pools.opened(origin, replica, li, now);
-                }
-                li
-            }
-        };
-        let Some(edge) = self.edge.as_mut() else {
-            return;
-        };
-        let Some(leg) = edge.legs.get_mut(li as usize) else {
-            return;
-        };
-        if let Connection::Tcp(c) = &mut leg.conn {
-            leg.mux.request(c, now, obj);
-        }
-        self.pump_leg(now, li);
-    }
-
-    /// Open a new origin-side proxy leg (TCP+ carrying HTTP/2).
-    fn open_leg(&mut self, now: SimTime, origin: u16) -> u32 {
-        let Some(edge) = self.edge.as_mut() else {
-            return 0;
-        };
-        let li = edge.legs.len() as u32;
-        let mut conn = Connection::open(ConnId(li), edge.leg_cfg, now);
-        // Legs have their own handshake-fault key space, offset past
-        // the client connections' — the satellite case "hs-drop
-        // through the proxy" exercises both sides independently.
-        let hs_lost = self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.handshake_flight_lost(LEG_KEY_BASE + li));
-        let dropped = if hs_lost {
-            conn.discard_pending_sends()
-        } else {
-            0
-        };
-        if let Some(pid) = self.obs_pid {
-            let tid = TID_LEG_BASE + li;
-            conn.set_obs_track(pid, tid);
-            pq_obs::tracer().name_track(pid, tid, &format!("leg {li} (H2 → origin {origin})"));
-        }
-        edge.legs.push(LegState {
-            conn,
-            mux: H2Mux::new(),
-            wake_version: 0,
-        });
-        if dropped > 0 {
-            self.note_fault(now, "handshake flight lost", u64::from(LEG_KEY_BASE + li));
-        }
-        li
-    }
-
-    /// Drain a proxy leg's outputs (mirror of [`Loader::pump`] for the
-    /// origin segment) and reschedule its wakeup.
-    fn pump_leg(&mut self, now: SimTime, li: u32) {
-        let mut outputs = std::mem::take(&mut self.out_buf);
-        while let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-            leg.conn.drain_outputs(&mut outputs);
-            if outputs.is_empty() {
-                let more = if let Connection::Tcp(c) = &mut leg.conn {
-                    let before = c.server_backlog();
-                    leg.mux.pump(c, now);
-                    c.server_backlog() != before
-                } else {
-                    false
-                };
-                if !more {
-                    break;
-                }
-                continue;
-            }
-            for out in outputs.drain(..) {
-                self.route_leg_output(now, li, out);
-            }
-        }
-        self.out_buf = outputs;
-        let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) else {
-            return;
-        };
-        let at = leg.conn.poll_at();
-        if at != SimTime::MAX {
-            leg.wake_version += 1;
-            let version = leg.wake_version;
-            self.q.schedule(at.max(now), Ev::EdgeWake(li, version));
-        }
-    }
-
-    fn route_leg_output(&mut self, now: SimTime, li: u32, out: Output) {
-        match out {
-            Output::Send(dir, pkt) => self.send(now, lane_of(dir, true), pkt),
-            Output::HandshakeDone => {
-                self.trace
-                    .record(now, TraceKind::HandshakeDone, u64::from(LEG_KEY_BASE + li));
-            }
-            Output::ServerStreamProgress { delivered, .. } => {
-                // The request reached the real origin: think, then
-                // respond on this leg.
-                let mut ready = std::mem::take(&mut self.ready_buf);
-                if let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                    leg.mux.on_server_delivered(delivered, &mut ready);
-                }
-                for obj in ready.drain(..) {
-                    self.think(now, obj, Ev::EdgeRespond(li, obj));
-                }
-                self.ready_buf = ready;
-            }
-            Output::ClientStreamProgress { delivered, .. } => {
-                // Origin bytes arrived back at the proxy: relay them
-                // proportionally onto the client-facing stream.
                 let mut progress = std::mem::take(&mut self.progress_buf);
-                if let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                    leg.mux.on_client_delivered(delivered, &mut progress);
+                if let Some(c) = self.conn_mut(key) {
+                    c.on_client_progress(stream, delivered, &mut progress);
                 }
                 for p in progress.drain(..) {
-                    self.bridge_advance(now, p.object, p.new_bytes);
+                    self.on_progress(now, key, p);
                 }
                 self.progress_buf = progress;
             }
-            Output::Trace(kind, detail) => {
-                self.trace.record(now, kind, detail);
-            }
+            Output::Trace(kind, detail) => self.trace.record(now, kind, detail),
         }
     }
 
-    /// `new_bytes` of `obj`'s origin response reached the proxy:
-    /// advance the relay and write the proportional share onto the
-    /// client-facing connection (always connection 0 in proxied mode).
-    fn bridge_advance(&mut self, now: SimTime, obj: ObjectId, new_bytes: u64) {
-        let Some(edge) = self.edge.as_mut() else {
-            return;
-        };
-        let Some(b) = edge.bridges.get_mut(&obj) else {
-            return;
-        };
-        b.origin_got = (b.origin_got + new_bytes).min(b.origin_total);
-        let target = ((u128::from(b.client_total) * u128::from(b.origin_got))
-            / u128::from(b.origin_total.max(1))) as u64;
-        let delta = target.saturating_sub(b.client_written);
-        let fin = b.origin_got >= b.origin_total;
-        let send_fin = fin && !b.fin_sent;
-        if delta == 0 && !send_fin {
-            return;
-        }
-        b.client_written += delta;
-        if send_fin {
-            b.fin_sent = true;
-        }
-        let (leg, origin) = (b.leg, b.origin);
-        let Some(state) = self.conns.get_mut(0) else {
-            return;
-        };
-        match &mut state.mux {
-            Mux::H3(m) => {
-                if let (Connection::Quic(c), Some(sid)) = (&mut state.conn, m.stream_for(obj)) {
-                    c.server_write(now, sid, delta, send_fin);
+    /// `obj`'s request reached the server end of connection `key`.
+    fn on_request(&mut self, now: SimTime, key: u32, obj: ObjectId) {
+        let origin = self.objs.get(obj.0 as usize).map(|o| o.spec.origin.0);
+        match (&mut self.junction, origin) {
+            // The "server" of the browser's connection is the proxy: no
+            // think time here; the request continues on a pooled leg,
+            // and think happens at the real origin, that leg's far end.
+            (Junction::Proxy(proxy), Some(origin)) if leg_of(key).is_none() => {
+                let _sp = pq_prof::span("edge:dispatch");
+                let (li, fresh) = proxy.dispatch(origin, now);
+                if fresh {
+                    let (cfg, h2) = (proxy.leg_cfg, Mux::H2(H2Mux::new()));
+                    self.open(now, LEG_KEY_BASE + li, cfg, h2, origin);
                 }
+                self.send_request(now, LEG_KEY_BASE + li, obj);
             }
-            Mux::H2(m) => {
-                if let Connection::Tcp(c) = &mut state.conn {
-                    m.respond_raw(c, now, obj, delta);
-                }
+            _ => self.think(now, key, obj),
+        }
+    }
+
+    /// The client end of connection `key` learned `p`.
+    fn on_progress(&mut self, now: SimTime, key: u32, p: Progress) {
+        if let (Junction::Proxy(proxy), Some(_)) = (&mut self.junction, leg_of(key)) {
+            // Origin bytes arrived back at the proxy (legs speak H2,
+            // which reports them as `More`): relay their share onto the
+            // client-facing stream — connection 0, which fronts every
+            // origin.
+            let Got::More(new) = p.got else { return };
+            let Some((bytes, fin)) = proxy.advance(now, p.object, new) else {
+                return;
+            };
+            if let Some(c) = self.conns.first_mut() {
+                c.relay(now, p.object, bytes, fin);
             }
-            Mux::H1(_) => {}
+            return self.pump(now, 0);
         }
-        if send_fin {
-            if let Some(edge) = self.edge.as_mut() {
-                edge.pools.complete(origin, leg, now);
-            }
-        }
-        self.pump(now, 0);
-    }
-
-    /// A client packet reached the junction (middlebox mode): let the
-    /// middlebox read its ACK ranges — re-injecting any inferred-lost
-    /// buffered packets onto the access downlink — then forward it
-    /// onto the backbone toward the origin.
-    fn mbx_junction_up(&mut self, now: SimTime, pkt: Packet<Wire>) {
-        let _sp = pq_prof::span("edge:mbx");
-        let mut retx = std::mem::take(&mut self.retx_buf);
-        if let Some(m) = self.edge.as_mut().and_then(|e| e.mbx.as_mut()) {
-            m.on_uplink(now, &pkt, &mut retx);
-        }
-        for r in retx.drain(..) {
-            self.trace.record(now, TraceKind::Retransmit, 0);
-            self.send(now, DOWN, r);
-        }
-        self.retx_buf = retx;
-        self.send(now, O_UP, pkt);
-    }
-
-    /// An origin packet reached the junction (middlebox mode): buffer
-    /// it for possible early retransmit, then forward it down the
-    /// access link to the client.
-    fn mbx_junction_down(&mut self, now: SimTime, pkt: Packet<Wire>) {
-        let _sp = pq_prof::span("edge:mbx");
-        if let Some(m) = self.edge.as_mut().and_then(|e| e.mbx.as_mut()) {
-            m.on_downlink(now, &pkt);
-        }
-        self.send(now, DOWN, pkt);
-    }
-
-    /// Note the request-issue instant of `id` — start of its waterfall
-    /// span — and name the object's track row.
-    fn obs_request(&mut self, now: SimTime, id: ObjectId) {
-        let idx = id.0 as usize;
-        if let Some(slot @ None) = self.req_at.get_mut(idx) {
-            *slot = Some(now);
-        }
-        let Some(pid) = self.obs_pid else { return };
-        if !pq_obs::enabled(Level::Info) {
-            return;
-        }
-        let o = self.obj(id);
-        pq_obs::tracer().name_track(
-            pid,
-            TID_OBJ_BASE + id.0,
-            &format!("obj {} ({:?})", id.0, o.kind),
-        );
-    }
-
-    /// Emit the request→processed waterfall span of a finished object.
-    fn obs_object_span(&self, now: SimTime, id: ObjectId) {
-        let Some(pid) = self.obs_pid else { return };
-        if !pq_obs::enabled(Level::Info) {
-            return;
-        }
-        let o = self.obj(id);
-        let start = self
-            .req_at
-            .get(id.0 as usize)
-            .copied()
-            .flatten()
-            .unwrap_or(now);
-        pq_obs::tracer().span(
-            Level::Info,
-            "web",
-            format!("{:?} {}", o.kind, o.size),
-            pid,
-            TID_OBJ_BASE + id.0,
-            start.as_nanos(),
-            now.as_nanos(),
-            vec![
-                ("origin", ArgValue::U64(u64::from(o.origin.0))),
-                ("size", ArgValue::U64(o.size)),
-                (
-                    "render_blocking",
-                    ArgValue::U64(u64::from(o.render_blocking)),
-                ),
-            ],
-        );
-    }
-
-    /// Client-side processing cost of a fully delivered object: parse
-    /// and execute for scripts/CSS, decode for images — time a real
-    /// browser spends on the main thread, independent of the transport.
-    fn processing_delay(&self, id: ObjectId) -> SimDuration {
-        use crate::object::ObjectKind::*;
-        let o = self.obj(id);
-        let kb = o.size as f64 / 1000.0;
-        let ms = match o.kind {
-            Script => 200.0 + 0.7 * kb,
-            Css => 80.0 + 0.25 * kb,
-            Image => 25.0 + 0.12 * kb,
-            Html => 40.0,
-            Font => 30.0,
-            Xhr => 15.0,
-            Beacon => 2.0,
-        };
-        SimDuration::from_secs_f64(ms * self.opts.processing_scale / 1e3)
-    }
-
-    /// The client has `got` of the object's expected stream bytes.
-    fn object_progress(&mut self, now: SimTime, id: ObjectId, got: u64) {
-        let idx = id.0 as usize;
-        if self.done_at[idx].is_some() {
-            return;
-        }
-        self.got[idx] = got.min(self.expect[idx]);
-        let frac = self.got[idx] as f64 / self.expect[idx].max(1) as f64;
-        self.frac[idx] = frac;
-        let delivered = self.got[idx] >= self.expect[idx];
-        if delivered && !self.processing[idx] {
-            self.processing[idx] = true;
-            self.q
-                .schedule(now + self.processing_delay(id), Ev::Processed(id));
-        }
-
-        self.update_render(now, id, frac, false);
-
-        // Progressive discovery of children referenced part-way
-        // through the parent (`discovery_at = 1.0` waits for the
-        // parent's processing instead).
-        let mut kids = std::mem::take(&mut self.kid_buf);
-        kids.extend(
-            self.children[idx]
-                .iter()
-                .take_while(|(at, _)| *at < 1.0 && frac + 1e-12 >= *at)
-                .map(|&(_, c)| c)
-                .filter(|c| !self.discovered[c.0 as usize]),
-        );
-        for &kid in &kids {
-            self.discover(now, kid);
-        }
-        kids.clear();
-        self.kid_buf = kids;
-    }
-
-    /// Parsing/decoding of a delivered object finished: the object is
-    /// now *done* — it paints fully, releases `discovery_at = 1.0`
-    /// children, and counts towards onload.
-    fn object_processed(&mut self, now: SimTime, id: ObjectId) {
-        let idx = id.0 as usize;
-        match self.done_at.get_mut(idx) {
-            Some(slot @ None) => *slot = Some(now),
-            _ => return, // already processed
-        }
-        self.n_done += 1;
-        if self.n_done == self.site.objects.len() {
-            self.plt_at = Some(now);
-        }
-        self.trace.record(now, TraceKind::Response, u64::from(id.0));
-        self.obs_object_span(now, id);
-        self.update_render(now, id, 1.0, true);
-        let mut kids = std::mem::take(&mut self.kid_buf);
-        kids.extend(
-            self.children[idx]
-                .iter()
-                .filter(|(at, _)| *at >= 1.0)
-                .map(|&(_, c)| c)
-                .filter(|c| !self.discovered[c.0 as usize]),
-        );
-        for &kid in &kids {
-            self.discover(now, kid);
-        }
-        kids.clear();
-        self.kid_buf = kids;
-    }
-
-    fn update_render(&mut self, now: SimTime, id: ObjectId, frac: f64, done: bool) {
-        let o = self.obj(id);
-        // Contribution of this object to visual completeness.
-        // Progressive resources paint most of their area from raw
-        // bytes, the rest once decoded; others appear when done.
-        let contrib = if o.render_weight > 0.0 {
-            if done {
-                o.render_weight
-            } else if o.progressive {
-                o.render_weight * (frac * PROGRESSIVE_CAP)
-            } else {
-                0.0
-            }
-        } else {
-            0.0
-        };
-        // Incremental VC update.
-        let Some(slot) = self.contrib.get_mut(id.0 as usize) else {
+        let Some(o) = self.objs.get(p.object.0 as usize) else {
             return;
         };
-        let delta = contrib - *slot;
-        *slot = contrib;
-        self.vc += delta;
-
-        // First-paint gate: head parsed + render-blocking resources
-        // processed, then one style+layout pass.
-        if !self.gate_open && !self.gate_scheduled {
-            let head_parsed = self.frac.first().is_some_and(|&f| f >= 0.15);
-            let blocking_done = self
-                .site
-                .objects
-                .iter()
-                .filter(|o| o.render_blocking)
-                .all(|o| {
-                    self.done_at
-                        .get(o.id.0 as usize)
-                        .is_some_and(|d| d.is_some())
-                });
-            if head_parsed && blocking_done {
-                self.gate_scheduled = true;
-                let layout =
-                    SimDuration::from_secs_f64(STYLE_LAYOUT_MS * self.opts.processing_scale / 1e3);
-                self.q.schedule(now + layout, Ev::GateOpen);
+        let got = match p.got {
+            Got::Total(total) => total.min(o.expect).max(o.got),
+            Got::More(new) => o.got + new,
+        };
+        let origin = o.spec.origin.0;
+        self.object_progress(now, p.object, got);
+        if p.idle {
+            // The HTTP/1.1 connection went idle: serve the next queued
+            // request of this origin.
+            let waiting = self.waiting.get_mut(&origin);
+            if let Some(next) = waiting.and_then(VecDeque::pop_front) {
+                self.request_object(now, next);
             }
-        } else if self.gate_open && delta > 0.0 {
-            self.timeline.push(now, self.vc);
         }
     }
 
     /// End-of-load bookkeeping: FVC/LVC/PLT markers on the page track
     /// and the per-protocol metric histograms in the global registry.
     fn obs_finish(&self, metrics: &MetricSet, plt: SimTime, complete: bool) {
-        let label = self.protocol.label();
+        let label = self.cfg.protocol.label();
         let reg = pq_obs::registry();
         reg.counter_add("web.pageloads", 1);
         if !complete {
             reg.counter_add("web.pageloads_incomplete", 1);
         }
         reg.observe(&format!("web.plt_ms{{proto=\"{label}\"}}"), metrics.plt_ms);
+        self.junction.obs_finish();
 
-        if let Some(edge) = &self.edge {
-            let st = edge.pools.stats();
-            reg.counter_add("edge.conns_opened", st.opened);
-            reg.counter_add("edge.conns_reused", st.reused);
-            reg.counter_add("edge.conns_evicted", st.evicted);
-            if let Some(mbx) = &edge.mbx {
-                reg.counter_add("edge.mbx_early_retx", mbx.early_retransmits());
-            }
-        }
-
-        let Some(pid) = self.obs_pid else { return };
-        if !pq_obs::enabled(Level::Info) {
-            return;
-        }
+        let Some(pid) = self.obs_track() else { return };
         let t = pq_obs::tracer();
         let mark = |name: &'static str, at: Option<SimTime>, ms: f64| {
             let Some(at) = at else { return };
@@ -1312,31 +724,43 @@ impl<'a> Loader<'a> {
             return;
         }
         let Some(pkt) = l.pop_arrival() else { return };
+        let key = match (&mut self.junction, lane) {
+            // The client segment's uplink ends at the middlebox: let it
+            // read the ACK ranges — re-injecting any inferred-lost
+            // buffered packets onto the access downlink — then forward
+            // the packet onto the backbone toward the origin.
+            (Junction::Middlebox(mbx), UP) => {
+                let _sp = pq_prof::span("edge:mbx");
+                let mut retx = std::mem::take(&mut self.retx_buf);
+                mbx.on_uplink(now, &pkt, &mut retx);
+                for r in retx.drain(..) {
+                    self.trace.record(now, TraceKind::Retransmit, 0);
+                    self.send(now, DOWN, r);
+                }
+                self.retx_buf = retx;
+                return self.send(now, O_UP, pkt);
+            }
+            // So does the origin segment's downlink: buffer the packet
+            // for possible early retransmit, then forward it down the
+            // access link to the client.
+            (Junction::Middlebox(mbx), O_DOWN) => {
+                let _sp = pq_prof::span("edge:mbx");
+                mbx.on_downlink(now, &pkt);
+                return self.send(now, DOWN, pkt);
+            }
+            // The origin segment carries the proxy's leg traffic in
+            // both directions.
+            (Junction::Proxy(_), O_UP | O_DOWN) => LEG_KEY_BASE + pkt.conn.0,
+            // End to end, whichever segment finishes the trip.
+            _ => pkt.conn.0,
+        };
         let dir = match lane {
             UP | O_UP => Direction::Up,
             _ => Direction::Down,
         };
-        let id = pkt.conn.0;
-        match (self.protocol.has_middlebox(), lane) {
-            // Middlebox mode: the client-segment uplink and the origin
-            // segment's downlink end at the junction.
-            (true, UP) => self.mbx_junction_up(now, pkt),
-            (true, O_DOWN) => self.mbx_junction_down(now, pkt),
-            // Proxied: the origin segment carries leg traffic in both
-            // directions.
-            (false, O_UP | O_DOWN) => {
-                if let Some(leg) = self.edge.as_mut().and_then(|e| e.legs.get_mut(id as usize)) {
-                    leg.conn.on_packet(now, &pkt.payload, dir);
-                    self.pump_leg(now, id);
-                }
-            }
-            // End to end, whichever segment finishes the trip.
-            _ => {
-                if let Some(state) = self.conns.get_mut(id as usize) {
-                    state.conn.on_packet(now, &pkt.payload, dir);
-                    self.pump(now, id);
-                }
-            }
+        if let Some(c) = self.conn_mut(key) {
+            c.conn.on_packet(now, &pkt.payload, dir);
+            self.pump(now, key);
         }
     }
 
@@ -1344,96 +768,34 @@ impl<'a> Loader<'a> {
     fn on_timer(&mut self, now: SimTime, ev: Ev) {
         let _ev_span = pq_prof::span_with(|| ev_name(ev));
         match ev {
-            Ev::Wake(ci, version) => {
-                let state = self.conns.get_mut(ci as usize);
-                if let Some(state) = state.filter(|s| s.wake_version == version) {
-                    state.conn.on_wake(now);
-                    self.pump(now, ci);
+            Ev::Wake(key, version) => {
+                let c = self.conn_mut(key);
+                if let Some(c) = c.filter(|c| c.wake_version == version) {
+                    c.conn.on_wake(now);
+                    self.pump(now, key);
                 }
             }
-            Ev::Processed(id) => {
-                self.object_processed(now, id);
-            }
-            Ev::DeferredRequest(id) => {
-                self.request_object(now, id);
-            }
+            Ev::Processed(id) => self.object_processed(now, id),
+            Ev::DeferredRequest(id) => self.request_object(now, id),
             Ev::GateOpen => {
                 self.gate_open = true;
                 if self.vc > 0.0 {
                     self.timeline.push(now, self.vc);
                 }
             }
-            Ev::Respond(ci, obj) => {
+            Ev::Respond(key, obj) => {
                 let body = self.response_body(now, obj);
-                let Some(state) = self.conns.get_mut(ci as usize) else {
-                    return;
-                };
-                match &mut state.mux {
-                    Mux::H1(h) => {
-                        let Connection::Tcp(c) = &mut state.conn else {
-                            // pq-lint: allow(panic) -- open_conn pairs Mux::H1 with Connection::Tcp, always
-                            unreachable!()
-                        };
-                        h.respond(c, now, body);
-                    }
-                    Mux::H2(m) => {
-                        let Connection::Tcp(c) = &mut state.conn else {
-                            // pq-lint: allow(panic) -- open_conn pairs Mux::H2 with Connection::Tcp, always
-                            unreachable!()
-                        };
-                        m.respond(c, now, obj, body);
-                    }
-                    Mux::H3(m) => {
-                        let Connection::Quic(c) = &mut state.conn else {
-                            // pq-lint: allow(panic) -- open_conn pairs Mux::H3 with Connection::Quic, always
-                            unreachable!()
-                        };
-                        m.respond(c, now, obj, body);
-                    }
+                if let (Junction::Proxy(proxy), Some(li)) = (&mut self.junction, leg_of(key)) {
+                    // The origin answers through the proxy: what arrives
+                    // on the leg is bridged onto the client-facing
+                    // stream, framed for the mux the browser speaks.
+                    let client = self.conns.first();
+                    let client_total = client.map_or(0, |c| c.mux.response_bytes(body));
+                    proxy.bridge(obj, li, body, client_total);
                 }
-                self.pump(now, ci);
-            }
-            Ev::EdgeWake(li, version) => {
-                let woke = match self.edge.as_mut().and_then(|e| e.legs.get_mut(li as usize)) {
-                    Some(leg) if leg.wake_version == version => {
-                        leg.conn.on_wake(now);
-                        true
-                    }
-                    _ => false,
-                };
-                if woke {
-                    self.pump_leg(now, li);
-                }
-            }
-            Ev::EdgeRespond(li, obj) => {
-                let body = self.response_body(now, obj);
-                let client_total = if self.protocol.is_quic() {
-                    crate::http3::RESPONSE_HEADER + body
-                } else {
-                    H2Mux::response_stream_bytes(body)
-                };
-                let origin = self.obj(obj).origin.0;
-                let Some(edge) = self.edge.as_mut() else {
-                    return;
-                };
-                edge.bridges.insert(
-                    obj,
-                    Bridge {
-                        origin_total: H2Mux::response_stream_bytes(body),
-                        origin_got: 0,
-                        client_total,
-                        client_written: 0,
-                        leg: li,
-                        origin,
-                        fin_sent: false,
-                    },
-                );
-                if let Some(leg) = edge.legs.get_mut(li as usize) {
-                    if let Connection::Tcp(c) = &mut leg.conn {
-                        leg.mux.respond(c, now, obj, body);
-                    }
-                }
-                self.pump_leg(now, li);
+                let Some(c) = self.conn_mut(key) else { return };
+                c.respond(now, obj, body);
+                self.pump(now, key);
             }
         }
     }
@@ -1476,17 +838,19 @@ impl<'a> Loader<'a> {
         self.obs_finish(&metrics, plt, complete);
         let recording =
             (self.opts.fps > 0).then(|| Recording::render(&self.timeline, plt, self.opts.fps));
+        let legs = match &self.junction {
+            Junction::Proxy(proxy) => proxy.legs.as_slice(),
+            Junction::Direct | Junction::Middlebox(_) => &[],
+        };
+        let conns = || self.conns.iter().chain(legs);
         PageLoadResult {
             metrics,
             recording,
             complete,
             plt,
-            retransmits: self.conns.iter().map(|c| c.conn.retransmits()).sum::<u64>()
-                + self.edge.as_ref().map_or(0, |e| {
-                    e.legs.iter().map(|l| l.conn.retransmits()).sum::<u64>()
-                }),
-            connections: (self.conns.len() + self.edge.as_ref().map_or(0, |e| e.legs.len())) as u32,
-            object_done: self.done_at,
+            retransmits: conns().map(|c| c.conn.retransmits()).sum::<u64>(),
+            connections: conns().count() as u32,
+            object_done: self.objs.iter().map(|o| o.done_at).collect(),
             trace: self.trace,
             timeline: self.timeline,
         }

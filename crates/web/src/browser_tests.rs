@@ -206,24 +206,6 @@ fn object_done_times_monotone_with_discovery() {
 }
 
 #[test]
-#[ignore]
-fn dbg_fvc() {
-    for kind in [NetworkKind::Dsl, NetworkKind::Lte] {
-        let net = kind.config();
-        for proto in [Protocol::Tcp, Protocol::Quic] {
-            let v: Vec<f64> = (0..5)
-                .map(|s| load("wikipedia.org", &net, proto, s).metrics.fvc_ms)
-                .collect();
-            println!(
-                "{kind:?} {}: {:?}",
-                proto.label(),
-                v.iter().map(|x| x.round()).collect::<Vec<_>>()
-            );
-        }
-    }
-}
-
-#[test]
 fn http1_baseline_loads_and_is_slower_than_h2() {
     // The legacy baseline: no multiplexing, ≤6 conns/origin, extra
     // handshakes. On LTE it must lose to HTTP/2 on PLT for a

@@ -7,10 +7,9 @@
 //! browser default). Every extra connection pays the full TCP+TLS
 //! handshake — which is exactly why H2/H3 replaced it.
 
-use crate::object::ObjectId;
+use crate::object::{Got, ObjectId, Progress};
 use pq_sim::SimTime;
-use pq_transport::TcpConnection;
-use std::collections::VecDeque;
+use pq_transport::{Connection, StreamId};
 
 /// Browser connection-pool limit per origin (Chromium/Firefox: 6).
 pub const MAX_CONNS_PER_ORIGIN: usize = 6;
@@ -42,18 +41,6 @@ pub struct H1Conn {
     serving: bool,
 }
 
-/// Progress of the current response as seen by the client.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct H1Progress {
-    /// The object being fetched on this connection.
-    pub object: ObjectId,
-    /// Payload bytes of the current response delivered so far
-    /// (headers excluded).
-    pub delivered_body: u64,
-    /// The response is complete; the connection is idle again.
-    pub done: bool,
-}
-
 impl H1Conn {
     /// Fresh connection state.
     pub fn new() -> H1Conn {
@@ -71,13 +58,13 @@ impl H1Conn {
     }
 
     /// Issue a request on this (idle) connection.
-    pub fn request(&mut self, conn: &mut TcpConnection, now: SimTime, object: ObjectId) {
+    pub fn request(&mut self, conn: &mut Connection, now: SimTime, object: ObjectId) {
         debug_assert!(self.is_idle(), "H1 pipelining is not used by browsers");
         self.current = Some(object);
         self.req_written += REQUEST_BYTES;
         self.req_end = self.req_written;
         self.serving = false;
-        conn.client_write(now, REQUEST_BYTES);
+        conn.client_write(now, StreamId(0), REQUEST_BYTES);
     }
 
     /// The server's request stream advanced; returns the object whose
@@ -91,57 +78,34 @@ impl H1Conn {
     }
 
     /// The server writes the response (`body` payload bytes).
-    pub fn respond(&mut self, conn: &mut TcpConnection, now: SimTime, body: u64) {
+    pub fn respond(&mut self, conn: &mut Connection, now: SimTime, body: u64) {
         debug_assert!(self.serving, "response without a received request");
         let total = RESPONSE_HEADER + body;
         self.resp_written += total;
         self.resp_end = self.resp_written;
-        conn.server_write(now, total);
+        conn.server_write(now, StreamId(0), total, false);
     }
 
-    /// The client's response stream advanced to `delivered`.
-    pub fn on_client_delivered(&mut self, delivered: u64) -> Option<H1Progress> {
+    /// The client's response stream advanced to `delivered`: how far
+    /// the current response got (its headers count as delivered once
+    /// anything of it is), and whether that completes it.
+    pub fn on_client_delivered(&mut self, delivered: u64) -> Option<Progress> {
         let object = self.current?;
         if self.resp_end == self.resp_start {
             return None; // response not yet started
         }
         let into_resp = delivered.min(self.resp_end).saturating_sub(self.resp_start);
         let body = into_resp.saturating_sub(RESPONSE_HEADER);
-        if delivered >= self.resp_end {
+        let idle = delivered >= self.resp_end;
+        if idle {
             // Response complete: the connection goes idle (keep-alive).
             self.resp_start = self.resp_end;
             self.current = None;
             self.serving = false;
             self.requests_served += 1;
-            Some(H1Progress {
-                object,
-                delivered_body: body,
-                done: true,
-            })
-        } else {
-            Some(H1Progress {
-                object,
-                delivered_body: body,
-                done: false,
-            })
         }
-    }
-}
-
-/// Per-origin pool bookkeeping: which loader-level connections belong
-/// to this origin, and which requests still wait for a free one.
-#[derive(Debug, Default)]
-pub struct H1Pool {
-    /// Loader connection indices of this origin's pool.
-    pub conns: Vec<u32>,
-    /// Requests waiting for an idle connection.
-    pub waiting: VecDeque<ObjectId>,
-}
-
-impl H1Pool {
-    /// May this pool still open another connection?
-    pub fn can_grow(&self) -> bool {
-        self.conns.len() < MAX_CONNS_PER_ORIGIN
+        let got = Got::Total(RESPONSE_HEADER + body);
+        Some(Progress { object, got, idle })
     }
 }
 
@@ -151,9 +115,9 @@ mod tests {
     use pq_sim::{ConnId, NetworkKind};
     use pq_transport::Protocol;
 
-    fn tcp() -> TcpConnection {
+    fn tcp() -> Connection {
         let net = NetworkKind::Dsl.config();
-        TcpConnection::new(ConnId(1), Protocol::Tcp.config(&net), SimTime::ZERO)
+        Connection::open(ConnId(1), Protocol::Tcp.config(&net), SimTime::ZERO)
     }
 
     #[test]
@@ -179,11 +143,11 @@ mod tests {
         let total = RESPONSE_HEADER + 10_000;
         let p = h1.on_client_delivered(total / 2).unwrap();
         assert_eq!(p.object, ObjectId(7));
-        assert!(!p.done);
-        assert_eq!(p.delivered_body, total / 2 - RESPONSE_HEADER);
+        assert!(!p.idle);
+        assert_eq!(p.got, Got::Total(total / 2));
         let p = h1.on_client_delivered(total).unwrap();
-        assert!(p.done);
-        assert_eq!(p.delivered_body, 10_000);
+        assert!(p.idle);
+        assert_eq!(p.got, Got::Total(RESPONSE_HEADER + 10_000));
         assert!(h1.is_idle(), "keep-alive: ready for the next request");
         assert_eq!(h1.requests_served(), 1);
     }
@@ -201,8 +165,8 @@ mod tests {
             h1.respond(&mut c, SimTime::ZERO, body);
             let end = h1.resp_end;
             let p = h1.on_client_delivered(end).unwrap();
-            assert!(p.done);
-            assert_eq!(p.delivered_body, body);
+            assert!(p.idle);
+            assert_eq!(p.got, Got::Total(RESPONSE_HEADER + body));
         }
         assert_eq!(h1.requests_served(), 2);
     }
@@ -213,15 +177,5 @@ mod tests {
         let mut c = tcp();
         h1.request(&mut c, SimTime::ZERO, ObjectId(1));
         assert_eq!(h1.on_client_delivered(0), None);
-    }
-
-    #[test]
-    fn pool_growth_limit() {
-        let mut pool = H1Pool::default();
-        for i in 0..MAX_CONNS_PER_ORIGIN {
-            assert!(pool.can_grow(), "at {i}");
-            pool.conns.push(i as u32);
-        }
-        assert!(!pool.can_grow());
     }
 }

@@ -11,9 +11,9 @@
 //! every multiplexed response behind it — TCP's head-of-line blocking,
 //! which QUIC's independent streams avoid (§4.3).
 
-use crate::object::ObjectId;
+use crate::object::{Got, ObjectId, Progress};
 use pq_sim::SimTime;
-use pq_transport::TcpConnection;
+use pq_transport::{Connection, StreamId};
 use std::collections::VecDeque;
 
 /// Bytes of request headers per HTTP/2 request (HPACK-compressed).
@@ -53,16 +53,6 @@ pub struct H2Mux {
     span_cursor: usize,
 }
 
-/// Progress of one object's response as seen by the client.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResponseProgress {
-    /// Which object.
-    pub object: ObjectId,
-    /// Newly delivered payload bytes (headers and frame overhead
-    /// excluded).
-    pub new_bytes: u64,
-}
-
 impl H2Mux {
     /// Fresh connection state.
     pub fn new() -> H2Mux {
@@ -77,10 +67,10 @@ impl H2Mux {
 
     /// Issue a request for `object`: writes request headers to the
     /// client→server stream.
-    pub fn request(&mut self, conn: &mut TcpConnection, now: SimTime, object: ObjectId) {
+    pub fn request(&mut self, conn: &mut Connection, now: SimTime, object: ObjectId) {
         let end = self.req_ends.last().map_or(0, |(e, _)| *e) + REQUEST_BYTES;
         self.req_ends.push((end, object));
-        conn.client_write(now, REQUEST_BYTES);
+        conn.client_write(now, StreamId(0), REQUEST_BYTES);
     }
 
     /// The server's request stream advanced; appends to `done` the
@@ -98,12 +88,8 @@ impl H2Mux {
 
     /// The server finished generating the response for `object`
     /// (`body` payload bytes); it joins the round-robin writer.
-    pub fn respond(&mut self, conn: &mut TcpConnection, now: SimTime, object: ObjectId, body: u64) {
-        self.ready.push_back(PendingResponse {
-            object,
-            remaining: Self::response_stream_bytes(body),
-        });
-        self.pump(conn, now);
+    pub fn respond(&mut self, conn: &mut Connection, now: SimTime, object: ObjectId, body: u64) {
+        self.respond_raw(conn, now, object, Self::response_stream_bytes(body));
     }
 
     /// Streaming (proxy) entry: enqueue `stream_bytes` raw response
@@ -114,7 +100,7 @@ impl H2Mux {
     /// see the object complete.
     pub fn respond_raw(
         &mut self,
-        conn: &mut TcpConnection,
+        conn: &mut Connection,
         now: SimTime,
         object: ObjectId,
         stream_bytes: u64,
@@ -131,7 +117,7 @@ impl H2Mux {
 
     /// Commit response bytes to the transport while it is hungry,
     /// interleaving ready responses in frame-sized chunks.
-    pub fn pump(&mut self, conn: &mut TcpConnection, now: SimTime) {
+    pub fn pump(&mut self, conn: &mut Connection, now: SimTime) {
         while conn.server_backlog() < BACKLOG_TARGET {
             let Some(mut r) = self.ready.pop_front() else {
                 break;
@@ -144,7 +130,7 @@ impl H2Mux {
                 Some((end, obj)) if *obj == r.object => *end = self.committed,
                 _ => self.spans.push((self.committed, r.object)),
             }
-            conn.server_write(now, chunk);
+            conn.server_write(now, StreamId(0), chunk, false);
             if r.remaining > 0 {
                 self.ready.push_back(r);
             }
@@ -152,9 +138,9 @@ impl H2Mux {
     }
 
     /// The client's response stream advanced to `delivered`; attribute
-    /// the new bytes to objects, one entry per object appended to
-    /// `out`.
-    pub fn on_client_delivered(&mut self, delivered: u64, out: &mut Vec<ResponseProgress>) {
+    /// the new stream bytes to objects, one [`Got::More`] entry per
+    /// object appended to `out`.
+    pub fn on_client_delivered(&mut self, delivered: u64, out: &mut Vec<Progress>) {
         let before = out.len();
         while self.read_pos < delivered {
             let Some(&(end, obj)) = self.spans.get(self.span_cursor) else {
@@ -164,10 +150,13 @@ impl H2Mux {
             self.read_pos += take;
             if take > 0 {
                 match out.iter_mut().skip(before).find(|p| p.object == obj) {
-                    Some(p) => p.new_bytes += take,
-                    None => out.push(ResponseProgress {
+                    Some(Progress {
+                        got: Got::More(n), ..
+                    }) => *n += take,
+                    _ => out.push(Progress {
                         object: obj,
-                        new_bytes: take,
+                        got: Got::More(take),
+                        idle: false,
                     }),
                 }
             }
@@ -189,9 +178,9 @@ mod tests {
     use pq_sim::{NetworkKind, SimTime};
     use pq_transport::Protocol;
 
-    fn conn() -> TcpConnection {
+    fn conn() -> Connection {
         let net = NetworkKind::Dsl.config();
-        TcpConnection::new(
+        Connection::open(
             pq_sim::ConnId(1),
             Protocol::TcpPlus.config(&net),
             SimTime::ZERO,
@@ -248,12 +237,11 @@ mod tests {
         mux.on_client_delivered(total / 2, &mut p);
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].object, ObjectId(7));
-        assert_eq!(p[0].new_bytes, total / 2);
+        assert_eq!(p[0].got, Got::More(total / 2));
         let mut p2 = Vec::new();
         mux.on_client_delivered(total, &mut p2);
-        assert_eq!(p2[0].new_bytes, total - total / 2);
         // Total attributed equals total streamed.
-        assert_eq!(p[0].new_bytes + p2[0].new_bytes, total);
+        assert_eq!(p2[0].got, Got::More(total - total / 2));
     }
 
     #[test]

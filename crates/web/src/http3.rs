@@ -5,9 +5,9 @@
 //! the objects whose frames it hit — the structural advantage over
 //! HTTP/2-over-TCP on lossy links.
 
-use crate::object::ObjectId;
+use crate::object::{Got, ObjectId, Progress};
 use pq_sim::SimTime;
-use pq_transport::{QuicConnection, StreamId};
+use pq_transport::{Connection, StreamId};
 use std::collections::BTreeMap;
 
 /// Request header bytes per request (matching the HTTP/2 number so the
@@ -26,17 +26,6 @@ pub struct H3Map {
     body: BTreeMap<u64, u64>,
 }
 
-/// Client-side progress of one object's response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamProgress {
-    /// Which object.
-    pub object: ObjectId,
-    /// Cumulative payload bytes delivered (headers excluded).
-    pub delivered_body: u64,
-    /// Stream finished.
-    pub fin: bool,
-}
-
 impl H3Map {
     /// Fresh mapping (client request streams are odd: 5, 7, 9, … as in
     /// gQUIC, where low ids are reserved).
@@ -48,12 +37,12 @@ impl H3Map {
     }
 
     /// Open a request stream for `object`.
-    pub fn request(&mut self, conn: &mut QuicConnection, now: SimTime, object: ObjectId) {
+    pub fn request(&mut self, conn: &mut Connection, now: SimTime, object: ObjectId) {
         let sid = self.next_stream;
         self.next_stream += 2;
         self.by_stream.insert(sid, object);
         self.by_object.insert(object, sid);
-        conn.client_open_stream(now, StreamId(sid), REQUEST_BYTES);
+        conn.client_write(now, StreamId(sid), REQUEST_BYTES);
     }
 
     /// A request stream finished at the server; returns the object to
@@ -63,13 +52,7 @@ impl H3Map {
     }
 
     /// Server writes the response for `object` (`body` payload bytes).
-    pub fn respond(
-        &mut self,
-        conn: &mut QuicConnection,
-        now: SimTime,
-        object: ObjectId,
-        body: u64,
-    ) {
+    pub fn respond(&mut self, conn: &mut Connection, now: SimTime, object: ObjectId, body: u64) {
         // `respond` is only called for objects whose request stream was
         // opened; if the map ever disagrees, drop the response (the
         // load ends incomplete at the horizon) rather than aborting
@@ -81,26 +64,32 @@ impl H3Map {
         conn.server_write(now, StreamId(sid), RESPONSE_HEADER + body, true);
     }
 
-    /// The stream carrying `object`'s response, if a request was
-    /// issued. The edge proxy uses this to relay origin bytes onto the
-    /// client-facing stream directly (bypassing [`H3Map::respond`],
-    /// which models a local server application).
-    pub fn stream_for(&self, object: ObjectId) -> Option<StreamId> {
-        self.by_object.get(&object).copied().map(StreamId)
+    /// Streaming (proxy) entry: write `bytes` more of `object`'s
+    /// response onto its stream as they arrive from upstream, `fin`
+    /// with the last — bypassing [`H3Map::respond`], which models a
+    /// local server application.
+    pub fn relay(
+        &self,
+        conn: &mut Connection,
+        now: SimTime,
+        object: ObjectId,
+        bytes: u64,
+        fin: bool,
+    ) {
+        if let Some(&sid) = self.by_object.get(&object) {
+            conn.server_write(now, StreamId(sid), bytes, fin);
+        }
     }
 
-    /// Translate client-side stream delivery into object progress.
-    pub fn on_client_delivered(
-        &self,
-        stream: StreamId,
-        delivered: u64,
-        fin: bool,
-    ) -> Option<StreamProgress> {
+    /// Translate client-side stream delivery into object progress
+    /// (the response's headers count as delivered once anything is).
+    pub fn on_client_delivered(&self, stream: StreamId, delivered: u64) -> Option<Progress> {
         let object = self.by_stream.get(&stream.0).copied()?;
-        Some(StreamProgress {
+        let got = Got::Total(delivered.max(RESPONSE_HEADER));
+        Some(Progress {
             object,
-            delivered_body: delivered.saturating_sub(RESPONSE_HEADER),
-            fin,
+            got,
+            idle: false,
         })
     }
 }
@@ -111,9 +100,9 @@ mod tests {
     use pq_sim::NetworkKind;
     use pq_transport::Protocol;
 
-    fn conn() -> QuicConnection {
+    fn conn() -> Connection {
         let net = NetworkKind::Dsl.config();
-        QuicConnection::new(
+        Connection::open(
             pq_sim::ConnId(1),
             Protocol::Quic.config(&net),
             SimTime::ZERO,
@@ -139,11 +128,10 @@ mod tests {
         assert_eq!(map.on_server_stream_fin(StreamId(99)), None);
         map.respond(&mut c, SimTime::ZERO, ObjectId(3), 5000);
         let p = map
-            .on_client_delivered(StreamId(5), RESPONSE_HEADER + 2500, false)
+            .on_client_delivered(StreamId(5), RESPONSE_HEADER + 2500)
             .unwrap();
         assert_eq!(p.object, ObjectId(3));
-        assert_eq!(p.delivered_body, 2500);
-        assert!(!p.fin);
+        assert_eq!(p.got, Got::Total(RESPONSE_HEADER + 2500));
     }
 
     #[test]
@@ -151,7 +139,11 @@ mod tests {
         let mut map = H3Map::new();
         let mut c = conn();
         map.request(&mut c, SimTime::ZERO, ObjectId(1));
-        let p = map.on_client_delivered(StreamId(5), 50, false).unwrap();
-        assert_eq!(p.delivered_body, 0, "still inside the headers");
+        let p = map.on_client_delivered(StreamId(5), 50).unwrap();
+        assert_eq!(
+            p.got,
+            Got::Total(RESPONSE_HEADER),
+            "still inside the headers"
+        );
     }
 }

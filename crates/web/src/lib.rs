@@ -15,6 +15,8 @@ pub mod catalogue;
 pub mod http1;
 pub mod http2;
 pub mod http3;
+mod junction;
+mod mux;
 pub mod object;
 pub mod website;
 

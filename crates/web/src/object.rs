@@ -67,6 +67,28 @@ impl WebObject {
     }
 }
 
+/// How far one object's response got, in response-stream bytes
+/// (headers and framing included).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Got {
+    /// Delivered so far (HTTP/1.1 and gQUIC report stream positions).
+    Total(u64),
+    /// Newly delivered (HTTP/2 attributes each delivery to objects).
+    More(u64),
+}
+
+/// Client-side progress of one object's response.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Progress {
+    /// Which object.
+    pub object: ObjectId,
+    /// How far it got.
+    pub got: Got,
+    /// HTTP/1.1: the response is complete and its connection idle
+    /// again.
+    pub idle: bool,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -217,3 +217,31 @@ fn determinism_across_the_whole_pipeline() {
     };
     assert_eq!(build(), build());
 }
+
+#[test]
+fn every_stack_completes_under_both_http_versions() {
+    // `http_version` picks HTTP/1.1 for the three plain TCP stacks
+    // only: the QUIC stacks bring their own stream mapping and
+    // H2-EDGE's client leg is HTTP/2 by name, so for those the option
+    // must change nothing — least of all strand the load on a proxy
+    // that cannot relay onto an HTTP/1.1 connection.
+    let site = web::site("wikipedia.org").unwrap();
+    let net = NetworkKind::Dsl.config();
+    for protocol in Protocol::ALL_WITH_EDGE {
+        let load = |http_version| {
+            let opts = LoadOptions {
+                http_version,
+                ..LoadOptions::default()
+            };
+            load_page(&site, &net, protocol, 7, &opts)
+        };
+        let (h1, h2) = (load(web::HttpVersion::Http1), load(web::HttpVersion::Http2));
+        assert!(h1.complete && h2.complete, "{protocol}: incomplete load");
+        if protocol.is_quic() || protocol.is_edge() {
+            assert_eq!(format!("{h1:?}"), format!("{h2:?}"), "{protocol}");
+        } else {
+            let (h1, h2) = (h1.connections, h2.connections);
+            assert!(h1 > h2, "{protocol}: a pool per origin, {h1} vs {h2}");
+        }
+    }
+}

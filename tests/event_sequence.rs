@@ -19,10 +19,16 @@
 //! allocations per popped event — a measurement of the hot path, where
 //! a static rule could only guess at it.
 //!
+//! So is where a traced load puts its rows: with the tracer at Info, a
+//! `QUIC-EDGE` and a `TCP+` load name exactly their page, connection
+//! and proxy-leg tracks (tid 0, `1 + ci`, `60 + li`) and put every
+//! object at `100 + id` — what a Chrome-trace reader of
+//! `PQ_TRACE_OUT` sees as the waterfall's rows.
+//!
 //! One `#[test]` in its own binary: `sim.events_processed` lives in
-//! the process-global obs registry and the span profiler and the
-//! allocation counters are process-global too, so nothing else may run
-//! beside it.
+//! the process-global obs registry and the span profiler, the
+//! allocation counters and the tracer are process-global too, so
+//! nothing else may run beside it.
 
 use perceiving_quic::prelude::*;
 
@@ -32,11 +38,13 @@ const SEED: u64 = 1910;
 /// allocation ceiling per event)` of `corpus()[0]` over DA2GC at seed
 /// 1910. The ceiling is the measured allocations / events of the whole
 /// load (setup included) plus 10 % headroom for toolchain drift, rounded
-/// up (measured at PR 18: 0.230, 0.210, 0.168, 0.344, 0.338, 0.232,
-/// 0.224, 0.187; at PR 16, before QUIC packets carried their frames
-/// inline: 0.266, 0.243, 0.198, 0.706, 0.668, 0.391, 0.652, 0.202); one
-/// more allocation per event adds 1.0 and fails every row. Lower it
-/// when the hot path gets leaner.
+/// up (measured at PR 21, when a load's per-object vectors became one
+/// table: 0.219, 0.199, 0.158, 0.334, 0.330, 0.228, 0.219, 0.183; at
+/// PR 18: 0.230, 0.210, 0.168, 0.344, 0.338, 0.232, 0.224, 0.187; at
+/// PR 16, before QUIC packets carried their frames inline: 0.266,
+/// 0.243, 0.198, 0.706, 0.668, 0.391, 0.652, 0.202); one more
+/// allocation per event adds 1.0 and fails every row. Lower it when the
+/// hot path gets leaner.
 /// The `event:*` buckets, in the order [`MIX`] counts them.
 const KINDS: [&str; 13] = [
     "tx-up",
@@ -69,14 +77,41 @@ const MIX: [[u64; 13]; 8] = [
 ];
 
 const PINS: [(Protocol, u64, u64, u64, u32, f64); 8] = [
-    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.26),
-    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.24),
-    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3, 0.19),
-    (Protocol::Quic, 1126, 7_471_238_185, 69, 3, 0.38),
-    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3, 0.38),
+    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.25),
+    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.22),
+    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3, 0.18),
+    (Protocol::Quic, 1126, 7_471_238_185, 69, 3, 0.37),
+    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3, 0.37),
     (Protocol::QuicEdge, 2462, 4_731_629_218, 54, 12, 0.26),
     (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3, 0.25),
     (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11, 0.21),
+];
+
+/// Track rows below the object rows of the traced `QUIC-EDGE` load:
+/// the page, the one client connection, and the proxy's legs in the
+/// order the pools opened them.
+const QUIC_EDGE_ROWS: [(u64, &str); 13] = [
+    (0, "page"),
+    (1, "conn 0 (QUIC-EDGE)"),
+    (60, "leg 0 (H2 → origin 0)"),
+    (61, "leg 1 (H2 → origin 1)"),
+    (62, "leg 2 (H2 → origin 0)"),
+    (63, "leg 3 (H2 → origin 0)"),
+    (64, "leg 4 (H2 → origin 0)"),
+    (65, "leg 5 (H2 → origin 2)"),
+    (66, "leg 6 (H2 → origin 2)"),
+    (67, "leg 7 (H2 → origin 2)"),
+    (68, "leg 8 (H2 → origin 2)"),
+    (69, "leg 9 (H2 → origin 1)"),
+    (70, "leg 10 (H2 → origin 1)"),
+];
+
+/// The same for `TCP+`: one connection per origin.
+const TCP_PLUS_ROWS: [(u64, &str); 4] = [
+    (0, "page"),
+    (1, "conn 0 (TCP+)"),
+    (2, "conn 1 (TCP+)"),
+    (3, "conn 2 (TCP+)"),
 ];
 
 /// One load and the number of events its queue popped.
@@ -165,4 +200,73 @@ fn every_stack_executes_its_pinned_event_sequence() {
     }
     pq_prof::set_alloc_enabled(false);
     pq_prof::reset_alloc();
+
+    // With the tracer at Info, the sequence holds and each load names
+    // exactly its page, connection and leg rows, with every object's
+    // row at `100 + id`.
+    pq_obs::tracer().set_level(pq_obs::Level::Info);
+    for (protocol, want) in [
+        (Protocol::QuicEdge, &QUIC_EDGE_ROWS[..]),
+        (Protocol::TcpPlus, &TCP_PLUS_ROWS[..]),
+    ] {
+        let (r, popped) = load(&site, protocol);
+        let pin = PINS.iter().find(|p| p.0 == protocol).expect("pinned stack");
+        assert_eq!(
+            (popped, r.plt.as_nanos()),
+            (pin.1, pin.2),
+            "{}: tracing moved the event sequence",
+            protocol.label()
+        );
+        let rows = track_rows(&format!(
+            "{} · {} · seed {SEED}",
+            site.name,
+            protocol.label()
+        ));
+        let (objects, tracks): (Vec<_>, Vec<_>) =
+            rows.into_iter().partition(|(tid, _)| *tid >= 100);
+        let want: Vec<(u64, String)> = want.iter().map(|(t, n)| (*t, n.to_string())).collect();
+        assert_eq!(tracks, want, "{}: page / conn / leg rows", protocol.label());
+        assert_eq!(objects.len(), site.objects.len(), "one row per object");
+        for (tid, name) in objects {
+            let id = tid - 100;
+            assert!(
+                name.starts_with(&format!("obj {id} (")),
+                "{}: row {tid} is {name:?}, not object {id}'s",
+                protocol.label()
+            );
+        }
+    }
+    pq_obs::tracer().set_level(pq_obs::Level::Off);
+}
+
+/// The `(tid, name)` rows [`pq_obs::export::to_chrome_trace`] writes for the
+/// page load the tracer knows as `process`, sorted.
+fn track_rows(process: &str) -> Vec<(u64, String)> {
+    let json = pq_obs::export::to_chrome_trace(&[]);
+    let trace = pq_obs::json::Value::parse(&json).expect("chrome trace parses");
+    let meta = trace
+        .get("traceEvents")
+        .and_then(|e| e.as_arr())
+        .expect("traceEvents");
+    let field = |row: &pq_obs::json::Value, key: &str| row.get(key).and_then(|v| v.as_u64());
+    let label = |row: &pq_obs::json::Value| {
+        let name = row.get("args")?.get("name")?.as_str()?;
+        Some(name.to_string())
+    };
+    let named = |row: &&pq_obs::json::Value, what: &str| {
+        row.get("name").and_then(|n| n.as_str()) == Some(what)
+    };
+    let pid = meta
+        .iter()
+        .filter(|r| named(r, "process_name"))
+        .find(|r| label(r).as_deref() == Some(process))
+        .and_then(|r| field(r, "pid"))
+        .expect("the load registered its process row");
+    let mut rows: Vec<(u64, String)> = meta
+        .iter()
+        .filter(|r| named(r, "thread_name") && field(r, "pid") == Some(pid))
+        .filter_map(|r| Some((field(r, "tid")?, label(r)?)))
+        .collect();
+    rows.sort();
+    rows
 }
