@@ -83,7 +83,7 @@ pub fn study_digest(data: &StudyData) -> u64 {
         h.u64(u64::from(v.site));
         h.str(v.network.name());
         h.str(v.protocol.label());
-        h.byte(v.environment.idx() as u8);
+        h.byte(v.environment as u8);
         h.f64(v.speed);
         h.f64(v.quality);
         h.byte(u8::from(v.valid));
@@ -96,10 +96,6 @@ pub fn study_digest(data: &StudyData) -> u64 {
     }
     h.0
 }
-
-/// Where the committed `pq-lint.baseline` lives, independent of the
-/// working directory the harness was started from.
-pub const LINT_BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../pq-lint.baseline");
 
 /// Everything a `runall` execution leaves behind for machines: the
 /// finished experiment, the phase timer and the global metrics
@@ -130,7 +126,6 @@ pub const LINT_BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..
 /// | `resumed_from_cells` | grid cells restored from the journal instead of rebuilt |
 /// | `journal_records` | records in the cell journal (replayed + written; 0 with no journal open) |
 /// | `cells_timed_out` | cells quarantined by the `PQ_CELL_TIMEOUT_MS` watchdog |
-/// | `lint_baseline_count` | grandfathered findings in [`LINT_BASELINE_PATH`] (shrink-only) |
 /// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes, phases: [{phase, allocs, bytes}]}` |
 /// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
 pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, resumable: bool) -> Value {
@@ -228,12 +223,7 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, resumable: bool) -> Val
                 0
             },
         )
-        .with("cells_timed_out", e.stimuli.cells_timed_out())
-        .with(
-            "lint_baseline_count",
-            pq_lint::Baseline::load(std::path::Path::new(LINT_BASELINE_PATH))
-                .map_or(0, |b| b.total()),
-        );
+        .with("cells_timed_out", e.stimuli.cells_timed_out());
     if let Some(snap) = alloc {
         let phases: Vec<Value> = snap
             .phases
@@ -346,12 +336,12 @@ mod tests {
         fields.iter().map(|(k, _)| k.as_str()).collect()
     }
 
-    /// The schema CI's Python reads: 21 keys on every run, `alloc` only
+    /// The schema CI's Python reads: 20 keys on every run, `alloc` only
     /// while the counting allocator is on, `edge` only with an edge
     /// stack in the grid, in this order.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
-        const ALWAYS: [&str; 21] = [
+        const ALWAYS: [&str; 20] = [
             "scale",
             "seed",
             "jobs",
@@ -372,7 +362,6 @@ mod tests {
             "resumed_from_cells",
             "journal_records",
             "cells_timed_out",
-            "lint_baseline_count",
         ];
         let mut timer = PhaseTimer::new();
         let plain = timer.phase("experiment", || {
@@ -414,8 +403,8 @@ mod tests {
         });
         let m = manifest_json(&edge, &timer, false);
         pq_prof::set_alloc_enabled(false);
-        assert_eq!(keys(&m)[..21], ALWAYS);
-        assert_eq!(keys(&m)[21..], ["alloc", "edge"]);
+        assert_eq!(keys(&m)[..20], ALWAYS);
+        assert_eq!(keys(&m)[20..], ["alloc", "edge"]);
         let alloc = m.get("alloc").expect("alloc block");
         assert_eq!(
             keys(alloc),

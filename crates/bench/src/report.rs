@@ -4,11 +4,13 @@
 use crate::{share_bar, Experiment};
 use pq_metrics::Metric;
 use pq_sim::{Link, LinkConfig, NetworkKind, Packet, PushOutcome, SimRng, SimTime};
+use pq_stats::jarque_bera;
 use pq_study::{
     ab_shares, anova_across_protocols, fig3_agreement, metric_correlation, per_site_differences,
-    Environment, Group, StudyKind,
+    AgeBracket, Environment, Group, Participant, RatingVote, StudyKind,
 };
 use pq_transport::Protocol;
+use std::collections::BTreeMap;
 
 /// Table 1: the protocol configurations under test.
 pub fn print_table1() {
@@ -86,16 +88,14 @@ fn measure_network(down: &LinkConfig, up: &LinkConfig) -> (f64, f64, f64) {
     };
     let horizon = SimTime::from_secs(30);
     let mut delivered_bytes = 0u64;
-    let mut first_arrival = None;
     while next <= horizon {
         now = next;
         while link.queued_bytes() < 6000 {
             link.push(now, Packet::new(pq_sim::ConnId(0), 1500, 0));
         }
         let txd = link.on_tx_done(now);
-        if let Some((at, p)) = txd.delivery {
+        if let Some((_, p)) = txd.delivery {
             delivered_bytes += u64::from(p.size);
-            first_arrival.get_or_insert(at);
         }
         next = txd.next_tx_done.expect("kept busy");
     }
@@ -117,20 +117,14 @@ pub fn print_table3(e: &Experiment) {
         "{:<9} {:<7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
         "Group", "Study", "-", "R1", "R2", "R3", "R4", "R5", "R6", "R7"
     );
-    let paper_ab = [
-        [35; 8],
-        [487, 471, 441, 355, 268, 268, 239, 233],
-        [218, 217, 210, 196, 171, 170, 159, 155],
-    ];
-    let paper_rate = [
-        [35; 8],
-        [1563, 1494, 1321, 1034, 733, 723, 661, 614],
-        [209, 204, 194, 172, 152, 151, 140, 138],
-    ];
-    for (gi, group) in Group::ALL.into_iter().enumerate() {
-        for (study, funnel, paper) in [
-            ("A/B", &e.data.funnel_ab[gi], &paper_ab[gi]),
-            ("Rating", &e.data.funnel_rating[gi], &paper_rate[gi]),
+    for ((group, funnel_ab), funnel_rating) in Group::ALL
+        .into_iter()
+        .zip(e.data.funnel_ab)
+        .zip(e.data.funnel_rating)
+    {
+        for (study, kind, funnel) in [
+            ("A/B", StudyKind::AB, funnel_ab),
+            ("Rating", StudyKind::Rating, funnel_rating),
         ] {
             print!("{:<9} {:<7} {:>6}", group.name(), study, funnel.recruited);
             for a in funnel.after {
@@ -138,7 +132,7 @@ pub fn print_table3(e: &Experiment) {
             }
             println!();
             print!("{:<9} {:<7}", "  paper:", "");
-            for p in paper {
+            for p in group.calib().study(kind).table3 {
                 print!(" {p:>6}");
             }
             println!();
@@ -235,27 +229,21 @@ pub fn print_fig4(e: &Experiment) {
 /// §4.4 ANOVA significance screening.
 pub fn print_fig5(e: &Experiment) {
     println!("== Figure 5: rating study mean votes (µWorker, 99% CI) ==");
-    let cells: [(Environment, Option<NetworkKind>); 6] = [
-        (Environment::Work, Some(NetworkKind::Dsl)),
-        (Environment::Work, Some(NetworkKind::Lte)),
-        (Environment::FreeTime, Some(NetworkKind::Dsl)),
-        (Environment::FreeTime, Some(NetworkKind::Lte)),
-        (Environment::Plane, Some(NetworkKind::Da2gc)),
-        (Environment::Plane, Some(NetworkKind::Mss)),
-    ];
+    // Each environment over the networks whose videos it shows.
+    let cells: Vec<(Environment, NetworkKind)> = Environment::ALL
+        .into_iter()
+        .flat_map(|env| env.networks().iter().map(move |&net| (env, net)))
+        .collect();
     print!("{:<22}", "setting");
     for p in &e.stacks {
         print!(" {:>16}", p.label());
     }
     println!();
-    for (env, net) in cells {
-        print!(
-            "{:<22}",
-            format!("{} / {}", env.name(), net.unwrap().name())
-        );
+    for &(env, net) in &cells {
+        print!("{:<22}", format!("{} / {}", env.name(), net.name()));
         for &p in &e.stacks {
-            match pq_study::rating_interval(&e.data.ratings, env, net, p, Group::MicroWorker, 0.99)
-            {
+            let votes = &e.data.ratings;
+            match pq_study::rating_interval(votes, env, Some(net), p, Group::MicroWorker, 0.99) {
                 Some(ci) => print!(" {:>8.1} ±{:>5.1} ", ci.mean, ci.half_width),
                 None => print!(" {:>16}", "-"),
             }
@@ -265,12 +253,13 @@ pub fn print_fig5(e: &Experiment) {
 
     println!("\nANOVA across the protocol grid per setting:");
     for (env, net) in cells {
+        let votes = &e.data.ratings;
         if let Some(r) =
-            anova_across_protocols(&e.data.ratings, env, net, &e.stacks, Group::MicroWorker)
+            anova_across_protocols(votes, env, Some(net), &e.stacks, Group::MicroWorker)
         {
             println!(
                 "  {:<22} F={:<6.2} p={:<8.4} significant: 99% {} / 90% {}",
-                format!("{} / {}", env.name(), net.unwrap().name()),
+                format!("{} / {}", env.name(), net.name()),
                 r.f,
                 r.p,
                 if r.significant_at(0.99) { "YES" } else { "no" },
@@ -359,43 +348,75 @@ pub fn print_fig6(e: &Experiment) {
     println!();
 }
 
+/// What §4.2's normality claim is about: one pool's rating-study
+/// residuals — each valid speed vote minus the mean of its site ×
+/// network × protocol × environment condition, over conditions with at
+/// least 8 votes. Raw votes pooled across conditions would test the
+/// mixture of condition means, not the noise around them.
+pub(crate) fn rating_residuals(votes: &[RatingVote], group: Group) -> Vec<f64> {
+    let mut conditions = BTreeMap::<_, Vec<f64>>::new();
+    for v in votes.iter().filter(|v| v.valid && v.group == group) {
+        let key = (v.site, v.network, v.protocol, v.environment);
+        conditions.entry(key).or_default().push(v.speed);
+    }
+    conditions
+        .values()
+        .filter(|speeds| speeds.len() >= 8)
+        .flat_map(|speeds| {
+            let mean = pq_stats::mean(speeds);
+            speeds.iter().map(move |s| s - mean)
+        })
+        .collect()
+}
+
 /// §4.2: answer-time, replay and demographic statistics per group.
 pub fn print_agreement(e: &Experiment) {
     println!("== §4.2: study agreement statistics ==");
     println!(
-        "{:<9} {:>16} {:>19}",
+        "{:<9} {:>18} {:>18}",
         "Group", "A/B s/video", "Rating s/video"
     );
-    let paper = [(17.69, 21.44), (14.46, 17.71), (15.59, 19.23)];
+    let studies = [
+        (StudyKind::AB, &e.data.sessions_ab),
+        (StudyKind::Rating, &e.data.sessions_rating),
+    ];
     for group in Group::ALL {
-        let ab: Vec<f64> = e
-            .data
-            .sessions_ab
-            .iter()
-            .filter(|s| s.participant.group == group && s.valid())
-            .map(|s| s.secs_per_video)
-            .collect();
-        let rate: Vec<f64> = e
-            .data
-            .sessions_rating
-            .iter()
-            .filter(|s| s.participant.group == group && s.valid())
-            .map(|s| s.secs_per_video)
-            .collect();
-        println!(
-            "{:<9} {:>7.2} (p:{:>5.2}) {:>8.2} (p:{:>6.2})",
-            group.name(),
-            pq_stats::mean(&ab),
-            paper[group.idx()].0,
-            pq_stats::mean(&rate),
-            paper[group.idx()].1,
-        );
+        print!("{:<9}", group.name());
+        for (kind, sessions) in studies {
+            let secs: Vec<f64> = sessions
+                .iter()
+                .filter(|s| s.participant.group == group && s.valid())
+                .map(|s| s.secs_per_video)
+                .collect();
+            let paper = group.calib().study(kind).secs_per_video;
+            print!(" {:>8.2} (p:{paper:>6.2})", pq_stats::mean(&secs));
+        }
+        println!();
+    }
+
+    println!("\nnormality of rating residuals (Jarque–Bera, α = 0.01; the paper takes the");
+    println!("median for Internet votes because they are not normal, mean + CI otherwise):");
+    for group in Group::ALL {
+        let residuals = rating_residuals(&e.data.ratings, group);
+        if let Some(jb) = jarque_bera(&residuals) {
+            println!(
+                "  {:<9} JB {:>7.1}  p {:<8.4} n {:>6}  {}",
+                group.name(),
+                jb.statistic,
+                jb.p,
+                residuals.len(),
+                if jb.is_normal_at(0.01) {
+                    "not rejected"
+                } else {
+                    "rejected"
+                },
+            );
+        }
     }
 
     println!("\nreplays per A/B video (valid votes):");
     for group in Group::ALL {
-        let mut by_net = Vec::new();
-        for network in NetworkKind::ALL {
+        let by_net = NetworkKind::ALL.map(|network| {
             let votes: Vec<f64> = e
                 .data
                 .ab
@@ -403,8 +424,8 @@ pub fn print_agreement(e: &Experiment) {
                 .filter(|v| v.valid && v.group == group && v.network == network)
                 .map(|v| f64::from(v.replays))
                 .collect();
-            by_net.push(format!("{} {:.2}", network.name(), pq_stats::mean(&votes)));
-        }
+            format!("{} {:.2}", network.name(), pq_stats::mean(&votes))
+        });
         println!("  {:<9} {}", group.name(), by_net.join("  "));
     }
 
@@ -429,23 +450,15 @@ pub fn print_agreement(e: &Experiment) {
             .iter()
             .filter(|s| s.participant.group == group)
             .collect();
-        let male = ps.iter().filter(|s| s.participant.male).count() as f64 / ps.len() as f64;
-        let young = ps
-            .iter()
-            .filter(|s| s.participant.age == pq_study::AgeBracket::Under24)
-            .count() as f64
-            / ps.len() as f64;
-        let mid = ps
-            .iter()
-            .filter(|s| s.participant.age == pq_study::AgeBracket::From25To44)
-            .count() as f64
-            / ps.len() as f64;
+        let pct = |is: fn(&Participant) -> bool| {
+            100.0 * ps.iter().filter(|s| is(&s.participant)).count() as f64 / ps.len() as f64
+        };
         println!(
             "  {:<9} male {:.0}%  <24 {:.0}%  25-44 {:.0}%",
             group.name(),
-            male * 100.0,
-            young * 100.0,
-            mid * 100.0
+            pct(|p| p.male),
+            pct(|p| p.age == AgeBracket::Under24),
+            pct(|p| p.age == AgeBracket::From25To44),
         );
     }
     println!();
@@ -490,12 +503,7 @@ pub fn print_ablation(e: &Experiment) {
         (StudyKind::Rating, &e.data.sessions_rating),
     ] {
         let valid = sessions.iter().filter(|s| s.valid()).count();
-        println!(
-            "  {:?}: {} recruited, {} valid",
-            kind,
-            sessions.len(),
-            valid
-        );
+        println!("  {kind:?}: {} recruited, {valid} valid", sessions.len());
     }
 
     println!("\n== Ablation 3: 0-RTT repeat visits (median FVC, wikipedia, ms) ==");

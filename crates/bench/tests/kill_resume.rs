@@ -95,16 +95,6 @@ fn kill_then_resume(faults: Option<&str>, kill_jobs: u32, resume_jobs: u32, pinn
         "journal must be retired after the resumed run completes"
     );
 
-    // The child ran in a temp directory: the lint debt it records must
-    // still be the repository's, not "no baseline here, so none".
-    let baseline = Path::new(pq_bench::manifest::LINT_BASELINE_PATH);
-    assert!(baseline.is_file(), "{} is committed", baseline.display());
-    let debt = pq_lint::Baseline::load(baseline).expect("baseline parses");
-    assert_eq!(
-        get("lint_baseline_count").as_u64(),
-        Some(debt.total() as u64)
-    );
-
     std::fs::remove_dir_all(&dir).ok();
 }
 

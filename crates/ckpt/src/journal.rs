@@ -387,11 +387,6 @@ pub fn journal_active() -> bool {
     with_state(|s| s.is_some())
 }
 
-/// Path of the open journal, if any.
-pub fn journal_path() -> Option<PathBuf> {
-    with_state(|s| s.as_ref().map(|st| st.path.clone()))
-}
-
 /// Append one record durably (encode, write line, fdatasync). A no-op
 /// returning `Ok` when no journal is open, so instrumented code paths
 /// cost nothing in journal-less runs.

@@ -46,7 +46,7 @@ pub use atomicio::{atomic_write, durable_append, recover_stale_temps};
 pub use fnv::fnv1a;
 pub use journal::{
     journal_active, journal_append, journal_complete, journal_detach, journal_meta, journal_open,
-    journal_path, records_written, replayed, replayed_count, Record, Replay,
+    records_written, replayed, replayed_count, Record, Replay,
 };
 pub use sig::{install_signal_handlers, interrupted, set_interrupted};
 

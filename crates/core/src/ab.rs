@@ -12,9 +12,9 @@
 
 use crate::participant::Group;
 use crate::percept;
-use crate::session::Session;
+use crate::session::{per_participant, Session};
 use crate::stimulus::StimulusSet;
-use pq_sim::{NetworkKind, SimRng};
+use pq_sim::NetworkKind;
 use pq_transport::Protocol;
 
 /// The participant's answer, in the canonical pair order (first =
@@ -60,10 +60,9 @@ const CONTROL_VIDEOS: u32 = 3;
 
 /// Run the A/B study for one group over the stimulus set.
 ///
-/// Participants fan out across the `pq-par` pool; every participant's
-/// RNG is keyed by `(seed, group, id)` alone and the vote vector keeps
-/// session order (votes of session *k* precede those of session
-/// *k+1*), so output is bit-identical to a serial run at any
+/// Participants fan out through `session::per_participant` and the vote
+/// vector keeps session order (votes of session *k* precede those of
+/// session *k+1*), so output is bit-identical to a serial run at any
 /// `PQ_JOBS`.
 pub fn run_ab_study(
     stimuli: &StimulusSet,
@@ -79,14 +78,12 @@ pub fn run_ab_study(
     if sites.is_empty() || networks.is_empty() || pairs.is_empty() {
         return Vec::new();
     }
-    // pq-lint: allow(rng) -- study-entry derivation point: `seed` is the study seed, every draw forks from the "ab-study" stream
-    let rng = SimRng::new(seed).fork("ab-study");
     let n_votes = videos_per_participant.saturating_sub(CONTROL_VIDEOS).max(1);
 
-    let per_session: Vec<Vec<AbVote>> = pq_par::par_map(sessions, |session| {
+    let who = |s: &Session| (s.participant.group, s.participant.id);
+    let per_session = per_participant(seed, "ab-study", sessions, who, |session, r| {
         let mut votes = Vec::with_capacity(n_votes as usize);
         let p = &session.participant;
-        let mut r = rng.fork_idx(p.group.name(), u64::from(p.id));
         for _ in 0..n_votes {
             // Guarded non-empty above; `else continue` keeps the hot
             // path panic-free regardless.
@@ -118,8 +115,8 @@ pub fn run_ab_study(
                 (c, r.f64(), 0)
             } else {
                 // Honest psychophysics with replay-averaging.
-                let mut pa = percept::observe(p, &a, &mut r);
-                let mut pb = percept::observe(p, &b, &mut r);
+                let mut pa = percept::observe(p, &a, r);
+                let mut pb = percept::observe(p, &b, r);
                 let mut views = 1u32;
                 let mut replays = 0u32;
                 loop {
@@ -137,8 +134,8 @@ pub fn run_ab_study(
                     views += 1;
                     replays += 1;
                     let k = f64::from(views);
-                    pa = pa * (k - 1.0) / k + percept::observe(p, &a, &mut r) / k;
-                    pb = pb * (k - 1.0) / k + percept::observe(p, &b, &mut r) / k;
+                    pa = pa * (k - 1.0) / k + percept::observe(p, &a, r) / k;
+                    pb = pb * (k - 1.0) / k + percept::observe(p, &b, r) / k;
                 }
                 let delta = pb - pa; // > 0 ⇒ first (a) looked faster
                 let choice = if delta.abs() < p.jnd {
@@ -326,6 +323,51 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.choice, y.choice);
             assert_eq!(x.replays, y.replays);
+        }
+    }
+
+    #[test]
+    fn aa_control_shows_no_position_bias() {
+        // The cheapest control a crowdsourced QoE study has: the same
+        // video on both sides. Whatever side wins, wins by chance.
+        let stimuli = small_stimuli();
+        let pair = [(Protocol::Quic, Protocol::Quic)];
+        let networks = [NetworkKind::Lte, NetworkKind::Mss];
+        for group in Group::ALL {
+            let (mut first, mut no_diff, mut second) = (0u32, 0u32, 0u32);
+            for seed in 0..10 {
+                let sessions = population(StudyKind::AB, group, seed);
+                let videos = group.calib().ab_videos;
+                let votes =
+                    run_ab_study(&stimuli, &sessions, &pair, &[0, 1], &networks, videos, seed);
+                for v in votes.iter().filter(|v| v.valid) {
+                    match v.choice {
+                        AbChoice::First => first += 1,
+                        AbChoice::NoDifference => no_diff += 1,
+                        AbChoice::Second => second += 1,
+                    }
+                }
+            }
+            // first − second over the decided votes is a fair-coin walk:
+            // sd √(first + second).
+            let z = (f64::from(first) - f64::from(second)) / f64::from(first + second).sqrt();
+            let n = f64::from(first + no_diff + second);
+            let share = |k: u32| 100.0 * f64::from(k) / n;
+            println!(
+                "A/A {group}: {:.1} / {:.1} / {:.1} % (n = {n}, z = {z:.2})",
+                share(first),
+                share(no_diff),
+                share(second)
+            );
+            assert!(z.abs() < 3.0, "{group}: position bias, z = {z:.2}");
+            // The Internet pool splits three ways: its noise is above
+            // the mean JND (EXPERIMENTS.md, "A/A control").
+            if group != Group::Internet {
+                assert!(
+                    no_diff > first.max(second),
+                    "{group}: {first}/{no_diff}/{second}"
+                );
+            }
         }
     }
 }

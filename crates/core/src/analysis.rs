@@ -316,6 +316,12 @@ impl AgreementRow {
 }
 
 /// Figure 3: per-condition group agreement, ordered by lab mean vote.
+///
+/// The Internet column is a median because that pool's rating
+/// residuals fail Jarque–Bera at α = 0.01 while the lab's pass, as
+/// §4.2 reports; `pq agreement` prints the test and pq-bench pins the
+/// two verdicts. µWorker residuals fail it too at n ≈ 17 000 and keep
+/// the paper's mean + CI (EXPERIMENTS.md, Deviations).
 pub fn fig3_agreement(votes: &[RatingVote], confidence: f64) -> Vec<AgreementRow> {
     use std::collections::BTreeMap;
     type Key = (u16, NetworkKind, Protocol, Environment);

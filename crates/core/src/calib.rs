@@ -14,6 +14,15 @@
 //!    directly against the paper's published numbers (Table 3, §4.2)
 //!    because they describe the paper's subject pool, not a model
 //!    prediction.
+//!
+//! What differs between the three subject pools is one [`GroupCalib`]
+//! row per pool, `group.calib()`, holding one [`StudyCalib`] per study
+//! kind, `.study(kind)`. Each published number is written here once:
+//! the Table 3 and §4.2 printers and the tests read these rows.
+
+use crate::participant::Group;
+use crate::rating::Environment;
+use crate::session::StudyKind;
 
 /// Perception weights: how strongly each technical metric drives the
 /// perceived loading speed. SI dominates — consistent with the paper's
@@ -34,20 +43,22 @@ pub const JND_SD: f64 = 0.025;
 /// Floor so no user is infinitely sensitive.
 pub const JND_FLOOR: f64 = 0.02;
 
-/// Log-domain observation noise per viewing, by group
-/// (lab / µWorker / Internet). Lab viewing conditions are controlled;
-/// Internet users are the noisiest (and end up excluded, Fig. 3).
-pub const OBS_NOISE: [f64; 3] = [0.035, 0.05, 0.08];
-
 /// MOS mapping `vote = RATE_A − RATE_B · ln(SI seconds)` on the paper's
 /// 10–70 scale, before context/bias/noise terms.
 pub const RATE_A: f64 = 58.0;
 /// Slope of the log-SI MOS mapping.
 pub const RATE_B: f64 = 10.5;
-/// Context anchors added to the rating: at work / free time / plane.
-/// Free time is rated mildly better than work (§4.4: "a slight
-/// tendency towards better scores in the free time setting").
-pub const CONTEXT_SHIFT: [f64; 3] = [-1.5, 0.0, 3.0];
+/// Context anchor added to a rating made in `env`. Free time is rated
+/// mildly better than work (§4.4: "a slight tendency towards better
+/// scores in the free time setting").
+pub fn context_shift(env: Environment) -> f64 {
+    match env {
+        Environment::Work => -1.5,
+        Environment::FreeTime => 0.0,
+        Environment::Plane => 3.0,
+    }
+}
+
 /// Site-taste spread (sd): a per-site likability offset shared by all
 /// users. This is what caps the metric↔vote correlation in *fast*
 /// networks (Fig. 6's DSL column): when every load is quick, taste
@@ -55,54 +66,135 @@ pub const CONTEXT_SHIFT: [f64; 3] = [-1.5, 0.0, 3.0];
 pub const SITE_TASTE_SD: f64 = 5.0;
 /// Per-user rating bias (sd).
 pub const USER_BIAS_SD: f64 = 5.0;
-/// Per-vote rating noise (sd) by group.
-pub const RATE_NOISE: [f64; 3] = [5.0, 8.0, 10.0];
-/// Fraction of Internet-group votes replaced by uniform garbage —
-/// the contamination that makes that group non-normal (§4.2 uses the
-/// median for Internet votes for exactly this reason).
-pub const INTERNET_GARBAGE_RATE: f64 = 0.12;
 
-/// Recruitment counts before filtering: (A/B, Rating) per group,
-/// straight from Table 3.
-pub const RECRUITED: [(u32, u32); 3] = [(35, 35), (487, 1563), (218, 209)];
+/// One study kind's numbers for one subject pool.
+#[derive(Clone, Copy, Debug)]
+pub struct StudyCalib {
+    /// The pool's Table 3 line for this study, as published:
+    /// participants recruited, then survivors after R1 … R7.
+    pub table3: [u32; 8],
+    /// Sequential per-rule drop probabilities `[R1..R7]`, calibrated
+    /// to reproduce `table3`.
+    pub drop: [f64; 7],
+    /// Mean seconds a participant spends per video (§4.2).
+    pub secs_per_video: f64,
+}
 
-/// Sequential per-rule drop probabilities `[R1..R7]` per group and
-/// study, calibrated to reproduce Table 3's funnel.
-/// Lab participants are supervised: nothing is dropped.
-pub const DROP_AB: [[f64; 7]; 3] = [
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    // µWorker A/B: 487→471→441→355→268→268→239→233
-    [0.033, 0.064, 0.195, 0.245, 0.000, 0.108, 0.025],
-    // Internet A/B: 218→217→210→196→171→170→159→155
-    [0.005, 0.032, 0.067, 0.128, 0.006, 0.065, 0.025],
-];
-/// Rating-study drop probabilities (Table 3 lower half).
-pub const DROP_RATING: [[f64; 7]; 3] = [
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    // µWorker Rating: 1563→1494→1321→1034→733→723→661→614
-    [0.044, 0.116, 0.217, 0.291, 0.014, 0.086, 0.071],
-    // Internet Rating: 209→204→194→172→152→151→140→138
-    [0.024, 0.049, 0.113, 0.116, 0.007, 0.073, 0.014],
-];
+impl StudyCalib {
+    /// Recruitment count before filtering: the head of the Table 3
+    /// line.
+    pub fn recruited(&self) -> u32 {
+        let [recruited, ..] = self.table3;
+        recruited
+    }
+}
 
-/// Mean seconds a participant spends per video: `(A/B, Rating)` per
-/// group (§4.2: lab 17.69/21.44, µWorker 14.46/17.71,
-/// Internet 15.59/19.23).
-pub const SECS_PER_VIDEO: [(f64, f64); 3] = [(17.69, 21.44), (14.46, 17.71), (15.59, 19.23)];
+/// What one subject pool is: everything that differs between the
+/// lab, µWorker and Internet participants of §4.1.
+#[derive(Clone, Copy, Debug)]
+pub struct GroupCalib {
+    /// Log-domain observation noise (sd) per viewing. Lab viewing
+    /// conditions are controlled; Internet users are the noisiest (and
+    /// end up excluded, Fig. 3).
+    pub obs_noise: f64,
+    /// Per-vote rating noise (sd).
+    pub rate_noise: f64,
+    /// Fraction of rating votes replaced by uniform garbage — the
+    /// unsupervised contamination that makes the Internet group
+    /// non-normal (§4.2 uses the median there for exactly this
+    /// reason). Zero draws nothing from the participant's stream.
+    pub garbage_rate: f64,
+    /// Share of male participants (§4.2: "76 % to 79 % were male").
+    pub male_share: f64,
+    /// Base probability scale of replaying an A/B video whose
+    /// difference sits near the JND (lab participants replay the
+    /// most, §4.2).
+    pub replay_scale: f64,
+    /// Videos shown per participant in the A/B study (§4.1).
+    pub ab_videos: u32,
+    /// Rating-study videos per participant, per [`Environment::ALL`].
+    pub rating_videos: [u32; 3],
+    /// The A/B study: Table 3's upper half.
+    pub ab: StudyCalib,
+    /// The rating study: Table 3's lower half.
+    pub rating: StudyCalib,
+}
 
-/// Videos shown per participant in the A/B study (lab 28, µWorker 26,
-/// Internet 14 — §4.1).
-pub const AB_VIDEOS: [u32; 3] = [28, 26, 14];
-/// Rating-study videos per participant as (work, free time, plane).
-pub const RATING_VIDEOS: [(u32, u32, u32); 3] = [(11, 11, 5), (11, 11, 5), (6, 6, 3)];
+impl GroupCalib {
+    /// The pool's numbers for one study kind.
+    pub fn study(&self, kind: StudyKind) -> &StudyCalib {
+        match kind {
+            StudyKind::AB => &self.ab,
+            StudyKind::Rating => &self.rating,
+        }
+    }
+}
 
-/// Share of male participants (§4.2: "76 % to 79 % were male").
-pub const MALE_SHARE: [f64; 3] = [0.78, 0.77, 0.76];
-
-/// Replay behaviour: base probability scale of replaying an A/B video
-/// whose difference sits near the JND, per group (lab participants
-/// replay the most, §4.2).
-pub const REPLAY_SCALE: [f64; 3] = [1.4, 1.0, 1.1];
+impl Group {
+    /// The pool's calibration row.
+    pub fn calib(self) -> &'static GroupCalib {
+        match self {
+            // Supervised: nothing is dropped.
+            Group::Lab => &GroupCalib {
+                obs_noise: 0.035,
+                rate_noise: 5.0,
+                garbage_rate: 0.0,
+                male_share: 0.78,
+                replay_scale: 1.4,
+                ab_videos: 28,
+                rating_videos: [11, 11, 5],
+                ab: StudyCalib {
+                    table3: [35; 8],
+                    drop: [0.0; 7],
+                    secs_per_video: 17.69,
+                },
+                rating: StudyCalib {
+                    table3: [35; 8],
+                    drop: [0.0; 7],
+                    secs_per_video: 21.44,
+                },
+            },
+            Group::MicroWorker => &GroupCalib {
+                obs_noise: 0.05,
+                rate_noise: 8.0,
+                garbage_rate: 0.0,
+                male_share: 0.77,
+                replay_scale: 1.0,
+                ab_videos: 26,
+                rating_videos: [11, 11, 5],
+                ab: StudyCalib {
+                    table3: [487, 471, 441, 355, 268, 268, 239, 233],
+                    drop: [0.033, 0.064, 0.195, 0.245, 0.000, 0.108, 0.025],
+                    secs_per_video: 14.46,
+                },
+                rating: StudyCalib {
+                    table3: [1563, 1494, 1321, 1034, 733, 723, 661, 614],
+                    drop: [0.044, 0.116, 0.217, 0.291, 0.014, 0.086, 0.071],
+                    secs_per_video: 17.71,
+                },
+            },
+            Group::Internet => &GroupCalib {
+                obs_noise: 0.08,
+                rate_noise: 10.0,
+                garbage_rate: 0.12,
+                male_share: 0.76,
+                replay_scale: 1.1,
+                ab_videos: 14,
+                rating_videos: [6, 6, 3],
+                ab: StudyCalib {
+                    table3: [218, 217, 210, 196, 171, 170, 159, 155],
+                    drop: [0.005, 0.032, 0.067, 0.128, 0.006, 0.065, 0.025],
+                    secs_per_video: 15.59,
+                },
+                rating: StudyCalib {
+                    table3: [209, 204, 194, 172, 152, 151, 140, 138],
+                    drop: [0.024, 0.049, 0.113, 0.116, 0.007, 0.073, 0.014],
+                    secs_per_video: 19.23,
+                },
+            },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -115,32 +207,42 @@ mod tests {
 
     #[test]
     fn funnel_probabilities_reproduce_table3_expectations() {
-        // Expected survivors when applying the drop rates to the
-        // recruitment counts must land near the paper's numbers.
-        let check = |n0: u32, drops: &[f64; 7], expect: u32, tol: f64| {
-            let mut n = f64::from(n0);
-            for d in drops {
-                n *= 1.0 - d;
+        // Applying each rule's drop rate to the recruitment count must
+        // land near the paper's survivors after that rule, for every
+        // pool and both studies.
+        for group in Group::ALL {
+            for kind in [StudyKind::AB, StudyKind::Rating] {
+                let study = group.calib().study(kind);
+                let [_, after @ ..] = study.table3;
+                let mut n = f64::from(study.recruited());
+                for (d, expect) in study.drop.iter().zip(after) {
+                    n *= 1.0 - d;
+                    assert!(
+                        (n - f64::from(expect)).abs() / f64::from(expect) < 0.03,
+                        "{group} {kind:?}: expected ≈{expect}, model gives {n:.1}"
+                    );
+                }
             }
-            assert!(
-                (n - f64::from(expect)).abs() / f64::from(expect) < tol,
-                "expected ≈{expect}, model gives {n:.1}"
-            );
-        };
-        check(487, &DROP_AB[1], 233, 0.03);
-        check(218, &DROP_AB[2], 155, 0.03);
-        check(1563, &DROP_RATING[1], 614, 0.03);
-        check(209, &DROP_RATING[2], 138, 0.03);
+        }
     }
 
     #[test]
     fn noise_orders_by_group() {
-        // The constants are calibration data; assert over the arrays
-        // at runtime so a future edit can't silently break the order.
-        let obs: Vec<f64> = OBS_NOISE.to_vec();
-        let rate: Vec<f64> = RATE_NOISE.to_vec();
+        // The rows are calibration data; assert at runtime so a future
+        // edit can't silently break the order.
+        let obs = Group::ALL.map(|g| g.calib().obs_noise);
+        let rate = Group::ALL.map(|g| g.calib().rate_noise);
         assert!(obs.windows(2).all(|w| w[0] < w[1]), "{obs:?}");
-        assert!(rate[0] < rate[1], "{rate:?}");
+        assert!(rate.windows(2).all(|w| w[0] < w[1]), "{rate:?}");
+    }
+
+    #[test]
+    fn only_the_unsupervised_pool_votes_garbage() {
+        // `chance(0.0)` draws nothing, which the Lab / µWorker vote
+        // streams rely on.
+        assert_eq!(Group::Lab.calib().garbage_rate, 0.0);
+        assert_eq!(Group::MicroWorker.calib().garbage_rate, 0.0);
+        assert!(Group::Internet.calib().garbage_rate > 0.0);
     }
 
     #[test]

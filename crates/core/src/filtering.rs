@@ -11,8 +11,6 @@
 //! | R6 | a control video was answered wrong |
 //! | R7 | a control question (browser-frame colour) was answered wrong |
 
-use std::fmt;
-
 /// The seven conformance rules, in application order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
@@ -50,12 +48,6 @@ impl Rule {
     }
 }
 
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "R{}", self.idx() + 1)
-    }
-}
-
 /// Per-participant conformance record: which rules they violated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Conformance {
@@ -69,9 +61,14 @@ impl Conformance {
         Conformance::default()
     }
 
+    /// Does this participant trip `rule`?
+    pub fn violates(&self, rule: Rule) -> bool {
+        self.violated.get(rule.idx()).copied().unwrap_or(false)
+    }
+
     /// The first rule that removes this participant, if any.
     pub fn first_violation(&self) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| self.violated[r.idx()])
+        Rule::ALL.into_iter().find(|&r| self.violates(r))
     }
 
     /// Survives all filters?
@@ -92,20 +89,20 @@ pub struct Funnel {
 impl Funnel {
     /// Final participant count (underlined in Table 3).
     pub fn survivors(&self) -> u32 {
-        self.after[6]
+        let [.., survivors] = self.after;
+        survivors
     }
 
-    /// Build a funnel by filtering a population sequentially.
+    /// Build a funnel by filtering a population sequentially: each
+    /// participant is counted after every rule before the first one
+    /// they violate.
     pub fn apply(records: &[Conformance]) -> Funnel {
         let mut after = [0u32; 7];
-        let mut alive: Vec<bool> = vec![true; records.len()];
-        for rule in Rule::ALL {
-            for (a, rec) in alive.iter_mut().zip(records) {
-                if *a && rec.violated[rule.idx()] {
-                    *a = false;
-                }
+        for rec in records {
+            let passed = rec.first_violation().map_or(after.len(), Rule::idx);
+            for a in after.iter_mut().take(passed) {
+                *a += 1;
             }
-            after[rule.idx()] = alive.iter().filter(|a| **a).count() as u32;
         }
         Funnel {
             recruited: records.len() as u32,
@@ -164,12 +161,5 @@ mod tests {
         assert_eq!(c.first_violation(), Some(Rule::R2));
         assert!(!c.survives());
         assert!(Conformance::clean().survives());
-    }
-
-    #[test]
-    fn rule_display() {
-        assert_eq!(Rule::R1.to_string(), "R1");
-        assert_eq!(Rule::R7.to_string(), "R7");
-        assert_eq!(Rule::R4.idx(), 3);
     }
 }

@@ -25,7 +25,7 @@ impl Group {
     /// All groups in the paper's order.
     pub const ALL: [Group; 3] = [Group::Lab, Group::MicroWorker, Group::Internet];
 
-    /// Index into the calibration tables.
+    /// Position in [`Group::ALL`].
     pub fn idx(self) -> usize {
         match self {
             Group::Lab => 0,
@@ -94,19 +94,15 @@ impl Participant {
     /// Draw a participant from the group profile. `rng` should be a
     /// dedicated fork per participant.
     pub fn sample(group: Group, id: u32, rng: &mut SimRng) -> Participant {
-        let gi = group.idx();
-        let mut w = [
+        let c = group.calib();
+        let w = [
             calib::PERCEPT_W_SI + rng.normal_with(0.0, calib::PERCEPT_W_JITTER),
             calib::PERCEPT_W_FVC + rng.normal_with(0.0, calib::PERCEPT_W_JITTER / 2.0),
             calib::PERCEPT_W_LVC + rng.normal_with(0.0, calib::PERCEPT_W_JITTER / 2.0),
-        ];
-        for wi in &mut w {
-            *wi = wi.max(0.01);
-        }
+        ]
+        .map(|wi| wi.max(0.01));
         let sum: f64 = w.iter().sum();
-        for wi in &mut w {
-            *wi /= sum;
-        }
+        let w = w.map(|wi| wi / sum);
 
         let age = match group {
             // Lab and Internet skew young (majority < 24); µWorkers
@@ -123,20 +119,19 @@ impl Participant {
             },
         };
 
-        let (ab_secs, rate_secs) = calib::SECS_PER_VIDEO[gi];
         Participant {
             group,
             id,
             w,
             jnd: (calib::JND_MEAN + rng.normal_with(0.0, calib::JND_SD)).max(calib::JND_FLOOR),
-            obs_noise: calib::OBS_NOISE[gi] * rng.range_f64(0.8, 1.25),
+            obs_noise: c.obs_noise * rng.range_f64(0.8, 1.25),
             rating_bias: rng.normal_with(0.0, calib::USER_BIAS_SD),
-            rating_noise: calib::RATE_NOISE[gi] * rng.range_f64(0.85, 1.2),
-            male: rng.chance(calib::MALE_SHARE[gi]),
+            rating_noise: c.rate_noise * rng.range_f64(0.85, 1.2),
+            male: rng.chance(c.male_share),
             age,
-            secs_per_ab_video: ab_secs * rng.lognormal(0.0, 0.25),
-            secs_per_rating_video: rate_secs * rng.lognormal(0.0, 0.25),
-            replay_scale: calib::REPLAY_SCALE[gi] * rng.range_f64(0.7, 1.3),
+            secs_per_ab_video: c.ab.secs_per_video * rng.lognormal(0.0, 0.25),
+            secs_per_rating_video: c.rating.secs_per_video * rng.lognormal(0.0, 0.25),
+            replay_scale: c.replay_scale * rng.range_f64(0.7, 1.3),
         }
     }
 }
@@ -161,7 +156,8 @@ mod tests {
             let sum: f64 = p.w.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
             assert!(p.w.iter().all(|&w| w > 0.0));
-            assert!(p.w[0] > p.w[1], "SI dominates for most users");
+            let [w_si, w_fvc, _] = p.w;
+            assert!(w_si > w_fvc, "SI dominates for most users");
         }
     }
 
@@ -176,7 +172,8 @@ mod tests {
     fn demographics_match_paper() {
         let ps = pool(Group::MicroWorker, 2000);
         let male = ps.iter().filter(|p| p.male).count() as f64 / ps.len() as f64;
-        assert!((male - 0.77).abs() < 0.04, "male share {male}");
+        let want = Group::MicroWorker.calib().male_share;
+        assert!((male - want).abs() < 0.04, "male share {male}");
         let mid = ps
             .iter()
             .filter(|p| p.age == AgeBracket::From25To44)

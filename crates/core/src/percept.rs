@@ -19,7 +19,8 @@ pub fn log_percept(p: &Participant, m: &MetricSet) -> f64 {
     let si = m.si_ms.max(1.0);
     let fvc = m.fvc_ms.max(1.0);
     let lvc = m.lvc_ms.max(1.0);
-    p.w[0] * si.ln() + p.w[1] * fvc.ln() + p.w[2] * lvc.ln()
+    let [w_si, w_fvc, w_lvc] = p.w;
+    w_si * si.ln() + w_fvc * fvc.ln() + w_lvc * lvc.ln()
 }
 
 /// One noisy viewing of a recording.
@@ -38,20 +39,6 @@ pub fn base_rating(log_percept_ms: f64) -> f64 {
 /// Clamp a rating onto the paper's continuous 10–70 voting scale.
 pub fn clamp_vote(v: f64) -> f64 {
     v.clamp(10.0, 70.0)
-}
-
-/// The seven scale labels (ITU-T P.851-style 7-point linear scale,
-/// "extremely bad" at 10 … "ideal" at 70).
-pub fn scale_label(vote: f64) -> &'static str {
-    match vote {
-        v if v < 15.0 => "extremely bad",
-        v if v < 25.0 => "bad",
-        v if v < 35.0 => "poor",
-        v if v < 45.0 => "fair",
-        v if v < 55.0 => "good",
-        v if v < 65.0 => "excellent",
-        _ => "ideal",
-    }
 }
 
 #[cfg(test)]
@@ -110,17 +97,6 @@ mod tests {
         assert_eq!(clamp_vote(200.0), 70.0);
         assert_eq!(clamp_vote(-5.0), 10.0);
         assert_eq!(clamp_vote(42.0), 42.0);
-    }
-
-    #[test]
-    fn scale_labels_cover_the_axis() {
-        assert_eq!(scale_label(10.0), "extremely bad");
-        assert_eq!(scale_label(20.0), "bad");
-        assert_eq!(scale_label(30.0), "poor");
-        assert_eq!(scale_label(40.0), "fair");
-        assert_eq!(scale_label(50.0), "good");
-        assert_eq!(scale_label(60.0), "excellent");
-        assert_eq!(scale_label(70.0), "ideal");
     }
 
     #[test]

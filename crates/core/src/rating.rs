@@ -10,7 +10,7 @@
 use crate::calib;
 use crate::participant::Group;
 use crate::percept;
-use crate::session::Session;
+use crate::session::{per_participant, Session};
 use crate::stimulus::StimulusSet;
 use pq_sim::{NetworkKind, SimRng};
 use pq_transport::Protocol;
@@ -33,11 +33,6 @@ impl Environment {
     pub const ALL: [Environment; 3] =
         [Environment::Work, Environment::FreeTime, Environment::Plane];
 
-    /// Index into calibration tables.
-    pub fn idx(self) -> usize {
-        self as usize
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -53,12 +48,6 @@ impl Environment {
             Environment::Work | Environment::FreeTime => &[NetworkKind::Dsl, NetworkKind::Lte],
             Environment::Plane => &[NetworkKind::Da2gc, NetworkKind::Mss],
         }
-    }
-}
-
-impl std::fmt::Display for Environment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -100,33 +89,26 @@ pub fn site_tastes(n_sites: u16, seed: u64) -> BTreeMap<u16, f64> {
 /// are not present in the stimulus set are skipped (smaller
 /// experiments may emulate a subset of Table 2).
 ///
-/// Participants fan out across the `pq-par` pool with per-participant
-/// RNG streams keyed by `(seed, group, id)`; the vote vector keeps
-/// session order, so output is bit-identical to a serial run at any
-/// `PQ_JOBS`.
-#[allow(clippy::too_many_arguments)]
+/// `videos` is the number of videos per [`Environment::ALL`].
+/// Participants fan out through `session::per_participant` and the vote
+/// vector keeps session order, so output is bit-identical to a serial
+/// run at any `PQ_JOBS`.
 pub fn run_rating_study(
     stimuli: &StimulusSet,
     sessions: &[Session],
     protocols: &[Protocol],
     sites: &[u16],
-    videos: (u32, u32, u32),
+    videos: [u32; 3],
     tastes: &BTreeMap<u16, f64>,
     seed: u64,
 ) -> Vec<RatingVote> {
-    // pq-lint: allow(rng) -- study-entry derivation point: `seed` is the study seed, per-participant streams fork by (group, id)
-    let rng = SimRng::new(seed).fork("rating-study");
     let available = stimuli.networks();
 
-    let per_session: Vec<Vec<RatingVote>> = pq_par::par_map(sessions, |session| {
+    let who = |s: &Session| (s.participant.group, s.participant.id);
+    let per_session = per_participant(seed, "rating-study", sessions, who, |session, r| {
         let mut votes = Vec::new();
         let p = &session.participant;
-        let mut r = rng.fork_idx(p.group.name(), u64::from(p.id));
-        for (env, count) in [
-            (Environment::Work, videos.0),
-            (Environment::FreeTime, videos.1),
-            (Environment::Plane, videos.2),
-        ] {
+        for (env, count) in Environment::ALL.into_iter().zip(videos) {
             let env_networks: Vec<_> = env
                 .networks()
                 .iter()
@@ -157,15 +139,16 @@ pub fn run_rating_study(
                 let (speed, quality) = if session.rusher {
                     // Rushers drag the slider anywhere.
                     (r.range_f64(10.0, 70.0), r.range_f64(10.0, 70.0))
-                } else if p.group == Group::Internet && r.chance(calib::INTERNET_GARBAGE_RATE) {
+                } else if r.chance(p.group.calib().garbage_rate) {
                     // The Internet group's unsupervised contamination —
                     // why §4.2 cannot treat it as normally distributed.
+                    // A supervised pool's rate is 0, which draws nothing.
                     let g = r.range_f64(10.0, 70.0);
                     (g, (g + r.normal_with(0.0, 8.0)).clamp(10.0, 70.0))
                 } else {
-                    let observed = percept::observe(p, &m, &mut r);
+                    let observed = percept::observe(p, &m, r);
                     let base = percept::base_rating(observed)
-                        + calib::CONTEXT_SHIFT[env.idx()]
+                        + calib::context_shift(env)
                         + tastes.get(&site).copied().unwrap_or(0.0)
                         + p.rating_bias;
                     let speed = percept::clamp_vote(base + r.normal_with(0.0, p.rating_noise));
@@ -234,7 +217,7 @@ mod tests {
             &sessions,
             &[Protocol::Tcp, Protocol::Quic],
             &[0, 1],
-            (11, 11, 5),
+            [11, 11, 5],
             &tastes,
             4,
         );
@@ -256,7 +239,7 @@ mod tests {
             &sessions,
             &[Protocol::Tcp, Protocol::Quic],
             &[0, 1],
-            (11, 11, 5),
+            [11, 11, 5],
             &tastes,
             6,
         );
@@ -286,7 +269,7 @@ mod tests {
             &sessions,
             &[Protocol::Quic],
             &[0, 1],
-            (6, 6, 3),
+            [6, 6, 3],
             &tastes,
             8,
         );
@@ -306,7 +289,7 @@ mod tests {
             &sessions,
             &[Protocol::Tcp, Protocol::Quic],
             &[0, 1],
-            (11, 11, 5),
+            [11, 11, 5],
             &tastes,
             10,
         );

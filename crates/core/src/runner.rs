@@ -1,15 +1,15 @@
 //! Orchestration: run both studies over all three groups against a
 //! stimulus set, reproducing the full data collection of §4.
 //!
-//! Execution is parallel but deterministic: the group loop stays
-//! serial (so funnels, spans and vote blocks keep their canonical
+//! Execution is parallel but deterministic: studies and groups run in
+//! series (so funnels, spans and vote blocks keep their canonical
 //! order) while each group's population sampling and study execution
-//! fan out per participant on the `pq-par` pool. Every participant's
-//! RNG stream is keyed by `(seed, study, group, id)` alone, so
-//! `StudyData` is bit-identical for any `PQ_JOBS` value.
+//! fan out per participant on the `pq-par` pool, where
+//! `session::per_participant` keys every RNG stream by
+//! `(seed, study, group, id)` alone: `StudyData` is bit-identical for
+//! any `PQ_JOBS` value.
 
 use crate::ab::{run_ab_study, AbVote};
-use crate::calib;
 use crate::filtering::Funnel;
 use crate::participant::Group;
 use crate::rating::{run_rating_study, site_tastes, RatingVote};
@@ -18,33 +18,45 @@ use crate::stimulus::StimulusSet;
 use pq_obs::{ArgValue, Level};
 use pq_transport::Protocol;
 
-/// Record one group×study execution: the vote counter in the
-/// registry, plus a wall-clock progress span on the harness track
-/// (`pid 0`).
-fn obs_study(study: &'static str, group: Group, funnel: &Funnel, votes: usize, start_ns: u64) {
-    let g = group.name();
-    pq_obs::registry().counter_add(
-        &format!("study.votes{{study=\"{study}\",group=\"{g}\"}}"),
-        votes as u64,
-    );
-    if pq_obs::enabled(Level::Info) {
-        let t = pq_obs::tracer();
-        t.span(
-            Level::Info,
-            "study",
-            format!("{study} {g}"),
-            0,
-            0,
-            start_ns,
-            t.wall_ns(),
-            vec![
-                ("votes", ArgValue::U64(votes as u64)),
-                ("recruited", ArgValue::U64(u64::from(funnel.recruited))),
-                ("survivors", ArgValue::U64(u64::from(funnel.survivors()))),
-                ("jobs", ArgValue::U64(pq_par::jobs() as u64)),
-            ],
-        );
-    }
+/// One study over the three pools — the block both studies run
+/// through. Per pool: recruit the population, take its Table 3 funnel,
+/// let `study` collect the votes, leave a wall-clock progress span on
+/// the harness track (`pid 0`). Votes and sessions come back in
+/// [`Group::ALL`] order, one funnel per pool.
+fn over_pools<V>(
+    kind: StudyKind,
+    seed: u64,
+    study: impl Fn(Group, &[Session]) -> Vec<V>,
+) -> (Vec<V>, Vec<Session>, [Funnel; 3]) {
+    let (mut votes, mut sessions) = (Vec::new(), Vec::new());
+    let funnels = Group::ALL.map(|group| {
+        let pop = population(kind, group, seed);
+        let funnel = Funnel::apply(&pop.iter().map(|s| s.conformance).collect::<Vec<_>>());
+        let start_ns = pq_obs::tracer().wall_ns();
+        let cast = study(group, &pop);
+        if pq_obs::enabled(Level::Info) {
+            let t = pq_obs::tracer();
+            t.span(
+                Level::Info,
+                "study",
+                format!("{kind:?} {}", group.name()),
+                0,
+                0,
+                start_ns,
+                t.wall_ns(),
+                vec![
+                    ("votes", ArgValue::U64(cast.len() as u64)),
+                    ("recruited", ArgValue::U64(u64::from(funnel.recruited))),
+                    ("survivors", ArgValue::U64(u64::from(funnel.survivors()))),
+                    ("jobs", ArgValue::U64(pq_par::jobs() as u64)),
+                ],
+            );
+        }
+        votes.extend(cast);
+        sessions.extend(pop);
+        funnel
+    });
+    (votes, sessions, funnels)
 }
 
 /// The complete raw dataset of one study execution.
@@ -64,18 +76,14 @@ pub struct StudyData {
     pub sessions_rating: Vec<Session>,
 }
 
-/// Which protocol pairs the A/B study compares (Figure 4's groups).
-pub fn default_pairs() -> Vec<(Protocol, Protocol)> {
-    Protocol::AB_PAIRS.to_vec()
-}
-
-/// Run both studies for all three groups.
+/// Run both studies for all three groups over Figure 4's protocol
+/// pairs and Table 1's five stacks.
 ///
 /// `stimuli` must cover every site × network × protocol combination
 /// that the designs touch: all four networks and all five protocols
 /// (or restrict `pairs`/`protocols` accordingly).
 pub fn run_study(stimuli: &StimulusSet, seed: u64) -> StudyData {
-    run_study_with(stimuli, &default_pairs(), &Protocol::ALL, seed)
+    run_study_with(stimuli, &Protocol::AB_PAIRS, &Protocol::ALL, seed)
 }
 
 /// Run both studies with explicit pair/protocol selections.
@@ -88,86 +96,53 @@ pub fn run_study_with(
     let all_sites: Vec<u16> = (0..stimuli.site_count()).collect();
     // The lab study only uses the five lab domains when present; with
     // smaller stimulus sets it falls back to all sites.
-    let lab_sites: Vec<u16> = {
-        let lab: Vec<u16> = stimuli
-            .site_names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| pq_web::LAB_SITES.contains(&n.as_str()))
-            .map(|(i, _)| i as u16)
-            .collect();
-        if lab.is_empty() {
-            all_sites.clone()
-        } else {
-            lab
-        }
-    };
-    let networks = stimuli.networks();
-
-    let mut ab = Vec::new();
-    let mut ratings = Vec::new();
-    let mut funnel_ab = Vec::new();
-    let mut funnel_rating = Vec::new();
-    let mut sessions_ab = Vec::new();
-    let mut sessions_rating = Vec::new();
-    let tastes = site_tastes(stimuli.site_count(), seed);
-
-    for group in Group::ALL {
-        let gi = group.idx();
-        let sites: &[u16] = if group == Group::Lab {
+    let mut lab_sites: Vec<u16> = all_sites
+        .iter()
+        .zip(&stimuli.site_names)
+        .filter(|(_, name)| pq_web::LAB_SITES.contains(&name.as_str()))
+        .map(|(&site, _)| site)
+        .collect();
+    if lab_sites.is_empty() {
+        lab_sites.clone_from(&all_sites);
+    }
+    let sites_of = |group| {
+        if group == Group::Lab {
             &lab_sites
         } else {
             &all_sites
-        };
+        }
+    };
+    let networks = stimuli.networks();
+    let tastes = site_tastes(stimuli.site_count(), seed);
 
-        let s_ab = population(StudyKind::AB, group, seed);
-        funnel_ab.push(Funnel::apply(
-            &s_ab.iter().map(|s| s.conformance).collect::<Vec<_>>(),
-        ));
-        let t_ab = pq_obs::tracer().wall_ns();
-        let before_ab = ab.len();
-        ab.extend(run_ab_study(
+    let (ab, sessions_ab, funnel_ab) = over_pools(StudyKind::AB, seed, |group, sessions| {
+        run_ab_study(
             stimuli,
-            &s_ab,
+            sessions,
             pairs,
-            sites,
+            sites_of(group),
             &networks,
-            calib::AB_VIDEOS[gi],
+            group.calib().ab_videos,
             seed ^ 0xAB,
-        ));
-        obs_study("ab", group, &funnel_ab[gi], ab.len() - before_ab, t_ab);
-        sessions_ab.extend(s_ab);
-
-        let s_rate = population(StudyKind::Rating, group, seed);
-        funnel_rating.push(Funnel::apply(
-            &s_rate.iter().map(|s| s.conformance).collect::<Vec<_>>(),
-        ));
-        let t_rate = pq_obs::tracer().wall_ns();
-        let before_rate = ratings.len();
-        ratings.extend(run_rating_study(
-            stimuli,
-            &s_rate,
-            protocols,
-            sites,
-            calib::RATING_VIDEOS[gi],
-            &tastes,
-            seed ^ 0x4A7E,
-        ));
-        obs_study(
-            "rating",
-            group,
-            &funnel_rating[gi],
-            ratings.len() - before_rate,
-            t_rate,
-        );
-        sessions_rating.extend(s_rate);
-    }
-
+        )
+    });
+    let (ratings, sessions_rating, funnel_rating) =
+        over_pools(StudyKind::Rating, seed, |group, sessions| {
+            run_rating_study(
+                stimuli,
+                sessions,
+                protocols,
+                sites_of(group),
+                group.calib().rating_videos,
+                &tastes,
+                seed ^ 0x4A7E,
+            )
+        });
     StudyData {
         ab,
         ratings,
-        funnel_ab: [funnel_ab[0], funnel_ab[1], funnel_ab[2]],
-        funnel_rating: [funnel_rating[0], funnel_rating[1], funnel_rating[2]],
+        funnel_ab,
+        funnel_rating,
         sessions_ab,
         sessions_rating,
     }
@@ -194,10 +169,12 @@ mod tests {
         assert!(!data.ab.is_empty());
         assert!(!data.ratings.is_empty());
         // Table 3 structure: lab passes everything.
-        assert_eq!(data.funnel_ab[0].survivors(), 35);
-        assert_eq!(data.funnel_rating[0].survivors(), 35);
+        let [lab_ab, micro_ab, _] = data.funnel_ab;
+        let [lab_rating, ..] = data.funnel_rating;
+        assert_eq!(lab_ab.survivors(), lab_ab.recruited);
+        assert_eq!(lab_rating.survivors(), lab_rating.recruited);
         // µWorker funnels lose people.
-        assert!(data.funnel_ab[1].survivors() < data.funnel_ab[1].recruited);
+        assert!(micro_ab.survivors() < micro_ab.recruited);
         // Votes from all three groups present.
         for group in Group::ALL {
             assert!(data.ab.iter().any(|v| v.group == group), "{group}");

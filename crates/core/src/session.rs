@@ -2,8 +2,7 @@
 //! timing, replays, and the misbehaviour the conformance filters
 //! catch.
 
-use crate::calib;
-use crate::filtering::Conformance;
+use crate::filtering::{Conformance, Rule};
 use crate::participant::{Group, Participant};
 use pq_sim::SimRng;
 
@@ -35,17 +34,12 @@ impl Session {
     /// Sample one session.
     pub fn sample(kind: StudyKind, group: Group, id: u32, rng: &mut SimRng) -> Session {
         let participant = Participant::sample(group, id, rng);
-        let drops = match kind {
-            StudyKind::AB => &calib::DROP_AB[group.idx()],
-            StudyKind::Rating => &calib::DROP_RATING[group.idx()],
+        let conformance = Conformance {
+            violated: group.calib().study(kind).drop.map(|p| rng.chance(p)),
         };
-        let mut conformance = Conformance::clean();
-        for (i, &p) in drops.iter().enumerate() {
-            conformance.violated[i] = rng.chance(p);
-        }
         // Rushers are the people rule R4 (vote before FVC) catches;
         // they click through without watching.
-        let rusher = conformance.violated[3];
+        let rusher = conformance.violates(Rule::R4);
         let secs = match kind {
             StudyKind::AB => participant.secs_per_ab_video,
             StudyKind::Rating => participant.secs_per_rating_video,
@@ -66,28 +60,43 @@ impl Session {
     }
 }
 
-/// Build the full population for one study and group.
-///
-/// Participants fan out across the `pq-par` worker pool: each
-/// session's RNG stream is keyed purely by `(seed, study, group,
-/// participant id)` via `fork_idx`, so the returned vector is
-/// bit-identical to a serial sweep regardless of `PQ_JOBS` — and stays
-/// in participant-id order.
+/// The one place a participant's RNG stream is derived, and the rule
+/// the `PQ_JOBS` determinism contract rests on: the stream handed to
+/// `f` is keyed by `(seed, label, group, participant id)` and nothing
+/// else — never by position, worker or a sibling's draws — so the
+/// fan-out across the `pq-par` pool is bit-identical to a serial sweep
+/// at any worker count, and results come back in `items` order.
+pub(crate) fn per_participant<T: Sync, R: Send>(
+    seed: u64,
+    label: &str,
+    items: &[T],
+    who: impl Fn(&T) -> (Group, u32) + Sync,
+    f: impl Fn(&T, &mut SimRng) -> R + Sync,
+) -> Vec<R> {
+    // pq-lint: allow(rng) -- the study layer's derivation point: `seed` is the study seed, `label` the stream, participants fork by (group, id)
+    let rng = SimRng::new(seed).fork(label);
+    pq_par::par_map(items, |item| {
+        let (group, id) = who(item);
+        f(item, &mut rng.fork_idx(group.name(), u64::from(id)))
+    })
+}
+
+/// Build the full population for one study and group, in
+/// participant-id order; the pool's Table 3 line says how many are
+/// recruited.
 pub fn population(kind: StudyKind, group: Group, seed: u64) -> Vec<Session> {
-    let n = match kind {
-        StudyKind::AB => calib::RECRUITED[group.idx()].0,
-        StudyKind::Rating => calib::RECRUITED[group.idx()].1,
-    };
-    // pq-lint: allow(rng) -- population-entry derivation point: `seed` is the study seed, sessions fork by study kind
-    let rng = SimRng::new(seed).fork(match kind {
+    let label = match kind {
         StudyKind::AB => "ab-sessions",
         StudyKind::Rating => "rating-sessions",
-    });
-    let ids: Vec<u32> = (0..n).collect();
-    pq_par::par_map(&ids, |&i| {
-        let mut r = rng.fork_idx(group.name(), u64::from(i));
-        Session::sample(kind, group, i, &mut r)
-    })
+    };
+    let ids: Vec<u32> = (0..group.calib().study(kind).recruited()).collect();
+    per_participant(
+        seed,
+        label,
+        &ids,
+        |&id| (group, id),
+        |&id, rng| Session::sample(kind, group, id, rng),
+    )
 }
 
 #[cfg(test)]
@@ -98,35 +107,27 @@ mod tests {
     #[test]
     fn lab_population_is_clean() {
         let pop = population(StudyKind::AB, Group::Lab, 1);
-        assert_eq!(pop.len(), 35);
         assert!(pop.iter().all(Session::valid), "lab is supervised");
     }
 
     #[test]
-    fn microworker_funnel_matches_table3() {
-        let pop = population(StudyKind::Rating, Group::MicroWorker, 1);
-        assert_eq!(pop.len(), 1563);
-        let records: Vec<_> = pop.iter().map(|s| s.conformance).collect();
-        let funnel = Funnel::apply(&records);
-        // Paper: 1563 → … → 614. Allow sampling noise around the
-        // calibrated expectation.
-        let survivors = funnel.survivors();
-        assert!(
-            (550..=680).contains(&survivors),
-            "µWorker rating survivors {survivors}, paper: 614"
-        );
-    }
-
-    #[test]
-    fn internet_ab_funnel_matches_table3() {
-        let pop = population(StudyKind::AB, Group::Internet, 1);
-        assert_eq!(pop.len(), 218);
-        let records: Vec<_> = pop.iter().map(|s| s.conformance).collect();
-        let survivors = Funnel::apply(&records).survivors();
-        assert!(
-            (135..=175).contains(&survivors),
-            "Internet A/B survivors {survivors}, paper: 155"
-        );
+    fn every_funnel_matches_its_table3_line() {
+        // One seed's funnel lands within sampling noise (±12 %) of the
+        // paper's final count, for all three pools and both studies.
+        for group in Group::ALL {
+            for kind in [StudyKind::AB, StudyKind::Rating] {
+                let study = group.calib().study(kind);
+                let pop = population(kind, group, 1);
+                assert_eq!(pop.len() as u32, study.recruited());
+                let records: Vec<_> = pop.iter().map(|s| s.conformance).collect();
+                let survivors = f64::from(Funnel::apply(&records).survivors());
+                let [.., paper] = study.table3;
+                assert!(
+                    (survivors / f64::from(paper) - 1.0).abs() < 0.12,
+                    "{group} {kind:?} survivors {survivors}, paper: {paper}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn timing_matches_section_4_2() {
-        // Honest µWorkers average ≈ 14.46 s per A/B video.
+        // Honest µWorkers average the paper's seconds per A/B video.
         let pop = population(StudyKind::AB, Group::MicroWorker, 5);
         let honest: Vec<f64> = pop
             .iter()
@@ -157,7 +158,8 @@ mod tests {
             .map(|s| s.secs_per_video)
             .collect();
         let mean = honest.iter().sum::<f64>() / honest.len() as f64;
-        assert!((mean - 14.46).abs() < 1.5, "mean {mean}");
+        let paper = Group::MicroWorker.calib().ab.secs_per_video;
+        assert!((mean - paper).abs() < 1.5, "mean {mean}, paper: {paper}");
     }
 
     #[test]

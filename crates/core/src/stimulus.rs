@@ -107,6 +107,20 @@ type CellErr = (String, u32);
 /// Outcome of building a single grid cell.
 type CellResult = Result<CellOk, CellErr>;
 
+/// One cell of the site × network × protocol grid: where it sits,
+/// what it loads, the key it goes by in the journal and the fault
+/// plan, and how its build has gone so far.
+struct Cell<'a> {
+    cond: Condition,
+    site: &'a Website,
+    /// `site/network/protocol`.
+    label: String,
+    /// `None` until a grid pass (or the journal) settles the cell.
+    outcome: Option<CellResult>,
+    /// What the cell's latest panic said, for the quarantine reason.
+    last_panic: Option<String>,
+}
+
 /// Quarantine-reason marker for a cell abandoned because the process
 /// received SIGINT/SIGTERM. Such cells are *dropped*, not quarantined:
 /// the interrupted run journals nothing for them, and the resumed run
@@ -242,33 +256,31 @@ impl StimulusSet {
 
         // Enumerate the grid in canonical (site, network, protocol)
         // order; the scatter-gather preserves that order.
-        let cells: Vec<Condition> = sites
+        let mut cells: Vec<Cell> = sites
             .iter()
             .enumerate()
-            .flat_map(|(si, _)| {
+            .flat_map(|(si, site)| {
                 networks.iter().flat_map(move |&network| {
-                    protocols.iter().map(move |&protocol| Condition {
-                        site: si as u16,
-                        network,
-                        protocol,
+                    protocols.iter().map(move |&protocol| Cell {
+                        cond: Condition {
+                            site: si as u16,
+                            network,
+                            protocol,
+                        },
+                        site,
+                        label: format!("{}/{}/{}", site.name, network.name(), protocol.label()),
+                        outcome: None,
+                        last_panic: None,
                     })
                 })
             })
             .collect();
-        let label = |cond: &Condition| {
-            format!(
-                "{}/{}/{}",
-                sites[cond.site as usize].name,
-                cond.network.name(),
-                cond.protocol.label()
-            )
-        };
 
         // One cell's build: run until `runs` valid loads or the
         // budget cap; every decision derives from the cell
         // coordinates, never from sibling cells.
-        let build_cell = |cond: &Condition| -> CellResult {
-            let site = &sites[cond.site as usize];
+        let build_cell = |cell: &Cell| -> CellResult {
+            let (cond, site) = (&cell.cond, cell.site);
             let net = cond.network.config();
             let mut all = Vec::with_capacity(runs as usize);
             let mut retx = 0u64;
@@ -320,12 +332,11 @@ impl StimulusSet {
             if all.is_empty() {
                 return Err((format!("no valid run in {attempt} attempts"), attempt));
             }
-            let Some(idx) = typical_run(&all) else {
+            let Some(&metrics) = typical_run(&all).and_then(|idx| all.get(idx)) else {
                 return Err(("typical-run selection failed".into(), attempt));
             };
             // pq-lint: allow(float-sum) -- summed over one cell's serial run vector; order never depends on worker placement
             let mean_plt = all.iter().map(|m| m.plt_ms).sum::<f64>() / all.len() as f64;
-            let metrics = all[idx];
             let got = all.len() as u32;
             Ok((
                 Stimulus {
@@ -340,37 +351,34 @@ impl StimulusSet {
             ))
         };
 
-        // Grid passes: panicking cells (injected or genuine) fail
-        // only themselves and are retried on the next pass; cells
-        // still panicking after MAX_PANIC_PASSES are quarantined.
-        let mut outcomes: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
-
         // Resume: cells replayed from an earlier (interrupted) run's
         // write-ahead journal are restored verbatim — bit-identical
         // metrics, same retry accounting — and never re-executed. A
         // record that fails to decode falls back to a rebuild.
         let mut resumed_cells = 0u64;
         if pq_ckpt::journal_active() {
-            for (slot, cond) in outcomes.iter_mut().zip(&cells) {
-                let key = label(cond);
-                if let Some(rec) = pq_ckpt::replayed("cell", &key) {
-                    if let Some(ok) = cell_from_record(&rec, cond) {
-                        *slot = Some(Ok(ok));
+            for cell in &mut cells {
+                if let Some(rec) = pq_ckpt::replayed("cell", &cell.label) {
+                    if let Some(ok) = cell_from_record(&rec, &cell.cond) {
+                        cell.outcome = Some(Ok(ok));
                         resumed_cells += 1;
                     } else {
                         pq_obs::tracer().warn(
                             "ckpt",
-                            format!("journalled cell {key} failed to decode; rebuilding"),
+                            format!(
+                                "journalled cell {} failed to decode; rebuilding",
+                                cell.label
+                            ),
                         );
                     }
-                } else if let Some(rec) = pq_ckpt::replayed("quarantine", &key) {
+                } else if let Some(rec) = pq_ckpt::replayed("quarantine", &cell.label) {
                     let reason = rec.get("reason").unwrap_or("unrecorded").to_string();
                     let attempts = rec
                         .get("attempts")
                         .and_then(pq_ckpt::u64_from_hex)
                         .and_then(|v| u32::try_from(v).ok())
                         .unwrap_or(0);
-                    *slot = Some(Err((reason, attempts)));
+                    cell.outcome = Some(Err((reason, attempts)));
                     resumed_cells += 1;
                 }
             }
@@ -385,19 +393,17 @@ impl StimulusSet {
             }
         }
 
-        let mut pending: Vec<usize> = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let mut last_panic: BTreeMap<usize, String> = BTreeMap::new();
+        // Grid passes: panicking cells (injected or genuine) fail
+        // only themselves, stay unsettled and are retried on the next
+        // pass; cells still panicking after MAX_PANIC_PASSES are
+        // quarantined.
         for pass in 0..MAX_PANIC_PASSES {
+            let pending: Vec<&mut Cell> =
+                cells.iter_mut().filter(|c| c.outcome.is_none()).collect();
             if pending.is_empty() || pq_ckpt::interrupted() {
                 break;
             }
-            let outs = pq_par::try_par_map(&pending, |&i| {
-                let cond = &cells[i];
+            let outs = pq_par::try_par_map(&pending, |cell| {
                 if pq_ckpt::interrupted() {
                     return Err((INTERRUPTED_REASON.to_string(), 0));
                 }
@@ -405,67 +411,62 @@ impl StimulusSet {
                     // Deliberate wall-clock delay (outside the
                     // simulator): exercises the watchdog without
                     // touching simulated time or the digest.
-                    if let Some(ms) = pq_fault::injected_slow(p, &label(cond)) {
+                    if let Some(ms) = pq_fault::injected_slow(p, &cell.label) {
                         std::thread::sleep(std::time::Duration::from_millis(ms));
                     }
-                    if pq_fault::injected_panic(p, &label(cond), pass) {
+                    if pq_fault::injected_panic(p, &cell.label, pass) {
                         // pq-lint: allow(panic) -- the injected panic IS the fault under test; try_par_map catches it and the pass loop retries/quarantines
                         panic!(
                             "{}: {} (pass {pass})",
                             pq_fault::INJECTED_PANIC_MSG,
-                            label(cond)
+                            cell.label
                         );
                     }
                 }
-                let res = build_cell(cond);
+                let res = build_cell(cell);
                 // Write-ahead checkpoint: a completed cell is durable
                 // before its result is visible to the gather side, so
                 // a kill at any instant loses at most in-flight cells.
                 if let Ok((stim, retried)) = &res {
                     if let Err(err) =
-                        pq_ckpt::journal_append(&cell_record(&label(cond), stim, *retried))
+                        pq_ckpt::journal_append(&cell_record(&cell.label, stim, *retried))
                     {
                         pq_obs::tracer().warn(
                             "ckpt",
-                            format!("journal append failed for {}: {err}", label(cond)),
+                            format!("journal append failed for {}: {err}", cell.label),
                         );
                     }
                 }
                 res
             });
-            let mut next = Vec::new();
-            for (&i, out) in pending.iter().zip(outs) {
+            for (cell, out) in pending.into_iter().zip(outs) {
                 match out {
-                    Ok(res) => outcomes[i] = Some(res),
+                    Ok(res) => cell.outcome = Some(res),
                     Err(tp) => {
                         if pass + 1 < MAX_PANIC_PASSES {
                             pq_obs::tracer().warn(
                                 "fault",
                                 format!(
                                     "cell {} panicked on pass {pass}: {}; retrying",
-                                    label(&cells[i]),
-                                    tp.message
+                                    cell.label, tp.message
                                 ),
                             );
                         }
-                        last_panic.insert(i, tp.message);
-                        next.push(i);
+                        cell.last_panic = Some(tp.message);
                     }
                 }
             }
-            pending = next;
         }
 
         let mut map = BTreeMap::new();
         let mut quarantined = Vec::new();
         let mut runs_retried = 0u64;
         let mut cells_timed_out = 0u64;
-        for (i, cond) in cells.iter().enumerate() {
-            let outcome = outcomes[i].take();
-            let (reason, attempts) = match outcome {
+        for cell in cells {
+            let (reason, attempts) = match cell.outcome {
                 Some(Ok((stim, retried))) => {
                     runs_retried += retried;
-                    map.insert(*cond, stim);
+                    map.insert(cell.cond, stim);
                     continue;
                 }
                 Some(Err((reason, attempts))) => {
@@ -487,7 +488,7 @@ impl StimulusSet {
                 None => (
                     format!(
                         "task panicked on {MAX_PANIC_PASSES} passes: {}",
-                        last_panic.get(&i).map(String::as_str).unwrap_or("unknown")
+                        cell.last_panic.as_deref().unwrap_or("unknown")
                     ),
                     0,
                 ),
@@ -495,35 +496,31 @@ impl StimulusSet {
             if reason.starts_with(DEADLINE_REASON) {
                 cells_timed_out += 1;
             }
-            let cell = QuarantinedCell {
-                site: sites[cond.site as usize].name.clone(),
-                network: cond.network.name().to_string(),
-                protocol: cond.protocol.label().to_string(),
-                reason,
-                attempts,
-            };
             // Quarantine decisions are checkpointed too, so a resumed
             // run skips the doomed cell instead of re-burning its
             // whole attempt budget.
             if let Err(err) =
-                pq_ckpt::journal_append(&quarantine_record(&label(cond), &cell.reason, attempts))
+                pq_ckpt::journal_append(&quarantine_record(&cell.label, &reason, attempts))
             {
                 pq_obs::tracer().warn(
                     "ckpt",
-                    format!(
-                        "journal append failed for quarantine {}: {err}",
-                        label(cond)
-                    ),
+                    format!("journal append failed for quarantine {}: {err}", cell.label),
                 );
             }
             pq_obs::tracer().warn(
                 "fault",
                 format!(
-                    "quarantined cell {}/{}/{}: {} ({} attempts)",
-                    cell.site, cell.network, cell.protocol, cell.reason, cell.attempts
+                    "quarantined cell {}: {reason} ({attempts} attempts)",
+                    cell.label
                 ),
             );
-            quarantined.push(cell);
+            quarantined.push(QuarantinedCell {
+                site: cell.site.name.clone(),
+                network: cell.cond.network.name().to_string(),
+                protocol: cell.cond.protocol.label().to_string(),
+                reason,
+                attempts,
+            });
         }
         let reg = pq_obs::registry();
         if runs_retried > 0 {
@@ -592,14 +589,6 @@ impl StimulusSet {
         v.dedup();
         v
     }
-
-    /// The protocols present in this set.
-    pub fn protocols(&self) -> Vec<Protocol> {
-        let mut v: Vec<Protocol> = self.map.keys().map(|c| c.protocol).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -628,7 +617,6 @@ mod tests {
         assert_eq!(s.runs, 3);
         assert!(s.video_secs > 1.0);
         assert_eq!(set.networks().len(), 2);
-        assert_eq!(set.protocols().len(), 2);
     }
 
     #[test]

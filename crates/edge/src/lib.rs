@@ -16,9 +16,8 @@
 //! * [`Middlebox`] — a transparent observer on the access link that
 //!   buffers downstream QUIC packets, groups them into flowlets by
 //!   inter-arrival gap, infers losses from the packet-number ranges
-//!   in returning ACKs, early-retransmits from its buffer, and keeps
-//!   a client/origin RTT-split estimate — without terminating the
-//!   connection (the PEMI shape).
+//!   in returning ACKs and early-retransmits from its buffer — without
+//!   terminating the connection (the PEMI shape).
 //!
 //! Neither type performs I/O or reads clocks; `pq-web`'s `junction`
 //! module owns one of them per page load and the loader's event loop

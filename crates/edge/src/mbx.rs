@@ -21,31 +21,16 @@
 //! numbers above it are already acknowledged *and* (b) its flowlet
 //! has closed — both conditions together keep pure reordering from
 //! triggering spurious retransmits.
-//!
-//! As a by-product of sitting mid-path the middlebox also estimates
-//! the RTT split: junction→client (from buffer-to-ACK delays) and
-//! junction→origin (from upstream-forward to response delays).
 
 use pq_sim::{Packet, SimDuration, SimTime};
 use pq_transport::{QuicFrame, Wire};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// EWMA weight for both RTT-split estimators (RFC 6298's 1/8).
-const RTT_ALPHA: f64 = 0.125;
-
-/// One buffered downstream packet.
-#[derive(Clone, Debug)]
-struct BufPkt {
-    pkt: Packet<Wire>,
-    /// Junction forwarding instant (client-RTT reference point).
-    at: SimTime,
-}
-
 /// Per-connection observation state.
 #[derive(Debug, Default)]
 struct Flow {
     /// Buffered downstream packets by packet number.
-    buf: BTreeMap<u64, BufPkt>,
+    buf: BTreeMap<u64, Packet<Wire>>,
     buf_bytes: u64,
     /// Last downstream arrival (flowlet clock).
     last_down: Option<SimTime>,
@@ -56,9 +41,6 @@ struct Flow {
     highest_acked: Option<u64>,
     /// Packet numbers already early-retransmitted (at most once each).
     retxed: BTreeSet<u64>,
-    /// Forwarding instant of the oldest unanswered upstream
-    /// ack-eliciting packet (origin-RTT reference point).
-    up_pending: Option<SimTime>,
 }
 
 /// The transparent middlebox: one instance per page load, shared by
@@ -70,8 +52,6 @@ pub struct Middlebox {
     flowlet_gap: SimDuration,
     flows: BTreeMap<u32, Flow>,
     early_retx: u64,
-    client_srtt: Option<f64>,
-    origin_srtt: Option<f64>,
 }
 
 impl Middlebox {
@@ -83,8 +63,6 @@ impl Middlebox {
             flowlet_gap: cfg.mbx_flowlet_gap,
             flows: BTreeMap::new(),
             early_retx: 0,
-            client_srtt: None,
-            origin_srtt: None,
         }
     }
 
@@ -99,12 +77,6 @@ impl Middlebox {
         }
         let flow = self.flows.entry(pkt.conn.0).or_default();
 
-        // Origin-side RTT: upstream forward → first downstream reply.
-        if let Some(t0) = flow.up_pending.take() {
-            let sample = (now - t0).as_secs_f64();
-            ewma(&mut self.origin_srtt, sample);
-        }
-
         // Flowlet accounting: a long enough inter-arrival gap closes
         // the previous flowlet and opens a new one at this pn.
         let gap = flow.last_down.map(|t| now - t).unwrap_or(SimDuration::MAX);
@@ -117,20 +89,14 @@ impl Middlebox {
             return;
         }
         let size = u64::from(pkt.size);
-        flow.buf.insert(
-            q.pn,
-            BufPkt {
-                pkt: pkt.clone(),
-                at: now,
-            },
-        );
+        flow.buf.insert(q.pn, pkt.clone());
         flow.buf_bytes += size;
         // Bounded buffer: evict oldest packet numbers first.
         while flow.buf_bytes > self.buffer_cap {
             let Some((pn, dropped)) = flow.buf.pop_first() else {
                 break;
             };
-            flow.buf_bytes = flow.buf_bytes.saturating_sub(u64::from(dropped.pkt.size));
+            flow.buf_bytes = flow.buf_bytes.saturating_sub(u64::from(dropped.size));
             flow.retxed.remove(&pn);
         }
     }
@@ -140,7 +106,7 @@ impl Middlebox {
     /// re-inject onto the client-side downlink (early retransmits), in
     /// packet-number order. The observed packet always continues to
     /// the origin.
-    pub fn on_uplink(&mut self, now: SimTime, pkt: &Packet<Wire>, retx: &mut Vec<Packet<Wire>>) {
+    pub fn on_uplink(&mut self, pkt: &Packet<Wire>, retx: &mut Vec<Packet<Wire>>) {
         let Wire::Quic(q) = &pkt.payload else {
             return;
         };
@@ -148,9 +114,6 @@ impl Middlebox {
             return;
         }
         let flow = self.flows.entry(pkt.conn.0).or_default();
-        if q.ack_eliciting() && flow.up_pending.is_none() {
-            flow.up_pending = Some(now);
-        }
 
         let acked_ranges = || {
             q.frames().flat_map(|f| match f {
@@ -166,26 +129,18 @@ impl Middlebox {
 
         // Free everything acknowledged — each range's slice of the
         // buffer, so the long tail of ranges retired long ago costs a
-        // lookup apiece — and sample the client-side RTT from the
-        // newest acked buffered packet's forward→ACK delay.
-        let mut newest: Option<(u64, SimTime)> = None;
+        // lookup apiece.
         for r in acked_ranges() {
             let mut from = r.start;
             while from < r.end {
                 let Some((&pn, bp)) = flow.buf.range(from..r.end).next() else {
                     break;
                 };
-                if newest.is_none_or(|(n, _)| pn > n) {
-                    newest = Some((pn, bp.at));
-                }
-                flow.buf_bytes = flow.buf_bytes.saturating_sub(u64::from(bp.pkt.size));
+                flow.buf_bytes = flow.buf_bytes.saturating_sub(u64::from(bp.size));
                 flow.buf.remove(&pn);
                 flow.retxed.remove(&pn);
                 from = pn + 1;
             }
-        }
-        if let Some((_, at)) = newest {
-            ewma(&mut self.client_srtt, (now - at).as_secs_f64());
         }
 
         // Early retransmit: buffered, unacked, flowlet closed
@@ -198,7 +153,7 @@ impl Middlebox {
         let below = flow.flowlet_open_pn.min(top.saturating_add(1));
         for (&pn, bp) in flow.buf.range(..below) {
             if flow.retxed.insert(pn) {
-                retx.push(bp.pkt.clone());
+                retx.push(bp.clone());
                 self.early_retx += 1;
             }
         }
@@ -209,27 +164,10 @@ impl Middlebox {
         self.early_retx
     }
 
-    /// Smoothed `(junction→client, junction→origin)` RTT estimates in
-    /// milliseconds, once both sides have at least one sample.
-    pub fn rtt_split_ms(&self) -> Option<(f64, f64)> {
-        match (self.client_srtt, self.origin_srtt) {
-            (Some(c), Some(o)) => Some((c * 1e3, o * 1e3)),
-            _ => None,
-        }
-    }
-
     /// Bytes currently buffered for `conn` (test/inspection hook).
     pub fn buffered_bytes(&self, conn: u32) -> u64 {
         self.flows.get(&conn).map_or(0, |f| f.buf_bytes)
     }
-}
-
-/// One EWMA step (initializes on the first sample).
-fn ewma(slot: &mut Option<f64>, sample: f64) {
-    *slot = Some(match *slot {
-        None => sample,
-        Some(prev) => prev * (1.0 - RTT_ALPHA) + sample * RTT_ALPHA,
-    });
 }
 
 #[cfg(test)]
@@ -281,9 +219,9 @@ mod tests {
     }
 
     /// `on_uplink` with a fresh buffer: the early retransmits.
-    fn uplink(m: &mut Middlebox, now: SimTime, pkt: &Packet<Wire>) -> Vec<Packet<Wire>> {
+    fn uplink(m: &mut Middlebox, pkt: &Packet<Wire>) -> Vec<Packet<Wire>> {
         let mut retx = Vec::new();
-        m.on_uplink(now, pkt, &mut retx);
+        m.on_uplink(pkt, &mut retx);
         retx
     }
 
@@ -296,7 +234,7 @@ mod tests {
         // Gap well past the flowlet threshold closes the flowlet.
         let late = t(1_000_000);
         m.on_downlink(late, &data(pns.iter().max().copied().unwrap_or(0) + 50));
-        uplink(m, late + SimDuration::from_micros(10), &ack(acked))
+        uplink(m, &ack(acked))
             .iter()
             .filter_map(|p| match &p.payload {
                 Wire::Quic(q) => Some(q.pn),
@@ -318,11 +256,7 @@ mod tests {
         assert_eq!(retx, vec![2]);
         assert_eq!(m.early_retransmits(), 1);
         // The same ACK pattern again must not retransmit twice.
-        let again = uplink(
-            &mut m,
-            t(2_000_000),
-            &ack(vec![Range::new(0, 2), Range::new(3, 7)]),
-        );
+        let again = uplink(&mut m, &ack(vec![Range::new(0, 2), Range::new(3, 7)]));
         assert!(again.is_empty());
     }
 
@@ -358,11 +292,7 @@ mod tests {
         for (i, pn) in [0u64, 1, 3, 4, 5, 6, 7].iter().enumerate() {
             m.on_downlink(t(i as u64), &data(*pn));
         }
-        let retx = uplink(
-            &mut m,
-            t(100),
-            &ack(vec![Range::new(0, 2), Range::new(3, 8)]),
-        );
+        let retx = uplink(&mut m, &ack(vec![Range::new(0, 2), Range::new(3, 8)]));
         assert!(retx.is_empty(), "open flowlet must not retransmit");
     }
 
@@ -380,35 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn rtt_split_estimates_both_sides() {
+    fn acked_packets_leave_the_buffer() {
         let mut m = mbx();
-        // Upstream request at t=0 …
-        let req = Packet {
-            conn: ConnId(0),
-            size: 120,
-            payload: Wire::Quic(QuicPacket {
-                from_client: true,
-                pn: 1,
-                frames: [
-                    Some(QuicFrame::Stream {
-                        id: 5,
-                        offset: 0,
-                        len: 100,
-                        fin: true,
-                    }),
-                    None,
-                ],
-            }),
-        };
-        uplink(&mut m, t(0), &req);
-        // … origin replies 40 ms later (origin-side RTT sample) …
-        m.on_downlink(t(40_000), &data(0));
-        // … client acks 6 ms after that (client-side RTT sample).
-        uplink(&mut m, t(46_000), &ack(vec![Range::new(0, 1)]));
-        let (client_ms, origin_ms) = m.rtt_split_ms().expect("both samples present");
-        assert!((client_ms - 6.0).abs() < 0.1, "client {client_ms}");
-        assert!((origin_ms - 40.0).abs() < 0.1, "origin {origin_ms}");
-        // Acked packet freed from the buffer.
+        m.on_downlink(t(0), &data(0));
+        assert!(m.buffered_bytes(0) > 0);
+        uplink(&mut m, &ack(vec![Range::new(0, 1)]));
         assert_eq!(m.buffered_bytes(0), 0);
     }
 
@@ -447,7 +353,7 @@ mod tests {
             let retx = run_case(&mut m, &pns, acked.clone());
             prop_assert_eq!(retx, vec![lost]);
             // Replaying the ACK must not duplicate the retransmit.
-            let again = uplink(&mut m, t(5_000_000), &ack(acked));
+            let again = uplink(&mut m, &ack(acked));
             prop_assert!(again.is_empty());
         }
     }

@@ -88,11 +88,6 @@ pub fn plan() -> Option<Arc<FaultPlan>> {
     global().read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Whether a global plan is installed.
-pub fn active() -> bool {
-    global().read().unwrap_or_else(|e| e.into_inner()).is_some()
-}
-
 /// Read `PQ_FAULTS` and install the parsed plan. An unparsable spec
 /// warns via the tracer and leaves injection off (configuration is
 /// never silently swallowed). Returns whether a plan is now active.
@@ -168,12 +163,11 @@ mod tests {
 
     #[test]
     fn global_install_roundtrip() {
-        assert!(!active());
+        assert!(plan().is_none());
         install(Some(FaultPlan::parse("stall:p=0.5,ms=100").unwrap()));
-        assert!(active());
         assert!(plan().unwrap().stall.is_some());
         install(None);
-        assert!(!active());
+        assert!(plan().is_none());
     }
 
     #[test]

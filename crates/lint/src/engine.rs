@@ -1,6 +1,5 @@
 //! The lint engine: workspace walk → lex → token rules →
-//! suppressions → baseline comparison. One pass, one file at a time,
-//! no cross-file state.
+//! suppressions. One pass, one file at a time, no cross-file state.
 //!
 //! ## Suppressions
 //!
@@ -15,23 +14,15 @@
 //! The `-- <reason>` is **mandatory**: a reasonless (or unknown-rule)
 //! suppression does not suppress anything and is itself reported under
 //! the `suppression` rule. So is a suppression in non-test code that
-//! matches no finding: like a stale baseline entry, an excuse whose
-//! offence is gone must be deleted, so every remaining allow is live.
+//! matches no finding: an excuse whose offence is gone must be
+//! deleted, so every remaining allow is live.
 //!
-//! ## Baseline
-//!
-//! `pq-lint.baseline` (workspace root) records grandfathered findings
-//! as `(rule, file, count)` triples. The engine fails when a file's
-//! count for a rule **exceeds** its baselined count (new violation)
-//! and also when it **falls below** it (stale entry: the debt was paid
-//! — shrink the baseline so it can never grow back). Counts rather
-//! than line numbers keep entries stable under unrelated edits while
-//! still enforcing the ratchet.
+//! There is no grandfathering: a finding is fixed or suppressed with
+//! its reason, and the suppression count is capped in
+//! `tests/workspace_clean.rs`.
 
-use crate::baseline::Baseline;
 use crate::lexer::{lex, Comment};
 use crate::rules::{check_file, first_cfg_test_line, rule, FileContext, Finding};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// A finding bound to its file.
@@ -63,16 +54,11 @@ impl FileFinding {
     }
 }
 
-/// Outcome of linting a file set against a baseline.
+/// Outcome of linting a file set.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings not absorbed by the baseline, i.e. new violations.
-    pub new: Vec<FileFinding>,
-    /// `(rule, path, baselined, found)` for entries whose debt shrank
-    /// or vanished — the baseline must be updated (it only shrinks).
-    pub stale: Vec<(String, String, usize, usize)>,
-    /// Findings absorbed by the baseline (grandfathered).
-    pub grandfathered: usize,
+    /// Unsuppressed findings, in file then line order.
+    pub findings: Vec<FileFinding>,
     /// Suppressed findings (valid inline allows).
     pub suppressed: usize,
     /// Files scanned.
@@ -80,9 +66,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Gate verdict: clean means no new findings and no stale entries.
+    /// Gate verdict: clean means no unsuppressed finding.
     pub fn clean(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty()
+        self.findings.is_empty()
     }
 }
 
@@ -188,8 +174,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> (Vec<Finding>, usize) {
         }
     }
     // Hygiene: a missing reason, an unknown rule name, or an allow
-    // that suppressed nothing — stale, like a stale baseline entry.
-    // Test code is exempt from the rules, so an allow there has
+    // that suppressed nothing. Test code is exempt from the rules, so an allow there has
     // nothing to match and is left alone.
     for s in &sups {
         let unknown: Vec<&str> = s
@@ -308,73 +293,25 @@ pub fn rel_str(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Surviving findings grouped for baseline accounting.
-type ByKey = BTreeMap<(String, String), Vec<FileFinding>>;
-
-/// One pass over the workspace: `(files scanned, findings suppressed,
-/// surviving findings by (rule, path))`.
-fn lint_workspace(root: &Path) -> std::io::Result<(usize, usize, ByKey)> {
+/// Lint the whole workspace under `root`.
+pub fn run(root: &Path) -> std::io::Result<Report> {
     let files = workspace_files(root)?;
-    let mut suppressed = 0usize;
-    let mut by_key = ByKey::new();
-    for path in &files {
-        let rel = rel_str(root, path);
-        let src = std::fs::read_to_string(path)?;
-        let (findings, n) = lint_source(&rel, &src);
-        suppressed += n;
-        for finding in findings {
-            by_key
-                .entry((finding.rule.to_string(), rel.clone()))
-                .or_default()
-                .push(FileFinding {
-                    path: rel.clone(),
-                    finding,
-                });
-        }
-    }
-    Ok((files.len(), suppressed, by_key))
-}
-
-/// Lint the whole workspace under `root` against `baseline`.
-pub fn run(root: &Path, baseline: &Baseline) -> std::io::Result<Report> {
-    let (files, suppressed, by_key) = lint_workspace(root)?;
     let mut report = Report {
-        files,
-        suppressed,
+        files: files.len(),
         ..Report::default()
     };
-    // Compare against the baseline in both directions.
-    for ((rule_name, path), found) in &by_key {
-        let allowed = baseline.count(rule_name, path);
-        match found.len().cmp(&allowed) {
-            std::cmp::Ordering::Greater => {
-                report.grandfathered += allowed;
-                report.new.extend(found.iter().cloned());
-            }
-            std::cmp::Ordering::Equal => report.grandfathered += allowed,
-            std::cmp::Ordering::Less => {
-                report.grandfathered += found.len();
-                report
-                    .stale
-                    .push((rule_name.clone(), path.clone(), allowed, found.len()));
-            }
-        }
+    for path in &files {
+        let rel = rel_str(root, path);
+        let (findings, suppressed) = lint_source(&rel, &std::fs::read_to_string(path)?);
+        report.suppressed += suppressed;
+        report
+            .findings
+            .extend(findings.into_iter().map(|finding| FileFinding {
+                path: rel.clone(),
+                finding,
+            }));
     }
-    // Baseline entries whose file no longer has any finding at all
-    // (or no longer exists) are stale too.
-    for (rule_name, path, allowed) in baseline.entries() {
-        if allowed > 0 && !by_key.contains_key(&(rule_name.clone(), path.clone())) {
-            report.stale.push((rule_name, path, allowed, 0));
-        }
-    }
-    report.stale.sort();
     Ok(report)
-}
-
-/// Current (rule, path) → count map for `--write-baseline`.
-pub fn current_counts(root: &Path) -> std::io::Result<BTreeMap<(String, String), usize>> {
-    let (_, _, by_key) = lint_workspace(root)?;
-    Ok(by_key.into_iter().map(|(k, v)| (k, v.len())).collect())
 }
 
 #[cfg(test)]

@@ -24,12 +24,9 @@
 //! Findings are reported as `file:line:col` with the offending span.
 //! Inline suppression is `// pq-lint: allow(panic) -- reason` with a
 //! **mandatory** reason, and a suppression that no longer matches a
-//! finding is itself a finding (`suppression`). The committed
-//! `pq-lint.baseline` holds grandfathered findings so
-//! `cargo run -p pq-lint -- --deny` gates CI from day one — new
-//! violations fail, and the baseline can only ever shrink (a stale
-//! entry is itself an error). See [`engine`] and [`baseline`] for the
-//! exact semantics.
+//! finding is itself a finding (`suppression`). Nothing is
+//! grandfathered: `cargo run -p pq-lint -- --deny` fails on any
+//! unsuppressed finding. See [`engine`] for the exact semantics.
 //!
 //! What a token scan cannot see is measured, not approximated:
 //! allocations per simulated event have a ceiling in
@@ -41,11 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod engine;
 pub mod lexer;
 pub mod rules;
 
-pub use baseline::Baseline;
 pub use engine::{lint_source, run, workspace_files, Report};
 pub use rules::{Family, Finding, RuleInfo, RULES};

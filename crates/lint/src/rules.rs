@@ -18,7 +18,7 @@
 //! The rules exploit cheap structural regularities of the token
 //! stream — no parse, no type information, no cross-file state, by
 //! design: like the paper's conformance filter (Table 3, R1–R7) — and
-//! the committed baseline absorbs the grey zone. What a token scan
+//! a reasoned inline suppression absorbs the grey zone. What a token scan
 //! cannot see is measured instead of over-approximated: per-event
 //! allocation by the ceiling in `tests/event_sequence.rs`, digest
 //! stability by the `PQ_JOBS` pins in `tests/determinism.rs`, and the
@@ -53,15 +53,14 @@ pub enum Family {
     /// Observability / configuration.
     O,
     /// Lint usage (bad or stale suppression comments); never
-    /// suppressible or baselined away silently.
+    /// suppressible.
     L,
 }
 
 /// Static description of one rule.
 #[derive(Clone, Copy, Debug)]
 pub struct RuleInfo {
-    /// Stable id used in suppressions and the baseline (`hash`,
-    /// `panic`, `env`, …).
+    /// Stable id used in suppressions (`hash`, `panic`, `env`, …).
     pub name: &'static str,
     /// Rule family.
     pub family: Family,
@@ -151,7 +150,7 @@ pub fn rule(name: &str) -> Option<&'static RuleInfo> {
 }
 
 /// One raw finding inside a single file (the engine adds the path and
-/// applies suppressions / the baseline).
+/// applies suppressions).
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Rule id.
@@ -418,8 +417,8 @@ fn rule_panic(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 ///
 /// Lexical heuristic: a `[` *immediately* adjacent to a preceding
 /// identifier, `)` or `]` is an index expression (types and slices are
-/// written with a space or follow punctuation). The baseline absorbs
-/// pre-existing instances; new code should prefer `get()`.
+/// written with a space or follow punctuation). Prefer `get()`,
+/// iteration or destructuring.
 fn rule_index(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     if !ctx.in_digest_crate() {
         return;
@@ -808,8 +807,8 @@ mod tests {
         let bad3 = "fn w() { OpenOptions::new().append(true).open(\"results/h.jsonl\").unwrap(); }";
         assert!(rules_hit(bad3, "crates/bench/src/x.rs", Some("bench")).contains(&"results-io"));
         // A raw writer with no results/ involvement: someone else's
-        // business (e.g. the lint baseline itself).
-        let ok = "fn w() { std::fs::write(\"pq-lint.baseline\", b\"x\").unwrap(); }";
+        // business.
+        let ok = "fn w() { std::fs::write(\"notes.txt\", b\"x\").unwrap(); }";
         assert!(!rules_hit(ok, "crates/lint/src/x.rs", Some("lint")).contains(&"results-io"));
         // A results/ path going through the sanctioned API: fine.
         let ok2 = "fn w() { pq_ckpt::atomic_write(\"results/manifest.json\", b\"x\").unwrap(); }";

@@ -2,7 +2,7 @@
 //! `tests/fixtures/ws` (which the real workspace walk skips, so the
 //! deliberately violation-laden files never pollute the CI gate).
 
-use pq_lint::{engine, lint_source, Baseline, RULES};
+use pq_lint::{engine, lint_source, RULES};
 use std::path::{Path, PathBuf};
 
 fn ws() -> PathBuf {
@@ -39,16 +39,16 @@ fn violation_fixture_hits_every_rule() {
 
 #[test]
 fn findings_render_as_clickable_locations() {
-    let src = fixture("crates/core/src/grandfathered.rs");
-    let (findings, _) = lint_source("crates/core/src/grandfathered.rs", &src);
+    let src = fixture("crates/core/src/unsuppressed.rs");
+    let (findings, _) = lint_source("crates/core/src/unsuppressed.rs", &src);
     assert_eq!(findings.len(), 2);
     let line = engine::FileFinding {
-        path: "crates/core/src/grandfathered.rs".into(),
+        path: "crates/core/src/unsuppressed.rs".into(),
         finding: findings[0].clone(),
     }
     .render();
     assert!(
-        line.starts_with("crates/core/src/grandfathered.rs:5:6: P[index]"),
+        line.starts_with("crates/core/src/unsuppressed.rs:4:6: P[index]"),
         "{line}"
     );
     assert!(line.contains("v[…]"), "{line}");
@@ -63,42 +63,15 @@ fn suppressed_fixture_is_quiet() {
 }
 
 #[test]
-fn run_grandfathers_exactly_the_baseline() {
-    let root = ws();
-    let baseline = Baseline::load(&root.join("pq-lint.baseline")).expect("fixture baseline");
-    let report = engine::run(&root, &baseline).expect("walk");
+fn run_reports_every_unsuppressed_finding() {
+    let report = engine::run(&ws()).expect("walk");
     assert_eq!(report.files, 3);
     assert_eq!(report.suppressed, 3, "suppressed.rs");
-    assert_eq!(report.grandfathered, 2);
-    assert!(report.stale.is_empty(), "{:?}", report.stale);
-    assert_eq!(report.new.len(), 13, "lib.rs:\n{:#?}", report.new);
-    assert!(!report.clean());
-}
-
-#[test]
-fn stale_entries_fail_in_both_directions() {
-    // Inflated count → stale; entry for a vanished file → stale.
-    let baseline = Baseline::parse(
-        "index crates/core/src/grandfathered.rs 3\npanic crates/core/src/gone.rs 1\n",
-    )
-    .expect("parses");
-    let report = engine::run(&ws(), &baseline).expect("walk");
-    assert_eq!(report.stale.len(), 2, "{:?}", report.stale);
-    assert!(!report.clean());
-}
-
-#[test]
-fn write_baseline_round_trips_to_clean() {
-    // Absorbing the full debt (what --write-baseline does) must yield
-    // a clean report, and the rendered form must re-parse.
-    let counts = engine::current_counts(&ws()).expect("walk");
-    let b = Baseline::parse(&Baseline::render(&counts)).expect("round-trips");
-    let report = engine::run(&ws(), &b).expect("walk");
-    assert!(
-        report.clean(),
-        "new={:?} stale={:?}",
-        report.new,
-        report.stale
+    assert_eq!(
+        report.findings.len(),
+        15,
+        "lib.rs 13 + unsuppressed.rs 2:\n{:#?}",
+        report.findings
     );
-    assert_eq!(report.grandfathered, 15, "13 new + 2 previously baselined");
+    assert!(!report.clean());
 }

@@ -1,14 +1,11 @@
-//! Trace exporters: Chrome trace-event JSON and JSONL.
-//!
-//! * **Chrome trace-event** (default): load the file in Perfetto
-//!   (<https://ui.perfetto.dev>) or `chrome://tracing` and a page load
-//!   renders as a waterfall — one process row per load, one thread row
-//!   per connection and per web object, counter charts for cwnd/queue
-//!   depth. Timestamps are microseconds with nanosecond fractions.
-//! * **JSONL** (paths ending in `.jsonl`): one JSON object per line,
-//!   friendly to `jq`/`grep`-style analysis.
+//! The trace exporter: Chrome trace-event JSON. Load the file in
+//! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` and a
+//! page load renders as a waterfall — one process row per load, one
+//! thread row per connection and per web object, counter charts for
+//! cwnd/queue depth. Timestamps are microseconds with nanosecond
+//! fractions.
 
-use crate::json::{write_escaped, write_num, Value};
+use crate::json::{write_escaped, Value};
 use crate::trace::{tracer, ArgValue, Event, EventKind};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -94,59 +91,8 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
     out
 }
 
-/// Serialise events as JSON-lines.
-pub fn to_jsonl(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 128);
-    for ev in events {
-        let kind = match ev.kind {
-            EventKind::Span => "span",
-            EventKind::Instant => "instant",
-            EventKind::Counter => "counter",
-        };
-        let mut s = String::new();
-        let _ = write!(s, "{{\"ts_ns\":{},", ev.ts_ns);
-        if ev.kind == EventKind::Span {
-            let _ = write!(s, "\"dur_ns\":{},", ev.dur_ns);
-        }
-        let _ = write!(
-            s,
-            "\"kind\":\"{kind}\",\"level\":\"{}\",\"cat\":\"{}\",\"name\":",
-            ev.level.name(),
-            ev.cat
-        );
-        write_escaped(&mut s, &ev.name);
-        let _ = write!(s, ",\"pid\":{},\"tid\":{}", ev.pid, ev.tid);
-        if !ev.args.is_empty() {
-            s.push_str(",\"args\":{");
-            for (i, (k, v)) in ev.args.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                write_escaped(&mut s, k);
-                s.push(':');
-                match v {
-                    ArgValue::U64(n) => {
-                        let _ = write!(s, "{n}");
-                    }
-                    ArgValue::I64(n) => {
-                        let _ = write!(s, "{n}");
-                    }
-                    ArgValue::F64(n) => write_num(&mut s, *n),
-                    ArgValue::Str(text) => write_escaped(&mut s, text),
-                }
-            }
-            s.push('}');
-        }
-        s.push('}');
-        s.push('\n');
-        out.push_str(&s);
-    }
-    out
-}
-
-/// Write the buffered events to `path`, choosing the format from the
-/// extension (`.jsonl` → JSONL, anything else → Chrome trace JSON).
-/// Drains the buffer. Returns the number of events written.
+/// Write the buffered events to `path` as Chrome trace JSON. Drains
+/// the buffer. Returns the number of events written.
 ///
 /// Ring overflow is never silent: when the buffer dropped events
 /// since the last drain, a `trace.dropped` counter records how many
@@ -165,12 +111,7 @@ pub fn export(path: &Path) -> std::io::Result<usize> {
         );
     }
     let events = t.drain();
-    let body = if path.extension().is_some_and(|e| e == "jsonl") {
-        to_jsonl(&events)
-    } else {
-        to_chrome_trace(&events)
-    };
-    pq_ckpt::atomic_write(path, body.as_bytes())?;
+    pq_ckpt::atomic_write(path, to_chrome_trace(&events).as_bytes())?;
     Ok(events.len())
 }
 
@@ -247,26 +188,5 @@ mod tests {
             .unwrap();
         assert_eq!(span.get("ts").and_then(Value::as_f64), Some(1.0));
         assert_eq!(span.get("dur").and_then(Value::as_f64), Some(2.5));
-    }
-
-    #[test]
-    fn jsonl_lines_parse_individually() {
-        let events = vec![
-            ev(EventKind::Span, "load", 10, 20),
-            ev(EventKind::Counter, "depth", 30, 0),
-        ];
-        let text = to_jsonl(&events);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let v = Value::parse(line).expect("line parses");
-            assert!(v.get("ts_ns").is_some());
-            assert_eq!(
-                v.get("args")
-                    .and_then(|a| a.get("who"))
-                    .and_then(Value::as_str),
-                Some("a\"b")
-            );
-        }
     }
 }

@@ -18,10 +18,9 @@
 //!   readers, and [`names::METRIC_NAMES`] lists only series one of
 //!   them reads. Always on (the emitting layers batch updates so the
 //!   per-event cost stays negligible).
-//! * [`export`] — serialisers for the trace buffer: JSONL event logs
-//!   (`*.jsonl`) and the Chrome trace-event format (anything else),
-//!   which renders page loads as waterfalls in Perfetto or
-//!   `chrome://tracing`.
+//! * [`export`] — the trace buffer's serialiser: the Chrome
+//!   trace-event format, which renders page loads as waterfalls in
+//!   Perfetto or `chrome://tracing`.
 //! * [`json`] — a minimal hand-rolled JSON value/parser/printer used by
 //!   the exporters and by `pq-bench`'s run manifests (the environment
 //!   has no network access, so `serde` is not available; this module
@@ -43,7 +42,7 @@
 //! | Variable | Effect |
 //! |----------|--------|
 //! | `PQ_TRACE` | `off` (default), `error`, `warn`, `info`, `debug`, `trace` |
-//! | `PQ_TRACE_OUT` | export path; `.jsonl` → JSONL, else Chrome trace JSON |
+//! | `PQ_TRACE_OUT` | export path (Chrome trace JSON) |
 //! | `PQ_TRACE_BUF` | ring capacity in events (default 262144) |
 //! | `PQ_PROF_ALLOC` | `1` enables the counting allocator (per-phase/per-worker alloc attribution) |
 //! | `PQ_PROF_OUT` | collapsed-stack output path (turns the span profiler on) |

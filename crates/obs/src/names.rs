@@ -35,7 +35,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "sim.link.offered",
     "sim.link.random_lost",
     "sim.link.tail_dropped",
-    "study.votes",
     "trace.dropped",
     "web.pageloads",
     "web.pageloads_incomplete",

@@ -36,20 +36,6 @@ impl Stopwatch {
     pub fn elapsed_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
-
-    /// Nanoseconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
-    /// Restart the stopwatch and return the seconds since the previous
-    /// start (lap time).
-    pub fn lap_secs(&mut self) -> f64 {
-        let now = Instant::now();
-        let secs = now.duration_since(self.started).as_secs_f64();
-        self.started = now;
-        secs
-    }
 }
 
 /// Measures a sequence of named phases in wall time.
@@ -120,14 +106,11 @@ mod tests {
 
     #[test]
     fn stopwatch_monotonic() {
-        let mut sw = Stopwatch::start();
+        let sw = Stopwatch::start();
         let a = sw.elapsed_secs();
         let b = sw.elapsed_secs();
         assert!(b >= a);
         assert!(a >= 0.0);
-        let lap = sw.lap_secs();
-        assert!(lap >= 0.0);
-        assert!(sw.elapsed_ns() < u64::MAX);
     }
 
     #[test]

@@ -539,7 +539,7 @@ mod tests {
             let reg = crate::metrics::registry();
             let before = reg.counter_value("trace.dropped");
             let dir = std::env::temp_dir().join("pq_obs_dropped_test");
-            let path = dir.join("out.jsonl");
+            let path = dir.join("out.json");
             crate::export::export(&path).expect("export");
             assert_eq!(
                 reg.counter_value("trace.dropped"),

@@ -46,4 +46,4 @@ pub use packet::{ConnId, Direction, OriginId, Packet};
 pub use queue::DropTailQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::{Trace, TraceKind};

@@ -72,10 +72,6 @@ pub struct LinkStats {
     pub fault_lost: u64,
     /// Packets that reached the far end.
     pub delivered: u64,
-    /// Bytes that reached the far end.
-    pub bytes_delivered: u64,
-    /// Total time the transmitter spent busy.
-    pub busy_time: SimDuration,
 }
 
 /// Result of offering a packet to the link.
@@ -111,7 +107,6 @@ pub struct Link<P> {
     /// independent of everything else.
     loss_rng: SimRng,
     stats: LinkStats,
-    tx_started_at: SimTime,
     /// Trace track `(pid, tid)` for drop/loss instants and queue
     /// occupancy counter samples.
     obs_track: Option<(u32, u32)>,
@@ -133,7 +128,6 @@ impl<P> Link<P> {
             in_flight: None,
             loss_rng,
             stats: LinkStats::default(),
-            tx_started_at: SimTime::ZERO,
             obs_track: None,
             obs_label: "link",
             fault: None,
@@ -207,11 +201,6 @@ impl<P> Link<P> {
         self.queue.bytes()
     }
 
-    /// High-water mark of queued bytes.
-    pub fn max_queued_bytes(&self) -> u64 {
-        self.queue.max_bytes_seen()
-    }
-
     /// Whether the transmitter is currently serializing a packet.
     pub fn is_busy(&self) -> bool {
         self.in_flight.is_some()
@@ -227,7 +216,6 @@ impl<P> Link<P> {
             );
             let done = now + self.ser_delay(now, pkt.size);
             self.in_flight = Some(pkt);
-            self.tx_started_at = now;
             PushOutcome::StartedTx(done)
         } else if self.queue.push(pkt) {
             self.obs_queue_sample(now);
@@ -260,7 +248,6 @@ impl<P> Link<P> {
             .take()
             // pq-lint: allow(panic) -- in_flight is set by the StartedTx that scheduled this callback; the event queue fires exactly one tx-done per started tx
             .expect("tx-done callback with no packet in flight");
-        self.stats.busy_time += now - self.tx_started_at;
 
         // The baseline i.i.d. draw always happens first (and always
         // happens), so fault injection never shifts the fault-free
@@ -298,14 +285,12 @@ impl<P> Link<P> {
             None
         } else {
             self.stats.delivered += 1;
-            self.stats.bytes_delivered += u64::from(pkt.size);
             Some((now + self.config.prop_delay, pkt))
         };
 
         let next_tx_done = self.queue.pop().map(|next| {
             let done = now + self.ser_delay(now, next.size);
             self.in_flight = Some(next);
-            self.tx_started_at = now;
             done
         });
 
@@ -579,16 +564,5 @@ mod tests {
         assert!(faulted.iter().all(|i| base.contains(i)));
         // …and it genuinely removed some.
         assert!(faulted.len() < base.len());
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut link = mk_link(12_000_000, 0, 0.0, 200);
-        let done = match link.push(SimTime::ZERO, pkt(1, 1500)) {
-            PushOutcome::StartedTx(t) => t,
-            _ => unreachable!(),
-        };
-        link.on_tx_done(done);
-        assert_eq!(link.stats().busy_time, SimDuration::from_millis(1));
     }
 }

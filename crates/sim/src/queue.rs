@@ -13,8 +13,6 @@ pub struct DropTailQueue<P> {
     items: VecDeque<Packet<P>>,
     bytes: u64,
     capacity_bytes: u64,
-    /// High-water mark of queued bytes, for queue-delay diagnostics.
-    max_bytes: u64,
     /// Packets rejected because the queue was full.
     dropped: u64,
 }
@@ -30,7 +28,6 @@ impl<P> DropTailQueue<P> {
             items: VecDeque::new(),
             bytes: 0,
             capacity_bytes: capacity_bytes.max(1500),
-            max_bytes: 0,
             dropped: 0,
         }
     }
@@ -44,7 +41,6 @@ impl<P> DropTailQueue<P> {
             return false;
         }
         self.bytes += sz;
-        self.max_bytes = self.max_bytes.max(self.bytes);
         self.items.push_back(pkt);
         true
     }
@@ -74,11 +70,6 @@ impl<P> DropTailQueue<P> {
     /// Configured capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
-    }
-
-    /// High-water mark of queued bytes.
-    pub fn max_bytes_seen(&self) -> u64 {
-        self.max_bytes
     }
 
     /// Packets dropped at the tail so far.
@@ -140,16 +131,6 @@ mod tests {
         let mut q = DropTailQueue::new(0);
         assert!(q.push(pkt(1500)), "must accept at least one MTU packet");
         assert!(!q.push(pkt(1)));
-    }
-
-    #[test]
-    fn high_water_mark() {
-        let mut q = DropTailQueue::new(10_000);
-        q.push(pkt(4000));
-        q.push(pkt(4000));
-        q.pop();
-        q.push(pkt(1000));
-        assert_eq!(q.max_bytes_seen(), 8000);
     }
 
     #[test]

@@ -1,44 +1,26 @@
-//! Lightweight event tracing for emulation runs.
+//! Aggregate trace counters of one page load.
 //!
-//! Every page-load run can record a [`Trace`]: aggregate counters plus
-//! an optional bounded log of interesting events. The paper's analysis
-//! needs per-run retransmission counts ("we always found more
-//! retransmissions for TCP+ … on avg ×1.5 but up to ×4.8", §4.3), so
-//! transports report retransmissions and handshake milestones here.
-
-use crate::time::SimTime;
+//! The paper's analysis needs per-run retransmission counts ("we
+//! always found more retransmissions for TCP+ … on avg ×1.5 but up to
+//! ×4.8", §4.3), so transports report retransmissions and handshake
+//! milestones here.
 
 /// Category of a traced event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKind {
-    /// Connection handshake finished; payload = connection number.
+    /// Connection handshake finished.
     HandshakeDone,
     /// A transport detected a loss and retransmitted.
     Retransmit,
     /// A retransmission timeout fired.
     Rto,
-    /// A packet was tail-dropped by a queue.
-    TailDrop,
-    /// A packet was destroyed by random loss.
-    RandomLoss,
     /// An HTTP request was issued.
     Request,
     /// An HTTP response finished.
     Response,
 }
 
-/// One traced event.
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// What happened.
-    pub kind: TraceKind,
-    /// Free-form detail (connection id, stream id, …).
-    pub detail: u64,
-}
-
-/// Aggregate counters plus a bounded event log.
+/// One counter per [`TraceKind`].
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Total transport-level retransmissions across all connections.
@@ -51,44 +33,18 @@ pub struct Trace {
     pub responses: u64,
     /// Completed connection handshakes.
     pub handshakes: u64,
-    events: Vec<TraceEvent>,
-    /// Log capacity; 0 disables the event log (counters still work).
-    capacity: usize,
 }
 
 impl Trace {
-    /// A trace keeping at most `capacity` detailed events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Trace {
-            capacity,
-            ..Trace::default()
-        }
-    }
-
-    /// Counters only, no event log — the configuration used for bulk
-    /// experiment sweeps.
-    pub fn counters_only() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Record an event, bumping the matching counter.
-    pub fn record(&mut self, at: SimTime, kind: TraceKind, detail: u64) {
+    /// Count one event.
+    pub fn record(&mut self, kind: TraceKind) {
         match kind {
             TraceKind::Retransmit => self.retransmits += 1,
             TraceKind::Rto => self.rtos += 1,
             TraceKind::Request => self.requests += 1,
             TraceKind::Response => self.responses += 1,
             TraceKind::HandshakeDone => self.handshakes += 1,
-            TraceKind::TailDrop | TraceKind::RandomLoss => {}
         }
-        if self.events.len() < self.capacity {
-            self.events.push(TraceEvent { at, kind, detail });
-        }
-    }
-
-    /// The recorded events (bounded by capacity).
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
     }
 }
 
@@ -98,29 +54,21 @@ mod tests {
 
     #[test]
     fn counters_track_kinds() {
-        let mut t = Trace::counters_only();
-        t.record(SimTime::ZERO, TraceKind::Retransmit, 1);
-        t.record(SimTime::ZERO, TraceKind::Retransmit, 2);
-        t.record(SimTime::ZERO, TraceKind::Rto, 1);
-        t.record(SimTime::ZERO, TraceKind::Request, 7);
-        t.record(SimTime::ZERO, TraceKind::Response, 7);
-        t.record(SimTime::ZERO, TraceKind::HandshakeDone, 0);
+        let mut t = Trace::default();
+        for kind in [
+            TraceKind::Retransmit,
+            TraceKind::Retransmit,
+            TraceKind::Rto,
+            TraceKind::Request,
+            TraceKind::Response,
+            TraceKind::HandshakeDone,
+        ] {
+            t.record(kind);
+        }
         assert_eq!(t.retransmits, 2);
         assert_eq!(t.rtos, 1);
         assert_eq!(t.requests, 1);
         assert_eq!(t.responses, 1);
         assert_eq!(t.handshakes, 1);
-        assert!(t.events().is_empty(), "counters-only keeps no log");
-    }
-
-    #[test]
-    fn log_is_bounded() {
-        let mut t = Trace::with_capacity(3);
-        for i in 0..10 {
-            t.record(SimTime::from_millis(i), TraceKind::Retransmit, i);
-        }
-        assert_eq!(t.events().len(), 3);
-        assert_eq!(t.retransmits, 10, "counter keeps counting past capacity");
-        assert_eq!(t.events()[0].detail, 0);
     }
 }

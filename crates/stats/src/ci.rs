@@ -1,7 +1,7 @@
 //! Confidence intervals — the 99 % error bars of Figures 3 and 5.
 
 use crate::desc::{mean, sem};
-use crate::dist::{t_critical, z_critical};
+use crate::dist::t_critical;
 use std::collections::BTreeMap;
 
 /// A symmetric confidence interval around a mean.
@@ -29,13 +29,6 @@ impl ConfidenceInterval {
     /// Whether `v` lies inside the interval.
     pub fn contains(&self, v: f64) -> bool {
         (self.lo()..=self.hi()).contains(&v)
-    }
-
-    /// Whether two intervals overlap (the paper's informal agreement
-    /// check in Figure 3 and "the confidence intervals mostly overlap"
-    /// in §4.4).
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lo() <= other.hi() && other.lo() <= self.hi()
     }
 }
 
@@ -85,16 +78,6 @@ pub fn t_interval(xs: &[f64], confidence: f64) -> ConfidenceInterval {
     TIntervals::new(confidence).interval(xs)
 }
 
-/// Normal (z) interval for the mean — adequate for the large µWorker
-/// samples.
-pub fn z_interval(xs: &[f64], confidence: f64) -> ConfidenceInterval {
-    ConfidenceInterval {
-        mean: mean(xs),
-        half_width: z_critical(confidence) * sem(xs),
-        confidence,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,28 +98,6 @@ mod tests {
         let xs = [5.0, 5.1, 4.9, 5.05, 4.95];
         let ci = t_interval(&xs, 0.99);
         assert!(ci.contains(5.0));
-    }
-
-    #[test]
-    fn overlap_logic() {
-        let a = ConfidenceInterval {
-            mean: 10.0,
-            half_width: 2.0,
-            confidence: 0.99,
-        };
-        let b = ConfidenceInterval {
-            mean: 13.0,
-            half_width: 1.5,
-            confidence: 0.99,
-        };
-        assert!(a.overlaps(&b), "11.5..14.5 touches 8..12");
-        let c = ConfidenceInterval {
-            mean: 20.0,
-            half_width: 1.0,
-            confidence: 0.99,
-        };
-        assert!(!a.overlaps(&c));
-        assert!(a.overlaps(&a));
     }
 
     #[test]
@@ -174,14 +135,5 @@ mod tests {
     fn interval_at_an_impossible_confidence_is_not_a_number() {
         // Used to come back as half_width 577.35, the bisection bracket's far end.
         assert!(t_interval(&[1.0, 2.0, 3.0], 1.0).half_width.is_nan());
-        assert!(z_interval(&[1.0, 2.0, 3.0], 1.0).half_width.is_nan());
-    }
-
-    #[test]
-    fn z_interval_narrower_than_t_for_small_n() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let z = z_interval(&xs, 0.95);
-        let t = t_interval(&xs, 0.95);
-        assert!(z.half_width < t.half_width);
     }
 }

@@ -1,7 +1,6 @@
-//! Correlation coefficients — Figure 6's Pearson heatmap (the paper
-//! chooses Pearson "because we are interested to see how well the
-//! linearity of the metric reflects the users' choices"; Spearman is
-//! provided for contrast).
+//! Correlation — Figure 6's Pearson heatmap (the paper chooses
+//! Pearson "because we are interested to see how well the linearity of
+//! the metric reflects the users' choices").
 
 use crate::desc::mean;
 
@@ -27,36 +26,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
         return None;
     }
     Some(sxy / (sxx * syy).sqrt())
-}
-
-/// Spearman's rank correlation (Pearson on mid-ranks).
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let rx = ranks(xs);
-    let ry = ranks(ys);
-    pearson(&rx, &ry)
-}
-
-/// Mid-ranks (ties averaged).
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..xs.len()).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values"));
-    let mut out = vec![0.0; xs.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -92,26 +61,5 @@ mod tests {
         assert_eq!(pearson(&[1.0], &[2.0]), None);
         assert_eq!(pearson(&[1.0, 2.0], &[3.0]), None);
         assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), None);
-    }
-
-    #[test]
-    fn spearman_monotone_nonlinear() {
-        // Monotone but nonlinear: Spearman = 1, Pearson < 1.
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [1.0, 8.0, 27.0, 64.0, 125.0];
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        assert!(pearson(&xs, &ys).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let xs = [1.0, 2.0, 2.0, 3.0];
-        let ys = [10.0, 20.0, 20.0, 30.0];
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_are_midranks() {
-        assert_eq!(ranks(&[10.0, 20.0, 20.0, 5.0]), vec![2.0, 3.5, 3.5, 1.0]);
     }
 }

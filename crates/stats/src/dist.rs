@@ -1,32 +1,7 @@
-//! Probability distributions: normal, Student-t, F and χ² CDFs plus
-//! the inverse lookups the confidence intervals need.
+//! Probability distributions: Student-t, F and χ² CDFs plus the
+//! inverse lookup the confidence intervals need.
 
 use crate::special::{beta_inc, gamma_inc_lower};
-
-/// Standard normal CDF (via erfc-style Abramowitz–Stegun rational
-/// approximation refined with one expansion — accurate to ~1e-9).
-pub fn normal_cdf(z: f64) -> f64 {
-    0.5 * erfc(-z / std::f64::consts::SQRT_2)
-}
-
-/// Complementary error function (Numerical Recipes `erfcc` rational
-/// approximation, |error| ≤ 1.2e-7 — ample for the study's tests).
-fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277)))))))))
-            .exp();
-    let r = if x >= 0.0 { ans } else { 2.0 - ans };
-    r.clamp(0.0, 2.0)
-}
 
 /// Student-t CDF with `df` degrees of freedom.
 pub fn t_cdf(t: f64, df: f64) -> f64 {
@@ -42,42 +17,34 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
     }
 }
 
-/// Two-sided critical value of a distribution symmetric about zero:
-/// the point in `[0, hi]` where `cdf` reaches `(1 + confidence) / 2`,
-/// by bisection. `NaN` unless `confidence` lies strictly inside (0, 1).
+/// Two-sided critical t value for a given confidence level (e.g.
+/// `0.99`) and degrees of freedom: the point in `[0, 1000]` where the
+/// CDF reaches `(1 + confidence) / 2`, by bisection. `NaN` unless
+/// `confidence` lies strictly inside (0, 1) and `df > 0`, like
+/// [`t_cdf`].
 ///
 /// The bisection runs to its fixed point. Once `mid` equals `lo` or
 /// `hi` the two are adjacent doubles and `mid` is an end the CDF has
 /// already placed, so no further step can move either of them.
-fn critical(confidence: f64, hi: f64, cdf: impl Fn(f64) -> f64) -> f64 {
-    if !(confidence > 0.0 && confidence < 1.0) {
+pub fn t_critical(confidence: f64, df: f64) -> f64 {
+    if df.is_nan() || df <= 0.0 || !(confidence > 0.0 && confidence < 1.0) {
         return f64::NAN;
     }
-    // Spelled as the solvers always computed it: `(1 + c) / 2` may
+    // Spelled as the solver always computed it: `(1 + c) / 2` may
     // round to the neighbouring double and move every interval.
     let target = 1.0 - (1.0 - confidence) / 2.0;
-    let (mut lo, mut hi) = (0.0, hi);
+    let (mut lo, mut hi) = (0.0, 1e3);
     loop {
         let mid = 0.5 * (lo + hi);
         if mid == lo || mid == hi {
             return mid;
         }
-        if cdf(mid) < target {
+        if t_cdf(mid, df) < target {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-}
-
-/// Two-sided critical t value for a given confidence level (e.g.
-/// `0.99`) and degrees of freedom, via bisection on the CDF. `NaN`
-/// for a confidence outside (0, 1) or `df ≤ 0`, like [`t_cdf`].
-pub fn t_critical(confidence: f64, df: f64) -> f64 {
-    if df.is_nan() || df <= 0.0 {
-        return f64::NAN;
-    }
-    critical(confidence, 1e3, |t| t_cdf(t, df))
 }
 
 /// F-distribution CDF with `d1`/`d2` degrees of freedom.
@@ -93,31 +60,9 @@ pub fn chi2_cdf(x: f64, k: f64) -> f64 {
     gamma_inc_lower(k / 2.0, x / 2.0)
 }
 
-/// Two-sided critical z value for a confidence level; `NaN` for a
-/// confidence outside (0, 1).
-pub fn z_critical(confidence: f64) -> f64 {
-    critical(confidence, 40.0, normal_cdf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normal_cdf_reference_points() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-6);
-        assert!((normal_cdf(1.96) - 0.975).abs() < 2e-4);
-        assert!((normal_cdf(-1.96) - 0.025).abs() < 2e-4);
-        assert!(normal_cdf(8.0) > 0.999999);
-        assert!(normal_cdf(-8.0) < 1e-6);
-    }
-
-    #[test]
-    fn z_critical_matches_tables() {
-        assert!((z_critical(0.95) - 1.95996).abs() < 1e-3);
-        assert!((z_critical(0.99) - 2.57583).abs() < 1e-3);
-        assert!((z_critical(0.90) - 1.64485).abs() < 1e-3);
-    }
 
     #[test]
     fn t_cdf_reference_points() {
@@ -154,12 +99,12 @@ mod tests {
     }
 
     /// The solver as it was: always 200 halvings, converged or not.
-    fn critical_200_steps(confidence: f64, hi: f64, cdf: impl Fn(f64) -> f64) -> f64 {
+    fn critical_200_steps(confidence: f64, df: f64) -> f64 {
         let target = 1.0 - (1.0 - confidence) / 2.0;
-        let (mut lo, mut hi) = (0.0, hi);
+        let (mut lo, mut hi) = (0.0, 1e3);
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
-            if cdf(mid) < target {
+            if t_cdf(mid, df) < target {
                 lo = mid;
             } else {
                 hi = mid;
@@ -171,15 +116,10 @@ mod tests {
     #[test]
     fn bisection_to_the_fixed_point_returns_the_200_step_double() {
         for confidence in [0.90, 0.95, 0.99] {
-            assert_eq!(
-                z_critical(confidence).to_bits(),
-                critical_200_steps(confidence, 40.0, normal_cdf).to_bits(),
-                "z {confidence}"
-            );
             for df in (1..=200).map(f64::from) {
                 assert_eq!(
                     t_critical(confidence, df).to_bits(),
-                    critical_200_steps(confidence, 1e3, |t| t_cdf(t, df)).to_bits(),
+                    critical_200_steps(confidence, df).to_bits(),
                     "t {confidence} df={df}"
                 );
             }
@@ -190,7 +130,6 @@ mod tests {
     fn critical_values_are_nan_outside_the_domain() {
         for confidence in [0.0, 1.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
             assert!(t_critical(confidence, 10.0).is_nan(), "t {confidence}");
-            assert!(z_critical(confidence).is_nan(), "z {confidence}");
         }
         for df in [0.0, -1.0, f64::NAN] {
             assert!(t_critical(0.99, df).is_nan(), "df {df}");

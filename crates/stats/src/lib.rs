@@ -1,12 +1,12 @@
 //! # pq-stats — the statistics toolkit of the study analysis
 //!
-//! Everything the paper's evaluation needs, implemented from scratch:
-//! descriptive statistics, ln-gamma / incomplete beta & gamma special
-//! functions, normal / Student-t / F / χ² distributions, confidence
-//! intervals (the 99 % error bars of Figs. 3 and 5), Pearson and
-//! Spearman correlation (Fig. 6), one-way ANOVA and two-sample t-tests
-//! (the §4.4 significance machinery) and Jarque–Bera normality (the
-//! lab-vs-Internet distribution check of §4.2).
+//! What the figures call, implemented from scratch: descriptive
+//! statistics, ln-gamma / incomplete beta & gamma special functions,
+//! Student-t / F / χ² distributions, Student-t confidence intervals
+//! (the 99 % error bars of Figs. 3 and 5), Pearson correlation
+//! (Fig. 6), one-way ANOVA (the §4.4 significance machinery; its
+//! two-group case is the pooled t-test, F = t²) and Jarque–Bera
+//! normality (the lab-vs-Internet distribution check of §4.2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,13 +18,11 @@ pub mod desc;
 pub mod dist;
 pub mod normality;
 pub mod special;
-pub mod ttest;
 
 pub use anova::{one_way_anova, AnovaResult};
-pub use ci::{t_interval, z_interval, ConfidenceInterval, TIntervals};
-pub use corr::{pearson, spearman};
+pub use ci::{t_interval, ConfidenceInterval, TIntervals};
+pub use corr::pearson;
 pub use desc::{excess_kurtosis, mean, median, quantile, sem, skewness, std_dev, variance};
-pub use dist::{chi2_cdf, f_cdf, normal_cdf, t_cdf, t_critical, z_critical};
+pub use dist::{chi2_cdf, f_cdf, t_cdf, t_critical};
 pub use normality::{jarque_bera, JarqueBera};
 pub use special::{beta_inc, gamma_inc_lower, ln_gamma};
-pub use ttest::{student_t_test, welch_t_test, TTestResult};

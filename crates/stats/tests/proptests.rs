@@ -1,8 +1,7 @@
 //! Property-based tests for the statistics toolkit.
 
 use pq_stats::{
-    beta_inc, f_cdf, mean, median, normal_cdf, one_way_anova, pearson, quantile, spearman, t_cdf,
-    t_interval, variance,
+    beta_inc, f_cdf, mean, median, one_way_anova, pearson, quantile, t_cdf, t_interval, variance,
 };
 use proptest::prelude::*;
 
@@ -11,8 +10,6 @@ proptest! {
     #[test]
     fn cdfs_are_monotone(x1 in -50.0f64..50.0, x2 in -50.0f64..50.0, df in 1.0f64..200.0) {
         let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
-        prop_assert!(normal_cdf(lo) <= normal_cdf(hi) + 1e-12);
-        prop_assert!((0.0..=1.0).contains(&normal_cdf(lo)));
         prop_assert!(t_cdf(lo, df) <= t_cdf(hi, df) + 1e-12);
         prop_assert!((0.0..=1.0).contains(&t_cdf(lo, df)));
         let (flo, fhi) = (lo.abs(), hi.abs().max(lo.abs()));
@@ -73,15 +70,6 @@ proptest! {
         }
     }
 
-    /// Spearman is invariant under any strictly monotone transform.
-    #[test]
-    fn spearman_monotone_invariance(pairs in prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 3..40)) {
-        let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        let cubed: Vec<f64> = xs.iter().map(|x| x.powi(3)).collect();
-        if let (Some(r1), Some(r2)) = (spearman(&xs, &ys), spearman(&cubed, &ys)) { prop_assert!((r1 - r2).abs() < 1e-9) }
-    }
-
     /// ANOVA p-values live in [0, 1] and permuting group labels of
     /// identical groups never yields significance certainty.
     #[test]
@@ -103,6 +91,5 @@ proptest! {
         let c99 = t_interval(&xs, 0.99);
         prop_assert!(c90.contains(c90.mean));
         prop_assert!(c99.half_width >= c90.half_width - 1e-12);
-        prop_assert!(c99.overlaps(&c90));
     }
 }

@@ -241,11 +241,6 @@ impl RangeSet {
         self.ranges.last().map_or(0, |r| r.end)
     }
 
-    /// The lowest covered value, if any.
-    pub fn min_start(&self) -> Option<u64> {
-        self.ranges.first().map(|r| r.start)
-    }
-
     /// Given a cumulative position `cum`, return how far it can advance
     /// through contiguously covered values starting at `cum`.
     pub fn advance_from(&self, cum: u64) -> u64 {
@@ -418,14 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn max_end_and_min_start() {
+    fn max_end_tracks_the_top_range() {
         let mut s = RangeSet::new();
         assert_eq!(s.max_end(), 0);
-        assert_eq!(s.min_start(), None);
         s.insert(7, 12);
         s.insert(40, 44);
         assert_eq!(s.max_end(), 44);
-        assert_eq!(s.min_start(), Some(7));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use pq_metrics::{MetricSet, Recording, VisualTimeline};
 use pq_obs::{ArgValue, Level};
 use pq_sim::{
     ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, NetworkConfig, Packet,
-    PushOutcome, SimDuration, SimRng, SimTime, Source, Trace, TraceKind,
+    SimDuration, SimRng, SimTime, Source, Trace, TraceKind,
 };
 use pq_transport::{Connection, Output, Protocol, StackConfig, Wire};
 use std::collections::{BTreeMap, VecDeque};
@@ -343,7 +343,7 @@ pub fn load_page_with_config(
         gate_open: false,
         gate_scheduled: false,
         plt_at: None,
-        trace: Trace::counters_only(),
+        trace: Trace::default(),
         obs_pid,
         faults,
         out_buf: Vec::new(),
@@ -437,7 +437,7 @@ impl Loader<'_> {
                 return;
             }
         };
-        self.trace.record(now, TraceKind::Request, u64::from(id.0));
+        self.trace.record(TraceKind::Request);
         self.obs_request(now, id);
         self.send_request(now, key, id);
     }
@@ -570,9 +570,7 @@ impl Loader<'_> {
         let Some(lane) = self.lanes.get_mut(lane) else {
             return;
         };
-        if lane.push(&mut self.q, now, pkt) == PushOutcome::TailDropped {
-            self.trace.record(now, TraceKind::TailDrop, 0);
-        }
+        lane.push(&mut self.q, now, pkt);
     }
 
     fn route_output(&mut self, now: SimTime, key: u32, out: Output) {
@@ -590,10 +588,7 @@ impl Loader<'_> {
                 };
                 self.send(now, lane_of(dir, at_origin), pkt);
             }
-            Output::HandshakeDone => {
-                let conn = u64::from(key);
-                self.trace.record(now, TraceKind::HandshakeDone, conn);
-            }
+            Output::HandshakeDone => self.trace.record(TraceKind::HandshakeDone),
             Output::ServerStreamProgress {
                 stream,
                 delivered,
@@ -620,7 +615,7 @@ impl Loader<'_> {
                 }
                 self.progress_buf = progress;
             }
-            Output::Trace(kind, detail) => self.trace.record(now, kind, detail),
+            Output::Trace(kind, _) => self.trace.record(kind),
         }
     }
 
@@ -718,9 +713,7 @@ impl Loader<'_> {
             return;
         };
         if what == LaneEvent::TxDone {
-            if !l.on_tx_done(&mut self.q, now) {
-                self.trace.record(now, TraceKind::RandomLoss, 0);
-            }
+            l.on_tx_done(&mut self.q, now);
             return;
         }
         let Some(pkt) = l.pop_arrival() else { return };
@@ -732,9 +725,9 @@ impl Loader<'_> {
             (Junction::Middlebox(mbx), UP) => {
                 let _sp = pq_prof::span("edge:mbx");
                 let mut retx = std::mem::take(&mut self.retx_buf);
-                mbx.on_uplink(now, &pkt, &mut retx);
+                mbx.on_uplink(&pkt, &mut retx);
                 for r in retx.drain(..) {
-                    self.trace.record(now, TraceKind::Retransmit, 0);
+                    self.trace.record(TraceKind::Retransmit);
                     self.send(now, DOWN, r);
                 }
                 self.retx_buf = retx;

@@ -190,7 +190,7 @@ impl Loader<'_> {
         if self.n_done == self.objs.len() {
             self.plt_at = Some(now);
         }
-        self.trace.record(now, TraceKind::Response, u64::from(id.0));
+        self.trace.record(TraceKind::Response);
         self.obs_object_span(now, id);
         self.update_render(now, id, 1.0, true);
         self.release_children(now, id, None);

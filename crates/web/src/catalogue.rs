@@ -58,9 +58,6 @@ const CORPUS: [(&str, u64, u32, u16); 36] = [
     ("youtube.com", 2500, 110, 13),
 ];
 
-/// Number of corpus sites.
-pub const CORPUS_SIZE: usize = CORPUS.len();
-
 /// The five domains used in the (shorter) lab study.
 pub const LAB_SITES: [&str; 5] = [
     "wikipedia.org",

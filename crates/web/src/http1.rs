@@ -21,8 +21,6 @@ pub const RESPONSE_HEADER: u64 = 280;
 /// Per-connection H1 state: at most one outstanding request.
 #[derive(Debug, Default)]
 pub struct H1Conn {
-    /// Objects served on this connection so far (for keep-alive reuse).
-    requests_served: u32,
     /// The in-flight request, if any.
     current: Option<ObjectId>,
     /// Client→server bytes after which the current request is fully
@@ -50,11 +48,6 @@ impl H1Conn {
     /// Idle and ready for the next request?
     pub fn is_idle(&self) -> bool {
         self.current.is_none()
-    }
-
-    /// Requests completed over this connection (keep-alive depth).
-    pub fn requests_served(&self) -> u32 {
-        self.requests_served
     }
 
     /// Issue a request on this (idle) connection.
@@ -102,7 +95,6 @@ impl H1Conn {
             self.resp_start = self.resp_end;
             self.current = None;
             self.serving = false;
-            self.requests_served += 1;
         }
         let got = Got::Total(RESPONSE_HEADER + body);
         Some(Progress { object, got, idle })
@@ -149,7 +141,6 @@ mod tests {
         assert!(p.idle);
         assert_eq!(p.got, Got::Total(RESPONSE_HEADER + 10_000));
         assert!(h1.is_idle(), "keep-alive: ready for the next request");
-        assert_eq!(h1.requests_served(), 1);
     }
 
     #[test]
@@ -168,7 +159,7 @@ mod tests {
             assert!(p.idle);
             assert_eq!(p.got, Got::Total(RESPONSE_HEADER + body));
         }
-        assert_eq!(h1.requests_served(), 2);
+        assert!(h1.is_idle());
     }
 
     #[test]

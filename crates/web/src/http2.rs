@@ -165,11 +165,6 @@ impl H2Mux {
             }
         }
     }
-
-    /// Responses not yet fully committed to the transport.
-    pub fn responses_in_flight(&self) -> usize {
-        self.ready.len()
-    }
 }
 
 #[cfg(test)]
@@ -210,13 +205,13 @@ mod tests {
         let mut c = conn();
         // A big response fills the backlog budget and stays queued.
         mux.respond(&mut c, SimTime::ZERO, ObjectId(1), 1_000_000);
-        assert_eq!(mux.responses_in_flight(), 1);
+        assert_eq!(mux.ready.len(), 1);
         let committed_before = mux.committed;
         // A second response arrives while the first still has bytes
         // queued: it must share the round-robin, not wait behind the
         // whole first response.
         mux.respond(&mut c, SimTime::ZERO, ObjectId(2), 1_000_000);
-        assert_eq!(mux.responses_in_flight(), 2);
+        assert_eq!(mux.ready.len(), 2);
         // Nothing more could be committed (the transport is not
         // draining), so the spans so far all belong to object 1 …
         assert!(mux.spans.iter().all(|(_, o)| *o == ObjectId(1)));
@@ -261,6 +256,6 @@ mod tests {
         // backlog cap binds.
         mux.respond(&mut c, SimTime::ZERO, ObjectId(1), 10_000_000);
         assert!(c.server_backlog() <= BACKLOG_TARGET + FRAME_CHUNK + FRAME_OVERHEAD);
-        assert_eq!(mux.responses_in_flight(), 1, "rest still queued");
+        assert_eq!(mux.ready.len(), 1, "rest still queued");
     }
 }

@@ -23,7 +23,7 @@ pub mod website;
 pub use browser::{
     load_page, load_page_with_config, try_load_page, HttpVersion, LoadOptions, PageLoadResult,
 };
-pub use catalogue::{corpus, corpus_specs, site, CORPUS_SIZE, LAB_SITES};
+pub use catalogue::{corpus, corpus_specs, site, LAB_SITES};
 pub use object::{ObjectId, ObjectKind, WebObject};
 pub use website::{SiteSpec, Website};
 

@@ -59,14 +59,6 @@ pub struct WebObject {
     pub defer_ms: f64,
 }
 
-impl WebObject {
-    /// True for resources that contribute to the visual completeness
-    /// curve.
-    pub fn is_visual(&self) -> bool {
-        self.render_weight > 0.0
-    }
-}
-
 /// How far one object's response got, in response-stream bytes
 /// (headers and framing included).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,28 +79,4 @@ pub struct Progress {
     /// HTTP/1.1: the response is complete and its connection idle
     /// again.
     pub idle: bool,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn visual_flag_follows_weight() {
-        let mut o = WebObject {
-            id: ObjectId(1),
-            origin: OriginId(0),
-            size: 1000,
-            kind: ObjectKind::Image,
-            render_weight: 0.2,
-            render_blocking: false,
-            discovered_by: Some(ObjectId(0)),
-            discovery_at: 0.4,
-            progressive: true,
-            defer_ms: 0.0,
-        };
-        assert!(o.is_visual());
-        o.render_weight = 0.0;
-        assert!(!o.is_visual());
-    }
 }

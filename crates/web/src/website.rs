@@ -209,15 +209,6 @@ impl Website {
     pub fn visual_weight_sum(&self) -> f64 {
         self.objects.iter().map(|o| o.render_weight).sum()
     }
-
-    /// Ids of render-blocking resources.
-    pub fn blocking_ids(&self) -> Vec<ObjectId> {
-        self.objects
-            .iter()
-            .filter(|o| o.render_blocking)
-            .map(|o| o.id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +276,10 @@ mod tests {
     #[test]
     fn has_blocking_and_beacons() {
         let w = Website::generate(&spec(1_500_000, 70, 8, 19));
-        assert!(!w.blocking_ids().is_empty(), "head resources exist");
+        assert!(
+            w.objects.iter().any(|o| o.render_blocking),
+            "head resources exist"
+        );
         assert!(
             w.objects.iter().any(|o| o.kind == ObjectKind::Beacon),
             "beacon tail exists"

@@ -8,7 +8,7 @@
 //! ```
 
 use perceiving_quic::prelude::*;
-use perceiving_quic::study::{ab_shares, calib, population, run_ab_study, Funnel, StudyKind};
+use perceiving_quic::study::{ab_shares, population, run_ab_study, Funnel, StudyKind};
 
 fn main() {
     let sites: Vec<Website> = ["wikipedia.org", "gov.uk", "apache.org", "spotify.com"]
@@ -36,7 +36,7 @@ fn main() {
             &[pair],
             &[0, 1, 2, 3],
             &networks,
-            calib::AB_VIDEOS[group.idx()],
+            group.calib().ab_videos,
             2024,
         );
         for network in networks {

@@ -187,18 +187,19 @@ fn speed_index_correlates_best_and_plt_worst_on_slow_networks() {
 #[test]
 fn table3_funnel_structure() {
     let (_stimuli, data) = mini_study();
+    let micro = Group::MicroWorker.calib();
     // Lab is supervised: everyone survives.
-    assert_eq!(data.funnel_ab[0].survivors(), 35);
+    assert_eq!(data.funnel_ab[0].survivors(), data.funnel_ab[0].recruited);
     // µWorker funnels shrink monotonically and end in the paper's
     // ballpark.
     let f = &data.funnel_ab[1];
-    assert_eq!(f.recruited, 487);
+    assert_eq!(f.recruited, micro.ab.recruited());
     for w in f.after.windows(2) {
         assert!(w[1] <= w[0]);
     }
     assert!((200..=270).contains(&f.survivors()), "{}", f.survivors());
     let fr = &data.funnel_rating[1];
-    assert_eq!(fr.recruited, 1563);
+    assert_eq!(fr.recruited, micro.rating.recruited());
     assert!((550..=690).contains(&fr.survivors()), "{}", fr.survivors());
 }
 
