@@ -5,6 +5,7 @@
 //! the command runs and flushed after it, here and nowhere else.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod edge_cell;
 mod export;

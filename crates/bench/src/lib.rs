@@ -76,6 +76,7 @@
 //! `benches/perf`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod manifest;
@@ -137,6 +138,11 @@ impl Scale {
         }
     }
 }
+
+/// The chaos spec of the CI `chaos-smoke` job and of every chaos pin;
+/// `tests/contract_digests.rs` holds `ci.yml` to this spelling.
+pub const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
+                              stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05;panic:p=0.05";
 
 /// Study seed from `PQ_SEED` (default 1910, the paper's arXiv month).
 /// An unparsable value warns via the tracer instead of being silently
@@ -222,6 +228,7 @@ pub fn run_experiment_from_env(header: &str) -> Experiment {
         stacks.len(),
         if faulted { ", faults=ON" } else { "" },
     );
+    #[expect(clippy::disallowed_methods, reason = "stderr progress line only")]
     let t0 = std::time::Instant::now();
     let e = run_experiment_with_stacks(scale, seed, &stacks);
     eprintln!("[{header}] pipeline done in {:.1?}", t0.elapsed());

@@ -196,6 +196,10 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, resumable: bool) -> Val
         .with("git_rev", git_rev())
         .with(
             "created_unix",
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "manifest timestamp, not digested"
+            )]
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map_or(0, |d| d.as_secs()),

@@ -10,13 +10,10 @@
 
 #![cfg(unix)]
 
+use pq_bench::CHAOS_SPEC;
 use pq_obs::json::Value;
 use std::path::Path;
 use std::process::{Command, Stdio};
-
-/// The chaos spec of the CI `chaos-smoke` job.
-const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
-                          stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05;panic:p=0.05";
 
 /// `pq runall` at smoke scale, seed 1910, in `dir`.
 fn runall(dir: &Path, faults: Option<&str>, jobs: u32) -> Command {

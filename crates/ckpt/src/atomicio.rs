@@ -43,6 +43,7 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     }
     let tmp = temp_path_for(path)?;
     let write = (|| {
+        #[expect(clippy::disallowed_methods, reason = "atomic_write's own temp file")]
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
@@ -70,6 +71,7 @@ pub fn durable_append(path: impl AsRef<Path>, line: &str) -> io::Result<()> {
     if let Some(d) = parent_dir(path) {
         fs::create_dir_all(d)?;
     }
+    #[expect(clippy::disallowed_methods, reason = "durable_append's own handle")]
     let mut f = fs::OpenOptions::new()
         .create(true)
         .append(true)

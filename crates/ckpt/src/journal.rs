@@ -324,6 +324,7 @@ fn replay_file(path: &Path) -> io::Result<(ReplayMap, Replay)> {
             path.display(),
             info.records
         ));
+        #[expect(clippy::disallowed_methods, reason = "torn-tail set_len, then fsync")]
         let f = fs::OpenOptions::new().write(true).open(path)?;
         f.set_len(off as u64)?;
         f.sync_all()?;
@@ -367,6 +368,7 @@ pub fn journal_open(path: impl AsRef<Path>, resume: bool) -> io::Result<Replay> 
         let _ = fs::remove_file(path);
         (BTreeMap::new(), Replay::default())
     };
+    #[expect(clippy::disallowed_methods, reason = "the journal's O_APPEND writer")]
     let writer = fs::OpenOptions::new()
         .create(true)
         .append(true)

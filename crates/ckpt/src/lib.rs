@@ -1,4 +1,3 @@
-// pq-lint: allow(unsafe) -- installing SIGINT/SIGTERM handlers requires one unsafe libc `signal` call; it is confined to sig.rs behind #![deny(unsafe_code)] and the handler only stores an AtomicBool
 //! # pq-ckpt — crash-safe resumable runs, zero deps
 //!
 //! The process-level counterpart to pq-fault: pq-fault makes
@@ -34,7 +33,7 @@
 //! `pq_obs::env` funnel. Diagnostics go through a pluggable
 //! [`set_warn_sink`] so `pq-obs` can route them into the tracer.
 
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod atomicio;

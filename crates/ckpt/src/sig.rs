@@ -12,7 +12,10 @@
 //! here: registering the handler via the libc `signal` symbol that
 //! `std` already links. Non-unix builds compile to a no-op installer.
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "installing SIGINT/SIGTERM handlers requires one unsafe libc `signal` call; it is confined to this module under the workspace's deny(unsafe_code) and the handler only stores an AtomicBool"
+)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -78,7 +78,10 @@ pub struct RatingVote {
 /// likability — the non-speed variance that bounds Fig. 6's
 /// correlations in fast networks). Drawn once per study.
 pub fn site_tastes(n_sites: u16, seed: u64) -> BTreeMap<u16, f64> {
-    // pq-lint: allow(rng) -- study-entry derivation point: `seed` is the study seed, tastes fork from the "site-taste" stream
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "study-entry derivation point: `seed` is the study seed, tastes fork from the site-taste stream"
+    )]
     let mut rng = SimRng::new(seed).fork("site-taste");
     (0..n_sites)
         .map(|s| (s, rng.normal_with(0.0, calib::SITE_TASTE_SD)))

@@ -73,7 +73,10 @@ pub(crate) fn per_participant<T: Sync, R: Send>(
     who: impl Fn(&T) -> (Group, u32) + Sync,
     f: impl Fn(&T, &mut SimRng) -> R + Sync,
 ) -> Vec<R> {
-    // pq-lint: allow(rng) -- the study layer's derivation point: `seed` is the study seed, `label` the stream, participants fork by (group, id)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the study layer's derivation point: `seed` is the study seed, `label` the stream, participants fork by (group, id)"
+    )]
     let rng = SimRng::new(seed).fork(label);
     pq_par::par_map(items, |item| {
         let (group, id) = who(item);

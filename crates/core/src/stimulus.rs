@@ -89,8 +89,11 @@ pub struct StimulusSet {
 /// output. A regression test pins a known value so an accidental
 /// re-derivation (which would silently invalidate every recorded
 /// baseline) cannot slip through.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this IS the sanctioned derivation point: the pure (seed, cell) → page-load-seed function"
+)]
 pub fn run_seed(seed: u64, site: &str, network: NetworkKind, protocol: Protocol, run: u32) -> u64 {
-    // pq-lint: allow(rng) -- this IS the sanctioned derivation point: the pure (seed, cell) → page-load-seed function
     SimRng::new(seed)
         .fork_idx(
             &format!("{}/{}/{}", site, network.name(), protocol.label()),
@@ -335,7 +338,6 @@ impl StimulusSet {
             let Some(&metrics) = typical_run(&all).and_then(|idx| all.get(idx)) else {
                 return Err(("typical-run selection failed".into(), attempt));
             };
-            // pq-lint: allow(float-sum) -- summed over one cell's serial run vector; order never depends on worker placement
             let mean_plt = all.iter().map(|m| m.plt_ms).sum::<f64>() / all.len() as f64;
             let got = all.len() as u32;
             Ok((
@@ -415,12 +417,17 @@ impl StimulusSet {
                         std::thread::sleep(std::time::Duration::from_millis(ms));
                     }
                     if pq_fault::injected_panic(p, &cell.label, pass) {
-                        // pq-lint: allow(panic) -- the injected panic IS the fault under test; try_par_map catches it and the pass loop retries/quarantines
-                        panic!(
-                            "{}: {} (pass {pass})",
-                            pq_fault::INJECTED_PANIC_MSG,
-                            cell.label
-                        );
+                        #[expect(
+                            clippy::panic,
+                            reason = "the injected panic IS the fault under test; try_par_map catches it and the pass loop retries/quarantines"
+                        )]
+                        {
+                            panic!(
+                                "{}: {} (pass {pass})",
+                                pq_fault::INJECTED_PANIC_MSG,
+                                cell.label
+                            );
+                        }
                     }
                 }
                 let res = build_cell(cell);

@@ -33,12 +33,12 @@ struct GeState {
 }
 
 impl LinkFault {
-    fn new(plan: &FaultPlan, seed: u64) -> LinkFault {
+    fn new(plan: &FaultPlan, rng: FaultRng) -> LinkFault {
         LinkFault {
             ge: plan.ge.map(|cfg| GeState {
                 cfg,
                 bad: false,
-                rng: FaultRng::new(seed),
+                rng,
             }),
             flap: plan.flap,
             bw: plan.bw_osc,
@@ -144,7 +144,7 @@ impl LoadFaults {
         }
         Some(LinkFault::new(
             &self.plan,
-            derive_seed(self.key, "link", fnv1a(dir.bytes())),
+            FaultRng::derived(self.key, "link", fnv1a(dir.bytes())),
         ))
     }
 
@@ -153,7 +153,7 @@ impl LoadFaults {
     #[must_use]
     pub fn server_stall_ms(&self, obj: u32) -> Option<f64> {
         let s = self.plan.stall?;
-        let mut rng = FaultRng::new(derive_seed(self.key, "stall", u64::from(obj)));
+        let mut rng = FaultRng::derived(self.key, "stall", u64::from(obj));
         if rng.chance(s.p) {
             Some(s.ms * (0.5 + rng.f64()))
         } else {
@@ -166,7 +166,7 @@ impl LoadFaults {
     #[must_use]
     pub fn truncate(&self, obj: u32) -> Option<f64> {
         let t = self.plan.trunc?;
-        let mut rng = FaultRng::new(derive_seed(self.key, "trunc", u64::from(obj)));
+        let mut rng = FaultRng::derived(self.key, "trunc", u64::from(obj));
         if rng.chance(t.p) {
             Some(t.frac)
         } else {
@@ -181,7 +181,7 @@ impl LoadFaults {
         let Some(h) = self.plan.hs else {
             return false;
         };
-        let mut rng = FaultRng::new(derive_seed(self.key, "hs", u64::from(conn)));
+        let mut rng = FaultRng::derived(self.key, "hs", u64::from(conn));
         rng.chance(h.p)
     }
 }

@@ -52,6 +52,7 @@
 //! appear on the trace timeline under the `fault` category.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod error;
@@ -127,8 +128,7 @@ pub fn injected_panic(plan: &FaultPlan, cell_label: &str, pass: u32) -> bool {
     let Some(p) = &plan.task_panic else {
         return false;
     };
-    let seed = derive_seed(plan.seed ^ 0x70A5_1C0F, cell_label, u64::from(pass));
-    let hit = FaultRng::new(seed).chance(p.p);
+    let hit = FaultRng::derived(plan.seed ^ 0x70A5_1C0F, cell_label, u64::from(pass)).chance(p.p);
     if hit {
         pq_obs::registry().counter_add("fault.injected", 1);
     }
@@ -148,8 +148,7 @@ pub const INJECTED_PANIC_MSG: &str = "pq-fault: injected task panic";
 /// `fault.injected` when the decision is yes.
 pub fn injected_slow(plan: &FaultPlan, cell_label: &str) -> Option<u64> {
     let slow = plan.slow.as_ref()?;
-    let seed = derive_seed(plan.seed ^ 0x5109_F00D, cell_label, 0);
-    if FaultRng::new(seed).chance(slow.p) {
+    if FaultRng::derived(plan.seed ^ 0x5109_F00D, cell_label, 0).chance(slow.p) {
         pq_obs::registry().counter_add("fault.injected", 1);
         Some(slow.ms.round().max(0.0) as u64)
     } else {

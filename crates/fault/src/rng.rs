@@ -23,6 +23,16 @@ impl FaultRng {
         FaultRng { state: seed }
     }
 
+    /// The stream keyed by `(base, label, idx)` through [`derive_seed`]
+    /// — how every fault decision gets its stream; a raw [`FaultRng::new`]
+    /// is what `clippy.toml` disallows.
+    #[must_use]
+    pub fn derived(base: u64, label: &str, idx: u64) -> Self {
+        FaultRng {
+            state: derive_seed(base, label, idx),
+        }
+    }
+
     /// Next raw 64-bit value (SplitMix64 step).
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

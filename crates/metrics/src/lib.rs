@@ -7,6 +7,7 @@
 //! the closest-to-mean-PLT typical-run selection of §3.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod metrics;

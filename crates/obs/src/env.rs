@@ -1,4 +1,4 @@
-//! The central environment-variable funnel (`pq-lint` rule `env`).
+//! The central environment-variable funnel.
 //!
 //! Every `PQ_*` (and shim) knob in the workspace reads the process
 //! environment through this module instead of calling `std::env::var`
@@ -11,9 +11,9 @@
 //!    tracer (once per variable per process) when a knob is *set but
 //!    unparsable* — the same policy `PQ_JOBS`, `PQ_SCALE` and
 //!    `PQ_SEED` already follow — instead of quietly falling back.
-//! 3. **Enforceability.** With exactly one sanctioned call site,
-//!    `pq-lint`'s `env` rule can mechanically reject raw
-//!    `std::env::var` reads anywhere else in the workspace, and the
+//! 3. **Enforceability.** `clippy.toml` disallows `std::env::var` /
+//!    `var_os` (`clippy::disallowed_methods`, denied at every crate
+//!    root); the two reads below carry the only `#[expect]`s, and the
 //!    funnel itself rejects (debug builds) a `PQ_*` read that
 //!    [`KNOWN_VARS`] does not declare.
 //!
@@ -68,6 +68,7 @@ fn assert_declared(name: &str) {
 ///
 /// Returns `None` when the variable is unset **or** not valid Unicode
 /// (the latter warns — a mangled knob must not be silently ignored).
+#[expect(clippy::disallowed_methods, reason = "the funnel itself")]
 pub fn var(name: &str) -> Option<String> {
     assert_declared(name);
     match std::env::var(name) {
@@ -87,6 +88,7 @@ pub fn var(name: &str) -> Option<String> {
 
 /// Read `name` as an OS string (for paths, which need not be Unicode).
 /// `None` when unset.
+#[expect(clippy::disallowed_methods, reason = "the funnel itself")]
 pub fn var_os(name: &str) -> Option<std::ffi::OsString> {
     assert_declared(name);
     std::env::var_os(name)

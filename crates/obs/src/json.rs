@@ -118,7 +118,7 @@ impl Value {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing data at byte {}", p.pos));
@@ -273,6 +273,11 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Deepest array / object nesting [`Value::parse`] accepts (the manifest
+/// and the Chrome trace nest ≤ 4): `value → array → value` recurses, and
+/// `[[[[…` from a user-named file must be an `Err`, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -314,14 +319,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -331,7 +340,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -341,7 +350,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -354,7 +363,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut map = Vec::new();
         self.skip_ws();
@@ -368,7 +377,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             map.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -527,6 +536,19 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{\"a\":1} trailing").is_err());
         assert!(Value::parse("nul").is_err());
+    }
+
+    /// Before the bound this aborted the process (SIGABRT, stack
+    /// overflow) instead of failing the test.
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let err = Value::parse(&open.repeat(200_000)).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 128 at byte "), "{err}");
+        }
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&deep(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

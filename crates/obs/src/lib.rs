@@ -34,7 +34,7 @@
 //! * [`env`] — the central environment-variable funnel: every `PQ_*`
 //!   knob in the workspace reads through [`env::var`] /
 //!   [`env::var_parsed`] (unparsable values warn via the tracer), and
-//!   `pq-lint`'s `env` rule rejects raw `std::env::var` calls
+//!   `clippy::disallowed_methods` rejects raw `std::env::var` calls
 //!   anywhere else.
 //!
 //! ## Environment knobs
@@ -57,6 +57,7 @@
 //!   one row per web object (the waterfall).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod env;

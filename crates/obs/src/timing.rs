@@ -28,6 +28,7 @@ impl Stopwatch {
     /// Start timing now.
     pub fn start() -> Self {
         Self {
+            #[expect(clippy::disallowed_methods, reason = "harness phase timing only")]
             started: Instant::now(),
         }
     }

@@ -211,6 +211,7 @@ pub fn tracer() -> &'static Tracer {
     TRACER.get_or_init(|| Tracer {
         level: AtomicU8::new(Level::Off as u8),
         next_pid: AtomicU32::new(1),
+        #[expect(clippy::disallowed_methods, reason = "epoch of harness trace stamps")]
         epoch: Instant::now(),
         inner: Mutex::new(Inner {
             capacity: DEFAULT_RING_CAPACITY,
@@ -313,7 +314,7 @@ impl Tracer {
 
     /// Record a completed span `start_ns..end_ns`. No-op below the
     /// active level.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per Chrome-trace field")]
     pub fn span(
         &self,
         level: Level,
@@ -342,7 +343,7 @@ impl Tracer {
     }
 
     /// Record an instant event.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per Chrome-trace field")]
     pub fn instant(
         &self,
         level: Level,
@@ -371,7 +372,7 @@ impl Tracer {
 
     /// Record a counter sample (a numeric time series; renders as a
     /// stacked area chart in Perfetto).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per Chrome-trace field")]
     pub fn counter(
         &self,
         level: Level,

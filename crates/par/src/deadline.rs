@@ -78,7 +78,10 @@ thread_local! {
 /// every item, on both the serial fast path and worker threads.
 pub(crate) fn task_started() {
     if cell_timeout_ms().is_some() {
-        // pq-lint: allow(time) -- deadline enforcement is wall-clock by definition; gated behind PQ_CELL_TIMEOUT_MS and never feeds simulated data
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline enforcement is wall-clock by definition; gated behind PQ_CELL_TIMEOUT_MS and never feeds simulated data"
+        )]
         TASK_START.with(|t| t.set(Some(Instant::now())));
     }
 }
@@ -126,7 +129,10 @@ impl Watchdog {
         let timeout_ms = cell_timeout_ms()?;
         Some(Watchdog {
             timeout_ms,
-            // pq-lint: allow(time) -- watchdog heartbeat epoch; only armed when PQ_CELL_TIMEOUT_MS is set and never feeds simulated data
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "watchdog heartbeat epoch; only armed when PQ_CELL_TIMEOUT_MS is set and never feeds simulated data"
+            )]
             epoch: Instant::now(),
             beats: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             workers_done: AtomicBool::new(false),

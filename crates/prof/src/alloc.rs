@@ -20,10 +20,10 @@
 //! * **Peak** — the high-water mark of live heap bytes while counting
 //!   was enabled, an estimate of the allocator's RSS contribution.
 
-// The one unsafe impl in the workspace: a GlobalAlloc wrapper cannot
-// be written in safe Rust. It only forwards to System and bumps
-// atomics — reviewed to stay allocation-free and panic-free.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the counting #[global_allocator] requires one unsafe impl; it is confined to this module under the workspace's deny(unsafe_code), only forwards to System and bumps atomics — reviewed to stay allocation-free and panic-free"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -45,7 +45,7 @@ struct Slot {
     bytes: AtomicU64,
 }
 
-#[allow(clippy::declare_interior_mutable_const)] // const used only as an array-repeat initializer
+#[allow(clippy::declare_interior_mutable_const, reason = "array-repeat init")]
 const ZERO_SLOT: Slot = Slot {
     allocs: AtomicU64::new(0),
     bytes: AtomicU64::new(0),

@@ -1,4 +1,3 @@
-// pq-lint: allow(unsafe) -- the counting #[global_allocator] requires one unsafe impl; it is confined to alloc.rs behind #![deny(unsafe_code)] and touches only atomics
 //! # pq-prof — hot-path profiling and allocation attribution, zero deps
 //!
 //! Answers "where inside the hot loop do the time and allocations go"
@@ -27,7 +26,7 @@
 //! folded profile; `pq-bench` folds the allocation report into the run
 //! manifest.
 
-#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod alloc;

@@ -73,6 +73,7 @@ fn push_frame(path: String) -> Span {
     TPROF.with(|t| {
         t.borrow_mut().stack.push(Frame {
             path,
+            #[expect(clippy::disallowed_methods, reason = "the profiler observes wall time")]
             start: Instant::now(),
             child_ns: 0,
         });

@@ -82,7 +82,7 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the geometry of one frame")]
 fn emit(
     out: &mut String,
     name: &str,

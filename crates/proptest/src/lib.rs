@@ -22,6 +22,7 @@
 //! with `PROPTEST_CASES`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use std::marker::PhantomData;
 use std::ops::Range;

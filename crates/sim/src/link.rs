@@ -243,10 +243,13 @@ impl<P> Link<P> {
     /// [`PushOutcome::StartedTx`] / [`TxDone::next_tx_done`].
     pub fn on_tx_done(&mut self, now: SimTime) -> TxDone<P> {
         let _link_span = pq_prof::span_dyn(|| format!("link:{}", self.obs_label));
+        #[expect(
+            clippy::expect_used,
+            reason = "in_flight is set by the StartedTx that scheduled this callback; the event queue fires exactly one tx-done per started tx"
+        )]
         let pkt = self
             .in_flight
             .take()
-            // pq-lint: allow(panic) -- in_flight is set by the StartedTx that scheduled this callback; the event queue fires exactly one tx-done per started tx
             .expect("tx-done callback with no packet in flight");
 
         // The baseline i.i.d. draw always happens first (and always

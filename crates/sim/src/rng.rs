@@ -52,6 +52,7 @@ impl SimRng {
     /// Forking is stable: the same parent seed and label always yield
     /// the same child stream, and draws from the parent after the fork
     /// do not affect the child (and vice versa).
+    #[expect(clippy::disallowed_methods, reason = "the derivation itself")]
     pub fn fork(&self, label: &str) -> SimRng {
         let mut h: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
         for b in label.as_bytes() {

@@ -9,6 +9,7 @@
 //! normality (the lab-vs-Internet distribution check of §4.2).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod anova;

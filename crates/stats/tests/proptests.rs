@@ -1,7 +1,8 @@
 //! Property-based tests for the statistics toolkit.
 
 use pq_stats::{
-    beta_inc, f_cdf, mean, median, one_way_anova, pearson, quantile, t_cdf, t_interval, variance,
+    beta_inc, chi2_cdf, f_cdf, mean, median, one_way_anova, pearson, quantile, t_cdf, t_critical,
+    t_interval, variance,
 };
 use proptest::prelude::*;
 
@@ -23,6 +24,19 @@ proptest! {
         let rhs = 1.0 - beta_inc(b, a, 1.0 - x);
         prop_assert!((lhs - rhs).abs() < 1e-9, "a={a} b={b} x={x}: {lhs} vs {rhs}");
         prop_assert!((0.0..=1.0).contains(&lhs));
+    }
+
+    /// Closed forms the figures rest on: χ²₂ is the exponential (the
+    /// exact form `pq agreement`'s Jarque–Bera p-value uses), and T² of
+    /// a t(df) is F(1, df), so the F CDF at the squared critical value
+    /// gives the confidence back.
+    #[test]
+    fn cdfs_match_their_closed_forms(x in 0.0f64..80.0, c in 0.5f64..0.995, df in 1.0f64..200.0) {
+        let (got, want) = (chi2_cdf(x, 2.0), 1.0 - (-x / 2.0).exp());
+        prop_assert!((got - want).abs() < 1e-12, "chi2_cdf({x}, 2) = {got}, 1 - e^(-x/2) = {want}");
+        let t = t_critical(c, df);
+        let back = f_cdf(t * t, 1.0, df);
+        prop_assert!((back - c).abs() < 1e-12, "f_cdf(t_critical({c}, {df})², 1, {df}) = {back}");
     }
 
     /// Mean lies within [min, max]; variance is non-negative; shifting

@@ -296,7 +296,10 @@ impl QuicEndpoint {
                         part: *part,
                         of: *of,
                     },
-                    // pq-lint: allow(panic) -- hs_queue only ever holds Chlo/Shlo; stream data goes through send_streams
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "hs_queue only ever holds Chlo/Shlo; stream data goes through send_streams"
+                    )]
                     SentFrame::Stream { .. } => unreachable!(),
                 });
                 sent_frame = Some(f);

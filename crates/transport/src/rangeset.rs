@@ -5,7 +5,7 @@
 //! enable it to progress further"):
 //!
 //! * the TCP receiver's out-of-order store (whence SACK blocks),
-//! * QUIC's ACK-frame ranges (unbounded, unlike TCP's 3-block cap),
+//! * QUIC's ACK-frame ranges (the 32 most recent, against TCP's 3 SACK blocks),
 //! * stream reassembly buffers on both transports.
 
 use std::fmt;

@@ -1,7 +1,7 @@
 //! Property-based tests: range-set algebra (the foundation of SACK,
 //! QUIC ACK ranges and stream reassembly) and pacing invariants.
 
-use pq_sim::{SimDuration, SimTime};
+use pq_sim::SimTime;
 use pq_transport::pacing::Pacer;
 use pq_transport::RangeSet;
 use proptest::prelude::*;
@@ -246,10 +246,4 @@ proptest! {
             p.on_send(now, s);
         }
     }
-}
-
-/// SimDuration is unused on some proptest config paths.
-#[allow(dead_code)]
-fn _keep(d: SimDuration) -> SimDuration {
-    d
 }

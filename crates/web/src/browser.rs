@@ -266,7 +266,10 @@ pub fn load_page_with_config(
     opts: &LoadOptions,
 ) -> PageLoadResult {
     let protocol = cfg.protocol;
-    // pq-lint: allow(rng) -- load-entry derivation point: `seed` is the per-cell run_seed; every sub-stream forks from it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "load-entry derivation point: `seed` is the per-cell run_seed; every sub-stream forks from it"
+    )]
     let rng = SimRng::new(seed);
     let client_mux = Mux::for_client(protocol, opts.http_version);
 

@@ -8,6 +8,21 @@
 //! visual timeline the metrics crate consumes.
 
 #![forbid(unsafe_code)]
+// The digest-feeding set (README "Static analysis"), non-test code only.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod browser;

@@ -40,7 +40,10 @@ impl Website {
     /// Generate a site from its spec. Deterministic: the same spec
     /// yields the same site forever.
     pub fn generate(spec: &SiteSpec) -> Website {
-        // pq-lint: allow(rng) -- catalogue derivation point: site generation is a pure function of the committed spec seed
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "catalogue derivation point: site generation is a pure function of the committed spec seed"
+        )]
         let mut rng = SimRng::new(spec.seed ^ 0x5173_5173);
         let n = spec.objects.max(1);
         let origins = spec.origins.clamp(1, n.min(u32::from(u16::MAX)) as u16);

@@ -9,7 +9,7 @@
 //! so the tests share one binary and run on parallel threads.
 
 use pq_bench::manifest::study_digest;
-use pq_bench::{run_experiment_with_stacks, sites_for, Scale};
+use pq_bench::{run_experiment_with_stacks, sites_for, Scale, CHAOS_SPEC};
 use pq_fault::FaultPlan;
 use pq_sim::NetworkKind;
 use pq_study::{run_study_with, StimulusSet};
@@ -18,11 +18,12 @@ use std::sync::Arc;
 
 const SEED: u64 = 1910;
 
-/// The chaos spec of the CI `chaos-smoke` job.
-const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
-                          stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05;panic:p=0.05";
-
 fn chaos() -> Option<Arc<FaultPlan>> {
+    assert!(
+        include_str!("../.github/workflows/ci.yml")
+            .contains(&format!("PQ_FAULTS: \"{CHAOS_SPEC}\"")),
+        "the CI chaos-smoke job must run pq_bench::CHAOS_SPEC verbatim"
+    );
     Some(Arc::new(
         FaultPlan::parse(CHAOS_SPEC).expect("chaos spec parses"),
     ))
