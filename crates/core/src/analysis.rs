@@ -3,7 +3,7 @@
 
 use crate::ab::{AbChoice, AbVote};
 use crate::participant::Group;
-use crate::rating::{Environment, RatingVote};
+use crate::rating::{Environment, RatingVotes};
 use crate::stimulus::StimulusSet;
 use pq_metrics::Metric;
 use pq_sim::NetworkKind;
@@ -11,6 +11,7 @@ use pq_stats::{
     median, one_way_anova, pearson, t_interval, AnovaResult, ConfidenceInterval, TIntervals,
 };
 use pq_transport::Protocol;
+use std::slice;
 
 /// Vote shares of one A/B cell (one bar of Figure 4).
 #[derive(Clone, Copy, Debug)]
@@ -53,30 +54,24 @@ pub fn ab_shares(
     })
 }
 
-/// Speed votes of one Figure 5 cell (valid votes only).
+/// Speed votes of one Figure 5 cell (valid votes only), in vote
+/// order; `network: None` spans every network.
 pub fn rating_sample(
-    votes: &[RatingVote],
+    votes: &RatingVotes,
     env: Environment,
     network: Option<NetworkKind>,
     protocol: Protocol,
     group: Group,
 ) -> Vec<f64> {
-    votes
-        .iter()
-        .filter(|v| {
-            v.valid
-                && v.environment == env
-                && v.protocol == protocol
-                && v.group == group
-                && network.is_none_or(|n| v.network == n)
-        })
-        .map(|v| v.speed)
-        .collect()
+    let networks = network
+        .as_ref()
+        .map_or(&NetworkKind::ALL[..], slice::from_ref);
+    votes.speeds(group, &[env], networks, protocol, None)
 }
 
 /// Figure 5: mean vote + 99 % CI for one cell.
 pub fn rating_interval(
-    votes: &[RatingVote],
+    votes: &RatingVotes,
     env: Environment,
     network: Option<NetworkKind>,
     protocol: Protocol,
@@ -90,46 +85,20 @@ pub fn rating_interval(
     Some(t_interval(&xs, confidence))
 }
 
-/// Speed votes grouped in one scan of `votes`: bucket `k` of the `n`
-/// returned holds, in vote order, the speed of every valid vote that
-/// `key` maps to `Some(k)`. A vote mapped to `None`, or to a bucket
-/// past `n`, belongs to no cell of the caller's and is ignored.
-fn group_speeds(
-    votes: &[RatingVote],
-    n: usize,
-    key: impl Fn(&RatingVote) -> Option<usize>,
-) -> Vec<Vec<f64>> {
-    let mut buckets = vec![Vec::new(); n];
-    for v in votes.iter().filter(|v| v.valid) {
-        if let Some(bucket) = key(v).and_then(|k| buckets.get_mut(k)) {
-            bucket.push(v.speed);
-        }
-    }
-    buckets
-}
-
 /// §4.4 significance: one-way ANOVA across the five protocols within
 /// an environment × network cell.
 pub fn anova_across_protocols(
-    votes: &[RatingVote],
+    votes: &RatingVotes,
     env: Environment,
     network: Option<NetworkKind>,
     protocols: &[Protocol],
     group: Group,
 ) -> Option<AnovaResult> {
-    // A protocol listed twice reads the bucket of its first listing.
-    let slot = |p: Protocol| protocols.iter().position(|&q| q == p);
-    let samples = group_speeds(votes, protocols.len(), |v| {
-        if v.environment != env || v.group != group || network.is_some_and(|n| v.network != n) {
-            return None;
-        }
-        slot(v.protocol)
-    });
-    let refs: Vec<&[f64]> = protocols
+    let samples: Vec<Vec<f64>> = protocols
         .iter()
-        .filter_map(|&p| samples.get(slot(p)?))
-        .map(Vec::as_slice)
+        .map(|&p| rating_sample(votes, env, network, p, group))
         .collect();
+    let refs: Vec<&[f64]> = samples.iter().map(Vec::as_slice).collect();
     one_way_anova(&refs)
 }
 
@@ -154,39 +123,26 @@ pub struct SiteDifference {
 /// Find per-site pairwise protocol differences significant at
 /// `confidence` (paper: 90 %), within one network.
 pub fn per_site_differences(
-    votes: &[RatingVote],
+    votes: &RatingVotes,
     network: NetworkKind,
     pairs: &[(Protocol, Protocol)],
     group: Group,
     confidence: f64,
     n_sites: u16,
 ) -> Vec<SiteDifference> {
-    // One bucket per site × protocol side of a pair; a protocol named
-    // more than once reads the bucket of its first mention, and a site
-    // ≥ `n_sites` lands past the last bucket.
-    let named: Vec<Protocol> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-    let slot = |p: Protocol| named.iter().position(|&q| q == p);
-    let cell = |site: u16, p: Protocol| Some(usize::from(site) * named.len() + slot(p)?);
-    let samples = group_speeds(votes, usize::from(n_sites) * named.len(), |v| {
-        if v.group != group || v.network != network {
-            return None;
-        }
-        cell(v.site, v.protocol)
-    });
     let mut out = Vec::new();
     for site in 0..n_sites {
         for &(a, b) in pairs {
-            let sample = |p: Protocol| cell(site, p).and_then(|k| samples.get(k));
-            let (Some(xs), Some(ys)) = (sample(a), sample(b)) else {
-                continue;
-            };
+            let sample =
+                |p: Protocol| votes.speeds(group, &Environment::ALL, &[network], p, Some(site));
+            let (xs, ys) = (sample(a), sample(b));
             if xs.len() < 4 || ys.len() < 4 {
                 continue;
             }
-            if let Some(r) = one_way_anova(&[xs, ys]) {
+            if let Some(r) = one_way_anova(&[&xs, &ys]) {
                 if r.significant_at(confidence) {
-                    let ma = pq_stats::mean(xs);
-                    let mb = pq_stats::mean(ys);
+                    let ma = pq_stats::mean(&xs);
+                    let mb = pq_stats::mean(&ys);
                     let (better, worse, diff) = if ma >= mb {
                         (a, b, ma - mb)
                     } else {
@@ -213,7 +169,7 @@ pub fn per_site_differences(
 /// As in the paper: "first calculating the mean vote for each website
 /// and combining it with the technical metric".
 pub fn metric_correlation(
-    votes: &[RatingVote],
+    votes: &RatingVotes,
     stimuli: &StimulusSet,
     network: NetworkKind,
     protocol: Protocol,
@@ -221,16 +177,15 @@ pub fn metric_correlation(
     group: Group,
     envs: &[Environment],
 ) -> Option<f64> {
-    let samples = group_speeds(votes, usize::from(stimuli.site_count()), |v| {
-        (v.protocol == protocol
-            && v.network == network
-            && v.group == group
-            && envs.contains(&v.environment))
-        .then_some(usize::from(v.site))
-    });
+    // An environment listed twice still counts its votes once.
+    let envs: Vec<Environment> = Environment::ALL
+        .into_iter()
+        .filter(|e| envs.contains(e))
+        .collect();
     let mut xs = Vec::new(); // metric value per site
     let mut ys = Vec::new(); // mean vote per site
-    for (sample, site) in samples.iter().zip(0u16..) {
+    for site in 0..stimuli.site_count() {
+        let sample = votes.speeds(group, &envs, &[network], protocol, Some(site));
         if sample.is_empty() {
             continue;
         }
@@ -239,7 +194,7 @@ pub fn metric_correlation(
             continue;
         };
         xs.push(stim.metrics.get(metric));
-        ys.push(pq_stats::mean(sample));
+        ys.push(pq_stats::mean(&sample));
     }
     pearson(&xs, &ys)
 }
@@ -322,34 +277,35 @@ impl AgreementRow {
 /// §4.2 reports; `pq agreement` prints the test and pq-bench pins the
 /// two verdicts. µWorker residuals fail it too at n ≈ 17 000 and keep
 /// the paper's mean + CI (EXPERIMENTS.md, Deviations).
-pub fn fig3_agreement(votes: &[RatingVote], confidence: f64) -> Vec<AgreementRow> {
-    use std::collections::BTreeMap;
-    type Key = (u16, NetworkKind, Protocol, Environment);
-    let mut per_cond: BTreeMap<Key, [Vec<f64>; 3]> = BTreeMap::new();
-    for v in votes.iter().filter(|v| v.valid) {
-        let key = (v.site, v.network, v.protocol, v.environment);
-        if let Some(sample) = per_cond.entry(key).or_default().get_mut(v.group.idx()) {
-            sample.push(v.speed);
-        }
-    }
+pub fn fig3_agreement(votes: &RatingVotes, confidence: f64) -> Vec<AgreementRow> {
     // Conditions share a few dozen sample sizes between them: one t
     // quantile per size, not one per row per group.
     let mut intervals = TIntervals::new(confidence);
-    let mut rows: Vec<AgreementRow> = per_cond
-        .into_iter()
-        .filter(|(_, [lab, micro, _])| lab.len() >= 2 && micro.len() >= 2)
-        .map(
-            |((site, network, protocol, environment), [lab, micro, internet])| AgreementRow {
-                site,
-                network,
-                protocol,
-                environment,
-                lab: intervals.interval(&lab),
-                micro: intervals.interval(&micro),
-                internet_median: (!internet.is_empty()).then(|| median(&internet)),
-            },
-        )
-        .collect();
+    let mut rows = Vec::new();
+    // Conditions in (site, network, protocol, environment) order, so
+    // the stable sort below breaks lab-mean ties by that key.
+    for &site in votes.sites() {
+        for network in NetworkKind::ALL {
+            for protocol in Protocol::ALL_WITH_EDGE {
+                for environment in Environment::ALL {
+                    let [lab, micro, internet] = Group::ALL
+                        .map(|g| votes.speeds(g, &[environment], &[network], protocol, Some(site)));
+                    if lab.len() < 2 || micro.len() < 2 {
+                        continue;
+                    }
+                    rows.push(AgreementRow {
+                        site,
+                        network,
+                        protocol,
+                        environment,
+                        lab: intervals.interval(&lab),
+                        micro: intervals.interval(&micro),
+                        internet_median: (!internet.is_empty()).then(|| median(&internet)),
+                    });
+                }
+            }
+        }
+    }
     rows.sort_by(|a, b| a.lab.mean.total_cmp(&b.lab.mean));
     rows
 }
@@ -357,6 +313,7 @@ pub fn fig3_agreement(votes: &[RatingVote], confidence: f64) -> Vec<AgreementRow
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rating::RatingVote;
 
     fn vote(
         group: Group,
@@ -445,7 +402,7 @@ mod tests {
             ));
         }
         let r = anova_across_protocols(
-            &votes,
+            &votes.into(),
             Environment::Work,
             Some(NetworkKind::Lte),
             &[Protocol::Quic, Protocol::Tcp],
@@ -477,7 +434,7 @@ mod tests {
             ));
         }
         let diffs = per_site_differences(
-            &votes,
+            &votes.into(),
             NetworkKind::Dsl,
             &[(Protocol::Quic, Protocol::Tcp)],
             Group::MicroWorker,
@@ -528,7 +485,7 @@ mod tests {
                 ));
             }
         }
-        let rows = fig3_agreement(&votes, 0.99);
+        let rows = fig3_agreement(&votes.into(), 0.99);
         assert_eq!(rows.len(), 2);
         assert!(rows[0].lab.mean < rows[1].lab.mean);
         assert!(rows[0].micro_agrees(), "µW mean within lab CI");
@@ -561,7 +518,7 @@ mod tests {
                 }
             }
         }
-        let rows = fig3_agreement(&votes, 0.99);
+        let rows = fig3_agreement(&votes.into(), 0.99);
         let order: Vec<(u16, Protocol)> = rows.iter().map(|r| (r.site, r.protocol)).collect();
         assert_eq!(
             order,

@@ -62,7 +62,7 @@ pub use analysis::{
 };
 pub use filtering::{Conformance, Funnel, Rule};
 pub use participant::{AgeBracket, Group, Participant};
-pub use rating::{run_rating_study, site_tastes, Environment, RatingVote};
+pub use rating::{run_rating_study, site_tastes, Environment, RatingVote, RatingVotes};
 pub use runner::{run_study, run_study_with, StudyData};
 pub use session::{population, Session, StudyKind};
 pub use stimulus::{Condition, Stimulus, StimulusSet};

@@ -11,7 +11,7 @@ use crate::calib;
 use crate::participant::Group;
 use crate::percept;
 use crate::session::{per_participant, Session};
-use crate::stimulus::StimulusSet;
+use crate::stimulus::{net_protocol_idx, StimulusSet, NET_PROTOCOLS};
 use pq_sim::{NetworkKind, SimRng};
 use pq_transport::Protocol;
 use std::collections::BTreeMap;
@@ -72,6 +72,156 @@ pub struct RatingVote {
     pub quality: f64,
     /// Survives conformance filtering?
     pub valid: bool,
+}
+
+/// One study's rating votes plus an index of the valid ones, so the
+/// Figure 3/5/6 analysis reads the cells it asks about instead of
+/// scanning every vote.
+///
+/// The index is built once, in [`From<Vec<RatingVote>>`], and nothing
+/// can add, remove or change a vote afterwards (read access goes
+/// through `Deref<Target = [RatingVote]>`), so it always describes the
+/// votes next to it.
+#[derive(Debug)]
+pub struct RatingVotes {
+    votes: Vec<RatingVote>,
+    /// Distinct sites of the valid votes, ascending; a cell's site
+    /// coordinate is a position in this list, so the index grows with
+    /// the sites present, not with the largest site number.
+    sites: Vec<u16>,
+    /// Cell `c` (group × environment × network × protocol × site,
+    /// site innermost) holds `entries[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// One entry per valid vote, grouped by cell, in vote order within
+    /// a cell.
+    entries: Vec<Entry>,
+}
+
+/// A valid vote in the index: where it sits in the vote vector, and
+/// its speed rating.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    pos: usize,
+    speed: f64,
+}
+
+/// Cell of a group × environment × network × protocol, before the
+/// site coordinate is added.
+fn stratum(group: Group, env: Environment, network: NetworkKind, protocol: Protocol) -> usize {
+    (group.idx() * Environment::ALL.len() + env as usize) * NET_PROTOCOLS
+        + net_protocol_idx(network, protocol)
+}
+
+impl From<Vec<RatingVote>> for RatingVotes {
+    fn from(votes: Vec<RatingVote>) -> RatingVotes {
+        let mut sites: Vec<u16> = votes.iter().filter(|v| v.valid).map(|v| v.site).collect();
+        sites.sort_unstable();
+        sites.dedup();
+        let cell = |v: &RatingVote| {
+            let slot = sites.binary_search(&v.site).ok()?;
+            Some(stratum(v.group, v.environment, v.network, v.protocol) * sites.len() + slot)
+        };
+        let valid = || votes.iter().enumerate().filter(|(_, v)| v.valid);
+        // Count cell `c` at `starts[c + 1]`; a running sum then makes
+        // `starts[c]` the first entry of cell `c`.
+        let mut starts =
+            vec![0; Group::ALL.len() * Environment::ALL.len() * NET_PROTOCOLS * sites.len() + 1];
+        for (_, v) in valid() {
+            if let Some(n) = cell(v).and_then(|c| starts.get_mut(c + 1)) {
+                *n += 1;
+            }
+        }
+        let mut total = 0;
+        for s in &mut starts {
+            total += *s;
+            *s = total;
+        }
+        // Fill in vote order, so every cell lists its votes in order.
+        let mut entries = vec![Entry { pos: 0, speed: 0.0 }; total];
+        let mut next = starts.clone();
+        for (pos, v) in valid() {
+            let Some(at) = cell(v).and_then(|c| next.get_mut(c)) else {
+                continue;
+            };
+            if let Some(e) = entries.get_mut(*at) {
+                *e = Entry {
+                    pos,
+                    speed: v.speed,
+                };
+            }
+            *at += 1;
+        }
+        RatingVotes {
+            votes,
+            sites,
+            starts,
+            entries,
+        }
+    }
+}
+
+impl RatingVotes {
+    /// Distinct sites of the valid votes, ascending.
+    pub(crate) fn sites(&self) -> &[u16] {
+        &self.sites
+    }
+
+    /// Speeds of `group`'s valid votes for `protocol` under every
+    /// environment of `envs` and network of `networks`, at `site` (all
+    /// sites when `None`), in vote order — the sample one scan of the
+    /// votes would collect. `envs` and `networks` list each entry once.
+    pub(crate) fn speeds(
+        &self,
+        group: Group,
+        envs: &[Environment],
+        networks: &[NetworkKind],
+        protocol: Protocol,
+        site: Option<u16>,
+    ) -> Vec<f64> {
+        let mut picked = Vec::new();
+        for &env in envs {
+            for &network in networks {
+                picked.extend_from_slice(self.cells(stratum(group, env, network, protocol), site));
+            }
+        }
+        // Each cell is in vote order; merging them restores it across
+        // cells, so every sum over the sample adds in the same order.
+        picked.sort_by_key(|e| e.pos);
+        picked.into_iter().map(|e| e.speed).collect()
+    }
+
+    /// The entries of one stratum at `site`, or at all its sites.
+    fn cells(&self, stratum: usize, site: Option<u16>) -> &[Entry] {
+        let first = stratum * self.sites.len();
+        let (lo, hi) = match site {
+            None => (first, first + self.sites.len()),
+            Some(s) => match self.sites.binary_search(&s) {
+                Ok(slot) => (first + slot, first + slot + 1),
+                Err(_) => return &[],
+            },
+        };
+        match (self.starts.get(lo), self.starts.get(hi)) {
+            (Some(&a), Some(&b)) => self.entries.get(a..b).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+}
+
+impl std::ops::Deref for RatingVotes {
+    type Target = [RatingVote];
+
+    fn deref(&self) -> &[RatingVote] {
+        &self.votes
+    }
+}
+
+impl<'a> IntoIterator for &'a RatingVotes {
+    type Item = &'a RatingVote;
+    type IntoIter = std::slice::Iter<'a, RatingVote>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.votes.iter()
+    }
 }
 
 /// Per-site "taste" offsets shared by every participant (site design
@@ -300,6 +450,44 @@ mod tests {
         let ys: Vec<f64> = votes.iter().map(|v| v.quality).collect();
         let r = pq_stats::pearson(&xs, &ys).unwrap();
         assert!(r > 0.6, "speed/quality correlation {r}");
+    }
+
+    #[test]
+    fn vote_index_grows_with_the_sites_present() {
+        // The last cell of every coordinate, at the largest site number.
+        let vote = |site, valid| RatingVote {
+            group: Group::Internet,
+            participant: 0,
+            site,
+            network: NetworkKind::Mss,
+            protocol: Protocol::H2Edge,
+            environment: Environment::Plane,
+            speed: 42.0,
+            quality: 42.0,
+            valid,
+        };
+        let votes = RatingVotes::from(vec![
+            vote(u16::MAX, true),
+            vote(3, false),
+            vote(u16::MAX, true),
+        ]);
+        assert_eq!(votes.len(), 3);
+        assert_eq!(votes.sites(), [u16::MAX], "invalid votes are not indexed");
+        assert_eq!(
+            votes.starts.len(),
+            Group::ALL.len() * Environment::ALL.len() * NET_PROTOCOLS + 1
+        );
+        let speeds = |site| {
+            votes.speeds(
+                Group::Internet,
+                &[Environment::Plane],
+                &[NetworkKind::Mss],
+                Protocol::H2Edge,
+                Some(site),
+            )
+        };
+        assert_eq!(speeds(u16::MAX), [42.0, 42.0]);
+        assert!(speeds(3).is_empty());
     }
 
     #[test]

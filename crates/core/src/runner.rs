@@ -12,7 +12,7 @@
 use crate::ab::{run_ab_study, AbVote};
 use crate::filtering::Funnel;
 use crate::participant::Group;
-use crate::rating::{run_rating_study, site_tastes, RatingVote};
+use crate::rating::{run_rating_study, site_tastes, RatingVotes};
 use crate::session::{population, Session, StudyKind};
 use crate::stimulus::StimulusSet;
 use pq_obs::{ArgValue, Level};
@@ -64,8 +64,9 @@ fn over_pools<V>(
 pub struct StudyData {
     /// A/B votes (all groups; filter on `valid`).
     pub ab: Vec<AbVote>,
-    /// Rating votes (all groups; filter on `valid`).
-    pub ratings: Vec<RatingVote>,
+    /// Rating votes (all groups; filter on `valid`), indexed for the
+    /// figure analysis.
+    pub ratings: RatingVotes,
     /// Table 3, upper half: A/B funnels per group.
     pub funnel_ab: [Funnel; 3],
     /// Table 3, lower half: rating funnels per group.
@@ -140,7 +141,7 @@ pub fn run_study_with(
         });
     StudyData {
         ab,
-        ratings,
+        ratings: ratings.into(),
         funnel_ab,
         funnel_rating,
         sessions_ab,

@@ -11,7 +11,6 @@ use pq_metrics::{typical_run, MetricSet};
 use pq_sim::{NetworkKind, SimRng};
 use pq_transport::Protocol;
 use pq_web::{load_page, LoadOptions, Website};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One experimental condition.
@@ -23,6 +22,21 @@ pub struct Condition {
     pub network: NetworkKind,
     /// Protocol stack.
     pub protocol: Protocol,
+}
+
+/// Network × protocol combinations: one site's row of the grid.
+pub(crate) const NET_PROTOCOLS: usize = NetworkKind::ALL.len() * Protocol::ALL_WITH_EDGE.len();
+
+/// Dense position of a network × protocol combination, in the order
+/// [`Condition`]'s derived `Ord` sorts them: network first, each enum
+/// in declaration order, which is its discriminant order.
+pub(crate) fn net_protocol_idx(network: NetworkKind, protocol: Protocol) -> usize {
+    network as usize * Protocol::ALL_WITH_EDGE.len() + protocol as usize
+}
+
+/// Position of a condition in [`StimulusSet`]'s grid.
+fn grid_idx(site: u16, network: NetworkKind, protocol: Protocol) -> usize {
+    usize::from(site) * NET_PROTOCOLS + net_protocol_idx(network, protocol)
 }
 
 /// The typical recording of one condition plus aggregates over runs.
@@ -66,7 +80,10 @@ pub struct QuarantinedCell {
 pub struct StimulusSet {
     /// Site names, indexed by [`Condition::site`].
     pub site_names: Vec<String>,
-    map: BTreeMap<Condition, Stimulus>,
+    /// Every site × network × protocol cell, at [`grid_idx`] — that
+    /// is, in [`Condition`] order. `None` where the cell was not built
+    /// or was quarantined.
+    grid: Vec<Option<Stimulus>>,
     /// Cells that never produced a valid run (deterministic grid
     /// order).
     quarantined: Vec<QuarantinedCell>,
@@ -465,7 +482,7 @@ impl StimulusSet {
             }
         }
 
-        let mut map = BTreeMap::new();
+        let mut grid = vec![None; sites.len() * NET_PROTOCOLS];
         let mut quarantined = Vec::new();
         let mut runs_retried = 0u64;
         let mut cells_timed_out = 0u64;
@@ -473,7 +490,10 @@ impl StimulusSet {
             let (reason, attempts) = match cell.outcome {
                 Some(Ok((stim, retried))) => {
                     runs_retried += retried;
-                    map.insert(cell.cond, stim);
+                    let c = cell.cond;
+                    if let Some(slot) = grid.get_mut(grid_idx(c.site, c.network, c.protocol)) {
+                        *slot = Some(stim);
+                    }
                     continue;
                 }
                 Some(Err((reason, attempts))) => {
@@ -538,7 +558,7 @@ impl StimulusSet {
         }
         StimulusSet {
             site_names: sites.iter().map(|s| s.name.clone()).collect(),
-            map,
+            grid,
             quarantined,
             runs_retried,
             resumed_cells,
@@ -547,13 +567,10 @@ impl StimulusSet {
     }
 
     /// Look up one condition's stimulus; `None` when the cell was
-    /// quarantined (consumers skip it and proceed on partial data).
+    /// quarantined (consumers skip it and proceed on partial data) or
+    /// never built.
     pub fn get(&self, site: u16, network: NetworkKind, protocol: Protocol) -> Option<&Stimulus> {
-        self.map.get(&Condition {
-            site,
-            network,
-            protocol,
-        })
+        self.grid.get(grid_idx(site, network, protocol))?.as_ref()
     }
 
     /// Cells that exhausted their retry budget without one valid run,
@@ -584,17 +601,17 @@ impl StimulusSet {
         self.site_names.len() as u16
     }
 
-    /// All stimuli (arbitrary order).
+    /// All stimuli, in [`Condition`] order.
     pub fn iter(&self) -> impl Iterator<Item = &Stimulus> {
-        self.map.values()
+        self.grid.iter().flatten()
     }
 
-    /// The networks present in this set.
+    /// The networks present in this set, in [`NetworkKind::ALL`] order.
     pub fn networks(&self) -> Vec<NetworkKind> {
-        let mut v: Vec<NetworkKind> = self.map.keys().map(|c| c.network).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+        NetworkKind::ALL
+            .into_iter()
+            .filter(|&n| self.iter().any(|s| s.condition.network == n))
+            .collect()
     }
 }
 
@@ -720,6 +737,71 @@ mod tests {
                 assert_eq!(s.mean_retransmits.to_bits(), p.mean_retransmits.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn dense_grid_answers_as_a_condition_map() {
+        // The grid's position arithmetic assumes each `ALL` list is in
+        // discriminant order.
+        assert!(NetworkKind::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &n)| n as usize == i));
+        assert!(Protocol::ALL_WITH_EDGE
+            .iter()
+            .enumerate()
+            .all(|(i, &p)| p as usize == i));
+        let sites: Vec<Website> = ["apache.org", "wikipedia.org"]
+            .iter()
+            .map(|n| catalogue::site(n).unwrap())
+            .collect();
+        // Networks and stacks that skip grid rows, the last stack of
+        // all, and panics that quarantine some cells for good.
+        let networks = [NetworkKind::Lte, NetworkKind::Mss];
+        let protocols = [Protocol::Tcp, Protocol::QuicEdge, Protocol::H2Edge];
+        let plan = FaultPlan::parse("seed=3;panic:p=0.5").unwrap();
+        let set = StimulusSet::build_with_faults(
+            &sites,
+            &networks,
+            &protocols,
+            1,
+            5,
+            Some(Arc::new(plan)),
+        );
+        assert!(!set.quarantined().is_empty(), "no quarantined hole");
+        let mut expected = Vec::new();
+        for site in [0, 1, 2, u16::MAX] {
+            for network in NetworkKind::ALL {
+                for protocol in Protocol::ALL_WITH_EDGE {
+                    let cond = Condition {
+                        site,
+                        network,
+                        protocol,
+                    };
+                    let quarantined = set.quarantined().iter().any(|q| {
+                        sites
+                            .get(usize::from(site))
+                            .is_some_and(|s| s.name == q.site)
+                            && q.network == network.name()
+                            && q.protocol == protocol.label()
+                    });
+                    let built = usize::from(site) < sites.len()
+                        && networks.contains(&network)
+                        && protocols.contains(&protocol);
+                    let got = set.get(site, network, protocol);
+                    assert_eq!(got.is_some(), built && !quarantined, "{cond:?}");
+                    if let Some(s) = got {
+                        assert_eq!(s.condition, cond);
+                        expected.push(cond);
+                    }
+                }
+            }
+        }
+        // The loops above walk conditions in key order.
+        let walked: Vec<Condition> = set.iter().map(|s| s.condition).collect();
+        assert!(!walked.is_empty());
+        assert_eq!(walked, expected);
+        assert_eq!(set.networks(), networks);
     }
 
     #[test]

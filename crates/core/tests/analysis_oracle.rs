@@ -1,27 +1,61 @@
-//! Differential tests for the single-pass figure analysis: the
-//! per-cell `filter → collect` form the analysis had before it grouped
-//! its votes in one scan is kept here as the reference, and every
-//! number the two forms return must agree bit for bit — the buckets
-//! hold the same doubles in the same order, so every mean, ANOVA and
-//! Pearson sums identically.
+//! Differential tests for the indexed figure analysis: the per-cell
+//! `filter → collect` scans the analysis used before it read cells of
+//! `RatingVotes`' index are kept here as the reference, and every
+//! number the two forms return must agree bit for bit — a sample read
+//! from the index holds the same doubles in the same order as the scan
+//! collected, so every mean, ANOVA, median and Pearson sums
+//! identically.
 
 use pq_fault::FaultPlan;
 use pq_metrics::Metric;
 use pq_sim::NetworkKind;
-use pq_stats::{one_way_anova, pearson, AnovaResult};
+use pq_stats::{median, one_way_anova, pearson, t_interval, AnovaResult, ConfidenceInterval};
 use pq_study::analysis::{
-    anova_across_protocols, metric_correlation, per_site_differences, rating_sample, SiteDifference,
+    anova_across_protocols, fig3_agreement, metric_correlation, per_site_differences,
+    rating_interval, rating_sample, AgreementRow, SiteDifference,
 };
-use pq_study::{Environment, Group, RatingVote, StimulusSet};
+use pq_study::{Environment, Group, RatingVote, RatingVotes, StimulusSet};
 use pq_transport::Protocol;
 use pq_web::catalogue;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-/// The analysis as it was: one full scan of the votes per cell
-/// (`rating_sample` is that scan for Fig. 5 and has not changed).
+/// The analysis as it was: one full scan of the votes per cell.
 mod reference {
     use super::*;
+    use std::collections::BTreeMap;
+
+    pub fn rating_sample(
+        votes: &[RatingVote],
+        env: Environment,
+        network: Option<NetworkKind>,
+        protocol: Protocol,
+        group: Group,
+    ) -> Vec<f64> {
+        votes
+            .iter()
+            .filter(|v| {
+                v.valid
+                    && v.environment == env
+                    && v.protocol == protocol
+                    && v.group == group
+                    && network.is_none_or(|n| v.network == n)
+            })
+            .map(|v| v.speed)
+            .collect()
+    }
+
+    pub fn rating_interval(
+        votes: &[RatingVote],
+        env: Environment,
+        network: Option<NetworkKind>,
+        protocol: Protocol,
+        group: Group,
+        confidence: f64,
+    ) -> Option<ConfidenceInterval> {
+        let xs = rating_sample(votes, env, network, protocol, group);
+        (xs.len() >= 2).then(|| t_interval(&xs, confidence))
+    }
 
     pub fn anova_across_protocols(
         votes: &[RatingVote],
@@ -126,14 +160,54 @@ mod reference {
         }
         pearson(&xs, &ys)
     }
+
+    /// Fig. 3 as one grouping scan into a map keyed in condition order.
+    pub fn fig3_agreement(votes: &[RatingVote], confidence: f64) -> Vec<AgreementRow> {
+        type Key = (u16, NetworkKind, Protocol, Environment);
+        let mut per_cond: BTreeMap<Key, [Vec<f64>; 3]> = BTreeMap::new();
+        for v in votes.iter().filter(|v| v.valid) {
+            let key = (v.site, v.network, v.protocol, v.environment);
+            per_cond.entry(key).or_default()[v.group.idx()].push(v.speed);
+        }
+        let mut rows: Vec<AgreementRow> = per_cond
+            .into_iter()
+            .filter(|(_, [lab, micro, _])| lab.len() >= 2 && micro.len() >= 2)
+            .map(
+                |((site, network, protocol, environment), [lab, micro, internet])| AgreementRow {
+                    site,
+                    network,
+                    protocol,
+                    environment,
+                    lab: t_interval(&lab, confidence),
+                    micro: t_interval(&micro, confidence),
+                    internet_median: (!internet.is_empty()).then(|| median(&internet)),
+                },
+            )
+            .collect();
+        rows.sort_by(|a, b| a.lab.mean.total_cmp(&b.lab.mean));
+        rows
+    }
 }
 
 /// Networks and protocols the random votes are drawn from.
 const NETWORKS: [NetworkKind; 2] = [NetworkKind::Dsl, NetworkKind::Mss];
 const VOTED: [Protocol; 3] = [Protocol::Tcp, Protocol::Quic, Protocol::QuicBbr];
-/// Sites the votes name; the stimulus set has [`SITES`] of them, so
-/// the last index is always out of range for it.
+/// Sites the votes name besides `u16::MAX`; the stimulus set has
+/// [`SITES`] of them, so the last index is always out of range for it.
 const VOTE_SITES: u16 = 5;
+/// Environment lists Fig. 6 is asked about, with repeats.
+const ENV_LISTS: [&[Environment]; 6] = [
+    &[],
+    &[Environment::FreeTime],
+    &[Environment::Plane, Environment::Work],
+    &[Environment::Work, Environment::Work],
+    &[
+        Environment::Plane,
+        Environment::FreeTime,
+        Environment::Plane,
+    ],
+    &Environment::ALL,
+];
 const SITES: [&str; 4] = ["apache.org", "gov.uk", "wikipedia.org", "w3.org"];
 
 /// Four sites × [`NETWORKS`] × {TCP, QUIC}, built under a plan that
@@ -172,11 +246,18 @@ fn stimuli() -> &'static StimulusSet {
 }
 
 /// Votes over a small domain, so cells collide: about one in seven is
-/// invalid, a fifth name a site the stimulus set does not have, and
-/// the speed leans on the protocol so that some pairs separate.
+/// invalid, a third name a site the stimulus set does not have (one in
+/// six names site `u16::MAX`), and the speed leans on the protocol so
+/// that some pairs separate.
 fn arb_votes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RatingVote>> {
     let vote = (
-        (0usize..3, 0..VOTE_SITES, 0usize..2, 0usize..3, 0usize..3),
+        (
+            0usize..3,
+            0..VOTE_SITES + 1,
+            0usize..2,
+            0usize..3,
+            0usize..3,
+        ),
         0.0f64..40.0,
         prop::bool::weighted(0.85),
     )
@@ -185,7 +266,7 @@ fn arb_votes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RatingVot
             RatingVote {
                 group: Group::ALL[group],
                 participant: 0,
-                site,
+                site: if site == VOTE_SITES { u16::MAX } else { site },
                 network: NETWORKS[network],
                 protocol: VOTED[protocol],
                 environment: Environment::ALL[env],
@@ -204,6 +285,33 @@ fn assert_same_anova(new: Option<AnovaResult>, old: Option<AnovaResult>) {
 }
 
 proptest! {
+    /// Fig. 5's cells: every environment, group and voted protocol, a
+    /// protocol nobody voted on, and `network` both named (with and
+    /// without votes) and `None`.
+    #[test]
+    fn rating_sample_and_interval_match_scans(votes in arb_votes(0..400)) {
+        let indexed = RatingVotes::from(votes.clone());
+        let networks = [Some(NetworkKind::Dsl), Some(NetworkKind::Mss), Some(NetworkKind::Lte), None];
+        for env in Environment::ALL {
+            for group in Group::ALL {
+                for protocol in [Protocol::Tcp, Protocol::Quic, Protocol::QuicBbr, Protocol::H2Edge] {
+                    for network in networks {
+                        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                        prop_assert_eq!(
+                            bits(rating_sample(&indexed, env, network, protocol, group)),
+                            bits(reference::rating_sample(&votes, env, network, protocol, group))
+                        );
+                        let ci = |c: Option<ConfidenceInterval>| c.map(|c| [c.mean, c.half_width].map(f64::to_bits));
+                        prop_assert_eq!(
+                            ci(rating_interval(&indexed, env, network, protocol, group, 0.99)),
+                            ci(reference::rating_interval(&votes, env, network, protocol, group, 0.99))
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Fig. 5's ANOVA: a protocol listed twice, one nobody voted on,
     /// and both the per-network and the all-networks form.
     #[test]
@@ -213,12 +321,13 @@ proptest! {
         network in 0usize..3,
         group in 0usize..3,
     ) {
+        let indexed = RatingVotes::from(votes.clone());
         let protocols = [Protocol::Tcp, Protocol::Quic, Protocol::Tcp, Protocol::H2Edge, Protocol::QuicBbr];
         let (env, group) = (Environment::ALL[env], Group::ALL[group]);
         let network = NETWORKS.get(network).copied();
         for protocols in [&protocols[..], &protocols[..2], &[]] {
             assert_same_anova(
-                anova_across_protocols(&votes, env, network, protocols, group),
+                anova_across_protocols(&indexed, env, network, protocols, group),
                 reference::anova_across_protocols(&votes, env, network, protocols, group),
             );
         }
@@ -234,6 +343,7 @@ proptest! {
         group in 0usize..3,
         n_sites in 0u16..6,
     ) {
+        let indexed = RatingVotes::from(votes.clone());
         let pairs = [
             (Protocol::Quic, Protocol::Tcp),
             (Protocol::Quic, Protocol::Quic),
@@ -242,7 +352,7 @@ proptest! {
             (Protocol::Tcp, Protocol::QuicBbr),
         ];
         let (network, group) = (NETWORKS[network], Group::ALL[group]);
-        let new = per_site_differences(&votes, network, &pairs, group, 0.90, n_sites);
+        let new = per_site_differences(&indexed, network, &pairs, group, 0.90, n_sites);
         let old = reference::per_site_differences(&votes, network, &pairs, group, 0.90, n_sites);
         let row = |d: &SiteDifference| {
             (d.site, d.network, d.better, d.worse, d.diff.to_bits(), d.p.to_bits())
@@ -254,20 +364,21 @@ proptest! {
     }
 
     /// Fig. 6's correlation over a stimulus set with quarantined
-    /// cells, votes on sites the set does not have, and a protocol the
-    /// set never loaded.
+    /// cells, votes on sites the set does not have, a protocol the set
+    /// never loaded, and environment lists that name one twice.
     #[test]
     fn metric_correlation_matches_per_site_scans(
         votes in arb_votes(0..300),
         group in 0usize..3,
-        envs in 0usize..4,
+        envs in 0usize..ENV_LISTS.len(),
     ) {
+        let indexed = RatingVotes::from(votes.clone());
         let set = stimuli();
-        let (group, envs) = (Group::ALL[group], &Environment::ALL[..envs]);
+        let (group, envs) = (Group::ALL[group], ENV_LISTS[envs]);
         for network in NETWORKS {
             for protocol in VOTED {
                 for metric in Metric::ALL {
-                    let new = metric_correlation(&votes, set, network, protocol, metric, group, envs);
+                    let new = metric_correlation(&indexed, set, network, protocol, metric, group, envs);
                     let old = reference::metric_correlation(
                         &votes, set, network, protocol, metric, group, envs,
                     );
@@ -276,6 +387,62 @@ proptest! {
             }
         }
     }
+
+    /// Fig. 3's rows: which conditions qualify, their order, and every
+    /// interval and median, with site `u16::MAX` among them. Each
+    /// condition is cast again, vote for vote, at twins that differ from
+    /// it in one key coordinate each, so every row ties on the lab mean
+    /// with its twins and the order must break each tie by that key.
+    #[test]
+    fn fig3_agreement_matches_grouping_scan(votes in arb_votes(0..1500)) {
+        // Keep On-a-plane free for the environment twin.
+        let votes: Vec<RatingVote> = votes
+            .into_iter()
+            .map(|v| match v.environment {
+                Environment::Plane => RatingVote { environment: Environment::FreeTime, ..v },
+                _ => v,
+            })
+            .collect();
+        let mut cast = votes.clone();
+        for v in &votes {
+            let mut twin = |edit: fn(&mut RatingVote)| {
+                let mut t = v.clone();
+                edit(&mut t);
+                cast.push(t);
+            };
+            twin(|t| t.site ^= 0x100);
+            twin(|t| t.network = if t.network == NetworkKind::Dsl { NetworkKind::Lte } else { NetworkKind::Da2gc });
+            twin(|t| {
+                t.protocol = match t.protocol {
+                    Protocol::Tcp => Protocol::TcpPlus,
+                    Protocol::Quic => Protocol::QuicEdge,
+                    _ => Protocol::H2Edge,
+                }
+            });
+            if v.environment == Environment::Work {
+                twin(|t| t.environment = Environment::Plane);
+            }
+        }
+        let votes = cast;
+        let new = fig3_agreement(&RatingVotes::from(votes.clone()), 0.99);
+        let old = reference::fig3_agreement(&votes, 0.99);
+        prop_assert_eq!(agreement_bits(&new), agreement_bits(&old));
+    }
+}
+
+/// Everything an [`AgreementRow`] holds, floats as bit patterns.
+fn agreement_bits(rows: &[AgreementRow]) -> Vec<impl PartialEq + std::fmt::Debug> {
+    let ci = |c: &ConfidenceInterval| [c.mean, c.half_width].map(f64::to_bits);
+    rows.iter()
+        .map(|r| {
+            (
+                (r.site, r.network, r.protocol, r.environment),
+                ci(&r.lab),
+                ci(&r.micro),
+                r.internet_median.map(f64::to_bits),
+            )
+        })
+        .collect()
 }
 
 /// The differential properties are vacuous if the random votes never
@@ -284,7 +451,7 @@ proptest! {
 #[test]
 fn random_votes_reach_every_figure_function() {
     let mut rng = proptest::TestRng::for_case("random_votes_reach_every_figure_function", 0);
-    let dense = arb_votes(1500..1501).generate(&mut rng);
+    let dense = RatingVotes::from(arb_votes(1500..1501).generate(&mut rng));
     let pairs = [(Protocol::Quic, Protocol::Tcp)];
     let found = NETWORKS.iter().any(|&n| {
         !per_site_differences(&dense, n, &pairs, Group::MicroWorker, 0.90, VOTE_SITES).is_empty()
@@ -308,4 +475,13 @@ fn random_votes_reach_every_figure_function() {
         .is_some()
     });
     assert!(correlated, "no correlation over the holed stimulus set");
+    let rows = fig3_agreement(&dense, 0.99);
+    assert!(
+        rows.iter().any(|r| r.site == u16::MAX),
+        "no Fig. 3 row at site u16::MAX"
+    );
+    assert!(
+        rows.iter().any(|r| r.internet_median.is_some()),
+        "no Internet median"
+    );
 }

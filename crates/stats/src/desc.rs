@@ -41,7 +41,9 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    // A total order, so a NaN cannot panic the sort; a positive NaN
+    // sorts after +∞.
+    v.sort_by(f64::total_cmp);
     let q = q.clamp(0.0, 1.0);
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -114,6 +116,14 @@ mod tests {
         assert_eq!(quantile(&xs, 1.0), 4.0);
         let odd = [5.0, 1.0, 3.0];
         assert_eq!(median(&odd), 3.0);
+    }
+
+    #[test]
+    fn quantile_of_a_nan_sample_does_not_panic() {
+        // NaN sorts last, so the lower quantiles still read the numbers.
+        assert_eq!(quantile(&[f64::NAN, 1.0, 3.0], 0.0), 1.0);
+        assert_eq!(median(&[3.0, f64::NAN, 1.0]), 3.0);
+        assert!(median(&[f64::NAN, 1.0]).is_nan());
     }
 
     #[test]
