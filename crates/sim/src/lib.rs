@@ -22,8 +22,6 @@
 //! * [`Lane`] — a link plus its pending tx-done and in-propagation
 //!   packets, merged with the queue by [`Stamp`] instead of stored in it.
 //! * [`NetworkKind`] — the DSL / LTE / DA2GC / MSS presets (Table 2).
-//! * [`Trace`] — counters (retransmissions, handshakes, …) used by the
-//!   paper's analysis.
 
 #![forbid(unsafe_code)]
 // The digest-feeding set (README "Static analysis"), non-test code only.
@@ -51,7 +49,6 @@ pub mod packet;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventQueue, Stamp};
 pub use lane::{Lane, LaneEvent, Source};
@@ -61,4 +58,3 @@ pub use packet::{ConnId, Direction, OriginId, Packet};
 pub use queue::DropTailQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceKind};

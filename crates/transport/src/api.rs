@@ -5,7 +5,7 @@ use crate::config::StackConfig;
 use crate::quic::QuicConnection;
 use crate::tcp::TcpConnection;
 use crate::wire::Wire;
-use pq_sim::{ConnId, Direction, Packet, SimTime, TraceKind};
+use pq_sim::{ConnId, Direction, Packet, SimTime};
 
 /// Identifier of a stream within a connection. TCP's single byte
 /// stream per direction is `StreamId(0)`; QUIC uses real stream ids.
@@ -42,8 +42,18 @@ pub enum Output {
         /// True when the stream is complete.
         fin: bool,
     },
-    /// Something trace-worthy happened (retransmission, RTO, …).
+    /// A retransmission or an RTO happened; the `u64` is its detail
+    /// (the sequence number, stream or packet number concerned).
     Trace(TraceKind, u64),
+}
+
+/// What an [`Output::Trace`] reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceKind {
+    /// A transport detected a loss and retransmitted.
+    Retransmit,
+    /// A retransmission timeout fired.
+    Rto,
 }
 
 /// A transport connection of either flavour; the browser layer treats

@@ -57,7 +57,7 @@ pub(crate) mod sentlog;
 pub mod tcp;
 pub mod wire;
 
-pub use api::{Connection, Output, StreamId};
+pub use api::{Connection, Output, StreamId, TraceKind};
 pub use cc::{CcAlgorithm, CongestionControl};
 pub use config::{Protocol, StackConfig};
 pub use quic::QuicConnection;

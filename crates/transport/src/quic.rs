@@ -19,7 +19,7 @@ use crate::rate::TxRecord;
 use crate::sender::SenderCore;
 use crate::sentlog::SentLog;
 use crate::wire::{QuicFrame, QuicPacket, Wire};
-use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime, TraceKind};
+use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// SHLO/REJ flight: server config + certs ≈ 2 packets.
@@ -706,7 +706,6 @@ impl QuicConnection {
             if self.shlo_recv >= shlo_of.max(SHLO_PARTS) {
                 self.established_client = true;
                 self.out.push(Output::HandshakeDone);
-                self.out.push(Output::Trace(TraceKind::HandshakeDone, 0));
                 crate::obs::handshake_span(self.obs_track, self.opened_at, now, self.proto_label);
                 self.client.try_send(now, id, &mut self.out);
             }

@@ -11,14 +11,14 @@
 //! handshake — including *which* bytes count as in flight and *when* a
 //! loss starts a new recovery episode.
 
-use crate::api::Output;
+use crate::api::{Output, TraceKind};
 use crate::cc::{AckInfo, CongestionControl};
 use crate::config::StackConfig;
 use crate::pacing::Pacer;
 use crate::rate::{RateSample, RateSampler};
 use crate::rtt::RttEstimator;
 use pq_obs::{ArgValue, Level};
-use pq_sim::{Direction, SimDuration, SimTime, TraceKind};
+use pq_sim::{Direction, SimDuration, SimTime};
 
 /// One direction's congestion, pacing and timer state.
 #[derive(Debug)]

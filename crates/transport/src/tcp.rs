@@ -29,7 +29,7 @@ use crate::rangeset::{Range, RangeSet};
 use crate::rate::TxRecord;
 use crate::sender::SenderCore;
 use crate::wire::{TcpSegKind, TcpSegment, Wire};
-use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime, TraceKind};
+use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// TLS 1.3 server flight: ServerHello, EncryptedExtensions,
@@ -593,7 +593,6 @@ impl TcpConnection {
                     self.hs_timer = None;
                     self.send_ctl(true, TcpSegKind::ClientFinished);
                     self.out.push(Output::HandshakeDone);
-                    self.out.push(Output::Trace(TraceKind::HandshakeDone, 0));
                     crate::obs::handshake_span(
                         self.obs_track,
                         self.opened_at,

@@ -2,12 +2,11 @@
 //! one [`Connection`] over one emulated duplex link, with a scripted
 //! server that answers each request stream.
 
-use crate::api::{Connection, Output, StreamId};
+use crate::api::{Connection, Output, StreamId, TraceKind};
 use crate::config::{Protocol, StackConfig};
 use crate::wire::Wire;
 use pq_sim::{
     ConnId, Direction, EventQueue, Link, NetworkConfig, Packet, PushOutcome, SimRng, SimTime,
-    TraceKind,
 };
 use std::collections::HashMap;
 

@@ -13,26 +13,24 @@
 //! connection's outputs onto the links' lanes and its progress into
 //! objects (`browser/page.rs` is the half that knows what the browser
 //! does with the bytes). Which HTTP mapping a connection carries is
-//! `mux.rs`'s business; what stands between browser and origins —
-//! nothing, a middlebox, a terminating proxy with legs of its own — is
-//! `junction.rs`'s, and the paper's five stacks take the `Direct` arm of
-//! every match on it.
+//! `mux.rs`'s business, and a function of the transport alone; what
+//! stands between browser and origins — nothing, a middlebox, a
+//! terminating proxy with legs of its own — is `junction.rs`'s, and the
+//! paper's five stacks take the `Direct` arm of every match on it.
 
-use crate::http1::MAX_CONNS_PER_ORIGIN;
 use crate::http2::H2Mux;
 use crate::junction::Junction;
 use crate::mux::{ConnState, Mux};
 use crate::object::{Got, ObjectId, Progress};
 use crate::website::Website;
 use pq_edge::EdgeConfig;
-use pq_metrics::{MetricSet, Recording, VisualTimeline};
+use pq_metrics::{MetricSet, VisualTimeline};
 use pq_obs::{ArgValue, Level};
 use pq_sim::{
     ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, NetworkConfig, Packet,
-    SimDuration, SimRng, SimTime, Source, Trace, TraceKind,
+    SimDuration, SimRng, SimTime, Source,
 };
 use pq_transport::{Connection, Output, Protocol, StackConfig, Wire};
-use std::collections::{BTreeMap, VecDeque};
 
 mod page;
 use page::ObjState;
@@ -49,25 +47,9 @@ const TID_OBJ_BASE: u32 = 100;
 /// First proxy-leg (origin-side connection) row.
 const TID_LEG_BASE: u32 = 60;
 
-/// HTTP version used over the three plain TCP stacks (`TCP`, `TCP+`,
-/// `TCP+BBR`). QUIC always uses its own stream mapping, and `H2-EDGE`'s
-/// client leg is HTTP/2 by name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum HttpVersion {
-    /// HTTP/1.1: one request per connection, a pool of up to 6
-    /// connections per origin — the legacy baseline.
-    Http1,
-    /// HTTP/2: one multiplexed connection per origin (the paper's
-    /// TCP-side configuration).
-    #[default]
-    Http2,
-}
-
 /// Tunables of one page load.
 #[derive(Clone, Debug)]
 pub struct LoadOptions {
-    /// Recording frame rate; 0 disables video rendering.
-    pub fps: u32,
     /// Give up after this much virtual time.
     pub horizon: SimDuration,
     /// Scale factor on client-side processing costs (parse, script
@@ -75,9 +57,6 @@ pub struct LoadOptions {
     /// defaults; 0.0 disables processing entirely (network-only loads,
     /// useful for ablations).
     pub processing_scale: f64,
-    /// HTTP version for the plain TCP stacks (ignored by the QUIC
-    /// stacks and by `H2-EDGE`, see [`HttpVersion`]).
-    pub http_version: HttpVersion,
     /// Fault-injection plan for this load (`None` = no injection; the
     /// default). Tests should thread a plan here explicitly; the
     /// `PQ_FAULTS`-driven harness installs the process-global plan and
@@ -93,10 +72,8 @@ pub struct LoadOptions {
 impl Default for LoadOptions {
     fn default() -> Self {
         LoadOptions {
-            fps: 0,
             horizon: SimDuration::from_secs(300),
             processing_scale: 1.0,
-            http_version: HttpVersion::Http2,
             faults: None,
             edge: None,
         }
@@ -113,10 +90,9 @@ const THINK_JITTER_MS: f64 = 3.0;
 pub struct PageLoadResult {
     /// The five technical metrics.
     pub metrics: MetricSet,
-    /// The visual-completeness curve.
+    /// The visual-completeness curve; `Recording::render(&timeline,
+    /// plt, fps)` turns it into a video.
     pub timeline: VisualTimeline,
-    /// Rendered video (when `fps > 0`).
-    pub recording: Option<Recording>,
     /// Whether every object finished before the horizon.
     pub complete: bool,
     /// Page load time (onload) or the horizon when incomplete.
@@ -125,10 +101,6 @@ pub struct PageLoadResult {
     pub retransmits: u64,
     /// Connections opened (= origins contacted).
     pub connections: u32,
-    /// Per-object completion times.
-    pub object_done: Vec<Option<SimTime>>,
-    /// Trace counters (requests, responses, RTOs, …).
-    pub trace: Trace,
 }
 
 /// What the event queue holds: timers. Link tx-dones and packets in
@@ -184,14 +156,9 @@ struct Loader<'a> {
     /// One per link direction, indexed [`UP`]‥[`O_DOWN`] (two on the
     /// Table-1 stacks, four on the edge stacks).
     lanes: Vec<Lane<Wire>>,
-    /// The browser's connections, by key (a proxy's legs live in the
-    /// junction, see [`Loader::table_mut`])…
+    /// The browser's connections, by key, one per origin (a proxy's
+    /// legs live in the junction, see [`Loader::table_mut`]).
     conns: Vec<ConnState>,
-    /// …of which an origin gets this many: one multiplexed connection,
-    /// or HTTP/1.1's pool.
-    conns_per_origin: usize,
-    /// HTTP/1.1 requests waiting for an idle connection, per origin.
-    waiting: BTreeMap<u16, VecDeque<ObjectId>>,
     junction: Junction,
     cfg: StackConfig,
     think_rng: SimRng,
@@ -205,7 +172,6 @@ struct Loader<'a> {
     gate_scheduled: bool,
     /// Onload instant (set when the last object finishes processing).
     plt_at: Option<SimTime>,
-    trace: Trace,
     /// Tracer process id of this page load (`None` with tracing off).
     obs_pid: Option<u32>,
     /// Per-load fault view (`None` = injection off).
@@ -271,7 +237,7 @@ pub fn load_page_with_config(
         reason = "load-entry derivation point: `seed` is the per-cell run_seed; every sub-stream forks from it"
     )]
     let rng = SimRng::new(seed);
-    let client_mux = Mux::for_client(protocol, opts.http_version);
+    let client_mux = Mux::for_client(protocol);
 
     // Bind the fault plan (if any) to this load, keyed by its seed —
     // every injection decision below is a pure function of
@@ -331,11 +297,6 @@ pub fn load_page_with_config(
         q,
         lanes,
         conns: Vec::new(),
-        conns_per_origin: match client_mux {
-            Mux::H1(_) => MAX_CONNS_PER_ORIGIN,
-            Mux::H2(_) | Mux::H3(_) => 1,
-        },
-        waiting: BTreeMap::new(),
         junction,
         cfg: *cfg,
         think_rng: rng.fork("server-think"),
@@ -346,7 +307,6 @@ pub fn load_page_with_config(
         gate_open: false,
         gate_scheduled: false,
         plt_at: None,
-        trace: Trace::default(),
         obs_pid,
         faults,
         out_buf: Vec::new(),
@@ -408,10 +368,8 @@ impl Loader<'_> {
         self.obs_pid.filter(|_| pq_obs::enabled(Level::Info))
     }
 
-    /// Issue the request on a connection to the object's origin that
-    /// can take it; failing that open one, while the origin may have
-    /// more (its first — under HTTP/1.1 up to the browser's pool
-    /// limit), or queue.
+    /// Issue the request on the connection to the object's origin, or
+    /// open that connection first.
     fn request_object(&mut self, now: SimTime, id: ObjectId) {
         let Some(o) = self.objs.get(id.0 as usize) else {
             return;
@@ -423,24 +381,15 @@ impl Loader<'_> {
             Junction::Proxy(_) => 0,
             Junction::Direct | Junction::Middlebox(_) => o.spec.origin.0,
         };
-        let to_origin = || self.conns.iter().filter(|c| c.origin == origin);
-        // HTTP/1.1 serves one request at a time.
-        let busy = |c: &ConnState| matches!(&c.mux, Mux::H1(h) if !h.is_idle());
-        let usable = |c: &ConnState| c.origin == origin && !busy(c);
-        let key = match self.conns.iter().position(usable) {
+        let key = match self.conns.iter().position(|c| c.origin == origin) {
             Some(i) => i as u32,
-            None if to_origin().count() < self.conns_per_origin => {
+            None => {
                 let key = self.conns.len() as u32;
-                let mux = Mux::for_client(self.cfg.protocol, self.opts.http_version);
+                let mux = Mux::for_client(self.cfg.protocol);
                 self.open(now, key, self.cfg, mux, origin);
                 key
             }
-            None => {
-                self.waiting.entry(origin).or_default().push_back(id);
-                return;
-            }
         };
-        self.trace.record(TraceKind::Request);
         self.obs_request(now, id);
         self.send_request(now, key, id);
     }
@@ -591,7 +540,7 @@ impl Loader<'_> {
                 };
                 self.send(now, lane_of(dir, at_origin), pkt);
             }
-            Output::HandshakeDone => self.trace.record(TraceKind::HandshakeDone),
+            Output::HandshakeDone | Output::Trace(..) => {}
             Output::ServerStreamProgress {
                 stream,
                 delivered,
@@ -618,7 +567,6 @@ impl Loader<'_> {
                 }
                 self.progress_buf = progress;
             }
-            Output::Trace(kind, _) => self.trace.record(kind),
         }
     }
 
@@ -665,16 +613,7 @@ impl Loader<'_> {
             Got::Total(total) => total.min(o.expect).max(o.got),
             Got::More(new) => o.got + new,
         };
-        let origin = o.spec.origin.0;
         self.object_progress(now, p.object, got);
-        if p.idle {
-            // The HTTP/1.1 connection went idle: serve the next queued
-            // request of this origin.
-            let waiting = self.waiting.get_mut(&origin);
-            if let Some(next) = waiting.and_then(VecDeque::pop_front) {
-                self.request_object(now, next);
-            }
-        }
     }
 
     /// End-of-load bookkeeping: FVC/LVC/PLT markers on the page track
@@ -730,7 +669,6 @@ impl Loader<'_> {
                 let mut retx = std::mem::take(&mut self.retx_buf);
                 mbx.on_uplink(&pkt, &mut retx);
                 for r in retx.drain(..) {
-                    self.trace.record(TraceKind::Retransmit);
                     self.send(now, DOWN, r);
                 }
                 self.retx_buf = retx;
@@ -832,8 +770,6 @@ impl Loader<'_> {
             .max(last_paint);
         let metrics = MetricSet::from_timeline(&self.timeline, plt);
         self.obs_finish(&metrics, plt, complete);
-        let recording =
-            (self.opts.fps > 0).then(|| Recording::render(&self.timeline, plt, self.opts.fps));
         let legs = match &self.junction {
             Junction::Proxy(proxy) => proxy.legs.as_slice(),
             Junction::Direct | Junction::Middlebox(_) => &[],
@@ -841,13 +777,10 @@ impl Loader<'_> {
         let conns = || self.conns.iter().chain(legs);
         PageLoadResult {
             metrics,
-            recording,
             complete,
             plt,
             retransmits: conns().map(|c| c.conn.retransmits()).sum::<u64>(),
             connections: conns().count() as u32,
-            object_done: self.objs.iter().map(|o| o.done_at).collect(),
-            trace: self.trace,
             timeline: self.timeline,
         }
     }

@@ -9,7 +9,7 @@ use crate::mux::Mux;
 use crate::object::{ObjectId, WebObject};
 use crate::website::Website;
 use pq_obs::{ArgValue, Level};
-use pq_sim::{SimDuration, SimTime, TraceKind};
+use pq_sim::{SimDuration, SimTime};
 
 /// Style-recalc + first-layout cost paid once before first paint.
 const STYLE_LAYOUT_MS: f64 = 250.0;
@@ -37,7 +37,7 @@ pub(super) struct ObjState<'a> {
     frac: f64,
     /// Delivery finished; processing scheduled.
     processing: bool,
-    pub(super) done_at: Option<SimTime>,
+    done_at: Option<SimTime>,
     /// Current paint contribution.
     contrib: f64,
 }
@@ -190,7 +190,6 @@ impl Loader<'_> {
         if self.n_done == self.objs.len() {
             self.plt_at = Some(now);
         }
-        self.trace.record(TraceKind::Response);
         self.obs_object_span(now, id);
         self.update_render(now, id, 1.0, true);
         self.release_children(now, id, None);

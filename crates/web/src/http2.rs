@@ -156,7 +156,6 @@ impl H2Mux {
                     _ => out.push(Progress {
                         object: obj,
                         got: Got::More(take),
-                        idle: false,
                     }),
                 }
             }

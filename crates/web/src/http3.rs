@@ -86,11 +86,7 @@ impl H3Map {
     pub fn on_client_delivered(&self, stream: StreamId, delivered: u64) -> Option<Progress> {
         let object = self.by_stream.get(&stream.0).copied()?;
         let got = Got::Total(delivered.max(RESPONSE_HEADER));
-        Some(Progress {
-            object,
-            got,
-            idle: false,
-        })
+        Some(Progress { object, got })
     }
 }
 

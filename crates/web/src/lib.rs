@@ -27,7 +27,6 @@
 
 pub mod browser;
 pub mod catalogue;
-pub mod http1;
 pub mod http2;
 pub mod http3;
 mod junction;
@@ -35,9 +34,7 @@ mod mux;
 pub mod object;
 pub mod website;
 
-pub use browser::{
-    load_page, load_page_with_config, try_load_page, HttpVersion, LoadOptions, PageLoadResult,
-};
+pub use browser::{load_page, load_page_with_config, try_load_page, LoadOptions, PageLoadResult};
 pub use catalogue::{corpus, corpus_specs, site, LAB_SITES};
 pub use object::{ObjectId, ObjectKind, WebObject};
 pub use website::{SiteSpec, Website};

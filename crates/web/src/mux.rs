@@ -1,12 +1,10 @@
 //! A connection and the HTTP mapping it carries, paired once.
 //!
-//! [`Mux`] is the sum of the three mappings ([`crate::http1`],
-//! [`crate::http2`], [`crate::http3`]); each drives the transport
-//! through [`Connection`]'s uniform stream writes, so the loader makes
-//! one call per step whatever the stack.
+//! [`Mux`] is the sum of the paper's two mappings ([`crate::http2`] over
+//! TCP, [`crate::http3`] over gQUIC); each drives the transport through
+//! [`Connection`]'s uniform stream writes, so the loader makes one call
+//! per step whatever the stack.
 
-use crate::browser::HttpVersion;
-use crate::http1::{self, H1Conn};
 use crate::http2::H2Mux;
 use crate::http3::{self, H3Map};
 use crate::object::{ObjectId, Progress};
@@ -14,29 +12,24 @@ use pq_sim::SimTime;
 use pq_transport::{Connection, Protocol, StreamId};
 
 pub(crate) enum Mux {
-    H1(H1Conn),
     H2(H2Mux),
     H3(H3Map),
 }
 
 impl Mux {
     /// The mapping a browser speaks over `protocol`: gQUIC's own over
-    /// the QUIC stacks, else HTTP/2 — or HTTP/1.1 where `http` asks for
-    /// it, which only the three plain TCP stacks honour (`H2-EDGE`'s
-    /// client leg is HTTP/2 by name).
-    pub(crate) fn for_client(protocol: Protocol, http: HttpVersion) -> Mux {
-        use Protocol::{Tcp, TcpPlus, TcpPlusBbr};
-        match protocol {
-            Tcp | TcpPlus | TcpPlusBbr if http == HttpVersion::Http1 => Mux::H1(H1Conn::new()),
-            _ if protocol.is_quic() => Mux::H3(H3Map::new()),
-            _ => Mux::H2(H2Mux::new()),
+    /// the QUIC stacks, HTTP/2 over the TCP ones.
+    pub(crate) fn for_client(protocol: Protocol) -> Mux {
+        if protocol.is_quic() {
+            Mux::H3(H3Map::new())
+        } else {
+            Mux::H2(H2Mux::new())
         }
     }
 
     /// Stream bytes a response with `body` payload bytes occupies.
     pub(crate) fn response_bytes(&self, body: u64) -> u64 {
         match self {
-            Mux::H1(_) => http1::RESPONSE_HEADER + body,
             Mux::H2(_) => H2Mux::response_stream_bytes(body),
             Mux::H3(_) => http3::RESPONSE_HEADER + body,
         }
@@ -57,7 +50,6 @@ impl ConnState {
     /// The client requests `object`.
     pub(crate) fn request(&mut self, now: SimTime, object: ObjectId) {
         match &mut self.mux {
-            Mux::H1(h) => h.request(&mut self.conn, now, object),
             Mux::H2(m) => m.request(&mut self.conn, now, object),
             Mux::H3(m) => m.request(&mut self.conn, now, object),
         }
@@ -66,7 +58,6 @@ impl ConnState {
     /// The server answers `object`'s request with `body` payload bytes.
     pub(crate) fn respond(&mut self, now: SimTime, object: ObjectId, body: u64) {
         match &mut self.mux {
-            Mux::H1(h) => h.respond(&mut self.conn, now, body),
             Mux::H2(m) => m.respond(&mut self.conn, now, object, body),
             Mux::H3(m) => m.respond(&mut self.conn, now, object, body),
         }
@@ -78,8 +69,6 @@ impl ConnState {
     /// the client to see the object complete.
     pub(crate) fn relay(&mut self, now: SimTime, object: ObjectId, bytes: u64, fin: bool) {
         match &mut self.mux {
-            // [`Mux::for_client`] puts no HTTP/1.1 in front of a proxy.
-            Mux::H1(_) => {}
             Mux::H2(m) => m.respond_raw(&mut self.conn, now, object, bytes),
             Mux::H3(m) => m.relay(&mut self.conn, now, object, bytes, fin),
         }
@@ -106,7 +95,6 @@ impl ConnState {
         ready: &mut Vec<ObjectId>,
     ) {
         match &mut self.mux {
-            Mux::H1(h) => ready.extend(h.on_server_delivered(delivered)),
             Mux::H2(m) => m.on_server_delivered(delivered, ready),
             Mux::H3(m) if fin => ready.extend(m.on_server_stream_fin(stream)),
             Mux::H3(_) => {}
@@ -122,7 +110,6 @@ impl ConnState {
         out: &mut Vec<Progress>,
     ) {
         match &mut self.mux {
-            Mux::H1(h) => out.extend(h.on_client_delivered(delivered)),
             Mux::H2(m) => m.on_client_delivered(delivered, out),
             Mux::H3(m) => out.extend(m.on_client_delivered(stream, delivered)),
         }

@@ -63,7 +63,7 @@ pub struct WebObject {
 /// (headers and framing included).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Got {
-    /// Delivered so far (HTTP/1.1 and gQUIC report stream positions).
+    /// Delivered so far (gQUIC reports per-stream positions).
     Total(u64),
     /// Newly delivered (HTTP/2 attributes each delivery to objects).
     More(u64),
@@ -76,7 +76,4 @@ pub struct Progress {
     pub object: ObjectId,
     /// How far it got.
     pub got: Got,
-    /// HTTP/1.1: the response is complete and its connection idle
-    /// again.
-    pub idle: bool,
 }

@@ -53,13 +53,9 @@ fn main() {
         site.origins
     );
 
-    let opts = LoadOptions {
-        fps: 10,
-        ..LoadOptions::default()
-    };
     for proto in [Protocol::Tcp, Protocol::Quic] {
-        let r = web::load_page(&site, &net, proto, 11, &opts);
-        let rec = r.recording.expect("fps set");
+        let r = web::load_page(&site, &net, proto, 11, &LoadOptions::default());
+        let rec = Recording::render(&r.timeline, r.plt, 10);
         println!(
             "{}: FVC {:.2}s  SI {:.2}s  PLT {:.2}s  ({} connections, {} retransmissions)",
             proto.label(),

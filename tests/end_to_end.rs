@@ -3,6 +3,7 @@
 //! assertions.
 
 use perceiving_quic::prelude::*;
+use perceiving_quic::study::stimulus::run_seed;
 use perceiving_quic::study::{self, ab_shares, Group};
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -220,29 +221,44 @@ fn determinism_across_the_whole_pipeline() {
 }
 
 #[test]
-fn every_stack_completes_under_both_http_versions() {
-    // `http_version` picks HTTP/1.1 for the three plain TCP stacks
-    // only: the QUIC stacks bring their own stream mapping and
-    // H2-EDGE's client leg is HTTP/2 by name, so for those the option
-    // must change nothing — least of all strand the load on a proxy
-    // that cannot relay onto an HTTP/1.1 connection.
+fn every_stack_completes() {
+    // Each of the eight stacks speaks the one HTTP mapping its
+    // transport implies — HTTP/2 over TCP, gQUIC's over QUIC, proxy
+    // included — and finishes the page.
     let site = web::site("wikipedia.org").unwrap();
     let net = NetworkKind::Dsl.config();
     for protocol in Protocol::ALL_WITH_EDGE {
-        let load = |http_version| {
-            let opts = LoadOptions {
-                http_version,
-                ..LoadOptions::default()
-            };
-            load_page(&site, &net, protocol, 7, &opts)
-        };
-        let (h1, h2) = (load(web::HttpVersion::Http1), load(web::HttpVersion::Http2));
-        assert!(h1.complete && h2.complete, "{protocol}: incomplete load");
-        if protocol.is_quic() || protocol.is_edge() {
-            assert_eq!(format!("{h1:?}"), format!("{h2:?}"), "{protocol}");
-        } else {
-            let (h1, h2) = (h1.connections, h2.connections);
-            assert!(h1 > h2, "{protocol}: a pool per origin, {h1} vs {h2}");
-        }
+        let r = load_page(&site, &net, protocol, 7, &LoadOptions::default());
+        assert!(r.complete, "{protocol}: incomplete load");
+        assert!(r.metrics.well_ordered(), "{protocol}: {:?}", r.metrics);
+    }
+}
+
+/// The fault-free loads of the paper grid (`corpus()[..12]` × 4
+/// networks × the five stacks × 11 runs at seed 1910, default
+/// `LoadOptions`) that never reach onload within the 300 s horizon:
+/// `(site, stack, run)`, all on DA2GC, each with thousands of
+/// retransmissions. EXPERIMENTS.md lists them as an open input; a fix
+/// or a named deviation turns each assertion below into `complete`.
+const INCOMPLETE_DA2GC_LOADS: [(&str, Protocol, u32); 5] = [
+    ("demorgen.be", Protocol::TcpPlusBbr, 1),
+    ("demorgen.be", Protocol::TcpPlusBbr, 4),
+    ("nytimes.com", Protocol::TcpPlusBbr, 8),
+    ("nature.com", Protocol::TcpPlus, 4),
+    ("nature.com", Protocol::TcpPlusBbr, 1),
+];
+
+#[test]
+fn five_fault_free_paper_grid_loads_stay_incomplete() {
+    let net = NetworkKind::Da2gc.config();
+    for (name, protocol, run) in INCOMPLETE_DA2GC_LOADS {
+        let site = web::site(name).expect("corpus");
+        let seed = run_seed(1910, name, NetworkKind::Da2gc, protocol, run);
+        let r = load_page(&site, &net, protocol, seed, &LoadOptions::default());
+        assert!(
+            !r.complete,
+            "{name} {protocol} run {run} on DA2GC now completes ({} retransmits)",
+            r.retransmits
+        );
     }
 }
