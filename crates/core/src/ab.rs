@@ -52,6 +52,113 @@ pub struct AbVote {
     pub valid: bool,
 }
 
+/// One study's A/B votes plus a tally of the valid ones per group ×
+/// network × pair cell, so Figure 4 reads the cells it asks about
+/// instead of scanning every vote.
+///
+/// The tallies are built once, in [`From<Vec<AbVote>>`], and nothing
+/// can add, remove or change a vote afterwards (read access goes
+/// through `Deref<Target = [AbVote]>`), so they always describe the
+/// votes next to them.
+#[derive(Debug)]
+pub struct AbVotes {
+    votes: Vec<AbVote>,
+    /// One tally per group × network × pair, at [`cell`].
+    tallies: Vec<Tally>,
+}
+
+/// The valid votes of one cell (or of several, summed): how many gave
+/// each answer, and their replays.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Tally {
+    /// Votes for the pair's first protocol.
+    pub(crate) first: usize,
+    /// "No difference" votes.
+    pub(crate) no_diff: usize,
+    /// Votes for the pair's second protocol.
+    pub(crate) second: usize,
+    /// Replays over all of them.
+    pub(crate) replays: u64,
+}
+
+impl Tally {
+    /// Votes counted.
+    pub(crate) fn n(&self) -> usize {
+        self.first + self.no_diff + self.second
+    }
+
+    fn add(&mut self, other: &Tally) {
+        self.first += other.first;
+        self.no_diff += other.no_diff;
+        self.second += other.second;
+        self.replays += other.replays;
+    }
+}
+
+/// Ordered stack pairs a cell can hold.
+const PAIRS: usize = Protocol::ALL_WITH_EDGE.len() * Protocol::ALL_WITH_EDGE.len();
+
+/// Position of a group × network × pair cell in [`AbVotes`]' tallies.
+fn cell(group: Group, network: NetworkKind, (a, b): (Protocol, Protocol)) -> usize {
+    (group.idx() * NetworkKind::ALL.len() + network as usize) * PAIRS
+        + a as usize * Protocol::ALL_WITH_EDGE.len()
+        + b as usize
+}
+
+impl From<Vec<AbVote>> for AbVotes {
+    fn from(votes: Vec<AbVote>) -> AbVotes {
+        let mut tallies = vec![Tally::default(); Group::ALL.len() * NetworkKind::ALL.len() * PAIRS];
+        for v in votes.iter().filter(|v| v.valid) {
+            let Some(t) = tallies.get_mut(cell(v.group, v.network, v.pair)) else {
+                continue;
+            };
+            match v.choice {
+                AbChoice::First => t.first += 1,
+                AbChoice::NoDifference => t.no_diff += 1,
+                AbChoice::Second => t.second += 1,
+            }
+            t.replays += u64::from(v.replays);
+        }
+        AbVotes { votes, tallies }
+    }
+}
+
+impl AbVotes {
+    /// The valid votes for `pair` on `network` of every group in
+    /// `groups`; a group listed twice counts once.
+    pub(crate) fn tally(
+        &self,
+        groups: &[Group],
+        network: NetworkKind,
+        pair: (Protocol, Protocol),
+    ) -> Tally {
+        let mut sum = Tally::default();
+        for group in Group::ALL.into_iter().filter(|g| groups.contains(g)) {
+            if let Some(t) = self.tallies.get(cell(group, network, pair)) {
+                sum.add(t);
+            }
+        }
+        sum
+    }
+}
+
+impl std::ops::Deref for AbVotes {
+    type Target = [AbVote];
+
+    fn deref(&self) -> &[AbVote] {
+        &self.votes
+    }
+}
+
+impl<'a> IntoIterator for &'a AbVotes {
+    type Item = &'a AbVote;
+    type IntoIter = std::slice::Iter<'a, AbVote>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.votes.iter()
+    }
+}
+
 /// Maximum replays the study UI allows before forcing an answer.
 const MAX_REPLAYS: u32 = 3;
 /// Control pairs per session (identical or blatantly delayed videos,
@@ -101,8 +208,7 @@ pub fn run_ab_study(
             ) else {
                 continue;
             };
-            let a = sa.metrics;
-            let b = sb.metrics;
+            let (a, b) = (&sa.log_metrics, &sb.log_metrics);
 
             let (choice, confidence, replays) = if session.rusher {
                 // Rushers click without watching: a uniformly random
@@ -115,8 +221,8 @@ pub fn run_ab_study(
                 (c, r.f64(), 0)
             } else {
                 // Honest psychophysics with replay-averaging.
-                let mut pa = percept::observe(p, &a, r);
-                let mut pb = percept::observe(p, &b, r);
+                let mut pa = percept::observe(p, a, r);
+                let mut pb = percept::observe(p, b, r);
                 let mut views = 1u32;
                 let mut replays = 0u32;
                 loop {
@@ -134,8 +240,8 @@ pub fn run_ab_study(
                     views += 1;
                     replays += 1;
                     let k = f64::from(views);
-                    pa = pa * (k - 1.0) / k + percept::observe(p, &a, r) / k;
-                    pb = pb * (k - 1.0) / k + percept::observe(p, &b, r) / k;
+                    pa = pa * (k - 1.0) / k + percept::observe(p, a, r) / k;
+                    pb = pb * (k - 1.0) / k + percept::observe(p, b, r) / k;
                 }
                 let delta = pb - pa; // > 0 ⇒ first (a) looked faster
                 let choice = if delta.abs() < p.jnd {

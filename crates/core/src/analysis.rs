@@ -1,15 +1,13 @@
 //! The paper's analysis layer: every aggregation behind Figures 3–6
 //! and the §4.2/§4.4 discussions.
 
-use crate::ab::{AbChoice, AbVote};
+use crate::ab::{AbChoice, AbVote, AbVotes};
 use crate::participant::Group;
 use crate::rating::{Environment, RatingVotes};
 use crate::stimulus::StimulusSet;
 use pq_metrics::Metric;
 use pq_sim::NetworkKind;
-use pq_stats::{
-    median, one_way_anova, pearson, t_interval, AnovaResult, ConfidenceInterval, TIntervals,
-};
+use pq_stats::{median, one_way_anova, pearson, t_interval, AnovaResult, ConfidenceInterval};
 use pq_transport::Protocol;
 use std::slice;
 
@@ -31,26 +29,26 @@ pub struct AbShares {
 /// Figure 4: vote shares for one protocol pair on one network,
 /// over *valid* votes of the given groups.
 pub fn ab_shares(
-    votes: &[AbVote],
+    votes: &AbVotes,
     network: NetworkKind,
     pair: (Protocol, Protocol),
     groups: &[Group],
 ) -> Option<AbShares> {
-    let sel: Vec<&AbVote> = votes
-        .iter()
-        .filter(|v| v.valid && v.network == network && v.pair == pair && groups.contains(&v.group))
-        .collect();
-    if sel.is_empty() {
+    let t = votes.tally(groups, network, pair);
+    let n = t.n();
+    if n == 0 {
         return None;
     }
-    let n = sel.len() as f64;
-    let count = |c: AbChoice| sel.iter().filter(|v| v.choice == c).count() as f64 / n;
+    let share = |k: usize| k as f64 / n as f64;
     Some(AbShares {
-        first: count(AbChoice::First),
-        no_diff: count(AbChoice::NoDifference),
-        second: count(AbChoice::Second),
-        avg_replays: sel.iter().map(|v| f64::from(v.replays)).sum::<f64>() / n,
-        n: sel.len(),
+        first: share(t.first),
+        no_diff: share(t.no_diff),
+        second: share(t.second),
+        // An in-order `f64` sum of the replays holds an integer below
+        // 2⁵³ after every step, so it is exact: the integer total is
+        // the same double.
+        avg_replays: t.replays as f64 / n as f64,
+        n,
     })
 }
 
@@ -278,9 +276,6 @@ impl AgreementRow {
 /// two verdicts. µWorker residuals fail it too at n ≈ 17 000 and keep
 /// the paper's mean + CI (EXPERIMENTS.md, Deviations).
 pub fn fig3_agreement(votes: &RatingVotes, confidence: f64) -> Vec<AgreementRow> {
-    // Conditions share a few dozen sample sizes between them: one t
-    // quantile per size, not one per row per group.
-    let mut intervals = TIntervals::new(confidence);
     let mut rows = Vec::new();
     // Conditions in (site, network, protocol, environment) order, so
     // the stable sort below breaks lab-mean ties by that key.
@@ -298,8 +293,8 @@ pub fn fig3_agreement(votes: &RatingVotes, confidence: f64) -> Vec<AgreementRow>
                         network,
                         protocol,
                         environment,
-                        lab: intervals.interval(&lab),
-                        micro: intervals.interval(&micro),
+                        lab: t_interval(&lab, confidence),
+                        micro: t_interval(&micro, confidence),
                         internet_median: (!internet.is_empty()).then(|| median(&internet)),
                     });
                 }
@@ -358,12 +353,12 @@ mod tests {
     #[test]
     fn ab_shares_sum_to_one() {
         let pair = (Protocol::Quic, Protocol::Tcp);
-        let votes = vec![
+        let votes = AbVotes::from(vec![
             ab(NetworkKind::Lte, pair, AbChoice::First, 1),
             ab(NetworkKind::Lte, pair, AbChoice::First, 0),
             ab(NetworkKind::Lte, pair, AbChoice::NoDifference, 2),
             ab(NetworkKind::Lte, pair, AbChoice::Second, 0),
-        ];
+        ]);
         let s = ab_shares(&votes, NetworkKind::Lte, pair, &[Group::MicroWorker]).unwrap();
         assert!((s.first + s.no_diff + s.second - 1.0).abs() < 1e-12);
         assert_eq!(s.n, 4);
@@ -377,7 +372,8 @@ mod tests {
         let pair = (Protocol::Quic, Protocol::Tcp);
         let mut v = ab(NetworkKind::Lte, pair, AbChoice::First, 0);
         v.valid = false;
-        assert!(ab_shares(&[v], NetworkKind::Lte, pair, &[Group::MicroWorker]).is_none());
+        let votes = AbVotes::from(vec![v]);
+        assert!(ab_shares(&votes, NetworkKind::Lte, pair, &[Group::MicroWorker]).is_none());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod runner;
 pub mod session;
 pub mod stimulus;
 
-pub use ab::{run_ab_study, AbChoice, AbVote};
+pub use ab::{run_ab_study, AbChoice, AbVote, AbVotes};
 pub use analysis::{
     ab_shares, anova_across_protocols, confidence_stats, fig3_agreement, metric_correlation,
     per_site_differences, rating_interval, rating_sample, AbShares, AgreementRow, ConfidenceStats,

@@ -13,19 +13,40 @@ use crate::participant::Participant;
 use pq_metrics::MetricSet;
 use pq_sim::SimRng;
 
+/// `ln` of the three metrics a percept blends, each floored at 1 ms:
+/// what every viewing of a stimulus reads, so it is computed once, when
+/// the stimulus is built or restored.
+#[derive(Clone, Copy, Debug)]
+pub struct LogMetrics {
+    /// ln SI.
+    pub si: f64,
+    /// ln FVC.
+    pub fvc: f64,
+    /// ln LVC.
+    pub lvc: f64,
+}
+
+impl LogMetrics {
+    /// The log-metrics of one recording.
+    pub fn of(m: &MetricSet) -> LogMetrics {
+        LogMetrics {
+            si: m.si_ms.max(1.0).ln(),
+            fvc: m.fvc_ms.max(1.0).ln(),
+            lvc: m.lvc_ms.max(1.0).ln(),
+        }
+    }
+}
+
 /// Noise-free log-percept of a recording for a given participant:
 /// `Σ wᵢ · ln(metricᵢ)` over (SI, FVC, LVC), in log-milliseconds.
-pub fn log_percept(p: &Participant, m: &MetricSet) -> f64 {
-    let si = m.si_ms.max(1.0);
-    let fvc = m.fvc_ms.max(1.0);
-    let lvc = m.lvc_ms.max(1.0);
+pub fn log_percept(p: &Participant, l: &LogMetrics) -> f64 {
     let [w_si, w_fvc, w_lvc] = p.w;
-    w_si * si.ln() + w_fvc * fvc.ln() + w_lvc * lvc.ln()
+    w_si * l.si + w_fvc * l.fvc + w_lvc * l.lvc
 }
 
 /// One noisy viewing of a recording.
-pub fn observe(p: &Participant, m: &MetricSet, rng: &mut SimRng) -> f64 {
-    log_percept(p, m) + rng.normal_with(0.0, p.obs_noise)
+pub fn observe(p: &Participant, l: &LogMetrics, rng: &mut SimRng) -> f64 {
+    log_percept(p, l) + rng.normal_with(0.0, p.obs_noise)
 }
 
 /// The base rating (before context, taste, bias and noise) for a
@@ -61,11 +82,15 @@ mod tests {
         }
     }
 
+    fn logs(si: f64) -> LogMetrics {
+        LogMetrics::of(&metrics(si))
+    }
+
     #[test]
     fn faster_pages_have_smaller_percepts() {
         let p = participant();
-        let fast = log_percept(&p, &metrics(800.0));
-        let slow = log_percept(&p, &metrics(8000.0));
+        let fast = log_percept(&p, &logs(800.0));
+        let slow = log_percept(&p, &logs(8000.0));
         assert!(fast < slow);
         // Log domain: a 10× slowdown moves the percept by ln(10).
         assert!((slow - fast - 10f64.ln()).abs() < 1e-9);
@@ -74,7 +99,7 @@ mod tests {
     #[test]
     fn observation_noise_averages_out() {
         let p = participant();
-        let m = metrics(2000.0);
+        let m = logs(2000.0);
         let mut rng = SimRng::new(3);
         let n = 5000;
         let mean: f64 = (0..n).map(|_| observe(&p, &m, &mut rng)).sum::<f64>() / n as f64;
@@ -109,6 +134,6 @@ mod tests {
             lvc_ms: 0.0,
             plt_ms: 0.0,
         };
-        assert!(log_percept(&p, &zero).is_finite());
+        assert!(log_percept(&p, &LogMetrics::of(&zero)).is_finite());
     }
 }

@@ -287,7 +287,6 @@ pub fn run_rating_study(
                 let Some(stim) = stimuli.get(site, network, protocol) else {
                     continue;
                 };
-                let m = stim.metrics;
 
                 let (speed, quality) = if session.rusher {
                     // Rushers drag the slider anywhere.
@@ -299,7 +298,7 @@ pub fn run_rating_study(
                     let g = r.range_f64(10.0, 70.0);
                     (g, (g + r.normal_with(0.0, 8.0)).clamp(10.0, 70.0))
                 } else {
-                    let observed = percept::observe(p, &m, r);
+                    let observed = percept::observe(p, &stim.log_metrics, r);
                     let base = percept::base_rating(observed)
                         + calib::context_shift(env)
                         + tastes.get(&site).copied().unwrap_or(0.0)

@@ -9,7 +9,7 @@
 //! `(seed, study, group, id)` alone: `StudyData` is bit-identical for
 //! any `PQ_JOBS` value.
 
-use crate::ab::{run_ab_study, AbVote};
+use crate::ab::{run_ab_study, AbVotes};
 use crate::filtering::Funnel;
 use crate::participant::Group;
 use crate::rating::{run_rating_study, site_tastes, RatingVotes};
@@ -62,8 +62,9 @@ fn over_pools<V>(
 /// The complete raw dataset of one study execution.
 #[derive(Debug)]
 pub struct StudyData {
-    /// A/B votes (all groups; filter on `valid`).
-    pub ab: Vec<AbVote>,
+    /// A/B votes (all groups; filter on `valid`), tallied for the
+    /// figure analysis.
+    pub ab: AbVotes,
     /// Rating votes (all groups; filter on `valid`), indexed for the
     /// figure analysis.
     pub ratings: RatingVotes,
@@ -140,7 +141,7 @@ pub fn run_study_with(
             )
         });
     StudyData {
-        ab,
+        ab: ab.into(),
         ratings: ratings.into(),
         funnel_ab,
         funnel_rating,

@@ -6,6 +6,7 @@
 //! typical video's metrics per condition — everything the perception
 //! model and the Figure 6 correlations consume.
 
+use crate::percept::LogMetrics;
 use pq_fault::FaultPlan;
 use pq_metrics::{typical_run, MetricSet};
 use pq_sim::{NetworkKind, SimRng};
@@ -46,6 +47,8 @@ pub struct Stimulus {
     pub condition: Condition,
     /// Technical metrics of the typical (closest-to-mean-PLT) run.
     pub metrics: MetricSet,
+    /// `LogMetrics::of(&metrics)`: what every viewing reads.
+    pub log_metrics: LogMetrics,
     /// Mean PLT across runs (ms).
     pub mean_plt_ms: f64,
     /// Number of runs behind the selection.
@@ -194,6 +197,7 @@ fn cell_from_record(rec: &pq_ckpt::Record, cond: &Condition) -> Option<CellOk> {
         Stimulus {
             condition: *cond,
             metrics,
+            log_metrics: LogMetrics::of(&metrics),
             mean_plt_ms: f("mean_plt")?,
             runs: u32::try_from(u("runs")?).ok()?,
             mean_retransmits: f("mean_retx")?,
@@ -361,6 +365,7 @@ impl StimulusSet {
                 Stimulus {
                     condition: *cond,
                     metrics,
+                    log_metrics: LogMetrics::of(&metrics),
                     mean_plt_ms: mean_plt,
                     runs: got,
                     mean_retransmits: retx as f64 / f64::from(got),
@@ -658,6 +663,26 @@ mod tests {
                 .metrics
                 .plt_ms
         );
+    }
+
+    #[test]
+    fn built_and_journalled_cells_hold_the_same_log_metrics() {
+        let sites = vec![catalogue::site("apache.org").unwrap()];
+        let set = StimulusSet::build(
+            &sites,
+            &[NetworkKind::Mss],
+            &[Protocol::Tcp, Protocol::Quic],
+            2,
+            7,
+        );
+        let bits = |l: &LogMetrics| [l.si, l.fvc, l.lvc].map(f64::to_bits);
+        assert_eq!(set.iter().count(), 2);
+        for s in set.iter() {
+            assert_eq!(bits(&s.log_metrics), bits(&LogMetrics::of(&s.metrics)));
+            let rec = cell_record("cell", s, 0);
+            let (back, _) = cell_from_record(&rec, &s.condition).unwrap();
+            assert_eq!(bits(&back.log_metrics), bits(&s.log_metrics));
+        }
     }
 
     #[test]

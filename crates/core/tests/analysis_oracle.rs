@@ -1,20 +1,23 @@
 //! Differential tests for the indexed figure analysis: the per-cell
 //! `filter → collect` scans the analysis used before it read cells of
-//! `RatingVotes`' index are kept here as the reference, and every
-//! number the two forms return must agree bit for bit — a sample read
-//! from the index holds the same doubles in the same order as the scan
-//! collected, so every mean, ANOVA, median and Pearson sums
-//! identically.
+//! `RatingVotes`' index and `AbVotes`' tallies are kept here as the
+//! reference, and every number the two forms return must agree bit for
+//! bit — a sample read from the index holds the same doubles in the
+//! same order as the scan collected, so every mean, ANOVA, median and
+//! Pearson sums identically, and a tally's integer replay total is the
+//! double the scan's in-order sum reaches.
 
 use pq_fault::FaultPlan;
 use pq_metrics::Metric;
 use pq_sim::NetworkKind;
 use pq_stats::{median, one_way_anova, pearson, t_interval, AnovaResult, ConfidenceInterval};
 use pq_study::analysis::{
-    anova_across_protocols, fig3_agreement, metric_correlation, per_site_differences,
-    rating_interval, rating_sample, AgreementRow, SiteDifference,
+    ab_shares, anova_across_protocols, fig3_agreement, metric_correlation, per_site_differences,
+    rating_interval, rating_sample, AbShares, AgreementRow, SiteDifference,
 };
-use pq_study::{Environment, Group, RatingVote, RatingVotes, StimulusSet};
+use pq_study::{
+    AbChoice, AbVote, AbVotes, Environment, Group, RatingVote, RatingVotes, StimulusSet,
+};
 use pq_transport::Protocol;
 use pq_web::catalogue;
 use proptest::prelude::*;
@@ -24,6 +27,32 @@ use std::sync::{Arc, OnceLock};
 mod reference {
     use super::*;
     use std::collections::BTreeMap;
+
+    pub fn ab_shares(
+        votes: &[AbVote],
+        network: NetworkKind,
+        pair: (Protocol, Protocol),
+        groups: &[Group],
+    ) -> Option<AbShares> {
+        let sel: Vec<&AbVote> = votes
+            .iter()
+            .filter(|v| {
+                v.valid && v.network == network && v.pair == pair && groups.contains(&v.group)
+            })
+            .collect();
+        if sel.is_empty() {
+            return None;
+        }
+        let n = sel.len() as f64;
+        let count = |c: AbChoice| sel.iter().filter(|v| v.choice == c).count() as f64 / n;
+        Some(AbShares {
+            first: count(AbChoice::First),
+            no_diff: count(AbChoice::NoDifference),
+            second: count(AbChoice::Second),
+            avg_replays: sel.iter().map(|v| f64::from(v.replays)).sum::<f64>() / n,
+            n: sel.len(),
+        })
+    }
 
     pub fn rating_sample(
         votes: &[RatingVote],
@@ -278,6 +307,65 @@ fn arb_votes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RatingVot
     prop::collection::vec(vote, len)
 }
 
+/// Pairs the random A/B votes are cast on: Table 1's, edge stacks on
+/// either side, and a stack against itself.
+const AB_VOTED: [(Protocol, Protocol); 4] = [
+    (Protocol::Quic, Protocol::Tcp),
+    (Protocol::QuicEdge, Protocol::Quic),
+    (Protocol::H2Edge, Protocol::TcpPlus),
+    (Protocol::QuicMbx, Protocol::QuicMbx),
+];
+/// Group lists Fig. 4 is asked about: empty, with repeats, and all.
+const GROUP_LISTS: [&[Group]; 6] = [
+    &[],
+    &[Group::Lab],
+    &[Group::Lab, Group::MicroWorker],
+    &[Group::MicroWorker, Group::MicroWorker],
+    &[Group::Internet, Group::Lab, Group::Internet],
+    &Group::ALL,
+];
+
+/// A/B votes over a small domain, so cells collide: about one in seven
+/// is invalid, and replays run past the UI's cap of 3.
+fn arb_ab_votes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<AbVote>> {
+    let vote = (
+        (
+            0usize..3,
+            0u16..3,
+            0usize..2,
+            0usize..AB_VOTED.len(),
+            0usize..3,
+        ),
+        0u32..6,
+        0.0f64..1.0,
+        prop::bool::weighted(0.85),
+    )
+        .prop_map(
+            |((group, site, network, pair, choice), replays, confidence, valid)| AbVote {
+                group: Group::ALL[group],
+                participant: 0,
+                site,
+                network: NETWORKS[network],
+                pair: AB_VOTED[pair],
+                choice: [AbChoice::First, AbChoice::NoDifference, AbChoice::Second][choice],
+                confidence,
+                replays,
+                valid,
+            },
+        );
+    prop::collection::vec(vote, len)
+}
+
+/// Everything [`AbShares`] holds, floats as bit patterns.
+fn shares_bits(s: Option<AbShares>) -> Option<([u64; 4], usize)> {
+    s.map(|s| {
+        (
+            [s.first, s.no_diff, s.second, s.avg_replays].map(f64::to_bits),
+            s.n,
+        )
+    })
+}
+
 fn assert_same_anova(new: Option<AnovaResult>, old: Option<AnovaResult>) {
     let bits =
         |r: Option<AnovaResult>| r.map(|r| [r.f, r.p, r.df_between, r.df_within].map(f64::to_bits));
@@ -307,6 +395,29 @@ proptest! {
                             ci(reference::rating_interval(&votes, env, network, protocol, group, 0.99))
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Fig. 4's shares: every network (two never voted on), the voted
+    /// pairs, their mirror images and a pair nobody voted on, under
+    /// group lists that are empty or name a group twice.
+    #[test]
+    fn ab_shares_match_vote_scans(votes in arb_ab_votes(0..600)) {
+        let tallied = AbVotes::from(votes.clone());
+        let pairs = AB_VOTED
+            .into_iter()
+            .flat_map(|(a, b)| [(a, b), (b, a)])
+            .chain([(Protocol::TcpPlusBbr, Protocol::H2Edge)]);
+        for network in NetworkKind::ALL {
+            for pair in pairs.clone() {
+                for groups in GROUP_LISTS {
+                    prop_assert_eq!(
+                        shares_bits(ab_shares(&tallied, network, pair, groups)),
+                        shares_bits(reference::ab_shares(&votes, network, pair, groups)),
+                        "{:?} {:?} {:?}", network, pair, groups
+                    );
                 }
             }
         }
@@ -475,6 +586,17 @@ fn random_votes_reach_every_figure_function() {
         .is_some()
     });
     assert!(correlated, "no correlation over the holed stimulus set");
+    let ab = arb_ab_votes(600..601).generate(&mut rng);
+    let shares = ab_shares(
+        &AbVotes::from(ab),
+        NETWORKS[0],
+        AB_VOTED[1],
+        &[Group::MicroWorker],
+    );
+    assert!(
+        shares.is_some_and(|s| s.n > 1 && s.avg_replays > 0.0 && s.no_diff > 0.0),
+        "no A/B cell with replays and every answer: {shares:?}"
+    );
     let rows = fig3_agreement(&dense, 0.99);
     assert!(
         rows.iter().any(|r| r.site == u16::MAX),

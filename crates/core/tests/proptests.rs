@@ -1,9 +1,10 @@
 //! Property-based tests for the study layer: filtering funnels,
-//! perception monotonicity and vote-scale safety.
+//! perception monotonicity, stored log-metrics and vote-scale safety.
 
 use pq_metrics::MetricSet;
 use pq_sim::SimRng;
-use pq_study::{percept, Conformance, Funnel, Group, Participant};
+use pq_study::percept::{self, LogMetrics};
+use pq_study::{Conformance, Funnel, Group, Participant};
 use proptest::prelude::*;
 
 fn arb_conformance() -> impl Strategy<Value = Conformance> {
@@ -18,6 +19,22 @@ fn metrics(si: f64, tail: f64) -> MetricSet {
         lvc_ms: si * 1.4,
         plt_ms: si * 1.4 + tail,
     }
+}
+
+fn logs(si: f64, tail: f64) -> LogMetrics {
+    LogMetrics::of(&metrics(si, tail))
+}
+
+/// A metric value in ms: 0, below the 1 ms floor, `NaN`, 1e9, or an
+/// ordinary load time.
+fn arb_metric() -> impl Strategy<Value = f64> {
+    (0usize..5, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+        0 => 0.0,
+        1 => u,
+        2 => f64::NAN,
+        3 => 1e9,
+        _ => 1.0 + u * 60_000.0,
+    })
 }
 
 proptest! {
@@ -51,11 +68,29 @@ proptest! {
     fn percept_monotone_in_slowdown(seed in any::<u64>(), si in 100.0f64..60_000.0, factor in 1.01f64..10.0) {
         let mut rng = SimRng::new(seed);
         let p = Participant::sample(Group::MicroWorker, 0, &mut rng);
-        let fast = percept::log_percept(&p, &metrics(si, 0.0));
-        let slow = percept::log_percept(&p, &metrics(si * factor, 0.0));
+        let fast = percept::log_percept(&p, &logs(si, 0.0));
+        let slow = percept::log_percept(&p, &logs(si * factor, 0.0));
         prop_assert!(slow > fast);
         // In log domain the shift equals ln(factor) exactly.
         prop_assert!((slow - fast - factor.ln()).abs() < 1e-9);
+    }
+
+    /// The percept read from a stimulus's stored log-metrics is the
+    /// double the per-viewing form `Σ wᵢ · ln(max(mᵢ, 1))` gives, for
+    /// metrics at and under the 1 ms floor, `NaN` and 1e9 alike.
+    #[test]
+    fn percept_from_stored_logs_is_the_per_viewing_sum(
+        seed in any::<u64>(),
+        group in 0usize..3,
+        (si, fvc, lvc) in (arb_metric(), arb_metric(), arb_metric()),
+    ) {
+        let mut rng = SimRng::new(seed);
+        let p = Participant::sample(Group::ALL[group], 0, &mut rng);
+        let m = MetricSet { fvc_ms: fvc, si_ms: si, vc85_ms: si, lvc_ms: lvc, plt_ms: lvc };
+        let [w_si, w_fvc, w_lvc] = p.w;
+        let want = w_si * si.max(1.0).ln() + w_fvc * fvc.max(1.0).ln() + w_lvc * lvc.max(1.0).ln();
+        let got = percept::log_percept(&p, &LogMetrics::of(&m));
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "si {} fvc {} lvc {}", si, fvc, lvc);
     }
 
     /// The PLT tail alone (beacons) never changes the percept — users
@@ -65,8 +100,8 @@ proptest! {
     fn percept_ignores_plt_tail(seed in any::<u64>(), si in 100.0f64..10_000.0, tail in 0.0f64..60_000.0) {
         let mut rng = SimRng::new(seed);
         let p = Participant::sample(Group::Lab, 1, &mut rng);
-        let without = percept::log_percept(&p, &metrics(si, 0.0));
-        let with = percept::log_percept(&p, &metrics(si, tail));
+        let without = percept::log_percept(&p, &logs(si, 0.0));
+        let with = percept::log_percept(&p, &logs(si, tail));
         prop_assert!((without - with).abs() < 1e-12);
     }
 

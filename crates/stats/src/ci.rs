@@ -2,7 +2,6 @@
 
 use crate::desc::{mean, sem};
 use crate::dist::t_critical;
-use std::collections::BTreeMap;
 
 /// A symmetric confidence interval around a mean.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,50 +31,19 @@ impl ConfidenceInterval {
     }
 }
 
-/// Student-t intervals at one confidence level. The critical value
-/// depends only on the degrees of freedom, so it is solved once per
-/// distinct sample size and reused for every further sample of that
-/// size — Figure 3 asks for hundreds of intervals over a few dozen
-/// sizes. Owned by the caller: nothing outlives the value.
-#[derive(Clone, Debug)]
-pub struct TIntervals {
-    confidence: f64,
-    /// Critical t by sample size.
-    critical: BTreeMap<usize, f64>,
-}
-
-impl TIntervals {
-    /// Intervals at `confidence` (e.g. `0.99`).
-    pub fn new(confidence: f64) -> TIntervals {
-        TIntervals {
-            confidence,
-            critical: BTreeMap::new(),
-        }
-    }
-
-    /// Student-t interval for the mean of `xs`.
-    pub fn interval(&mut self, xs: &[f64]) -> ConfidenceInterval {
-        let n = xs.len();
-        let hw = if n >= 2 {
-            let t = *self
-                .critical
-                .entry(n)
-                .or_insert_with(|| t_critical(self.confidence, (n - 1) as f64));
-            t * sem(xs)
-        } else {
-            0.0
-        };
-        ConfidenceInterval {
-            mean: mean(xs),
-            half_width: hw,
-            confidence: self.confidence,
-        }
-    }
-}
-
 /// Student-t interval for the mean of a sample.
 pub fn t_interval(xs: &[f64], confidence: f64) -> ConfidenceInterval {
-    TIntervals::new(confidence).interval(xs)
+    let n = xs.len();
+    let half_width = if n >= 2 {
+        t_critical(confidence, (n - 1) as f64) * sem(xs)
+    } else {
+        0.0
+    };
+    ConfidenceInterval {
+        mean: mean(xs),
+        half_width,
+        confidence,
+    }
 }
 
 #[cfg(test)]
@@ -107,28 +75,6 @@ mod tests {
         assert_eq!(ci.half_width, 0.0);
         let ci = t_interval(&[], 0.95);
         assert_eq!(ci.mean, 0.0);
-    }
-
-    #[test]
-    fn memoised_intervals_equal_one_off_intervals() {
-        // Sizes repeat, so the second and later samples of a size read
-        // the memo; every interval must still be the one-off's bits.
-        let samples: [&[f64]; 7] = [
-            &[3.0, 9.0, 4.0],
-            &[1.0, 2.0, 3.0, 4.0, 5.0],
-            &[10.0, 70.0, 35.5],
-            &[7.0],
-            &[],
-            &[6.5, 6.25, 9.0, 1.0, 2.0],
-            &[5.0, 5.0],
-        ];
-        let mut memo = TIntervals::new(0.99);
-        for xs in samples {
-            let (a, b) = (memo.interval(xs), t_interval(xs, 0.99));
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-            assert_eq!(a.half_width.to_bits(), b.half_width.to_bits());
-            assert_eq!(a.confidence, 0.99);
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod normality;
 pub mod special;
 
 pub use anova::{one_way_anova, AnovaResult};
-pub use ci::{t_interval, ConfidenceInterval, TIntervals};
+pub use ci::{t_interval, ConfidenceInterval};
 pub use corr::pearson;
 pub use desc::{excess_kurtosis, mean, median, quantile, sem, skewness, std_dev, variance};
 pub use dist::{chi2_cdf, f_cdf, t_cdf, t_critical};

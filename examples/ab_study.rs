@@ -8,7 +8,7 @@
 //! ```
 
 use perceiving_quic::prelude::*;
-use perceiving_quic::study::{ab_shares, population, run_ab_study, Funnel, StudyKind};
+use perceiving_quic::study::{ab_shares, population, run_ab_study, AbVotes, Funnel, StudyKind};
 
 fn main() {
     let sites: Vec<Website> = ["wikipedia.org", "gov.uk", "apache.org", "spotify.com"]
@@ -30,7 +30,7 @@ fn main() {
             funnel.recruited,
             funnel.survivors()
         );
-        let votes = run_ab_study(
+        let votes = AbVotes::from(run_ab_study(
             &stimuli,
             &sessions,
             &[pair],
@@ -38,7 +38,7 @@ fn main() {
             &networks,
             group.calib().ab_videos,
             2024,
-        );
+        ));
         for network in networks {
             if let Some(s) = ab_shares(&votes, network, pair, &[group]) {
                 println!(
