@@ -3,8 +3,8 @@
 //! One `results/manifest.json` per experiment execution, declared once
 //! in [`manifest_json`]: scale, seed, git revision, per-phase
 //! wall-times, the Table-3 funnels, the per-protocol PLT histogram
-//! summaries, fault / resume accounting and the [`study_digest`] that
-//! CI and `tests/contract_digests.rs` pin. Its timings are one sample
+//! summaries, fault / retry / quarantine accounting and the
+//! [`study_digest`] that CI and `tests/contract_digests.rs` pin. Its timings are one sample
 //! from one machine; speed is measured by `benches/perf`.
 
 use crate::Experiment;
@@ -99,9 +99,7 @@ pub fn study_digest(data: &StudyData) -> u64 {
 
 /// Everything a `runall` execution leaves behind for machines: the
 /// finished experiment, the phase timer and the global metrics
-/// registry as one JSON object. `resumable` is `true` when the run was
-/// interrupted (SIGINT/SIGTERM) after checkpointing its completed
-/// cells — such a manifest is a progress report, never a baseline.
+/// registry as one JSON object.
 ///
 /// Keys, in order; readers are CI (`.github/workflows/ci.yml`) and the
 /// tests, through [`Value::get`]:
@@ -122,13 +120,10 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `faults_injected` | `fault.injected` counter |
 /// | `runs_retried` | invalid page loads re-run by the ≥31-valid-runs retry policy |
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
-/// | `resumable` | see above |
-/// | `resumed_from_cells` | grid cells restored from the journal instead of rebuilt |
-/// | `journal_records` | records in the cell journal (replayed + written; 0 with no journal open) |
 /// | `cells_timed_out` | cells quarantined by the `PQ_CELL_TIMEOUT_MS` watchdog |
 /// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes, phases: [{phase, allocs, bytes}]}` |
 /// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
-pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, resumable: bool) -> Value {
+pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
     // Before anything below allocates: the report is of the run, not
     // of writing the report.
     let alloc = pq_prof::alloc_enabled().then(pq_prof::alloc_snapshot);
@@ -217,16 +212,6 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, resumable: bool) -> Val
         .with("faults_injected", reg.counter_value("fault.injected"))
         .with("runs_retried", e.stimuli.runs_retried())
         .with("cells_quarantined", cells_quarantined)
-        .with("resumable", resumable)
-        .with("resumed_from_cells", e.stimuli.resumed_cells())
-        .with(
-            "journal_records",
-            if pq_ckpt::journal_active() {
-                pq_ckpt::replayed_count() + pq_ckpt::records_written()
-            } else {
-                0
-            },
-        )
         .with("cells_timed_out", e.stimuli.cells_timed_out());
     if let Some(snap) = alloc {
         let phases: Vec<Value> = snap
@@ -340,12 +325,12 @@ mod tests {
         fields.iter().map(|(k, _)| k.as_str()).collect()
     }
 
-    /// The schema CI's Python reads: 20 keys on every run, `alloc` only
+    /// The schema CI's Python reads: 17 keys on every run, `alloc` only
     /// while the counting allocator is on, `edge` only with an edge
     /// stack in the grid, in this order.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
-        const ALWAYS: [&str; 20] = [
+        const ALWAYS: [&str; 17] = [
             "scale",
             "seed",
             "jobs",
@@ -362,23 +347,18 @@ mod tests {
             "faults_injected",
             "runs_retried",
             "cells_quarantined",
-            "resumable",
-            "resumed_from_cells",
-            "journal_records",
             "cells_timed_out",
         ];
         let mut timer = PhaseTimer::new();
         let plain = timer.phase("experiment", || {
             tiny_experiment(&[Protocol::TcpPlus, Protocol::Quic])
         });
-        let m = manifest_json(&plain, &timer, false);
+        let m = manifest_json(&plain, &timer);
         assert_eq!(keys(&m), ALWAYS);
         let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("{key} present"));
         assert_eq!(get("scale").as_str(), Some("smoke"));
         assert_eq!(get("seed").as_u64(), Some(1910));
         assert_eq!(get("study_digest").as_str().map(str::len), Some(16));
-        assert_eq!(get("resumable").as_bool(), Some(false));
-        assert_eq!(get("resumed_from_cells").as_u64(), Some(0));
         assert_eq!(get("fault_spec").as_str(), Some(""));
         let phases = get("phases").as_arr().expect("phases array");
         assert_eq!(keys(&phases[0]), ["name", "secs"]);
@@ -396,19 +376,15 @@ mod tests {
         let plt = get("plt_ms").as_arr().expect("one row per stack");
         assert_eq!(keys(&plt[0]), ["protocol", "count", "p50", "p90", "p99"]);
         assert_eq!(plt[0].get("protocol").and_then(Value::as_str), Some("TCP+"));
-        assert_eq!(
-            manifest_json(&plain, &timer, true).get("resumable"),
-            Some(&Value::Bool(true))
-        );
 
         pq_prof::set_alloc_enabled(true);
         let edge = timer.phase("edge", || {
             tiny_experiment(&[Protocol::Quic, Protocol::QuicMbx])
         });
-        let m = manifest_json(&edge, &timer, false);
+        let m = manifest_json(&edge, &timer);
         pq_prof::set_alloc_enabled(false);
-        assert_eq!(keys(&m)[..20], ALWAYS);
-        assert_eq!(keys(&m)[20..], ["alloc", "edge"]);
+        assert_eq!(keys(&m)[..17], ALWAYS);
+        assert_eq!(keys(&m)[17..], ["alloc", "edge"]);
         let alloc = m.get("alloc").expect("alloc block");
         assert_eq!(
             keys(alloc),

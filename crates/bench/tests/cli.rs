@@ -1,6 +1,9 @@
-//! The `pq` dispatcher: a known subcommand runs, anything else gets
-//! the list of subcommands on stderr and exit status 2.
+//! The `pq` binary: a known subcommand runs, anything else gets the
+//! list of subcommands on stderr and exit status 2; and `pq runall`'s
+//! own manifest carries the pinned smoke and chaos digests.
 
+use pq_bench::CHAOS_SPEC;
+use pq_obs::json::Value;
 use std::process::Command;
 
 const SUBCOMMANDS: [&str; 13] = [
@@ -47,4 +50,65 @@ fn table1_prints_table_1_and_exits_0() {
     let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
     assert!(stdout.starts_with("== Table 1: protocol configurations =="));
     assert!(stdout.lines().any(|l| l.starts_with("QUIC+BBR")));
+}
+
+/// `pq runall` at smoke scale and seed 1910 in a fresh directory, with
+/// a stale `atomic_write` temp file planted in `results/`: the run
+/// sweeps the temp file and holds its manifest to the pinned
+/// `study_digest`. A killed run is rerun, so this is the
+/// run a rerun is.
+fn runall_holds_the_pin(faults: Option<&str>, jobs: u32, pinned_digest: &str) {
+    let dir = std::env::temp_dir().join(format!(
+        "pq-cli-runall-{}-{pinned_digest}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let results = dir.join("results");
+    std::fs::create_dir_all(&results).unwrap();
+    let stale = results.join(format!(
+        "manifest.json{}4242",
+        pq_ckpt::atomicio::TMP_MARKER
+    ));
+    std::fs::write(&stale, b"{\"torn\":").unwrap();
+
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pq"));
+    cmd.arg("runall")
+        .current_dir(&dir)
+        .env("PQ_SCALE", "smoke")
+        .env("PQ_SEED", "1910")
+        .env("PQ_JOBS", jobs.to_string())
+        .env_remove("PQ_STACKS")
+        .env_remove("PQ_FAULTS");
+    if let Some(spec) = faults {
+        cmd.env("PQ_FAULTS", spec);
+    }
+    let out = cmd.output().expect("spawn pq");
+    assert!(
+        out.status.success(),
+        "runall failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let text = std::fs::read_to_string(results.join("manifest.json")).expect("manifest");
+    let m = Value::parse(&text).expect("manifest JSON");
+    let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("manifest has {key}"));
+    assert_eq!(get("study_digest").as_str(), Some(pinned_digest));
+    assert_eq!(get("jobs").as_u64(), Some(u64::from(jobs)));
+    assert_eq!(get("fault_spec").as_str(), Some(faults.unwrap_or("")));
+    for retired in ["resumable", "resumed_from_cells", "journal_records"] {
+        assert!(m.get(retired).is_none(), "manifest still has {retired}");
+    }
+    assert!(!stale.exists(), "the stale temp file survived the run");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn smoke_runall_at_4_workers_writes_the_pinned_digest() {
+    runall_holds_the_pin(None, 4, "c0d50f06ad80383f");
+}
+
+#[test]
+fn chaos_runall_at_1_worker_writes_the_pinned_digest() {
+    runall_holds_the_pin(Some(CHAOS_SPEC), 1, "6a3c5bc812ebed5d");
 }

@@ -1,8 +1,7 @@
 //! Atomic results I/O: same-directory temp file + fsync + rename for
-//! whole-file writes, append+fdatasync for journals and history lines,
-//! and recovery-time sweeping of temp files a crashed process left
-//! behind. Readers of `results/*` either see the old complete file or
-//! the new complete file — never a torn one.
+//! whole-file writes, and sweeping of the temp files a killed process
+//! left behind. Readers of `results/*` either see the old complete file
+//! or the new complete file — never a torn one.
 
 use std::fs;
 use std::io::{self, Write};
@@ -61,31 +60,8 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     write
 }
 
-/// Append `line` to `path` durably: open with `O_APPEND` (creating the
-/// file and parent directories if needed), write the line plus a
-/// trailing newline if it lacks one, and fdatasync before returning.
-/// Suitable for append-only ledgers where each line
-/// must survive a crash the instant the call returns.
-pub fn durable_append(path: impl AsRef<Path>, line: &str) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(d) = parent_dir(path) {
-        fs::create_dir_all(d)?;
-    }
-    #[expect(clippy::disallowed_methods, reason = "durable_append's own handle")]
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(line.as_bytes())?;
-    if !line.ends_with('\n') {
-        f.write_all(b"\n")?;
-    }
-    f.sync_data()?;
-    Ok(())
-}
-
 /// Remove stale `*.pq-tmp.*` files in `dir` — leftovers from a
-/// process that crashed between temp-write and rename. Returns how
+/// process killed between temp-write and rename. Returns how
 /// many were removed; a missing directory is simply zero. Each removal
 /// is reported through the warn sink so recovery is visible in traces.
 pub fn recover_stale_temps(dir: impl AsRef<Path>) -> io::Result<usize> {
@@ -148,17 +124,6 @@ mod tests {
     #[test]
     fn atomic_write_rejects_bare_root() {
         assert!(atomic_write(Path::new("/"), b"x").is_err());
-    }
-
-    #[test]
-    fn durable_append_adds_newlines() {
-        let dir = scratch("append");
-        let path = dir.join("history.jsonl");
-        durable_append(&path, "{\"a\":1}").unwrap();
-        durable_append(&path, "{\"b\":2}\n").unwrap();
-        let body = fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "{\"a\":1}\n{\"b\":2}\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

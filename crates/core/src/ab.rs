@@ -6,7 +6,7 @@
 //! left / right / no difference plus a confidence. We simulate the
 //! psychophysics: each side is observed with noise, the percept
 //! difference is compared against the participant's JND, and ambiguous
-//! pairs get replayed (which averages noise down — and is why the
+//! pairs get played again (which averages noise down — and is why the
 //! paper sees more replays on *fast* networks, where differences are
 //! small).
 
@@ -46,7 +46,7 @@ pub struct AbVote {
     pub choice: AbChoice,
     /// Confidence in `[0, 1]`.
     pub confidence: f64,
-    /// Times the participant replayed the video.
+    /// Times the participant played the video again.
     pub replays: u32,
     /// Whether the participant survives conformance filtering.
     pub valid: bool,

@@ -92,8 +92,6 @@ pub struct StimulusSet {
     quarantined: Vec<QuarantinedCell>,
     /// Invalid page loads that were discarded and re-run.
     runs_retried: u64,
-    /// Cells restored from a write-ahead journal instead of rebuilt.
-    resumed_cells: u64,
     /// Cells quarantined by the `PQ_CELL_TIMEOUT_MS` watchdog.
     cells_timed_out: u64,
 }
@@ -131,97 +129,23 @@ type CellErr = (String, u32);
 type CellResult = Result<CellOk, CellErr>;
 
 /// One cell of the site × network × protocol grid: where it sits,
-/// what it loads, the key it goes by in the journal and the fault
-/// plan, and how its build has gone so far.
+/// what it loads, the key it goes by in the fault plan, and how its
+/// build has gone so far.
 struct Cell<'a> {
     cond: Condition,
     site: &'a Website,
     /// `site/network/protocol`.
     label: String,
-    /// `None` until a grid pass (or the journal) settles the cell.
+    /// `None` until a grid pass settles the cell.
     outcome: Option<CellResult>,
     /// What the cell's latest panic said, for the quarantine reason.
     last_panic: Option<String>,
 }
 
-/// Quarantine-reason marker for a cell abandoned because the process
-/// received SIGINT/SIGTERM. Such cells are *dropped*, not quarantined:
-/// the interrupted run journals nothing for them, and the resumed run
-/// rebuilds them from scratch.
-const INTERRUPTED_REASON: &str = "interrupted by signal";
-
 /// Quarantine-reason prefix of a cell killed by the
 /// `PQ_CELL_TIMEOUT_MS` watchdog; the manifest counts these as
 /// `cells_timed_out`.
 const DEADLINE_REASON: &str = "deadline exceeded";
-
-/// Encode one completed cell as a write-ahead journal record. Floats
-/// travel as 64-bit hex bit patterns, so a replayed cell is
-/// bit-identical to the one that was built.
-fn cell_record(key: &str, stim: &Stimulus, retried: u64) -> pq_ckpt::Record {
-    use pq_ckpt::{f64_to_hex, u64_to_hex};
-    let m = &stim.metrics;
-    pq_ckpt::Record::new(
-        "cell",
-        key,
-        [
-            ("fvc".to_string(), f64_to_hex(m.fvc_ms)),
-            ("lvc".to_string(), f64_to_hex(m.lvc_ms)),
-            ("si".to_string(), f64_to_hex(m.si_ms)),
-            ("vc85".to_string(), f64_to_hex(m.vc85_ms)),
-            ("plt".to_string(), f64_to_hex(m.plt_ms)),
-            ("mean_plt".to_string(), f64_to_hex(stim.mean_plt_ms)),
-            ("mean_retx".to_string(), f64_to_hex(stim.mean_retransmits)),
-            ("video_secs".to_string(), f64_to_hex(stim.video_secs)),
-            ("runs".to_string(), u64_to_hex(u64::from(stim.runs))),
-            ("retried".to_string(), u64_to_hex(retried)),
-        ],
-    )
-}
-
-/// Decode a journalled cell back into a build outcome. `None` when a
-/// field is missing or malformed — the caller falls back to rebuilding
-/// the cell, so a bad record costs time, never correctness.
-fn cell_from_record(rec: &pq_ckpt::Record, cond: &Condition) -> Option<CellOk> {
-    use pq_ckpt::{f64_from_hex, u64_from_hex};
-    let f = |k: &str| rec.get(k).and_then(f64_from_hex);
-    let u = |k: &str| rec.get(k).and_then(u64_from_hex);
-    let metrics = MetricSet {
-        fvc_ms: f("fvc")?,
-        lvc_ms: f("lvc")?,
-        si_ms: f("si")?,
-        vc85_ms: f("vc85")?,
-        plt_ms: f("plt")?,
-    };
-    Some((
-        Stimulus {
-            condition: *cond,
-            metrics,
-            log_metrics: LogMetrics::of(&metrics),
-            mean_plt_ms: f("mean_plt")?,
-            runs: u32::try_from(u("runs")?).ok()?,
-            mean_retransmits: f("mean_retx")?,
-            video_secs: f("video_secs")?,
-        },
-        u("retried")?,
-    ))
-}
-
-/// Encode one quarantined cell so a resumed run skips it without
-/// re-burning its attempt budget.
-fn quarantine_record(key: &str, reason: &str, attempts: u32) -> pq_ckpt::Record {
-    pq_ckpt::Record::new(
-        "quarantine",
-        key,
-        [
-            ("reason".to_string(), reason.to_string()),
-            (
-                "attempts".to_string(),
-                pq_ckpt::u64_to_hex(u64::from(attempts)),
-            ),
-        ],
-    )
-}
 
 impl StimulusSet {
     /// Build stimuli for every combination, loading each condition
@@ -314,13 +238,9 @@ impl StimulusSet {
             let max_budget = runs.saturating_mul(MAX_BUDGET_FACTOR);
             loop {
                 while attempt < budget && (all.len() as u32) < runs {
-                    // Cancellation points: a cell over its wall-clock
+                    // Cancellation point: a cell over its wall-clock
                     // budget is quarantined instead of hanging the
-                    // sweep; an interrupted cell is abandoned so the
-                    // process can checkpoint and exit.
-                    if pq_ckpt::interrupted() {
-                        return Err((INTERRUPTED_REASON.to_string(), attempt));
-                    }
+                    // sweep.
                     if let Some(elapsed) = pq_par::cell_deadline_exceeded() {
                         return Err((
                             format!(
@@ -375,48 +295,6 @@ impl StimulusSet {
             ))
         };
 
-        // Resume: cells replayed from an earlier (interrupted) run's
-        // write-ahead journal are restored verbatim — bit-identical
-        // metrics, same retry accounting — and never re-executed. A
-        // record that fails to decode falls back to a rebuild.
-        let mut resumed_cells = 0u64;
-        if pq_ckpt::journal_active() {
-            for cell in &mut cells {
-                if let Some(rec) = pq_ckpt::replayed("cell", &cell.label) {
-                    if let Some(ok) = cell_from_record(&rec, &cell.cond) {
-                        cell.outcome = Some(Ok(ok));
-                        resumed_cells += 1;
-                    } else {
-                        pq_obs::tracer().warn(
-                            "ckpt",
-                            format!(
-                                "journalled cell {} failed to decode; rebuilding",
-                                cell.label
-                            ),
-                        );
-                    }
-                } else if let Some(rec) = pq_ckpt::replayed("quarantine", &cell.label) {
-                    let reason = rec.get("reason").unwrap_or("unrecorded").to_string();
-                    let attempts = rec
-                        .get("attempts")
-                        .and_then(pq_ckpt::u64_from_hex)
-                        .and_then(|v| u32::try_from(v).ok())
-                        .unwrap_or(0);
-                    cell.outcome = Some(Err((reason, attempts)));
-                    resumed_cells += 1;
-                }
-            }
-            if resumed_cells > 0 {
-                pq_obs::tracer().warn(
-                    "ckpt",
-                    format!(
-                        "resumed {resumed_cells} of {} grid cells from the journal",
-                        cells.len()
-                    ),
-                );
-            }
-        }
-
         // Grid passes: panicking cells (injected or genuine) fail
         // only themselves, stay unsettled and are retried on the next
         // pass; cells still panicking after MAX_PANIC_PASSES are
@@ -424,13 +302,10 @@ impl StimulusSet {
         for pass in 0..MAX_PANIC_PASSES {
             let pending: Vec<&mut Cell> =
                 cells.iter_mut().filter(|c| c.outcome.is_none()).collect();
-            if pending.is_empty() || pq_ckpt::interrupted() {
+            if pending.is_empty() {
                 break;
             }
             let outs = pq_par::try_par_map(&pending, |cell| {
-                if pq_ckpt::interrupted() {
-                    return Err((INTERRUPTED_REASON.to_string(), 0));
-                }
                 if let Some(p) = &plan {
                     // Deliberate wall-clock delay (outside the
                     // simulator): exercises the watchdog without
@@ -452,21 +327,7 @@ impl StimulusSet {
                         }
                     }
                 }
-                let res = build_cell(cell);
-                // Write-ahead checkpoint: a completed cell is durable
-                // before its result is visible to the gather side, so
-                // a kill at any instant loses at most in-flight cells.
-                if let Ok((stim, retried)) = &res {
-                    if let Err(err) =
-                        pq_ckpt::journal_append(&cell_record(&cell.label, stim, *retried))
-                    {
-                        pq_obs::tracer().warn(
-                            "ckpt",
-                            format!("journal append failed for {}: {err}", cell.label),
-                        );
-                    }
-                }
-                res
+                build_cell(cell)
             });
             for (cell, out) in pending.into_iter().zip(outs) {
                 match out {
@@ -502,21 +363,11 @@ impl StimulusSet {
                     continue;
                 }
                 Some(Err((reason, attempts))) => {
-                    // An interrupted cell is dropped, not quarantined:
-                    // nothing is journalled for it and the resumed run
-                    // rebuilds it from scratch.
-                    if reason == INTERRUPTED_REASON {
-                        continue;
-                    }
                     // Every attempt of a quarantined cell was a
                     // discarded re-run; count them too.
                     runs_retried += u64::from(attempts);
                     (reason, attempts)
                 }
-                // No outcome after an interrupt means the cell never
-                // got to run (the pass loop bailed out); drop it for
-                // the resumed run rather than mislabel it as panicked.
-                None if pq_ckpt::interrupted() => continue,
                 None => (
                     format!(
                         "task panicked on {MAX_PANIC_PASSES} passes: {}",
@@ -527,17 +378,6 @@ impl StimulusSet {
             };
             if reason.starts_with(DEADLINE_REASON) {
                 cells_timed_out += 1;
-            }
-            // Quarantine decisions are checkpointed too, so a resumed
-            // run skips the doomed cell instead of re-burning its
-            // whole attempt budget.
-            if let Err(err) =
-                pq_ckpt::journal_append(&quarantine_record(&cell.label, &reason, attempts))
-            {
-                pq_obs::tracer().warn(
-                    "ckpt",
-                    format!("journal append failed for quarantine {}: {err}", cell.label),
-                );
             }
             pq_obs::tracer().warn(
                 "fault",
@@ -566,7 +406,6 @@ impl StimulusSet {
             grid,
             quarantined,
             runs_retried,
-            resumed_cells,
             cells_timed_out,
         }
     }
@@ -587,12 +426,6 @@ impl StimulusSet {
     /// Invalid page loads discarded and re-run during the build.
     pub fn runs_retried(&self) -> u64 {
         self.runs_retried
-    }
-
-    /// Cells restored from the write-ahead journal (`PQ_RESUME=1`)
-    /// instead of being rebuilt.
-    pub fn resumed_cells(&self) -> u64 {
-        self.resumed_cells
     }
 
     /// Cells quarantined because they exceeded the
@@ -666,7 +499,7 @@ mod tests {
     }
 
     #[test]
-    fn built_and_journalled_cells_hold_the_same_log_metrics() {
+    fn built_cells_hold_their_log_metrics() {
         let sites = vec![catalogue::site("apache.org").unwrap()];
         let set = StimulusSet::build(
             &sites,
@@ -679,9 +512,6 @@ mod tests {
         assert_eq!(set.iter().count(), 2);
         for s in set.iter() {
             assert_eq!(bits(&s.log_metrics), bits(&LogMetrics::of(&s.metrics)));
-            let rec = cell_record("cell", s, 0);
-            let (back, _) = cell_from_record(&rec, &s.condition).unwrap();
-            assert_eq!(bits(&back.log_metrics), bits(&s.log_metrics));
         }
     }
 

@@ -37,11 +37,9 @@ pub const KNOWN_VARS: &[&str] = &[
     "PQ_CELL_TIMEOUT_MS",
     "PQ_FAULTS",
     "PQ_JOBS",
-    "PQ_JOURNAL",
     "PQ_PROF_ALLOC",
     "PQ_PROF_OUT",
     "PQ_PROF_SVG",
-    "PQ_RESUME",
     "PQ_SCALE",
     "PQ_SEED",
     "PQ_STACKS",

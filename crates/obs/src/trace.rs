@@ -262,8 +262,8 @@ pub fn init_from_env() -> Level {
     }
     t.set_level(level);
     crate::profile::init_from_env();
-    // Route pq-ckpt diagnostics (torn-journal truncations, stale temp
-    // recovery, watchdog stalls) into the trace ring alongside stderr.
+    // Route pq-ckpt diagnostics (stale temp recovery, watchdog stalls)
+    // into the trace ring alongside stderr.
     pq_ckpt::set_warn_sink(|msg| {
         eprintln!("[pq-ckpt] warn: {msg}");
         tracer().warn("ckpt", msg.to_string());
