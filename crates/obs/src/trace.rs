@@ -207,6 +207,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 262_144;
 static TRACER: OnceLock<Tracer> = OnceLock::new();
 
 /// The global tracer (created lazily, disabled until initialised).
+#[inline]
 pub fn tracer() -> &'static Tracer {
     TRACER.get_or_init(|| Tracer {
         level: AtomicU8::new(Level::Off as u8),

@@ -150,23 +150,32 @@ pub fn current_path() -> Option<String> {
 }
 
 impl Drop for Span {
+    /// The unarmed check inlines into every instrumented site; only an
+    /// armed span pays the call that closes it.
+    #[inline]
     fn drop(&mut self) {
-        if !self.armed {
-            return;
+        if self.armed {
+            close_span();
         }
-        TPROF.with(|t| {
-            let mut t = t.borrow_mut();
-            let Some(frame) = t.stack.pop() else { return };
-            let total = frame.start.elapsed().as_nanos() as u64;
-            let self_ns = total.saturating_sub(frame.child_ns);
-            if let Some(parent) = t.stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(total);
-            }
-            let b = t.folded.entry(frame.path).or_default();
-            b.count += 1;
-            b.self_ns = b.self_ns.saturating_add(self_ns);
-        });
     }
+}
+
+/// Pop the thread's innermost frame and fold its self-time.
+#[cold]
+#[inline(never)]
+fn close_span() {
+    TPROF.with(|t| {
+        let mut t = t.borrow_mut();
+        let Some(frame) = t.stack.pop() else { return };
+        let total = frame.start.elapsed().as_nanos() as u64;
+        let self_ns = total.saturating_sub(frame.child_ns);
+        if let Some(parent) = t.stack.last_mut() {
+            parent.child_ns = parent.child_ns.saturating_add(total);
+        }
+        let b = t.folded.entry(frame.path).or_default();
+        b.count += 1;
+        b.self_ns = b.self_ns.saturating_add(self_ns);
+    });
 }
 
 /// Merge the current thread's folded table into the process-global

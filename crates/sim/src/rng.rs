@@ -76,11 +76,13 @@ impl SimRng {
         child
     }
 
+    #[inline]
     fn step(&mut self) {
         self.state = self.state.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
     }
 
     /// Next 32 uniformly random bits.
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.step();
@@ -90,16 +92,19 @@ impl SimRng {
     }
 
     /// Next 64 uniformly random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         (u64::from(self.next_u32()) << 32) | u64::from(self.next_u32())
     }
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -112,6 +117,7 @@ impl SimRng {
 
     /// Uniform integer in `[0, n)` using Lemire rejection; `n = 0`
     /// returns 0.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             return 0;
@@ -127,6 +133,7 @@ impl SimRng {
     }
 
     /// Uniform integer in the inclusive range `[lo, hi]`.
+    #[inline]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
@@ -135,11 +142,13 @@ impl SimRng {
     }
 
     /// Uniform float in `[lo, hi)`.
+    #[inline]
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.f64()
     }
 
     /// Standard normal deviate (Box–Muller, polar form).
+    #[inline]
     pub fn normal(&mut self) -> f64 {
         loop {
             let u = 2.0 * self.f64() - 1.0;
@@ -152,17 +161,20 @@ impl SimRng {
     }
 
     /// Normal deviate with the given mean and standard deviation.
+    #[inline]
     pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
         mean + sd * self.normal()
     }
 
     /// Log-normal deviate parameterized by the underlying normal's
     /// `mu`/`sigma` (natural log scale).
+    #[inline]
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.normal()).exp()
     }
 
     /// Exponential deviate with the given mean.
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let u = 1.0 - self.f64(); // avoid ln(0)
         -mean * u.ln()

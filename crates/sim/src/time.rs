@@ -49,22 +49,26 @@ impl SimTime {
     }
 
     /// Time since start as fractional seconds (for reporting only).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Time since start as fractional milliseconds (for reporting only).
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Checked subtraction of two instants.
+    #[inline]
     pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
         self.0.checked_sub(earlier.0).map(SimDuration)
     }
@@ -98,6 +102,7 @@ impl SimDuration {
 
     /// Construct from fractional seconds, rounding to the nearest
     /// nanosecond. Negative and non-finite inputs clamp to zero.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration::ZERO;
@@ -116,27 +121,32 @@ impl SimDuration {
     }
 
     /// Fractional seconds (for reporting and rate arithmetic).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Fractional milliseconds (for reporting).
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Saturating addition.
+    #[inline]
     pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
     /// Multiply by a non-negative float, saturating; used for RTO
     /// backoff factors and pacing-gain arithmetic.
+    #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * k)
     }
@@ -145,6 +155,7 @@ impl SimDuration {
     ///
     /// This is the serialization (transmission) delay used by the link
     /// model. Rates of zero yield `SimDuration::MAX` (a stalled link).
+    #[inline]
     pub fn for_bytes_at_rate(bytes: u64, bits_per_sec: u64) -> SimDuration {
         if bits_per_sec == 0 {
             return SimDuration::MAX;

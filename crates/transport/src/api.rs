@@ -70,6 +70,7 @@ pub enum Connection {
 impl Connection {
     /// Open a connection; the client's first flight is emitted
     /// immediately (SYN or CHLO).
+    #[inline]
     pub fn open(id: ConnId, cfg: StackConfig, now: SimTime) -> Connection {
         if cfg.protocol.is_quic() {
             Connection::Quic(QuicConnection::new(id, cfg, now))
@@ -81,6 +82,7 @@ impl Connection {
     /// The client writes a `bytes`-long request. QUIC opens `stream`
     /// for it and closes it with FIN; TCP appends to its one byte
     /// stream, [`StreamId`]`(0)`, whatever `stream` says.
+    #[inline]
     pub fn client_write(&mut self, now: SimTime, stream: StreamId, bytes: u64) {
         match self {
             Connection::Tcp(c) => c.client_write(now, bytes),
@@ -91,6 +93,7 @@ impl Connection {
     /// The server writes `bytes` of response onto `stream`, `fin`
     /// closing it (QUIC), or onto the byte stream (TCP, which has no
     /// per-response end to mark).
+    #[inline]
     pub fn server_write(&mut self, now: SimTime, stream: StreamId, bytes: u64, fin: bool) {
         match self {
             Connection::Tcp(c) => c.server_write(now, bytes),
@@ -100,6 +103,7 @@ impl Connection {
 
     /// Bytes the server application wrote that the transport has not
     /// yet sent for the first time.
+    #[inline]
     pub fn server_backlog(&self) -> u64 {
         match self {
             Connection::Tcp(c) => c.server_backlog(),
@@ -110,6 +114,7 @@ impl Connection {
     /// Attach the connection to a trace track (`pid` = the page load,
     /// `tid` = this connection's row). Sender-side congestion counters,
     /// retransmit/RTO instants and the handshake span land there.
+    #[inline]
     pub fn set_obs_track(&mut self, pid: u32, tid: u32) {
         match self {
             Connection::Tcp(c) => c.set_obs_track(pid, tid),
@@ -119,6 +124,7 @@ impl Connection {
 
     /// Deliver an arrived packet (`Direction::Up` = arrived at the
     /// server endpoint).
+    #[inline]
     pub fn on_packet(&mut self, now: SimTime, wire: &Wire, arrived: Direction) {
         match self {
             Connection::Tcp(c) => c.on_packet(now, wire, arrived),
@@ -126,7 +132,19 @@ impl Connection {
         }
     }
 
+    /// Hand back the payload of a packet [`Connection::on_packet`] has
+    /// processed: an ACK's range buffer is reused for the connection's
+    /// next ACK instead of freed, so steady-state ACKs allocate nothing.
+    #[inline]
+    pub fn recycle(&mut self, wire: Wire) {
+        match self {
+            Connection::Tcp(c) => c.recycle(wire),
+            Connection::Quic(c) => c.recycle(wire),
+        }
+    }
+
     /// Service expired timers.
+    #[inline]
     pub fn on_wake(&mut self, now: SimTime) {
         match self {
             Connection::Tcp(c) => c.on_wake(now),
@@ -135,6 +153,7 @@ impl Connection {
     }
 
     /// Earliest internal timer (`SimTime::MAX` when idle).
+    #[inline]
     pub fn poll_at(&self) -> SimTime {
         match self {
             Connection::Tcp(c) => c.poll_at(),
@@ -145,6 +164,7 @@ impl Connection {
     /// Move pending outputs to the end of `into`, oldest first. The
     /// pump loops call this once or more per event with a buffer they
     /// keep, so neither side allocates in steady state.
+    #[inline]
     pub fn drain_outputs(&mut self, into: &mut Vec<Output>) {
         match self {
             Connection::Tcp(c) => c.drain_outputs(into),
@@ -154,6 +174,7 @@ impl Connection {
 
     /// Pending outputs as a fresh `Vec`: [`Connection::drain_outputs`]
     /// for callers without a buffer to reuse.
+    #[inline]
     pub fn take_outputs(&mut self) -> Vec<Output> {
         let mut outputs = Vec::new();
         self.drain_outputs(&mut outputs);
@@ -161,6 +182,7 @@ impl Connection {
     }
 
     /// True once the client may send application data.
+    #[inline]
     pub fn is_established(&self) -> bool {
         match self {
             Connection::Tcp(c) => c.is_established(),
@@ -169,6 +191,7 @@ impl Connection {
     }
 
     /// Total retransmissions (both directions / all packet numbers).
+    #[inline]
     pub fn retransmits(&self) -> u64 {
         match self {
             Connection::Tcp(c) => c.retransmits(),
@@ -183,6 +206,7 @@ impl Connection {
     /// transport's own job: the TCP handshake timer re-emits the SYN
     /// with exponential backoff, and QUIC's RTO requeues the CHLO —
     /// exactly the machinery a real lost flight exercises.
+    #[inline]
     pub fn discard_pending_sends(&mut self) -> usize {
         match self {
             Connection::Tcp(c) => c.discard_pending_sends(),

@@ -46,12 +46,14 @@
 pub mod api;
 pub mod cc;
 pub mod config;
+pub(crate) mod idmap;
 pub(crate) mod obs;
 pub mod pacing;
 pub mod quic;
 pub mod rangeset;
 pub mod rate;
 pub mod rtt;
+pub(crate) mod seglog;
 pub(crate) mod sender;
 pub(crate) mod sentlog;
 pub mod tcp;

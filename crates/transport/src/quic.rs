@@ -14,13 +14,13 @@
 
 use crate::api::{Output, StreamId};
 use crate::config::StackConfig;
+use crate::idmap::{IdMap, IdSet};
 use crate::rangeset::{Range, RangeSet};
 use crate::rate::TxRecord;
 use crate::sender::SenderCore;
 use crate::sentlog::SentLog;
 use crate::wire::{QuicFrame, QuicPacket, Wire};
 use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// SHLO/REJ flight: server config + certs ≈ 2 packets.
 const SHLO_PARTS: u8 = 2;
@@ -106,13 +106,13 @@ struct QuicEndpoint {
     /// An out-of-order arrival since the last ACK left (triggers an
     /// immediate ACK, as reordering/loss feedback must be prompt).
     ooo_pending: bool,
-    send_streams: BTreeMap<u64, SendStream>,
+    send_streams: IdMap<SendStream>,
     /// Streams with a non-empty `lost` set, so `next_chunk` never
     /// walks the finished ones.
-    lossy_streams: BTreeSet<u64>,
+    lossy_streams: IdSet,
     /// Streams with unsent fresh data (`next_offset < limit`).
-    fresh_streams: BTreeSet<u64>,
-    recv_streams: BTreeMap<u64, RecvStream>,
+    fresh_streams: IdSet,
+    recv_streams: IdMap<RecvStream>,
     /// Congestion-cutback marker: only the loss of a packet *sent
     /// after* the previous cutback triggers a new one (gQUIC's
     /// `largest_sent_at_last_cutback` rule) — otherwise a burst of
@@ -120,6 +120,9 @@ struct QuicEndpoint {
     cutback_pn: u64,
     /// Handshake frames pending (re)transmission.
     hs_queue: Vec<SentFrame>,
+    /// Range buffers of this endpoint's ACK frames, handed back after
+    /// delivery ([`QuicConnection::recycle`]) for the next ones.
+    spare_ranges: Vec<Vec<Range>>,
 }
 
 impl QuicEndpoint {
@@ -136,12 +139,13 @@ impl QuicEndpoint {
             ack_at: None,
             eliciting_since_ack: 0,
             ooo_pending: false,
-            send_streams: BTreeMap::new(),
-            lossy_streams: BTreeSet::new(),
-            fresh_streams: BTreeSet::new(),
-            recv_streams: BTreeMap::new(),
+            send_streams: IdMap::default(),
+            lossy_streams: IdSet::default(),
+            fresh_streams: IdSet::default(),
+            recv_streams: IdMap::default(),
             cutback_pn: 0,
             hs_queue: Vec::new(),
+            spare_ranges: Vec::new(),
         }
     }
 
@@ -154,14 +158,16 @@ impl QuicEndpoint {
         self.ack_at = None;
         self.eliciting_since_ack = 0;
         self.ooo_pending = false;
-        Some(QuicFrame::Ack {
-            ranges: self.recv_pns.highest(self.max_ack_ranges),
-        })
+        let mut ranges = self.spare_ranges.pop().unwrap_or_default();
+        self.recv_pns.highest_into(self.max_ack_ranges, &mut ranges);
+        Some(QuicFrame::Ack { ranges })
     }
 
     /// The application appended `bytes` to `stream`.
     fn write(&mut self, stream: u64, bytes: u64, fin: bool) {
-        let s = self.send_streams.entry(stream).or_default();
+        let s = self
+            .send_streams
+            .get_or_insert_with(stream, SendStream::default);
         s.limit += bytes;
         s.fin = fin;
         if s.next_offset < s.limit {
@@ -176,7 +182,7 @@ impl QuicEndpoint {
         // (stream, offset, len, fin, is_retx)
         let lossy = self.lossy_streams.first().and_then(|id| {
             let s = self.send_streams.get(id)?;
-            Some((*id, s, s.lost.iter().next()?))
+            Some((id, s, s.lost.iter().next()?))
         });
         if let Some((id, s, r)) = lossy {
             let len = r.len().min(self.core.mss) as u32;
@@ -185,7 +191,7 @@ impl QuicEndpoint {
             let fin = s.fin && r.start + u64::from(len) >= s.limit;
             return Some((id, r.start, len, fin, true));
         }
-        for id in &self.fresh_streams {
+        for id in self.fresh_streams.ids() {
             let Some(s) = self.send_streams.get(id) else {
                 continue;
             };
@@ -196,7 +202,7 @@ impl QuicEndpoint {
             if s.next_offset < s.limit && s.next_offset < consumed + STREAM_WINDOW {
                 let len = (s.limit - s.next_offset).min(self.core.mss) as u32;
                 let fin = s.fin && s.next_offset + u64::from(len) >= s.limit;
-                return Some((*id, s.next_offset, len, fin, false));
+                return Some((id, s.next_offset, len, fin, false));
             }
         }
         None
@@ -307,17 +313,17 @@ impl QuicEndpoint {
                 // A chunk always references a live send stream; if the
                 // map ever disagrees, drop the frame (the next poll
                 // re-derives the chunk) instead of aborting the cell.
-                if let Some(s) = self.send_streams.get_mut(&id) {
+                if let Some(s) = self.send_streams.get_mut(id) {
                     if is_retx {
                         s.lost.remove(offset, offset + u64::from(len));
                         if s.lost.is_empty() {
-                            self.lossy_streams.remove(&id);
+                            self.lossy_streams.remove(id);
                         }
                         self.core.note_retransmit(now, "stream", id, out);
                     } else {
                         s.next_offset = offset + u64::from(len);
                         if s.next_offset >= s.limit {
-                            self.fresh_streams.remove(&id);
+                            self.fresh_streams.remove(id);
                         }
                     }
                     tracked = Some(QuicFrame::Stream {
@@ -405,7 +411,7 @@ impl QuicEndpoint {
                 }
                 largest_newly = Some(largest_newly.map_or(pn, |l: u64| l.max(pn)));
                 if let Some(SentFrame::Stream { id, offset, len }) = sp.frame {
-                    if let Some(s) = self.send_streams.get_mut(&id) {
+                    if let Some(s) = self.send_streams.get_mut(id) {
                         s.acked.insert(offset, offset + u64::from(len));
                     }
                 }
@@ -476,7 +482,7 @@ impl QuicEndpoint {
         match frame {
             SentFrame::Chlo | SentFrame::Shlo { .. } => self.hs_queue.push(frame),
             SentFrame::Stream { id, offset, len } => {
-                let Some(s) = self.send_streams.get_mut(&id) else {
+                let Some(s) = self.send_streams.get_mut(id) else {
                     return;
                 };
                 // Only re-queue what the peer hasn't ACKed: the gaps
@@ -586,6 +592,7 @@ impl QuicConnection {
     }
 
     /// Move pending outputs to the end of `into`, oldest first.
+    #[inline]
     pub fn drain_outputs(&mut self, into: &mut Vec<Output>) {
         into.append(&mut self.out);
     }
@@ -617,6 +624,7 @@ impl QuicConnection {
 
     /// Server-side send backlog: bytes written by the server
     /// application but not yet packetized for the first time.
+    #[inline]
     pub fn server_backlog(&self) -> u64 {
         let unsent = |id| {
             self.server
@@ -624,7 +632,7 @@ impl QuicConnection {
                 .get(id)
                 .map(|s| s.limit - s.next_offset)
         };
-        self.server.fresh_streams.iter().filter_map(unsent).sum()
+        self.server.fresh_streams.ids().filter_map(unsent).sum()
     }
 
     /// A packet arrived at one endpoint (`Direction::Up` = at server).
@@ -660,7 +668,7 @@ impl QuicConnection {
                     len,
                     fin,
                 } => {
-                    let rs = ep.recv_streams.entry(*id).or_default();
+                    let rs = ep.recv_streams.get_or_insert_with(*id, RecvStream::default);
                     let end = offset + u64::from(*len);
                     if *fin {
                         rs.fin_at = Some(end);
@@ -730,7 +738,26 @@ impl QuicConnection {
         self.progress = stream_progress;
     }
 
+    /// Take back a delivered packet's payload: an ACK frame's range
+    /// buffer goes to the endpoint that sent it, for its next ACK.
+    pub fn recycle(&mut self, wire: Wire) {
+        let Wire::Quic(pkt) = wire else { return };
+        let ep = if pkt.from_client {
+            &mut self.client
+        } else {
+            &mut self.server
+        };
+        for frame in pkt.frames.into_iter().flatten() {
+            if let QuicFrame::Ack { ranges } = frame {
+                if ranges.capacity() > 0 {
+                    ep.spare_ranges.push(ranges);
+                }
+            }
+        }
+    }
+
     /// Earliest internal timer.
+    #[inline]
     pub fn poll_at(&self) -> SimTime {
         self.client.poll_at().min(self.server.poll_at())
     }

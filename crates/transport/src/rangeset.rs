@@ -251,14 +251,15 @@ impl RangeSet {
         }
     }
 
-    /// The `n` ranges with the highest starts (most recently useful for
-    /// SACK blocks), descending by start.
-    pub fn highest(&self, n: usize) -> Vec<Range> {
-        // A reversed slice knows its length: one exact allocation
-        // (none for an empty answer) and a straight copy.
+    /// Fill `out` (cleared first) with the `n` ranges with the highest
+    /// starts (most recently useful for SACK blocks / ACK ranges),
+    /// descending by start. A buffer that already held an ACK's
+    /// ranges has the capacity for the next one's.
+    pub fn highest_into(&self, n: usize, out: &mut Vec<Range>) {
         let top = self.ranges.len().saturating_sub(n);
         let top = self.ranges.get(top..).unwrap_or_default();
-        top.iter().rev().copied().collect()
+        out.clear();
+        out.extend(top.iter().rev().copied());
     }
 
     #[cfg(test)]
@@ -406,10 +407,11 @@ mod tests {
         s.insert(0, 5);
         s.insert(10, 15);
         s.insert(20, 25);
-        let top2 = s.highest(2);
-        assert_eq!(top2[0].start, 20);
-        assert_eq!(top2[1].start, 10);
-        assert_eq!(s.highest(10).len(), 3);
+        let mut top = vec![Range::new(90, 99); 5];
+        s.highest_into(2, &mut top);
+        assert_eq!(top, vec![Range::new(20, 25), Range::new(10, 15)]);
+        s.highest_into(10, &mut top);
+        assert_eq!(top.len(), 3);
     }
 
     #[test]

@@ -27,10 +27,10 @@ use crate::api::{Output, StreamId};
 use crate::config::StackConfig;
 use crate::rangeset::{Range, RangeSet};
 use crate::rate::TxRecord;
+use crate::seglog::SegLog;
 use crate::sender::SenderCore;
 use crate::wire::{TcpSegKind, TcpSegment, Wire};
 use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// TLS 1.3 server flight: ServerHello, EncryptedExtensions,
 /// Certificate, CertificateVerify, Finished ≈ 4 kB in 3 parts.
@@ -60,7 +60,8 @@ struct TcpSender {
     app_limit: u64,
     snd_una: u64,
     snd_nxt: u64,
-    inflight: BTreeMap<u64, SentSeg>,
+    /// The scoreboard: segments in flight by starting sequence number.
+    inflight: SegLog<SentSeg>,
     /// Bytes SACKed above `snd_una`.
     sacked: RangeSet,
     /// Bytes marked lost, awaiting retransmission.
@@ -74,9 +75,9 @@ struct TcpSender {
     peer_rwnd: u64,
     slow_start_after_idle: bool,
     initial_window: u64,
-    /// Scratch for the `(start, end)` of segments an ACK picks out of
-    /// `inflight` (SACK-retired, marked lost); kept for its capacity.
-    picked: Vec<(u64, u64)>,
+    /// Scratch for the segments an ACK picks out of `inflight`
+    /// (SACK-retired, marked lost); kept for its capacity.
+    picked: Vec<(u64, SentSeg)>,
 }
 
 impl TcpSender {
@@ -86,7 +87,7 @@ impl TcpSender {
             app_limit: 0,
             snd_una: 0,
             snd_nxt: 0,
-            inflight: BTreeMap::new(),
+            inflight: SegLog::new(),
             sacked: RangeSet::new(),
             lost: RangeSet::new(),
             recovery_until: 0,
@@ -190,12 +191,7 @@ impl TcpSender {
             newly_acked += cum - self.snd_una;
             // Drop covered segments, sampling from the newest
             // non-retransmitted one (Karn's rule).
-            while let Some(entry) = self.inflight.first_entry() {
-                let start = *entry.key();
-                if start >= cum {
-                    break;
-                }
-                let mut seg = entry.remove();
+            while let Some((start, mut seg)) = self.inflight.pop_front_below(cum) {
                 let acked = seg.end.min(cum) - start;
                 self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(acked);
                 if seg.end <= cum && !seg.retx {
@@ -228,16 +224,14 @@ impl TcpSender {
                 newly_acked += added;
                 // Retire fully-SACKed segments.
                 let mut covered = std::mem::take(&mut self.picked);
-                covered.extend(
-                    self.inflight
-                        .range(r.start.saturating_sub(self.core.mss)..r.end)
-                        .filter(|(s, seg)| self.sacked.contains_range(**s, seg.end))
-                        .map(|(s, seg)| (*s, seg.end)),
+                let sacked = &self.sacked;
+                self.inflight.take_where(
+                    r.start.saturating_sub(self.core.mss),
+                    r.end,
+                    |s, seg| sacked.contains_range(s, seg.end),
+                    &mut covered,
                 );
-                for (start, _) in covered.drain(..) {
-                    let Some(seg) = self.inflight.remove(&start) else {
-                        continue; // covered starts came from `inflight`
-                    };
+                for (start, seg) in covered.drain(..) {
                     self.core.bytes_in_flight =
                         self.core.bytes_in_flight.saturating_sub(seg.end - start);
                     if !seg.retx {
@@ -267,20 +261,21 @@ impl TcpSender {
         // segments ending at or below one cutoff, found once per ACK.
         if let Some(cutoff) = self.sacked.start_of_top(DUP_THRESH_SEGS * self.core.mss) {
             let mut to_mark = std::mem::take(&mut self.picked);
-            to_mark.extend(
-                self.inflight
-                    .range(..cutoff)
-                    .filter(|(start, seg)| {
-                        seg.end <= cutoff
-                            && (self.newest_delivered > (seg.sent_at, **start))
-                            && !self.sacked.contains_range(**start, seg.end)
-                    })
-                    .map(|(s, seg)| (*s, seg.end)),
+            let (sacked, newest_delivered) = (&self.sacked, self.newest_delivered);
+            self.inflight.take_where(
+                0,
+                cutoff,
+                |start, seg| {
+                    seg.end <= cutoff
+                        && newest_delivered > (seg.sent_at, start)
+                        && !sacked.contains_range(start, seg.end)
+                },
+                &mut to_mark,
             );
-            for (start, end) in to_mark.drain(..) {
-                self.inflight.remove(&start);
-                self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(end - start);
-                self.lost.insert(start, end);
+            for (start, seg) in to_mark.drain(..) {
+                self.core.bytes_in_flight =
+                    self.core.bytes_in_flight.saturating_sub(seg.end - start);
+                self.lost.insert(start, seg.end);
                 lost_any = true;
             }
             self.picked = to_mark;
@@ -314,7 +309,7 @@ impl TcpSender {
     fn on_rto(&mut self, now: SimTime, out: &mut Vec<Output>) {
         self.core.on_rto(now, self.snd_una, out);
         // Everything unSACKed in flight is presumed lost.
-        while let Some((start, seg)) = self.inflight.pop_first() {
+        while let Some((start, seg)) = self.inflight.pop_front() {
             self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(seg.end - start);
             self.lost.insert(start, seg.end);
         }
@@ -338,6 +333,9 @@ struct TcpReceiver {
     total_segs: u64,
     /// Last progress value reported to the application.
     reported: u64,
+    /// SACK-block buffers of this receiver's ACKs, handed back after
+    /// delivery ([`TcpConnection::recycle`]) for the next ones.
+    spare: Vec<Vec<Range>>,
 }
 
 impl TcpReceiver {
@@ -350,6 +348,7 @@ impl TcpReceiver {
             segs_since_ack: 0,
             total_segs: 0,
             reported: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -384,11 +383,13 @@ impl TcpReceiver {
     fn make_ack(&mut self, from_client: bool) -> TcpSegment {
         self.segs_since_ack = 0;
         self.delack_at = None;
+        let mut sacks = self.spare.pop().unwrap_or_default();
+        self.ooo.highest_into(self.max_sack_blocks, &mut sacks);
         TcpSegment {
             from_client,
             kind: TcpSegKind::Ack {
                 cum: self.rcv_nxt,
-                sacks: self.ooo.highest(self.max_sack_blocks),
+                sacks,
             },
         }
     }
@@ -501,6 +502,7 @@ impl TcpConnection {
 
     /// Move pending outputs (send requests, progress events, traces)
     /// to the end of `into`, oldest first.
+    #[inline]
     pub fn drain_outputs(&mut self, into: &mut Vec<Output>) {
         // Stamp conn ids and wire sizes on outgoing packets.
         for o in &mut self.out {
@@ -557,6 +559,7 @@ impl TcpConnection {
     /// use this for bounded-lookahead interleaving (commit small
     /// frames only while the transport is hungry, so late-arriving
     /// responses can still be multiplexed fairly).
+    #[inline]
     pub fn server_backlog(&self) -> u64 {
         self.s2c_snd.app_limit - self.s2c_snd.snd_nxt
     }
@@ -667,6 +670,27 @@ impl TcpConnection {
         }
     }
 
+    /// Take back a delivered packet's payload: an ACK's SACK-block
+    /// buffer goes to the receiver that made it, for its next ACK.
+    pub fn recycle(&mut self, wire: Wire) {
+        let Wire::Tcp(TcpSegment {
+            from_client,
+            kind: TcpSegKind::Ack { sacks, .. },
+        }) = wire
+        else {
+            return;
+        };
+        // The client's ACKs acknowledge server data (the s2c pipe).
+        let rcv = if from_client {
+            &mut self.s2c_rcv
+        } else {
+            &mut self.c2s_rcv
+        };
+        if sacks.capacity() > 0 {
+            rcv.spare.push(sacks);
+        }
+    }
+
     fn establish_server(&mut self, now: SimTime) {
         if !self.server_established {
             self.server_established = true;
@@ -690,6 +714,7 @@ impl TcpConnection {
     }
 
     /// Earliest internal timer.
+    #[inline]
     pub fn poll_at(&self) -> SimTime {
         let mut t = SimTime::MAX;
         for x in [

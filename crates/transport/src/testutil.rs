@@ -193,6 +193,7 @@ impl MiniWorld {
                 }
                 Ev::Deliver(dir, pkt) => {
                     self.conn.on_packet(now, &pkt.payload, dir);
+                    self.conn.recycle(pkt.payload);
                     self.pump(now);
                 }
                 Ev::ConnWake(v) => {

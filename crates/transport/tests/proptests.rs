@@ -195,18 +195,24 @@ proptest! {
         }
     }
 
-    /// highest(n) returns at most n ranges, descending by start.
+    /// highest_into(n) leaves exactly the top n ranges, descending by
+    /// start, whatever the buffer held before.
     #[test]
-    fn highest_is_sorted_suffix(ops in prop::collection::vec((0u64..500, 1u64..9), 0..30), n in 0usize..10) {
+    fn highest_is_sorted_suffix(
+        ops in prop::collection::vec((0u64..500, 1u64..9), 0..30),
+        n in 0usize..10,
+        stale in 0usize..40,
+    ) {
         let mut rs = RangeSet::new();
         for &(s, l) in &ops {
             rs.insert(s, s + l);
         }
-        let top = rs.highest(n);
-        prop_assert!(top.len() <= n.min(rs.len()));
-        for w in top.windows(2) {
-            prop_assert!(w[0].start > w[1].start);
-        }
+        let mut top = vec![pq_transport::Range::new(7, 9); stale];
+        rs.highest_into(n, &mut top);
+        let mut want: Vec<_> = rs.iter().collect();
+        want.reverse();
+        want.truncate(n);
+        prop_assert_eq!(top, want);
     }
 
     /// A paced sender never exceeds its configured rate over any run

@@ -694,6 +694,7 @@ impl Loader<'_> {
         };
         if let Some(c) = self.conn_mut(key) {
             c.conn.on_packet(now, &pkt.payload, dir);
+            c.conn.recycle(pkt.payload);
             self.pump(now, key);
         }
     }

@@ -8,47 +8,67 @@
 use crate::object::{Got, ObjectId, Progress};
 use pq_sim::SimTime;
 use pq_transport::{Connection, StreamId};
-use std::collections::BTreeMap;
 
 /// Request header bytes per request (matching the HTTP/2 number so the
 /// comparison is eye-level).
 pub const REQUEST_BYTES: u64 = 400;
 /// Response header bytes.
 pub const RESPONSE_HEADER: u64 = 200;
+/// The first client request stream: they are odd, 5, 7, 9, … as in
+/// gQUIC, where low ids are reserved.
+const FIRST_STREAM: u64 = 5;
 
-/// Stream bookkeeping for one QUIC connection.
+/// Stream bookkeeping for one QUIC connection. Streams open in id
+/// order and object ids are dense, so both directions are plain
+/// vectors.
 #[derive(Debug, Default)]
 pub struct H3Map {
-    next_stream: u64,
-    by_stream: BTreeMap<u64, ObjectId>,
-    by_object: BTreeMap<ObjectId, u64>,
-    /// Response body size per stream (set when the server responds).
-    body: BTreeMap<u64, u64>,
+    /// The object of each request stream, the `i`-th opened being
+    /// stream `FIRST_STREAM + 2·i`.
+    by_stream: Vec<ObjectId>,
+    /// The request stream of each object, by object id.
+    by_object: Vec<Option<u64>>,
 }
 
 impl H3Map {
-    /// Fresh mapping (client request streams are odd: 5, 7, 9, … as in
-    /// gQUIC, where low ids are reserved).
+    /// Fresh mapping.
     pub fn new() -> H3Map {
-        H3Map {
-            next_stream: 5,
-            ..H3Map::default()
-        }
+        H3Map::default()
     }
 
     /// Open a request stream for `object`.
     pub fn request(&mut self, conn: &mut Connection, now: SimTime, object: ObjectId) {
-        let sid = self.next_stream;
-        self.next_stream += 2;
-        self.by_stream.insert(sid, object);
-        self.by_object.insert(object, sid);
+        let sid = FIRST_STREAM + 2 * self.by_stream.len() as u64;
+        self.by_stream.push(object);
+        let i = object.0 as usize;
+        if self.by_object.len() <= i {
+            self.by_object.resize(i + 1, None);
+        }
+        if let Some(slot) = self.by_object.get_mut(i) {
+            *slot = Some(sid);
+        }
         conn.client_write(now, StreamId(sid), REQUEST_BYTES);
+    }
+
+    /// The object request stream `stream` carries.
+    fn object_of(&self, stream: StreamId) -> Option<ObjectId> {
+        let offset = stream.0.checked_sub(FIRST_STREAM)?;
+        if !offset.is_multiple_of(2) {
+            return None;
+        }
+        let i = usize::try_from(offset / 2).ok()?;
+        self.by_stream.get(i).copied()
+    }
+
+    /// The request stream of `object`.
+    fn stream_of(&self, object: ObjectId) -> Option<u64> {
+        self.by_object.get(object.0 as usize).copied().flatten()
     }
 
     /// A request stream finished at the server; returns the object to
     /// hand to the server application.
     pub fn on_server_stream_fin(&self, stream: StreamId) -> Option<ObjectId> {
-        self.by_stream.get(&stream.0).copied()
+        self.object_of(stream)
     }
 
     /// Server writes the response for `object` (`body` payload bytes).
@@ -57,10 +77,9 @@ impl H3Map {
         // opened; if the map ever disagrees, drop the response (the
         // load ends incomplete at the horizon) rather than aborting
         // the whole grid cell.
-        let Some(&sid) = self.by_object.get(&object) else {
+        let Some(sid) = self.stream_of(object) else {
             return;
         };
-        self.body.insert(sid, body);
         conn.server_write(now, StreamId(sid), RESPONSE_HEADER + body, true);
     }
 
@@ -76,7 +95,7 @@ impl H3Map {
         bytes: u64,
         fin: bool,
     ) {
-        if let Some(&sid) = self.by_object.get(&object) {
+        if let Some(sid) = self.stream_of(object) {
             conn.server_write(now, StreamId(sid), bytes, fin);
         }
     }
@@ -84,7 +103,7 @@ impl H3Map {
     /// Translate client-side stream delivery into object progress
     /// (the response's headers count as delivered once anything is).
     pub fn on_client_delivered(&self, stream: StreamId, delivered: u64) -> Option<Progress> {
-        let object = self.by_stream.get(&stream.0).copied()?;
+        let object = self.object_of(stream)?;
         let got = Got::Total(delivered.max(RESPONSE_HEADER));
         Some(Progress { object, got })
     }
@@ -111,8 +130,17 @@ mod tests {
         let mut c = conn();
         map.request(&mut c, SimTime::ZERO, ObjectId(1));
         map.request(&mut c, SimTime::ZERO, ObjectId(2));
-        assert_eq!(map.by_object[&ObjectId(1)], 5);
-        assert_eq!(map.by_object[&ObjectId(2)], 7);
+        assert_eq!(map.stream_of(ObjectId(1)), Some(5));
+        assert_eq!(map.stream_of(ObjectId(2)), Some(7));
+        assert_eq!(map.stream_of(ObjectId(0)), None);
+        assert_eq!(map.object_of(StreamId(7)), Some(ObjectId(2)));
+        assert_eq!(
+            map.object_of(StreamId(6)),
+            None,
+            "even ids are not request streams"
+        );
+        assert_eq!(map.object_of(StreamId(3)), None, "below the first");
+        assert_eq!(map.object_of(StreamId(9)), None, "not yet opened");
     }
 
     #[test]

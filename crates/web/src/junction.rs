@@ -17,7 +17,6 @@ use crate::object::ObjectId;
 use pq_edge::{Dispatch, EdgeConfig, EdgePools, Middlebox};
 use pq_sim::{NetworkConfig, SimRng, SimTime};
 use pq_transport::{Protocol, StackConfig};
-use std::collections::BTreeMap;
 
 /// Relay state of one object flowing origin-leg → client-connection
 /// through the terminating proxy. Progress maps proportionally: the
@@ -44,7 +43,8 @@ pub(crate) struct Proxy {
     pub(crate) leg_cfg: StackConfig,
     pub(crate) legs: Vec<ConnState>,
     pools: EdgePools,
-    bridges: BTreeMap<ObjectId, Bridge>,
+    /// By object id (dense within a site).
+    bridges: Vec<Option<Bridge>>,
 }
 
 impl Proxy {
@@ -74,7 +74,13 @@ impl Proxy {
             leg,
             ..Bridge::default()
         };
-        self.bridges.insert(obj, bridge);
+        let i = obj.0 as usize;
+        if self.bridges.len() <= i {
+            self.bridges.resize_with(i + 1, || None);
+        }
+        if let Some(slot) = self.bridges.get_mut(i) {
+            *slot = Some(bridge);
+        }
     }
 
     /// `new_bytes` of `obj`'s origin response reached the proxy:
@@ -86,7 +92,7 @@ impl Proxy {
         obj: ObjectId,
         new_bytes: u64,
     ) -> Option<(u64, bool)> {
-        let b = self.bridges.get_mut(&obj)?;
+        let b = self.bridges.get_mut(obj.0 as usize)?.as_mut()?;
         b.origin_got = (b.origin_got + new_bytes).min(b.origin_total);
         let target = ((u128::from(b.client_total) * u128::from(b.origin_got))
             / u128::from(b.origin_total.max(1))) as u64;
@@ -141,7 +147,7 @@ impl Junction {
                 leg_cfg: Protocol::TcpPlus.config(&origin_net),
                 legs: Vec::new(),
                 pools: EdgePools::new(&ec, rng.fork("edge-pool")),
-                bridges: BTreeMap::new(),
+                bridges: Vec::new(),
             })
         };
         let client_net = net.client_segment(ec.client_rtt_share);

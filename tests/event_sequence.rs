@@ -38,13 +38,14 @@ const SEED: u64 = 1910;
 /// allocation ceiling per event)` of `corpus()[0]` over DA2GC at seed
 /// 1910. The ceiling is the measured allocations / events of the whole
 /// load (setup included) plus 10 % headroom for toolchain drift, rounded
-/// up (measured at PR 21, when a load's per-object vectors became one
-/// table: 0.219, 0.199, 0.158, 0.334, 0.330, 0.228, 0.219, 0.183; at
-/// PR 18: 0.230, 0.210, 0.168, 0.344, 0.338, 0.232, 0.224, 0.187; at
-/// PR 16, before QUIC packets carried their frames inline: 0.266,
-/// 0.243, 0.198, 0.706, 0.668, 0.391, 0.652, 0.202); one more
-/// allocation per event adds 1.0 and fails every row. Lower it when the
-/// hot path gets leaner.
+/// up (measured once delivered ACKs hand their range buffers back for
+/// the next ACK: 0.123, 0.122, 0.121, 0.280, 0.264, 0.191, 0.161, 0.130;
+/// before that, with a fresh range list per ACK: 0.218, 0.198, 0.156,
+/// 0.333, 0.328, 0.227, 0.218, 0.182; before QUIC packets carried their
+/// frames inline: 0.266, 0.243, 0.198, 0.706, 0.668, 0.391, 0.652,
+/// 0.202). One more allocation per event adds 1.0 and fails every row,
+/// and an ACK path that stops reusing its buffers fails the TCP rows.
+/// Lower it when the hot path gets leaner.
 /// The `event:*` buckets, in the order [`MIX`] counts them.
 const KINDS: [&str; 13] = [
     "tx-up",
@@ -77,14 +78,14 @@ const MIX: [[u64; 13]; 8] = [
 ];
 
 const PINS: [(Protocol, u64, u64, u64, u32, f64); 8] = [
-    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.25),
-    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.22),
-    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3, 0.18),
-    (Protocol::Quic, 1126, 7_471_238_185, 69, 3, 0.37),
-    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3, 0.37),
-    (Protocol::QuicEdge, 2462, 4_731_629_218, 54, 12, 0.26),
-    (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3, 0.25),
-    (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11, 0.21),
+    (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.14),
+    (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.14),
+    (Protocol::TcpPlusBbr, 1170, 9_697_153_032, 48, 3, 0.14),
+    (Protocol::Quic, 1126, 7_471_238_185, 69, 3, 0.31),
+    (Protocol::QuicBbr, 1179, 4_547_830_255, 45, 3, 0.30),
+    (Protocol::QuicEdge, 2462, 4_731_629_218, 54, 12, 0.21),
+    (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3, 0.18),
+    (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11, 0.15),
 ];
 
 /// Track rows below the object rows of the traced `QUIC-EDGE` load:
