@@ -165,10 +165,12 @@ const MAX_REPLAYS: u32 = 3;
 /// rule R6) — they don't produce analysable votes.
 const CONTROL_VIDEOS: u32 = 3;
 
-/// Run the A/B study for one group over the stimulus set.
+/// Run the A/B study for one group over the stimulus set, appending
+/// its votes to `votes`. Each participant watches their pool's
+/// [`ab_videos`](crate::calib::GroupCalib::ab_videos).
 ///
-/// Participants fan out through `session::per_participant` and the vote
-/// vector keeps session order (votes of session *k* precede those of
+/// Participants fan out through `session::per_participant` and the
+/// votes keep session order (votes of session *k* precede those of
 /// session *k+1*), so output is bit-identical to a serial run at any
 /// `PQ_JOBS`.
 pub fn run_ab_study(
@@ -177,21 +179,20 @@ pub fn run_ab_study(
     pairs: &[(Protocol, Protocol)],
     sites: &[u16],
     networks: &[NetworkKind],
-    videos_per_participant: u32,
     seed: u64,
-) -> Vec<AbVote> {
+    votes: &mut Vec<AbVote>,
+) {
     // A fully quarantined grid (fault injection) leaves nothing to
     // vote on; degrade to an empty study instead of panicking.
     if sites.is_empty() || networks.is_empty() || pairs.is_empty() {
-        return Vec::new();
+        return;
     }
-    let n_votes = videos_per_participant.saturating_sub(CONTROL_VIDEOS).max(1);
-
     let who = |s: &Session| (s.participant.group, s.participant.id);
-    let per_session = per_participant(seed, "ab-study", sessions, who, |session, r| {
-        let mut votes = Vec::with_capacity(n_votes as usize);
+    per_participant(seed, "ab-study", sessions, who, votes, |session, r, out| {
         let p = &session.participant;
-        for _ in 0..n_votes {
+        let valid = session.valid();
+        let videos = p.group.calib().ab_videos;
+        for _ in 0..videos.saturating_sub(CONTROL_VIDEOS).max(1) {
             // Guarded non-empty above; `else continue` keeps the hot
             // path panic-free regardless.
             let (Some(&site), Some(&network), Some(&pair)) =
@@ -266,7 +267,7 @@ pub fn run_ab_study(
                 (choice, confidence, replays)
             };
 
-            votes.push(AbVote {
+            out.push(AbVote {
                 group: p.group,
                 participant: p.id,
                 site,
@@ -275,12 +276,10 @@ pub fn run_ab_study(
                 choice,
                 confidence,
                 replays,
-                valid: session.valid(),
+                valid,
             });
         }
-        votes
     });
-    per_session.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -308,14 +307,15 @@ mod tests {
     fn votes_produced_for_all_participants() {
         let stimuli = small_stimuli();
         let sessions = population(StudyKind::AB, Group::Lab, 2);
-        let votes = run_ab_study(
+        let mut votes = Vec::new();
+        run_ab_study(
             &stimuli,
             &sessions,
             &[(Protocol::Quic, Protocol::Tcp)],
             &[0, 1],
             &[NetworkKind::Lte, NetworkKind::Mss],
-            28,
             3,
+            &mut votes,
         );
         assert_eq!(votes.len(), 35 * 25, "28 videos − 3 controls each");
         assert!(votes.iter().all(|v| v.valid), "lab is clean");
@@ -327,14 +327,15 @@ mod tests {
         // majority must notice and prefer QUIC (Fig. 4's right panel).
         let stimuli = small_stimuli();
         let sessions = population(StudyKind::AB, Group::MicroWorker, 2);
-        let votes = run_ab_study(
+        let mut votes = Vec::new();
+        run_ab_study(
             &stimuli,
             &sessions,
             &[(Protocol::Quic, Protocol::Tcp)],
             &[0, 1],
             &[NetworkKind::Mss],
-            26,
             3,
+            &mut votes,
         );
         let valid: Vec<&AbVote> = votes.iter().filter(|v| v.valid).collect();
         let first = valid.iter().filter(|v| v.choice == AbChoice::First).count();
@@ -348,23 +349,25 @@ mod tests {
         let sessions = population(StudyKind::AB, Group::Lab, 4);
         // Same protocol on both sides: zero true difference → maximal
         // ambiguity → many replays and mostly "no difference".
-        let same = run_ab_study(
+        let mut same = Vec::new();
+        run_ab_study(
             &stimuli,
             &sessions,
             &[(Protocol::Quic, Protocol::Quic)],
             &[0],
             &[NetworkKind::Lte],
-            28,
             5,
+            &mut same,
         );
-        let diff = run_ab_study(
+        let mut diff = Vec::new();
+        run_ab_study(
             &stimuli,
             &sessions,
             &[(Protocol::Quic, Protocol::Tcp)],
             &[0],
             &[NetworkKind::Mss],
-            28,
             5,
+            &mut diff,
         );
         let avg =
             |vs: &[AbVote]| vs.iter().map(|v| f64::from(v.replays)).sum::<f64>() / vs.len() as f64;
@@ -386,23 +389,25 @@ mod tests {
     fn confidence_higher_for_clear_differences() {
         let stimuli = small_stimuli();
         let sessions = population(StudyKind::AB, Group::Lab, 6);
-        let clear = run_ab_study(
+        let mut clear = Vec::new();
+        run_ab_study(
             &stimuli,
             &sessions,
             &[(Protocol::Quic, Protocol::Tcp)],
             &[0],
             &[NetworkKind::Mss],
-            28,
             7,
+            &mut clear,
         );
-        let unclear = run_ab_study(
+        let mut unclear = Vec::new();
+        run_ab_study(
             &stimuli,
             &sessions,
             &[(Protocol::Quic, Protocol::Quic)],
             &[0],
             &[NetworkKind::Lte],
-            28,
             7,
+            &mut unclear,
         );
         let avg = |vs: &[AbVote]| vs.iter().map(|v| v.confidence).sum::<f64>() / vs.len() as f64;
         assert!(avg(&clear) > avg(&unclear));
@@ -413,15 +418,17 @@ mod tests {
         let stimuli = small_stimuli();
         let sessions = population(StudyKind::AB, Group::Internet, 8);
         let run = || {
+            let mut votes = Vec::new();
             run_ab_study(
                 &stimuli,
                 &sessions,
                 &[(Protocol::Quic, Protocol::Tcp)],
                 &[0, 1],
                 &[NetworkKind::Lte],
-                14,
                 9,
-            )
+                &mut votes,
+            );
+            votes
         };
         let a = run();
         let b = run();
@@ -443,9 +450,16 @@ mod tests {
             let (mut first, mut no_diff, mut second) = (0u32, 0u32, 0u32);
             for seed in 0..10 {
                 let sessions = population(StudyKind::AB, group, seed);
-                let videos = group.calib().ab_videos;
-                let votes =
-                    run_ab_study(&stimuli, &sessions, &pair, &[0, 1], &networks, videos, seed);
+                let mut votes = Vec::new();
+                run_ab_study(
+                    &stimuli,
+                    &sessions,
+                    &pair,
+                    &[0, 1],
+                    &networks,
+                    seed,
+                    &mut votes,
+                );
                 for v in votes.iter().filter(|v| v.valid) {
                     match v.choice {
                         AbChoice::First => first += 1,

@@ -14,7 +14,6 @@ use crate::session::{per_participant, Session};
 use crate::stimulus::{net_protocol_idx, StimulusSet, NET_PROTOCOLS};
 use pq_sim::{NetworkKind, SimRng};
 use pq_transport::Protocol;
-use std::collections::BTreeMap;
 
 /// The framing environment of a rating block (§4: "imaging being i) at
 /// work, ii) in their free time, or iii) on a plane").
@@ -226,60 +225,62 @@ impl<'a> IntoIterator for &'a RatingVotes {
 
 /// Per-site "taste" offsets shared by every participant (site design
 /// likability — the non-speed variance that bounds Fig. 6's
-/// correlations in fast networks). Drawn once per study.
-pub fn site_tastes(n_sites: u16, seed: u64) -> BTreeMap<u16, f64> {
+/// correlations in fast networks), indexed by site. Drawn once per
+/// study.
+pub fn site_tastes(n_sites: u16, seed: u64) -> Vec<f64> {
     #[expect(
         clippy::disallowed_methods,
         reason = "study-entry derivation point: `seed` is the study seed, tastes fork from the site-taste stream"
     )]
     let mut rng = SimRng::new(seed).fork("site-taste");
     (0..n_sites)
-        .map(|s| (s, rng.normal_with(0.0, calib::SITE_TASTE_SD)))
+        .map(|_| rng.normal_with(0.0, calib::SITE_TASTE_SD))
         .collect()
 }
 
-/// Run the rating study for one group. Environments whose networks
-/// are not present in the stimulus set are skipped (smaller
-/// experiments may emulate a subset of Table 2).
+/// Run the rating study for one group, appending its votes to `votes`.
+/// Each participant rates their pool's
+/// [`rating_videos`](crate::calib::GroupCalib::rating_videos) per
+/// [`Environment::ALL`]. Environments whose networks are not present in
+/// the stimulus set are skipped (smaller experiments may emulate a
+/// subset of Table 2).
 ///
-/// `videos` is the number of videos per [`Environment::ALL`].
-/// Participants fan out through `session::per_participant` and the vote
-/// vector keeps session order, so output is bit-identical to a serial
-/// run at any `PQ_JOBS`.
+/// Participants fan out through `session::per_participant` and the
+/// votes keep session order, so output is bit-identical to a serial run
+/// at any `PQ_JOBS`.
 pub fn run_rating_study(
     stimuli: &StimulusSet,
     sessions: &[Session],
     protocols: &[Protocol],
     sites: &[u16],
-    videos: [u32; 3],
-    tastes: &BTreeMap<u16, f64>,
+    tastes: &[f64],
     seed: u64,
-) -> Vec<RatingVote> {
+    votes: &mut Vec<RatingVote>,
+) {
     let available = stimuli.networks();
+    let env_networks = Environment::ALL.map(|env| {
+        let present = env.networks().iter().filter(|n| available.contains(n));
+        present.copied().collect::<Vec<_>>()
+    });
 
     let who = |s: &Session| (s.participant.group, s.participant.id);
-    let per_session = per_participant(seed, "rating-study", sessions, who, |session, r| {
-        let mut votes = Vec::new();
+    let rate = |session: &Session, r: &mut SimRng, out: &mut Vec<RatingVote>| {
         let p = &session.participant;
-        for (env, count) in Environment::ALL.into_iter().zip(videos) {
-            let env_networks: Vec<_> = env
-                .networks()
-                .iter()
-                .copied()
-                .filter(|n| available.contains(n))
-                .collect();
+        let pool = p.group.calib();
+        let valid = session.valid();
+        let blocks = Environment::ALL.into_iter().zip(pool.rating_videos);
+        for ((env, count), env_networks) in blocks.zip(&env_networks) {
             if env_networks.is_empty() {
                 continue;
             }
+            let shift = calib::context_shift(env);
             for _ in 0..count {
                 // `env_networks` is non-empty (guarded above); the
                 // `else continue` keeps this panic-free even on an
                 // empty (fully quarantined) grid.
-                let (Some(&site), Some(&network), Some(&protocol)) = (
-                    r.choose(sites),
-                    r.choose(&env_networks),
-                    r.choose(protocols),
-                ) else {
+                let (Some(&site), Some(&network), Some(&protocol)) =
+                    (r.choose(sites), r.choose(env_networks), r.choose(protocols))
+                else {
                     continue;
                 };
                 // A quarantined cell yields no stimulus: skip the vote
@@ -291,7 +292,7 @@ pub fn run_rating_study(
                 let (speed, quality) = if session.rusher {
                     // Rushers drag the slider anywhere.
                     (r.range_f64(10.0, 70.0), r.range_f64(10.0, 70.0))
-                } else if r.chance(p.group.calib().garbage_rate) {
+                } else if r.chance(pool.garbage_rate) {
                     // The Internet group's unsupervised contamination —
                     // why §4.2 cannot treat it as normally distributed.
                     // A supervised pool's rate is 0, which draws nothing.
@@ -300,8 +301,8 @@ pub fn run_rating_study(
                 } else {
                     let observed = percept::observe(p, &stim.log_metrics, r);
                     let base = percept::base_rating(observed)
-                        + calib::context_shift(env)
-                        + tastes.get(&site).copied().unwrap_or(0.0)
+                        + shift
+                        + tastes.get(usize::from(site)).copied().unwrap_or(0.0)
                         + p.rating_bias;
                     let speed = percept::clamp_vote(base + r.normal_with(0.0, p.rating_noise));
                     let quality =
@@ -309,7 +310,7 @@ pub fn run_rating_study(
                     (speed, quality)
                 };
 
-                votes.push(RatingVote {
+                out.push(RatingVote {
                     group: p.group,
                     participant: p.id,
                     site,
@@ -318,13 +319,12 @@ pub fn run_rating_study(
                     environment: env,
                     speed,
                     quality,
-                    valid: session.valid(),
+                    valid,
                 });
             }
         }
-        votes
-    });
-    per_session.into_iter().flatten().collect()
+    };
+    per_participant(seed, "rating-study", sessions, who, votes, rate);
 }
 
 #[cfg(test)]
@@ -364,14 +364,15 @@ mod tests {
         let st = stimuli();
         let sessions = population(StudyKind::Rating, Group::Lab, 3);
         let tastes = site_tastes(2, 3);
-        let votes = run_rating_study(
+        let mut votes = Vec::new();
+        run_rating_study(
             &st,
             &sessions,
             &[Protocol::Tcp, Protocol::Quic],
             &[0, 1],
-            [11, 11, 5],
             &tastes,
             4,
+            &mut votes,
         );
         assert_eq!(votes.len(), 35 * 27, "11 + 11 + 5 per participant");
         let plane: Vec<_> = votes
@@ -386,14 +387,15 @@ mod tests {
         let st = stimuli();
         let sessions = population(StudyKind::Rating, Group::MicroWorker, 5);
         let tastes = site_tastes(2, 5);
-        let votes = run_rating_study(
+        let mut votes = Vec::new();
+        run_rating_study(
             &st,
             &sessions,
             &[Protocol::Tcp, Protocol::Quic],
             &[0, 1],
-            [11, 11, 5],
             &tastes,
             6,
+            &mut votes,
         );
         let mean_env = |env: Environment| {
             let v: Vec<f64> = votes
@@ -416,14 +418,15 @@ mod tests {
         let st = stimuli();
         let sessions = population(StudyKind::Rating, Group::Internet, 7);
         let tastes = site_tastes(2, 7);
-        let votes = run_rating_study(
+        let mut votes = Vec::new();
+        run_rating_study(
             &st,
             &sessions,
             &[Protocol::Quic],
             &[0, 1],
-            [6, 6, 3],
             &tastes,
             8,
+            &mut votes,
         );
         for v in &votes {
             assert!((10.0..=70.0).contains(&v.speed));
@@ -436,14 +439,15 @@ mod tests {
         let st = stimuli();
         let sessions = population(StudyKind::Rating, Group::Lab, 9);
         let tastes = site_tastes(2, 9);
-        let votes = run_rating_study(
+        let mut votes = Vec::new();
+        run_rating_study(
             &st,
             &sessions,
             &[Protocol::Tcp, Protocol::Quic],
             &[0, 1],
-            [11, 11, 5],
             &tastes,
             10,
+            &mut votes,
         );
         let xs: Vec<f64> = votes.iter().map(|v| v.speed).collect();
         let ys: Vec<f64> = votes.iter().map(|v| v.quality).collect();

@@ -20,20 +20,21 @@ use pq_transport::Protocol;
 
 /// One study over the three pools — the block both studies run
 /// through. Per pool: recruit the population, take its Table 3 funnel,
-/// let `study` collect the votes, leave a wall-clock progress span on
-/// the harness track (`pid 0`). Votes and sessions come back in
-/// [`Group::ALL`] order, one funnel per pool.
+/// let `study` append the votes to the study's one vector, leave a
+/// wall-clock progress span on the harness track (`pid 0`). Votes and
+/// sessions come back in [`Group::ALL`] order, one funnel per pool.
 fn over_pools<V>(
     kind: StudyKind,
     seed: u64,
-    study: impl Fn(Group, &[Session]) -> Vec<V>,
+    study: impl Fn(Group, &[Session], &mut Vec<V>),
 ) -> (Vec<V>, Vec<Session>, [Funnel; 3]) {
     let (mut votes, mut sessions) = (Vec::new(), Vec::new());
     let funnels = Group::ALL.map(|group| {
         let pop = population(kind, group, seed);
         let funnel = Funnel::apply(&pop.iter().map(|s| s.conformance).collect::<Vec<_>>());
         let start_ns = pq_obs::tracer().wall_ns();
-        let cast = study(group, &pop);
+        let before = votes.len();
+        study(group, &pop, &mut votes);
         if pq_obs::enabled(Level::Info) {
             let t = pq_obs::tracer();
             t.span(
@@ -45,14 +46,13 @@ fn over_pools<V>(
                 start_ns,
                 t.wall_ns(),
                 vec![
-                    ("votes", ArgValue::U64(cast.len() as u64)),
+                    ("votes", ArgValue::U64((votes.len() - before) as u64)),
                     ("recruited", ArgValue::U64(u64::from(funnel.recruited))),
                     ("survivors", ArgValue::U64(u64::from(funnel.survivors()))),
                     ("jobs", ArgValue::U64(pq_par::jobs() as u64)),
                 ],
             );
         }
-        votes.extend(cast);
         sessions.extend(pop);
         funnel
     });
@@ -117,28 +117,28 @@ pub fn run_study_with(
     let networks = stimuli.networks();
     let tastes = site_tastes(stimuli.site_count(), seed);
 
-    let (ab, sessions_ab, funnel_ab) = over_pools(StudyKind::AB, seed, |group, sessions| {
+    let (ab, sessions_ab, funnel_ab) = over_pools(StudyKind::AB, seed, |group, sessions, votes| {
         run_ab_study(
             stimuli,
             sessions,
             pairs,
             sites_of(group),
             &networks,
-            group.calib().ab_videos,
             seed ^ 0xAB,
-        )
+            votes,
+        );
     });
     let (ratings, sessions_rating, funnel_rating) =
-        over_pools(StudyKind::Rating, seed, |group, sessions| {
+        over_pools(StudyKind::Rating, seed, |group, sessions, votes| {
             run_rating_study(
                 stimuli,
                 sessions,
                 protocols,
                 sites_of(group),
-                group.calib().rating_videos,
                 &tastes,
                 seed ^ 0x4A7E,
-            )
+                votes,
+            );
         });
     StudyData {
         ab: ab.into(),

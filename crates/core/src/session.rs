@@ -63,25 +63,44 @@ impl Session {
 /// The one place a participant's RNG stream is derived, and the rule
 /// the `PQ_JOBS` determinism contract rests on: the stream handed to
 /// `f` is keyed by `(seed, label, group, participant id)` and nothing
-/// else — never by position, worker or a sibling's draws — so the
-/// fan-out across the `pq-par` pool is bit-identical to a serial sweep
-/// at any worker count, and results come back in `items` order.
-pub(crate) fn per_participant<T: Sync, R: Send>(
+/// else — never by position, worker or a sibling's draws.
+///
+/// `f` appends what one item produces to the vector it is handed. On
+/// one worker that is `out` itself; on several, each item fills its own
+/// vector across the `pq-par` pool and those are appended in order.
+/// Either way `out` gains every item's output in `items` order,
+/// bit-identical at any worker count.
+pub(crate) fn per_participant<T: Sync, V: Send>(
     seed: u64,
     label: &str,
     items: &[T],
     who: impl Fn(&T) -> (Group, u32) + Sync,
-    f: impl Fn(&T, &mut SimRng) -> R + Sync,
-) -> Vec<R> {
+    out: &mut Vec<V>,
+    f: impl Fn(&T, &mut SimRng, &mut Vec<V>) + Sync,
+) {
     #[expect(
         clippy::disallowed_methods,
         reason = "the study layer's derivation point: `seed` is the study seed, `label` the stream, participants fork by (group, id)"
     )]
     let rng = SimRng::new(seed).fork(label);
-    pq_par::par_map(items, |item| {
+    let run = |item: &T, out: &mut Vec<V>| {
         let (group, id) = who(item);
-        f(item, &mut rng.fork_idx(group.name(), u64::from(id)))
-    })
+        f(item, &mut rng.fork_idx(group.name(), u64::from(id)), out);
+    };
+    if pq_par::jobs() <= 1 {
+        for item in items {
+            run(item, out);
+        }
+        return;
+    }
+    let parts = pq_par::par_map(items, |item| {
+        let mut part = Vec::new();
+        run(item, &mut part);
+        part
+    });
+    for mut part in parts {
+        out.append(&mut part);
+    }
 }
 
 /// Build the full population for one study and group, in
@@ -93,13 +112,16 @@ pub fn population(kind: StudyKind, group: Group, seed: u64) -> Vec<Session> {
         StudyKind::Rating => "rating-sessions",
     };
     let ids: Vec<u32> = (0..group.calib().study(kind).recruited()).collect();
+    let mut sessions = Vec::with_capacity(ids.len());
     per_participant(
         seed,
         label,
         &ids,
         |&id| (group, id),
-        |&id, rng| Session::sample(kind, group, id, rng),
-    )
+        &mut sessions,
+        |&id, rng, out| out.push(Session::sample(kind, group, id, rng)),
+    );
+    sessions
 }
 
 #[cfg(test)]

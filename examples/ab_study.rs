@@ -30,15 +30,17 @@ fn main() {
             funnel.recruited,
             funnel.survivors()
         );
-        let votes = AbVotes::from(run_ab_study(
+        let mut votes = Vec::new();
+        run_ab_study(
             &stimuli,
             &sessions,
             &[pair],
             &[0, 1, 2, 3],
             &networks,
-            group.calib().ab_videos,
             2024,
-        ));
+            &mut votes,
+        );
+        let votes = AbVotes::from(votes);
         for network in networks {
             if let Some(s) = ab_shares(&votes, network, pair, &[group]) {
                 println!(
