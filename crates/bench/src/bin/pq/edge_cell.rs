@@ -1,34 +1,24 @@
-//! `pq edge_cell`: one edge grid cell for CI — a single site on a
-//! single network, loaded over the edge stacks plus their Table-1 A/B
-//! partners, run through both studies. Prints the study digest so the
-//! workflow can diff a `PQ_JOBS=4` execution against `PQ_JOBS=1` and
-//! prove the edge pipeline keeps the parallel-determinism contract.
+//! `pq edge_cell`: one edge grid cell for CI ([`pq_bench::edge_cell`]:
+//! a single site on a single network, loaded over the edge stacks plus
+//! their Table-1 A/B partners, run through both studies). Prints the
+//! study digest, which CI and `tests/contract_digests.rs` pin clean and
+//! under the chaos spec, at `PQ_JOBS=1` and `4`.
 //!
-//! `PQ_SEED` selects the seed (default 1910); `PQ_FAULTS` works as
-//! everywhere else, so the chaos job can run the same cell faulted.
+//! The spec's seed and fault plan apply; its scale and stacks do not.
 
 use pq_bench::manifest::study_digest;
-use pq_sim::NetworkKind;
-use pq_study::{run_study_with, StimulusSet};
-use pq_transport::Protocol;
+use pq_bench::{RunSpec, EDGE_CELL_RUNS};
 
-pub fn run() {
-    let seed = pq_bench::seed_from_env();
-    let jobs = pq_par::jobs();
-    let faulted = pq_fault::init_from_env();
-    let mut stacks = vec![Protocol::Quic, Protocol::TcpPlus];
-    stacks.extend(Protocol::EDGE);
-    stacks.sort();
-    let sites = vec![pq_web::site("wikipedia.org").expect("corpus site")];
-    let networks = [NetworkKind::Lte];
-    let runs = 3;
+pub fn run(spec: &RunSpec) {
     eprintln!(
-        "[edge-cell] 1 site × 1 network × {} stacks × {runs} runs, seed={seed}, jobs={jobs}{}",
-        stacks.len(),
-        if faulted { ", faults=ON" } else { "" },
+        "[edge-cell] 1 site × 1 network × {} stacks × {EDGE_CELL_RUNS} runs, seed={}, jobs={}{}",
+        pq_bench::edge_stacks().len(),
+        spec.seed,
+        pq_par::jobs(),
+        spec.faults.as_ref().map_or("", |_| ", faults=ON"),
     );
-    let stimuli = StimulusSet::build(&sites, &networks, &stacks, runs, seed);
-    let pairs = Protocol::pairs_for(&stacks);
-    let data = run_study_with(&stimuli, &pairs, &stacks, seed);
-    println!("study_digest={:016x}", study_digest(&data));
+    println!(
+        "study_digest={:016x}",
+        study_digest(&pq_bench::edge_cell(spec))
+    );
 }

@@ -6,13 +6,14 @@
 //! PQ_SCALE=reduced cargo run --release -p pq-bench --bin pq -- export out.json
 //! ```
 
+use pq_bench::RunSpec;
 use pq_obs::json::Value;
 
-pub fn run() {
+pub fn run(spec: &RunSpec) {
     let path = std::env::args()
         .nth(2)
         .unwrap_or_else(|| "study_data.json".into());
-    let e = pq_bench::run_experiment_from_env("export");
+    let e = crate::experiment("export", spec);
 
     let ab: Vec<Value> = e
         .data
@@ -97,8 +98,8 @@ pub fn run() {
             "Perceiving QUIC: Do Users Notice or Even Care? (CoNEXT 2019)",
         )
         .with("generator", "perceiving-quic reproduction")
-        .with("scale", e.scale.label())
-        .with("seed", e.seed)
+        .with("scale", e.spec.scale.label())
+        .with("seed", e.spec.seed)
         .with(
             "funnels",
             Value::obj()

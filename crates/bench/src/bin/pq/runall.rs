@@ -10,16 +10,16 @@
 
 use crate::{Cmd, COMMANDS};
 use pq_bench::manifest::{manifest_json, write_json};
-use pq_bench::report;
+use pq_bench::{report, RunSpec};
 
-pub fn run() {
+pub fn run(spec: &RunSpec) {
     if let Err(err) = pq_ckpt::recover_stale_temps("results") {
         eprintln!("[runall] could not sweep results/ for stale temp files: {err}");
     }
     let mut timer = pq_obs::PhaseTimer::new();
     timer.phase("table1", report::print_table1);
     timer.phase("table2", report::print_table2);
-    let e = timer.phase("experiment", || pq_bench::run_experiment_from_env("runall"));
+    let e = timer.phase("experiment", || crate::experiment("runall", spec));
     for (name, cmd) in COMMANDS {
         if let Cmd::View(print) = cmd {
             timer.phase(name, || print(&e));

@@ -52,7 +52,7 @@ fn cell(ratio: f64) -> String {
     format!("{ratio:>6.3}{mark}")
 }
 
-pub fn run() {
+pub fn run(_: &pq_bench::RunSpec) {
     let Some(site) = catalogue::site("gov.uk") else {
         eprintln!("[sweep] corpus site gov.uk missing — corpus changed? aborting");
         std::process::exit(1);

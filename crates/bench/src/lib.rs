@@ -20,9 +20,9 @@
 //! | `edge_cell` | extra — one edge-stack grid cell's study digest, for CI |
 //! | `runall` | every table and figure above, in order, plus the run manifest |
 //!
-//! The experiment scale is controlled with `PQ_SCALE`
-//! (`smoke` / `reduced` / `full`) and `PQ_SEED`; `full` matches the
-//! paper (36 sites × 4 networks × 5 stacks × 31 runs).
+//! The binary parses its `PQ_*` knobs once into a [`RunSpec`]; the
+//! library reads no environment. `PQ_SCALE=full` matches the paper (36
+//! sites × 4 networks × 5 stacks × 31 runs).
 //!
 //! ## Parallel execution
 //!
@@ -82,10 +82,12 @@
 pub mod manifest;
 pub mod report;
 
+use pq_fault::FaultPlan;
 use pq_sim::NetworkKind;
 use pq_study::{run_study_with, StimulusSet, StudyData};
 use pq_transport::Protocol;
 use pq_web::{catalogue, Website};
+use std::sync::Arc;
 
 /// How much of the full condition space to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,27 +101,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from `PQ_SCALE` (default `reduced`). Unknown values warn
-    /// via the tracer instead of being silently swallowed.
-    pub fn from_env() -> Scale {
-        match pq_obs::env::var("PQ_SCALE").as_deref() {
-            Some("smoke") => Scale::Smoke,
-            Some("reduced") => Scale::Reduced,
-            Some("full") => Scale::Full,
-            Some(other) => {
-                pq_obs::tracer().warn(
-                    "bench",
-                    format!(
-                        "unknown PQ_SCALE={other:?} (expected smoke|reduced|full); \
-                         defaulting to reduced"
-                    ),
-                );
-                Scale::Reduced
-            }
-            None => Scale::Reduced,
-        }
-    }
-
     /// (sites, runs per condition).
     pub fn params(self) -> (usize, u32) {
         match self {
@@ -144,25 +125,6 @@ impl Scale {
 pub const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
                               stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05;panic:p=0.05";
 
-/// Study seed from `PQ_SEED` (default 1910, the paper's arXiv month).
-/// An unparsable value warns via the tracer instead of being silently
-/// replaced by the default.
-pub fn seed_from_env() -> u64 {
-    match pq_obs::env::var("PQ_SEED") {
-        Some(s) => match s.parse() {
-            Ok(seed) => seed,
-            Err(_) => {
-                pq_obs::tracer().warn(
-                    "bench",
-                    format!("unparsable PQ_SEED={s:?}; defaulting to 1910"),
-                );
-                1910
-            }
-        },
-        None => 1910,
-    }
-}
-
 /// The corpus subset for a scale: always includes the five lab sites
 /// and the §4.4 named sites first.
 pub fn sites_for(scale: Scale) -> Vec<Website> {
@@ -170,69 +132,98 @@ pub fn sites_for(scale: Scale) -> Vec<Website> {
     catalogue::corpus().into_iter().take(n.max(4)).collect()
 }
 
+/// One run's configuration, of which [`run_experiment`] and
+/// [`edge_cell`] are functions. The `pq` binary parses it from
+/// `PQ_SCALE`, `PQ_SEED`, `PQ_STACKS` and `PQ_FAULTS`; unset, they give
+/// [`RunSpec::default`].
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// How much of the condition space to simulate.
+    pub scale: Scale,
+    /// Study seed (default 1910, the paper's arXiv month).
+    pub seed: u64,
+    /// Protocol stacks of the grid, sorted and deduplicated (default:
+    /// the paper's five, whose [`Protocol::pairs_for`] is Figure 4's).
+    pub stacks: Vec<Protocol>,
+    /// Fault plan, never an empty one (`None` = injection off).
+    pub faults: Option<Arc<FaultPlan>>,
+}
+
+impl Default for RunSpec {
+    fn default() -> RunSpec {
+        RunSpec {
+            scale: Scale::Reduced,
+            seed: 1910,
+            stacks: Protocol::ALL.to_vec(),
+            faults: None,
+        }
+    }
+}
+
 /// A fully executed experiment: stimuli plus both studies' raw data.
 pub struct Experiment {
-    /// Which scale was run.
-    pub scale: Scale,
-    /// Study seed.
-    pub seed: u64,
-    /// Protocol stacks the grid was built over (sorted; the paper's
-    /// five by default, optionally extended with the edge stacks via
-    /// `PQ_STACKS`).
-    pub stacks: Vec<Protocol>,
+    /// The configuration it ran.
+    pub spec: RunSpec,
     /// Typical videos per condition.
     pub stimuli: StimulusSet,
     /// Raw votes, funnels and sessions.
     pub data: StudyData,
 }
 
-/// Run the full pipeline (stimulus production + both studies) over the
-/// paper's five Table-1 stacks.
-pub fn run_experiment(scale: Scale, seed: u64) -> Experiment {
-    run_experiment_with_stacks(scale, seed, &Protocol::ALL)
-}
-
-/// Run the full pipeline over an explicit stack selection. With
-/// `&Protocol::ALL` this is byte-for-byte the baseline experiment —
-/// [`Protocol::pairs_for`] then yields exactly the Figure-4 pairings —
-/// so enabling edge stacks can never disturb the committed digest.
-pub fn run_experiment_with_stacks(scale: Scale, seed: u64, stacks: &[Protocol]) -> Experiment {
-    let sites = sites_for(scale);
-    let (_, runs) = scale.params();
-    let stimuli = StimulusSet::build(&sites, &NetworkKind::ALL, stacks, runs, seed);
-    let pairs = Protocol::pairs_for(stacks);
-    let data = run_study_with(&stimuli, &pairs, stacks, seed);
+/// Run the full pipeline (stimulus production + both studies) that
+/// `spec` describes.
+pub fn run_experiment(spec: &RunSpec) -> Experiment {
+    let (sites, runs) = (sites_for(spec.scale), spec.scale.params().1);
+    let (stimuli, data) = grid(spec, &sites, &NetworkKind::ALL, &spec.stacks, runs);
     Experiment {
-        scale,
-        seed,
-        stacks: stacks.to_vec(),
+        spec: spec.clone(),
         stimuli,
         data,
     }
 }
 
-/// Run with environment-controlled scale/seed/stacks, echoing the
-/// setup. `PQ_STACKS` (see [`pq_edge::stacks_from_env`]) selects the
-/// protocol grid; unset keeps the paper's five stacks.
-pub fn run_experiment_from_env(header: &str) -> Experiment {
-    let scale = Scale::from_env();
-    let seed = seed_from_env();
-    let jobs = pq_par::jobs();
-    let faulted = pq_fault::init_from_env();
-    let stacks = pq_edge::stacks_from_env();
-    let (sites, runs) = scale.params();
-    eprintln!(
-        "[{header}] scale={} ({sites} sites × 4 networks × {} stacks × {runs} runs), \
-         seed={seed}, jobs={jobs}{}",
-        scale.label(),
-        stacks.len(),
-        if faulted { ", faults=ON" } else { "" },
+/// The three edge stacks plus their Table-1 A/B partners (QUIC, TCP+),
+/// sorted: the smallest grid where every edge pair runs.
+/// `PQ_STACKS=edge` selects it, and [`edge_cell`] runs it.
+pub fn edge_stacks() -> Vec<Protocol> {
+    let mut stacks = vec![Protocol::Quic, Protocol::TcpPlus];
+    stacks.extend(Protocol::EDGE);
+    stacks.sort_unstable();
+    stacks
+}
+
+/// Page loads per condition in [`edge_cell`].
+pub const EDGE_CELL_RUNS: u32 = 3;
+
+/// `pq edge_cell`: wikipedia.org × LTE × [`edge_stacks`] ×
+/// [`EDGE_CELL_RUNS`] runs, through both studies, under `spec`'s seed
+/// and fault plan (its scale and stacks do not apply). CI and
+/// `tests/contract_digests.rs` pin its [`manifest::study_digest`].
+pub fn edge_cell(spec: &RunSpec) -> StudyData {
+    let sites = [pq_web::site("wikipedia.org").expect("corpus site")];
+    let (_, data) = grid(
+        spec,
+        &sites,
+        &[NetworkKind::Lte],
+        &edge_stacks(),
+        EDGE_CELL_RUNS,
     );
-    #[expect(clippy::disallowed_methods, reason = "stderr progress line only")]
-    let t0 = std::time::Instant::now();
-    let e = run_experiment_with_stacks(scale, seed, &stacks);
-    eprintln!("[{header}] pipeline done in {:.1?}", t0.elapsed());
-    e
+    data
+}
+
+/// Build the grid under `spec`'s seed and fault plan, and run both
+/// studies over it.
+fn grid(
+    spec: &RunSpec,
+    sites: &[Website],
+    networks: &[NetworkKind],
+    stacks: &[Protocol],
+    runs: u32,
+) -> (StimulusSet, StudyData) {
+    let faults = spec.faults.clone();
+    let stimuli = StimulusSet::build_with_faults(sites, networks, stacks, runs, spec.seed, faults);
+    let data = run_study_with(&stimuli, &Protocol::pairs_for(stacks), stacks, spec.seed);
+    (stimuli, data)
 }
 
 /// Pretty vote-share bar for terminal tables. Out-of-range shares are
@@ -272,7 +263,11 @@ mod tests {
 
     #[test]
     fn smoke_experiment_runs() {
-        let e = run_experiment(Scale::Smoke, 5);
+        let e = run_experiment(&RunSpec {
+            scale: Scale::Smoke,
+            seed: 5,
+            ..RunSpec::default()
+        });
         assert!(!e.data.ab.is_empty());
         assert!(!e.data.ratings.is_empty());
         assert_eq!(e.stimuli.site_count(), 4);
@@ -283,7 +278,10 @@ mod tests {
         // "Internet values are not normally distributed", hence the
         // median in Fig. 3; the lab's residuals pass. (µWorker's do
         // not at n ≈ 17 000: EXPERIMENTS.md, Deviations.)
-        let e = run_experiment(Scale::Smoke, 1910);
+        let e = run_experiment(&RunSpec {
+            scale: Scale::Smoke,
+            ..RunSpec::default()
+        });
         let verdict = |group| {
             let residuals = report::rating_residuals(&e.data.ratings, group);
             let jb = pq_stats::jarque_bera(&residuals).expect("at least 8 residuals");

@@ -116,7 +116,7 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `funnel_ab`, `funnel_rating` | Table 3 halves: `[{group, recruited, after: [R1..R7]}]` |
 /// | `plt_ms` | `[{protocol, count, p50, p90, p99}]` from the `web.plt_ms{proto}` histograms |
 /// | `sim_events`, `pageloads` | `sim.events_processed` / `web.pageloads` counters |
-/// | `fault_spec` | the `PQ_FAULTS` spec the run executed under (empty = injection off) |
+/// | `fault_spec` | the spec of the run's fault plan, as `PQ_FAULTS` spelled it (empty = injection off) |
 /// | `faults_injected` | `fault.injected` counter |
 /// | `runs_retried` | invalid page loads re-run by the ≥31-valid-runs retry policy |
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
@@ -145,8 +145,8 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
         .iter()
         .map(|(name, secs)| Value::obj().with("name", name.as_str()).with("secs", *secs))
         .collect();
-    let plt_ms: Vec<Value> = e
-        .stacks
+    let stacks = &e.spec.stacks;
+    let plt_ms: Vec<Value> = stacks
         .iter()
         .filter_map(|p| {
             let name = format!("web.plt_ms{{proto=\"{}\"}}", p.label());
@@ -184,8 +184,8 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
         })
         .collect();
     let mut out = Value::obj()
-        .with("scale", e.scale.label())
-        .with("seed", e.seed)
+        .with("scale", e.spec.scale.label())
+        .with("seed", e.spec.seed)
         .with("jobs", pq_par::jobs())
         .with("study_digest", format!("{:016x}", study_digest(&e.data)))
         .with("git_rev", git_rev())
@@ -207,7 +207,7 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
         .with("pageloads", reg.counter_value("web.pageloads"))
         .with(
             "fault_spec",
-            pq_fault::plan().map(|p| p.spec.clone()).unwrap_or_default(),
+            e.spec.faults.as_ref().map_or("", |p| p.spec.as_str()),
         )
         .with("faults_injected", reg.counter_value("fault.injected"))
         .with("runs_retried", e.stimuli.runs_retried())
@@ -233,8 +233,7 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
                 .with("phases", phases),
         );
     }
-    let edge_stacks: Vec<Value> = e
-        .stacks
+    let edge_stacks: Vec<Value> = stacks
         .iter()
         .filter(|p| p.is_edge())
         .map(|p| Value::from(p.label()))
@@ -310,9 +309,11 @@ mod tests {
             pq_study::StimulusSet::build(&sites, &[pq_sim::NetworkKind::Lte], stacks, 2, 1910);
         let data = pq_study::run_study_with(&stimuli, &Protocol::pairs_for(stacks), stacks, 1910);
         Experiment {
-            scale: crate::Scale::Smoke,
-            seed: 1910,
-            stacks: stacks.to_vec(),
+            spec: crate::RunSpec {
+                scale: crate::Scale::Smoke,
+                stacks: stacks.to_vec(),
+                ..crate::RunSpec::default()
+            },
             stimuli,
             data,
         }

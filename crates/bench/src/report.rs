@@ -204,7 +204,7 @@ pub fn print_fig4(e: &Experiment) {
     let groups = [Group::Lab, Group::MicroWorker];
     for network in NetworkKind::ALL {
         println!("--- {} ---", network.name());
-        for pair in Protocol::pairs_for(&e.stacks) {
+        for pair in Protocol::pairs_for(&e.spec.stacks) {
             if let Some(s) = ab_shares(&e.data.ab, network, pair, &groups) {
                 println!(
                     "{:>9} vs {:<9} {}|{}|{}  {:>4.0}% / {:>4.0}% / {:>4.0}%  (n={}, avg replays {:.2})",
@@ -236,13 +236,13 @@ pub fn print_fig5(e: &Experiment) {
         .flat_map(|env| env.networks().iter().map(move |&net| (env, net)))
         .collect();
     print!("{:<22}", "setting");
-    for p in &e.stacks {
+    for p in &e.spec.stacks {
         print!(" {:>16}", p.label());
     }
     println!();
     for &(env, net) in &cells {
         print!("{:<22}", format!("{} / {}", env.name(), net.name()));
-        for &p in &e.stacks {
+        for &p in &e.spec.stacks {
             let votes = &e.data.ratings;
             match pq_study::rating_interval(votes, env, Some(net), p, Group::MicroWorker, 0.99) {
                 Some(ci) => print!(" {:>8.1} ±{:>5.1} ", ci.mean, ci.half_width),
@@ -256,7 +256,7 @@ pub fn print_fig5(e: &Experiment) {
     for (env, net) in cells {
         let votes = &e.data.ratings;
         if let Some(r) =
-            anova_across_protocols(votes, env, Some(net), &e.stacks, Group::MicroWorker)
+            anova_across_protocols(votes, env, Some(net), &e.spec.stacks, Group::MicroWorker)
         {
             println!(
                 "  {:<22} F={:<6.2} p={:<8.4} significant: 99% {} / 90% {}",
@@ -279,7 +279,7 @@ pub fn print_fig5(e: &Experiment) {
     pairs.extend(
         Protocol::EDGE_AB_PAIRS
             .into_iter()
-            .filter(|(a, b)| e.stacks.contains(a) && e.stacks.contains(b)),
+            .filter(|(a, b)| e.spec.stacks.contains(a) && e.spec.stacks.contains(b)),
     );
     for network in NetworkKind::ALL {
         let diffs = per_site_differences(
@@ -313,7 +313,7 @@ pub fn print_fig5(e: &Experiment) {
 pub fn print_fig6(e: &Experiment) {
     println!("== Figure 6: Pearson r, technical metric vs mean vote (µWorker) ==");
     println!("(DSL/LTE use free-time votes, as in the paper)");
-    for &protocol in &e.stacks {
+    for &protocol in &e.spec.stacks {
         println!("--- {} ---", protocol.label());
         print!("{:<6}", "");
         for n in NetworkKind::ALL {

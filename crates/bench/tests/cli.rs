@@ -1,6 +1,7 @@
 //! The `pq` binary: a known subcommand runs, anything else gets the
-//! list of subcommands on stderr and exit status 2; and `pq runall`'s
-//! own manifest carries the pinned smoke and chaos digests.
+//! list of subcommands on stderr and exit status 2; `pq runall`'s own
+//! manifest carries the pinned smoke and chaos digests, and `pq
+//! edge_cell` prints the pinned edge-cell digests.
 
 use pq_bench::CHAOS_SPEC;
 use pq_obs::json::Value;
@@ -111,4 +112,35 @@ fn smoke_runall_at_4_workers_writes_the_pinned_digest() {
 #[test]
 fn chaos_runall_at_1_worker_writes_the_pinned_digest() {
     runall_holds_the_pin(Some(CHAOS_SPEC), 1, "6a3c5bc812ebed5d");
+}
+
+/// `pq edge_cell` at seed 1910 prints exactly one line, the pinned
+/// digest, whatever the worker count.
+fn edge_cell_holds_the_pin(faults: Option<&str>, jobs: u32, pinned: &str) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pq"));
+    cmd.arg("edge_cell")
+        .env("PQ_SEED", "1910")
+        .env("PQ_JOBS", jobs.to_string())
+        .env_remove("PQ_FAULTS");
+    if let Some(spec) = faults {
+        cmd.env("PQ_FAULTS", spec);
+    }
+    let out = cmd.output().expect("spawn pq");
+    assert!(
+        out.status.success(),
+        "edge_cell failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 digest");
+    assert_eq!(stdout, format!("study_digest={pinned}\n"));
+}
+
+#[test]
+fn edge_cell_at_4_workers_prints_the_pinned_digest() {
+    edge_cell_holds_the_pin(None, 4, "06f24c0967b34ec5");
+}
+
+#[test]
+fn chaos_edge_cell_at_1_worker_prints_the_pinned_digest() {
+    edge_cell_holds_the_pin(Some(CHAOS_SPEC), 1, "f044666b5b078e01");
 }

@@ -149,7 +149,7 @@ const DEADLINE_REASON: &str = "deadline exceeded";
 
 impl StimulusSet {
     /// Build stimuli for every combination, loading each condition
-    /// `runs` times (the paper uses ≥31).
+    /// `runs` times (the paper uses ≥31), with no fault injection.
     ///
     /// The site × network × protocol grid executes on the `pq-par`
     /// pool (`PQ_JOBS` workers); each cell's RNG derives from
@@ -162,12 +162,11 @@ impl StimulusSet {
         runs: u32,
         seed: u64,
     ) -> StimulusSet {
-        Self::build_with_faults(sites, networks, protocols, runs, seed, pq_fault::plan())
+        Self::build_with_faults(sites, networks, protocols, runs, seed, None)
     }
 
-    /// [`build`] with an explicit fault plan (`None` = no injection).
-    /// Tests thread plans here directly; the env-driven harness passes
-    /// the process-global [`pq_fault::plan`].
+    /// [`build`] under a fault plan (`None`, or an empty plan, = no
+    /// injection).
     ///
     /// With a plan active, each run is *validated* (complete page load
     /// with well-ordered metrics, the paper's R1/R4 checks) and invalid

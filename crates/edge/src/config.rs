@@ -1,7 +1,6 @@
-//! Edge knobs and the `PQ_STACKS` stack selection.
+//! Edge knobs.
 
 use pq_sim::SimDuration;
-use pq_transport::Protocol;
 
 /// Tunables of the edge topology and its two network functions.
 ///
@@ -52,67 +51,9 @@ impl Default for EdgeConfig {
     }
 }
 
-/// The protocol-stack selection from `PQ_STACKS`.
-///
-/// * unset or `table1` — the paper's five stacks (the default; the
-///   committed baseline digest is defined over this selection);
-/// * `all` — Table 1 plus the three edge stacks;
-/// * `edge` — the three edge stacks plus their A/B partners
-///   (QUIC and TCP+), the smallest grid where every edge pair runs;
-/// * otherwise — a comma-separated list of stack labels
-///   (e.g. `QUIC,QUIC-EDGE`); unknown labels warn via the tracer and
-///   are skipped, and an empty result falls back to Table 1.
-///
-/// The returned list is sorted in canonical (declaration) order and
-/// deduplicated, so grid and study iteration order never depends on
-/// how the variable was spelled.
-pub fn stacks_from_env() -> Vec<Protocol> {
-    let Some(raw) = pq_obs::env::var("PQ_STACKS") else {
-        return Protocol::ALL.to_vec();
-    };
-    let mut stacks: Vec<Protocol> = match raw.trim() {
-        "" | "table1" => Protocol::ALL.to_vec(),
-        "all" => Protocol::ALL_WITH_EDGE.to_vec(),
-        "edge" => {
-            let mut v = vec![Protocol::Quic, Protocol::TcpPlus];
-            v.extend(Protocol::EDGE);
-            v
-        }
-        list => list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .filter_map(|label| {
-                let p = Protocol::from_label(label);
-                if p.is_none() {
-                    pq_obs::tracer().warn(
-                        "edge",
-                        format!("unknown stack {label:?} in PQ_STACKS; skipping it"),
-                    );
-                }
-                p
-            })
-            .collect(),
-    };
-    if stacks.is_empty() {
-        pq_obs::tracer().warn(
-            "edge",
-            format!("PQ_STACKS={raw:?} selected no stacks; defaulting to table1"),
-        );
-        return Protocol::ALL.to_vec();
-    }
-    stacks.sort_unstable();
-    stacks.dedup();
-    stacks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // Env-mutating tests share one process; serialize them.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn defaults_are_sane() {
@@ -120,36 +61,5 @@ mod tests {
         assert!(d.pool_size > 0 && d.replicas > 0);
         assert!(d.client_rtt_share > 0.0 && d.client_rtt_share < 1.0);
         assert!(d.mbx_reorder_threshold >= 1);
-    }
-
-    #[test]
-    fn stacks_selection() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        std::env::remove_var("PQ_STACKS");
-        assert_eq!(stacks_from_env(), Protocol::ALL.to_vec());
-
-        std::env::set_var("PQ_STACKS", "all");
-        assert_eq!(stacks_from_env(), Protocol::ALL_WITH_EDGE.to_vec());
-
-        std::env::set_var("PQ_STACKS", "edge");
-        assert_eq!(
-            stacks_from_env(),
-            vec![
-                Protocol::TcpPlus,
-                Protocol::Quic,
-                Protocol::QuicEdge,
-                Protocol::QuicMbx,
-                Protocol::H2Edge
-            ]
-        );
-
-        // Explicit lists are canonicalized: sorted, deduplicated.
-        std::env::set_var("PQ_STACKS", "QUIC-EDGE,QUIC,QUIC-EDGE,bogus");
-        assert_eq!(stacks_from_env(), vec![Protocol::Quic, Protocol::QuicEdge]);
-
-        // All-unknown lists fall back to Table 1.
-        std::env::set_var("PQ_STACKS", "bogus");
-        assert_eq!(stacks_from_env(), Protocol::ALL.to_vec());
-        std::env::remove_var("PQ_STACKS");
     }
 }

@@ -22,8 +22,9 @@
 //! Neither type performs I/O or reads clocks; `pq-web`'s `junction`
 //! module owns one of them per page load and the loader's event loop
 //! drives it from there. [`EdgeConfig`] carries the
-//! tunables (`LoadOptions.edge`; `None` runs the defaults), and
-//! [`stacks_from_env`] parses the `PQ_STACKS` stack selection.
+//! tunables (`LoadOptions.edge`; `None` runs the defaults). Which
+//! stacks a grid runs is the caller's argument; this crate reads no
+//! environment.
 
 #![forbid(unsafe_code)]
 // The digest-feeding set (README "Static analysis"), non-test code only.
@@ -47,6 +48,6 @@ mod config;
 mod mbx;
 mod pool;
 
-pub use config::{stacks_from_env, EdgeConfig};
+pub use config::EdgeConfig;
 pub use mbx::Middlebox;
 pub use pool::{Dispatch, DispatchOutcome, EdgePools, PoolStats};

@@ -18,10 +18,15 @@
 //! connection index, task panics per `(cell, pass)`. No fault RNG is
 //! ever threaded across cells, so a faulted grid is bit-identical at
 //! any `PQ_JOBS` worker count, and two runs with the same spec agree
-//! bitwise. With no plan installed the injector is entirely inert:
-//! zero extra RNG draws, zero drift from the committed baselines.
+//! bitwise. With no plan (or an empty one) the injector is entirely
+//! inert: zero extra RNG draws, zero drift from the committed baselines.
 //!
-//! ## Fault spec grammar (`PQ_FAULTS`)
+//! A plan is a value the caller threads: `LoadOptions::faults` for one
+//! page load, `StimulusSet::build_with_faults` for a grid. This crate
+//! keeps no process state and reads no environment; the `pq` binary
+//! parses `PQ_FAULTS` once, into its run specification.
+//!
+//! ## Fault spec grammar ([`FaultPlan::parse`], `PQ_FAULTS` in `pq`)
 //!
 //! Semicolon-separated clauses, `name:key=value,...` (times in ms,
 //! probabilities in `[0,1]`):
@@ -68,58 +73,6 @@ pub use spec::{
     TruncConfig,
 };
 
-use std::sync::{Arc, OnceLock, RwLock};
-
-/// The process-global fault plan (`None` = injection off).
-fn global() -> &'static RwLock<Option<Arc<FaultPlan>>> {
-    static PLAN: OnceLock<RwLock<Option<Arc<FaultPlan>>>> = OnceLock::new();
-    PLAN.get_or_init(|| RwLock::new(None))
-}
-
-/// Install (or clear) the process-global fault plan. Prefer threading
-/// a plan explicitly (e.g. `LoadOptions::faults`) in tests — the
-/// global is for env-driven harness runs (`PQ_FAULTS`).
-pub fn install(plan: Option<FaultPlan>) {
-    let mut slot = global().write().unwrap_or_else(|e| e.into_inner());
-    *slot = plan.map(Arc::new);
-}
-
-/// The currently installed global plan, if any.
-pub fn plan() -> Option<Arc<FaultPlan>> {
-    global().read().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Read `PQ_FAULTS` and install the parsed plan. An unparsable spec
-/// warns via the tracer and leaves injection off (configuration is
-/// never silently swallowed). Returns whether a plan is now active.
-pub fn init_from_env() -> bool {
-    match pq_obs::env::var("PQ_FAULTS") {
-        Some(spec) if !spec.trim().is_empty() => match FaultPlan::parse(&spec) {
-            Ok(plan) => {
-                pq_obs::tracer().warn(
-                    "fault",
-                    format!(
-                        "fault injection ACTIVE: {} (seed {})",
-                        plan.summary(),
-                        plan.seed
-                    ),
-                );
-                install(Some(plan));
-                true
-            }
-            Err(err) => {
-                pq_obs::tracer().warn(
-                    "fault",
-                    format!("unparsable PQ_FAULTS: {err}; fault injection stays OFF"),
-                );
-                install(None);
-                false
-            }
-        },
-        _ => false,
-    }
-}
-
 /// Decide whether the task building `cell_label` deliberately panics
 /// on retry pass `pass` — a pure function of `(plan seed, cell,
 /// pass)`, so the same cells explode at any worker count. Increments
@@ -159,15 +112,6 @@ pub fn injected_slow(plan: &FaultPlan, cell_label: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn global_install_roundtrip() {
-        assert!(plan().is_none());
-        install(Some(FaultPlan::parse("stall:p=0.5,ms=100").unwrap()));
-        assert!(plan().unwrap().stall.is_some());
-        install(None);
-        assert!(plan().is_none());
-    }
 
     #[test]
     fn injected_panic_is_pure_and_pass_sensitive() {

@@ -108,8 +108,8 @@ pub struct SlowConfig {
 }
 
 /// A parsed, validated fault plan. All fault classes are optional;
-/// an empty plan injects nothing (but still counts as "active" for
-/// the validity-filtering machinery).
+/// an empty plan ([`FaultPlan::is_empty`]) injects nothing and counts
+/// as no plan everywhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Fault seed folded into every decision.

@@ -13,13 +13,15 @@
 //!    `PQ_SEED` already follow — instead of quietly falling back.
 //! 3. **Enforceability.** `clippy.toml` disallows `std::env::var` /
 //!    `var_os` (`clippy::disallowed_methods`, denied at every crate
-//!    root); the two reads below carry the only `#[expect]`s, and the
-//!    funnel itself rejects (debug builds) a `PQ_*` read that
-//!    [`KNOWN_VARS`] does not declare.
+//!    root), and this module's own three functions too: library crates
+//!    take their configuration as arguments. The sanctioned readers
+//!    carry `#[expect]`s — the `pq` binary's one parse of the run
+//!    knobs, pq-obs's `PQ_TRACE*` / `PQ_PROF*` reads and the proptest
+//!    shim's `PROPTEST_CASES` — and the funnel itself rejects (debug
+//!    builds) a `PQ_*` read that [`KNOWN_VARS`] does not declare.
 //!
-//! Reads are intentionally *uncached*: tests mutate the environment
-//! between cases, and the knobs are read a handful of times per
-//! process, so caching would buy nothing and cost correctness.
+//! Reads are intentionally *uncached*: each knob is read once, by the
+//! binary, so caching would buy nothing.
 
 use std::collections::BTreeSet;
 use std::str::FromStr;
@@ -99,6 +101,7 @@ pub fn var_os(name: &str) -> Option<std::ffi::OsString> {
 /// * set but **unparsable** → a tracer warning naming the variable and
 ///   the offending value (once per variable per process), then `None`
 ///   — configuration is never silently swallowed.
+#[expect(clippy::disallowed_methods, reason = "the funnel's own read")]
 pub fn var_parsed<T: FromStr>(name: &str) -> Option<T> {
     let raw = var(name)?;
     match raw.parse::<T>() {

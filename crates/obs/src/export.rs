@@ -118,6 +118,10 @@ pub fn export(path: &Path) -> std::io::Result<usize> {
 /// If tracing is enabled and `PQ_TRACE_OUT` is set, export the buffer
 /// there and report on stderr. Call once at the end of a binary.
 /// Returns the path written, if any.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pq-obs reads its own PQ_TRACE_OUT"
+)]
 pub fn flush_to_env() -> Option<std::path::PathBuf> {
     if !crate::trace::enabled(crate::trace::Level::Error) {
         return None;

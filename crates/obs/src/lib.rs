@@ -35,7 +35,8 @@
 //!   knob in the workspace reads through [`env::var`] /
 //!   [`env::var_parsed`] (unparsable values warn via the tracer), and
 //!   `clippy::disallowed_methods` rejects raw `std::env::var` calls
-//!   anywhere else.
+//!   anywhere else, and funnel calls outside the `pq` binary, pq-obs
+//!   and the proptest shim.
 //!
 //! ## Environment knobs
 //!

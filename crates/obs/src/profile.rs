@@ -17,6 +17,10 @@ use std::path::PathBuf;
 /// Configure `pq-prof` from the environment. Called by
 /// [`crate::trace::init_from_env`], so any binary that initialises
 /// tracing gets profiling knobs for free.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pq-obs reads its own PQ_PROF_* knobs"
+)]
 pub fn init_from_env() {
     // Truthy: set and neither empty nor `0`.
     let alloc_on = crate::env::var("PQ_PROF_ALLOC").is_some_and(|v| !v.is_empty() && v != "0");
@@ -29,6 +33,10 @@ pub fn init_from_env() {
 /// flamegraph SVG to `PQ_PROF_SVG`, when set. Returns the folded
 /// output path if one was written. IO failures warn through the tracer
 /// rather than killing a finished run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pq-obs reads its own PQ_PROF_* knobs"
+)]
 pub fn flush_to_env() -> Option<PathBuf> {
     let mut written = None;
     if let Some(out) = crate::env::var("PQ_PROF_OUT") {

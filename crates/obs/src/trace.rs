@@ -233,6 +233,10 @@ pub fn enabled(level: Level) -> bool {
 /// Unknown `PQ_TRACE` values *warn* (on stderr and, once enabled, in
 /// the trace itself) and default to `off` — config must never be
 /// silently swallowed. Returns the effective level.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pq-obs reads its own PQ_TRACE* knobs"
+)]
 pub fn init_from_env() -> Level {
     let t = tracer();
     let level = match crate::env::var("PQ_TRACE") {

@@ -1,4 +1,5 @@
-//! Per-cell wall-clock deadlines (`PQ_CELL_TIMEOUT_MS`).
+//! Per-cell wall-clock deadlines ([`set_cell_timeout_ms`]; `pq` sets
+//! it from `PQ_CELL_TIMEOUT_MS`).
 //!
 //! A hung or pathologically slow cell must not hang the sweep: the
 //! pool stamps a thread-local start time as it begins each task, and
@@ -13,59 +14,30 @@
 //! about a worker stuck past budget before the cell reaches its next
 //! cancellation point (or if it never does).
 //!
-//! Wall-clock time here never feeds simulated data; with the knob
-//! unset (the default) the whole module is inert and the determinism
+//! Wall-clock time here never feeds simulated data; with no deadline
+//! set (the default) the whole module is inert and the determinism
 //! contract is untouched. With it set, which cells exceed the budget
 //! depends on the machine — that is the documented trade: use it for
 //! liveness in long unattended sweeps, not for baseline digests.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Sentinel: no programmatic override installed.
-const NO_OVERRIDE: u64 = u64::MAX;
+/// The deadline in milliseconds; 0 = off.
+static TIMEOUT_MS: AtomicU64 = AtomicU64::new(0);
 
-static TIMEOUT_OVERRIDE: AtomicU64 = AtomicU64::new(NO_OVERRIDE);
-
-fn env_timeout() -> Option<u64> {
-    static CACHE: OnceLock<Option<u64>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let raw = pq_obs::env::var("PQ_CELL_TIMEOUT_MS")?;
-        match raw.parse::<u64>() {
-            Ok(0) => None,
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                pq_obs::tracer().warn(
-                    "par",
-                    format!(
-                        "unparsable PQ_CELL_TIMEOUT_MS={raw:?} (want milliseconds >= 1, \
-                         or 0 to disable); the cell watchdog stays off"
-                    ),
-                );
-                None
-            }
-        }
-    })
-}
-
-/// The effective per-cell deadline in milliseconds: a
-/// [`set_cell_timeout_ms`] override, else `PQ_CELL_TIMEOUT_MS`, else
-/// `None` (watchdog off).
+/// The per-cell deadline in milliseconds, or `None` (watchdog off)
+/// until [`set_cell_timeout_ms`] arms it.
 pub fn cell_timeout_ms() -> Option<u64> {
-    match TIMEOUT_OVERRIDE.load(Ordering::Relaxed) {
-        NO_OVERRIDE => env_timeout(),
-        0 => None,
-        ms => Some(ms),
-    }
+    Some(TIMEOUT_MS.load(Ordering::Relaxed)).filter(|&ms| ms > 0)
 }
 
-/// Override the deadline for the whole process: `Some(0)` disables the
-/// watchdog outright, `None` restores `PQ_CELL_TIMEOUT_MS`. For tests
-/// and embedding harnesses.
+/// Set the deadline for the whole process: `None` or `Some(0)` turns
+/// the watchdog off. The `pq` binary applies `PQ_CELL_TIMEOUT_MS`
+/// here; tests arm it directly.
 pub fn set_cell_timeout_ms(ms: Option<u64>) {
-    TIMEOUT_OVERRIDE.store(ms.unwrap_or(NO_OVERRIDE), Ordering::Relaxed);
+    TIMEOUT_MS.store(ms.unwrap_or(0), Ordering::Relaxed);
 }
 
 thread_local! {
@@ -194,14 +166,18 @@ impl Watchdog {
 mod tests {
     use super::*;
 
-    // One test: the override is process-global, so the scenarios must
+    // One test: the deadline is process-global, so the scenarios must
     // not interleave across test threads.
     #[test]
-    fn override_precedence_stamping_and_budget() {
-        // Override precedence and explicit disable.
+    fn setter_stamping_and_budget() {
+        // Off by default; `None` and `Some(0)` both turn it off.
+        assert_eq!(cell_timeout_ms(), None);
         set_cell_timeout_ms(Some(250));
         assert_eq!(cell_timeout_ms(), Some(250));
         set_cell_timeout_ms(Some(0));
+        assert_eq!(cell_timeout_ms(), None);
+        set_cell_timeout_ms(Some(250));
+        set_cell_timeout_ms(None);
         assert_eq!(cell_timeout_ms(), None);
 
         // Off means never exceeded, even with a stale stamp.

@@ -12,13 +12,12 @@
 //!   `std::thread`-scoped workers claim them from one atomic cursor
 //!   until it runs out; panics propagate to the caller (`par_map`) or
 //!   fail only their own slot (`try_par_map`).
-//! * [`jobs`] — the worker count: the `PQ_JOBS` environment knob,
-//!   defaulting to [`std::thread::available_parallelism`]. Unparsable
-//!   values warn through the `pq-obs` tracer (once) instead of being
-//!   silently swallowed. [`set_jobs`] overrides it programmatically
-//!   (tests sweep `1 / 2 / 8` workers in-process this way).
+//! * [`jobs`] — the worker count: whatever [`set_jobs`] installed,
+//!   else [`std::thread::available_parallelism`]. The `pq` binary
+//!   installs its `PQ_JOBS` there; tests sweep `1 / 2 / 8` workers
+//!   in-process the same way. This crate reads no environment.
 //! * [`cell_deadline_exceeded`] — the per-cell wall-clock watchdog
-//!   (`PQ_CELL_TIMEOUT_MS`): the pool stamps every task's start time,
+//!   ([`set_cell_timeout_ms`]): the pool stamps every task's start time,
 //!   long-running cells poll the deadline at their cancellation points
 //!   and get quarantined instead of hanging the sweep, and a watchdog
 //!   thread warns (via pq-ckpt's sink) about workers stuck past
@@ -66,9 +65,6 @@ use std::sync::Once;
 /// Programmatic override installed by [`set_jobs`] (0 = none).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Warn about an unparsable `PQ_JOBS` at most once per process.
-static WARN_ONCE: Once = Once::new();
-
 /// Number of workers the machine can usefully run: available
 /// parallelism, or 1 when the runtime cannot tell.
 pub fn available_jobs() -> usize {
@@ -77,46 +73,18 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// The effective worker count, resolved in priority order:
-///
-/// 1. a [`set_jobs`] override (tests, embedding harnesses),
-/// 2. the `PQ_JOBS` environment variable (`>= 1`),
-/// 3. [`available_jobs`].
-///
-/// An unparsable or zero `PQ_JOBS` warns via the `pq-obs` tracer
-/// (mirroring the `PQ_SCALE`/`PQ_SEED` warnings in `pq-bench`) and
-/// falls back to [`available_jobs`] — configuration is never silently
-/// swallowed.
+/// The effective worker count: the [`set_jobs`] override, else
+/// [`available_jobs`].
 pub fn jobs() -> usize {
-    let forced = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    match pq_obs::env::var("PQ_JOBS") {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                let fallback = available_jobs();
-                WARN_ONCE.call_once(|| {
-                    pq_obs::tracer().warn(
-                        "par",
-                        format!(
-                            "unparsable PQ_JOBS={raw:?} (want an integer >= 1); \
-                             defaulting to available parallelism ({fallback})"
-                        ),
-                    );
-                });
-                fallback
-            }
-        },
-        None => available_jobs(),
+    match JOBS_OVERRIDE.load(Ordering::Relaxed) {
+        0 => available_jobs(),
+        forced => forced,
     }
 }
 
-/// Override the worker count for the whole process (`None` restores
-/// `PQ_JOBS` / auto-detection). Intended for tests and embedding
-/// harnesses that must sweep worker counts without touching the
-/// environment.
+/// Set the worker count for the whole process (`None` restores
+/// [`available_jobs`]). The `pq` binary applies `PQ_JOBS` here; tests
+/// sweep worker counts in-process the same way.
 pub fn set_jobs(jobs: Option<usize>) {
     JOBS_OVERRIDE.store(jobs.unwrap_or(0), Ordering::Relaxed);
 }
@@ -314,7 +282,7 @@ mod tests {
     #[test]
     fn jobs_override_wins() {
         with_override(Some(3), || assert_eq!(jobs(), 3));
-        with_override(None, || assert!(jobs() >= 1));
+        with_override(None, || assert_eq!(jobs(), available_jobs()));
     }
 
     #[test]

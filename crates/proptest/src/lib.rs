@@ -28,6 +28,10 @@ use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Number of cases each property runs (`PROPTEST_CASES`, default 64).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the shim reads its own PROPTEST_CASES"
+)]
 pub fn cases() -> u64 {
     pq_obs::env::var_parsed::<u64>("PROPTEST_CASES")
         .filter(|&n| n > 0)

@@ -58,9 +58,8 @@ pub struct LoadOptions {
     /// useful for ablations).
     pub processing_scale: f64,
     /// Fault-injection plan for this load (`None` = no injection; the
-    /// default). Tests should thread a plan here explicitly; the
-    /// `PQ_FAULTS`-driven harness installs the process-global plan and
-    /// copies it in at the runner layer.
+    /// default). `StimulusSet::build_with_faults` copies the run's plan
+    /// in for every load of the grid.
     pub faults: Option<std::sync::Arc<pq_fault::FaultPlan>>,
     /// Edge-topology knobs for the edge stacks (`QUIC-EDGE`,
     /// `QUIC-MBX`, `H2-EDGE`). `None` — the default — means
