@@ -1,10 +1,10 @@
 //! `pq` — the experiment harness, one subcommand per artefact (see
-//! [`COMMANDS`] and the table in `pq-bench`'s crate docs). Scale, seed,
-//! stacks, faults, workers and the cell deadline are parsed from the
-//! `PQ_*` environment once, here ([`knobs::parse`], README "Knobs"),
-//! and every subcommand gets the resulting [`RunSpec`]; observability
-//! is initialised before the command runs and flushed after it, here
-//! and nowhere else.
+//! [`COMMANDS`] and the table in `pq-bench`'s crate docs). Every `PQ_*`
+//! knob is parsed from the environment once, here ([`knobs::parse`],
+//! README "Knobs"): every subcommand gets the resulting [`RunSpec`],
+//! and the tracer, the profiler and the pool are configured before the
+//! command runs and their outputs written after it, here and nowhere
+//! else.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
@@ -15,7 +15,9 @@ mod knobs;
 mod runall;
 mod sweep;
 
+use knobs::Knobs;
 use pq_bench::{report, Experiment, RunSpec};
+use std::path::Path;
 
 /// What a subcommand needs before it can run.
 enum Cmd {
@@ -52,25 +54,76 @@ fn main() {
         eprintln!("usage: pq <{}>", names.join("|"));
         std::process::exit(2);
     };
-    pq_obs::init_from_env();
     #[expect(
         clippy::disallowed_methods,
-        reason = "the one read of the run knobs; everything after takes the RunSpec"
+        reason = "the one read of the environment; everything after takes the parsed knobs"
     )]
-    let knobs = knobs::parse(pq_obs::env::var);
+    let knobs = knobs::parse(|var| std::env::var_os(var));
+    let tracer = pq_obs::tracer();
+    tracer.set_capacity(knobs.trace_buf);
+    tracer.set_level(knobs.trace);
+    pq_prof::configure(
+        knobs.prof_alloc,
+        knobs.prof_out.is_some() || knobs.prof_svg.is_some(),
+    );
+    for (cat, msg) in &knobs.warnings {
+        tracer.warn(cat, msg.as_str());
+    }
     pq_par::set_jobs(Some(knobs.jobs));
     pq_par::set_cell_timeout_ms(knobs.cell_timeout_ms);
     match cmd {
         Plain(run) => run(&knobs.spec),
         View(print) => print(&experiment(&name, &knobs.spec)),
     }
-    if let Some(summary) = pq_obs::profile::alloc_summary() {
-        eprintln!("[{name}] {summary}");
+    write_outputs(&name, &knobs);
+}
+
+/// At exit: the allocation summary on stderr, then the folded profile,
+/// the flamegraph and the Chrome trace wherever the knobs name a path.
+/// A failed write warns rather than failing a finished run.
+fn write_outputs(name: &str, knobs: &Knobs) {
+    if knobs.prof_alloc {
+        eprintln!("[{name}] {}", alloc_summary());
     }
-    if let Some(path) = pq_obs::profile::flush_to_env() {
-        eprintln!("[{name}] wrote {}", path.display());
+    let report = |path: &Path, written: std::io::Result<()>| match written {
+        Ok(()) => eprintln!("[{name}] wrote {}", path.display()),
+        Err(e) => pq_obs::tracer().warn("prof", format!("failed to write {}: {e}", path.display())),
+    };
+    if let Some(path) = &knobs.prof_out {
+        report(path, pq_prof::write_folded(path).map(drop));
     }
-    pq_obs::flush_to_env();
+    if let Some(path) = &knobs.prof_svg {
+        let svg = pq_prof::svg::render(&pq_prof::folded());
+        report(path, pq_ckpt::atomic_write(path, svg.as_bytes()));
+    }
+    if let Some(path) = &knobs.trace_out {
+        let (_, recorded, dropped) = pq_obs::tracer().stats();
+        match pq_obs::export::export(path) {
+            Ok(n) => eprintln!(
+                "[{name}] wrote {} ({n} events; {recorded} recorded, {dropped} dropped by the ring)",
+                path.display()
+            ),
+            Err(e) => eprintln!("[{name}] error: failed to write {}: {e}", path.display()),
+        }
+    }
+}
+
+/// One line on the counting allocator's totals and its heaviest phase.
+fn alloc_summary() -> String {
+    let snap = pq_prof::alloc_snapshot();
+    let mib = |bytes: u64| bytes as f64 / f64::from(1 << 20);
+    let top = snap
+        .phases
+        .iter()
+        .max_by_key(|p| p.bytes)
+        .map(|p| format!(", top phase {} ({:.1} MiB)", p.phase, mib(p.bytes)))
+        .unwrap_or_default();
+    format!(
+        "alloc: {} allocations, {:.1} MiB total, {:.1} MiB peak live{top}",
+        snap.total_allocs,
+        mib(snap.total_bytes),
+        mib(snap.peak_bytes),
+    )
 }
 
 /// Run the experiment `spec` describes, echoing its setup and its wall

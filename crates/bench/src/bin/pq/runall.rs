@@ -6,15 +6,24 @@
 //! function of `(seed, coordinates)`, so the rerun's `study_digest` is
 //! the one the killed run would have written. The manifest goes
 //! through `atomic_write`, so a kill never leaves a torn one, and the
-//! temp files a killed write leaves behind are swept at start.
+//! temp files a killed write leaves behind are swept, and reported, at
+//! start.
 
 use crate::{Cmd, COMMANDS};
 use pq_bench::manifest::{manifest_json, write_json};
 use pq_bench::{report, RunSpec};
 
 pub fn run(spec: &RunSpec) {
-    if let Err(err) = pq_ckpt::recover_stale_temps("results") {
-        eprintln!("[runall] could not sweep results/ for stale temp files: {err}");
+    match pq_ckpt::recover_stale_temps("results") {
+        Ok(removed) => {
+            for path in removed {
+                pq_obs::tracer().warn(
+                    "ckpt",
+                    format!("recovery: removed stale temp file {}", path.display()),
+                );
+            }
+        }
+        Err(err) => eprintln!("[runall] could not sweep results/ for stale temp files: {err}"),
     }
     let mut timer = pq_obs::PhaseTimer::new();
     timer.phase("table1", report::print_table1);

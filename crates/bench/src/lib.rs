@@ -47,8 +47,9 @@
 //!
 //! ## Observability
 //!
-//! `pq` initialises [`pq_obs`] from the environment before the
-//! command runs and flushes it after:
+//! `pq` parses the trace knobs with the others, configures
+//! [`pq_obs`]'s tracer before the command runs and writes the trace
+//! after it:
 //!
 //! * `PQ_TRACE` — trace level (`off`/`error`/`warn`/`info`/`debug`/
 //!   `trace`; default `off`). At `info` each page load records its
@@ -60,6 +61,9 @@
 //!   `chrome://tracing`).
 //! * `PQ_TRACE_BUF` — ring capacity in events (default 262144; the
 //!   ring overwrites oldest on overflow).
+//!
+//! With `PQ_TRACE` off, a set `PQ_TRACE_OUT` or `PQ_TRACE_BUF` warns
+//! that it has no effect.
 //!
 //! Worked waterfall example:
 //!

@@ -1,7 +1,8 @@
 //! The `pq` binary: a known subcommand runs, anything else gets the
 //! list of subcommands on stderr and exit status 2; `pq runall`'s own
-//! manifest carries the pinned smoke and chaos digests, and `pq
-//! edge_cell` prints the pinned edge-cell digests.
+//! manifest carries the pinned smoke and chaos digests, `pq
+//! edge_cell` prints the pinned edge-cell digests, and the trace and
+//! profiler knobs write their files.
 
 use pq_bench::CHAOS_SPEC;
 use pq_obs::json::Value;
@@ -143,4 +144,75 @@ fn edge_cell_at_4_workers_prints_the_pinned_digest() {
 #[test]
 fn chaos_edge_cell_at_1_worker_prints_the_pinned_digest() {
     edge_cell_holds_the_pin(Some(CHAOS_SPEC), 1, "f044666b5b078e01");
+}
+
+/// `pq table2` with every trace and profiler knob set: its link probe
+/// opens `link:` spans, so each output has something in it. A knob
+/// warning (here a malformed `PQ_SEED`) reaches the exported trace as
+/// well as stderr.
+#[test]
+fn trace_and_profile_knobs_write_their_outputs() {
+    let dir = std::env::temp_dir().join(format!("pq-cli-outputs-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, folded, svg) = (
+        dir.join("trace.json"),
+        dir.join("prof.folded"),
+        dir.join("prof.svg"),
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_pq"))
+        .arg("table2")
+        .env("PQ_SEED", "not-a-seed")
+        .env("PQ_TRACE", "info")
+        .env("PQ_TRACE_OUT", &trace)
+        .env("PQ_PROF_ALLOC", "1")
+        .env("PQ_PROF_OUT", &folded)
+        .env("PQ_PROF_SVG", &svg)
+        .output()
+        .expect("spawn pq");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "table2 failed: {stderr}");
+
+    let doc =
+        Value::parse(&std::fs::read_to_string(&trace).expect("trace written")).expect("trace JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("a traceEvents array");
+    assert!(
+        events.iter().any(|e| e
+            .get("name")
+            .and_then(Value::as_str)
+            .is_some_and(|n| n.contains("unparsable PQ_SEED"))),
+        "the knob warning is missing from the trace"
+    );
+
+    let folded = std::fs::read_to_string(&folded).expect("folded profile written");
+    assert!(folded.lines().any(|l| l.starts_with("link:")), "{folded}");
+    for line in folded.lines() {
+        let (frames, self_ns) = line.rsplit_once(' ').expect("`frames self_ns`");
+        assert!(
+            !frames.is_empty() && self_ns.parse::<u64>().is_ok(),
+            "{line:?}"
+        );
+    }
+    let svg = std::fs::read_to_string(&svg).expect("flamegraph written");
+    assert!(svg.starts_with("<svg"), "{}", &svg[..svg.len().min(80)]);
+    assert!(stderr.contains("[table2] alloc: "), "{stderr}");
+
+    // An unknown level warns and leaves tracing off, so no trace is
+    // written.
+    std::fs::remove_file(&trace).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pq"))
+        .arg("table2")
+        .env("PQ_TRACE", "bogus")
+        .env("PQ_TRACE_OUT", &trace)
+        .output()
+        .expect("spawn pq");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "table2 failed: {stderr}");
+    assert!(stderr.contains("unknown PQ_TRACE=\"bogus\""), "{stderr}");
+    assert!(!trace.exists(), "a trace was written with tracing off");
+
+    std::fs::remove_dir_all(&dir).ok();
 }

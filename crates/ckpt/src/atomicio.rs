@@ -61,31 +61,21 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// Remove stale `*.pq-tmp.*` files in `dir` — leftovers from a
-/// process killed between temp-write and rename. Returns how
-/// many were removed; a missing directory is simply zero. Each removal
-/// is reported through the warn sink so recovery is visible in traces.
-pub fn recover_stale_temps(dir: impl AsRef<Path>) -> io::Result<usize> {
-    let dir = dir.as_ref();
+/// process killed between temp-write and rename — and return their
+/// paths, so the caller can report the recovery. A missing directory
+/// has nothing to remove.
+pub fn recover_stale_temps(dir: impl AsRef<Path>) -> io::Result<Vec<PathBuf>> {
     let entries = match fs::read_dir(dir) {
         Ok(rd) => rd,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    let mut removed = 0usize;
+    let mut removed = Vec::new();
     for entry in entries.flatten() {
-        let name = entry.file_name();
-        if !name.to_string_lossy().contains(TMP_MARKER) {
-            continue;
-        }
-        if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            continue;
-        }
-        if fs::remove_file(entry.path()).is_ok() {
-            crate::warn(&format!(
-                "recovery: removed stale temp file {}",
-                entry.path().display()
-            ));
-            removed += 1;
+        let stale = entry.file_name().to_string_lossy().contains(TMP_MARKER)
+            && entry.file_type().is_ok_and(|t| t.is_file());
+        if stale && fs::remove_file(entry.path()).is_ok() {
+            removed.push(entry.path());
         }
     }
     Ok(removed)
@@ -132,12 +122,19 @@ mod tests {
         fs::write(dir.join("manifest.json"), b"keep").unwrap();
         fs::write(dir.join(format!("manifest.json{TMP_MARKER}123")), b"stale").unwrap();
         fs::write(dir.join(format!("obs.json{TMP_MARKER}999")), b"stale").unwrap();
-        let removed = recover_stale_temps(&dir).unwrap();
-        assert_eq!(removed, 2);
+        let mut removed = recover_stale_temps(&dir).unwrap();
+        removed.sort();
+        assert_eq!(
+            removed,
+            [
+                dir.join(format!("manifest.json{TMP_MARKER}123")),
+                dir.join(format!("obs.json{TMP_MARKER}999")),
+            ]
+        );
         assert!(dir.join("manifest.json").exists());
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         // Missing directory is fine.
-        assert_eq!(recover_stale_temps(dir.join("nope")).unwrap(), 0);
+        assert!(recover_stale_temps(dir.join("nope")).unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -115,34 +115,6 @@ pub fn export(path: &Path) -> std::io::Result<usize> {
     Ok(events.len())
 }
 
-/// If tracing is enabled and `PQ_TRACE_OUT` is set, export the buffer
-/// there and report on stderr. Call once at the end of a binary.
-/// Returns the path written, if any.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "pq-obs reads its own PQ_TRACE_OUT"
-)]
-pub fn flush_to_env() -> Option<std::path::PathBuf> {
-    if !crate::trace::enabled(crate::trace::Level::Error) {
-        return None;
-    }
-    let path = std::path::PathBuf::from(crate::env::var_os("PQ_TRACE_OUT")?);
-    let (_, recorded, dropped) = tracer().stats();
-    match export(&path) {
-        Ok(n) => {
-            eprintln!(
-                "[pq-obs] wrote {} ({n} events; {recorded} recorded, {dropped} dropped by the ring)",
-                path.display()
-            );
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("[pq-obs] error: failed to write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,8 @@
 //!   track (`pid`/`tid` in Chrome-trace terms) and typed arguments.
 //!   Tracing is **off by default** and gated behind one relaxed atomic
 //!   load, so the instrumented hot paths cost (near) nothing when
-//!   disabled. Enable with `PQ_TRACE=info` (or `error`/`warn`/`debug`/
-//!   `trace`) and direct the export with `PQ_TRACE_OUT=path`.
+//!   disabled. [`Tracer::set_level`] turns it on and
+//!   [`Tracer::set_capacity`] sizes the ring.
 //! * [`metrics`] — a process-global registry of counters and
 //!   log-bucketed histograms (p50/p90/p99), read by name through typed
 //!   accessors: the run manifest, `benches/perf` and the tests are its
@@ -26,28 +26,13 @@
 //!   has no network access, so `serde` is not available; this module
 //!   fills the gap with ~300 auditable lines).
 //! * [`timing`] — wall-clock phase timers for the experiment harness.
-//! * [`profile`] — the bridge to `pq-prof`: configures the counting
-//!   allocator and span profiler from `PQ_PROF_*` knobs and writes the
-//!   collapsed-stack / flamegraph-SVG outputs at exit.
 //! * [`names`] — the declared metric and span-frame names a run is
 //!   held to.
-//! * [`env`] — the central environment-variable funnel: every `PQ_*`
-//!   knob in the workspace reads through [`env::var`] /
-//!   [`env::var_parsed`] (unparsable values warn via the tracer), and
-//!   `clippy::disallowed_methods` rejects raw `std::env::var` calls
-//!   anywhere else, and funnel calls outside the `pq` binary, pq-obs
-//!   and the proptest shim.
 //!
-//! ## Environment knobs
-//!
-//! | Variable | Effect |
-//! |----------|--------|
-//! | `PQ_TRACE` | `off` (default), `error`, `warn`, `info`, `debug`, `trace` |
-//! | `PQ_TRACE_OUT` | export path (Chrome trace JSON) |
-//! | `PQ_TRACE_BUF` | ring capacity in events (default 262144) |
-//! | `PQ_PROF_ALLOC` | `1` enables the counting allocator (per-phase/per-worker alloc attribution) |
-//! | `PQ_PROF_OUT` | collapsed-stack output path (turns the span profiler on) |
-//! | `PQ_PROF_SVG` | flamegraph SVG output path (turns the span profiler on) |
+//! Like every library crate, pq-obs reads no environment: it is
+//! configured by the values its caller passes. The `pq` binary parses
+//! `PQ_TRACE`, `PQ_TRACE_BUF` and `PQ_TRACE_OUT` with the other knobs
+//! (README "Knobs") and applies them through the calls above.
 //!
 //! ## Track conventions
 //!
@@ -61,16 +46,13 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
-pub mod env;
 pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod names;
-pub mod profile;
 pub mod timing;
 pub mod trace;
 
-pub use export::flush_to_env;
 pub use metrics::{registry, MetricSnapshot, Registry};
 pub use timing::{PhaseTimer, Stopwatch};
-pub use trace::{enabled, init_from_env, tracer, ArgValue, Event, EventKind, Level, Tracer};
+pub use trace::{enabled, tracer, ArgValue, Event, EventKind, Level, Tracer};

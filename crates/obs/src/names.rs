@@ -1,5 +1,4 @@
-//! The declared name registries (the env knobs' sibling list is
-//! [`crate::env::KNOWN_VARS`]).
+//! The declared name registries.
 //!
 //! The run manifest, `benches/perf` and the profile tooling all address
 //! series and frames *by name*; a typo'd literal silently creates a

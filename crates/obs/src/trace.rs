@@ -201,7 +201,7 @@ pub struct Tracer {
     pub(crate) inner: Mutex<Inner>,
 }
 
-/// Default ring capacity (events) when `PQ_TRACE_BUF` is unset.
+/// Ring capacity (events) until [`Tracer::set_capacity`] changes it.
 pub const DEFAULT_RING_CAPACITY: usize = 262_144;
 
 static TRACER: OnceLock<Tracer> = OnceLock::new();
@@ -228,54 +228,6 @@ pub fn enabled(level: Level) -> bool {
     tracer().level.load(Ordering::Relaxed) >= level as u8
 }
 
-/// Initialise level and ring capacity from `PQ_TRACE` / `PQ_TRACE_BUF`.
-///
-/// Unknown `PQ_TRACE` values *warn* (on stderr and, once enabled, in
-/// the trace itself) and default to `off` — config must never be
-/// silently swallowed. Returns the effective level.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "pq-obs reads its own PQ_TRACE* knobs"
-)]
-pub fn init_from_env() -> Level {
-    let t = tracer();
-    let level = match crate::env::var("PQ_TRACE") {
-        None => Level::Off,
-        Some(raw) => match Level::parse(&raw) {
-            Some(l) => l,
-            None => {
-                eprintln!(
-                    "[pq-obs] warn: unknown PQ_TRACE={raw:?} (want off|error|warn|info|debug|trace); tracing stays off"
-                );
-                Level::Off
-            }
-        },
-    };
-    if let Some(raw) = crate::env::var("PQ_TRACE_BUF") {
-        match raw.parse::<usize>() {
-            Ok(cap) if cap > 0 => {
-                let mut inner = t.inner.lock().expect("tracer poisoned");
-                inner.capacity = cap;
-                if inner.ring.len() > cap {
-                    let ordered = inner.ordered();
-                    inner.ring = ordered[ordered.len() - cap..].to_vec();
-                    inner.head = 0;
-                }
-            }
-            _ => eprintln!("[pq-obs] warn: invalid PQ_TRACE_BUF={raw:?} (want a positive integer); keeping default"),
-        }
-    }
-    t.set_level(level);
-    crate::profile::init_from_env();
-    // Route pq-ckpt diagnostics (stale temp recovery, watchdog stalls)
-    // into the trace ring alongside stderr.
-    pq_ckpt::set_warn_sink(|msg| {
-        eprintln!("[pq-ckpt] warn: {msg}");
-        tracer().warn("ckpt", msg.to_string());
-    });
-    level
-}
-
 impl Tracer {
     /// Set the active level programmatically.
     pub fn set_level(&self, level: Level) {
@@ -285,6 +237,18 @@ impl Tracer {
     /// The active level.
     pub fn level(&self) -> Level {
         Level::from_u8(self.level.load(Ordering::Relaxed))
+    }
+
+    /// Resize the ring to `capacity` events (at least one), keeping the
+    /// newest events that fit.
+    pub fn set_capacity(&self, capacity: usize) {
+        let capacity = capacity.max(1);
+        let mut inner = self.inner.lock().expect("tracer poisoned");
+        let mut ring = inner.ordered();
+        ring.drain(..ring.len().saturating_sub(capacity));
+        inner.head = ring.len() % capacity;
+        inner.ring = ring;
+        inner.capacity = capacity;
     }
 
     /// Nanoseconds of wall time since the tracer was created — the
@@ -559,6 +523,29 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).ok();
             t.inner.lock().unwrap().capacity = orig;
+        });
+    }
+
+    #[test]
+    fn set_capacity_keeps_the_newest_events_in_order() {
+        with_level(Level::Info, || {
+            let t = tracer();
+            let names = |evs: Vec<Event>| evs.into_iter().map(|e| e.name).collect::<Vec<_>>();
+            let push = |range: std::ops::Range<u64>| {
+                for i in range {
+                    t.instant(Level::Info, "test", format!("c{i}"), 0, 0, i, Vec::new());
+                }
+            };
+            t.set_capacity(4);
+            push(0..6); // wrapped: c2..c5 survive
+            t.set_capacity(6);
+            push(6..9); // fills to 6, then overwrites the oldest (c2)
+            assert_eq!(names(t.snapshot()), ["c3", "c4", "c5", "c6", "c7", "c8"]);
+            t.set_capacity(2);
+            assert_eq!(names(t.snapshot()), ["c7", "c8"]);
+            push(9..10);
+            assert_eq!(names(t.drain()), ["c8", "c9"]);
+            t.set_capacity(DEFAULT_RING_CAPACITY);
         });
     }
 

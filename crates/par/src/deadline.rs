@@ -77,7 +77,7 @@ pub fn cell_deadline_exceeded() -> Option<u64> {
 /// Supervision of one parallel batch, built only when a cell deadline
 /// is configured: workers record a heartbeat per task, and a thread
 /// running [`Watchdog::run`] reports (once per stall, through
-/// pq-ckpt's warn sink + the `par.watchdog_stalls` counter) any worker
+/// the pq-obs tracer + the `par.watchdog_stalls` counter) any worker
 /// whose *current* task has overrun the budget. Enforcement stays
 /// cooperative — the overrunning cell quarantines itself at its next
 /// [`cell_deadline_exceeded`] check — so the watchdog's job is
@@ -143,11 +143,14 @@ impl Watchdog {
                 let elapsed = now.saturating_sub(beat - 1);
                 if elapsed > timeout_ms && !*flag {
                     *flag = true;
-                    pq_ckpt::warn(&format!(
-                        "watchdog: pq-par worker {who} has spent {elapsed} ms on one cell \
-                         (budget {timeout_ms} ms); the cell will be quarantined at its next \
-                         cancellation point"
-                    ));
+                    pq_obs::tracer().warn(
+                        "par",
+                        format!(
+                            "watchdog: pq-par worker {who} has spent {elapsed} ms on one cell \
+                             (budget {timeout_ms} ms); the cell will be quarantined at its \
+                             next cancellation point"
+                        ),
+                    );
                     pq_obs::registry().counter_add("par.watchdog_stalls", 1);
                 }
             }

@@ -20,7 +20,7 @@
 //!   ([`set_cell_timeout_ms`]): the pool stamps every task's start time,
 //!   long-running cells poll the deadline at their cancellation points
 //!   and get quarantined instead of hanging the sweep, and a watchdog
-//!   thread warns (via pq-ckpt's sink) about workers stuck past
+//!   thread warns (through the pq-obs tracer) about workers stuck past
 //!   budget. Off by default; wall-clock never feeds simulated data.
 //!
 //! ## The determinism contract

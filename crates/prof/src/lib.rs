@@ -21,10 +21,10 @@
 //!   and pq-par worker lane, plus a live-bytes peak (an RSS estimate).
 //!
 //! This crate reads no environment variables and writes no output on
-//! its own: `pq-obs` configures it from `PQ_PROF_ALLOC` / `PQ_PROF_OUT`
-//! / `PQ_PROF_SVG` through the sanctioned env funnel and writes the
-//! folded profile; `pq-bench` folds the allocation report into the run
-//! manifest.
+//! its own: the `pq` binary parses `PQ_PROF_ALLOC` / `PQ_PROF_OUT` /
+//! `PQ_PROF_SVG` with its other knobs, calls [`configure`] before the
+//! run and writes the folded profile and the SVG after it; `pq-bench`
+//! folds the allocation report into the run manifest.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]

@@ -28,14 +28,20 @@ use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Number of cases each property runs (`PROPTEST_CASES`, default 64).
+/// A value that is not a positive integer warns on stderr and gives
+/// the default.
 #[expect(
     clippy::disallowed_methods,
     reason = "the shim reads its own PROPTEST_CASES"
 )]
 pub fn cases() -> u64 {
-    pq_obs::env::var_parsed::<u64>("PROPTEST_CASES")
-        .filter(|&n| n > 0)
-        .unwrap_or(64)
+    let Ok(raw) = std::env::var("PROPTEST_CASES") else {
+        return 64;
+    };
+    raw.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
+        eprintln!("proptest: unparsable PROPTEST_CASES={raw:?} (want an integer >= 1); using 64");
+        64
+    })
 }
 
 /// Deterministic splitmix64 generator used to drive strategies.

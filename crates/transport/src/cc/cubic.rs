@@ -280,6 +280,56 @@ mod tests {
         );
     }
 
+    /// RFC 8312 known answers after a loss at W_max = 100 segments, for
+    /// Linux's β = 0.7 and gQUIC's 2-connection β = 0.85. K is checked
+    /// to 1e-3 s because the reduced window truncates to whole bytes.
+    #[test]
+    fn rfc8312_known_answers() {
+        // (n, β, K = ∛(W_max·(1−β)/C), fast-convergence W_max·(1+β)/2
+        // for the second loss at β·W_max, α = 3n²(1−β)/(1+β))
+        for (n, beta, k, fast_w_max, alpha) in [
+            (1, 0.7, 75f64.cbrt(), 70.0 * 1.7 / 2.0, 0.5294),
+            (2, 0.85, 37.5f64.cbrt(), 85.0 * 1.85 / 2.0, 0.9730),
+        ] {
+            let mut c = Cubic::new_with(MSS, 100 * MSS, n);
+            assert!((c.beta - beta).abs() < 1e-12, "n={n}: β {}", c.beta);
+            assert!(
+                (c.reno_alpha - alpha).abs() < 1e-4,
+                "n={n}: α {}",
+                c.reno_alpha
+            );
+
+            c.on_congestion_event(SimTime::ZERO, 100 * MSS);
+            assert_eq!(c.w_max, 100.0, "n={n}");
+            // The first ACK in congestion avoidance starts the epoch.
+            c.on_ack(&ack(10, MSS, 100, 0));
+            assert!((c.k - k).abs() < 1e-3, "n={n}: K {} vs {k}", c.k);
+            assert_eq!(c.cubic_window(c.k), c.w_max, "n={n}: W_cubic(K) = W_max");
+            // The curve is odd about K: W_cubic(0) = W_max − C·K³ =
+            // β·W_max, the reduced window, and W_cubic(2K) =
+            // W_max + C·K³ = (2 − β)·W_max.
+            let w0 = 100.0 * beta;
+            let w2k = 100.0 * (2.0 - beta);
+            assert!((c.cubic_window(0.0) - w0).abs() < 1e-2, "n={n}: W_cubic(0)");
+            assert!(
+                (c.cubic_window(2.0 * c.k) - w2k).abs() < 1e-2,
+                "n={n}: W_cubic(2K)"
+            );
+
+            // Fast convergence (§4.6): a second loss below W_max.
+            let mut c = Cubic::new_with(MSS, 100 * MSS, n);
+            c.on_congestion_event(SimTime::ZERO, 100 * MSS);
+            c.on_congestion_event(SimTime::from_millis(100), 0);
+            assert!(
+                (c.w_max - fast_w_max).abs() < 1e-3,
+                "n={n}: W_max {} vs {fast_w_max}",
+                c.w_max
+            );
+        }
+        assert!((75f64.cbrt() - 4.2172).abs() < 1e-4);
+        assert!((37.5f64.cbrt() - 3.3472).abs() < 1e-4);
+    }
+
     #[test]
     fn cwnd_never_below_min() {
         let mut c = Cubic::new(MSS, 2 * MSS);

@@ -166,6 +166,52 @@ mod tests {
         assert!(est.rto() < base * 2, "rto back near base after sample");
     }
 
+    /// RFC 6298 (2.2)-(2.3) worked by hand, exact to the nanosecond.
+    #[test]
+    fn rfc6298_known_answers() {
+        let ms = SimDuration::from_millis;
+        let us = SimDuration::from_micros;
+        let mut est = RttEstimator::new();
+        // (2.2) first sample R: SRTT = R, RTTVAR = R/2,
+        // RTO = SRTT + 4·RTTVAR.
+        est.on_sample(ms(100));
+        assert_eq!(est.srtt(), Some(ms(100)));
+        assert_eq!(est.rttvar, ms(50));
+        assert_eq!(est.rto(), ms(300));
+        // (2.3) next sample R' = 200 ms, RTTVAR before SRTT:
+        // RTTVAR = 3/4·50 + 1/4·|100 − 200| = 62.5 ms,
+        // SRTT = 7/8·100 + 1/8·200 = 112.5 ms,
+        // RTO = 112.5 + 4·62.5 = 362.5 ms.
+        est.on_sample(ms(200));
+        assert_eq!(est.rttvar, us(62_500));
+        assert_eq!(est.srtt(), Some(us(112_500)));
+        assert_eq!(est.rto(), us(362_500));
+
+        // The floor is Linux's 200 ms, not RFC 6298 (2.4)'s 1 s: a
+        // deliberate deviation, as the tuned stacks of Table 1 run on
+        // Linux. A 10 ms path computes 10 + 4·5 = 30 ms and is floored.
+        let mut fast = RttEstimator::new();
+        fast.on_sample(ms(10));
+        assert_eq!(fast.rto(), ms(200));
+
+        // (5.5) back-off doubles per expiry, capped at 2^16 ...
+        for k in 1..=16u32 {
+            est.on_rto_fired();
+            assert_eq!(est.rto(), us(362_500) * (1u64 << k), "after {k} expiries");
+        }
+        est.on_rto_fired();
+        assert_eq!(est.backoff(), 16);
+        assert_eq!(est.rto(), us(362_500) * 65_536, "the cap holds");
+        // ... and a fresh sample clears it: RTTVAR = 3/4·62.5 +
+        // 1/4·|112.5 − 112.5| = 46.875 ms, SRTT stays 112.5 ms,
+        // RTO = 112.5 + 4·46.875 = 300 ms.
+        est.on_sample(us(112_500));
+        assert_eq!(est.backoff(), 0);
+        assert_eq!(est.rttvar, us(46_875));
+        assert_eq!(est.srtt(), Some(us(112_500)));
+        assert_eq!(est.rto(), ms(300));
+    }
+
     #[test]
     fn min_rtt_tracks_minimum() {
         let mut est = RttEstimator::new();
