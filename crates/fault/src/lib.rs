@@ -67,7 +67,7 @@ pub mod spec;
 
 pub use error::PqError;
 pub use inject::{LinkFault, LoadFaults};
-pub use rng::{derive_seed, FaultRng};
+pub use rng::{derive_seed, fnv1a, FaultRng};
 pub use spec::{
     BwOscConfig, FaultPlan, FlapConfig, GeConfig, HsConfig, PanicConfig, SlowConfig, StallConfig,
     TruncConfig,

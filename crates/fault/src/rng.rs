@@ -64,8 +64,10 @@ impl FaultRng {
 }
 
 /// FNV-1a/64 over a byte stream — the crate's one label/seed hash
-/// (`pq-fault` depends on nothing that has one).
-pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// (`pq-fault` depends on nothing that has one), and `pq-sim`'s for
+/// its RNG fork labels.
+#[must_use]
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(b);

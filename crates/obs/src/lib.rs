@@ -1,8 +1,9 @@
 //! # pq-obs — observability substrate (tracing + metrics), zero deps
 //!
-//! Every layer of the testbed (`pq-sim` → `pq-transport` → `pq-web` →
-//! `pq-study` → `pq-bench`) reports into this crate so that a run can
-//! be *seen* instead of guessed at:
+//! Every layer of the testbed (`pq-sim` → `pq-web` → `pq-study` →
+//! `pq-bench`) reports into this crate so that a run can be *seen*
+//! instead of guessed at; `pq-transport` reports to its caller, and
+//! the page load draws its connections here:
 //!
 //! * [`trace`] — a ring-buffered structured event tracer. Events carry
 //!   a nanosecond timestamp (virtual sim-time for the emulation layers,

@@ -74,7 +74,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "table1",
     "table2",
     "table3",
-    "transport:rto-retransmit",
 ];
 
 #[cfg(test)]

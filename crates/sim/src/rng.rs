@@ -54,11 +54,7 @@ impl SimRng {
     /// do not affect the child (and vice versa).
     #[expect(clippy::disallowed_methods, reason = "the derivation itself")]
     pub fn fork(&self, label: &str) -> SimRng {
-        let mut h: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = pq_fault::fnv1a(label.bytes());
         // Mix the parent's identity (not its position) into the child
         // seed so that sibling forks with equal labels from different
         // parents differ.

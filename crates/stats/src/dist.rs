@@ -286,4 +286,30 @@ mod tests {
         // χ²(df=2): CDF(5.991) ≈ 0.95.
         assert!((chi2_cdf(5.991, 2.0) - 0.95).abs() < 1e-3);
     }
+
+    #[test]
+    fn f_with_one_numerator_df_is_a_squared_t() {
+        // T ~ t(d) ⇒ T² ~ F(1, d), so P(T² ≤ t²) = P(|T| ≤ t) =
+        // 2·t_cdf(t, d) − 1: two independent routes into `beta_inc`.
+        let dfs = [1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e5];
+        let ts = (0..=60).map(|i| 0.01 * 5000f64.powf(f64::from(i) / 60.0));
+        for t in ts {
+            for d in dfs {
+                let err = (f_cdf(t * t, 1.0, d) - (2.0 * t_cdf(t, d) - 1.0)).abs();
+                assert!(err < 1e-9, "t {t}, d {d}: off by {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn chi2_with_two_df_is_an_exponential() {
+        // χ²(2) is Exp(1/2): CDF 1 − e^(−x/2), all the way into the
+        // tail where the series meets the continued fraction.
+        for i in 0..=1400 {
+            let x = 0.5 * f64::from(i);
+            let closed = -(-x / 2.0).exp_m1();
+            let err = (chi2_cdf(x, 2.0) - closed).abs();
+            assert!(err < 1e-12, "x {x}: off by {err:e}");
+        }
+    }
 }

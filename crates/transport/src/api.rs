@@ -5,7 +5,7 @@ use crate::config::StackConfig;
 use crate::quic::QuicConnection;
 use crate::tcp::TcpConnection;
 use crate::wire::Wire;
-use pq_sim::{ConnId, Direction, Packet, SimTime};
+use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime};
 
 /// Identifier of a stream within a connection. TCP's single byte
 /// stream per direction is `StreamId(0)`; QUIC uses real stream ids.
@@ -42,18 +42,61 @@ pub enum Output {
         /// True when the stream is complete.
         fin: bool,
     },
-    /// A retransmission or an RTO happened; the `u64` is its detail
-    /// (the sequence number, stream or packet number concerned).
-    Trace(TraceKind, u64),
+    /// What a sender did, pushed only once the caller asked for it
+    /// with [`Connection::observe`].
+    Trace(ConnEvent),
 }
 
-/// What an [`Output::Trace`] reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A transport detected a loss and retransmitted.
-    Retransmit,
-    /// A retransmission timeout fired.
-    Rto,
+// A record must not widen every output the pump loops move.
+const _: () = assert!(std::mem::size_of::<Output>() == 96);
+
+/// One record of a connection's behaviour: what one of its two
+/// senders did, and when.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ConnEvent {
+    /// When it happened.
+    pub at: SimTime,
+    /// Which sender: `Up` is the client's, `Down` the server's.
+    pub dir: Direction,
+    /// What happened.
+    pub kind: ConnEventKind,
+}
+
+/// What a [`ConnEvent`] reports.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ConnEventKind {
+    /// An ACK newly covered data; the window and smoothed RTT after
+    /// congestion control took it in.
+    Ack {
+        /// Congestion window, bytes.
+        cwnd: u64,
+        /// Slow-start threshold, bytes (`None` if the controller has
+        /// none; Cubic's initial one is `u64::MAX`).
+        ssthresh: Option<u64>,
+        /// Smoothed RTT (`None` before the first sample).
+        srtt: Option<SimDuration>,
+    },
+    /// A loss was repaired: `what` names `detail`, the sequence number
+    /// (`"seq"`) or stream (`"stream"`) resent.
+    Retransmit {
+        /// What `detail` is.
+        what: &'static str,
+        /// The sequence number or stream id.
+        detail: u64,
+    },
+    /// The retransmission timeout fired.
+    Rto {
+        /// Where the send state stood: TCP's `snd_una`, QUIC's next
+        /// packet number.
+        detail: u64,
+    },
+    /// The pacer held a packet back.
+    PacingHold {
+        /// Until the pacer releases it.
+        wait: SimDuration,
+    },
+    /// A loss started a new recovery episode: one window reduction.
+    CongestionEvent,
 }
 
 /// A transport connection of either flavour; the browser layer treats
@@ -111,14 +154,14 @@ impl Connection {
         }
     }
 
-    /// Attach the connection to a trace track (`pid` = the page load,
-    /// `tid` = this connection's row). Sender-side congestion counters,
-    /// retransmit/RTO instants and the handshake span land there.
+    /// From now on, push an [`Output::Trace`] record for every ACK
+    /// sample, retransmission, RTO, pacing hold and congestion event of
+    /// either sender. Until then none is pushed.
     #[inline]
-    pub fn set_obs_track(&mut self, pid: u32, tid: u32) {
+    pub fn observe(&mut self) {
         match self {
-            Connection::Tcp(c) => c.set_obs_track(pid, tid),
-            Connection::Quic(c) => c.set_obs_track(pid, tid),
+            Connection::Tcp(c) => c.observe(),
+            Connection::Quic(c) => c.observe(),
         }
     }
 
@@ -200,8 +243,8 @@ impl Connection {
     }
 
     /// Drop every buffered outgoing packet (fault injection: "the
-    /// first flight never reached the wire"). Progress and trace
-    /// outputs are preserved; only `Output::Send` entries vanish.
+    /// first flight never reached the wire"). Every other output is
+    /// kept; only `Output::Send` entries vanish.
     /// Returns the number of packets discarded. Recovery is the
     /// transport's own job: the TCP handshake timer re-emits the SYN
     /// with exponential backoff, and QUIC's RTO requeues the CHLO —

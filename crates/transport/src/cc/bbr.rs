@@ -11,9 +11,11 @@
 use super::{AckInfo, CongestionControl, MaxFilter};
 use pq_sim::{SimDuration, SimTime};
 
-/// 2/ln(2): fastest gain that still doubles delivery rate per round.
+/// 2/ln(2) to four digits, as Linux has it (`bbr_high_gain`): the
+/// least gain that still doubles the delivery rate each round.
 const STARTUP_GAIN: f64 = 2.885;
-const DRAIN_GAIN: f64 = 1.0 / 2.885;
+/// Drain undoes Startup's queue at the inverse gain.
+const DRAIN_GAIN: f64 = 1.0 / STARTUP_GAIN;
 /// ProbeBW gain cycle: probe, drain, then six phases of cruising.
 const CYCLE_LEN: usize = 8;
 const fn cycle_gain(phase: usize) -> f64 {
@@ -451,5 +453,129 @@ mod tests {
         assert!(seen.contains(&125), "probe phase seen: {seen:?}");
         assert!(seen.contains(&75), "drain phase seen: {seen:?}");
         assert!(seen.contains(&100), "cruise phase seen: {seen:?}");
+    }
+
+    /// Startup and Drain over a flat 1.25 MB/s at a 50 ms min-RTT, ACKs
+    /// every 50 ms with nothing left in flight, up to the ACK that
+    /// enters ProbeBW. Returns its time and the bytes delivered.
+    fn into_probe_bw(b: &mut Bbr) -> (u64, u64) {
+        let (mut now, mut delivered) = (0, 0);
+        while b.state != State::ProbeBw {
+            assert!(now < 1_000, "still in {} at {now} ms", b.state_name());
+            now += 50;
+            b.on_ack(&ack_with_rate(now, 10 * MSS, 50, 1_250_000.0, delivered, 0));
+            delivered += 10 * MSS;
+        }
+        // Entered past the probe phase, whose clock starts now.
+        assert_eq!(
+            (b.cycle_index, b.cycle_stamp),
+            (2, SimTime::from_millis(now))
+        );
+        (now, delivered)
+    }
+
+    #[test]
+    fn bbrv1_gains_are_linux_known_answers() {
+        // Linux's bbr_high_gain is BBR_UNIT × 2885 / 1000: 2/ln 2
+        // rounded to four digits (relative error 1.35e-4), the least
+        // gain that doubles the delivery rate each round. Drain undoes
+        // it exactly.
+        assert_eq!(STARTUP_GAIN, 2885.0 / 1000.0);
+        let two_over_ln2 = 2.0 / std::f64::consts::LN_2;
+        assert!(((STARTUP_GAIN - two_over_ln2) / two_over_ln2).abs() < 2e-4);
+        assert_eq!(DRAIN_GAIN, 1.0 / STARTUP_GAIN);
+        // ProbeBW's eight phases: probe, drain, six at par.
+        let cycle: Vec<f64> = (0..CYCLE_LEN).map(cycle_gain).collect();
+        assert_eq!(cycle, [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(MIN_RTT_WINDOW, SimDuration::from_secs(10));
+        assert_eq!(PROBE_RTT_DURATION, SimDuration::from_millis(200));
+    }
+
+    #[test]
+    fn probe_bw_phases_last_one_min_rtt_in_cycle_order() {
+        // ACKs every 10 ms at the 50 ms min-RTT: each phase ends on the
+        // first ACK one min-RTT after it began, so every phase is five
+        // ACKs long and the pacing rate is the phase's gain × btl_bw.
+        let mut b = Bbr::new(MSS, 32 * MSS);
+        let (mut now, mut delivered) = into_probe_bw(&mut b);
+        let bw = b.btl_bw();
+        let mut phases = vec![(b.cycle_index, now)];
+        while phases.len() <= 2 * CYCLE_LEN {
+            now += 10;
+            b.on_ack(&ack_with_rate(now, MSS, 50, 1_250_000.0, delivered, 0));
+            delivered += MSS;
+            let rate = b.pacing_rate(None).expect("a bandwidth estimate");
+            assert_eq!(rate, cycle_gain(b.cycle_index) * bw);
+            if b.cycle_index != phases.last().expect("entry phase").0 {
+                phases.push((b.cycle_index, now));
+            }
+        }
+        let order: Vec<usize> = phases.iter().map(|p| p.0).collect();
+        let want: Vec<usize> = (2..2 + 2 * CYCLE_LEN + 1).map(|i| i % CYCLE_LEN).collect();
+        assert_eq!(order, want);
+        for pair in phases.windows(2) {
+            assert_eq!(pair[1].1 - pair[0].1, 50, "phases {pair:?}");
+        }
+    }
+
+    /// An ACK that carries a delivery-rate sample but no RTT sample (it
+    /// covers only retransmitted data: Karn's rule).
+    fn ack_without_rtt(now_ms: u64, delivered_at_send: u64) -> AckInfo {
+        AckInfo {
+            rtt: None,
+            ..ack_with_rate(now_ms, MSS, 50, 1_250_000.0, delivered_at_send, 0)
+        }
+    }
+
+    #[test]
+    fn probe_rtt_holds_four_mss_for_200_ms_then_restores_the_window() {
+        // With no RTT sample for 10 s the min-RTT goes stale: ProbeRTT
+        // drops to 4 MSS for 200 ms, then ProbeBW resumes at the window
+        // it left.
+        let mut b = Bbr::new(MSS, 32 * MSS);
+        let (mut now, mut delivered) = into_probe_bw(&mut b);
+        let cwnd = b.cwnd();
+        assert!(cwnd > 4 * MSS);
+        let stamp = b.min_rtt_stamp;
+        while b.state == State::ProbeBw {
+            now += 10;
+            b.on_ack(&ack_without_rtt(now, delivered));
+            delivered += MSS;
+        }
+        assert_eq!(b.state, State::ProbeRtt);
+        let entered = SimTime::from_millis(now);
+        assert_eq!(
+            entered - stamp,
+            MIN_RTT_WINDOW + SimDuration::from_millis(10)
+        );
+        while b.state == State::ProbeRtt {
+            assert_eq!(b.cwnd(), 4 * MSS);
+            now += 10;
+            b.on_ack(&ack_without_rtt(now, delivered));
+            delivered += MSS;
+        }
+        assert_eq!(SimTime::from_millis(now) - entered, PROBE_RTT_DURATION);
+        assert_eq!(b.state, State::ProbeBw);
+        assert_eq!(b.cwnd(), cwnd);
+    }
+
+    #[test]
+    fn deviation_8_rtt_samples_keep_bbr_out_of_probe_rtt() {
+        // EXPERIMENTS.md Deviation 8. The draft's BBRUpdateRTprop tests
+        // staleness before the filter takes the new sample; here the
+        // filter takes a sample above the stale minimum first, refreshing
+        // its stamp, so ProbeBW never sees a stale min-RTT while ACKs
+        // carry samples. 15 s of 60 ms samples over a 50 ms min-RTT
+        // never enter ProbeRTT. The fix flips this test.
+        let mut b = Bbr::new(MSS, 32 * MSS);
+        let (mut now, mut delivered) = into_probe_bw(&mut b);
+        let end = now + 15_000;
+        while now < end {
+            now += 60;
+            b.on_ack(&ack_with_rate(now, MSS, 60, 1_250_000.0, delivered, 0));
+            delivered += MSS;
+            assert_eq!(b.state, State::ProbeBw, "at {now} ms");
+        }
+        assert_eq!(b.min_rtt, Some(SimDuration::from_millis(60)));
     }
 }

@@ -62,8 +62,8 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Slow-start threshold in bytes, when the algorithm maintains one
-    /// (Cubic); `None` otherwise (BBR has no ssthresh). Used by the
-    /// observability layer's counter charts.
+    /// (Cubic); `None` otherwise (BBR has no ssthresh). Reported in
+    /// each ACK sample ([`crate::ConnEventKind::Ack`]).
     fn ssthresh(&self) -> Option<u64> {
         None
     }

@@ -1,9 +1,10 @@
 //! End-to-end transport tests: one connection over the emulated link,
 //! validating the structural properties the paper's analysis rests on.
 
+use crate::api::ConnEventKind;
 use crate::config::Protocol;
 use crate::testutil::{fetch_once, MiniWorld};
-use pq_sim::{NetworkKind, SimTime};
+use pq_sim::{Direction, NetworkKind, SimTime};
 
 const HORIZON: SimTime = SimTime::from_secs(600);
 
@@ -108,9 +109,51 @@ fn loss_causes_retransmissions_on_da2gc() {
     w.run_until(HORIZON);
     assert!(w.stream_done(0, 300_000), "transfer incomplete");
     assert!(
-        w.retransmit_traces > 0,
+        w.conn.retransmits() > 0,
         "3.3 % loss must cause retransmissions"
     );
+}
+
+#[test]
+fn observing_a_connection_changes_nothing_but_its_records() {
+    // A lossy transfer on every stack, once unobserved and once
+    // observed from open: the same packets at the same times, the same
+    // progress, and records only when asked — one `Retransmit` per
+    // retransmission.
+    let net = NetworkKind::Da2gc.config();
+    for proto in Protocol::ALL {
+        let run = |observe: bool| {
+            let mut w = MiniWorld::new(proto, &net, 7, SimTime::ZERO);
+            if observe {
+                w.conn.observe();
+            }
+            w.request(SimTime::ZERO, 1, 400, 300_000);
+            let end = w.run_until(HORIZON);
+            (w, end)
+        };
+        let (plain, plain_end) = run(false);
+        let (watched, watched_end) = run(true);
+        let name = proto.label();
+        assert!(plain.conn.retransmits() > 0, "{name}: no loss to report");
+        assert_eq!(plain.sent, watched.sent, "{name}: packets moved");
+        assert_eq!(plain.client_progress, watched.client_progress, "{name}");
+        assert_eq!(plain.handshake_done_at, watched.handshake_done_at, "{name}");
+        assert_eq!(plain_end, watched_end, "{name}");
+        assert!(plain.traces.is_empty(), "{name}: records nobody asked for");
+        let retransmits = watched
+            .traces
+            .iter()
+            .filter(|ev| matches!(ev.kind, ConnEventKind::Retransmit { .. }))
+            .count() as u64;
+        assert_eq!(retransmits, watched.conn.retransmits(), "{name}");
+        assert!(
+            watched
+                .traces
+                .iter()
+                .any(|ev| matches!(ev.kind, ConnEventKind::Ack { .. })),
+            "{name}: no ACK samples"
+        );
+    }
 }
 
 #[test]
@@ -261,31 +304,34 @@ fn dbg_mss_throughput() {
     }
 }
 
-/// Diagnostic (run with --ignored): congestion-window timeline on the
-/// MSS network.
+/// Diagnostic (run with --ignored): the server's congestion-window
+/// timeline on the MSS network, read from an observed connection's
+/// records.
 #[test]
 #[ignore]
 fn dbg_mss_cwnd_timeline() {
-    use crate::api::Connection;
     let net = NetworkKind::Mss.config();
     for proto in [Protocol::TcpPlus, Protocol::Quic] {
         let mut w = MiniWorld::new(proto, &net, 3001, SimTime::ZERO);
+        w.conn.observe();
         w.request(SimTime::ZERO, 1, 400, 500_000);
         print!("{}: ", proto.label());
+        let (mut cwnd, mut srtt, mut events, mut read) = (0, None, 0, 0);
         for step in 1..=12 {
             w.run_until(SimTime::from_secs(step * 2));
-            let (cwnd, srtt, events) = match &w.conn {
-                Connection::Tcp(t) => (
-                    t.server_cwnd(),
-                    t.server_srtt(),
-                    t.server_congestion_events(),
-                ),
-                Connection::Quic(q) => (
-                    q.server_cwnd(),
-                    q.server_srtt(),
-                    q.server_congestion_events(),
-                ),
-            };
+            for ev in w.traces[read..]
+                .iter()
+                .filter(|ev| ev.dir == Direction::Down)
+            {
+                match ev.kind {
+                    ConnEventKind::Ack {
+                        cwnd: c, srtt: s, ..
+                    } => (cwnd, srtt) = (c, s),
+                    ConnEventKind::CongestionEvent => events += 1,
+                    _ => {}
+                }
+            }
+            read = w.traces.len();
             let key = if proto.is_quic() { 1 } else { 0 };
             let prog = w.client_progress.get(&key).map(|(d, _, _)| *d).unwrap_or(0);
             print!(

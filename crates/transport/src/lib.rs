@@ -8,7 +8,11 @@
 //! A [`Connection`] bundles *both* endpoints of one connection; the
 //! browser layer (`pq-web`) moves packets between the endpoints
 //! through the emulated access link and consumes stream-progress
-//! events.
+//! events. What a connection does on the wire it reports to that
+//! caller, and to no one else: after [`Connection::observe`] every ACK
+//! sample, retransmission, RTO, pacing hold and congestion event comes
+//! out as an [`Output::Trace`] record ([`ConnEvent`]). The crate writes
+//! neither the tracer nor the profiler.
 //!
 //! Implemented mechanisms (see module docs for fidelity notes):
 //!
@@ -47,7 +51,6 @@ pub mod api;
 pub mod cc;
 pub mod config;
 pub(crate) mod idmap;
-pub(crate) mod obs;
 pub mod pacing;
 pub mod quic;
 pub mod rangeset;
@@ -59,7 +62,7 @@ pub(crate) mod sentlog;
 pub mod tcp;
 pub mod wire;
 
-pub use api::{Connection, Output, StreamId, TraceKind};
+pub use api::{ConnEvent, ConnEventKind, Connection, Output, StreamId};
 pub use cc::{CcAlgorithm, CongestionControl};
 pub use config::{Protocol, StackConfig};
 pub use quic::QuicConnection;

@@ -285,7 +285,7 @@ impl QuicEndpoint {
             // A pure ACK is not congestion-controlled; anything else
             // passes the cwnd gate, then the pacing gate.
             if !ack_only
-                && (!self.core.cwnd_allows(est_size) || self.core.pacer_holds(now, est_size))
+                && (!self.core.cwnd_allows(est_size) || self.core.pacer_holds(now, est_size, out))
             {
                 break;
             }
@@ -466,13 +466,13 @@ impl QuicEndpoint {
             // New cutback only for losses of packets sent after the
             // previous cutback.
             if lost_pn >= self.cutback_pn {
-                self.core.on_congestion_event(now);
+                self.core.on_congestion_event(now, out);
                 self.cutback_pn = self.next_pn;
             }
         }
 
         self.core
-            .on_acked(now, newly_acked_bytes, rtt_sample, rate_sample);
+            .on_acked(now, newly_acked_bytes, rtt_sample, rate_sample, out);
         self.core.rearm_rto(now, self.eliciting_in_flight > 0);
         self.try_send(now, conn, out);
     }
@@ -535,12 +535,6 @@ pub struct QuicConnection {
     /// Scratch for the `(stream, delivered, fin)` progress one arriving
     /// packet causes; kept for its capacity.
     progress: Vec<(u64, u64, bool)>,
-    /// When the connection was opened (handshake-span start).
-    opened_at: SimTime,
-    /// Protocol label for the handshake span.
-    proto_label: &'static str,
-    /// Trace track for connection-level spans.
-    obs_track: crate::obs::Track,
 }
 
 impl QuicConnection {
@@ -561,9 +555,6 @@ impl QuicConnection {
             shlo_recv: 0,
             out: Vec::new(),
             progress: Vec::new(),
-            opened_at: now,
-            proto_label: cfg.protocol.label(),
-            obs_track: None,
         };
         if zero_rtt {
             conn.out.push(Output::HandshakeDone);
@@ -572,13 +563,10 @@ impl QuicConnection {
         conn
     }
 
-    /// Attach the connection to a trace track (`pid` = the page load,
-    /// `tid` = this connection's row): enables cwnd/ssthresh/sRTT
-    /// counters, retransmit/RTO instants and the handshake span.
-    pub fn set_obs_track(&mut self, pid: u32, tid: u32) {
-        self.obs_track = Some((pid, tid));
-        self.client.core.obs = Some((pid, tid));
-        self.server.core.obs = Some((pid, tid));
+    /// Push [`Output::Trace`] records from both endpoints from now on.
+    pub fn observe(&mut self) {
+        self.client.core.observed = true;
+        self.server.core.observed = true;
     }
 
     /// True once the client may send stream data.
@@ -714,7 +702,6 @@ impl QuicConnection {
             if self.shlo_recv >= shlo_of.max(SHLO_PARTS) {
                 self.established_client = true;
                 self.out.push(Output::HandshakeDone);
-                crate::obs::handshake_span(self.obs_track, self.opened_at, now, self.proto_label);
                 self.client.try_send(now, id, &mut self.out);
             }
         }
@@ -772,7 +759,6 @@ impl QuicConnection {
                 &mut self.server
             };
             if ep.core.rto_at.is_some_and(|t| t <= now) {
-                let _rto_span = pq_prof::span("transport:rto-retransmit");
                 ep.on_rto(now, id, &mut self.out);
             }
             if ep.core.pacing_at.is_some_and(|t| t <= now) {
@@ -782,21 +768,6 @@ impl QuicConnection {
                 ep.send_pure_ack(now, id, &mut self.out);
             }
         }
-    }
-
-    /// Server-side congestion window in bytes (diagnostics).
-    pub fn server_cwnd(&self) -> u64 {
-        self.server.core.cc.cwnd()
-    }
-
-    /// Server-side congestion events.
-    pub fn server_congestion_events(&self) -> u64 {
-        self.server.core.congestion_events
-    }
-
-    /// Server-side smoothed RTT (diagnostics).
-    pub fn server_srtt(&self) -> Option<SimDuration> {
-        self.server.core.rtt.srtt()
     }
 }
 

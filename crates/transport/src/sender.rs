@@ -11,13 +11,12 @@
 //! handshake — including *which* bytes count as in flight and *when* a
 //! loss starts a new recovery episode.
 
-use crate::api::{Output, TraceKind};
+use crate::api::{ConnEvent, ConnEventKind, Output};
 use crate::cc::{AckInfo, CongestionControl};
 use crate::config::StackConfig;
 use crate::pacing::Pacer;
 use crate::rate::{RateSample, RateSampler};
 use crate::rtt::RttEstimator;
-use pq_obs::{ArgValue, Level};
 use pq_sim::{Direction, SimDuration, SimTime};
 
 /// One direction's congestion, pacing and timer state.
@@ -33,12 +32,10 @@ pub(crate) struct SenderCore {
     pub(crate) pacing_at: Option<SimTime>,
     pub(crate) bytes_in_flight: u64,
     pub(crate) retransmits: u64,
-    /// Congestion events (cwnd reductions) — diagnostics.
-    pub(crate) congestion_events: u64,
     /// Whether FQ-style pacing is on (Table 1).
     pacing: bool,
-    /// Trace track for cwnd counters / loss instants (`None` = off).
-    pub(crate) obs: crate::obs::Track,
+    /// Whether the caller asked for [`Output::Trace`] records.
+    pub(crate) observed: bool,
 }
 
 impl SenderCore {
@@ -56,18 +53,19 @@ impl SenderCore {
             pacing_at: None,
             bytes_in_flight: 0,
             retransmits: 0,
-            congestion_events: 0,
             pacing: cfg.pacing,
-            obs: None,
+            observed: false,
         }
     }
 
-    /// Direction label for trace-event names.
-    fn dir_label(&self) -> &'static str {
-        if self.from_client {
-            "up"
-        } else {
-            "down"
+    /// Report `kind` to the caller, if it asked.
+    fn trace(&self, now: SimTime, kind: ConnEventKind, out: &mut Vec<Output>) {
+        if self.observed {
+            out.push(Output::Trace(ConnEvent {
+                at: now,
+                dir: self.direction(),
+                kind,
+            }));
         }
     }
 
@@ -109,20 +107,15 @@ impl SenderCore {
     }
 
     /// Pacing gate: true when the pacer holds `size` bytes back, in
-    /// which case the hold is traced and `pacing_at` says when to try
+    /// which case the hold is reported and `pacing_at` says when to try
     /// again. (The pacer itself is a no-op unless a rate is set.)
-    pub(crate) fn pacer_holds(&mut self, now: SimTime, size: u64) -> bool {
+    pub(crate) fn pacer_holds(&mut self, now: SimTime, size: u64, out: &mut Vec<Output>) -> bool {
         let release = self.pacer.release_time(now, size);
         if release <= now {
             return false;
         }
-        crate::obs::instant(
-            self.obs,
-            Level::Debug,
-            now,
-            || format!("pacing hold {}", self.dir_label()),
-            || vec![("wait_ns", ArgValue::U64((release - now).as_nanos()))],
-        );
+        let wait = release - now;
+        self.trace(now, ConnEventKind::PacingHold { wait }, out);
         self.pacing_at = Some(release);
         true
     }
@@ -137,7 +130,7 @@ impl SenderCore {
         }
     }
 
-    /// Count and trace one retransmission; `what` names `detail` (the
+    /// Count and report one retransmission; `what` names `detail` (the
     /// sequence number or stream being resent).
     pub(crate) fn note_retransmit(
         &mut self,
@@ -147,31 +140,25 @@ impl SenderCore {
         out: &mut Vec<Output>,
     ) {
         self.retransmits += 1;
-        out.push(Output::Trace(TraceKind::Retransmit, detail));
-        crate::obs::instant(
-            self.obs,
-            Level::Info,
-            now,
-            || format!("retransmit {}", self.dir_label()),
-            || vec![(what, ArgValue::U64(detail))],
-        );
+        self.trace(now, ConnEventKind::Retransmit { what, detail }, out);
     }
 
     /// A loss started a new recovery episode (the caller debounces):
     /// one window reduction.
-    pub(crate) fn on_congestion_event(&mut self, now: SimTime) {
+    pub(crate) fn on_congestion_event(&mut self, now: SimTime, out: &mut Vec<Output>) {
         self.cc.on_congestion_event(now, self.bytes_in_flight);
-        self.congestion_events += 1;
+        self.trace(now, ConnEventKind::CongestionEvent, out);
     }
 
     /// An ACK newly covered `acked` bytes: feed congestion control and
-    /// the cwnd / ssthresh / sRTT counter tracks.
+    /// report the window and RTT it left.
     pub(crate) fn on_acked(
         &mut self,
         now: SimTime,
         acked: u64,
         rtt: Option<SimDuration>,
         rate: Option<RateSample>,
+        out: &mut Vec<Output>,
     ) {
         if acked == 0 {
             return;
@@ -185,14 +172,12 @@ impl SenderCore {
             rate,
             in_flight: self.bytes_in_flight,
         });
-        crate::obs::ack_counters(
-            self.obs,
-            now,
-            self.dir_label(),
-            self.cc.cwnd(),
-            self.cc.ssthresh(),
-            self.rtt.srtt(),
-        );
+        let sample = ConnEventKind::Ack {
+            cwnd: self.cc.cwnd(),
+            ssthresh: self.cc.ssthresh(),
+            srtt: self.rtt.srtt(),
+        };
+        self.trace(now, sample, out);
     }
 
     /// After an ACK: the RTO restarts while anything is outstanding.
@@ -200,19 +185,12 @@ impl SenderCore {
         self.rto_at = outstanding.then(|| now + self.rtt.rto());
     }
 
-    /// The retransmission timeout fired: trace it (`detail` is where
+    /// The retransmission timeout fired: report it (`detail` is where
     /// the stack's send state stood), back the timer off and collapse
     /// the window. The caller then declares what was outstanding lost
     /// and calls [`SenderCore::rearm_rto`].
     pub(crate) fn on_rto(&mut self, now: SimTime, detail: u64, out: &mut Vec<Output>) {
-        out.push(Output::Trace(TraceKind::Rto, detail));
-        crate::obs::instant(
-            self.obs,
-            Level::Info,
-            now,
-            || format!("RTO {}", self.dir_label()),
-            Vec::new,
-        );
+        self.trace(now, ConnEventKind::Rto { detail }, out);
         self.rtt.on_rto_fired();
         self.cc.on_rto(now);
     }

@@ -141,8 +141,8 @@ impl TcpSender {
             };
 
             // 2. congestion window gate, 3. pacing gate.
-            if !self.core.cwnd_allows(u64::from(len)) || self.core.pacer_holds(now, u64::from(len))
-            {
+            let size = u64::from(len);
+            if !self.core.cwnd_allows(size) || self.core.pacer_holds(now, size, out) {
                 break;
             }
 
@@ -288,12 +288,12 @@ impl TcpSender {
         }
         if lost_any && self.snd_una >= self.recovery_until {
             // Enter a new recovery episode: one reduction per episode.
-            self.core.on_congestion_event(now);
+            self.core.on_congestion_event(now, out);
             self.recovery_until = self.snd_nxt;
         }
 
         self.core
-            .on_acked(now, newly_acked, rtt_sample, rate_sample);
+            .on_acked(now, newly_acked, rtt_sample, rate_sample, out);
         self.core
             .rearm_rto(now, !(self.inflight.is_empty() && self.lost.is_empty()));
         self.try_send(now, out);
@@ -410,7 +410,6 @@ enum HsState {
 #[derive(Debug)]
 pub struct TcpConnection {
     id: ConnId,
-    cfg: StackConfig,
     hs: HsState,
     /// Flight parts the client has received.
     flight_recv: u8,
@@ -432,10 +431,6 @@ pub struct TcpConnection {
     s2c_snd: TcpSender,
     s2c_rcv: TcpReceiver,
     out: Vec<Output>,
-    /// When the connection was opened (handshake-span start).
-    opened_at: SimTime,
-    /// Trace track for connection-level spans.
-    obs_track: crate::obs::Track,
 }
 
 impl TcpConnection {
@@ -465,10 +460,7 @@ impl TcpConnection {
             c2s_rcv: TcpReceiver::new(cfg.max_sack_blocks),
             s2c_snd: TcpSender::new(false, &cfg, now),
             s2c_rcv: TcpReceiver::new(cfg.max_sack_blocks),
-            cfg,
             out: Vec::new(),
-            opened_at: now,
-            obs_track: None,
         };
         conn.send_ctl(true, TcpSegKind::Syn);
         if zero_rtt {
@@ -480,13 +472,10 @@ impl TcpConnection {
         conn
     }
 
-    /// Attach the connection to a trace track (`pid` = the page load,
-    /// `tid` = this connection's row): enables cwnd/ssthresh/sRTT
-    /// counters, retransmit/RTO instants and the handshake span.
-    pub fn set_obs_track(&mut self, pid: u32, tid: u32) {
-        self.obs_track = Some((pid, tid));
-        self.c2s_snd.core.obs = Some((pid, tid));
-        self.s2c_snd.core.obs = Some((pid, tid));
+    /// Push [`Output::Trace`] records from both senders from now on.
+    pub fn observe(&mut self) {
+        self.c2s_snd.core.observed = true;
+        self.s2c_snd.core.observed = true;
     }
 
     /// True once the client may send application data.
@@ -596,12 +585,6 @@ impl TcpConnection {
                     self.hs_timer = None;
                     self.send_ctl(true, TcpSegKind::ClientFinished);
                     self.out.push(Output::HandshakeDone);
-                    crate::obs::handshake_span(
-                        self.obs_track,
-                        self.opened_at,
-                        now,
-                        self.cfg.protocol.label(),
-                    );
                     // Any queued request leaves right now.
                     self.c2s_snd.try_send(now, &mut self.out);
                 }
@@ -782,11 +765,9 @@ impl TcpConnection {
         }
         // RTOs and pacing resumes.
         if self.c2s_snd.core.rto_at.is_some_and(|t| t <= now) {
-            let _rto_span = pq_prof::span("transport:rto-retransmit");
             self.c2s_snd.on_rto(now, &mut self.out);
         }
         if self.s2c_snd.core.rto_at.is_some_and(|t| t <= now) {
-            let _rto_span = pq_prof::span("transport:rto-retransmit");
             self.s2c_snd.on_rto(now, &mut self.out);
         }
         if self.c2s_snd.core.pacing_at.is_some_and(|t| t <= now) {
@@ -795,21 +776,6 @@ impl TcpConnection {
         if self.s2c_snd.core.pacing_at.is_some_and(|t| t <= now) {
             self.s2c_snd.try_send(now, &mut self.out);
         }
-    }
-
-    /// Server-side congestion window in bytes (diagnostics).
-    pub fn server_cwnd(&self) -> u64 {
-        self.s2c_snd.core.cc.cwnd()
-    }
-
-    /// Server-side congestion events and RTO-driven collapses.
-    pub fn server_congestion_events(&self) -> u64 {
-        self.s2c_snd.core.congestion_events
-    }
-
-    /// Server-side smoothed RTT (diagnostics).
-    pub fn server_srtt(&self) -> Option<pq_sim::SimDuration> {
-        self.s2c_snd.core.rtt.srtt()
     }
 }
 

@@ -2,7 +2,7 @@
 //! one [`Connection`] over one emulated duplex link, with a scripted
 //! server that answers each request stream.
 
-use crate::api::{Connection, Output, StreamId, TraceKind};
+use crate::api::{ConnEvent, Connection, Output, StreamId};
 use crate::config::{Protocol, StackConfig};
 use crate::wire::Wire;
 use pq_sim::{
@@ -31,7 +31,10 @@ pub struct MiniWorld {
     /// Observed client-side progress per stream.
     pub client_progress: HashMap<u64, (u64, bool, SimTime)>,
     pub handshake_done_at: Option<SimTime>,
-    pub retransmit_traces: u64,
+    /// Every packet the connection sent: time, direction and contents.
+    pub sent: Vec<String>,
+    /// The connection's [`Output::Trace`] records, oldest first.
+    pub traces: Vec<ConnEvent>,
     served: HashMap<u64, bool>,
     /// For TCP: request sizes in arrival order on the byte stream.
     tcp_requests: Vec<(u64, u64)>, // (cumulative end, stream key)
@@ -54,7 +57,8 @@ impl MiniWorld {
             responses: HashMap::new(),
             client_progress: HashMap::new(),
             handshake_done_at: None,
-            retransmit_traces: 0,
+            sent: Vec::new(),
+            traces: Vec::new(),
             served: HashMap::new(),
             tcp_requests: Vec::new(),
             tcp_served_upto: 0,
@@ -88,6 +92,7 @@ impl MiniWorld {
             for o in outputs {
                 match o {
                     Output::Send(dir, pkt) => {
+                        self.sent.push(format!("{now:?} {dir:?} {pkt:?}"));
                         let link = match dir {
                             Direction::Up => &mut self.up,
                             Direction::Down => &mut self.down,
@@ -120,11 +125,7 @@ impl MiniWorld {
                     } => {
                         self.on_server_progress(now, stream.0, delivered, fin);
                     }
-                    Output::Trace(kind, _) => {
-                        if kind == TraceKind::Retransmit {
-                            self.retransmit_traces += 1;
-                        }
-                    }
+                    Output::Trace(ev) => self.traces.push(ev),
                 }
             }
         }

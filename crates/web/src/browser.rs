@@ -30,7 +30,7 @@ use pq_sim::{
     ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, NetworkConfig, Packet,
     SimDuration, SimRng, SimTime, Source,
 };
-use pq_transport::{Connection, Output, Protocol, StackConfig, Wire};
+use pq_transport::{ConnEvent, ConnEventKind, Connection, Output, Protocol, StackConfig, Wire};
 
 mod page;
 use page::ObjState;
@@ -147,6 +147,14 @@ const LEG_KEY_BASE: u32 = 1000;
 /// The proxy leg `key` names, if it names one.
 fn leg_of(key: u32) -> Option<u32> {
     key.checked_sub(LEG_KEY_BASE)
+}
+
+/// The trace row of connection `key`.
+fn conn_tid(key: u32) -> u32 {
+    match leg_of(key) {
+        None => TID_CONN_BASE + key,
+        Some(li) => TID_LEG_BASE + li,
+    }
 }
 
 struct Loader<'a> {
@@ -437,18 +445,12 @@ impl Loader<'_> {
             self.note_fault(now, "handshake flight lost", u64::from(key));
         }
         if let Some(pid) = self.obs_pid {
-            let (tid, name) = match leg {
-                None => {
-                    let stack = self.cfg.protocol.label();
-                    (TID_CONN_BASE + key, format!("conn {key} ({stack})"))
-                }
-                Some(li) => {
-                    let name = format!("leg {li} (H2 → origin {origin})");
-                    (TID_LEG_BASE + li, name)
-                }
+            let name = match leg {
+                None => format!("conn {key} ({})", self.cfg.protocol.label()),
+                Some(li) => format!("leg {li} (H2 → origin {origin})"),
             };
-            conn.set_obs_track(pid, tid);
-            pq_obs::tracer().name_track(pid, tid, &name);
+            conn.observe();
+            pq_obs::tracer().name_track(pid, conn_tid(key), &name);
         }
         if let Some((table, _)) = self.table_mut(key) {
             table.push(ConnState {
@@ -456,6 +458,8 @@ impl Loader<'_> {
                 mux,
                 origin,
                 wake_version: 0,
+                opened: now,
+                protocol: cfg.protocol,
             });
         }
     }
@@ -539,7 +543,8 @@ impl Loader<'_> {
                 };
                 self.send(now, lane_of(dir, at_origin), pkt);
             }
-            Output::HandshakeDone | Output::Trace(..) => {}
+            Output::HandshakeDone => self.obs_handshake(now, key),
+            Output::Trace(ev) => self.obs_conn_event(key, ev),
             Output::ServerStreamProgress {
                 stream,
                 delivered,
@@ -566,6 +571,90 @@ impl Loader<'_> {
                 }
                 self.progress_buf = progress;
             }
+        }
+    }
+
+    /// Connection `key` finished its handshake: its span on the
+    /// connection's row.
+    fn obs_handshake(&mut self, now: SimTime, key: u32) {
+        let Some(pid) = self.obs_track() else { return };
+        // A 0-RTT resumption is established as it opens: nothing to draw.
+        let Some(c) = self.conn_mut(key).filter(|c| c.opened < now) else {
+            return;
+        };
+        pq_obs::tracer().span(
+            Level::Info,
+            "transport",
+            "handshake",
+            pid,
+            conn_tid(key),
+            c.opened.as_nanos(),
+            now.as_nanos(),
+            vec![("protocol", ArgValue::Str(c.protocol.label().to_string()))],
+        );
+    }
+
+    /// Draw connection `key`'s record on its row: cwnd / ssthresh /
+    /// sRTT counters and retransmit and RTO instants at Info, pacing
+    /// holds at Debug.
+    fn obs_conn_event(&self, key: u32, ev: ConnEvent) {
+        let Some(pid) = self.obs_track() else { return };
+        let (t, tid, ts) = (pq_obs::tracer(), conn_tid(key), ev.at.as_nanos());
+        let dir = match ev.dir {
+            Direction::Up => "up",
+            Direction::Down => "down",
+        };
+        let instant = |level, name: &str, args| {
+            t.instant(
+                level,
+                "transport",
+                format!("{name} {dir}"),
+                pid,
+                tid,
+                ts,
+                args,
+            );
+        };
+        let counter = |name: &str, value| {
+            t.counter(
+                Level::Info,
+                "transport",
+                format!("{name} {dir}"),
+                pid,
+                tid,
+                ts,
+                value,
+            );
+        };
+        match ev.kind {
+            ConnEventKind::Ack {
+                cwnd,
+                ssthresh,
+                srtt,
+            } => {
+                counter("cwnd", cwnd as f64);
+                // Cubic's initial ssthresh is "infinite"; skip the
+                // sentinel so the counter chart stays readable.
+                if let Some(ss) = ssthresh.filter(|&ss| ss < u64::MAX / 2) {
+                    counter("ssthresh", ss as f64);
+                }
+                if let Some(rtt) = srtt {
+                    counter("srtt_ms", rtt.as_millis_f64());
+                }
+            }
+            ConnEventKind::Retransmit { what, detail } => {
+                instant(
+                    Level::Info,
+                    "retransmit",
+                    vec![(what, ArgValue::U64(detail))],
+                );
+            }
+            ConnEventKind::Rto { .. } => instant(Level::Info, "RTO", Vec::new()),
+            ConnEventKind::PacingHold { wait } if pq_obs::enabled(Level::Debug) => {
+                let wait_ns = ArgValue::U64(wait.as_nanos());
+                instant(Level::Debug, "pacing hold", vec![("wait_ns", wait_ns)]);
+            }
+            ConnEventKind::PacingHold { .. } | ConnEventKind::CongestionEvent => {}
         }
     }
 

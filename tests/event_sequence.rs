@@ -19,11 +19,14 @@
 //! allocations per popped event — a measurement of the hot path, where
 //! a static rule could only guess at it.
 //!
-//! So is where a traced load puts its rows: with the tracer at Info, a
+//! So is where a traced load puts its rows: with the tracer at Debug, a
 //! `QUIC-EDGE` and a `TCP+` load name exactly their page, connection
 //! and proxy-leg tracks (tid 0, `1 + ci`, `60 + li`) and put every
 //! object at `100 + id` — what a Chrome-trace reader of
-//! `PQ_TRACE_OUT` sees as the waterfall's rows.
+//! `PQ_TRACE_OUT` sees as the waterfall's rows — and draw, from their
+//! connections' records, a pinned number of each `transport` event
+//! (handshake spans, cwnd / ssthresh / sRTT counters, retransmit, RTO
+//! and pacing-hold instants).
 //!
 //! One `#[test]` in its own binary: `sim.events_processed` lives in
 //! the process-global obs registry and the span profiler, the
@@ -115,6 +118,33 @@ const TCP_PLUS_ROWS: [(u64, &str); 4] = [
     (3, "conn 2 (TCP+)"),
 ];
 
+/// `transport`-category events per name of the traced `QUIC-EDGE`
+/// load, sorted by name.
+const QUIC_EDGE_TRANSPORT: [(&str, u64); 9] = [
+    ("RTO down", 1),
+    ("cwnd down", 225),
+    ("cwnd up", 39),
+    ("handshake", 12),
+    ("pacing hold down", 263),
+    ("retransmit down", 54),
+    ("srtt_ms down", 225),
+    ("srtt_ms up", 39),
+    ("ssthresh down", 93),
+];
+
+/// The same for `TCP+`.
+const TCP_PLUS_TRANSPORT: [(&str, u64); 9] = [
+    ("RTO down", 3),
+    ("cwnd down", 115),
+    ("cwnd up", 17),
+    ("handshake", 3),
+    ("pacing hold down", 146),
+    ("retransmit down", 82),
+    ("srtt_ms down", 115),
+    ("srtt_ms up", 17),
+    ("ssthresh down", 85),
+];
+
 /// One load and the number of events its queue popped.
 fn load(site: &Website, protocol: Protocol) -> (PageLoadResult, u64) {
     let events = || pq_obs::registry().counter_value("sim.events_processed");
@@ -202,13 +232,21 @@ fn every_stack_executes_its_pinned_event_sequence() {
     pq_prof::set_alloc_enabled(false);
     pq_prof::reset_alloc();
 
-    // With the tracer at Info, the sequence holds and each load names
+    // With the tracer at Debug, the sequence holds and each load names
     // exactly its page, connection and leg rows, with every object's
-    // row at `100 + id`.
-    pq_obs::tracer().set_level(pq_obs::Level::Info);
-    for (protocol, want) in [
-        (Protocol::QuicEdge, &QUIC_EDGE_ROWS[..]),
-        (Protocol::TcpPlus, &TCP_PLUS_ROWS[..]),
+    // row at `100 + id`, and draws its pinned transport events.
+    pq_obs::tracer().set_level(pq_obs::Level::Debug);
+    for (protocol, want, transport) in [
+        (
+            Protocol::QuicEdge,
+            &QUIC_EDGE_ROWS[..],
+            &QUIC_EDGE_TRANSPORT[..],
+        ),
+        (
+            Protocol::TcpPlus,
+            &TCP_PLUS_ROWS[..],
+            &TCP_PLUS_TRANSPORT[..],
+        ),
     ] {
         let (r, popped) = load(&site, protocol);
         let pin = PINS.iter().find(|p| p.0 == protocol).expect("pinned stack");
@@ -218,7 +256,7 @@ fn every_stack_executes_its_pinned_event_sequence() {
             "{}: tracing moved the event sequence",
             protocol.label()
         );
-        let rows = track_rows(&format!(
+        let (pid, rows) = track_rows(&format!(
             "{} · {} · seed {SEED}",
             site.name,
             protocol.label()
@@ -236,13 +274,41 @@ fn every_stack_executes_its_pinned_event_sequence() {
                 protocol.label()
             );
         }
+        assert_eq!(
+            transport_events(pid),
+            transport
+                .iter()
+                .map(|(n, c)| (n.to_string(), *c))
+                .collect::<Vec<_>>(),
+            "{}: transport events per name",
+            protocol.label()
+        );
     }
     pq_obs::tracer().set_level(pq_obs::Level::Off);
 }
 
-/// The `(tid, name)` rows [`pq_obs::export::to_chrome_trace`] writes for the
-/// page load the tracer knows as `process`, sorted.
-fn track_rows(process: &str) -> Vec<(u64, String)> {
+/// How many `transport` events the tracer holds for load `pid`, per
+/// name, sorted by name.
+fn transport_events(pid: u32) -> Vec<(String, u64)> {
+    let mut counts: Vec<(String, u64)> = Vec::new();
+    let snapshot = pq_obs::tracer().snapshot();
+    for ev in snapshot
+        .iter()
+        .filter(|e| e.pid == pid && e.cat == "transport")
+    {
+        match counts.iter_mut().find(|(name, _)| *name == ev.name) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((ev.name.clone(), 1)),
+        }
+    }
+    counts.sort();
+    counts
+}
+
+/// The tracer process of the page load the tracer knows as `process`,
+/// and the `(tid, name)` rows [`pq_obs::export::to_chrome_trace`]
+/// writes for it, sorted.
+fn track_rows(process: &str) -> (u32, Vec<(u64, String)>) {
     let json = pq_obs::export::to_chrome_trace(&[]);
     let trace = pq_obs::json::Value::parse(&json).expect("chrome trace parses");
     let meta = trace
@@ -269,5 +335,5 @@ fn track_rows(process: &str) -> Vec<(u64, String)> {
         .filter_map(|r| Some((field(r, "tid")?, label(r)?)))
         .collect();
     rows.sort();
-    rows
+    (pid as u32, rows)
 }
