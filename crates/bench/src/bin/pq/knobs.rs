@@ -1,8 +1,7 @@
 //! The knobs, parsed once: [`parse`] turns every `PQ_*` variable the
 //! workspace reads (README "Knobs") into one [`Knobs`] value before any
 //! subcommand runs: `PQ_SCALE`, `PQ_SEED`, `PQ_STACKS` and `PQ_FAULTS`
-//! into the [`RunSpec`], `PQ_JOBS` and `PQ_CELL_TIMEOUT_MS` for the
-//! pool, `PQ_TRACE`, `PQ_TRACE_BUF` and `PQ_TRACE_OUT` for the tracer,
+//! into the [`RunSpec`], `PQ_JOBS` for the pool, `PQ_TRACE`, `PQ_TRACE_BUF` and `PQ_TRACE_OUT` for the tracer,
 //! and `PQ_PROF_ALLOC`, `PQ_PROF_OUT` and `PQ_PROF_SVG` for the
 //! profiler. A malformed value, or one that cannot take effect, gives
 //! its documented default and a warning; none is silently swallowed.
@@ -25,8 +24,6 @@ pub struct Knobs {
     pub spec: RunSpec,
     /// `PQ_JOBS`: pool workers (default: available parallelism).
     pub jobs: usize,
-    /// `PQ_CELL_TIMEOUT_MS`: the per-cell deadline (default: off).
-    pub cell_timeout_ms: Option<u64>,
     /// `PQ_TRACE`: the tracer's level (default: off).
     pub trace: Level,
     /// `PQ_TRACE_BUF`: the trace ring's capacity in events (default:
@@ -205,21 +202,6 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
     let stacks = env
         .text("PQ_STACKS")
         .map_or(default.stacks, |raw| stacks(&raw, &mut env.warnings));
-    let cell_timeout_ms = env
-        .text("PQ_CELL_TIMEOUT_MS")
-        .and_then(|raw| match raw.parse::<u64>() {
-            Ok(0) => None,
-            Ok(ms) => Some(ms),
-            Err(_) => {
-                warn!(
-                    env.warnings,
-                    "par",
-                    "unparsable PQ_CELL_TIMEOUT_MS={raw:?} (want milliseconds >= 1, \
-                         or 0 to disable); the cell watchdog stays off"
-                );
-                None
-            }
-        });
     Knobs {
         spec: RunSpec {
             scale,
@@ -228,7 +210,6 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
             faults,
         },
         jobs,
-        cell_timeout_ms,
         trace,
         trace_buf,
         trace_out,
@@ -296,7 +277,6 @@ mod tests {
         assert_eq!(k.spec.stacks, Protocol::ALL);
         assert!(k.spec.faults.is_none());
         assert_eq!(k.jobs, pq_par::available_jobs());
-        assert_eq!(k.cell_timeout_ms, None);
         assert_eq!(k.trace, Level::Off);
         assert_eq!(k.trace_buf, DEFAULT_RING_CAPACITY);
         assert_eq!(k.trace_out, None);
@@ -359,11 +339,6 @@ mod tests {
         let auto = pq_par::available_jobs();
         for (v, want) in [("4", 4), ("1", 1), ("0", auto), ("abc", auto)] {
             assert_eq!(jobs(v), want, "PQ_JOBS={v}");
-        }
-
-        let timeout = |v| knobs(&[("PQ_CELL_TIMEOUT_MS", v)]).cell_timeout_ms;
-        for (v, want) in [("60000", Some(60_000)), ("0", None), ("abc", None)] {
-            assert_eq!(timeout(v), want, "PQ_CELL_TIMEOUT_MS={v}");
         }
 
         let faults = |v| knobs(&[("PQ_FAULTS", v)]).spec.faults;
@@ -433,7 +408,7 @@ mod tests {
             // Valid values.
             (&[("PQ_SCALE", "smoke"), ("PQ_SEED", "7")][..], &[][..]),
             (&[("PQ_JOBS", "2"), ("PQ_STACKS", "all")], &[]),
-            (&[("PQ_CELL_TIMEOUT_MS", "0"), ("PQ_FAULTS", "")], &[]),
+            (&[("PQ_FAULTS", "")], &[]),
             (
                 &[
                     ("PQ_TRACE", "info"),
@@ -464,10 +439,6 @@ mod tests {
                 &[("bench", "unparsable PQ_SEED=\"-1\"")],
             ),
             (&[("PQ_JOBS", "0")], &[("par", "unparsable PQ_JOBS=\"0\"")]),
-            (
-                &[("PQ_CELL_TIMEOUT_MS", "soon")],
-                &[("par", "unparsable PQ_CELL_TIMEOUT_MS=\"soon\"")],
-            ),
             (
                 &[("PQ_FAULTS", "gel:pgb=2")],
                 &[("fault", "unparsable PQ_FAULTS")],

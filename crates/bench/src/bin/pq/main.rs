@@ -70,7 +70,6 @@ fn main() {
         tracer.warn(cat, msg.as_str());
     }
     pq_par::set_jobs(Some(knobs.jobs));
-    pq_par::set_cell_timeout_ms(knobs.cell_timeout_ms);
     match cmd {
         Plain(run) => run(&knobs.spec),
         View(print) => print(&experiment(&name, &knobs.spec)),

@@ -120,7 +120,6 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `faults_injected` | `fault.injected` counter |
 /// | `runs_retried` | invalid page loads re-run by the ≥31-valid-runs retry policy |
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
-/// | `cells_timed_out` | cells quarantined by the `PQ_CELL_TIMEOUT_MS` watchdog |
 /// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes, phases: [{phase, allocs, bytes}]}` |
 /// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
 pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
@@ -211,8 +210,7 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
         )
         .with("faults_injected", reg.counter_value("fault.injected"))
         .with("runs_retried", e.stimuli.runs_retried())
-        .with("cells_quarantined", cells_quarantined)
-        .with("cells_timed_out", e.stimuli.cells_timed_out());
+        .with("cells_quarantined", cells_quarantined);
     if let Some(snap) = alloc {
         let phases: Vec<Value> = snap
             .phases
@@ -331,7 +329,7 @@ mod tests {
     /// stack in the grid, in this order.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
-        const ALWAYS: [&str; 17] = [
+        const ALWAYS: [&str; 16] = [
             "scale",
             "seed",
             "jobs",
@@ -348,7 +346,6 @@ mod tests {
             "faults_injected",
             "runs_retried",
             "cells_quarantined",
-            "cells_timed_out",
         ];
         let mut timer = PhaseTimer::new();
         let plain = timer.phase("experiment", || {
@@ -384,8 +381,8 @@ mod tests {
         });
         let m = manifest_json(&edge, &timer);
         pq_prof::set_alloc_enabled(false);
-        assert_eq!(keys(&m)[..17], ALWAYS);
-        assert_eq!(keys(&m)[17..], ["alloc", "edge"]);
+        assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
+        assert_eq!(keys(&m)[ALWAYS.len()..], ["alloc", "edge"]);
         let alloc = m.get("alloc").expect("alloc block");
         assert_eq!(
             keys(alloc),

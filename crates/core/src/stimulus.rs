@@ -92,8 +92,6 @@ pub struct StimulusSet {
     quarantined: Vec<QuarantinedCell>,
     /// Invalid page loads that were discarded and re-run.
     runs_retried: u64,
-    /// Cells quarantined by the `PQ_CELL_TIMEOUT_MS` watchdog.
-    cells_timed_out: u64,
 }
 
 /// The page-load seed of one `(study seed, site, network, protocol,
@@ -141,11 +139,6 @@ struct Cell<'a> {
     /// What the cell's latest panic said, for the quarantine reason.
     last_panic: Option<String>,
 }
-
-/// Quarantine-reason prefix of a cell killed by the
-/// `PQ_CELL_TIMEOUT_MS` watchdog; the manifest counts these as
-/// `cells_timed_out`.
-const DEADLINE_REASON: &str = "deadline exceeded";
 
 impl StimulusSet {
     /// Build stimuli for every combination, loading each condition
@@ -225,7 +218,9 @@ impl StimulusSet {
 
         // One cell's build: run until `runs` valid loads or the
         // budget cap; every decision derives from the cell
-        // coordinates, never from sibling cells.
+        // coordinates, never from sibling cells or the wall clock.
+        // Each load ends at its simulated horizon or event cap, so a
+        // cell does at most `max_budget` bounded loads.
         let build_cell = |cell: &Cell| -> CellResult {
             let (cond, site) = (&cell.cond, cell.site);
             let net = cond.network.config();
@@ -237,20 +232,6 @@ impl StimulusSet {
             let max_budget = runs.saturating_mul(MAX_BUDGET_FACTOR);
             loop {
                 while attempt < budget && (all.len() as u32) < runs {
-                    // Cancellation point: a cell over its wall-clock
-                    // budget is quarantined instead of hanging the
-                    // sweep.
-                    if let Some(elapsed) = pq_par::cell_deadline_exceeded() {
-                        return Err((
-                            format!(
-                                "{DEADLINE_REASON} after {elapsed} ms \
-                                 (budget {} ms, {} valid of {runs} runs)",
-                                pq_par::cell_timeout_ms().unwrap_or(0),
-                                all.len(),
-                            ),
-                            attempt,
-                        ));
-                    }
                     let rs = run_seed(seed, &site.name, cond.network, cond.protocol, attempt);
                     let res = load_page(site, &net, cond.protocol, rs, &opts);
                     // Validity filtering only engages under an active
@@ -306,12 +287,6 @@ impl StimulusSet {
             }
             let outs = pq_par::try_par_map(&pending, |cell| {
                 if let Some(p) = &plan {
-                    // Deliberate wall-clock delay (outside the
-                    // simulator): exercises the watchdog without
-                    // touching simulated time or the digest.
-                    if let Some(ms) = pq_fault::injected_slow(p, &cell.label) {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
                     if pq_fault::injected_panic(p, &cell.label, pass) {
                         #[expect(
                             clippy::panic,
@@ -350,7 +325,6 @@ impl StimulusSet {
         let mut grid = vec![None; sites.len() * NET_PROTOCOLS];
         let mut quarantined = Vec::new();
         let mut runs_retried = 0u64;
-        let mut cells_timed_out = 0u64;
         for cell in cells {
             let (reason, attempts) = match cell.outcome {
                 Some(Ok((stim, retried))) => {
@@ -375,9 +349,6 @@ impl StimulusSet {
                     0,
                 ),
             };
-            if reason.starts_with(DEADLINE_REASON) {
-                cells_timed_out += 1;
-            }
             pq_obs::tracer().warn(
                 "fault",
                 format!(
@@ -405,7 +376,6 @@ impl StimulusSet {
             grid,
             quarantined,
             runs_retried,
-            cells_timed_out,
         }
     }
 
@@ -425,12 +395,6 @@ impl StimulusSet {
     /// Invalid page loads discarded and re-run during the build.
     pub fn runs_retried(&self) -> u64 {
         self.runs_retried
-    }
-
-    /// Cells quarantined because they exceeded the
-    /// `PQ_CELL_TIMEOUT_MS` per-cell wall-clock budget.
-    pub fn cells_timed_out(&self) -> u64 {
-        self.cells_timed_out
     }
 
     /// Number of sites.

@@ -41,7 +41,6 @@
 //! | `trunc:p=[,frac=]` | web | truncated response body (object never completes) |
 //! | `hs:p=` | transport | first client flight lost → handshake timeout + backoff |
 //! | `panic:p=` | par/core | deliberate task panic per `(cell, pass)` |
-//! | `slow:p=,ms=` | par/core | per-cell wall-clock delay (outside the simulator) to exercise the `PQ_CELL_TIMEOUT_MS` watchdog |
 //!
 //! Example:
 //!
@@ -69,8 +68,7 @@ pub use error::PqError;
 pub use inject::{LinkFault, LoadFaults};
 pub use rng::{derive_seed, fnv1a, FaultRng};
 pub use spec::{
-    BwOscConfig, FaultPlan, FlapConfig, GeConfig, HsConfig, PanicConfig, SlowConfig, StallConfig,
-    TruncConfig,
+    BwOscConfig, FaultPlan, FlapConfig, GeConfig, HsConfig, PanicConfig, StallConfig, TruncConfig,
 };
 
 /// Decide whether the task building `cell_label` deliberately panics
@@ -92,23 +90,6 @@ pub fn injected_panic(plan: &FaultPlan, cell_label: &str, pass: u32) -> bool {
 /// quarantine reasons can attribute them.
 pub const INJECTED_PANIC_MSG: &str = "pq-fault: injected task panic";
 
-/// Decide whether the task building `cell_label` is deliberately
-/// delayed, and by how many wall-clock milliseconds — a pure function
-/// of `(plan seed, cell)`, so the same cells are slow at any worker
-/// count. The delay happens *outside* the simulator (the caller
-/// sleeps before building), so the digest is unchanged unless the
-/// `PQ_CELL_TIMEOUT_MS` watchdog quarantines the cell. Increments
-/// `fault.injected` when the decision is yes.
-pub fn injected_slow(plan: &FaultPlan, cell_label: &str) -> Option<u64> {
-    let slow = plan.slow.as_ref()?;
-    if FaultRng::derived(plan.seed ^ 0x5109_F00D, cell_label, 0).chance(slow.p) {
-        pq_obs::registry().counter_add("fault.injected", 1);
-        Some(slow.ms.round().max(0.0) as u64)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,28 +108,5 @@ mod tests {
         assert!(!a.iter().all(|&x| x), "p=0.5 also spares some passes");
         let no_panic = FaultPlan::parse("stall:p=0.1,ms=10").unwrap();
         assert!(!injected_panic(&no_panic, "cell-x", 0));
-    }
-
-    #[test]
-    fn injected_slow_is_pure_per_cell() {
-        let plan = FaultPlan::parse("slow:p=0.5,ms=700").unwrap();
-        let cells: Vec<String> = (0..32).map(|i| format!("cell-{i}")).collect();
-        let a: Vec<Option<u64>> = cells.iter().map(|c| injected_slow(&plan, c)).collect();
-        let b: Vec<Option<u64>> = cells.iter().map(|c| injected_slow(&plan, c)).collect();
-        assert_eq!(a, b, "pure function of (seed, cell)");
-        assert!(a.iter().any(Option::is_some), "p=0.5 hits some cells");
-        assert!(a.iter().any(Option::is_none), "p=0.5 spares some cells");
-        assert!(
-            a.iter().flatten().all(|&ms| ms == 700),
-            "delay comes from the spec"
-        );
-        let other_seed = FaultPlan::parse("seed=9;slow:p=0.5,ms=700").unwrap();
-        let c: Vec<Option<u64>> = cells
-            .iter()
-            .map(|x| injected_slow(&other_seed, x))
-            .collect();
-        assert_ne!(a, c, "fault seed folds into the decision");
-        let no_slow = FaultPlan::parse("panic:p=0.5").unwrap();
-        assert_eq!(injected_slow(&no_slow, "cell-0"), None);
     }
 }

@@ -5,7 +5,24 @@
 //! stream plus an FNV-1a-based seed-derivation helper. Both are pure
 //! and allocation-free, so every fault decision is reproducible from
 //! `(seed, labels, indices)` alone — the backbone of the crate's
-//! determinism contract.
+//! determinism contract. The SplitMix64 output function
+//! ([`splitmix64`]) is the workspace's one copy: `pq-sim` seeds its
+//! PCG streams through it too.
+
+/// SplitMix64's golden-ratio increment γ.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output for state `x`: add γ, then mix. Callers keep
+/// their own state update ([`FaultRng`] adds γ; `pq-sim`'s seeding
+/// helper stores the output back as its state).
+#[inline]
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// SplitMix64 pseudo-random stream. Statistically solid for fault
 /// decisions, trivially seedable, and — crucially — *separate* from
@@ -35,11 +52,9 @@ impl FaultRng {
 
     /// Next raw 64-bit value (SplitMix64 step).
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        out
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -88,10 +103,7 @@ pub fn derive_seed(base: u64, label: &str, idx: u64) -> u64 {
             .chain(idx.to_le_bytes()),
     );
     // SplitMix64 finalizer: spreads FNV's low-entropy high bits.
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(h)
 }
 
 #[cfg(test)]
@@ -105,6 +117,15 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_sequence() {
+        // The published SplitMix64 stream from seed 0.
+        let mut rng = FaultRng::new(0);
+        assert_eq!(rng.next_u64(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(rng.next_u64(), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(rng.next_u64(), 0x06c4_5d18_8009_454f);
     }
 
     #[test]

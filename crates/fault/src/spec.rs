@@ -94,19 +94,6 @@ pub struct PanicConfig {
     pub p: f64,
 }
 
-/// Deliberate per-cell wall-clock delay: a faulted cell sleeps before
-/// computing, exercising the `PQ_CELL_TIMEOUT_MS` watchdog path. The
-/// sleep happens outside the simulator, so cell *results* (and the
-/// study digest) are unchanged unless the watchdog quarantines the
-/// cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowConfig {
-    /// Probability a cell is delayed.
-    pub p: f64,
-    /// Delay in wall-clock milliseconds.
-    pub ms: f64,
-}
-
 /// A parsed, validated fault plan. All fault classes are optional;
 /// an empty plan ([`FaultPlan::is_empty`]) injects nothing and counts
 /// as no plan everywhere.
@@ -130,8 +117,6 @@ pub struct FaultPlan {
     pub hs: Option<HsConfig>,
     /// Deliberate task panics.
     pub task_panic: Option<PanicConfig>,
-    /// Deliberate per-cell wall-clock delays (watchdog exercise).
-    pub slow: Option<SlowConfig>,
 }
 
 fn prob(name: &str, key: &str, v: f64) -> Result<f64, PqError> {
@@ -222,7 +207,6 @@ impl FaultPlan {
             trunc: None,
             hs: None,
             task_panic: None,
-            slow: None,
         };
         for clause in spec.split(';').map(str::trim).filter(|s| !s.is_empty()) {
             if let Some(v) = clause.strip_prefix("seed=") {
@@ -295,16 +279,9 @@ impl FaultPlan {
                         p: prob(name, "p", args.require("p")?)?,
                     });
                 }
-                "slow" => {
-                    args.check_known(&["p", "ms"])?;
-                    plan.slow = Some(SlowConfig {
-                        p: prob(name, "p", args.require("p")?)?,
-                        ms: pos(name, "ms", args.require("ms")?)?,
-                    });
-                }
                 other => {
                     return Err(PqError::InvalidFaultSpec(format!(
-                        "unknown clause `{other}` (expected gel, flap, bwosc, stall, trunc, hs, panic, slow, or seed=N)"
+                        "unknown clause `{other}` (expected gel, flap, bwosc, stall, trunc, hs, panic, or seed=N)"
                     )));
                 }
             }
@@ -327,7 +304,6 @@ impl FaultPlan {
             && self.trunc.is_none()
             && self.hs.is_none()
             && self.task_panic.is_none()
-            && self.slow.is_none()
     }
 
     /// Compact human-readable summary of the enabled fault classes.
@@ -361,9 +337,6 @@ impl FaultPlan {
         if let Some(p) = &self.task_panic {
             parts.push(format!("panic(p={})", p.p));
         }
-        if let Some(s) = &self.slow {
-            parts.push(format!("slow(p={},ms={})", s.p, s.ms));
-        }
         if parts.is_empty() {
             "no faults".to_string()
         } else {
@@ -381,7 +354,7 @@ mod tests {
         let plan = FaultPlan::parse(
             "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.5;flap:at=1500,dur=400;\
              bwosc:period=2000,depth=0.6;stall:p=0.05,ms=1200;\
-             trunc:p=0.01;hs:p=0.1;panic:p=0.02;slow:p=0.3,ms=700",
+             trunc:p=0.01;hs:p=0.1;panic:p=0.02",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -396,9 +369,6 @@ mod tests {
         assert_eq!(plan.trunc.unwrap().frac, 0.5);
         assert_eq!(plan.hs.unwrap().p, 0.1);
         assert_eq!(plan.task_panic.unwrap().p, 0.02);
-        let slow = plan.slow.unwrap();
-        assert_eq!(slow.p, 0.3);
-        assert_eq!(slow.ms, 700.0);
         assert!(plan.has_link_faults());
         assert!(!plan.is_empty());
     }
@@ -432,15 +402,16 @@ mod tests {
             "hs:p",
             "seed=banana",
             "panic",
-            "slow:p=0.5",
-            "slow:p=0.5,ms=0",
-            "slow:p=0.5,ms=100,jitter=3",
+            "slow:p=0.5,ms=100",
         ] {
             assert!(
                 FaultPlan::parse(bad).is_err(),
                 "spec `{bad}` should be rejected"
             );
         }
+        // No clause delays a cell in wall-clock time: `slow` is a typo.
+        let err = FaultPlan::parse("slow:p=0.5,ms=100").unwrap_err();
+        assert!(err.to_string().contains("unknown clause `slow`"), "{err}");
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "fault.injected",
     "par.task_panics",
     "par.tasks",
-    "par.watchdog_stalls",
     "par.worker_tasks",
     "run.quarantined",
     "run.retries",

@@ -16,12 +16,11 @@
 //!   else [`std::thread::available_parallelism`]. The `pq` binary
 //!   installs its `PQ_JOBS` there; tests sweep `1 / 2 / 8` workers
 //!   in-process the same way. This crate reads no environment.
-//! * [`cell_deadline_exceeded`] — the per-cell wall-clock watchdog
-//!   ([`set_cell_timeout_ms`]): the pool stamps every task's start time,
-//!   long-running cells poll the deadline at their cancellation points
-//!   and get quarantined instead of hanging the sweep, and a watchdog
-//!   thread warns (through the pq-obs tracer) about workers stuck past
-//!   budget. Off by default; wall-clock never feeds simulated data.
+//!
+//! A task runs until it returns: the pool never times one out. Every
+//! caller bounds its own work in simulated time or attempts (a page
+//! load by its simulated horizon and event cap, a stimulus cell by its
+//! retry budget), so no outcome depends on the wall clock.
 //!
 //! ## The determinism contract
 //!
@@ -54,10 +53,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
-mod deadline;
 mod pool;
-
-pub use deadline::{cell_deadline_exceeded, cell_timeout_ms, set_cell_timeout_ms};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;

@@ -37,8 +37,6 @@ use std::sync::Mutex;
 
 use pq_obs::{ArgValue, Level};
 
-use crate::deadline::Watchdog;
-
 /// Target number of chunks per worker: small enough that claiming a
 /// chunk is negligible next to a page-load simulation, large enough
 /// that a skewed grid still balances (slow sites cluster: MSS cells
@@ -59,8 +57,6 @@ struct Batch {
     abort: AtomicBool,
     /// First captured panic payload, re-raised by the caller.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Heartbeat supervision, present only under a cell deadline.
-    watchdog: Option<Watchdog>,
 }
 
 impl Batch {
@@ -70,7 +66,6 @@ impl Batch {
             chunk_len: n.div_ceil(workers * CHUNKS_PER_WORKER).max(1),
             abort: AtomicBool::new(false),
             panic: Mutex::new(None),
-            watchdog: Watchdog::armed(workers),
         }
     }
 
@@ -118,11 +113,6 @@ where
     let mut local_tasks = 0u64;
     let mut parts: Fragments<R> = Vec::new();
     pq_prof::set_lane(id + 1);
-    let beat = |busy: bool| {
-        if let Some(w) = &batch.watchdog {
-            w.beat(id, busy);
-        }
-    };
 
     {
         let _worker = pq_prof::worker_span(prof_root, "par:worker");
@@ -135,13 +125,10 @@ where
             let run = catch_unwind(AssertUnwindSafe(|| {
                 let mut out = Vec::with_capacity(end - start);
                 for (i, item) in (start..end).zip(&items[start..end]) {
-                    crate::deadline::task_started();
-                    beat(true);
                     out.push(f(i, item));
                 }
                 out
             }));
-            beat(false);
             match run {
                 Ok(out) => {
                     local_tasks += out.len() as u64;
@@ -206,16 +193,7 @@ where
     let n = items.len();
     let workers = workers.clamp(1, n.max(1));
     if workers <= 1 || n <= 1 {
-        // The serial reference path still stamps task starts so the
-        // per-cell deadline applies identically at PQ_JOBS=1.
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                crate::deadline::task_started();
-                f(i, t)
-            })
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
     let batch = Batch::new(n, workers);
@@ -236,13 +214,6 @@ where
                     .expect("spawn pq-par worker")
             })
             .collect();
-        let watchdog = batch.watchdog.as_ref().map(|w| {
-            let handle = std::thread::Builder::new()
-                .name("pq-par-watchdog".to_string())
-                .spawn_scoped(scope, move || w.run())
-                .expect("spawn pq-par watchdog");
-            (w, handle)
-        });
         let mut parts = Vec::new();
         for handle in handles {
             match handle.join() {
@@ -251,9 +222,6 @@ where
                 // `worker_loop`): still a panic the caller must see.
                 Err(payload) => batch.record_panic(payload),
             }
-        }
-        if let Some((w, handle)) = watchdog {
-            w.stop(handle.thread());
         }
         parts
     });

@@ -8,17 +8,11 @@
 //! per-participant noise, website generation, …) each get their own
 //! stream and adding draws to one subsystem never perturbs another.
 
-/// SplitMix64 step; used for seeding and stream derivation.
-fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    *state = z ^ (z >> 31);
-}
-
+/// SplitMix64-based step used for seeding and stream derivation. It
+/// stores the *output* back as the state (standard SplitMix64 adds γ
+/// to the state instead); every digest depends on that, so it stays.
 fn splitmix64_next(state: &mut u64) -> u64 {
-    splitmix64(state);
+    *state = pq_fault::rng::splitmix64(*state);
     *state
 }
 

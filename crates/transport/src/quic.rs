@@ -774,7 +774,7 @@ impl QuicConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Connection, Output, StreamId};
+    use crate::api::{ConnEvent, ConnEventKind, Connection, Output, StreamId};
     use crate::config::Protocol;
     use pq_sim::NetworkKind;
 
@@ -893,6 +893,167 @@ mod tests {
             !progress.iter().any(|p| p.0 == 5 && p.1 > 0),
             "stream 5 blocked by its own hole only: {progress:?}"
         );
+    }
+
+    /// Log `pns` as sent by the server at `at`: 1000-byte frames of
+    /// stream 5, or ACK-only packets when `eliciting` is false. Stream
+    /// 5 has no send state, so a packet declared lost is not resent
+    /// and the server's packet numbers stay where the test put them.
+    fn server_sent(
+        c: &mut QuicConnection,
+        pns: std::ops::Range<u64>,
+        at: SimTime,
+        eliciting: bool,
+    ) {
+        let ep = &mut c.server;
+        for pn in pns {
+            let frame = eliciting.then_some(SentFrame::Stream {
+                id: 5,
+                offset: pn * 1000,
+                len: 1000,
+            });
+            if eliciting {
+                ep.core.on_sent(at, 1080);
+            }
+            ep.log_sent(at, pn, 1080, frame);
+            ep.next_pn = pn + 1;
+        }
+    }
+
+    /// The client's ACK-only packet `pn`, acknowledging `ranges`.
+    fn ack(pn: u64, ranges: &[(u64, u64)]) -> Wire {
+        let ranges = ranges.iter().map(|&(start, end)| Range { start, end });
+        Wire::Quic(QuicPacket {
+            from_client: true,
+            pn,
+            frames: [
+                Some(QuicFrame::Ack {
+                    ranges: ranges.collect(),
+                }),
+                None,
+            ],
+        })
+    }
+
+    /// Which of `pns` the server still holds as outstanding.
+    fn outstanding(c: &QuicConnection, pns: std::ops::Range<u64>) -> Vec<u64> {
+        pns.filter(|&pn| c.server.sent.get(pn).is_some()).collect()
+    }
+
+    /// Congestion events reported since the outputs were last drained.
+    fn cutbacks(c: &mut QuicConnection) -> usize {
+        outputs(c)
+            .iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    Output::Trace(ConnEvent {
+                        kind: ConnEventKind::CongestionEvent,
+                        ..
+                    })
+                )
+            })
+            .count()
+    }
+
+    #[test]
+    fn packet_threshold_loses_three_below_the_largest_acked() {
+        let mut c = conn(Protocol::Quic);
+        let _ = sent(&mut c);
+        let t0 = SimTime::ZERO;
+        server_sent(&mut c, 0..6, t0, true);
+        // ACK only 3 at 50 ms: the sample is 50 ms, so the time
+        // threshold (56.25 ms) has not passed for anything sent at 0.
+        c.on_packet(SimTime::from_millis(50), &ack(1, &[(3, 4)]), Direction::Up);
+        assert_eq!(
+            outstanding(&c, 0..6),
+            [1, 2, 4, 5],
+            "3 >= 0 + 3 loses pn 0 only"
+        );
+        c.on_packet(SimTime::from_millis(60), &ack(2, &[(3, 5)]), Direction::Up);
+        assert_eq!(
+            outstanding(&c, 0..6),
+            [2, 5],
+            "4 >= 1 + 3 loses pn 1; pn 2 waits"
+        );
+    }
+
+    #[test]
+    fn time_threshold_is_nine_eighths_of_the_larger_rtt() {
+        let mut c = conn(Protocol::Quic);
+        let _ = sent(&mut c);
+        server_sent(&mut c, 0..3, SimTime::ZERO, true);
+        // Samples of 80 ms then 160 ms: srtt = (7 x 80 + 160) / 8 =
+        // 90 ms, latest = 160 ms, so pn 0 is lost 180 ms after it
+        // left (by srtt alone it would be 101.25 ms).
+        c.on_packet(SimTime::from_millis(80), &ack(1, &[(1, 2)]), Direction::Up);
+        c.on_packet(SimTime::from_millis(160), &ack(2, &[(1, 3)]), Direction::Up);
+        assert_eq!(c.server.core.rtt.srtt(), Some(SimDuration::from_millis(90)));
+        assert_eq!(outstanding(&c, 0..1), [0]);
+        // The threshold is only evaluated when an ACK arrives: repeat
+        // the last one (no new sample) one tick before the boundary,
+        // then at it.
+        let boundary = SimTime::from_millis(180);
+        let before = SimTime::from_nanos(boundary.as_nanos() - 1);
+        c.on_packet(before, &ack(3, &[(1, 3)]), Direction::Up);
+        assert_eq!(outstanding(&c, 0..1), [0], "one tick early");
+        c.on_packet(boundary, &ack(4, &[(1, 3)]), Direction::Up);
+        assert_eq!(
+            outstanding(&c, 0..1),
+            [] as [u64; 0],
+            "at sent_at + 9/8 x 160 ms"
+        );
+    }
+
+    #[test]
+    fn time_threshold_assumes_100_ms_before_the_first_sample() {
+        let mut c = conn(Protocol::Quic);
+        let _ = sent(&mut c);
+        server_sent(&mut c, 0..1, SimTime::ZERO, true);
+        // An ACK that newly acknowledges nothing takes no RTT sample:
+        // here one for a packet number the server never sent. With no
+        // sample, srtt is 100 ms and the boundary 112.5 ms.
+        let boundary = SimTime::from_micros(112_500);
+        let before = SimTime::from_nanos(boundary.as_nanos() - 1);
+        c.on_packet(before, &ack(1, &[(1, 2)]), Direction::Up);
+        assert_eq!(c.server.core.rtt.srtt(), None);
+        assert_eq!(outstanding(&c, 0..1), [0], "one tick early");
+        c.on_packet(boundary, &ack(2, &[(1, 2)]), Direction::Up);
+        assert_eq!(outstanding(&c, 0..1), [] as [u64; 0], "at 9/8 x 100 ms");
+    }
+
+    #[test]
+    fn only_new_ack_eliciting_losses_cut_the_window() {
+        let mut c = conn(Protocol::Quic);
+        c.observe();
+        let _ = sent(&mut c);
+        server_sent(&mut c, 0..6, SimTime::ZERO, true);
+        // pn 0 lost: the first cutback, which marks everything sent so
+        // far (pns below 6) as before it.
+        c.on_packet(SimTime::from_millis(50), &ack(1, &[(3, 4)]), Direction::Up);
+        assert_eq!(cutbacks(&mut c), 1);
+        assert_eq!(c.server.cutback_pn, 6);
+        // pn 1 lost, but it was sent before the cutback.
+        c.on_packet(SimTime::from_millis(60), &ack(2, &[(3, 5)]), Direction::Up);
+        assert_eq!(outstanding(&c, 0..6), [2, 5]);
+        assert_eq!(cutbacks(&mut c), 0);
+        // After the cutback: pn 6 carries only an ACK, 7..=10 data.
+        let t = SimTime::from_millis(60);
+        server_sent(&mut c, 6..7, t, false);
+        server_sent(&mut c, 7..11, t, true);
+        // ACK 9 loses pns 2 and 5 (old) and 6 (nothing in it): no cutback.
+        c.on_packet(
+            SimTime::from_millis(70),
+            &ack(3, &[(3, 5), (9, 10)]),
+            Direction::Up,
+        );
+        assert_eq!(outstanding(&c, 0..11), [7, 8, 10]);
+        assert_eq!(cutbacks(&mut c), 0);
+        // ACK 10 loses pn 7, sent after the cutback: the second one.
+        c.on_packet(SimTime::from_millis(75), &ack(4, &[(9, 11)]), Direction::Up);
+        assert_eq!(outstanding(&c, 0..11), [8]);
+        assert_eq!(cutbacks(&mut c), 1);
+        assert_eq!(c.server.cutback_pn, 11);
     }
 
     #[test]
