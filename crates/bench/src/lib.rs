@@ -39,9 +39,9 @@
 //!
 //! Setting `PQ_FAULTS=<spec>` (see [`pq_fault`]) turns the run into a
 //! chaos experiment: deterministic burst loss, link flaps, server
-//! stalls, truncated responses, handshake-flight drops and task
-//! panics, all keyed by `(fault seed, cell coordinates)` so the run is
-//! still bit-identical at any `PQ_JOBS`. The manifest then records
+//! stalls, truncated responses and handshake-flight drops, all keyed
+//! by `(fault seed, cell coordinates)` so the run is still
+//! bit-identical at any `PQ_JOBS`. The manifest then records
 //! `fault_spec`, `faults_injected`, `runs_retried` and
 //! `cells_quarantined` alongside the usual digest.
 //!
@@ -127,7 +127,7 @@ impl Scale {
 /// The chaos spec of the CI `chaos-smoke` job and of every chaos pin;
 /// `tests/contract_digests.rs` holds `ci.yml` to this spelling.
 pub const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
-                              stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05;panic:p=0.05";
+                              stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05";
 
 /// The corpus subset for a scale: always includes the five lab sites
 /// and the §4.4 named sites first.

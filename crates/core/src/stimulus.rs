@@ -60,7 +60,7 @@ pub struct Stimulus {
 }
 
 /// A grid cell that exhausted its retry budget without producing a
-/// single valid run (or kept panicking) and was removed from the set.
+/// single valid run and was removed from the set.
 /// The rest of the grid — and every downstream study and figure —
 /// continues on the remaining data, mirroring how the paper's testbed
 /// filters invalid recordings (§3, Table 3).
@@ -126,18 +126,11 @@ type CellErr = (String, u32);
 /// Outcome of building a single grid cell.
 type CellResult = Result<CellOk, CellErr>;
 
-/// One cell of the site × network × protocol grid: where it sits,
-/// what it loads, the key it goes by in the fault plan, and how its
-/// build has gone so far.
+/// One cell of the site × network × protocol grid: where it sits and
+/// what it loads.
 struct Cell<'a> {
     cond: Condition,
     site: &'a Website,
-    /// `site/network/protocol`.
-    label: String,
-    /// `None` until a grid pass settles the cell.
-    outcome: Option<CellResult>,
-    /// What the cell's latest panic said, for the quarantine reason.
-    last_panic: Option<String>,
 }
 
 impl StimulusSet {
@@ -163,14 +156,18 @@ impl StimulusSet {
     ///
     /// With a plan active, each run is *validated* (complete page load
     /// with well-ordered metrics, the paper's R1/R4 checks) and invalid
-    /// runs are discarded and re-run with fresh per-attempt seeds
-    /// under an exponentially growing attempt budget — the testbed's
-    /// "re-run until ≥31 valid" protocol in miniature. A cell that
-    /// never yields a valid run (or keeps panicking) is quarantined:
-    /// recorded in [`StimulusSet::quarantined`] and skipped by every
-    /// consumer, while the rest of the grid proceeds. With no plan the
-    /// build path is byte-for-byte the pre-fault pipeline: every run
-    /// is accepted as-is, so output stays bit-identical.
+    /// runs are discarded and re-run with fresh per-attempt seeds, up
+    /// to 8 × the requested runs per cell — the testbed's "re-run
+    /// until ≥31 valid" protocol in miniature. A cell that never yields
+    /// a valid run is quarantined: recorded in
+    /// [`StimulusSet::quarantined`] and skipped by every consumer,
+    /// while the rest of the grid proceeds. With no plan the build path
+    /// is byte-for-byte the pre-fault pipeline: every run is accepted
+    /// as-is, so output stays bit-identical.
+    ///
+    /// Every cell is built once. A panic while building one is a bug,
+    /// not a fault to quarantine: it reaches the caller with its
+    /// message and ends the run.
     ///
     /// [`build`]: StimulusSet::build
     pub fn build_with_faults(
@@ -181,9 +178,6 @@ impl StimulusSet {
         seed: u64,
         faults: Option<Arc<FaultPlan>>,
     ) -> StimulusSet {
-        /// A cell that panics this many grid passes in a row is
-        /// quarantined instead of retried again.
-        const MAX_PANIC_PASSES: u32 = 3;
         /// Attempt budget cap: at most this multiple of the requested
         /// run count per cell.
         const MAX_BUDGET_FACTOR: u32 = 8;
@@ -196,7 +190,7 @@ impl StimulusSet {
 
         // Enumerate the grid in canonical (site, network, protocol)
         // order; the scatter-gather preserves that order.
-        let mut cells: Vec<Cell> = sites
+        let cells: Vec<Cell> = sites
             .iter()
             .enumerate()
             .flat_map(|(si, site)| {
@@ -208,16 +202,13 @@ impl StimulusSet {
                             protocol,
                         },
                         site,
-                        label: format!("{}/{}/{}", site.name, network.name(), protocol.label()),
-                        outcome: None,
-                        last_panic: None,
                     })
                 })
             })
             .collect();
 
-        // One cell's build: run until `runs` valid loads or the
-        // budget cap; every decision derives from the cell
+        // One cell's build: run until `runs` valid loads or
+        // `max_budget` attempts; every decision derives from the cell
         // coordinates, never from sibling cells or the wall clock.
         // Each load ends at its simulated horizon or event cap, so a
         // cell does at most `max_budget` bounded loads.
@@ -228,30 +219,21 @@ impl StimulusSet {
             let mut retx = 0u64;
             let mut retried = 0u64;
             let mut attempt = 0u32;
-            let mut budget = runs;
             let max_budget = runs.saturating_mul(MAX_BUDGET_FACTOR);
-            loop {
-                while attempt < budget && (all.len() as u32) < runs {
-                    let rs = run_seed(seed, &site.name, cond.network, cond.protocol, attempt);
-                    let res = load_page(site, &net, cond.protocol, rs, &opts);
-                    // Validity filtering only engages under an active
-                    // fault plan: the fault-free pipeline accepts
-                    // every run exactly as before (bit-identity).
-                    let valid = plan.is_none() || (res.complete && res.metrics.well_ordered());
-                    if valid {
-                        retx += res.retransmits;
-                        all.push(res.metrics);
-                    } else {
-                        retried += 1;
-                    }
-                    attempt += 1;
+            while attempt < max_budget && (all.len() as u32) < runs {
+                let rs = run_seed(seed, &site.name, cond.network, cond.protocol, attempt);
+                let res = load_page(site, &net, cond.protocol, rs, &opts);
+                // Validity filtering only engages under an active
+                // fault plan: the fault-free pipeline accepts every run
+                // exactly as before (bit-identity).
+                let valid = plan.is_none() || (res.complete && res.metrics.well_ordered());
+                if valid {
+                    retx += res.retransmits;
+                    all.push(res.metrics);
+                } else {
+                    retried += 1;
                 }
-                if (all.len() as u32) >= runs || budget >= max_budget {
-                    break;
-                }
-                // Exponential budget backoff: double the allowance
-                // and keep re-running with fresh attempt seeds.
-                budget = budget.saturating_mul(2).min(max_budget);
+                attempt += 1;
             }
             if all.is_empty() {
                 return Err((format!("no valid run in {attempt} attempts"), attempt));
@@ -275,91 +257,38 @@ impl StimulusSet {
             ))
         };
 
-        // Grid passes: panicking cells (injected or genuine) fail
-        // only themselves, stay unsettled and are retried on the next
-        // pass; cells still panicking after MAX_PANIC_PASSES are
-        // quarantined.
-        for pass in 0..MAX_PANIC_PASSES {
-            let pending: Vec<&mut Cell> =
-                cells.iter_mut().filter(|c| c.outcome.is_none()).collect();
-            if pending.is_empty() {
-                break;
-            }
-            let outs = pq_par::try_par_map(&pending, |cell| {
-                if let Some(p) = &plan {
-                    if pq_fault::injected_panic(p, &cell.label, pass) {
-                        #[expect(
-                            clippy::panic,
-                            reason = "the injected panic IS the fault under test; try_par_map catches it and the pass loop retries/quarantines"
-                        )]
-                        {
-                            panic!(
-                                "{}: {} (pass {pass})",
-                                pq_fault::INJECTED_PANIC_MSG,
-                                cell.label
-                            );
-                        }
-                    }
-                }
-                build_cell(cell)
-            });
-            for (cell, out) in pending.into_iter().zip(outs) {
-                match out {
-                    Ok(res) => cell.outcome = Some(res),
-                    Err(tp) => {
-                        if pass + 1 < MAX_PANIC_PASSES {
-                            pq_obs::tracer().warn(
-                                "fault",
-                                format!(
-                                    "cell {} panicked on pass {pass}: {}; retrying",
-                                    cell.label, tp.message
-                                ),
-                            );
-                        }
-                        cell.last_panic = Some(tp.message);
-                    }
-                }
-            }
-        }
+        let outcomes = pq_par::par_map(&cells, build_cell);
 
         let mut grid = vec![None; sites.len() * NET_PROTOCOLS];
         let mut quarantined = Vec::new();
         let mut runs_retried = 0u64;
-        for cell in cells {
-            let (reason, attempts) = match cell.outcome {
-                Some(Ok((stim, retried))) => {
+        for (cell, outcome) in cells.into_iter().zip(outcomes) {
+            let c = cell.cond;
+            let (reason, attempts) = match outcome {
+                Ok((stim, retried)) => {
                     runs_retried += retried;
-                    let c = cell.cond;
                     if let Some(slot) = grid.get_mut(grid_idx(c.site, c.network, c.protocol)) {
                         *slot = Some(stim);
                     }
                     continue;
                 }
-                Some(Err((reason, attempts))) => {
-                    // Every attempt of a quarantined cell was a
-                    // discarded re-run; count them too.
-                    runs_retried += u64::from(attempts);
-                    (reason, attempts)
-                }
-                None => (
-                    format!(
-                        "task panicked on {MAX_PANIC_PASSES} passes: {}",
-                        cell.last_panic.as_deref().unwrap_or("unknown")
-                    ),
-                    0,
-                ),
+                Err(failed) => failed,
             };
+            // Every attempt of a quarantined cell was a discarded
+            // re-run; count them too.
+            runs_retried += u64::from(attempts);
+            let (network, protocol) = (c.network.name(), c.protocol.label());
             pq_obs::tracer().warn(
                 "fault",
                 format!(
-                    "quarantined cell {}: {reason} ({attempts} attempts)",
-                    cell.label
+                    "quarantined cell {}/{network}/{protocol}: {reason} ({attempts} attempts)",
+                    cell.site.name
                 ),
             );
             quarantined.push(QuarantinedCell {
                 site: cell.site.name.clone(),
-                network: cell.cond.network.name().to_string(),
-                protocol: cell.cond.protocol.label().to_string(),
+                network: network.to_string(),
+                protocol: protocol.to_string(),
                 reason,
                 attempts,
             });
@@ -574,10 +503,10 @@ mod tests {
             .map(|n| catalogue::site(n).unwrap())
             .collect();
         // Networks and stacks that skip grid rows, the last stack of
-        // all, and panics that quarantine some cells for good.
+        // all, and truncated bodies that quarantine some cells.
         let networks = [NetworkKind::Lte, NetworkKind::Mss];
         let protocols = [Protocol::Tcp, Protocol::QuicEdge, Protocol::H2Edge];
-        let plan = FaultPlan::parse("seed=3;panic:p=0.5").unwrap();
+        let plan = FaultPlan::parse("seed=3;trunc:p=0.1").unwrap();
         let set = StimulusSet::build_with_faults(
             &sites,
             &networks,

@@ -1,15 +1,13 @@
-//! The shared error taxonomy the hardened pipeline layers propagate
-//! instead of panicking.
+//! The error a rejected configuration or fault spec comes back as.
 
 use std::fmt;
 
-/// Typed failure taxonomy for the perceiving-quic pipeline.
+/// Why the pipeline refused an input.
 ///
-/// Hot paths that used to `unwrap()`/`expect()` now surface one of
-/// these variants and let the caller decide between retrying,
-/// quarantining the offending grid cell, or aborting. The taxonomy is
-/// intentionally small: each variant corresponds to a distinct
-/// recovery policy, not to a distinct call site.
+/// Each variant has a constructor: `NetworkConfig::checked` builds
+/// [`PqError::InvalidConfig`] and [`crate::FaultPlan::parse`] builds
+/// [`PqError::InvalidFaultSpec`]. A variant is added together with the
+/// code that returns it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PqError {
     /// A configuration value is unusable (zero bandwidth, loss outside
@@ -18,33 +16,6 @@ pub enum PqError {
     /// A `PQ_FAULTS` spec failed to parse; the message pinpoints the
     /// offending clause.
     InvalidFaultSpec(String),
-    /// A page load finished the horizon without completing (e.g. a
-    /// truncated response kept an object open forever).
-    LoadIncomplete {
-        /// Site whose load never completed.
-        site: String,
-        /// Protocol stack label in use.
-        protocol: String,
-    },
-    /// A parallel task panicked; the payload is the panic message.
-    TaskPanicked(String),
-    /// A grid cell exhausted its retry budget and was quarantined.
-    Quarantined {
-        /// Canonical `site/network/protocol` cell label.
-        cell: String,
-        /// Total runs attempted before giving up.
-        attempts: u32,
-        /// Human-readable reason (last failure class observed).
-        reason: String,
-    },
-    /// A consumer asked for a stimulus that was quarantined or never
-    /// built.
-    MissingStimulus {
-        /// Canonical `site/network/protocol` cell label.
-        cell: String,
-    },
-    /// An I/O failure (manifest/trace writing).
-    Io(String),
 }
 
 impl fmt::Display for PqError {
@@ -52,52 +23,8 @@ impl fmt::Display for PqError {
         match self {
             PqError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             PqError::InvalidFaultSpec(msg) => write!(f, "invalid fault spec: {msg}"),
-            PqError::LoadIncomplete { site, protocol } => {
-                write!(f, "page load incomplete: {site} over {protocol}")
-            }
-            PqError::TaskPanicked(msg) => write!(f, "task panicked: {msg}"),
-            PqError::Quarantined {
-                cell,
-                attempts,
-                reason,
-            } => write!(f, "cell {cell} quarantined after {attempts} runs: {reason}"),
-            PqError::MissingStimulus { cell } => {
-                write!(f, "no stimulus available for cell {cell}")
-            }
-            PqError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for PqError {}
-
-impl From<std::io::Error> for PqError {
-    fn from(err: std::io::Error) -> Self {
-        PqError::Io(err.to_string())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_is_informative() {
-        let e = PqError::Quarantined {
-            cell: "apache.org/LTE/QUIC".into(),
-            attempts: 24,
-            reason: "no valid run".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("apache.org/LTE/QUIC"));
-        assert!(s.contains("24"));
-        assert!(s.contains("no valid run"));
-    }
-
-    #[test]
-    fn io_conversion() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e: PqError = io.into();
-        assert!(matches!(e, PqError::Io(ref m) if m.contains("gone")));
-    }
-}

@@ -87,13 +87,6 @@ pub struct HsConfig {
     pub p: f64,
 }
 
-/// Deliberate task panic in the execution engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PanicConfig {
-    /// Probability a `(cell, pass)` task panics.
-    pub p: f64,
-}
-
 /// A parsed, validated fault plan. All fault classes are optional;
 /// an empty plan ([`FaultPlan::is_empty`]) injects nothing and counts
 /// as no plan everywhere.
@@ -115,8 +108,6 @@ pub struct FaultPlan {
     pub trunc: Option<TruncConfig>,
     /// Handshake first-flight loss.
     pub hs: Option<HsConfig>,
-    /// Deliberate task panics.
-    pub task_panic: Option<PanicConfig>,
 }
 
 fn prob(name: &str, key: &str, v: f64) -> Result<f64, PqError> {
@@ -206,7 +197,6 @@ impl FaultPlan {
             stall: None,
             trunc: None,
             hs: None,
-            task_panic: None,
         };
         for clause in spec.split(';').map(str::trim).filter(|s| !s.is_empty()) {
             if let Some(v) = clause.strip_prefix("seed=") {
@@ -273,15 +263,9 @@ impl FaultPlan {
                         p: prob(name, "p", args.require("p")?)?,
                     });
                 }
-                "panic" => {
-                    args.check_known(&["p"])?;
-                    plan.task_panic = Some(PanicConfig {
-                        p: prob(name, "p", args.require("p")?)?,
-                    });
-                }
                 other => {
                     return Err(PqError::InvalidFaultSpec(format!(
-                        "unknown clause `{other}` (expected gel, flap, bwosc, stall, trunc, hs, panic, or seed=N)"
+                        "unknown clause `{other}` (expected gel, flap, bwosc, stall, trunc, hs, or seed=N)"
                     )));
                 }
             }
@@ -299,11 +283,7 @@ impl FaultPlan {
     /// Whether the plan configures no faults at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        !self.has_link_faults()
-            && self.stall.is_none()
-            && self.trunc.is_none()
-            && self.hs.is_none()
-            && self.task_panic.is_none()
+        !self.has_link_faults() && self.stall.is_none() && self.trunc.is_none() && self.hs.is_none()
     }
 
     /// Compact human-readable summary of the enabled fault classes.
@@ -334,9 +314,6 @@ impl FaultPlan {
         if let Some(h) = &self.hs {
             parts.push(format!("hs(p={})", h.p));
         }
-        if let Some(p) = &self.task_panic {
-            parts.push(format!("panic(p={})", p.p));
-        }
         if parts.is_empty() {
             "no faults".to_string()
         } else {
@@ -354,7 +331,7 @@ mod tests {
         let plan = FaultPlan::parse(
             "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.5;flap:at=1500,dur=400;\
              bwosc:period=2000,depth=0.6;stall:p=0.05,ms=1200;\
-             trunc:p=0.01;hs:p=0.1;panic:p=0.02",
+             trunc:p=0.01;hs:p=0.1",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -368,7 +345,6 @@ mod tests {
         assert_eq!(plan.stall.unwrap().ms, 1200.0);
         assert_eq!(plan.trunc.unwrap().frac, 0.5);
         assert_eq!(plan.hs.unwrap().p, 0.1);
-        assert_eq!(plan.task_panic.unwrap().p, 0.02);
         assert!(plan.has_link_faults());
         assert!(!plan.is_empty());
     }
@@ -402,6 +378,7 @@ mod tests {
             "hs:p",
             "seed=banana",
             "panic",
+            "panic:p=0.5",
             "slow:p=0.5,ms=100",
         ] {
             assert!(
@@ -409,9 +386,16 @@ mod tests {
                 "spec `{bad}` should be rejected"
             );
         }
-        // No clause delays a cell in wall-clock time: `slow` is a typo.
-        let err = FaultPlan::parse("slow:p=0.5,ms=100").unwrap_err();
-        assert!(err.to_string().contains("unknown clause `slow`"), "{err}");
+        // No clause delays a cell in wall-clock time or panics a task:
+        // `slow` and `panic` are typos.
+        for (spec, clause) in [("slow:p=0.5,ms=100", "slow"), ("panic:p=0.5", "panic")] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown clause `{clause}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -428,10 +412,10 @@ mod tests {
 
     #[test]
     fn summary_mentions_enabled_classes() {
-        let plan = FaultPlan::parse("gel:pgb=0.02;panic:p=0.1").unwrap();
+        let plan = FaultPlan::parse("gel:pgb=0.02;hs:p=0.1").unwrap();
         let s = plan.summary();
         assert!(s.contains("gel"));
-        assert!(s.contains("panic"));
+        assert!(s.contains("hs"));
         assert!(!s.contains("stall"));
     }
 }

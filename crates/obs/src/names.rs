@@ -22,7 +22,6 @@ pub const METRIC_NAMES: &[&str] = &[
     "edge.conns_reused",
     "edge.mbx_early_retx",
     "fault.injected",
-    "par.task_panics",
     "par.tasks",
     "par.worker_tasks",
     "run.quarantined",

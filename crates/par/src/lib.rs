@@ -7,11 +7,10 @@
 //! that spreads that grid across cores **without changing a single
 //! bit of output**:
 //!
-//! * [`par_map`] / [`try_par_map`] — order-preserving scatter-gather
-//!   over a slice. The index space is cut into contiguous chunks and
-//!   `std::thread`-scoped workers claim them from one atomic cursor
-//!   until it runs out; panics propagate to the caller (`par_map`) or
-//!   fail only their own slot (`try_par_map`).
+//! * [`par_map`] — order-preserving scatter-gather over a slice. The
+//!   index space is cut into contiguous chunks and `std::thread`-scoped
+//!   workers claim them from one atomic cursor until it runs out; a
+//!   panic propagates to the caller with its payload.
 //! * [`jobs`] — the worker count: whatever [`set_jobs`] installed,
 //!   else [`std::thread::available_parallelism`]. The `pq` binary
 //!   installs its `PQ_JOBS` there; tests sweep `1 / 2 / 8` workers
@@ -56,7 +55,6 @@
 mod pool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
 
 /// Programmatic override installed by [`set_jobs`] (0 = none).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -98,101 +96,11 @@ where
     pool::execute(jobs(), items, |_, t| f(t))
 }
 
-/// A single task panicked inside a [`try_par_map`] call. The panic was
-/// contained: sibling tasks ran to completion and their results were
-/// delivered — only the panicking task's slot carries this error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// The panic payload, stringified (`&str` / `String` payloads are
-    /// preserved verbatim).
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-thread_local! {
-    /// Whether the current thread is inside a `try_par_map` task
-    /// whose panic will be caught — used by the quiet panic hook to
-    /// suppress the default stderr backtrace spam for *contained*
-    /// panics only.
-    static CATCHING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Install (once) a panic hook that stays silent for panics
-/// [`try_par_map`] is about to catch, and defers to the previously
-/// installed hook for everything else.
-fn install_quiet_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !CATCHING.with(std::cell::Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Stringify a panic payload (`&str` / `String` pass through).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// Run one task, converting a panic into a [`TaskPanic`] error and
-/// bumping the `par.task_panics` counter.
-fn run_caught<R>(f: impl FnOnce() -> R) -> Result<R, TaskPanic> {
-    install_quiet_hook();
-    CATCHING.with(|c| c.set(true));
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    CATCHING.with(|c| c.set(false));
-    res.map_err(|payload| {
-        pq_obs::registry().counter_add("par.task_panics", 1);
-        TaskPanic {
-            message: panic_message(payload.as_ref()),
-        }
-    })
-}
-
-/// Panic-isolating [`par_map`]: a panic in `f` fails only that item's
-/// slot (as `Err(TaskPanic)`) while every sibling's result is still
-/// delivered, in item order. This is how the grid runner absorbs a
-/// dying cell instead of tearing down the whole `runall`.
-pub fn try_par_map<T, R>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<Result<R, TaskPanic>>
-where
-    T: Sync,
-    R: Send,
-{
-    pool::execute(jobs(), items, |_, t| run_caught(|| f(t)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    /// Serialise tests that toggle the global override.
-    fn with_override<R>(jobs: Option<usize>, f: impl FnOnce() -> R) -> R {
-        static GUARD: Mutex<()> = Mutex::new(());
-        let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        set_jobs(jobs);
-        let out = f();
-        set_jobs(None);
-        out
-    }
 
     #[test]
     fn empty_input() {
@@ -277,8 +185,10 @@ mod tests {
 
     #[test]
     fn jobs_override_wins() {
-        with_override(Some(3), || assert_eq!(jobs(), 3));
-        with_override(None, || assert_eq!(jobs(), available_jobs()));
+        set_jobs(Some(3));
+        assert_eq!(jobs(), 3);
+        set_jobs(None);
+        assert_eq!(jobs(), available_jobs());
     }
 
     #[test]
@@ -298,62 +208,5 @@ mod tests {
     #[test]
     fn available_jobs_positive() {
         assert!(available_jobs() >= 1);
-    }
-
-    #[test]
-    fn try_map_isolates_a_panicking_task() {
-        // One panicking task fails only that task; every sibling's
-        // result is delivered, in order.
-        let items: Vec<u32> = (0..200).collect();
-        for workers in [1usize, 4] {
-            let out = with_override(Some(workers), || {
-                try_par_map(&items, |&x| {
-                    if x == 57 {
-                        panic!("task 57 exploded");
-                    }
-                    x * 2
-                })
-            });
-            assert_eq!(out.len(), 200);
-            for (i, r) in out.iter().enumerate() {
-                if i == 57 {
-                    let err = r.as_ref().expect_err("57 must fail");
-                    assert!(err.message.contains("task 57 exploded"), "{err}");
-                } else {
-                    assert_eq!(*r, Ok((i as u32) * 2), "sibling {i} lost");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_map_counts_panics_and_formats_payloads() {
-        let before = pq_obs::registry().counter_value("par.task_panics");
-        let items: Vec<u32> = (0..8).collect();
-        let out = try_par_map(&items, |&x| {
-            if x % 2 == 0 {
-                // String payload (panic! with formatting).
-                panic!("even {x}");
-            }
-            x
-        });
-        let failed = out.iter().filter(|r| r.is_err()).count();
-        assert_eq!(failed, 4);
-        assert!(out[2].as_ref().is_err_and(|e| e.message == "even 2"));
-        let after = pq_obs::registry().counter_value("par.task_panics");
-        assert!(after >= before + 4, "panic counter ({before} -> {after})");
-    }
-
-    #[test]
-    fn try_map_all_ok_matches_par_map() {
-        let items: Vec<u64> = (0..512).collect();
-        let (plain, tried) = with_override(Some(4), || {
-            (
-                par_map(&items, |&x| x.wrapping_mul(2654435761)),
-                try_par_map(&items, |&x| x.wrapping_mul(2654435761)),
-            )
-        });
-        let unwrapped: Vec<u64> = tried.into_iter().map(|r| r.expect("no panics")).collect();
-        assert_eq!(plain, unwrapped);
     }
 }

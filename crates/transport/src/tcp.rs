@@ -783,6 +783,7 @@ impl TcpConnection {
 mod tests {
     use super::*;
     use crate::config::Protocol;
+    use crate::wire::TCP_MSS;
     use pq_sim::NetworkKind;
 
     fn conn(proto: Protocol) -> TcpConnection {
@@ -984,6 +985,98 @@ mod tests {
             })
             .collect();
         assert_eq!(progress, vec![2000], "hole filled releases both segments");
+    }
+
+    /// The server-side sender after it sent one segment per entry of
+    /// `lens` at t = 0 (stock TCP: IW10, no pacing), then took one ACK
+    /// at 50 ms with the cumulative point at 0 and these SACK blocks:
+    /// the starts of the segments that ACK marked lost, whether still
+    /// queued or already retransmitted.
+    fn marked_lost(lens: &[u64], sacks: &[(u64, u64)]) -> Vec<u64> {
+        let cfg = Protocol::Tcp.config(&NetworkKind::Dsl.config());
+        let mut snd = TcpSender::new(false, &cfg, SimTime::ZERO);
+        let mut out = Vec::new();
+        for &len in lens {
+            snd.write(len);
+            snd.try_send(SimTime::ZERO, &mut out);
+        }
+        assert_eq!(out.len(), lens.len(), "one segment per write");
+        out.clear();
+        let sacks: Vec<Range> = sacks.iter().map(|&(a, b)| Range::new(a, b)).collect();
+        snd.on_ack(SimTime::from_millis(50), 0, &sacks, &mut out);
+        let mut lost: Vec<u64> = snd.lost.iter().map(|r| r.start).collect();
+        lost.extend(out.iter().filter_map(|o| match o {
+            Output::Send(_, p) => match &p.payload {
+                Wire::Tcp(TcpSegment {
+                    kind:
+                        TcpSegKind::Data {
+                            seq, retx: true, ..
+                        },
+                    ..
+                }) => Some(*seq),
+                _ => None,
+            },
+            _ => None,
+        }));
+        lost.sort_unstable();
+        lost
+    }
+
+    // RFC 6675 §4, IsLost(SeqNum): true when "DupThresh discontiguous
+    // SACKed sequences have arrived above 'SeqNum' or more than
+    // (DupThresh - 1) * SMSS bytes with sequence numbers greater than
+    // 'SeqNum' have been SACKed". DupThresh = 3, so the byte arm needs
+    // more than 2 · SMSS. Every segment below went out at t = 0 in
+    // sequence order, so a SACKed segment above a hole was always sent
+    // after it and the RACK-style "delivered later" gate holds.
+    const M: u64 = TCP_MSS;
+
+    #[test]
+    fn rfc6675_is_lost_three_full_segments_sacked_above_a_hole() {
+        // Segments 0..4M, hole at [0, M), [M, 4M) SACKed: 3M bytes above
+        // seq 0, and 3M > 2M, so IsLost(0).
+        assert_eq!(marked_lost(&[M; 4], &[(M, 4 * M)]), vec![0]);
+    }
+
+    #[test]
+    fn rfc6675_is_lost_two_full_segments_are_not_enough() {
+        // [M, 3M) SACKed: 2M bytes, and 2M is not more than 2M; one
+        // contiguous SACKed sequence, fewer than 3. Not lost.
+        assert!(marked_lost(&[M; 3], &[(M, 3 * M)]).is_empty());
+    }
+
+    #[test]
+    fn rfc6675_is_lost_three_discontiguous_full_segments() {
+        // Six segments, the 2nd, 4th and 6th SACKed. Above seq 0: three
+        // discontiguous sequences and 3M bytes, so both arms say lost.
+        // Above 2M: two sequences and 2M bytes; above 4M: one and M.
+        // Only the first hole is lost.
+        let sacks = [(M, 2 * M), (3 * M, 4 * M), (5 * M, 6 * M)];
+        assert_eq!(marked_lost(&[M; 6], &sacks), vec![0]);
+    }
+
+    #[test]
+    fn deviation_9_is_lost_counts_dup_thresh_full_segments_of_bytes() {
+        // EXPERIMENTS.md Deviation 9. Segments [0, M), [M, 2M),
+        // [2M, 3M) and a short final [3M, 3M + 100); all but the first
+        // SACKed. That is 2M + 100 bytes above seq 0, more than 2M, so
+        // RFC 6675 says IsLost(0). The code asks for at least 3M SACKed
+        // bytes and marks nothing; the fix flips this test.
+        assert!(marked_lost(&[M, M, M, 100], &[(M, 3 * M + 100)]).is_empty());
+    }
+
+    #[test]
+    fn deviation_9_is_lost_has_no_sequence_count_arm() {
+        // EXPERIMENTS.md Deviation 9. Seven 100-byte segments (the
+        // application wrote 100 bytes at a time); [100, 200),
+        // [300, 400) and [500, 600) SACKed. Above seq 0 sit three
+        // discontiguous SACKed sequences, DupThresh of them, so RFC
+        // 6675 says IsLost(0) although only 300 bytes (under 2M) are
+        // SACKed. Above 200 and 400 sit two and one: not lost. The code
+        // has only the byte arm and marks nothing; the fix flips this
+        // test to `vec![0]`.
+        let sacks = [(100, 200), (300, 400), (500, 600)];
+        assert!(marked_lost(&[100; 7], &sacks).is_empty());
     }
 
     #[test]

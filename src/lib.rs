@@ -20,8 +20,8 @@
 //!   spreads the stimulus/study grid across cores (`PQ_JOBS`) with
 //!   bit-identical output,
 //! * [`fault`] — seed-deterministic fault injection (`PQ_FAULTS`) and
-//!   the shared [`fault::PqError`] taxonomy behind the pipeline's
-//!   graceful-degradation paths.
+//!   [`fault::PqError`], the error a rejected network configuration or
+//!   fault spec comes back as.
 //!
 //! ## Quickstart
 //!

@@ -330,9 +330,9 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
     );
     assert_eq!(set.quarantined().len(), 2, "{:?}", set.quarantined());
     assert!(set.iter().next().is_none(), "no cell can survive trunc:p=1");
-    // Liveness is deterministic: the attempt budget doubles 2 -> 4 ->
-    // 8 -> 16 (2 runs x MAX_BUDGET_FACTOR 8) and then the cell gives
-    // up, whatever the machine's speed.
+    // Liveness is deterministic: a cell makes at most 16 attempts
+    // (2 runs x MAX_BUDGET_FACTOR 8) and then gives up, whatever the
+    // machine's speed.
     for q in set.quarantined() {
         assert_eq!(q.reason, "no valid run in 16 attempts", "{q:?}");
         assert_eq!(q.attempts, 16, "{q:?}");
