@@ -80,6 +80,7 @@ pub fn print_table2() {
 
 /// Saturate the downlink to measure rate and loss; ping once for RTT.
 fn measure_network(down: &LinkConfig, up: &LinkConfig) -> (f64, f64, f64) {
+    let _span = pq_prof::span("link:downlink");
     #[expect(clippy::disallowed_methods, reason = "table2 probe, outside the grid")]
     let mut link: Link<u32> = Link::new(down.clone(), SimRng::new(2));
     let mut now = SimTime::ZERO;

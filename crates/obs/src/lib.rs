@@ -1,9 +1,10 @@
 //! # pq-obs — observability substrate (tracing + metrics), zero deps
 //!
-//! Every layer of the testbed (`pq-sim` → `pq-web` → `pq-study` →
-//! `pq-bench`) reports into this crate so that a run can be *seen*
-//! instead of guessed at; `pq-transport` reports to its caller, and
-//! the page load draws its connections here:
+//! The layers that own a run's state (`pq-web` → `pq-study` →
+//! `pq-bench`) report into this crate so that a run can be *seen*
+//! instead of guessed at. `pq-sim` and `pq-transport` report to their
+//! caller: the page load draws its links and connections here and
+//! folds their counts into the registry once per load:
 //!
 //! * [`trace`] — a ring-buffered structured event tracer. Events carry
 //!   a nanosecond timestamp (virtual sim-time for the emulation layers,
@@ -17,8 +18,9 @@
 //!   log-bucketed histograms (p50/p90/p99), read by name through typed
 //!   accessors: the run manifest, `benches/perf` and the tests are its
 //!   readers, and [`names::METRIC_NAMES`] lists only series one of
-//!   them reads. Always on (the emitting layers batch updates so the
-//!   per-event cost stays negligible).
+//!   them reads. Always on (the emitting layers batch updates — the
+//!   page load adds its event and link counts once, at its end — so
+//!   the per-event cost stays negligible).
 //! * [`export`] — the trace buffer's serialiser: the Chrome
 //!   trace-event format, which renders page loads as waterfalls in
 //!   Perfetto or `chrome://tracing`.
@@ -39,7 +41,8 @@
 //!
 //! * `pid 0` — the harness (wall-clock time since process start).
 //! * `pid ≥ 1` — one simulated page load each (virtual sim-time);
-//!   within a load, `tid 0` carries page-level markers (FVC/LVC/PLT),
+//!   within a load, `tid 0` carries page-level markers (FVC/LVC/PLT)
+//!   and, at Debug, the links' queue samples, drops and losses,
 //!   `tid 1+ci` one row per transport connection, and `tid 100+obj`
 //!   one row per web object (the waterfall).
 

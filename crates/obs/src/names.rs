@@ -39,9 +39,10 @@ pub const METRIC_NAMES: &[&str] = &[
 ];
 
 /// Every span frame name in collapsed-stack output. Entries with
-/// a trailing `:` are dynamic-label prefixes (`link:` covers
-/// `link:uplink`, `load:` covers `load:QUIC`, …); phase frames opened
-/// by the bench harness are listed too.
+/// a trailing `:` are dynamic-label prefixes (`load:` covers
+/// `load:QUIC`, `link:` the `link:downlink` frame of `pq table2`'s
+/// link measurement); phase frames opened by the bench harness are
+/// listed too.
 pub const SPAN_NAMES: &[&str] = &[
     "ablation",
     "agreement",

@@ -8,10 +8,6 @@
 
 use crate::time::SimTime;
 
-/// Pops between flushes of the global `sim.events_processed` counter:
-/// batching keeps the per-pop cost of metrics at ~1/4096 of a mutex.
-const OBS_FLUSH_EVERY: u64 = 4096;
-
 /// Children per heap node. Four keys share a cache line and a half, so
 /// a level costs about what a binary level does at half the depth.
 const ARITY: usize = 4;
@@ -63,14 +59,6 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     processed: u64,
-    /// Stamped events [`EventQueue::clear`] discarded: the other
-    /// `seq − processed − dropped` are pending, in the heap or with
-    /// whoever took their stamp.
-    dropped: u64,
-    /// Pops already flushed into the global metrics registry.
-    obs_flushed: u64,
-    /// Trace track `(pid, tid)` for queue-depth counter samples.
-    obs_track: Option<(u32, u32)>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -89,27 +77,6 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-            dropped: 0,
-            obs_flushed: 0,
-            obs_track: None,
-        }
-    }
-
-    /// Attach this queue to a trace track so queue-depth samples land
-    /// on the right row (`pid` = the page load, `tid` = its marker
-    /// track). Sampling only happens at `PQ_TRACE=debug` or finer.
-    pub fn set_obs_track(&mut self, pid: u32, tid: u32) {
-        self.obs_track = Some((pid, tid));
-    }
-
-    /// Push the not-yet-reported pop count into the global
-    /// `sim.events_processed` counter. Called automatically every
-    /// [`OBS_FLUSH_EVERY`] pops and on drop.
-    fn flush_obs(&mut self) {
-        let delta = self.processed - self.obs_flushed;
-        if delta > 0 {
-            pq_obs::registry().counter_add("sim.events_processed", delta);
-            self.obs_flushed = self.processed;
         }
     }
 
@@ -248,8 +215,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Fire an event the caller kept outside the heap under `stamp`:
-    /// clock, count and metrics move exactly as if `pop` had returned
-    /// it. The caller fires stamps in order, heap top included.
+    /// clock and count move exactly as if `pop` had returned it. The caller fires stamps in order, heap top included.
     pub fn advance(&mut self, stamp: Stamp) {
         debug_assert!(
             self.peek().is_none_or(|top| stamp < top),
@@ -258,33 +224,10 @@ impl<E> EventQueue<E> {
         self.fired(stamp.time);
     }
 
-    /// One event fired at `time`: move the clock and count it; small
-    /// enough to inline, so the [`OBS_FLUSH_EVERY`]th event's work is not.
+    /// One event fired at `time`: move the clock and count it.
     fn fired(&mut self, time: SimTime) {
         self.now = time;
         self.processed += 1;
-        if self.processed.is_multiple_of(OBS_FLUSH_EVERY) {
-            self.report();
-        }
-    }
-
-    /// Flush the count; at `PQ_TRACE=debug` sample the events pending.
-    #[cold]
-    fn report(&mut self) {
-        self.flush_obs();
-        if let Some((pid, tid)) = self.obs_track {
-            if pq_obs::enabled(pq_obs::Level::Debug) {
-                pq_obs::tracer().counter(
-                    pq_obs::Level::Debug,
-                    "sim",
-                    "event queue depth",
-                    pid,
-                    tid,
-                    self.now.as_nanos(),
-                    (self.seq - self.processed).saturating_sub(self.dropped) as f64,
-                );
-            }
-        }
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
@@ -303,23 +246,6 @@ impl<E> EventQueue<E> {
         self.free.push(top.slot);
         self.fired(top.stamp.time);
         Some((top.stamp.time, event))
-    }
-
-    /// Drop every pending event (used when a run finishes early, e.g.
-    /// once a page load completes) and forget the outstanding stamps —
-    /// whoever holds them drops what they stamped. The clock and the
-    /// processed-event counter are unaffected.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.dropped = self.seq - self.processed;
-    }
-}
-
-impl<E> Drop for EventQueue<E> {
-    fn drop(&mut self) {
-        self.flush_obs();
     }
 }
 
@@ -382,36 +308,6 @@ mod tests {
         }
         assert_eq!(seen, vec![1, 2, 3, 4, 5]);
         assert_eq!(q.now(), SimTime::from_millis(5));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), ());
-        q.schedule(SimTime::from_millis(2), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn processed_survives_clear() {
-        // The observability counter is a lifetime total: clearing the
-        // pending set (early run termination) must not reset it.
-        let mut q = EventQueue::new();
-        for i in 0..5u64 {
-            q.schedule(SimTime::from_millis(i), i);
-        }
-        q.pop();
-        q.pop();
-        assert_eq!(q.processed(), 2);
-        q.clear();
-        assert_eq!(q.processed(), 2, "clear() reset processed()");
-        assert!(q.is_empty());
-        // And it keeps counting after a clear.
-        q.schedule(SimTime::from_millis(10), 99);
-        q.pop();
-        assert_eq!(q.processed(), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! tie-breaks included, while packets never enter the heap's slab.
 
 use crate::event::{EventQueue, Stamp};
-use crate::link::{Link, PushOutcome};
+use crate::link::{Link, Loss, PushOutcome};
 use crate::packet::Packet;
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -56,6 +56,11 @@ impl<P> Lane<P> {
         }
     }
 
+    /// The link this lane drives, for its queue and counters.
+    pub fn link(&self) -> &Link<P> {
+        &self.link
+    }
+
     /// The least pending stamp and what fires under it.
     fn head(&self) -> Option<(Stamp, LaneEvent)> {
         let tx = self.tx_done.map(|s| (s, LaneEvent::TxDone));
@@ -96,19 +101,19 @@ impl<P> Lane<P> {
 
     /// Fire the pending tx-done at `now`: a surviving packet goes into
     /// propagation, the next queued one starts serializing — stamped in
-    /// that order. `false` when loss destroyed the packet.
-    pub fn on_tx_done<E>(&mut self, q: &mut EventQueue<E>, now: SimTime) -> bool {
+    /// that order. Returns why the packet was lost, and its size, when
+    /// it was.
+    pub fn on_tx_done<E>(&mut self, q: &mut EventQueue<E>, now: SimTime) -> Option<(Loss, u32)> {
         let fired = self.tx_done.take();
         debug_assert!(fired.is_some(), "tx-done fired on an idle lane");
         let txd = self.link.on_tx_done(now);
-        let delivered = txd.delivery.is_some();
         if let Some((at, pkt)) = txd.delivery {
             self.insert(q.stamp(at), pkt);
         }
         if let Some(next) = txd.next_tx_done {
             self.arm(q.stamp(next));
         }
-        delivered
+        txd.lost
     }
 
     /// Take the packet at the head of propagation.
@@ -157,7 +162,7 @@ mod tests {
         q.advance(stamp);
         let lane = lanes.get_mut(i)?;
         let id = match what {
-            LaneEvent::TxDone => u32::from(lane.on_tx_done(q, stamp.time())),
+            LaneEvent::TxDone => u32::from(lane.on_tx_done(q, stamp.time()).is_none()),
             LaneEvent::Arrival => lane.pop_arrival()?.payload,
         };
         Some((stamp.time().as_nanos() / 1_000_000, what, id))

@@ -11,6 +11,12 @@
 //! driven by a virtual clock so runs are bit-for-bit reproducible from
 //! a single seed.
 //!
+//! A pure library: it writes no metrics registry, tracer or profiler.
+//! A link hands every outcome back — a tx-done names the [`Loss`] that
+//! destroyed its packet — and keeps lifetime [`LinkStats`]; the event
+//! queue counts what it fired. The owner of a run (the page load)
+//! decides what to record and when.
+//!
 //! ## Quick tour
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time.
@@ -18,7 +24,8 @@
 //!   stream.
 //! * [`EventQueue`] — the future-event list with FIFO tie-breaking.
 //! * [`Link`] — one direction of the access link (shaping + queue +
-//!   delay + loss), driven by `push`/`on_tx_done` callbacks.
+//!   delay + loss), driven by `push`/`on_tx_done` callbacks that
+//!   return what happened to each packet.
 //! * [`Lane`] — a link plus its pending tx-done and in-propagation
 //!   packets, merged with the queue by [`Stamp`] instead of stored in it.
 //! * [`NetworkKind`] — the DSL / LTE / DA2GC / MSS presets (Table 2).
@@ -52,7 +59,7 @@ pub mod time;
 
 pub use event::{EventQueue, Stamp};
 pub use lane::{Lane, LaneEvent, Source};
-pub use link::{Link, LinkConfig, LinkStats, PushOutcome, TxDone};
+pub use link::{Link, LinkConfig, LinkStats, Loss, PushOutcome, TxDone};
 pub use netconfig::{NetworkConfig, NetworkKind};
 pub use packet::{ConnId, Direction, OriginId, Packet};
 pub use queue::DropTailQueue;

@@ -16,8 +16,10 @@
 //!
 //! The link is event-driven in the smoltcp style: it never schedules
 //! anything itself. `push` and `on_tx_done` return the instants at
-//! which the owner must invoke the link again, and deliveries carry the
-//! absolute arrival time at the far end.
+//! which the owner must invoke the link again, deliveries carry the
+//! absolute arrival time at the far end, and a lost packet comes back
+//! as the reason it was lost. It reports to nobody else: the owner
+//! reads [`Link::stats`] and the outcomes, and decides what to record.
 
 use crate::packet::Packet;
 use crate::queue::DropTailQueue;
@@ -57,8 +59,9 @@ impl LinkConfig {
     }
 }
 
-/// Counters exposed for tracing and emulation validation (Table 2
-/// checks measure these).
+/// The link's lifetime counters, for its owner to read: the page load
+/// folds them into the run's metrics once per load, and the Table 2
+/// check measures loss with them.
 #[derive(Clone, Debug, Default)]
 pub struct LinkStats {
     /// Packets offered to the link.
@@ -86,11 +89,24 @@ pub enum PushOutcome {
     TailDropped,
 }
 
+/// Why a packet that finished serializing never arrives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Loss {
+    /// The link's i.i.d. random loss draw.
+    Random,
+    /// An injected fault (a Gilbert–Elliott burst, a link-flap window)
+    /// that the i.i.d. draw spared.
+    Fault,
+}
+
 /// Result of a `tx-done` callback.
 pub struct TxDone<P> {
     /// The packet and its absolute arrival time at the far end, or
-    /// `None` if random loss destroyed it.
+    /// `None` if loss destroyed it.
     pub delivery: Option<(SimTime, Packet<P>)>,
+    /// Why the packet did not arrive, and its size in bytes; `None`
+    /// when it was delivered.
+    pub lost: Option<(Loss, u32)>,
     /// If another packet immediately started serializing, the time of
     /// the next `tx-done` callback the owner must schedule.
     pub next_tx_done: Option<SimTime>,
@@ -107,11 +123,6 @@ pub struct Link<P> {
     /// independent of everything else.
     loss_rng: SimRng,
     stats: LinkStats,
-    /// Trace track `(pid, tid)` for drop/loss instants and queue
-    /// occupancy counter samples.
-    obs_track: Option<(u32, u32)>,
-    /// Human label for trace events (`"down"` / `"up"`).
-    obs_label: &'static str,
     /// Optional injected-fault state (burst loss, flap windows,
     /// bandwidth oscillation). `None` — the overwhelmingly common
     /// case — is completely inert: no extra RNG draws, no overhead.
@@ -128,8 +139,6 @@ impl<P> Link<P> {
             in_flight: None,
             loss_rng,
             stats: LinkStats::default(),
-            obs_track: None,
-            obs_label: "link",
             fault: None,
         }
     }
@@ -160,37 +169,12 @@ impl<P> Link<P> {
         }
     }
 
-    /// Attach this link to a trace track (`pid` = the page load) with
-    /// a direction label. Drop/loss instants and queue-occupancy
-    /// counters are emitted there at `PQ_TRACE=debug` or finer.
-    pub fn set_obs_track(&mut self, pid: u32, tid: u32, label: &'static str) {
-        self.obs_track = Some((pid, tid));
-        self.obs_label = label;
-    }
-
-    /// Emit a queue-occupancy counter sample (Debug level).
-    fn obs_queue_sample(&self, now: SimTime) {
-        if let Some((pid, tid)) = self.obs_track {
-            if pq_obs::enabled(pq_obs::Level::Debug) {
-                pq_obs::tracer().counter(
-                    pq_obs::Level::Debug,
-                    "sim",
-                    format!("{} queue bytes", self.obs_label),
-                    pid,
-                    tid,
-                    now.as_nanos(),
-                    self.queue.bytes() as f64,
-                );
-            }
-        }
-    }
-
     /// The link's static configuration.
     pub fn config(&self) -> &LinkConfig {
         &self.config
     }
 
-    /// Counters for tracing/validation.
+    /// The lifetime counters.
     pub fn stats(&self) -> &LinkStats {
         &self.stats
     }
@@ -218,23 +202,9 @@ impl<P> Link<P> {
             self.in_flight = Some(pkt);
             PushOutcome::StartedTx(done)
         } else if self.queue.push(pkt) {
-            self.obs_queue_sample(now);
             PushOutcome::Queued
         } else {
             self.stats.tail_dropped += 1;
-            if let Some((pid, tid)) = self.obs_track {
-                if pq_obs::enabled(pq_obs::Level::Debug) {
-                    pq_obs::tracer().instant(
-                        pq_obs::Level::Debug,
-                        "sim",
-                        format!("{} tail drop", self.obs_label),
-                        pid,
-                        tid,
-                        now.as_nanos(),
-                        vec![("queued_bytes", pq_obs::ArgValue::U64(self.queue.bytes()))],
-                    );
-                }
-            }
             PushOutcome::TailDropped
         }
     }
@@ -242,7 +212,6 @@ impl<P> Link<P> {
     /// The owner calls this at the instant returned by
     /// [`PushOutcome::StartedTx`] / [`TxDone::next_tx_done`].
     pub fn on_tx_done(&mut self, now: SimTime) -> TxDone<P> {
-        let _link_span = pq_prof::span_dyn(|| format!("link:{}", self.obs_label));
         #[expect(
             clippy::expect_used,
             reason = "in_flight is set by the StartedTx that scheduled this callback; the event queue fires exactly one tx-done per started tx"
@@ -261,34 +230,18 @@ impl<P> Link<P> {
             Some(f) => f.lose(now.as_nanos()),
             None => false,
         };
-        let delivery = if iid_lost || fault_lost {
-            // Attribute the loss: the i.i.d. stream takes precedence
-            // (it would have killed the packet with or without
-            // faults), injected faults claim the remainder.
-            let (category, what) = if iid_lost {
-                self.stats.lost += 1;
-                ("sim", "random loss")
-            } else {
-                self.stats.fault_lost += 1;
-                ("fault", "injected loss")
-            };
-            if let Some((pid, tid)) = self.obs_track {
-                if pq_obs::enabled(pq_obs::Level::Debug) {
-                    pq_obs::tracer().instant(
-                        pq_obs::Level::Debug,
-                        category,
-                        format!("{} {what}", self.obs_label),
-                        pid,
-                        tid,
-                        now.as_nanos(),
-                        vec![("size", pq_obs::ArgValue::U64(u64::from(pkt.size)))],
-                    );
-                }
-            }
-            None
+        // Attribute a loss: the i.i.d. stream takes precedence (it
+        // would have killed the packet with or without faults),
+        // injected faults claim the remainder.
+        let (delivery, lost) = if iid_lost {
+            self.stats.lost += 1;
+            (None, Some((Loss::Random, pkt.size)))
+        } else if fault_lost {
+            self.stats.fault_lost += 1;
+            (None, Some((Loss::Fault, pkt.size)))
         } else {
             self.stats.delivered += 1;
-            Some((now + self.config.prop_delay, pkt))
+            (Some((now + self.config.prop_delay, pkt)), None)
         };
 
         let next_tx_done = self.queue.pop().map(|next| {
@@ -299,31 +252,8 @@ impl<P> Link<P> {
 
         TxDone {
             delivery,
+            lost,
             next_tx_done,
-        }
-    }
-}
-
-impl<P> Drop for Link<P> {
-    /// Fold this link's lifetime counters into the global metrics
-    /// registry — one batched update per link instead of per packet.
-    fn drop(&mut self) {
-        let s = &self.stats;
-        if s.offered == 0 {
-            return;
-        }
-        let reg = pq_obs::registry();
-        reg.counter_add("sim.link.offered", s.offered);
-        reg.counter_add("sim.link.delivered", s.delivered);
-        if s.tail_dropped > 0 {
-            reg.counter_add("sim.link.tail_dropped", s.tail_dropped);
-        }
-        if s.lost > 0 {
-            reg.counter_add("sim.link.random_lost", s.lost);
-        }
-        if s.fault_lost > 0 {
-            reg.counter_add("sim.link.fault_lost", s.fault_lost);
-            reg.counter_add("fault.injected", s.fault_lost);
         }
     }
 }

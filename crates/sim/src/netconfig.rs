@@ -117,10 +117,10 @@ pub struct NetworkConfig {
 impl NetworkConfig {
     /// Validate this configuration, returning it unchanged when every
     /// parameter is usable. Rejected: zero bandwidth in either
-    /// direction, loss outside `[0, 1]` or NaN, a non-finite or
-    /// negative RTT. Use this at every boundary that accepts
-    /// user-supplied (`custom_net`-style) parameters — the presets in
-    /// [`NetworkKind::config`] are valid by construction.
+    /// direction, loss outside `[0, 1]` or NaN. Use this at every
+    /// boundary that accepts user-supplied (`custom_net`-style)
+    /// parameters — the presets in [`NetworkKind::config`] are valid by
+    /// construction.
     pub fn checked(self) -> Result<NetworkConfig, pq_fault::PqError> {
         fn bad(msg: String) -> pq_fault::PqError {
             pq_fault::PqError::InvalidConfig(msg)
@@ -140,32 +140,23 @@ impl NetworkConfig {
         Ok(self)
     }
 
-    /// Clamp this configuration to usable values, warning through the
-    /// tracer for each adjustment. This is the graceful-degradation
-    /// path for `custom_net`-style configs: prefer [`checked`] where
-    /// an error can be surfaced instead.
+    /// Clamp this configuration to usable values: a zero bandwidth to
+    /// 1 kbit/s, a loss outside `[0, 1]` to the nearer bound and a NaN
+    /// loss to 0. This is the graceful-degradation path for
+    /// `custom_net`-style configs: prefer [`checked`] where an error
+    /// can be surfaced instead.
     ///
     /// [`checked`]: NetworkConfig::checked
     pub fn sanitized(mut self) -> NetworkConfig {
-        let warn = |what: &str, from: String, to: String| {
-            pq_obs::tracer().warn(
-                "sim",
-                format!("custom network config: clamped {what} from {from} to {to}"),
-            );
-        };
         if self.up_bps == 0 {
-            warn("up_bps", "0".into(), "1000".into());
             self.up_bps = 1000;
         }
         if self.down_bps == 0 {
-            warn("down_bps", "0".into(), "1000".into());
             self.down_bps = 1000;
         }
         if !self.loss.is_finite() || self.loss < 0.0 {
-            warn("loss", format!("{}", self.loss), "0".into());
             self.loss = 0.0;
         } else if self.loss > 1.0 {
-            warn("loss", format!("{}", self.loss), "1".into());
             self.loss = 1.0;
         }
         self

@@ -3,7 +3,7 @@
 
 use crate::api::ConnEventKind;
 use crate::config::Protocol;
-use crate::testutil::{fetch_once, MiniWorld};
+use crate::testutil::{fetch_once, fetch_once_with, MiniWorld};
 use pq_sim::{Direction, NetworkKind, SimTime};
 
 const HORIZON: SimTime = SimTime::from_secs(600);
@@ -23,6 +23,57 @@ fn quic_handshake_takes_one_rtt_on_dsl() {
     let (hs, _) = fetch_once(Protocol::Quic, &net, 1, 10_000, HORIZON);
     let ms = hs.as_millis_f64();
     assert!((23.0..40.0).contains(&ms), "QUIC handshake at {ms} ms");
+}
+
+/// Each Table-1 stack's handshake instant on DSL, fresh and resumed,
+/// to the nanosecond, written out as k × min RTT plus the serialization
+/// of each handshake flight. Table 2's DSL: 5 Mbit/s up, 25 Mbit/s
+/// down, 24 ms min RTT (12 ms each way), no loss; `wire.rs` sizes the
+/// packets. Nothing else is on the link: the request waits for the
+/// handshake.
+#[test]
+fn handshake_instants_are_known_answers_on_dsl() {
+    let net = NetworkKind::Dsl.config();
+    // Serialization of a `bytes`-byte packet, in ns.
+    let up = |bytes: u64| bytes * 8_000_000_000 / 5_000_000;
+    let down = |bytes: u64| bytes * 8_000_000_000 / 25_000_000;
+    let rtt = 24_000_000;
+    // TCP + TLS 1.3, 2 RTT: SYN (header only, 66 B) up, SYN-ACK (66 B)
+    // down, ClientHello (66 + 350 B) up, the TLS server flight as
+    // 3 × (66 + 1400 B) down. Table 1's tuning (IW, pacing, BBR) acts
+    // on data, not on the handshake.
+    let tcp = 2 * rtt + up(66) + down(66) + up(66 + 350) + 3 * down(66 + 1400);
+    // gQUIC, 1 RTT: a padded CHLO (64 + 1300 B) up, the server flight
+    // as 2 × (64 + 1300 B) SHLO packets down.
+    let quic = rtt + up(64 + 1300) + 2 * down(64 + 1300);
+    // EXPERIMENTS.md Deviation 10: the server ACKs the CHLO in a packet
+    // of its own (64 + 8 + 8 B, one range) ahead of the SHLO flight, so
+    // today's handshake ends one 80-byte serialization later than the
+    // hand count.
+    let quic_today = quic + down(64 + 8 + 8);
+    // Resumed (TFO + TLS early data, QUIC 0-RTT): k = 0, no flight.
+    let resumed = 0;
+    for (proto, fresh) in [
+        (Protocol::Tcp, tcp),
+        (Protocol::TcpPlus, tcp),
+        (Protocol::TcpPlusBbr, tcp),
+        (Protocol::Quic, quic_today),
+        (Protocol::QuicBbr, quic_today),
+    ] {
+        for (cfg, want) in [
+            (proto.config(&net), fresh),
+            (proto.config_zero_rtt(&net), resumed),
+        ] {
+            let (hs, _) = fetch_once_with(cfg, &net, 1, 10_000, HORIZON);
+            assert_eq!(
+                hs.as_nanos(),
+                want,
+                "{} (0-RTT: {}): handshake instant",
+                proto.label(),
+                cfg.zero_rtt
+            );
+        }
+    }
 }
 
 #[test]

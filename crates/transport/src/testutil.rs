@@ -226,7 +226,19 @@ pub fn fetch_once(
     response: u64,
     horizon: SimTime,
 ) -> (SimTime, SimTime) {
-    let mut w = MiniWorld::new(protocol, net, seed, SimTime::ZERO);
+    fetch_once_with(protocol.config(net), net, seed, response, horizon)
+}
+
+/// [`fetch_once`] over an explicit stack configuration.
+pub fn fetch_once_with(
+    cfg: StackConfig,
+    net: &NetworkConfig,
+    seed: u64,
+    response: u64,
+    horizon: SimTime,
+) -> (SimTime, SimTime) {
+    let protocol = cfg.protocol;
+    let mut w = MiniWorld::new_with_config(cfg, net, seed, SimTime::ZERO);
     w.request(SimTime::ZERO, 1, 400, response);
     w.run_until(horizon);
     let hs = w

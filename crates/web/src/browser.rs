@@ -27,8 +27,8 @@ use pq_edge::EdgeConfig;
 use pq_metrics::{MetricSet, VisualTimeline};
 use pq_obs::{ArgValue, Level};
 use pq_sim::{
-    ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, NetworkConfig, Packet,
-    SimDuration, SimRng, SimTime, Source,
+    ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, LinkStats, Loss,
+    NetworkConfig, Packet, PushOutcome, SimDuration, SimRng, SimTime, Source,
 };
 use pq_transport::{ConnEvent, ConnEventKind, Connection, Output, Protocol, StackConfig, Wire};
 
@@ -36,8 +36,8 @@ mod page;
 use page::ObjState;
 
 /// Trace-track layout of one page load (one tracer `pid` per load):
-/// `tid 0` carries the page-level markers (FVC/LVC/PLT, queue depth,
-/// link queues), `tid 1 + ci` one row per connection, `tid 60 + li` one
+/// `tid 0` carries the page-level markers (FVC/LVC/PLT, link queues,
+/// drops and losses), `tid 1 + ci` one row per connection, `tid 60 + li` one
 /// per proxy leg, `tid 100 + obj` one row per web object.
 const TID_PAGE: u32 = 0;
 /// First connection row.
@@ -129,6 +129,16 @@ const DOWN: usize = 1;
 const O_UP: usize = 2;
 const O_DOWN: usize = 3;
 
+/// A lane's name: the fault key of its link and its trace label.
+fn lane_name(lane: usize) -> &'static str {
+    match lane {
+        UP => "uplink",
+        DOWN => "downlink",
+        O_UP => "origin-uplink",
+        _ => "origin-downlink",
+    }
+}
+
 /// The lane carrying `dir` on the client or the origin segment.
 fn lane_of(dir: Direction, origin: bool) -> usize {
     match (origin, dir) {
@@ -205,11 +215,14 @@ pub fn load_page(
     seed: u64,
     opts: &LoadOptions,
 ) -> PageLoadResult {
-    // Degenerate (`custom_net`-style) configs are clamped with a
+    // Degenerate (`custom_net`-style) configs are clamped with one
     // tracer warning rather than simulated as garbage; valid configs
     // pass through untouched, so baselines are unaffected. Use
     // [`try_load_page`] to surface the error instead.
-    let net = net.clone().sanitized();
+    let net = net.clone().checked().unwrap_or_else(|e| {
+        pq_obs::tracer().warn("sim", format!("{e}; clamped to usable values"));
+        net.clone().sanitized()
+    });
     load_page_with_config(site, &net, &protocol.config(&net), seed, opts)
 }
 
@@ -256,7 +269,7 @@ pub fn load_page_with_config(
         .map(|p| pq_fault::LoadFaults::new(p.clone(), seed));
 
     // One tracer process per page load; every connection, object and
-    // queue-depth sample of this load lands on its tracks.
+    // link event of this load lands on its tracks.
     let obs_pid = if pq_obs::enabled(Level::Info) {
         let t = pq_obs::tracer();
         let pid = t.new_pid(&format!(
@@ -270,32 +283,26 @@ pub fn load_page_with_config(
         None
     };
 
-    let mut q = EventQueue::new();
-    if let Some(pid) = obs_pid {
-        q.set_obs_track(pid, TID_PAGE);
-    }
+    let q = EventQueue::new();
     // Edge stacks split the path at the junction; Table-1 stacks keep
     // the single end-to-end link untouched. Fault clauses bind to each
     // path segment independently: every link has its own fault key.
     let (junction, client_net, origin_net) =
         Junction::build(protocol, opts.edge.as_ref(), net, &rng);
-    let lane = |link: LinkConfig, name: &'static str, loss: &str| {
+    let lane = |link: LinkConfig, lane: usize, loss: &str| {
         let mut link = Link::new(link, rng.fork(loss));
-        if let Some(pid) = obs_pid {
-            link.set_obs_track(pid, TID_PAGE, name);
-        }
         if let Some(f) = &faults {
-            link.set_fault(f.link_fault(name));
+            link.set_fault(f.link_fault(lane_name(lane)));
         }
         Lane::new(link)
     };
     let mut lanes = vec![
-        lane(client_net.uplink(), "uplink", "uplink-loss"),
-        lane(client_net.downlink(), "downlink", "downlink-loss"),
+        lane(client_net.uplink(), UP, "uplink-loss"),
+        lane(client_net.downlink(), DOWN, "downlink-loss"),
     ];
     if let Some(net) = origin_net {
-        let up = lane(net.uplink(), "origin-uplink", "origin-uplink-loss");
-        let down = lane(net.downlink(), "origin-downlink", "origin-downlink-loss");
+        let up = lane(net.uplink(), O_UP, "origin-uplink-loss");
+        let down = lane(net.downlink(), O_DOWN, "origin-downlink-loss");
         lanes.extend([up, down]);
     }
 
@@ -522,10 +529,73 @@ impl Loader<'_> {
 
     /// Offer `pkt` to `lane`'s link.
     fn send(&mut self, now: SimTime, lane: usize, pkt: Packet<Wire>) {
-        let Some(lane) = self.lanes.get_mut(lane) else {
+        let Some(l) = self.lanes.get_mut(lane) else {
             return;
         };
-        lane.push(&mut self.q, now, pkt);
+        let outcome = l.push(&mut self.q, now, pkt);
+        if self.obs_pid.is_some() && !matches!(outcome, PushOutcome::StartedTx(_)) {
+            self.obs_push(now, lane, outcome);
+        }
+    }
+
+    /// At Debug, a packet that waits in `lane`'s queue samples the
+    /// queue's bytes on the page row; one the full queue turns away is
+    /// a tail-drop instant there.
+    #[cold]
+    #[inline(never)]
+    fn obs_push(&self, now: SimTime, lane: usize, outcome: PushOutcome) {
+        let Some(pid) = self.obs_pid.filter(|_| pq_obs::enabled(Level::Debug)) else {
+            return;
+        };
+        let Some(l) = self.lanes.get(lane) else {
+            return;
+        };
+        let (t, name, queued) = (pq_obs::tracer(), lane_name(lane), l.link().queued_bytes());
+        match outcome {
+            PushOutcome::Queued => t.counter(
+                Level::Debug,
+                "sim",
+                format!("{name} queue bytes"),
+                pid,
+                TID_PAGE,
+                now.as_nanos(),
+                queued as f64,
+            ),
+            PushOutcome::TailDropped => t.instant(
+                Level::Debug,
+                "sim",
+                format!("{name} tail drop"),
+                pid,
+                TID_PAGE,
+                now.as_nanos(),
+                vec![("queued_bytes", ArgValue::U64(queued))],
+            ),
+            PushOutcome::StartedTx(_) => {}
+        }
+    }
+
+    /// At Debug, a packet `lane`'s link destroyed is an instant on the
+    /// page row: a random loss under `sim`, an injected one under
+    /// `fault`.
+    #[cold]
+    #[inline(never)]
+    fn obs_loss(&self, now: SimTime, lane: usize, loss: Loss, size: u32) {
+        let Some(pid) = self.obs_pid.filter(|_| pq_obs::enabled(Level::Debug)) else {
+            return;
+        };
+        let (cat, what) = match loss {
+            Loss::Random => ("sim", "random loss"),
+            Loss::Fault => ("fault", "injected loss"),
+        };
+        pq_obs::tracer().instant(
+            Level::Debug,
+            cat,
+            format!("{} {what}", lane_name(lane)),
+            pid,
+            TID_PAGE,
+            now.as_nanos(),
+            vec![("size", ArgValue::U64(u64::from(size)))],
+        );
     }
 
     fn route_output(&mut self, now: SimTime, key: u32, out: Output) {
@@ -704,8 +774,9 @@ impl Loader<'_> {
         self.object_progress(now, p.object, got);
     }
 
-    /// End-of-load bookkeeping: FVC/LVC/PLT markers on the page track
-    /// and the per-protocol metric histograms in the global registry.
+    /// End-of-load bookkeeping: FVC/LVC/PLT markers on the page track;
+    /// the load's events, its links' counters and the per-protocol
+    /// metric histograms in the global registry.
     fn obs_finish(&self, metrics: &MetricSet, plt: SimTime, complete: bool) {
         let label = self.cfg.protocol.label();
         let reg = pq_obs::registry();
@@ -714,6 +785,21 @@ impl Loader<'_> {
             reg.counter_add("web.pageloads_incomplete", 1);
         }
         reg.observe(&format!("web.plt_ms{{proto=\"{label}\"}}"), metrics.plt_ms);
+        let add = |name, n| {
+            if n > 0 {
+                reg.counter_add(name, n);
+            }
+        };
+        let links = |count: fn(&LinkStats) -> u64| -> u64 {
+            self.lanes.iter().map(|l| count(l.link().stats())).sum()
+        };
+        add("sim.events_processed", self.q.processed());
+        add("sim.link.offered", links(|s| s.offered));
+        add("sim.link.delivered", links(|s| s.delivered));
+        add("sim.link.tail_dropped", links(|s| s.tail_dropped));
+        add("sim.link.random_lost", links(|s| s.lost));
+        add("sim.link.fault_lost", links(|s| s.fault_lost));
+        add("fault.injected", links(|s| s.fault_lost));
         self.junction.obs_finish();
 
         let Some(pid) = self.obs_track() else { return };
@@ -743,7 +829,10 @@ impl Loader<'_> {
             return;
         };
         if what == LaneEvent::TxDone {
-            l.on_tx_done(&mut self.q, now);
+            let lost = l.on_tx_done(&mut self.q, now);
+            if let Some((loss, size)) = lost.filter(|_| self.obs_pid.is_some()) {
+                self.obs_loss(now, lane, loss, size);
+            }
             return;
         }
         let Some(pkt) = l.pop_arrival() else { return };

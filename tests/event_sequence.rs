@@ -26,7 +26,13 @@
 //! `PQ_TRACE_OUT` sees as the waterfall's rows — and draw, from their
 //! connections' records, a pinned number of each `transport` event
 //! (handshake spans, cwnd / ssthresh / sRTT counters, retransmit, RTO
-//! and pacing-hold instants).
+//! and pacing-hold instants) — and, from what its links hand back, of
+//! each link event (queue-bytes counters, tail-drop and loss instants).
+//!
+//! So is what the links did: every load's `sim.link.*` deltas — packets
+//! offered, delivered, tail-dropped and randomly lost — are pinned with
+//! its event count, which the page load folds into the registry once,
+//! as it ends.
 //!
 //! One `#[test]` in its own binary: `sim.events_processed` lives in
 //! the process-global obs registry and the span profiler, the
@@ -145,25 +151,86 @@ const TCP_PLUS_TRANSPORT: [(&str, u64); 9] = [
     ("ssthresh down", 85),
 ];
 
+/// `sim`- and `fault`-category events per name of the traced
+/// `QUIC-EDGE` load, sorted by name: each link's queue-occupancy
+/// samples and its tail drops, random losses and injected losses. (The
+/// event queue's depth sample never fires on a load this short.)
+const QUIC_EDGE_LINK: [(&str, u64); 7] = [
+    ("downlink queue bytes", 171),
+    ("downlink random loss", 9),
+    ("downlink tail drop", 46),
+    ("origin-downlink queue bytes", 105),
+    ("origin-uplink queue bytes", 11),
+    ("uplink queue bytes", 5),
+    ("uplink random loss", 5),
+];
+
+/// The same for `TCP+`.
+const TCP_PLUS_LINK: [(&str, u64); 5] = [
+    ("downlink queue bytes", 144),
+    ("downlink random loss", 9),
+    ("downlink tail drop", 68),
+    ("uplink queue bytes", 14),
+    ("uplink random loss", 7),
+];
+
+/// The registry counters a load moves: events popped, then the links'
+/// offered, delivered, tail-dropped and randomly lost packets.
+const COUNTERS: [&str; 5] = [
+    "sim.events_processed",
+    "sim.link.offered",
+    "sim.link.delivered",
+    "sim.link.tail_dropped",
+    "sim.link.random_lost",
+];
+
+/// The last four [`COUNTERS`] of each [`PINS`] row's load.
+const LINKS: [[u64; 4]; 8] = [
+    [386, 329, 41, 16],
+    [408, 324, 68, 16],
+    [355, 301, 40, 14],
+    [370, 292, 64, 14],
+    [351, 302, 35, 14],
+    [737, 676, 46, 14],
+    [1231, 922, 291, 17],
+    [895, 721, 158, 16],
+];
+
 /// One load and the number of events its queue popped.
 fn load(site: &Website, protocol: Protocol) -> (PageLoadResult, u64) {
-    let events = || pq_obs::registry().counter_value("sim.events_processed");
-    let before = events();
+    let (result, [events, ..]) = load_counted(site, protocol);
+    (result, events)
+}
+
+/// One load and how far it moved each of [`COUNTERS`].
+fn load_counted(site: &Website, protocol: Protocol) -> (PageLoadResult, [u64; 5]) {
+    let read = || COUNTERS.map(|name| pq_obs::registry().counter_value(name));
+    let before = read();
     let net = NetworkKind::Da2gc.config();
     let result = load_page(site, &net, protocol, SEED, &LoadOptions::default());
-    (result, events() - before)
+    let after = read();
+    (result, std::array::from_fn(|i| after[i] - before[i]))
 }
 
 #[test]
 fn every_stack_executes_its_pinned_event_sequence() {
     let site = web::corpus().into_iter().next().expect("corpus site 0");
-    for (protocol, events, plt_ns, retransmits, connections, _) in PINS {
-        let (r, popped) = load(&site, protocol);
+    for ((protocol, events, plt_ns, retransmits, connections, _), links) in
+        PINS.into_iter().zip(LINKS)
+    {
+        let (r, [popped, moved @ ..]) = load_counted(&site, protocol);
         assert_eq!(
             (popped, r.plt.as_nanos(), r.retransmits, r.connections),
             (events, plt_ns, retransmits, connections),
             "{}: (events, plt ns, retransmits, connections) moved — an event \
              was added, dropped or reordered",
+            protocol.label()
+        );
+        assert_eq!(
+            moved,
+            links,
+            "{}: the links' (offered, delivered, tail-dropped, randomly lost) \
+             packets moved",
             protocol.label()
         );
     }
@@ -236,16 +303,18 @@ fn every_stack_executes_its_pinned_event_sequence() {
     // exactly its page, connection and leg rows, with every object's
     // row at `100 + id`, and draws its pinned transport events.
     pq_obs::tracer().set_level(pq_obs::Level::Debug);
-    for (protocol, want, transport) in [
+    for (protocol, want, transport, link) in [
         (
             Protocol::QuicEdge,
             &QUIC_EDGE_ROWS[..],
             &QUIC_EDGE_TRANSPORT[..],
+            &QUIC_EDGE_LINK[..],
         ),
         (
             Protocol::TcpPlus,
             &TCP_PLUS_ROWS[..],
             &TCP_PLUS_TRANSPORT[..],
+            &TCP_PLUS_LINK[..],
         ),
     ] {
         let (r, popped) = load(&site, protocol);
@@ -274,27 +343,33 @@ fn every_stack_executes_its_pinned_event_sequence() {
                 protocol.label()
             );
         }
+        let pinned = |events: &[(&str, u64)]| -> Vec<(String, u64)> {
+            events.iter().map(|(n, c)| (n.to_string(), *c)).collect()
+        };
         assert_eq!(
-            transport_events(pid),
-            transport
-                .iter()
-                .map(|(n, c)| (n.to_string(), *c))
-                .collect::<Vec<_>>(),
+            events_per_name(pid, &["transport"]),
+            pinned(transport),
             "{}: transport events per name",
+            protocol.label()
+        );
+        assert_eq!(
+            events_per_name(pid, &["sim", "fault"]),
+            pinned(link),
+            "{}: link events per name",
             protocol.label()
         );
     }
     pq_obs::tracer().set_level(pq_obs::Level::Off);
 }
 
-/// How many `transport` events the tracer holds for load `pid`, per
-/// name, sorted by name.
-fn transport_events(pid: u32) -> Vec<(String, u64)> {
+/// How many events of the categories `cats` the tracer holds for load
+/// `pid`, per name, sorted by name.
+fn events_per_name(pid: u32, cats: &[&str]) -> Vec<(String, u64)> {
     let mut counts: Vec<(String, u64)> = Vec::new();
     let snapshot = pq_obs::tracer().snapshot();
     for ev in snapshot
         .iter()
-        .filter(|e| e.pid == pid && e.cat == "transport")
+        .filter(|e| e.pid == pid && cats.contains(&e.cat))
     {
         match counts.iter_mut().find(|(name, _)| *name == ev.name) {
             Some((_, n)) => *n += 1,
