@@ -10,10 +10,8 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 mod edge_cell;
-mod export;
 mod knobs;
 mod runall;
-mod sweep;
 
 use knobs::Knobs;
 use pq_bench::{report, Experiment, RunSpec};
@@ -31,7 +29,7 @@ enum Cmd {
 use Cmd::{Plain, View};
 
 /// Every subcommand, in paper order.
-const COMMANDS: [(&str, Cmd); 13] = [
+const COMMANDS: [(&str, Cmd); 11] = [
     ("table1", Plain(|_| report::print_table1())),
     ("table2", Plain(|_| report::print_table2())),
     ("table3", View(report::print_table3)),
@@ -41,8 +39,6 @@ const COMMANDS: [(&str, Cmd); 13] = [
     ("fig6", View(report::print_fig6)),
     ("agreement", View(report::print_agreement)),
     ("ablation", View(report::print_ablation)),
-    ("sweep", Plain(sweep::run)),
-    ("export", Plain(export::run)),
     ("edge_cell", Plain(edge_cell::run)),
     ("runall", Plain(runall::run)),
 ];

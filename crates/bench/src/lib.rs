@@ -14,9 +14,7 @@
 //! | `fig5`   | Figure 5 — rating means + CIs, ANOVA significance |
 //! | `fig6`   | Figure 6 — metric ↔ vote Pearson heatmap |
 //! | `agreement` | §4.2 — answer times, replays, demographics |
-//! | `ablation`  | extra — filtering, 0-RTT and processing ablations |
-//! | `sweep`     | extra — bandwidth × loss × RTT map of the QUIC/TCP+ SI ratio |
-//! | `export [path]` | raw study data as JSON (mirrors the paper's data release) |
+//! | `ablation`  | extra — filtering, 0-RTT and processing ablations (EXPERIMENTS.md names each one's test) |
 //! | `edge_cell` | extra — one edge-stack grid cell's study digest, for CI |
 //! | `runall` | every table and figure above, in order, plus the run manifest |
 //!
@@ -26,10 +24,10 @@
 //!
 //! ## Parallel execution
 //!
-//! The stimulus grid, both studies and the `sweep` grid execute on the
-//! `pq-par` pool (workers claim index chunks from one atomic cursor).
-//! `PQ_JOBS` sets the worker count (default: available parallelism;
-//! unparsable values warn via the tracer). Output is **bit-identical
+//! The stimulus grid and both studies execute on the `pq-par` pool
+//! (workers claim index chunks from one atomic cursor). `PQ_JOBS` sets
+//! the worker count (default: available parallelism; unparsable
+//! values warn via the tracer). Output is **bit-identical
 //! at any worker count** — every page load and participant derives its
 //! RNG purely from `(seed, cell indices)` — and the run manifest
 //! records both `jobs` and a `study_digest` so CI can diff a
@@ -277,15 +275,24 @@ mod tests {
         assert_eq!(e.stimuli.site_count(), 4);
     }
 
+    /// `PQ_SCALE=smoke PQ_SEED=1910`, built once for every test that
+    /// pins what a `pq` view prints of it.
+    fn smoke_1910() -> &'static Experiment {
+        static SMOKE: std::sync::OnceLock<Experiment> = std::sync::OnceLock::new();
+        SMOKE.get_or_init(|| {
+            run_experiment(&RunSpec {
+                scale: Scale::Smoke,
+                ..RunSpec::default()
+            })
+        })
+    }
+
     #[test]
     fn section_4_2_normality_verdicts_at_smoke_scale() {
         // "Internet values are not normally distributed", hence the
         // median in Fig. 3; the lab's residuals pass. (µWorker's do
         // not at n ≈ 17 000: EXPERIMENTS.md, Deviations.)
-        let e = run_experiment(&RunSpec {
-            scale: Scale::Smoke,
-            ..RunSpec::default()
-        });
+        let e = smoke_1910();
         let verdict = |group| {
             let residuals = report::rating_residuals(&e.data.ratings, group);
             let jb = pq_stats::jarque_bera(&residuals).expect("at least 8 residuals");
@@ -293,6 +300,17 @@ mod tests {
         };
         assert!(verdict(pq_study::Group::Lab), "Lab rejected");
         assert!(!verdict(pq_study::Group::Internet), "Internet not rejected");
+    }
+
+    #[test]
+    fn ablation_1_filtering_raises_the_quic_preferred_share_at_smoke_scale() {
+        // EXPERIMENTS.md, Ablations: on MSS QUIC vs TCP, R1–R7 keep
+        // 318 of the 730 µWorker votes, and the QUIC-preferred share
+        // rises from 601 / 730 (82 %) to 316 / 318 (99 %).
+        assert_eq!(
+            report::filtering_ablation(smoke_1910()),
+            Some([(316.0 / 318.0, 318), (601.0 / 730.0, 730)])
+        );
     }
 
     #[test]

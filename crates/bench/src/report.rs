@@ -466,49 +466,46 @@ pub fn print_agreement(e: &Experiment) {
     println!();
 }
 
-/// Extra ablations: what the conformance filter buys, and what each
-/// TCP+ tuning knob contributes (design-choice ablations from
-/// DESIGN.md).
+/// Ablation 1's cell, MSS QUIC vs TCP over µWorker votes: the
+/// QUIC-preferred share and the vote count after R1–R7, then the same
+/// over every vote, unfiltered. `None` when no valid vote falls in the
+/// cell.
+pub fn filtering_ablation(e: &Experiment) -> Option<[(f64, usize); 2]> {
+    let pair = (Protocol::Quic, Protocol::Tcp);
+    let filtered = ab_shares(&e.data.ab, NetworkKind::Mss, pair, &[Group::MicroWorker])?;
+    let all: Vec<_> = e
+        .data
+        .ab
+        .iter()
+        .filter(|v| {
+            v.network == NetworkKind::Mss && v.pair == pair && v.group == Group::MicroWorker
+        })
+        .collect();
+    let first = all
+        .iter()
+        .filter(|v| v.choice == pq_study::AbChoice::First)
+        .count();
+    Some([
+        (filtered.first, filtered.n),
+        (first as f64 / all.len() as f64, all.len()),
+    ])
+}
+
+/// The ablations EXPERIMENTS.md quotes, each re-derived by the test its
+/// bullet names: what the conformance filter buys, 0-RTT repeat visits
+/// and the client-side processing scale.
 pub fn print_ablation(e: &Experiment) {
     println!("== Ablation 1: conformance filtering (Fig. 4 cell, MSS, QUIC vs TCP) ==");
-    let pair = (Protocol::Quic, Protocol::Tcp);
-    let groups = [Group::MicroWorker];
-    if let Some(filtered) = ab_shares(&e.data.ab, NetworkKind::Mss, pair, &groups) {
-        // Recompute without the validity filter.
-        let all: Vec<_> = e
-            .data
-            .ab
-            .iter()
-            .filter(|v| {
-                v.network == NetworkKind::Mss && v.pair == pair && v.group == Group::MicroWorker
-            })
-            .collect();
-        let n = all.len() as f64;
-        let first = all
-            .iter()
-            .filter(|v| v.choice == pq_study::AbChoice::First)
-            .count() as f64
-            / n;
+    if let Some([(filtered, filtered_n), (all, all_n)]) = filtering_ablation(e) {
         println!(
-            "  QUIC-preferred share: filtered {:.0}% (n={}) vs unfiltered {:.0}% (n={})",
-            filtered.first * 100.0,
-            filtered.n,
-            first * 100.0,
-            all.len()
+            "  QUIC-preferred share: filtered {:.0}% (n={filtered_n}) vs unfiltered {:.0}% (n={all_n})",
+            filtered * 100.0,
+            all * 100.0,
         );
         println!("  → cheating µWorkers dilute the signal; R1-R7 recover it.");
     }
 
-    println!("\n== Ablation 2: session counts per study kind ==");
-    for (kind, sessions) in [
-        (StudyKind::AB, &e.data.sessions_ab),
-        (StudyKind::Rating, &e.data.sessions_rating),
-    ] {
-        let valid = sessions.iter().filter(|s| s.valid()).count();
-        println!("  {kind:?}: {} recruited, {valid} valid", sessions.len());
-    }
-
-    println!("\n== Ablation 3: 0-RTT repeat visits (median FVC, wikipedia, ms) ==");
+    println!("\n== Ablation 2: 0-RTT repeat visits (median FVC, wikipedia, ms) ==");
     let site = pq_web::site("wikipedia.org").expect("corpus");
     let med = |mut v: Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -545,7 +542,7 @@ pub fn print_ablation(e: &Experiment) {
     }
     println!("  (the repeat-visit scenario §3 discusses: both stacks gain ≈1 RTT)");
 
-    println!("\n== Ablation 4: client-side processing scale (QUIC DSL SI, ms) ==");
+    println!("\n== Ablation 3: client-side processing scale (QUIC DSL SI, ms) ==");
     let net = NetworkKind::Dsl.config();
     print!(" ");
     for scale in [0.0, 0.5, 1.0, 2.0] {

@@ -3,8 +3,8 @@
 //! Two handles exist:
 //!
 //! * [`LinkFault`] — mutable per-link state (Gilbert–Elliott chain,
-//!   flap window, bandwidth oscillator) owned by one `Link` inside a
-//!   single simulated page load. Seeded per link direction.
+//!   flap window) owned by one `Link` inside a single simulated page
+//!   load. Seeded per link direction.
 //! * [`LoadFaults`] — an immutable per-page-load view over the plan;
 //!   every query (`server_stall_ms`, `truncate`, …) derives a fresh
 //!   RNG from `(plan seed, load seed, entity id)`, so decisions are
@@ -16,12 +16,11 @@ use crate::rng::{derive_seed, fnv1a, FaultRng};
 use crate::spec::{FaultPlan, GeConfig};
 
 /// Per-link fault state: advanced once per transmitted packet and
-/// consulted for extra (fault-induced) loss and rate scaling.
+/// consulted for extra (fault-induced) loss.
 #[derive(Debug)]
 pub struct LinkFault {
     ge: Option<GeState>,
     flap: Option<crate::spec::FlapConfig>,
-    bw: Option<crate::spec::BwOscConfig>,
     injected: u64,
 }
 
@@ -41,7 +40,6 @@ impl LinkFault {
                 rng,
             }),
             flap: plan.flap,
-            bw: plan.bw_osc,
             injected: 0,
         }
     }
@@ -88,20 +86,6 @@ impl LinkFault {
         } else {
             t_ms >= f.at_ms && t_ms < f.at_ms + f.dur_ms
         }
-    }
-
-    /// Bandwidth scale factor at `now_ns`: `1.0` with no oscillator,
-    /// otherwise a cosine sweep over `[1 - depth, 1]` (floored at
-    /// `0.05` so a link always drains).
-    #[must_use]
-    pub fn rate_scale(&self, now_ns: u64) -> f64 {
-        let Some(b) = &self.bw else {
-            return 1.0;
-        };
-        let t_ms = now_ns as f64 / 1e6;
-        let phase = 2.0 * std::f64::consts::PI * t_ms / b.period_ms;
-        let scale = 1.0 - b.depth * 0.5 * (1.0 - phase.cos());
-        scale.max(0.05)
     }
 
     /// Packets lost to injected faults so far on this link.
@@ -265,19 +249,5 @@ mod tests {
         // pi_bad = 0.5 with loss_bad=1 → about half the packets die.
         assert!(losses > 500 && losses < 1500, "losses {losses}");
         assert_eq!(lf.injected() as usize, losses);
-    }
-
-    #[test]
-    fn rate_scale_sweeps_range() {
-        let f = faults("bwosc:period=1000,depth=0.8", 5);
-        let lf = f.link_fault("d").unwrap();
-        assert!((lf.rate_scale(0) - 1.0).abs() < 1e-9, "peak at t=0");
-        let trough = lf.rate_scale(500_000_000); // half period
-        assert!(
-            (trough - 0.2).abs() < 1e-9,
-            "trough = 1-depth, got {trough}"
-        );
-        let nofault = faults("gel:pgb=0.1", 5).link_fault("d").unwrap();
-        assert_eq!(nofault.rate_scale(123), 1.0);
     }
 }

@@ -35,7 +35,6 @@
 //! | `seed=N` | all | fault seed folded into every decision (default `0xFA017`) |
 //! | `gel:pgb=,pbg=,good=,bad=` | sim | Gilbert–Elliott burst loss on both link directions |
 //! | `flap:at=,dur=[,period=]` | sim | link outage window(s) mid-load |
-//! | `bwosc:period=,depth=` | sim | sinusoidal bandwidth oscillation (rate × `[1-depth, 1]`) |
 //! | `stall:p=,ms=` | web | per-object server think-time stall |
 //! | `trunc:p=[,frac=]` | web | truncated response body (object never completes) |
 //! | `hs:p=` | transport | first client flight lost → handshake timeout + backoff |
@@ -65,4 +64,4 @@ pub mod spec;
 pub use error::PqError;
 pub use inject::{LinkFault, LoadFaults};
 pub use rng::{derive_seed, fnv1a, FaultRng};
-pub use spec::{BwOscConfig, FaultPlan, FlapConfig, GeConfig, HsConfig, StallConfig, TruncConfig};
+pub use spec::{FaultPlan, FlapConfig, GeConfig, HsConfig, StallConfig, TruncConfig};

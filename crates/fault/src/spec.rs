@@ -49,16 +49,6 @@ pub struct FlapConfig {
     pub period_ms: f64,
 }
 
-/// Sinusoidal bandwidth oscillation: effective rate is scaled by a
-/// factor sweeping `[1 - depth, 1]` with the given period.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BwOscConfig {
-    /// Oscillation period in ms.
-    pub period_ms: f64,
-    /// Peak-to-trough depth in `[0, 1)`.
-    pub depth: f64,
-}
-
 /// Per-object server think-time stall.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallConfig {
@@ -100,8 +90,6 @@ pub struct FaultPlan {
     pub ge: Option<GeConfig>,
     /// Link outage window(s).
     pub flap: Option<FlapConfig>,
-    /// Bandwidth oscillation.
-    pub bw_osc: Option<BwOscConfig>,
     /// Server think-time stalls.
     pub stall: Option<StallConfig>,
     /// Truncated responses.
@@ -193,7 +181,6 @@ impl FaultPlan {
             spec: spec.trim().to_string(),
             ge: None,
             flap: None,
-            bw_osc: None,
             stall: None,
             trunc: None,
             hs: None,
@@ -230,19 +217,6 @@ impl FaultPlan {
                         period_ms: nonneg(name, "period", args.get("period").unwrap_or(0.0))?,
                     });
                 }
-                "bwosc" => {
-                    args.check_known(&["period", "depth"])?;
-                    let depth = prob(name, "depth", args.require("depth")?)?;
-                    if depth >= 1.0 {
-                        return Err(PqError::InvalidFaultSpec(
-                            "bwosc: depth must be < 1 (a zero-rate link never drains)".into(),
-                        ));
-                    }
-                    plan.bw_osc = Some(BwOscConfig {
-                        period_ms: pos(name, "period", args.require("period")?)?,
-                        depth,
-                    });
-                }
                 "stall" => {
                     args.check_known(&["p", "ms"])?;
                     plan.stall = Some(StallConfig {
@@ -265,7 +239,7 @@ impl FaultPlan {
                 }
                 other => {
                     return Err(PqError::InvalidFaultSpec(format!(
-                        "unknown clause `{other}` (expected gel, flap, bwosc, stall, trunc, hs, or seed=N)"
+                        "unknown clause `{other}` (expected gel, flap, stall, trunc, hs, or seed=N)"
                     )));
                 }
             }
@@ -273,11 +247,11 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Whether any link-level fault (GE loss, flap, bandwidth
-    /// oscillation) is configured — gates per-link injector setup.
+    /// Whether any link-level fault (GE loss, flap) is configured —
+    /// gates per-link injector setup.
     #[must_use]
     pub fn has_link_faults(&self) -> bool {
-        self.ge.is_some() || self.flap.is_some() || self.bw_osc.is_some()
+        self.ge.is_some() || self.flap.is_some()
     }
 
     /// Whether the plan configures no faults at all.
@@ -301,9 +275,6 @@ impl FaultPlan {
                 "flap(at={}ms,dur={}ms,period={}ms)",
                 f.at_ms, f.dur_ms, f.period_ms
             ));
-        }
-        if let Some(b) = &self.bw_osc {
-            parts.push(format!("bwosc(period={}ms,depth={})", b.period_ms, b.depth));
         }
         if let Some(s) = &self.stall {
             parts.push(format!("stall(p={},ms={})", s.p, s.ms));
@@ -330,8 +301,7 @@ mod tests {
     fn full_spec_parses() {
         let plan = FaultPlan::parse(
             "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.5;flap:at=1500,dur=400;\
-             bwosc:period=2000,depth=0.6;stall:p=0.05,ms=1200;\
-             trunc:p=0.01;hs:p=0.1",
+             stall:p=0.05,ms=1200;trunc:p=0.01;hs:p=0.1",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -341,7 +311,6 @@ mod tests {
         assert_eq!(ge.loss_good, 0.0);
         assert_eq!(ge.loss_bad, 0.5);
         assert_eq!(plan.flap.unwrap().period_ms, 0.0);
-        assert_eq!(plan.bw_osc.unwrap().depth, 0.6);
         assert_eq!(plan.stall.unwrap().ms, 1200.0);
         assert_eq!(plan.trunc.unwrap().frac, 0.5);
         assert_eq!(plan.hs.unwrap().p, 0.1);
@@ -374,7 +343,6 @@ mod tests {
             "gel:pgb=2",
             "gel:zap=0.1",
             "flap:at=-5,dur=10",
-            "bwosc:period=100,depth=1.0",
             "hs:p",
             "seed=banana",
             "panic",
@@ -386,9 +354,13 @@ mod tests {
                 "spec `{bad}` should be rejected"
             );
         }
-        // No clause delays a cell in wall-clock time or panics a task:
-        // `slow` and `panic` are typos.
-        for (spec, clause) in [("slow:p=0.5,ms=100", "slow"), ("panic:p=0.5", "panic")] {
+        // No clause delays a cell in wall-clock time, panics a task or
+        // oscillates a link's rate: `slow`, `panic` and `bwosc` are typos.
+        for (spec, clause) in [
+            ("slow:p=0.5,ms=100", "slow"),
+            ("panic:p=0.5", "panic"),
+            ("bwosc:period=1000,depth=0.5", "bwosc"),
+        ] {
             let err = FaultPlan::parse(spec).unwrap_err();
             assert!(
                 err.to_string()

@@ -46,7 +46,7 @@ proptest! {
     }
 
     /// The full spec→plan→LinkFault path agrees with the stationary
-    /// rate too (flap/bwosc off, so only the GE chain acts).
+    /// rate too (flap off, so only the GE chain acts).
     #[test]
     fn link_fault_loss_matches_stationary(seed in 0u64..100_000) {
         let plan = FaultPlan::parse("gel:pgb=0.05,pbg=0.3,good=0.01,bad=0.6").unwrap();

@@ -112,7 +112,6 @@ where
     let started_ns = tracer.wall_ns();
     let mut local_tasks = 0u64;
     let mut parts: Fragments<R> = Vec::new();
-    pq_prof::set_lane(id + 1);
 
     {
         let _worker = pq_prof::worker_span(prof_root, "par:worker");
@@ -158,7 +157,6 @@ where
     // formatted name carries the worker id as a label.
     pq_obs::registry().counter_add(&format!("par.worker_tasks{{worker=\"{id}\"}}"), local_tasks);
     pq_prof::flush_thread();
-    pq_prof::set_lane(0);
     if traced {
         tracer.span(
             Level::Info,

@@ -1,6 +1,5 @@
 //! The counting global allocator: every heap allocation in the
-//! process, attributed to the current harness phase and pq-par worker
-//! lane.
+//! process, attributed to the current harness phase.
 //!
 //! Disabled (the default), [`CountingAlloc`] forwards straight to
 //! [`System`] after one relaxed atomic load. Enabled, it additionally
@@ -14,9 +13,6 @@
 //!   [`set_phase`] (the `PhaseTimer` in `pq-obs` drives this). Slot 0
 //!   is the implicit "(untimed)" phase for allocations outside any
 //!   phase.
-//! * **Lane** — a thread-local index set by [`set_lane`]; pq-par
-//!   workers claim lane `worker_id + 1`, everything else (the main
-//!   thread included) reports on lane 0.
 //! * **Peak** — the high-water mark of live heap bytes while counting
 //!   was enabled, an estimate of the allocator's RSS contribution.
 
@@ -26,16 +22,12 @@
 )]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
 /// Fixed number of phase slots (slot 0 = "(untimed)"); the `runall`
 /// pipeline uses ~10. Overflow attributes to slot 0.
 const MAX_PHASES: usize = 32;
-/// Fixed number of worker lanes (lane 0 = main/unattributed threads,
-/// lanes 1..=32 = pq-par workers). Overflow attributes to lane 0.
-const MAX_LANES: usize = 33;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static CUR_PHASE: AtomicUsize = AtomicUsize::new(0);
@@ -52,7 +44,6 @@ const ZERO_SLOT: Slot = Slot {
 };
 
 static PHASE_SLOTS: [Slot; MAX_PHASES] = [ZERO_SLOT; MAX_PHASES];
-static LANE_SLOTS: [Slot; MAX_LANES] = [ZERO_SLOT; MAX_LANES];
 static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Live heap bytes (signed: frees of pre-enable allocations may drive
@@ -65,13 +56,6 @@ static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
 /// allocator itself.
 static PHASE_NAMES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
-thread_local! {
-    /// This thread's lane. `const` init: a plain `Cell<usize>` has no
-    /// destructor, so reading it from inside the allocator never
-    /// triggers lazy TLS registration (which would allocate).
-    static LANE: Cell<usize> = const { Cell::new(0) };
-}
-
 /// Is allocation counting active?
 #[inline(always)]
 pub fn alloc_enabled() -> bool {
@@ -81,13 +65,6 @@ pub fn alloc_enabled() -> bool {
 /// Switch allocation counting on or off.
 pub fn set_alloc_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
-}
-
-/// Claim a worker lane for the current thread (pq-par workers pass
-/// `worker_id + 1`; pass 0 to release). Out-of-range lanes fold into
-/// lane 0.
-pub fn set_lane(lane: usize) {
-    LANE.with(|l| l.set(if lane < MAX_LANES { lane } else { 0 }));
 }
 
 /// Register (or find) the phase named `name` and make it current.
@@ -123,17 +100,6 @@ pub struct PhaseAlloc {
     pub bytes: u64,
 }
 
-/// Allocation count/bytes attributed to one worker lane.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LaneAlloc {
-    /// Lane index (0 = main/unattributed, `n` = pq-par worker `n-1`).
-    pub lane: usize,
-    /// Allocations made on the lane.
-    pub allocs: u64,
-    /// Bytes requested on the lane.
-    pub bytes: u64,
-}
-
 /// A point-in-time read of every allocation counter.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AllocSnapshot {
@@ -147,8 +113,6 @@ pub struct AllocSnapshot {
     /// Per-phase attribution, in phase registration order; includes
     /// the implicit `(untimed)` slot 0 when it saw traffic.
     pub phases: Vec<PhaseAlloc>,
-    /// Per-lane attribution (only lanes that saw traffic).
-    pub lanes: Vec<LaneAlloc>,
 }
 
 /// Read every counter. Cheap enough for end-of-run reporting; the
@@ -174,22 +138,11 @@ pub fn alloc_snapshot() -> AllocSnapshot {
             });
         }
     }
-    let lanes = LANE_SLOTS
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.allocs.load(Relaxed) > 0)
-        .map(|(i, s)| LaneAlloc {
-            lane: i,
-            allocs: s.allocs.load(Relaxed),
-            bytes: s.bytes.load(Relaxed),
-        })
-        .collect();
     AllocSnapshot {
         total_allocs: TOTAL_ALLOCS.load(Relaxed),
         total_bytes: TOTAL_BYTES.load(Relaxed),
         peak_bytes: PEAK_BYTES.load(Relaxed).max(0) as u64,
         phases,
-        lanes,
     }
 }
 
@@ -200,7 +153,7 @@ pub fn reset_alloc() {
     LIVE_BYTES.store(0, Relaxed);
     PEAK_BYTES.store(0, Relaxed);
     CUR_PHASE.store(0, Relaxed);
-    for s in PHASE_SLOTS.iter().chain(LANE_SLOTS.iter()) {
+    for s in &PHASE_SLOTS {
         s.allocs.store(0, Relaxed);
         s.bytes.store(0, Relaxed);
     }
@@ -221,13 +174,6 @@ fn record_alloc(size: usize) {
     PEAK_BYTES.fetch_max(live, Relaxed);
     let phase = CUR_PHASE.load(Relaxed);
     if let Some(slot) = PHASE_SLOTS.get(phase) {
-        slot.allocs.fetch_add(1, Relaxed);
-        slot.bytes.fetch_add(size, Relaxed);
-    }
-    // `try_with`: TLS may be unreachable during thread teardown; those
-    // stragglers fold into lane 0.
-    let lane = LANE.try_with(Cell::get).unwrap_or(0);
-    if let Some(slot) = LANE_SLOTS.get(lane) {
         slot.allocs.fetch_add(1, Relaxed);
         slot.bytes.fetch_add(size, Relaxed);
     }
@@ -285,29 +231,6 @@ mod tests {
     // `tests/alloc_peak.rs`, a one-thread binary: here other tests
     // free memory while counting is on, which moves the process-global
     // live count under it.
-
-    #[test]
-    fn lanes_attribute_per_thread() {
-        let _g = crate::span::test_lock();
-        reset_alloc();
-        set_alloc_enabled(true);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                set_lane(7);
-                let v: Vec<u8> = Vec::with_capacity(256 * 1024);
-                std::hint::black_box(&v);
-                set_lane(0);
-            });
-        });
-        set_alloc_enabled(false);
-        let snap = alloc_snapshot();
-        let lane = snap
-            .lanes
-            .iter()
-            .find(|l| l.lane == 7)
-            .expect("lane 7 counted");
-        assert!(lane.bytes >= 256 * 1024);
-    }
 
     #[test]
     fn phase_overflow_folds_into_untimed() {

@@ -17,8 +17,8 @@
 //!   self-contained flamegraph SVG with no external tooling.
 //! * [`alloc`] — a counting [`std::alloc::GlobalAlloc`] wrapper around
 //!   the system allocator (installed here as the `#[global_allocator]`)
-//!   attributing allocation count/bytes to the current harness phase
-//!   and pq-par worker lane, plus a live-bytes peak (an RSS estimate).
+//!   attributing allocation count/bytes to the current harness phase,
+//!   plus a live-bytes peak (an RSS estimate).
 //!
 //! This crate reads no environment variables and writes no output on
 //! its own: the `pq` binary parses `PQ_PROF_ALLOC` / `PQ_PROF_OUT` /
@@ -34,8 +34,7 @@ pub mod span;
 pub mod svg;
 
 pub use alloc::{
-    alloc_enabled, alloc_snapshot, reset_alloc, set_alloc_enabled, set_lane, AllocSnapshot,
-    LaneAlloc, PhaseAlloc,
+    alloc_enabled, alloc_snapshot, reset_alloc, set_alloc_enabled, AllocSnapshot, PhaseAlloc,
 };
 pub use span::{
     current_path, flush_thread, folded, reset_spans, set_spans_enabled, span, span_dyn, span_with,

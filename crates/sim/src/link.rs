@@ -123,9 +123,9 @@ pub struct Link<P> {
     /// independent of everything else.
     loss_rng: SimRng,
     stats: LinkStats,
-    /// Optional injected-fault state (burst loss, flap windows,
-    /// bandwidth oscillation). `None` — the overwhelmingly common
-    /// case — is completely inert: no extra RNG draws, no overhead.
+    /// Optional injected-fault state (burst loss, flap windows).
+    /// `None` — the overwhelmingly common case — is completely inert:
+    /// no extra RNG draws, no overhead.
     fault: Option<pq_fault::LinkFault>,
 }
 
@@ -149,24 +149,6 @@ impl<P> Link<P> {
     /// the fault-free loss pattern.
     pub fn set_fault(&mut self, fault: Option<pq_fault::LinkFault>) {
         self.fault = fault;
-    }
-
-    /// Serialization delay for `bytes`, stretched by the bandwidth
-    /// oscillator when one is installed (rate × scale ⇒ delay /
-    /// scale).
-    fn ser_delay(&self, now: SimTime, bytes: u32) -> SimDuration {
-        let base = self.config.serialization_delay(bytes);
-        match &self.fault {
-            Some(f) => {
-                let scale = f.rate_scale(now.as_nanos());
-                if scale < 1.0 {
-                    base.mul_f64(1.0 / scale)
-                } else {
-                    base
-                }
-            }
-            None => base,
-        }
     }
 
     /// The link's static configuration.
@@ -198,7 +180,7 @@ impl<P> Link<P> {
                 self.queue.is_empty(),
                 "idle transmitter with queued packets"
             );
-            let done = now + self.ser_delay(now, pkt.size);
+            let done = now + self.config.serialization_delay(pkt.size);
             self.in_flight = Some(pkt);
             PushOutcome::StartedTx(done)
         } else if self.queue.push(pkt) {
@@ -245,7 +227,7 @@ impl<P> Link<P> {
         };
 
         let next_tx_done = self.queue.pop().map(|next| {
-            let done = now + self.ser_delay(now, next.size);
+            let done = now + self.config.serialization_delay(next.size);
             self.in_flight = Some(next);
             done
         });
@@ -437,31 +419,6 @@ mod tests {
         let rate = 1.0 - f64::from(delivered) / f64::from(n);
         assert!((rate - 0.1).abs() < 0.02, "measured fault loss {rate}");
         assert_eq!(link.stats().fault_lost, u64::from(n - delivered));
-    }
-
-    #[test]
-    fn bwosc_stretches_serialization() {
-        // depth=0.5, period 1000 ms: at t=500 ms the scale bottoms out
-        // at 0.5, doubling the serialization delay.
-        let mut link = mk_link(12_000_000, 0, 0.0, 10_000);
-        link.set_fault(load_faults("bwosc:period=1000,depth=0.5").link_fault("down"));
-        let t0 = SimTime::ZERO;
-        let done = match link.push(t0, pkt(1, 1500)) {
-            PushOutcome::StartedTx(t) => t,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(done, SimTime::from_millis(1), "peak of the cosine at t=0");
-        link.on_tx_done(done);
-        let mid = SimTime::from_millis(500);
-        let done2 = match link.push(mid, pkt(2, 1500)) {
-            PushOutcome::StartedTx(t) => t,
-            other => panic!("unexpected {other:?}"),
-        };
-        let stretched = (done2 - mid).as_millis_f64();
-        assert!(
-            (stretched - 2.0).abs() < 1e-6,
-            "stretched delay {stretched} ms"
-        );
     }
 
     #[test]
