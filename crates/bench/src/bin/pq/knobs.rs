@@ -1,10 +1,13 @@
 //! The knobs, parsed once: [`parse`] turns every `PQ_*` variable the
 //! workspace reads (README "Knobs") into one [`Knobs`] value before any
 //! subcommand runs: `PQ_SCALE`, `PQ_SEED`, `PQ_STACKS` and `PQ_FAULTS`
-//! into the [`RunSpec`], `PQ_JOBS` for the pool, `PQ_TRACE`, `PQ_TRACE_BUF` and `PQ_TRACE_OUT` for the tracer,
-//! and `PQ_PROF_ALLOC`, `PQ_PROF_OUT` and `PQ_PROF_SVG` for the
-//! profiler. A malformed value, or one that cannot take effect, gives
-//! its documented default and a warning; none is silently swallowed.
+//! into the [`RunSpec`], `PQ_JOBS` for the pool, `PQ_TRACE`,
+//! `PQ_TRACE_BUF` and `PQ_TRACE_OUT` for the tracer, and
+//! `PQ_PROF_ALLOC` and `PQ_PROF_OUT` for the profiler. An output runs
+//! exactly when its knob names a file: `PQ_TRACE_OUT` turns the tracer
+//! on, `PQ_PROF_OUT` the span profiler. A malformed value, or one that
+//! cannot take effect, gives its documented default and a warning;
+//! none is silently swallowed.
 
 use pq_bench::{RunSpec, Scale};
 use pq_fault::FaultPlan;
@@ -24,7 +27,8 @@ pub struct Knobs {
     pub spec: RunSpec,
     /// `PQ_JOBS`: pool workers (default: available parallelism).
     pub jobs: usize,
-    /// `PQ_TRACE`: the tracer's level (default: off).
+    /// The tracer's level: `PQ_TRACE` (default: info) while
+    /// `PQ_TRACE_OUT` names a file, else off.
     pub trace: Level,
     /// `PQ_TRACE_BUF`: the trace ring's capacity in events (default:
     /// [`DEFAULT_RING_CAPACITY`]).
@@ -35,10 +39,9 @@ pub struct Knobs {
     /// `PQ_PROF_ALLOC`: count allocations (set, and neither empty nor
     /// `0`).
     pub prof_alloc: bool,
-    /// `PQ_PROF_OUT`: where the collapsed-stack profile goes at exit.
+    /// `PQ_PROF_OUT`: where the collapsed-stack profile goes at exit;
+    /// spans are collected exactly when it is set.
     pub prof_out: Option<PathBuf>,
-    /// `PQ_PROF_SVG`: where the flamegraph SVG goes at exit.
-    pub prof_svg: Option<PathBuf>,
     /// One per knob that is malformed or cannot take effect. `main`
     /// warns with them once the tracer level is set, so they reach the
     /// exported trace as well as stderr.
@@ -86,21 +89,31 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
         lookup,
         warnings: Vec::new(),
     };
-    let trace = env.text("PQ_TRACE").map_or(Level::Off, |raw| {
-        Level::parse(&raw).unwrap_or_else(|| {
+    // `Some(None)`: set to an unknown level, which warns.
+    let level = env.text("PQ_TRACE").map(|raw| {
+        let level = Level::parse(&raw);
+        if level.is_none() {
             warn!(
                 env.warnings,
-                "obs",
-                "unknown PQ_TRACE={raw:?} (want off|error|warn|info|debug|trace); \
-                 tracing stays off"
+                "obs", "unknown PQ_TRACE={raw:?} (want off|warn|info|debug); tracing stays off"
             );
-            Level::Off
-        })
+        }
+        level
     });
     let trace_buf = env.text("PQ_TRACE_BUF");
     let trace_out = env.path("PQ_TRACE_OUT");
+    let trace = match (&trace_out, level) {
+        (None, _) => Level::Off,
+        (Some(_), None) => Level::Info,
+        (Some(_), Some(level)) => level.unwrap_or(Level::Off),
+    };
     let (trace_buf, trace_out) = if trace == Level::Off {
+        let (why, remedy) = match trace_out {
+            None => ("PQ_TRACE_OUT is not set", "set PQ_TRACE_OUT"),
+            Some(_) => ("PQ_TRACE is off", "unset PQ_TRACE"),
+        };
         for (name, set) in [
+            ("PQ_TRACE", level.flatten().is_some() && trace_out.is_none()),
             ("PQ_TRACE_BUF", trace_buf.is_some()),
             ("PQ_TRACE_OUT", trace_out.is_some()),
         ] {
@@ -108,8 +121,7 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
                 warn!(
                     env.warnings,
                     "obs",
-                    "{name} is set but PQ_TRACE is off, so it has no effect; \
-                     set PQ_TRACE (e.g. info) to record a trace"
+                    "{name} is set but {why}, so it has no effect; {remedy} to record a trace"
                 );
             }
         }
@@ -133,7 +145,6 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
         .text("PQ_PROF_ALLOC")
         .is_some_and(|v| !v.is_empty() && v != "0");
     let prof_out = env.path("PQ_PROF_OUT");
-    let prof_svg = env.path("PQ_PROF_SVG");
 
     let default = RunSpec::default();
     let scale = match env.text("PQ_SCALE").as_deref() {
@@ -215,7 +226,6 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
         trace_out,
         prof_alloc,
         prof_out,
-        prof_svg,
         warnings: env.warnings,
     }
 }
@@ -281,7 +291,7 @@ mod tests {
         assert_eq!(k.trace_buf, DEFAULT_RING_CAPACITY);
         assert_eq!(k.trace_out, None);
         assert!(!k.prof_alloc);
-        assert_eq!((k.prof_out, k.prof_svg), (None, None));
+        assert_eq!(k.prof_out, None);
         assert!(k.warnings.is_empty(), "{:?}", k.warnings);
     }
 
@@ -363,22 +373,33 @@ mod tests {
             assert_eq!(stacks(v), want, "PQ_STACKS={v:?}");
         }
 
-        let trace = |v| {
-            let k = knobs(&[("PQ_TRACE", v), ("PQ_TRACE_OUT", "t.json")]);
+        // `PQ_TRACE_OUT` turns the tracer on; `PQ_TRACE` only picks the
+        // level, and alone it leaves the tracer off.
+        let trace = |vars: &[(&str, &str)]| {
+            let k = knobs(vars);
             (k.trace, k.trace_out)
         };
         let out = Some(PathBuf::from("t.json"));
         for (v, want) in [
             ("info", (Level::Info, out.clone())),
             ("WARN", (Level::Warn, out.clone())),
-            ("trace", (Level::Trace, out)),
+            ("debug", (Level::Debug, out.clone())),
             ("off", (Level::Off, None)),
+            ("error", (Level::Off, None)),
+            ("trace", (Level::Off, None)),
             ("bogus", (Level::Off, None)),
         ] {
-            assert_eq!(trace(v), want, "PQ_TRACE={v}");
+            let got = trace(&[("PQ_TRACE", v), ("PQ_TRACE_OUT", "t.json")]);
+            assert_eq!(got, want, "PQ_TRACE={v}");
+            assert_eq!(
+                trace(&[("PQ_TRACE", v)]),
+                (Level::Off, None),
+                "PQ_TRACE={v}"
+            );
         }
+        assert_eq!(trace(&[("PQ_TRACE_OUT", "t.json")]), (Level::Info, out));
 
-        let trace_buf = |v| knobs(&[("PQ_TRACE", "info"), ("PQ_TRACE_BUF", v)]).trace_buf;
+        let trace_buf = |v| knobs(&[("PQ_TRACE_OUT", "t.json"), ("PQ_TRACE_BUF", v)]).trace_buf;
         for (v, want) in [
             ("64", 64),
             ("0", DEFAULT_RING_CAPACITY),
@@ -394,9 +415,9 @@ mod tests {
         for (v, want) in [("1", true), ("yes", true), ("0", false), ("", false)] {
             assert_eq!(prof_alloc(v), want, "PQ_PROF_ALLOC={v:?}");
         }
-        let k = knobs(&[("PQ_PROF_OUT", "p.folded"), ("PQ_PROF_SVG", "p.svg")]);
+        // Spans run exactly when `PQ_PROF_OUT` names a file.
+        let k = knobs(&[("PQ_PROF_OUT", "p.folded")]);
         assert_eq!(k.prof_out, Some(PathBuf::from("p.folded")));
-        assert_eq!(k.prof_svg, Some(PathBuf::from("p.svg")));
     }
 
     /// Every value that is malformed or cannot take effect warns, under
@@ -417,14 +438,9 @@ mod tests {
                 ],
                 &[],
             ),
-            (
-                &[
-                    ("PQ_PROF_ALLOC", "1"),
-                    ("PQ_PROF_OUT", "p.folded"),
-                    ("PQ_PROF_SVG", "p.svg"),
-                ],
-                &[],
-            ),
+            (&[("PQ_TRACE_OUT", "t.json")], &[]),
+            (&[("PQ_PROF_ALLOC", "1"), ("PQ_PROF_OUT", "p.folded")], &[]),
+            (&[("PQ_PROF_OUT", "p.folded")], &[]),
             (
                 &[("PQ_FAULTS", pq_bench::CHAOS_SPEC)],
                 &[("fault", "fault injection ACTIVE")],
@@ -458,28 +474,50 @@ mod tests {
                     ("edge", "PQ_STACKS=\"bogus\" selected no stacks"),
                 ],
             ),
-            // Trace knobs: unknown level, bad capacity, and the two that
-            // cannot take effect while tracing is off.
+            // Trace knobs: unknown levels, bad capacity, and each one
+            // that cannot take effect while tracing is off.
             (
                 &[("PQ_TRACE", "bogus")],
                 &[("obs", "unknown PQ_TRACE=\"bogus\"")],
             ),
             (
-                &[("PQ_TRACE", "info"), ("PQ_TRACE_BUF", "0")],
+                &[("PQ_TRACE", "error"), ("PQ_TRACE_OUT", "t.json")],
+                &[
+                    ("obs", "unknown PQ_TRACE=\"error\""),
+                    ("obs", "PQ_TRACE_OUT is set but PQ_TRACE is off"),
+                ],
+            ),
+            (
+                &[("PQ_TRACE", "trace"), ("PQ_TRACE_OUT", "t.json")],
+                &[
+                    ("obs", "unknown PQ_TRACE=\"trace\""),
+                    ("obs", "PQ_TRACE_OUT is set but PQ_TRACE is off"),
+                ],
+            ),
+            (
+                &[("PQ_TRACE_OUT", "t.json"), ("PQ_TRACE_BUF", "0")],
                 &[("obs", "invalid PQ_TRACE_BUF=\"0\"")],
             ),
             (
-                &[("PQ_TRACE_OUT", "t.json")],
+                &[("PQ_TRACE", "info")],
+                &[("obs", "PQ_TRACE is set but PQ_TRACE_OUT is not set")],
+            ),
+            (
+                &[("PQ_TRACE_BUF", "64")],
+                &[("obs", "PQ_TRACE_BUF is set but PQ_TRACE_OUT is not set")],
+            ),
+            (
+                &[("PQ_TRACE", "off"), ("PQ_TRACE_OUT", "t.json")],
                 &[("obs", "PQ_TRACE_OUT is set but PQ_TRACE is off")],
             ),
             (
-                &[("PQ_TRACE", "off"), ("PQ_TRACE_BUF", "64")],
-                &[("obs", "PQ_TRACE_BUF is set but PQ_TRACE is off")],
-            ),
-            (
-                &[("PQ_TRACE", "bogus"), ("PQ_TRACE_OUT", "t.json")],
                 &[
-                    ("obs", "unknown PQ_TRACE=\"bogus\""),
+                    ("PQ_TRACE", "off"),
+                    ("PQ_TRACE_BUF", "64"),
+                    ("PQ_TRACE_OUT", "t.json"),
+                ],
+                &[
+                    ("obs", "PQ_TRACE_BUF is set but PQ_TRACE is off"),
                     ("obs", "PQ_TRACE_OUT is set but PQ_TRACE is off"),
                 ],
             ),
@@ -501,7 +539,6 @@ mod tests {
     fn a_value_that_is_not_unicode_warns_unless_it_is_a_path() {
         use std::os::unix::ffi::OsStringExt;
         let k = parse(|name| match name {
-            "PQ_TRACE" => Some("info".into()),
             "PQ_SCALE" | "PQ_TRACE_OUT" => Some(OsString::from_vec(b"\xff.json".to_vec())),
             _ => None,
         });

@@ -15,7 +15,6 @@ mod runall;
 
 use knobs::Knobs;
 use pq_bench::{report, Experiment, RunSpec};
-use std::path::Path;
 
 /// What a subcommand needs before it can run.
 enum Cmd {
@@ -58,10 +57,7 @@ fn main() {
     let tracer = pq_obs::tracer();
     tracer.set_capacity(knobs.trace_buf);
     tracer.set_level(knobs.trace);
-    pq_prof::configure(
-        knobs.prof_alloc,
-        knobs.prof_out.is_some() || knobs.prof_svg.is_some(),
-    );
+    pq_prof::configure(knobs.prof_alloc, knobs.prof_out.is_some());
     for (cat, msg) in &knobs.warnings {
         tracer.warn(cat, msg.as_str());
     }
@@ -73,23 +69,20 @@ fn main() {
     write_outputs(&name, &knobs);
 }
 
-/// At exit: the allocation summary on stderr, then the folded profile,
-/// the flamegraph and the Chrome trace wherever the knobs name a path.
+/// At exit: the allocation summary on stderr, then the folded profile
+/// and the Chrome trace wherever the knobs name a path.
 /// A failed write warns rather than failing a finished run.
 fn write_outputs(name: &str, knobs: &Knobs) {
     if knobs.prof_alloc {
         eprintln!("[{name}] {}", alloc_summary());
     }
-    let report = |path: &Path, written: std::io::Result<()>| match written {
-        Ok(()) => eprintln!("[{name}] wrote {}", path.display()),
-        Err(e) => pq_obs::tracer().warn("prof", format!("failed to write {}: {e}", path.display())),
-    };
     if let Some(path) = &knobs.prof_out {
-        report(path, pq_prof::write_folded(path).map(drop));
-    }
-    if let Some(path) = &knobs.prof_svg {
-        let svg = pq_prof::svg::render(&pq_prof::folded());
-        report(path, pq_ckpt::atomic_write(path, svg.as_bytes()));
+        match pq_prof::write_folded(path) {
+            Ok(_) => eprintln!("[{name}] wrote {}", path.display()),
+            Err(e) => {
+                pq_obs::tracer().warn("prof", format!("failed to write {}: {e}", path.display()))
+            }
+        }
     }
     if let Some(path) = &knobs.trace_out {
         let (_, recorded, dropped) = pq_obs::tracer().stats();

@@ -49,24 +49,24 @@
 //! [`pq_obs`]'s tracer before the command runs and writes the trace
 //! after it:
 //!
-//! * `PQ_TRACE` — trace level (`off`/`error`/`warn`/`info`/`debug`/
-//!   `trace`; default `off`). At `info` each page load records its
-//!   waterfall: per-object request→processed spans, one track per
-//!   connection with cwnd/ssthresh/sRTT counters, retransmit and RTO
-//!   instants, handshake spans, and FVC/LVC/PLT markers.
-//! * `PQ_TRACE_OUT` — where to write the collected events on exit,
-//!   in Chrome trace-event format (open in Perfetto or
-//!   `chrome://tracing`).
+//! * `PQ_TRACE_OUT` — turns the tracer on: where to write the
+//!   collected events on exit, in Chrome trace-event format (open in
+//!   Perfetto or `chrome://tracing`).
+//! * `PQ_TRACE` — trace level (`off`/`warn`/`info`/`debug`; default
+//!   `info`). At `info` each page load records its waterfall:
+//!   per-object request→processed spans, one track per connection with
+//!   cwnd/ssthresh/sRTT counters, retransmit and RTO instants,
+//!   handshake spans, and FVC/LVC/PLT markers.
 //! * `PQ_TRACE_BUF` — ring capacity in events (default 262144; the
 //!   ring overwrites oldest on overflow).
 //!
-//! With `PQ_TRACE` off, a set `PQ_TRACE_OUT` or `PQ_TRACE_BUF` warns
-//! that it has no effect.
+//! Without `PQ_TRACE_OUT`, or with `PQ_TRACE=off`, a set `PQ_TRACE`,
+//! `PQ_TRACE_OUT` or `PQ_TRACE_BUF` warns that it has no effect.
 //!
 //! Worked waterfall example:
 //!
 //! ```sh
-//! PQ_SCALE=smoke PQ_TRACE=info PQ_TRACE_OUT=results/trace.json \
+//! PQ_SCALE=smoke PQ_TRACE_OUT=results/trace.json \
 //!     cargo run --release -p pq-bench --bin pq -- fig4
 //! # then load results/trace.json into https://ui.perfetto.dev
 //! ```

@@ -1,9 +1,9 @@
-//! FNV-1a/64 — the workspace's canonical content hash: journal record
-//! checksums and pq-prof's flamegraph colours. It is **not** the
-//! `study_digest` hash in `pq-bench`: that one shares the offset basis
-//! and the xor-then-multiply shape but multiplies by a different
-//! constant (see `DIGEST_MULTIPLIER` there), and every pinned digest
-//! depends on it staying different.
+//! FNV-1a/64 — the journal's record checksum ([`crate::journal`] is
+//! its only caller). It is **not** the `study_digest` hash in
+//! `pq-bench`: that one shares the offset basis and the
+//! xor-then-multiply shape but multiplies by a different constant (see
+//! `DIGEST_MULTIPLIER` there), and every pinned digest depends on it
+//! staying different.
 
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

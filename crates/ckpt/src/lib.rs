@@ -9,7 +9,7 @@
 //!   because every grid cell is a pure function of
 //!   `(seed, coordinates)`, the rerun's `study_digest` is the one the
 //!   killed run would have produced.
-//! * [`fnv`] — FNV-1a/64, pq-prof's flamegraph colours.
+//! * [`fnv`] — FNV-1a/64, the journal's record checksum.
 //! * [`journal`] — an append-only record writer that only pq-perf's
 //!   journal-append probe still calls.
 //!

@@ -15,7 +15,6 @@ fn args_json(args: &[(&'static str, ArgValue)]) -> Value {
     for (k, v) in args {
         let val = match v {
             ArgValue::U64(n) => Value::Num(*n as f64),
-            ArgValue::I64(n) => Value::Num(*n as f64),
             ArgValue::F64(n) => Value::Num(*n),
             ArgValue::Str(s) => Value::Str(s.clone()),
         };

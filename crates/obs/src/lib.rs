@@ -58,5 +58,5 @@ pub mod timing;
 pub mod trace;
 
 pub use metrics::{registry, MetricSnapshot, Registry};
-pub use timing::{PhaseTimer, Stopwatch};
+pub use timing::PhaseTimer;
 pub use trace::{enabled, tracer, ArgValue, Event, EventKind, Level, Tracer};

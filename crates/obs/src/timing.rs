@@ -5,39 +5,9 @@
 //! wall time, records a span on the harness track (`pid 0`) so the
 //! phases show up in the exported trace, and keeps the
 //! `(name, seconds)` pairs for the run manifest.
-//!
-//! [`Stopwatch`] is the single-interval building block.
 
 use crate::trace::{tracer, ArgValue, Level};
 use std::time::Instant;
-
-/// A simple wall-clock stopwatch.
-///
-/// ```
-/// let sw = pq_obs::Stopwatch::start();
-/// // ... work ...
-/// let secs = sw.elapsed_secs();
-/// assert!(secs >= 0.0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    started: Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Self {
-            #[expect(clippy::disallowed_methods, reason = "harness phase timing only")]
-            started: Instant::now(),
-        }
-    }
-
-    /// Seconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-}
 
 /// Measures a sequence of named phases in wall time.
 ///
@@ -73,12 +43,13 @@ impl PhaseTimer {
     pub fn phase<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
         let t = tracer();
         let start_ns = t.wall_ns();
-        let sw = Stopwatch::start();
+        #[expect(clippy::disallowed_methods, reason = "harness phase timing only")]
+        let started = Instant::now();
         let out = {
             let _prof = pq_prof::phase_scope(name);
             f()
         };
-        let secs = sw.elapsed_secs();
+        let secs = started.elapsed().as_secs_f64();
         if crate::trace::enabled(Level::Info) {
             t.span(
                 Level::Info,
@@ -104,15 +75,6 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stopwatch_monotonic() {
-        let sw = Stopwatch::start();
-        let a = sw.elapsed_secs();
-        let b = sw.elapsed_secs();
-        assert!(b >= a);
-        assert!(a >= 0.0);
-    }
 
     #[test]
     fn phase_timer_records_in_order() {

@@ -13,23 +13,20 @@ use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Severity / verbosity of a traced event, ordered `Error < Warn <
-/// Info < Debug < Trace`. [`Level::Off`] disables everything.
+/// Severity / verbosity of a traced event, ordered `Warn < Info <
+/// Debug`: the levels something records at. [`Level::Off`] disables
+/// everything.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Level {
     /// Tracing disabled.
     Off = 0,
-    /// Unrecoverable or clearly-wrong conditions.
-    Error = 1,
     /// Suspicious conditions (invalid config, clamped inputs, …).
-    Warn = 2,
+    Warn = 1,
     /// Run structure: spans, lifecycle events, cwnd/RTT counters.
-    Info = 3,
+    Info = 2,
     /// Dense diagnostics: queue depths, pacing delays, drops.
-    Debug = 4,
-    /// Firehose (per-packet detail).
-    Trace = 5,
+    Debug = 3,
 }
 
 impl Level {
@@ -38,35 +35,10 @@ impl Level {
     pub fn parse(s: &str) -> Option<Level> {
         match s.to_ascii_lowercase().as_str() {
             "off" | "0" | "" | "none" => Some(Level::Off),
-            "error" | "1" => Some(Level::Error),
-            "warn" | "warning" | "2" => Some(Level::Warn),
-            "info" | "3" => Some(Level::Info),
-            "debug" | "4" => Some(Level::Debug),
-            "trace" | "5" => Some(Level::Trace),
+            "warn" | "warning" => Some(Level::Warn),
+            "info" => Some(Level::Info),
+            "debug" => Some(Level::Debug),
             _ => None,
-        }
-    }
-
-    /// Lower-case name, as exported.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Off => "off",
-            Level::Error => "error",
-            Level::Warn => "warn",
-            Level::Info => "info",
-            Level::Debug => "debug",
-            Level::Trace => "trace",
-        }
-    }
-
-    fn from_u8(v: u8) -> Level {
-        match v {
-            1 => Level::Error,
-            2 => Level::Warn,
-            3 => Level::Info,
-            4 => Level::Debug,
-            5 => Level::Trace,
-            _ => Level::Off,
         }
     }
 }
@@ -76,8 +48,6 @@ impl Level {
 pub enum ArgValue {
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Float.
     F64(f64),
     /// Text.
@@ -87,11 +57,6 @@ pub enum ArgValue {
 impl From<u64> for ArgValue {
     fn from(v: u64) -> Self {
         ArgValue::U64(v)
-    }
-}
-impl From<i64> for ArgValue {
-    fn from(v: i64) -> Self {
-        ArgValue::I64(v)
     }
 }
 impl From<f64> for ArgValue {
@@ -234,11 +199,6 @@ impl Tracer {
         self.level.store(level as u8, Ordering::Relaxed);
     }
 
-    /// The active level.
-    pub fn level(&self) -> Level {
-        Level::from_u8(self.level.load(Ordering::Relaxed))
-    }
-
     /// Resize the ring to `capacity` events (at least one), keeping the
     /// newest events that fit.
     pub fn set_capacity(&self, capacity: usize) {
@@ -261,7 +221,7 @@ impl Tracer {
     /// `name`; `pid 0` is reserved for the harness.
     pub fn new_pid(&self, name: &str) -> u32 {
         let pid = self.next_pid.fetch_add(1, Ordering::Relaxed);
-        if enabled(Level::Error) {
+        if enabled(Level::Warn) {
             let mut inner = self.inner.lock().expect("tracer poisoned");
             inner.pid_names.push((pid, name.to_string()));
         }
@@ -270,7 +230,7 @@ impl Tracer {
 
     /// Label a track (`tid`) within a group.
     pub fn name_track(&self, pid: u32, tid: u32, name: &str) {
-        if enabled(Level::Error) {
+        if enabled(Level::Warn) {
             let mut inner = self.inner.lock().expect("tracer poisoned");
             inner.tid_names.push((pid, tid, name.to_string()));
         }
@@ -410,11 +370,10 @@ mod tests {
         static GUARD: Mutex<()> = Mutex::new(());
         let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let t = tracer();
-        let prev = t.level();
         t.set_level(level);
         t.drain();
         let r = f();
-        t.set_level(prev);
+        t.set_level(Level::Off);
         t.drain();
         r
     }
@@ -422,8 +381,8 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         with_level(Level::Off, || {
-            assert!(!enabled(Level::Error));
-            tracer().instant(Level::Error, "test", "x", 0, 0, 1, Vec::new());
+            assert!(!enabled(Level::Warn));
+            tracer().instant(Level::Warn, "test", "x", 0, 0, 1, Vec::new());
             assert_eq!(tracer().snapshot().len(), 0);
         });
     }
@@ -444,7 +403,7 @@ mod tests {
 
     #[test]
     fn span_and_counter_shapes() {
-        with_level(Level::Trace, || {
+        with_level(Level::Debug, || {
             let t = tracer();
             t.span(
                 Level::Info,
@@ -554,7 +513,9 @@ mod tests {
         assert_eq!(Level::parse("info"), Some(Level::Info));
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
         assert_eq!(Level::parse("off"), Some(Level::Off));
-        assert_eq!(Level::parse("bogus"), None);
+        for unknown in ["bogus", "error", "trace"] {
+            assert_eq!(Level::parse(unknown), None, "{unknown}");
+        }
         assert!(Level::Warn < Level::Debug);
     }
 

@@ -10,7 +10,8 @@
 //! * [`par_map`] — order-preserving scatter-gather over a slice. The
 //!   index space is cut into contiguous chunks and `std::thread`-scoped
 //!   workers claim them from one atomic cursor until it runs out; a
-//!   panic propagates to the caller with its payload.
+//!   panicking task unwinds its worker, and once every worker is
+//!   joined the first payload is re-raised on the caller.
 //! * [`jobs`] — the worker count: whatever [`set_jobs`] installed,
 //!   else [`std::thread::available_parallelism`]. The `pq` binary
 //!   installs its `PQ_JOBS` there; tests sweep `1 / 2 / 8` workers
@@ -36,7 +37,7 @@
 //!
 //! ## Observability
 //!
-//! With `PQ_TRACE=info` each worker gets its own trace track
+//! With tracing at `info` each worker gets its own trace track
 //! (`pq-par worker-N`) carrying a lifetime span (tasks/chunks args)
 //! and, at `debug`, one span per executed chunk. Every batch adds to
 //! the global `par.tasks` and per-worker `par.worker_tasks` registry
@@ -86,8 +87,9 @@ pub fn set_jobs(jobs: Option<usize>) {
 /// Map `f` over `items` on [`jobs`] workers, returning outputs in
 /// item order. Bit-identical to `items.iter().map(f).collect()` when
 /// `f` is pure per item; see the crate docs for the determinism
-/// contract. Panics in `f` propagate to the caller (first payload
-/// wins; remaining work is dropped).
+/// contract. A panic in `f` reaches the caller with its payload once
+/// every worker has been joined (the first panicked worker's payload
+/// wins; the other workers finish the batch).
 pub fn par_map<T, R>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
@@ -100,7 +102,6 @@ where
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn empty_input() {
@@ -160,27 +161,6 @@ mod tests {
                 .unwrap_or_default();
             assert_eq!(msg, format!("cell {bad} exploded"));
         }
-    }
-
-    #[test]
-    fn panic_aborts_remaining_work_eventually() {
-        // After a panic the batch drains without running *every* cell:
-        // the abort flag stops further claims, so at most the chunks
-        // already held complete. We only assert the call returns (no
-        // deadlock) and panics.
-        let done = AtomicU64::new(0);
-        let items: Vec<u32> = (0..10_000).collect();
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            pool::execute(4, &items, |_, &x| {
-                if x == 0 {
-                    panic!("early");
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-                x
-            })
-        }));
-        assert!(res.is_err());
-        assert!(done.load(Ordering::Relaxed) < 10_000, "batch aborted early");
     }
 
     #[test]

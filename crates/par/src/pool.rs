@@ -19,21 +19,19 @@
 //! alone, never from execution order. All call sites in this workspace
 //! key their RNG as `fork_idx(label, index)` for exactly this reason.
 //!
-//! Panics: a panicking task does not tear down the process. The first
-//! payload is captured, the batch aborts early (unclaimed chunks are
-//! never run), sibling workers finish the chunk they hold, and the
-//! payload is re-raised on the calling thread via
-//! [`std::panic::resume_unwind`] — the same contract as `rayon` and
-//! `std::thread::scope`.
+//! Panics: a panic ends the run, so the engine catches none. A task
+//! that panics unwinds its worker; the sibling workers keep claiming
+//! until the cursor runs out. [`execute`] joins every worker, then
+//! re-raises the first panicked worker's payload on the calling thread
+//! via [`std::panic::resume_unwind`]. Every handle is joined, so
+//! `std::thread::scope` adds no panic of its own.
 //!
 //! [`par_map`]: crate::par_map
 //! [`execute`]: execute
 
-use std::any::Any;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use pq_obs::{ArgValue, Level};
 
@@ -53,10 +51,6 @@ struct Batch {
     cursor: AtomicUsize,
     /// Items per chunk (the last chunk may be shorter).
     chunk_len: usize,
-    /// Set on the first panic: claim nothing more, drain out.
-    abort: AtomicBool,
-    /// First captured panic payload, re-raised by the caller.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Batch {
@@ -64,8 +58,6 @@ impl Batch {
         Batch {
             cursor: AtomicUsize::new(0),
             chunk_len: n.div_ceil(workers * CHUNKS_PER_WORKER).max(1),
-            abort: AtomicBool::new(false),
-            panic: Mutex::new(None),
         }
     }
 
@@ -76,15 +68,6 @@ impl Batch {
         // data (`items` is shared before the workers are spawned).
         let start = self.cursor.fetch_add(1, Ordering::Relaxed) * self.chunk_len;
         (start < n).then(|| start..(start + self.chunk_len).min(n))
-    }
-
-    /// Record the first panic and abort the batch.
-    fn record_panic(&self, payload: Box<dyn Any + Send>) {
-        self.panic
-            .lock()
-            .expect("panic slot poisoned")
-            .get_or_insert(payload);
-        self.abort.store(true, Ordering::Release);
     }
 }
 
@@ -115,40 +98,26 @@ where
 
     {
         let _worker = pq_prof::worker_span(prof_root, "par:worker");
-        while !batch.abort.load(Ordering::Acquire) {
-            let Some(Range { start, end }) = batch.claim(items.len()) else {
-                break;
-            };
+        while let Some(Range { start, end }) = batch.claim(items.len()) {
             let t0 = tracer.wall_ns();
             let _run_span = pq_prof::span("par:run");
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut out = Vec::with_capacity(end - start);
-                for (i, item) in (start..end).zip(&items[start..end]) {
-                    out.push(f(i, item));
-                }
-                out
-            }));
-            match run {
-                Ok(out) => {
-                    local_tasks += out.len() as u64;
-                    parts.push((start, out));
-                    if pq_obs::enabled(Level::Debug) {
-                        tracer.span(
-                            Level::Debug,
-                            "par",
-                            format!("chunk {start}..{end}"),
-                            pid,
-                            0,
-                            t0,
-                            tracer.wall_ns(),
-                            vec![("items", ArgValue::U64((end - start) as u64))],
-                        );
-                    }
-                }
-                Err(payload) => {
-                    batch.record_panic(payload);
-                    break;
-                }
+            let mut out = Vec::with_capacity(end - start);
+            for (i, item) in (start..end).zip(&items[start..end]) {
+                out.push(f(i, item));
+            }
+            local_tasks += out.len() as u64;
+            parts.push((start, out));
+            if pq_obs::enabled(Level::Debug) {
+                tracer.span(
+                    Level::Debug,
+                    "par",
+                    format!("chunk {start}..{end}"),
+                    pid,
+                    0,
+                    t0,
+                    tracer.wall_ns(),
+                    vec![("items", ArgValue::U64((end - start) as u64))],
+                );
             }
         }
     }
@@ -199,7 +168,7 @@ where
     // Workers inherit the caller's open profiler span path so their
     // time folds under the launching phase in the collapsed output.
     let prof_root = pq_prof::current_path();
-    let mut parts: Fragments<R> = std::thread::scope(|scope| {
+    let joined: Vec<std::thread::Result<Fragments<R>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|id| {
                 let batch = &batch;
@@ -212,24 +181,18 @@ where
                     .expect("spawn pq-par worker")
             })
             .collect();
-        let mut parts = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok(fragments) => parts.extend(fragments),
-                // A worker died outside a task (tasks are caught in
-                // `worker_loop`): still a panic the caller must see.
-                Err(payload) => batch.record_panic(payload),
-            }
-        }
-        parts
+        handles.into_iter().map(|handle| handle.join()).collect()
     });
+    let mut parts: Fragments<R> = Vec::new();
+    for fragments in joined {
+        match fragments {
+            Ok(fragments) => parts.extend(fragments),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
 
     let tasks: usize = parts.iter().map(|(_, out)| out.len()).sum();
     pq_obs::registry().counter_add("par.tasks", tasks as u64);
-
-    if let Some(payload) = batch.panic.lock().expect("panic slot poisoned").take() {
-        resume_unwind(payload);
-    }
 
     parts.sort_unstable_by_key(|(start, _)| *start);
     let out: Vec<R> = parts.into_iter().flat_map(|(_, v)| v).collect();

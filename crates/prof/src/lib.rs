@@ -10,28 +10,27 @@
 //!
 //! Two independent subsystems:
 //!
-//! * [`span`] — a scoped span-stack profiler. [`span::span`] guards
+//! * [`span`](mod@span) — a scoped span-stack profiler. [`span::span`] guards
 //!   push enter/exit markers onto a thread-local stack; exits fold
 //!   self-time into collapsed-stack lines (`a;b;c <self-nanoseconds>`)
-//!   that any flamegraph tool consumes, and [`svg::render`] draws a
-//!   self-contained flamegraph SVG with no external tooling.
+//!   that any flamegraph tool consumes.
 //! * [`alloc`] — a counting [`std::alloc::GlobalAlloc`] wrapper around
 //!   the system allocator (installed here as the `#[global_allocator]`)
 //!   attributing allocation count/bytes to the current harness phase,
 //!   plus a live-bytes peak (an RSS estimate).
 //!
 //! This crate reads no environment variables and writes no output on
-//! its own: the `pq` binary parses `PQ_PROF_ALLOC` / `PQ_PROF_OUT` /
-//! `PQ_PROF_SVG` with its other knobs, calls [`configure`] before the
-//! run and writes the folded profile and the SVG after it; `pq-bench`
-//! folds the allocation report into the run manifest.
+//! its own: the `pq` binary parses `PQ_PROF_ALLOC` / `PQ_PROF_OUT`
+//! with its other knobs, calls [`configure`] before the run (spans run
+//! exactly when `PQ_PROF_OUT` names a file) and writes the folded
+//! profile after it; `pq-bench` folds the allocation report into the
+//! run manifest.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod span;
-pub mod svg;
 
 pub use alloc::{
     alloc_enabled, alloc_snapshot, reset_alloc, set_alloc_enabled, AllocSnapshot, PhaseAlloc,

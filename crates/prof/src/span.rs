@@ -7,7 +7,7 @@
 //! [`flush_thread`] merges a thread's table into the process-global
 //! one; [`folded`] snapshots it and [`write_folded`] emits the
 //! standard collapsed-stack text (`path self_nanoseconds` per line)
-//! that `inferno`, `flamegraph.pl` or [`crate::svg::render`] consume.
+//! that `inferno` or `flamegraph.pl` consume.
 //!
 //! Disabled (the default), [`span`] costs one relaxed atomic load and
 //! constructs nothing — instrumentation sites stay on the hot path
@@ -83,8 +83,9 @@ fn push_frame(path: String) -> Span {
 
 /// Open a span named `name` nested under the thread's current span
 /// path. Names should be short, lowercase and free of `;`/space (the
-/// collapsed-stack separators) — the `prof-name` lint rule enforces
-/// this for literals.
+/// collapsed-stack separators): `pq_obs::names`' `SPAN_NAMES` declares
+/// every frame, its `span_names_are_folded_safe` test checks the
+/// separators, and `tests/determinism.rs` fails on an undeclared one.
 #[inline]
 pub fn span(name: &str) -> Span {
     if !spans_enabled() {

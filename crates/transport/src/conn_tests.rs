@@ -4,7 +4,7 @@
 use crate::api::ConnEventKind;
 use crate::config::Protocol;
 use crate::testutil::{fetch_once, fetch_once_with, MiniWorld};
-use pq_sim::{Direction, NetworkKind, SimTime};
+use pq_sim::{NetworkKind, SimTime};
 
 const HORIZON: SimTime = SimTime::from_secs(600);
 
@@ -329,72 +329,6 @@ fn handshake_survives_loss_of_first_flight() {
                 proto.label()
             );
         }
-    }
-}
-
-/// Diagnostic (run with --ignored): single-connection MSS transfer
-/// times per stack.
-#[test]
-#[ignore]
-fn dbg_mss_throughput() {
-    let net = NetworkKind::Mss.config();
-    for proto in [Protocol::TcpPlus, Protocol::Quic] {
-        let mut times = Vec::new();
-        for seed in 0..5 {
-            let (_, done) = fetch_once(proto, &net, 3000 + seed, 500_000, HORIZON);
-            times.push(done.as_secs_f64());
-        }
-        println!(
-            "{}: {:?}",
-            proto.label(),
-            times
-                .iter()
-                .map(|t| (t * 10.0).round() / 10.0)
-                .collect::<Vec<_>>()
-        );
-    }
-}
-
-/// Diagnostic (run with --ignored): the server's congestion-window
-/// timeline on the MSS network, read from an observed connection's
-/// records.
-#[test]
-#[ignore]
-fn dbg_mss_cwnd_timeline() {
-    let net = NetworkKind::Mss.config();
-    for proto in [Protocol::TcpPlus, Protocol::Quic] {
-        let mut w = MiniWorld::new(proto, &net, 3001, SimTime::ZERO);
-        w.conn.observe();
-        w.request(SimTime::ZERO, 1, 400, 500_000);
-        print!("{}: ", proto.label());
-        let (mut cwnd, mut srtt, mut events, mut read) = (0, None, 0, 0);
-        for step in 1..=12 {
-            w.run_until(SimTime::from_secs(step * 2));
-            for ev in w.traces[read..]
-                .iter()
-                .filter(|ev| ev.dir == Direction::Down)
-            {
-                match ev.kind {
-                    ConnEventKind::Ack {
-                        cwnd: c, srtt: s, ..
-                    } => (cwnd, srtt) = (c, s),
-                    ConnEventKind::CongestionEvent => events += 1,
-                    _ => {}
-                }
-            }
-            read = w.traces.len();
-            let key = if proto.is_quic() { 1 } else { 0 };
-            let prog = w.client_progress.get(&key).map(|(d, _, _)| *d).unwrap_or(0);
-            print!(
-                "[t{}s cwnd {}K prog {}K ev {} srtt {:.0}ms] ",
-                step * 2,
-                cwnd / 1000,
-                prog / 1000,
-                events,
-                srtt.map(|s| s.as_millis_f64()).unwrap_or(0.0)
-            );
-        }
-        println!();
     }
 }
 
