@@ -1,8 +1,10 @@
 //! `pq edge_cell`: one edge grid cell for CI ([`pq_bench::edge_cell`]:
 //! a single site on a single network, loaded over the edge stacks plus
 //! their Table-1 A/B partners, run through both studies). Prints the
-//! study digest, which CI and `tests/contract_digests.rs` pin clean and
-//! under the chaos spec, at `PQ_JOBS=1` and `4`.
+//! study digest, the `root` node of the `edge_cell` run (clean) and the
+//! `edge_cell_chaos` run (under the chaos spec) in
+//! `results/contract.txt`; CI and `crates/bench/tests/cli.rs` compare
+//! it with that line at `PQ_JOBS=1` and `4`.
 //!
 //! The spec's seed and fault plan apply; its scale and stacks do not.
 
@@ -19,6 +21,6 @@ pub fn run(spec: &RunSpec) {
     );
     println!(
         "study_digest={:016x}",
-        study_digest(&pq_bench::edge_cell(spec))
+        study_digest(&pq_bench::edge_cell(spec).data)
     );
 }

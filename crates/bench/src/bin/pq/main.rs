@@ -1,5 +1,5 @@
 //! `pq` — the experiment harness, one subcommand per artefact (see
-//! [`COMMANDS`] and the table in `pq-bench`'s crate docs). Every `PQ_*`
+//! [`commands`] and the table in `pq-bench`'s crate docs). Every `PQ_*`
 //! knob is parsed from the environment once, here ([`knobs::parse`],
 //! README "Knobs"): every subcommand gets the resulting [`RunSpec`],
 //! and the tracer, the profiler and the pool are configured before the
@@ -22,30 +22,35 @@ enum Cmd {
     Plain(fn(&RunSpec)),
     /// The experiment the spec describes ([`experiment`]), of which it
     /// prints one view. `runall` runs every one of these as a phase.
-    View(fn(&Experiment)),
+    View(report::View),
 }
 
 use Cmd::{Plain, View};
 
-/// Every subcommand, in paper order.
-const COMMANDS: [(&str, Cmd); 11] = [
+/// The subcommands that are not [`report::VIEWS`]: in paper order,
+/// `table1` and `table2` come before the views, `edge_cell` and
+/// `runall` after them.
+const PLAIN: [(&str, Cmd); 4] = [
     ("table1", Plain(|_| report::print_table1())),
     ("table2", Plain(|_| report::print_table2())),
-    ("table3", View(report::print_table3)),
-    ("fig3", View(report::print_fig3)),
-    ("fig4", View(report::print_fig4)),
-    ("fig5", View(report::print_fig5)),
-    ("fig6", View(report::print_fig6)),
-    ("agreement", View(report::print_agreement)),
-    ("ablation", View(report::print_ablation)),
     ("edge_cell", Plain(edge_cell::run)),
     ("runall", Plain(runall::run)),
 ];
 
+/// Every subcommand, in paper order.
+fn commands() -> impl Iterator<Item = (&'static str, Cmd)> {
+    let [table1, table2, edge_cell, runall] = PLAIN;
+    let views = report::VIEWS.map(|(name, view)| (name, View(view)));
+    [table1, table2]
+        .into_iter()
+        .chain(views)
+        .chain([edge_cell, runall])
+}
+
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
-    let Some((_, cmd)) = COMMANDS.iter().find(|(n, _)| *n == name) else {
-        let names: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
+    let Some((_, cmd)) = commands().find(|(n, _)| *n == name) else {
+        let names: Vec<&str> = commands().map(|(n, _)| n).collect();
         eprintln!("usage: pq <{}>", names.join("|"));
         std::process::exit(2);
     };
@@ -64,7 +69,7 @@ fn main() {
     pq_par::set_jobs(Some(knobs.jobs));
     match cmd {
         Plain(run) => run(&knobs.spec),
-        View(print) => print(&experiment(&name, &knobs.spec)),
+        View(view) => show(view, &experiment(&name, &knobs.spec)),
     }
     write_outputs(&name, &knobs);
 }
@@ -112,6 +117,13 @@ fn alloc_summary() -> String {
         mib(snap.total_bytes),
         mib(snap.peak_bytes),
     )
+}
+
+/// Print one view of `e` on stdout.
+fn show(view: report::View, e: &Experiment) {
+    let mut out = String::new();
+    view(e, &mut out).expect("writing to a String cannot fail");
+    print!("{out}");
 }
 
 /// Run the experiment `spec` describes, echoing its setup and its wall

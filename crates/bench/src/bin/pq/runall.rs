@@ -9,7 +9,6 @@
 //! temp files a killed write leaves behind are swept, and reported, at
 //! start.
 
-use crate::{Cmd, COMMANDS};
 use pq_bench::manifest::{manifest_json, write_json};
 use pq_bench::{report, RunSpec};
 
@@ -29,10 +28,8 @@ pub fn run(spec: &RunSpec) {
     timer.phase("table1", report::print_table1);
     timer.phase("table2", report::print_table2);
     let e = timer.phase("experiment", || crate::experiment("runall", spec));
-    for (name, cmd) in COMMANDS {
-        if let Cmd::View(print) = cmd {
-            timer.phase(name, || print(&e));
-        }
+    for (name, view) in report::VIEWS {
+        timer.phase(name, || crate::show(view, &e));
     }
     match write_json("results/manifest.json", &manifest_json(&e, &timer)) {
         Ok(()) => eprintln!("[runall] wrote results/manifest.json"),

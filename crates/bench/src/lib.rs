@@ -81,8 +81,11 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
+pub mod contract;
 pub mod manifest;
 pub mod report;
+
+pub use contract::contract;
 
 use pq_fault::FaultPlan;
 use pq_sim::NetworkKind;
@@ -122,8 +125,9 @@ impl Scale {
     }
 }
 
-/// The chaos spec of the CI `chaos-smoke` job and of every chaos pin;
-/// `tests/contract_digests.rs` holds `ci.yml` to this spelling.
+/// The chaos spec of the CI `chaos-smoke` job and of every chaos run in
+/// `results/contract.txt`; `tests/contract_digests.rs` holds `ci.yml` to
+/// this spelling.
 pub const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
                               stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05";
 
@@ -199,18 +203,27 @@ pub const EDGE_CELL_RUNS: u32 = 3;
 
 /// `pq edge_cell`: wikipedia.org × LTE × [`edge_stacks`] ×
 /// [`EDGE_CELL_RUNS`] runs, through both studies, under `spec`'s seed
-/// and fault plan (its scale and stacks do not apply). CI and
-/// `tests/contract_digests.rs` pin its [`manifest::study_digest`].
-pub fn edge_cell(spec: &RunSpec) -> StudyData {
+/// and fault plan; the experiment's spec has `spec`'s scale and
+/// [`edge_stacks`]. `results/contract.txt` pins its [`contract()`],
+/// clean and under the chaos spec.
+pub fn edge_cell(spec: &RunSpec) -> Experiment {
+    let spec = RunSpec {
+        stacks: edge_stacks(),
+        ..spec.clone()
+    };
     let sites = [pq_web::site("wikipedia.org").expect("corpus site")];
-    let (_, data) = grid(
-        spec,
+    let (stimuli, data) = grid(
+        &spec,
         &sites,
         &[NetworkKind::Lte],
-        &edge_stacks(),
+        &spec.stacks,
         EDGE_CELL_RUNS,
     );
-    data
+    Experiment {
+        spec,
+        stimuli,
+        data,
+    }
 }
 
 /// Build the grid under `spec`'s seed and fault plan, and run both

@@ -3,9 +3,10 @@
 //! One `results/manifest.json` per experiment execution, declared once
 //! in [`manifest_json`]: scale, seed, git revision, per-phase
 //! wall-times, the Table-3 funnels, the per-protocol PLT histogram
-//! summaries, fault / retry / quarantine accounting and the
-//! [`study_digest`] that CI and `tests/contract_digests.rs` pin. Its timings are one sample
-//! from one machine; speed is measured by `benches/perf`.
+//! summaries, fault / retry / quarantine accounting, the
+//! [`study_digest`] and the whole [`contract`](crate::contract()) tree,
+//! both of which `results/contract.txt` pins. Its timings are one
+//! sample from one machine; speed is measured by `benches/perf`.
 
 use crate::Experiment;
 use pq_obs::json::Value;
@@ -14,24 +15,25 @@ use pq_study::{Group, StudyData};
 
 /// The study digest's per-byte multiplier: 2⁴⁸ + 0x1b3. This is **not**
 /// the FNV-1a/64 prime (2⁴⁰ + 0x1b3, `0x0000_0100_0000_01b3`), and it
-/// stays as it is: every pinned digest in CI, CHANGES.md and
-/// `benches/perf` was computed with it. Do not "dedupe" this hasher
-/// into `pq_ckpt::fnv1a`.
+/// stays as it is: every pinned digest in `results/contract.txt`,
+/// CHANGES.md and `benches/perf` was computed with it. Do not "dedupe"
+/// this hasher into `pq_ckpt::fnv1a`.
 const DIGEST_MULTIPLIER: u64 = 0x1_0000_0000_01b3;
 
-/// Accumulating hasher for the study digest: FNV-1a's offset basis and
-/// xor-then-multiply step, with [`DIGEST_MULTIPLIER`] as the multiplier.
-struct Fnv(u64);
+/// Accumulating hasher for the study digest and every hashed node of
+/// the contract: FNV-1a's offset basis and xor-then-multiply step,
+/// with [`DIGEST_MULTIPLIER`] as the multiplier.
+pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
-    fn new() -> Fnv {
+    pub(crate) fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
     fn byte(&mut self, b: u8) {
         self.0 ^= u64::from(b);
         self.0 = self.0.wrapping_mul(DIGEST_MULTIPLIER);
     }
-    fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.byte(b);
         }
@@ -39,18 +41,90 @@ impl Fnv {
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         for b in s.as_bytes() {
             self.byte(*b);
         }
     }
+
+    /// Every A/B vote, float bits included, in study order.
+    pub(crate) fn ab(&mut self, data: &StudyData) {
+        self.u64(data.ab.len() as u64);
+        for v in &data.ab {
+            self.str(v.group.name());
+            self.u64(u64::from(v.participant));
+            self.u64(u64::from(v.site));
+            self.str(v.network.name());
+            self.str(v.pair.0.label());
+            self.str(v.pair.1.label());
+            self.byte(match v.choice {
+                pq_study::AbChoice::First => 0,
+                pq_study::AbChoice::NoDifference => 1,
+                pq_study::AbChoice::Second => 2,
+            });
+            self.f64(v.confidence);
+            self.u64(u64::from(v.replays));
+            self.byte(u8::from(v.valid));
+        }
+    }
+
+    /// Every rating vote, float bits included, in study order.
+    pub(crate) fn ratings(&mut self, data: &StudyData) {
+        self.u64(data.ratings.len() as u64);
+        for v in &data.ratings {
+            self.str(v.group.name());
+            self.u64(u64::from(v.participant));
+            self.u64(u64::from(v.site));
+            self.str(v.network.name());
+            self.str(v.protocol.label());
+            self.byte(v.environment as u8);
+            self.f64(v.speed);
+            self.f64(v.quality);
+            self.byte(u8::from(v.valid));
+        }
+    }
+
+    /// Both studies' sessions, every field, float bits included.
+    pub(crate) fn sessions(&mut self, data: &StudyData) {
+        for sessions in [&data.sessions_ab, &data.sessions_rating] {
+            self.u64(sessions.len() as u64);
+            for s in sessions {
+                let p = &s.participant;
+                self.str(p.group.name());
+                self.u64(u64::from(p.id));
+                let floats = [p.jnd, p.obs_noise, p.rating_bias, p.rating_noise];
+                let paces = [p.secs_per_ab_video, p.secs_per_rating_video, p.replay_scale];
+                for x in p.w.into_iter().chain(floats).chain(paces) {
+                    self.f64(x);
+                }
+                self.byte(p.age as u8);
+                for flag in s.conformance.violated.into_iter().chain([p.male, s.rusher]) {
+                    self.byte(u8::from(flag));
+                }
+                self.f64(s.secs_per_video);
+            }
+        }
+    }
+
+    /// Both studies' funnels: Table 3.
+    pub(crate) fn funnels(&mut self, data: &StudyData) {
+        for funnel in data.funnel_ab.iter().chain(&data.funnel_rating) {
+            self.u64(u64::from(funnel.recruited));
+            for &n in &funnel.after {
+                self.u64(u64::from(n));
+            }
+        }
+    }
 }
 
-/// A 64-bit FNV-1a-style digest (same shape, its own multiplier: see
-/// [`DIGEST_MULTIPLIER`]) over *every bit that analysis consumes* of a
-/// study execution: all A/B votes, all rating votes (float bits
-/// included) and both funnel tables, in canonical order.
+/// A 64-bit FNV-1a-style digest (same shape, its own multiplier,
+/// 2⁴⁸ + 0x1b3) over a study execution's votes and funnels: all A/B
+/// votes, all rating votes (float bits included) and both funnel
+/// tables, in canonical order. It is the `root` node of
+/// [`crate::contract()`], which also covers what it does not: each
+/// stimulus's metrics, the sessions, the grid's retries and quarantines
+/// and the text of every printed view.
 ///
 /// This is the parallel-determinism witness: `PQ_JOBS=1` and
 /// `PQ_JOBS=N` runs of the same scale/seed must produce the same
@@ -59,41 +133,9 @@ impl Fnv {
 /// coordinates.
 pub fn study_digest(data: &StudyData) -> u64 {
     let mut h = Fnv::new();
-    h.u64(data.ab.len() as u64);
-    for v in &data.ab {
-        h.str(v.group.name());
-        h.u64(u64::from(v.participant));
-        h.u64(u64::from(v.site));
-        h.str(v.network.name());
-        h.str(v.pair.0.label());
-        h.str(v.pair.1.label());
-        h.byte(match v.choice {
-            pq_study::AbChoice::First => 0,
-            pq_study::AbChoice::NoDifference => 1,
-            pq_study::AbChoice::Second => 2,
-        });
-        h.f64(v.confidence);
-        h.u64(u64::from(v.replays));
-        h.byte(u8::from(v.valid));
-    }
-    h.u64(data.ratings.len() as u64);
-    for v in &data.ratings {
-        h.str(v.group.name());
-        h.u64(u64::from(v.participant));
-        h.u64(u64::from(v.site));
-        h.str(v.network.name());
-        h.str(v.protocol.label());
-        h.byte(v.environment as u8);
-        h.f64(v.speed);
-        h.f64(v.quality);
-        h.byte(u8::from(v.valid));
-    }
-    for funnel in data.funnel_ab.iter().chain(&data.funnel_rating) {
-        h.u64(u64::from(funnel.recruited));
-        for &n in &funnel.after {
-            h.u64(u64::from(n));
-        }
-    }
+    h.ab(data);
+    h.ratings(data);
+    h.funnels(data);
     h.0
 }
 
@@ -122,6 +164,7 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
 /// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes, phases: [{phase, allocs, bytes}]}` |
 /// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
+/// | `contract` | `[{key, value}]`: the run's [`contract`](crate::contract()) tree, node by node |
 pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
     // Before anything below allocates: the report is of the run, not
     // of writing the report.
@@ -252,6 +295,13 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
                 .with("mbx_early_retx", reg.counter_value("edge.mbx_early_retx")),
         );
     }
+    // Last, after every registry read: the ablation view's own page
+    // loads count into the registry.
+    let contract: Vec<Value> = crate::contract(e)
+        .into_iter()
+        .map(|(key, value)| Value::obj().with("key", key).with("value", value))
+        .collect();
+    out.set("contract", contract);
     out
 }
 
@@ -326,7 +376,7 @@ mod tests {
 
     /// The schema CI's Python reads: 17 keys on every run, `alloc` only
     /// while the counting allocator is on, `edge` only with an edge
-    /// stack in the grid, in this order.
+    /// stack in the grid, in this order, and `contract` last.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
         const ALWAYS: [&str; 16] = [
@@ -352,7 +402,8 @@ mod tests {
             tiny_experiment(&[Protocol::TcpPlus, Protocol::Quic])
         });
         let m = manifest_json(&plain, &timer);
-        assert_eq!(keys(&m), ALWAYS);
+        assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
+        assert_eq!(keys(&m)[ALWAYS.len()..], ["contract"]);
         let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("{key} present"));
         assert_eq!(get("scale").as_str(), Some("smoke"));
         assert_eq!(get("seed").as_u64(), Some(1910));
@@ -382,7 +433,7 @@ mod tests {
         let m = manifest_json(&edge, &timer);
         pq_prof::set_alloc_enabled(false);
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
-        assert_eq!(keys(&m)[ALWAYS.len()..], ["alloc", "edge"]);
+        assert_eq!(keys(&m)[ALWAYS.len()..], ["alloc", "edge", "contract"]);
         let alloc = m.get("alloc").expect("alloc block");
         assert_eq!(
             keys(alloc),

@@ -1,5 +1,7 @@
 //! Report printers: each function regenerates one table/figure of the
 //! paper as a terminal table (and is reused by the `runall` binary).
+//! Tables 1 and 2 print a fixed configuration; every other printer is a
+//! [`View`] of an experiment.
 
 use crate::{share_bar, Experiment};
 use pq_metrics::Metric;
@@ -11,6 +13,24 @@ use pq_study::{
 };
 use pq_transport::Protocol;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
+
+/// A printer that writes one view of an experiment into `out`: `pq`
+/// prints the text, and [`crate::contract()`] hashes it.
+pub type View = fn(&Experiment, &mut String) -> fmt::Result;
+
+/// Every view, in paper order, under its `pq` subcommand name, which
+/// is also its node in [`crate::contract()`]. `pq runall` runs each
+/// one as a phase.
+pub const VIEWS: [(&str, View); 7] = [
+    ("table3", print_table3),
+    ("fig3", print_fig3),
+    ("fig4", print_fig4),
+    ("fig5", print_fig5),
+    ("fig6", print_fig6),
+    ("agreement", print_agreement),
+    ("ablation", print_ablation),
+];
 
 /// Table 1: the protocol configurations under test.
 pub fn print_table1() {
@@ -113,12 +133,13 @@ fn measure_network(down: &LinkConfig, up: &LinkConfig) -> (f64, f64, f64) {
 }
 
 /// Table 3: participation and the conformance-filter funnel.
-pub fn print_table3(e: &Experiment) {
-    println!("== Table 3: participation after each filter rule ==");
-    println!(
+pub fn print_table3(e: &Experiment, out: &mut String) -> fmt::Result {
+    writeln!(out, "== Table 3: participation after each filter rule ==")?;
+    writeln!(
+        out,
         "{:<9} {:<7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
         "Group", "Study", "-", "R1", "R2", "R3", "R4", "R5", "R6", "R7"
-    );
+    )?;
     for ((group, funnel_ab), funnel_rating) in Group::ALL
         .into_iter()
         .zip(e.data.funnel_ab)
@@ -128,56 +149,70 @@ pub fn print_table3(e: &Experiment) {
             ("A/B", StudyKind::AB, funnel_ab),
             ("Rating", StudyKind::Rating, funnel_rating),
         ] {
-            print!("{:<9} {:<7} {:>6}", group.name(), study, funnel.recruited);
+            write!(
+                out,
+                "{:<9} {:<7} {:>6}",
+                group.name(),
+                study,
+                funnel.recruited
+            )?;
             for a in funnel.after {
-                print!(" {a:>6}");
+                write!(out, " {a:>6}")?;
             }
-            println!();
-            print!("{:<9} {:<7}", "  paper:", "");
+            writeln!(out)?;
+            write!(out, "{:<9} {:<7}", "  paper:", "")?;
             for p in group.calib().study(kind).table3 {
-                print!(" {p:>6}");
+                write!(out, " {p:>6}")?;
             }
-            println!();
+            writeln!(out)?;
         }
     }
-    println!();
+    writeln!(out)?;
+    Ok(())
 }
 
 /// Figure 3: rating-study agreement between groups per condition.
-pub fn print_fig3(e: &Experiment) {
-    println!("== Figure 3: rating agreement across subject groups ==");
+pub fn print_fig3(e: &Experiment, out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "== Figure 3: rating agreement across subject groups =="
+    )?;
     let rows = fig3_agreement(&e.data.ratings, 0.99);
     if rows.is_empty() {
-        println!("(no shared conditions — increase the scale)");
-        return;
+        writeln!(out, "(no shared conditions — increase the scale)")?;
+        return Ok(());
     }
     let agree = rows.iter().filter(|r| r.micro_agrees()).count();
-    println!(
+    writeln!(
+        out,
         "conditions: {}   µWorker means inside lab 99% CI: {}/{} ({:.0}%)",
         rows.len(),
         agree,
         rows.len(),
         100.0 * agree as f64 / rows.len() as f64
-    );
+    )?;
     let dev: Vec<f64> = rows.iter().filter_map(|r| r.internet_deviation()).collect();
     let micro_dev: Vec<f64> = rows
         .iter()
         .map(|r| (r.micro.mean - r.lab.mean).abs())
         .collect();
     if !dev.is_empty() {
-        println!(
+        writeln!(
+            out,
             "mean |deviation from lab mean|: µWorker {:.1}, Internet(median) {:.1}  → the Internet group deviates most and is excluded (as in §4.2)",
             pq_stats::mean(&micro_dev),
             pq_stats::mean(&dev),
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{:<26} {:>9} {:>16} {:>9} {:>9}",
         "condition (site/net/proto)", "lab mean", "lab 99% CI", "µWorker", "Internet"
-    );
+    )?;
     let step = (rows.len() / 12).max(1);
     for r in rows.iter().step_by(step) {
-        println!(
+        writeln!(
+            out,
             "{:<26} {:>9.1} [{:>6.1},{:>6.1}] {:>9.1} {:>9}",
             format!(
                 "{}/{}/{}",
@@ -194,20 +229,25 @@ pub fn print_fig3(e: &Experiment) {
             r.internet_median
                 .map(|m| format!("{m:.1}"))
                 .unwrap_or_else(|| "-".into()),
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
+    Ok(())
 }
 
 /// Figure 4: A/B vote shares per protocol pair and network.
-pub fn print_fig4(e: &Experiment) {
-    println!("== Figure 4: A/B study vote shares (valid lab+µWorker votes) ==");
+pub fn print_fig4(e: &Experiment, out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "== Figure 4: A/B study vote shares (valid lab+µWorker votes) =="
+    )?;
     let groups = [Group::Lab, Group::MicroWorker];
     for network in NetworkKind::ALL {
-        println!("--- {} ---", network.name());
+        writeln!(out, "--- {} ---", network.name())?;
         for pair in Protocol::pairs_for(&e.spec.stacks) {
             if let Some(s) = ab_shares(&e.data.ab, network, pair, &groups) {
-                println!(
+                writeln!(
+                    out,
                     "{:>9} vs {:<9} {}|{}|{}  {:>4.0}% / {:>4.0}% / {:>4.0}%  (n={}, avg replays {:.2})",
                     pair.0.label(),
                     pair.1.label(),
@@ -219,58 +259,66 @@ pub fn print_fig4(e: &Experiment) {
                     s.second * 100.0,
                     s.n,
                     s.avg_replays,
-                );
+                )?;
             }
         }
     }
-    println!("(bars: prefer-first | no difference | prefer-second)");
-    println!();
+    writeln!(out, "(bars: prefer-first | no difference | prefer-second)")?;
+    writeln!(out)?;
+    Ok(())
 }
 
 /// Figure 5: rating means + 99 % CI per protocol × setting, plus the
 /// §4.4 ANOVA significance screening.
-pub fn print_fig5(e: &Experiment) {
-    println!("== Figure 5: rating study mean votes (µWorker, 99% CI) ==");
+pub fn print_fig5(e: &Experiment, out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "== Figure 5: rating study mean votes (µWorker, 99% CI) =="
+    )?;
     // Each environment over the networks whose videos it shows.
     let cells: Vec<(Environment, NetworkKind)> = Environment::ALL
         .into_iter()
         .flat_map(|env| env.networks().iter().map(move |&net| (env, net)))
         .collect();
-    print!("{:<22}", "setting");
+    write!(out, "{:<22}", "setting")?;
     for p in &e.spec.stacks {
-        print!(" {:>16}", p.label());
+        write!(out, " {:>16}", p.label())?;
     }
-    println!();
+    writeln!(out)?;
     for &(env, net) in &cells {
-        print!("{:<22}", format!("{} / {}", env.name(), net.name()));
+        write!(out, "{:<22}", format!("{} / {}", env.name(), net.name()))?;
         for &p in &e.spec.stacks {
             let votes = &e.data.ratings;
             match pq_study::rating_interval(votes, env, Some(net), p, Group::MicroWorker, 0.99) {
-                Some(ci) => print!(" {:>8.1} ±{:>5.1} ", ci.mean, ci.half_width),
-                None => print!(" {:>16}", "-"),
+                Some(ci) => write!(out, " {:>8.1} ±{:>5.1} ", ci.mean, ci.half_width)?,
+                None => write!(out, " {:>16}", "-")?,
             }
         }
-        println!();
+        writeln!(out)?;
     }
 
-    println!("\nANOVA across the protocol grid per setting:");
+    writeln!(out, "\nANOVA across the protocol grid per setting:")?;
     for (env, net) in cells {
         let votes = &e.data.ratings;
         if let Some(r) =
             anova_across_protocols(votes, env, Some(net), &e.spec.stacks, Group::MicroWorker)
         {
-            println!(
+            writeln!(
+                out,
                 "  {:<22} F={:<6.2} p={:<8.4} significant: 99% {} / 90% {}",
                 format!("{} / {}", env.name(), net.name()),
                 r.f,
                 r.p,
                 if r.significant_at(0.99) { "YES" } else { "no" },
                 if r.significant_at(0.90) { "YES" } else { "no" },
-            );
+            )?;
         }
     }
 
-    println!("\n§4.4 'Where it makes a difference' (per-site pairwise, 90% level):");
+    writeln!(
+        out,
+        "\n§4.4 'Where it makes a difference' (per-site pairwise, 90% level):"
+    )?;
     let mut pairs: Vec<(Protocol, Protocol)> = vec![
         (Protocol::Quic, Protocol::Tcp),
         (Protocol::Quic, Protocol::TcpPlus),
@@ -291,38 +339,44 @@ pub fn print_fig5(e: &Experiment) {
             0.90,
             e.stimuli.site_count(),
         );
-        println!(
+        writeln!(
+            out,
             "  {}: {} significant site×pair differences",
             network.name(),
             diffs.len()
-        );
+        )?;
         for d in diffs.iter().take(6) {
-            println!(
+            writeln!(
+                out,
                 "     {:<18} {} > {} by {:.1} points (p={:.3})",
                 e.stimuli.site_names[d.site as usize],
                 d.better.label(),
                 d.worse.label(),
                 d.diff,
                 d.p
-            );
+            )?;
         }
     }
-    println!();
+    writeln!(out)?;
+    Ok(())
 }
 
 /// Figure 6: Pearson correlation heatmap (metric ↔ mean votes).
-pub fn print_fig6(e: &Experiment) {
-    println!("== Figure 6: Pearson r, technical metric vs mean vote (µWorker) ==");
-    println!("(DSL/LTE use free-time votes, as in the paper)");
+pub fn print_fig6(e: &Experiment, out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "== Figure 6: Pearson r, technical metric vs mean vote (µWorker) =="
+    )?;
+    writeln!(out, "(DSL/LTE use free-time votes, as in the paper)")?;
     for &protocol in &e.spec.stacks {
-        println!("--- {} ---", protocol.label());
-        print!("{:<6}", "");
+        writeln!(out, "--- {} ---", protocol.label())?;
+        write!(out, "{:<6}", "")?;
         for n in NetworkKind::ALL {
-            print!(" {:>7}", n.name());
+            write!(out, " {:>7}", n.name())?;
         }
-        println!();
+        writeln!(out)?;
         for metric in Metric::ALL {
-            print!("{:<6}", metric.name());
+            write!(out, "{:<6}", metric.name())?;
             for network in NetworkKind::ALL {
                 let envs: &[Environment] = if network.is_inflight() {
                     &[Environment::Plane]
@@ -339,15 +393,19 @@ pub fn print_fig6(e: &Experiment) {
                     envs,
                 );
                 match r {
-                    Some(r) => print!(" {r:>7.2}"),
-                    None => print!(" {:>7}", "-"),
+                    Some(r) => write!(out, " {r:>7.2}")?,
+                    None => write!(out, " {:>7}", "-")?,
                 }
             }
-            println!();
+            writeln!(out)?;
         }
     }
-    println!("(−1.0 = metric explains votes perfectly; SI should win, PLT should trail)");
-    println!();
+    writeln!(
+        out,
+        "(−1.0 = metric explains votes perfectly; SI should win, PLT should trail)"
+    )?;
+    writeln!(out)?;
+    Ok(())
 }
 
 /// What §4.2's normality claim is about: one pool's rating-study
@@ -372,18 +430,19 @@ pub(crate) fn rating_residuals(votes: &[RatingVote], group: Group) -> Vec<f64> {
 }
 
 /// §4.2: answer-time, replay and demographic statistics per group.
-pub fn print_agreement(e: &Experiment) {
-    println!("== §4.2: study agreement statistics ==");
-    println!(
+pub fn print_agreement(e: &Experiment, out: &mut String) -> fmt::Result {
+    writeln!(out, "== §4.2: study agreement statistics ==")?;
+    writeln!(
+        out,
         "{:<9} {:>18} {:>18}",
         "Group", "A/B s/video", "Rating s/video"
-    );
+    )?;
     let studies = [
         (StudyKind::AB, &e.data.sessions_ab),
         (StudyKind::Rating, &e.data.sessions_rating),
     ];
     for group in Group::ALL {
-        print!("{:<9}", group.name());
+        write!(out, "{:<9}", group.name())?;
         for (kind, sessions) in studies {
             let secs: Vec<f64> = sessions
                 .iter()
@@ -391,17 +450,24 @@ pub fn print_agreement(e: &Experiment) {
                 .map(|s| s.secs_per_video)
                 .collect();
             let paper = group.calib().study(kind).secs_per_video;
-            print!(" {:>8.2} (p:{paper:>6.2})", pq_stats::mean(&secs));
+            write!(out, " {:>8.2} (p:{paper:>6.2})", pq_stats::mean(&secs))?;
         }
-        println!();
+        writeln!(out)?;
     }
 
-    println!("\nnormality of rating residuals (Jarque–Bera, α = 0.01; the paper takes the");
-    println!("median for Internet votes because they are not normal, mean + CI otherwise):");
+    writeln!(
+        out,
+        "\nnormality of rating residuals (Jarque–Bera, α = 0.01; the paper takes the"
+    )?;
+    writeln!(
+        out,
+        "median for Internet votes because they are not normal, mean + CI otherwise):"
+    )?;
     for group in Group::ALL {
         let residuals = rating_residuals(&e.data.ratings, group);
         if let Some(jb) = jarque_bera(&residuals) {
-            println!(
+            writeln!(
+                out,
                 "  {:<9} JB {:>7.1}  p {:<8.4} n {:>6}  {}",
                 group.name(),
                 jb.statistic,
@@ -412,11 +478,11 @@ pub fn print_agreement(e: &Experiment) {
                 } else {
                     "rejected"
                 },
-            );
+            )?;
         }
     }
 
-    println!("\nreplays per A/B video (valid votes):");
+    writeln!(out, "\nreplays per A/B video (valid votes):")?;
     for group in Group::ALL {
         let by_net = NetworkKind::ALL.map(|network| {
             let votes: Vec<f64> = e
@@ -428,23 +494,24 @@ pub fn print_agreement(e: &Experiment) {
                 .collect();
             format!("{} {:.2}", network.name(), pq_stats::mean(&votes))
         });
-        println!("  {:<9} {}", group.name(), by_net.join("  "));
+        writeln!(out, "  {:<9} {}", group.name(), by_net.join("  "))?;
     }
 
-    println!("\nA/B confidence (decided vs no-difference votes):");
+    writeln!(out, "\nA/B confidence (decided vs no-difference votes):")?;
     for network in NetworkKind::ALL {
         if let Some(cs) = pq_study::confidence_stats(&e.data.ab, network) {
-            println!(
+            writeln!(
+                out,
                 "  {:<7} decided {:.2}  no-diff {:.2}  (n={})",
                 network.name(),
                 cs.decided,
                 cs.undecided,
                 cs.n
-            );
+            )?;
         }
     }
 
-    println!("\ndemographics (A/B study, all recruited):");
+    writeln!(out, "\ndemographics (A/B study, all recruited):")?;
     for group in Group::ALL {
         let ps: Vec<_> = e
             .data
@@ -455,15 +522,17 @@ pub fn print_agreement(e: &Experiment) {
         let pct = |is: fn(&Participant) -> bool| {
             100.0 * ps.iter().filter(|s| is(&s.participant)).count() as f64 / ps.len() as f64
         };
-        println!(
+        writeln!(
+            out,
             "  {:<9} male {:.0}%  <24 {:.0}%  25-44 {:.0}%",
             group.name(),
             pct(|p| p.male),
             pct(|p| p.age == AgeBracket::Under24),
             pct(|p| p.age == AgeBracket::From25To44),
-        );
+        )?;
     }
-    println!();
+    writeln!(out)?;
+    Ok(())
 }
 
 /// Ablation 1's cell, MSS QUIC vs TCP over µWorker votes: the
@@ -494,27 +563,38 @@ pub fn filtering_ablation(e: &Experiment) -> Option<[(f64, usize); 2]> {
 /// The ablations EXPERIMENTS.md quotes, each re-derived by the test its
 /// bullet names: what the conformance filter buys, 0-RTT repeat visits
 /// and the client-side processing scale.
-pub fn print_ablation(e: &Experiment) {
-    println!("== Ablation 1: conformance filtering (Fig. 4 cell, MSS, QUIC vs TCP) ==");
+pub fn print_ablation(e: &Experiment, out: &mut String) -> fmt::Result {
+    writeln!(
+        out,
+        "== Ablation 1: conformance filtering (Fig. 4 cell, MSS, QUIC vs TCP) =="
+    )?;
     if let Some([(filtered, filtered_n), (all, all_n)]) = filtering_ablation(e) {
-        println!(
+        writeln!(
+            out,
             "  QUIC-preferred share: filtered {:.0}% (n={filtered_n}) vs unfiltered {:.0}% (n={all_n})",
             filtered * 100.0,
             all * 100.0,
-        );
-        println!("  → cheating µWorkers dilute the signal; R1-R7 recover it.");
+        )?;
+        writeln!(
+            out,
+            "  → cheating µWorkers dilute the signal; R1-R7 recover it."
+        )?;
     }
 
-    println!("\n== Ablation 2: 0-RTT repeat visits (median FVC, wikipedia, ms) ==");
+    writeln!(
+        out,
+        "\n== Ablation 2: 0-RTT repeat visits (median FVC, wikipedia, ms) =="
+    )?;
     let site = pq_web::site("wikipedia.org").expect("corpus");
     let med = |mut v: Vec<f64>| {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         v[v.len() / 2]
     };
-    println!(
+    writeln!(
+        out,
         "  {:<8} {:>11} {:>11} {:>11} {:>11}",
         "network", "TCP+ fresh", "TCP+ 0RTT", "QUIC fresh", "QUIC 0RTT"
-    );
+    )?;
     for kind in [NetworkKind::Dsl, NetworkKind::Lte] {
         let net = kind.config();
         let fvc = |proto: Protocol, zr: bool| {
@@ -531,20 +611,27 @@ pub fn print_ablation(e: &Experiment) {
                 })
                 .collect())
         };
-        println!(
+        writeln!(
+            out,
             "  {:<8} {:>11.0} {:>11.0} {:>11.0} {:>11.0}",
             kind.name(),
             fvc(Protocol::TcpPlus, false),
             fvc(Protocol::TcpPlus, true),
             fvc(Protocol::Quic, false),
             fvc(Protocol::Quic, true),
-        );
+        )?;
     }
-    println!("  (the repeat-visit scenario §3 discusses: both stacks gain ≈1 RTT)");
+    writeln!(
+        out,
+        "  (the repeat-visit scenario §3 discusses: both stacks gain ≈1 RTT)"
+    )?;
 
-    println!("\n== Ablation 3: client-side processing scale (QUIC DSL SI, ms) ==");
+    writeln!(
+        out,
+        "\n== Ablation 3: client-side processing scale (QUIC DSL SI, ms) =="
+    )?;
     let net = NetworkKind::Dsl.config();
-    print!(" ");
+    write!(out, " ")?;
     for scale in [0.0, 0.5, 1.0, 2.0] {
         let opts = pq_web::LoadOptions {
             processing_scale: scale,
@@ -557,8 +644,12 @@ pub fn print_ablation(e: &Experiment) {
                     .si_ms
             })
             .collect());
-        print!(" scale {scale}: {si:>6.0}");
+        write!(out, " scale {scale}: {si:>6.0}")?;
     }
-    println!("\n  (0 = network-only loads; 1 = calibrated browser costs)");
-    println!();
+    writeln!(
+        out,
+        "\n  (0 = network-only loads; 1 = calibrated browser costs)"
+    )?;
+    writeln!(out)?;
+    Ok(())
 }

@@ -1,12 +1,29 @@
 //! The `pq` binary: a known subcommand runs, anything else gets the
 //! list of subcommands on stderr and exit status 2; `pq runall`'s own
-//! manifest carries the pinned smoke and chaos digests, `pq
-//! edge_cell` prints the pinned edge-cell digests, and the trace and
-//! profiler knobs write their files.
+//! manifest carries the smoke and chaos runs' roots and trees from
+//! `results/contract.txt`, `pq edge_cell` prints the edge-cell runs'
+//! roots, and the trace and profiler knobs write their files.
 
 use pq_bench::CHAOS_SPEC;
 use pq_obs::json::Value;
 use std::process::Command;
+
+/// `run`'s committed nodes in `results/contract.txt`, as `<key> <value>`.
+fn committed(run: &str) -> Vec<&'static str> {
+    let prefix = format!("{run} ");
+    let file = include_str!("../../../results/contract.txt");
+    file.lines()
+        .filter_map(|l| l.strip_prefix(&prefix))
+        .collect()
+}
+
+/// `run`'s committed `root` node: its study digest.
+fn root(run: &str) -> &'static str {
+    let mut nodes = committed(run).into_iter();
+    nodes
+        .find_map(|n| n.strip_prefix("root "))
+        .expect("a root line")
+}
 
 const SUBCOMMANDS: [&str; 11] = [
     "table1",
@@ -56,14 +73,11 @@ fn table1_prints_table_1_and_exits_0() {
 
 /// `pq runall` at smoke scale and seed 1910 in a fresh directory, with
 /// a stale `atomic_write` temp file planted in `results/`: the run
-/// sweeps the temp file and holds its manifest to the pinned
-/// `study_digest`. A killed run is rerun, so this is the
-/// run a rerun is.
-fn runall_holds_the_pin(faults: Option<&str>, jobs: u32, pinned_digest: &str) {
-    let dir = std::env::temp_dir().join(format!(
-        "pq-cli-runall-{}-{pinned_digest}",
-        std::process::id()
-    ));
+/// sweeps the temp file and holds its manifest's `study_digest` and
+/// `contract` to `run`'s committed root and tree. A killed run is
+/// rerun, so this is the run a rerun is.
+fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
+    let dir = std::env::temp_dir().join(format!("pq-cli-runall-{}-{run}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let results = dir.join("results");
     std::fs::create_dir_all(&results).unwrap();
@@ -94,7 +108,12 @@ fn runall_holds_the_pin(faults: Option<&str>, jobs: u32, pinned_digest: &str) {
     let text = std::fs::read_to_string(results.join("manifest.json")).expect("manifest");
     let m = Value::parse(&text).expect("manifest JSON");
     let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("manifest has {key}"));
-    assert_eq!(get("study_digest").as_str(), Some(pinned_digest));
+    assert_eq!(get("study_digest").as_str(), Some(root(run)));
+    let field = |n: &Value, k| n.get(k).and_then(Value::as_str).unwrap().to_string();
+    let node = |n: &Value| format!("{} {}", field(n, "key"), field(n, "value"));
+    let tree: Vec<String> = get("contract").as_arr().unwrap().iter().map(node).collect();
+    let moved = tree.iter().zip(committed(run)).find(|(a, b)| a != b);
+    assert_eq!((tree.len(), moved), (committed(run).len(), None), "{run}");
     assert_eq!(get("jobs").as_u64(), Some(u64::from(jobs)));
     assert_eq!(get("fault_spec").as_str(), Some(faults.unwrap_or("")));
     for retired in ["resumable", "resumed_from_cells", "journal_records"] {
@@ -107,17 +126,17 @@ fn runall_holds_the_pin(faults: Option<&str>, jobs: u32, pinned_digest: &str) {
 
 #[test]
 fn smoke_runall_at_4_workers_writes_the_pinned_digest() {
-    runall_holds_the_pin(None, 4, "c0d50f06ad80383f");
+    runall_holds_the_pin("smoke", None, 4);
 }
 
 #[test]
 fn chaos_runall_at_1_worker_writes_the_pinned_digest() {
-    runall_holds_the_pin(Some(CHAOS_SPEC), 1, "6a3c5bc812ebed5d");
+    runall_holds_the_pin("chaos", Some(CHAOS_SPEC), 1);
 }
 
-/// `pq edge_cell` at seed 1910 prints exactly one line, the pinned
-/// digest, whatever the worker count.
-fn edge_cell_holds_the_pin(faults: Option<&str>, jobs: u32, pinned: &str) {
+/// `pq edge_cell` at seed 1910 prints exactly one line, `run`'s
+/// committed root, whatever the worker count.
+fn edge_cell_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pq"));
     cmd.arg("edge_cell")
         .env("PQ_SEED", "1910")
@@ -133,17 +152,17 @@ fn edge_cell_holds_the_pin(faults: Option<&str>, jobs: u32, pinned: &str) {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("utf-8 digest");
-    assert_eq!(stdout, format!("study_digest={pinned}\n"));
+    assert_eq!(stdout, format!("study_digest={}\n", root(run)));
 }
 
 #[test]
 fn edge_cell_at_4_workers_prints_the_pinned_digest() {
-    edge_cell_holds_the_pin(None, 4, "06f24c0967b34ec5");
+    edge_cell_holds_the_pin("edge_cell", None, 4);
 }
 
 #[test]
 fn chaos_edge_cell_at_1_worker_prints_the_pinned_digest() {
-    edge_cell_holds_the_pin(Some(CHAOS_SPEC), 1, "f044666b5b078e01");
+    edge_cell_holds_the_pin("edge_cell_chaos", Some(CHAOS_SPEC), 1);
 }
 
 /// `pq table2` with each knob that names an output file set, and no

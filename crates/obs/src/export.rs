@@ -117,14 +117,12 @@ pub fn export(path: &Path) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Level;
 
     fn ev(kind: EventKind, name: &str, ts: u64, dur: u64) -> Event {
         Event {
             ts_ns: ts,
             dur_ns: dur,
             kind,
-            level: Level::Info,
             cat: "test",
             name: name.to_string(),
             pid: 1,

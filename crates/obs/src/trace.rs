@@ -97,8 +97,6 @@ pub struct Event {
     pub dur_ns: u64,
     /// Event shape.
     pub kind: EventKind,
-    /// Severity it was recorded at.
-    pub level: Level,
     /// Category (layer): `"sim"`, `"transport"`, `"web"`, `"study"`,
     /// `"bench"`, …
     pub cat: &'static str,
@@ -262,7 +260,6 @@ impl Tracer {
             ts_ns: start_ns,
             dur_ns: end_ns.saturating_sub(start_ns),
             kind: EventKind::Span,
-            level,
             cat,
             name: name.into(),
             pid,
@@ -290,7 +287,6 @@ impl Tracer {
             ts_ns,
             dur_ns: 0,
             kind: EventKind::Instant,
-            level,
             cat,
             name: name.into(),
             pid,
@@ -319,7 +315,6 @@ impl Tracer {
             ts_ns,
             dur_ns: 0,
             kind: EventKind::Counter,
-            level,
             cat,
             name: name.into(),
             pid,

@@ -45,7 +45,7 @@ struct Key {
 
 /// A deterministic future-event list.
 ///
-/// A min-heap of 24-byte [`Key`]s over a slab of payloads: sifting
+/// A min-heap of 24-byte `Key`s over a slab of payloads: sifting
 /// moves keys only, and an event is written once on `schedule` and
 /// read once on `pop` however far its key travels.
 pub struct EventQueue<E> {

@@ -232,47 +232,66 @@ fn handshake_flight_loss_recovers_through_the_proxy() {
     }
 }
 
+/// The contract tree of `sites` × DSL and LTE × `stacks` × `runs`
+/// under the fault `spec`, through both studies, seed 13, at `jobs`
+/// workers.
+fn faulted_tree(
+    spec: &str,
+    sites: &[&str],
+    stacks: &[Protocol],
+    runs: u32,
+    jobs: usize,
+) -> Vec<(String, String)> {
+    let sites: Vec<Website> = sites.iter().map(|n| web::site(n).unwrap()).collect();
+    let faults = Some(plan(spec));
+    perceiving_quic::par::set_jobs(Some(jobs));
+    let stimuli = StimulusSet::build_with_faults(
+        &sites,
+        &[NetworkKind::Dsl, NetworkKind::Lte],
+        stacks,
+        runs,
+        13,
+        faults.clone(),
+    );
+    let data =
+        perceiving_quic::study::run_study_with(&stimuli, &Protocol::pairs_for(stacks), stacks, 13);
+    perceiving_quic::par::set_jobs(None);
+    pq_bench::contract(&pq_bench::Experiment {
+        spec: pq_bench::RunSpec {
+            seed: 13,
+            stacks: stacks.to_vec(),
+            faults,
+            ..Default::default()
+        },
+        stimuli,
+        data,
+    })
+}
+
+/// [`faulted_tree`] at 1 and 4 workers: a failure names every node
+/// that moved, the `grid` node (quarantines, retries) included.
+fn faulted_tree_holds_across_jobs_1_4(spec: &str, sites: &[&str], stacks: &[Protocol], runs: u32) {
+    let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = |jobs| faulted_tree(spec, sites, stacks, runs, jobs);
+    let moved = pq_bench::contract::diff(&tree(1), &tree(4));
+    assert!(moved.is_empty(), "jobs=1 vs 4:\n{}", moved.join("\n"));
+}
+
+/// The worker-count override is process-global.
+static JOBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn faulted_quic_edge_study_digest_identical_across_jobs_1_4() {
     // The chaos contract extends to the proxy stack: a faulted
-    // QUIC-EDGE grid (plus its A/B partner) must produce the same
-    // study digest at PQ_JOBS=1 and 4 — edge pool decisions, leg
-    // handshake drops and burst loss are all keyed by derived seeds,
-    // never by worker interleaving.
-    let spec = "seed=5;gel:pgb=0.02,pbg=0.3,bad=0.35;hs:p=0.2;stall:p=0.05,ms=400";
-    let sites = vec![
-        web::site("apache.org").unwrap(),
-        web::site("wikipedia.org").unwrap(),
-    ];
-    let stacks = {
-        let mut s = vec![Protocol::Quic, Protocol::QuicEdge];
-        s.sort();
-        s
-    };
-    let pairs = perceiving_quic::transport::Protocol::pairs_for(&stacks);
-    let pipeline = |jobs| {
-        perceiving_quic::par::set_jobs(Some(jobs));
-        let set = StimulusSet::build_with_faults(
-            &sites,
-            &[NetworkKind::Dsl, NetworkKind::Lte],
-            &stacks,
-            2,
-            13,
-            Some(plan(spec)),
-        );
-        let digest = pq_bench::manifest::study_digest(&perceiving_quic::study::run_study_with(
-            &set, &pairs, &stacks, 13,
-        ));
-        perceiving_quic::par::set_jobs(None);
-        (set, digest)
-    };
-    let (serial_set, serial_digest) = pipeline(1);
-    let (par_set, par_digest) = pipeline(4);
-    assert_eq!(serial_set.quarantined(), par_set.quarantined());
-    assert_eq!(serial_set.runs_retried(), par_set.runs_retried());
-    assert_eq!(
-        serial_digest, par_digest,
-        "faulted QUIC-EDGE digest diverged across worker counts"
+    // QUIC-EDGE grid (plus its A/B partner) must be bit-identical at
+    // PQ_JOBS=1 and 4 — edge pool decisions, leg handshake drops and
+    // burst loss are all keyed by derived seeds, never by worker
+    // interleaving.
+    faulted_tree_holds_across_jobs_1_4(
+        "seed=5;gel:pgb=0.02,pbg=0.3,bad=0.35;hs:p=0.2;stall:p=0.05,ms=400",
+        &["apache.org", "wikipedia.org"],
+        &[Protocol::Quic, Protocol::QuicEdge],
+        2,
     );
 }
 
@@ -348,34 +367,12 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
 fn faulted_grid_is_deterministic_across_worker_counts() {
     // The fault chains are keyed by (fault seed, cell coordinates), so
     // a faulted build must stay bit-identical at any PQ_JOBS.
-    let spec = "seed=9;gel:pgb=0.02,pbg=0.25,bad=0.3;stall:p=0.1,ms=500";
-    let sites = vec![web::site("apache.org").unwrap()];
-    let build = |jobs| {
-        perceiving_quic::par::set_jobs(Some(jobs));
-        let set = StimulusSet::build_with_faults(
-            &sites,
-            &[NetworkKind::Dsl, NetworkKind::Lte],
-            &[Protocol::Tcp, Protocol::Quic],
-            3,
-            13,
-            Some(plan(spec)),
-        );
-        perceiving_quic::par::set_jobs(None);
-        set
-    };
-    let serial = build(1);
-    let parallel = build(4);
-    assert_eq!(serial.quarantined(), parallel.quarantined());
-    assert_eq!(serial.runs_retried(), parallel.runs_retried());
-    for s in serial.iter() {
-        let c = s.condition;
-        let p = parallel
-            .get(c.site, c.network, c.protocol)
-            .expect("same survivors");
-        assert_eq!(s.metrics.plt_ms.to_bits(), p.metrics.plt_ms.to_bits());
-        assert_eq!(s.metrics.si_ms.to_bits(), p.metrics.si_ms.to_bits());
-        assert_eq!(s.runs, p.runs);
-    }
+    faulted_tree_holds_across_jobs_1_4(
+        "seed=9;gel:pgb=0.02,pbg=0.25,bad=0.3;stall:p=0.1,ms=500",
+        &["apache.org"],
+        &[Protocol::Tcp, Protocol::Quic],
+        3,
+    );
 }
 
 #[test]
