@@ -1,14 +1,12 @@
 //! `pq edge_cell`: one edge grid cell for CI ([`pq_bench::edge_cell`]:
 //! a single site on a single network, loaded over the edge stacks plus
-//! their Table-1 A/B partners, run through both studies). Prints the
-//! study digest, the `root` node of the `edge_cell` run (clean) and the
-//! `edge_cell_chaos` run (under the chaos spec) in
-//! `results/contract.txt`; CI and `crates/bench/tests/cli.rs` compare
-//! it with that line at `PQ_JOBS=1` and `4`.
+//! their Table-1 A/B partners, run through both studies). Prints its
+//! [`pq_bench::contract()`] tree as `<key> <value>` lines, which CI and
+//! `crates/bench/tests/cli.rs` compare, at `PQ_JOBS=1` and `4`, with the
+//! `edge_cell` (clean) or `edge_cell_chaos` run in `results/contract.txt`.
 //!
 //! The spec's seed and fault plan apply; its scale and stacks do not.
 
-use pq_bench::manifest::study_digest;
 use pq_bench::{RunSpec, EDGE_CELL_RUNS};
 
 pub fn run(spec: &RunSpec) {
@@ -19,8 +17,7 @@ pub fn run(spec: &RunSpec) {
         pq_par::jobs(),
         spec.faults.as_ref().map_or("", |_| ", faults=ON"),
     );
-    println!(
-        "study_digest={:016x}",
-        study_digest(&pq_bench::edge_cell(spec).data)
-    );
+    for (key, value) in pq_bench::contract(&pq_bench::edge_cell(spec)) {
+        println!("{key} {value}");
+    }
 }

@@ -69,7 +69,7 @@ fn main() {
     pq_par::set_jobs(Some(knobs.jobs));
     match cmd {
         Plain(run) => run(&knobs.spec),
-        View(view) => show(view, &experiment(&name, &knobs.spec)),
+        View(view) => print!("{}", report::render(view, &experiment(&name, &knobs.spec))),
     }
     write_outputs(&name, &knobs);
 }
@@ -117,13 +117,6 @@ fn alloc_summary() -> String {
         mib(snap.total_bytes),
         mib(snap.peak_bytes),
     )
-}
-
-/// Print one view of `e` on stdout.
-fn show(view: report::View, e: &Experiment) {
-    let mut out = String::new();
-    view(e, &mut out).expect("writing to a String cannot fail");
-    print!("{out}");
 }
 
 /// Run the experiment `spec` describes, echoing its setup and its wall

@@ -1,16 +1,17 @@
 //! `pq runall`: every table and figure in paper order over one shared
 //! experiment execution, then the machine-readable run manifest
-//! (`results/manifest.json`, see [`pq_bench::manifest::manifest_json`]).
+//! (`results/manifest.json`, see [`pq_bench::manifest::manifest_json`]),
+//! whose contract tree hashes the very text each view printed.
 //!
 //! A killed `runall` is rerun, not resumed: every grid cell is a pure
-//! function of `(seed, coordinates)`, so the rerun's `study_digest` is
-//! the one the killed run would have written. The manifest goes
-//! through `atomic_write`, so a kill never leaves a torn one, and the
-//! temp files a killed write leaves behind are swept, and reported, at
+//! function of `(seed, coordinates)`, so the rerun writes the tree the
+//! killed run would have written. The manifest goes through
+//! `atomic_write`, so a kill never leaves a torn one, and the temp
+//! files a killed write leaves behind are swept, and reported, at
 //! start.
 
-use pq_bench::manifest::{manifest_json, write_json};
-use pq_bench::{report, RunSpec};
+use pq_bench::manifest::manifest_json;
+use pq_bench::{contract, report, RunSpec};
 
 pub fn run(spec: &RunSpec) {
     match pq_ckpt::recover_stale_temps("results") {
@@ -28,10 +29,15 @@ pub fn run(spec: &RunSpec) {
     timer.phase("table1", report::print_table1);
     timer.phase("table2", report::print_table2);
     let e = timer.phase("experiment", || crate::experiment("runall", spec));
-    for (name, view) in report::VIEWS {
-        timer.phase(name, || crate::show(view, &e));
-    }
-    match write_json("results/manifest.json", &manifest_json(&e, &timer)) {
+    let views = report::VIEWS.map(|(name, view)| {
+        timer.phase(name, || {
+            let text = report::render(view, &e);
+            print!("{text}");
+            text
+        })
+    });
+    let manifest = manifest_json(&e, &timer, contract::tree(&e, &views)).to_pretty();
+    match pq_ckpt::atomic_write("results/manifest.json", manifest.as_bytes()) {
         Ok(()) => eprintln!("[runall] wrote results/manifest.json"),
         Err(err) => eprintln!("[runall] failed to write manifest: {err}"),
     }

@@ -12,8 +12,8 @@ use crate::manifest::{study_digest, Fnv};
 use crate::{report, Experiment};
 use std::collections::BTreeMap;
 
-/// The contract tree of `e`, one `(key, value)` node per line, in this
-/// order:
+/// The contract tree of `e`, one `(key, value)` node per line: [`tree`]
+/// over every view rendered once. In this order:
 ///
 /// | Key | Value |
 /// |-----|-------|
@@ -26,12 +26,18 @@ use std::collections::BTreeMap;
 /// Floats print with `{}`, which round-trips, so a one-ulp change is a
 /// different line.
 pub fn contract(e: &Experiment) -> Vec<(String, String)> {
+    tree(e, &report::VIEWS.map(|(_, view)| report::render(view, e)))
+}
+
+/// The contract tree of `e` whose view nodes hash `views`, the text of
+/// each [`report::VIEWS`] entry in order, as `pq runall` printed it.
+pub fn tree(e: &Experiment, views: &[String; report::VIEWS.len()]) -> Vec<(String, String)> {
     let hex = |hash: &dyn Fn(&mut Fnv)| {
         let mut h = Fnv::new();
         hash(&mut h);
         format!("{:016x}", h.0)
     };
-    let mut tree: Vec<(String, String)> = e
+    let mut nodes: Vec<(String, String)> = e
         .stimuli
         .iter()
         .map(|s| {
@@ -59,10 +65,10 @@ pub fn contract(e: &Experiment) -> Vec<(String, String)> {
         })
         .collect();
     let d = &e.data;
-    tree.push(("ab".into(), hex(&|h| h.ab(d))));
-    tree.push(("ratings".into(), hex(&|h| h.ratings(d))));
-    tree.push(("funnels".into(), hex(&|h| h.funnels(d))));
-    tree.push(("sessions".into(), hex(&|h| h.sessions(d))));
+    nodes.push(("ab".into(), hex(&|h| h.ab(d))));
+    nodes.push(("ratings".into(), hex(&|h| h.ratings(d))));
+    nodes.push(("funnels".into(), hex(&|h| h.funnels(d))));
+    nodes.push(("sessions".into(), hex(&|h| h.sessions(d))));
     let quarantined = e.stimuli.quarantined();
     let list = hex(&|h| {
         for q in quarantined {
@@ -72,7 +78,7 @@ pub fn contract(e: &Experiment) -> Vec<(String, String)> {
             h.u64(u64::from(q.attempts));
         }
     });
-    tree.push((
+    nodes.push((
         "grid".into(),
         format!(
             "quarantined={} runs_retried={} quarantine_list={list}",
@@ -80,13 +86,11 @@ pub fn contract(e: &Experiment) -> Vec<(String, String)> {
             e.stimuli.runs_retried()
         ),
     ));
-    for (name, view) in report::VIEWS {
-        let mut text = String::new();
-        view(e, &mut text).expect("writing to a String cannot fail");
-        tree.push((name.into(), hex(&|h| h.str(&text))));
+    for ((name, _), text) in report::VIEWS.iter().zip(views) {
+        nodes.push(((*name).into(), hex(&|h| h.str(text))));
     }
-    tree.push(("root".into(), format!("{:016x}", study_digest(d))));
-    tree
+    nodes.push(("root".into(), format!("{:016x}", study_digest(d))));
+    nodes
 }
 
 /// One line per node that differs between two trees: each node whose

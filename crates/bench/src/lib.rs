@@ -15,7 +15,7 @@
 //! | `fig6`   | Figure 6 — metric ↔ vote Pearson heatmap |
 //! | `agreement` | §4.2 — answer times, replays, demographics |
 //! | `ablation`  | extra — filtering, 0-RTT and processing ablations (EXPERIMENTS.md names each one's test) |
-//! | `edge_cell` | extra — one edge-stack grid cell's study digest, for CI |
+//! | `edge_cell` | extra — one edge-stack grid cell's contract tree, for CI |
 //! | `runall` | every table and figure above, in order, plus the run manifest |
 //!
 //! The binary parses its `PQ_*` knobs once into a [`RunSpec`]; the
@@ -30,8 +30,8 @@
 //! values warn via the tracer). Output is **bit-identical
 //! at any worker count** — every page load and participant derives its
 //! RNG purely from `(seed, cell indices)` — and the run manifest
-//! records both `jobs` and a `study_digest` so CI can diff a
-//! `PQ_JOBS=4` run against `PQ_JOBS=1` and prove it.
+//! records both `jobs` and the run's [`contract()`] tree, so CI can
+//! diff a `PQ_JOBS=4` run against `PQ_JOBS=1` and prove it.
 //!
 //! ## Fault injection
 //!
@@ -40,8 +40,8 @@
 //! stalls, truncated responses and handshake-flight drops, all keyed
 //! by `(fault seed, cell coordinates)` so the run is still
 //! bit-identical at any `PQ_JOBS`. The manifest then records
-//! `fault_spec`, `faults_injected`, `runs_retried` and
-//! `cells_quarantined` alongside the usual digest.
+//! `fault_spec`, `faults_injected` and `cells_quarantined` next to the
+//! tree, whose `grid` node counts the retried runs.
 //!
 //! ## Observability
 //!
@@ -72,10 +72,10 @@
 //! ```
 //!
 //! `runall` additionally writes `results/manifest.json` — scale, seed,
-//! git rev, per-phase wall-times, Table-3 funnel counts and
-//! per-protocol PLT p50/p90/p99 (see [`manifest::manifest_json`]). Its
-//! timings are one sample from one machine; speed is measured by
-//! `benches/perf`.
+//! git rev, per-phase wall-times, per-protocol PLT p50/p90/p99 and the
+//! contract tree of the views it printed (see
+//! [`manifest::manifest_json`]). Its timings are one sample from one
+//! machine; speed is measured by `benches/perf`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]

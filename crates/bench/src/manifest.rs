@@ -2,16 +2,18 @@
 //!
 //! One `results/manifest.json` per experiment execution, declared once
 //! in [`manifest_json`]: scale, seed, git revision, per-phase
-//! wall-times, the Table-3 funnels, the per-protocol PLT histogram
-//! summaries, fault / retry / quarantine accounting, the
-//! [`study_digest`] and the whole [`contract`](crate::contract()) tree,
-//! both of which `results/contract.txt` pins. Its timings are one
-//! sample from one machine; speed is measured by `benches/perf`.
+//! wall-times, the per-protocol PLT histogram summaries, fault and
+//! quarantine accounting, and the run's [`contract`](crate::contract())
+//! tree, which `results/contract.txt` pins and which alone holds the
+//! retry count (`grid`) and the [`study_digest`] (`root`). The funnels
+//! are only a hash there (`funnels`); their counts are in `pq table3`'s
+//! output. Its timings are one sample from one machine; speed is
+//! measured by `benches/perf`.
 
 use crate::Experiment;
 use pq_obs::json::Value;
 use pq_obs::{MetricSnapshot, PhaseTimer};
-use pq_study::{Group, StudyData};
+use pq_study::StudyData;
 
 /// The study digest's per-byte multiplier: 2⁴⁸ + 0x1b3. This is **not**
 /// the FNV-1a/64 prime (2⁴⁰ + 0x1b3, `0x0000_0100_0000_01b3`), and it
@@ -128,9 +130,9 @@ impl Fnv {
 ///
 /// This is the parallel-determinism witness: `PQ_JOBS=1` and
 /// `PQ_JOBS=N` runs of the same scale/seed must produce the same
-/// digest, and CI diffs the two manifests to prove it. Any divergence
-/// means an RNG stream got keyed by execution order instead of cell
-/// coordinates.
+/// digest, and CI diffs the two manifests' trees to prove it. Any
+/// divergence means an RNG stream got keyed by execution order instead
+/// of cell coordinates.
 pub fn study_digest(data: &StudyData) -> u64 {
     let mut h = Fnv::new();
     h.ab(data);
@@ -140,8 +142,8 @@ pub fn study_digest(data: &StudyData) -> u64 {
 }
 
 /// Everything a `runall` execution leaves behind for machines: the
-/// finished experiment, the phase timer and the global metrics
-/// registry as one JSON object.
+/// finished experiment, the phase timer, the global metrics registry
+/// and the run's contract tree as one JSON object.
 ///
 /// Keys, in order; readers are CI (`.github/workflows/ci.yml`) and the
 /// tests, through [`Value::get`]:
@@ -151,37 +153,22 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `scale` | experiment scale label (`smoke` / `reduced` / `full`) |
 /// | `seed` | study seed |
 /// | `jobs` | `pq-par` worker count the run executed with (`PQ_JOBS`) |
-/// | `study_digest` | 16 hex digits of [`study_digest`]; identical at any worker count |
 /// | `git_rev` | `git rev-parse --short HEAD`, or `unknown` outside a checkout |
 /// | `created_unix` | Unix timestamp (seconds) of manifest creation |
 /// | `phases` | `[{name, secs}]` wall seconds in execution order |
-/// | `funnel_ab`, `funnel_rating` | Table 3 halves: `[{group, recruited, after: [R1..R7]}]` |
 /// | `plt_ms` | `[{protocol, count, p50, p90, p99}]` from the `web.plt_ms{proto}` histograms |
 /// | `sim_events`, `pageloads` | `sim.events_processed` / `web.pageloads` counters |
 /// | `fault_spec` | the spec of the run's fault plan, as `PQ_FAULTS` spelled it (empty = injection off) |
 /// | `faults_injected` | `fault.injected` counter |
-/// | `runs_retried` | invalid page loads re-run by the ≥31-valid-runs retry policy |
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
 /// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes, phases: [{phase, allocs, bytes}]}` |
 /// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
-/// | `contract` | `[{key, value}]`: the run's [`contract`](crate::contract()) tree, node by node |
-pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
+/// | `contract` | `[{key, value}]`: `contract`, node by node |
+pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, String)>) -> Value {
     // Before anything below allocates: the report is of the run, not
     // of writing the report.
     let alloc = pq_prof::alloc_enabled().then(pq_prof::alloc_snapshot);
     let reg = pq_obs::registry();
-    let funnels = |funnels: &[pq_study::Funnel; 3]| -> Vec<Value> {
-        Group::ALL
-            .into_iter()
-            .zip(funnels)
-            .map(|(g, f)| {
-                Value::obj()
-                    .with("group", g.name().to_lowercase().replace(['µ', ' '], ""))
-                    .with("recruited", f.recruited)
-                    .with("after", &f.after[..])
-            })
-            .collect()
-    };
     let phases: Vec<Value> = timer
         .phases()
         .iter()
@@ -229,7 +216,6 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
         .with("scale", e.spec.scale.label())
         .with("seed", e.spec.seed)
         .with("jobs", pq_par::jobs())
-        .with("study_digest", format!("{:016x}", study_digest(&e.data)))
         .with("git_rev", git_rev())
         .with(
             "created_unix",
@@ -242,8 +228,6 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
                 .map_or(0, |d| d.as_secs()),
         )
         .with("phases", phases)
-        .with("funnel_ab", funnels(&e.data.funnel_ab))
-        .with("funnel_rating", funnels(&e.data.funnel_rating))
         .with("plt_ms", plt_ms)
         .with("sim_events", reg.counter_value("sim.events_processed"))
         .with("pageloads", reg.counter_value("web.pageloads"))
@@ -252,7 +236,6 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
             e.spec.faults.as_ref().map_or("", |p| p.spec.as_str()),
         )
         .with("faults_injected", reg.counter_value("fault.injected"))
-        .with("runs_retried", e.stimuli.runs_retried())
         .with("cells_quarantined", cells_quarantined);
     if let Some(snap) = alloc {
         let phases: Vec<Value> = snap
@@ -295,9 +278,7 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer) -> Value {
                 .with("mbx_early_retx", reg.counter_value("edge.mbx_early_retx")),
         );
     }
-    // Last, after every registry read: the ablation view's own page
-    // loads count into the registry.
-    let contract: Vec<Value> = crate::contract(e)
+    let contract: Vec<Value> = contract
         .into_iter()
         .map(|(key, value)| Value::obj().with("key", key).with("value", value))
         .collect();
@@ -315,13 +296,6 @@ fn git_rev() -> String {
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Write any JSON value to `path`, creating parent directories. Goes
-/// through pq-ckpt's `atomic_write` (temp + fsync + rename) so readers
-/// of `results/*` never observe a torn manifest.
-pub fn write_json(path: &str, v: &Value) -> std::io::Result<()> {
-    pq_ckpt::atomic_write(path, v.to_pretty().as_bytes())
 }
 
 #[cfg(test)]
@@ -374,40 +348,36 @@ mod tests {
         fields.iter().map(|(k, _)| k.as_str()).collect()
     }
 
-    /// The schema CI's Python reads: 17 keys on every run, `alloc` only
+    /// The schema CI's Python reads: 13 keys on every run, `alloc` only
     /// while the counting allocator is on, `edge` only with an edge
     /// stack in the grid, in this order, and `contract` last.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
-        const ALWAYS: [&str; 16] = [
+        const ALWAYS: [&str; 12] = [
             "scale",
             "seed",
             "jobs",
-            "study_digest",
             "git_rev",
             "created_unix",
             "phases",
-            "funnel_ab",
-            "funnel_rating",
             "plt_ms",
             "sim_events",
             "pageloads",
             "fault_spec",
             "faults_injected",
-            "runs_retried",
             "cells_quarantined",
         ];
         let mut timer = PhaseTimer::new();
         let plain = timer.phase("experiment", || {
             tiny_experiment(&[Protocol::TcpPlus, Protocol::Quic])
         });
-        let m = manifest_json(&plain, &timer);
+        let tree = || vec![("root".to_string(), "0123456789abcdef".to_string())];
+        let m = manifest_json(&plain, &timer, tree());
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["contract"]);
         let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("{key} present"));
         assert_eq!(get("scale").as_str(), Some("smoke"));
         assert_eq!(get("seed").as_u64(), Some(1910));
-        assert_eq!(get("study_digest").as_str().map(str::len), Some(16));
         assert_eq!(get("fault_spec").as_str(), Some(""));
         let phases = get("phases").as_arr().expect("phases array");
         assert_eq!(keys(&phases[0]), ["name", "secs"]);
@@ -415,12 +385,11 @@ mod tests {
             phases[0].get("name").and_then(Value::as_str),
             Some("experiment")
         );
-        let funnel = &get("funnel_ab").as_arr().expect("three groups")[1];
-        assert_eq!(keys(funnel), ["group", "recruited", "after"]);
-        assert_eq!(funnel.get("group").and_then(Value::as_str), Some("worker"));
+        let node = &get("contract").as_arr().expect("one entry per node")[0];
+        assert_eq!(keys(node), ["key", "value"]);
         assert_eq!(
-            funnel.get("after").and_then(Value::as_arr).map(<[_]>::len),
-            Some(7)
+            node.get("value").and_then(Value::as_str),
+            Some("0123456789abcdef")
         );
         let plt = get("plt_ms").as_arr().expect("one row per stack");
         assert_eq!(keys(&plt[0]), ["protocol", "count", "p50", "p90", "p99"]);
@@ -430,7 +399,7 @@ mod tests {
         let edge = timer.phase("edge", || {
             tiny_experiment(&[Protocol::Quic, Protocol::QuicMbx])
         });
-        let m = manifest_json(&edge, &timer);
+        let m = manifest_json(&edge, &timer, tree());
         pq_prof::set_alloc_enabled(false);
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["alloc", "edge", "contract"]);

@@ -1,8 +1,8 @@
 //! The `pq` binary: a known subcommand runs, anything else gets the
 //! list of subcommands on stderr and exit status 2; `pq runall`'s own
-//! manifest carries the smoke and chaos runs' roots and trees from
+//! manifest carries the smoke and chaos runs' trees from
 //! `results/contract.txt`, `pq edge_cell` prints the edge-cell runs'
-//! roots, and the trace and profiler knobs write their files.
+//! trees, and the trace and profiler knobs write their files.
 
 use pq_bench::CHAOS_SPEC;
 use pq_obs::json::Value;
@@ -15,14 +15,6 @@ fn committed(run: &str) -> Vec<&'static str> {
     file.lines()
         .filter_map(|l| l.strip_prefix(&prefix))
         .collect()
-}
-
-/// `run`'s committed `root` node: its study digest.
-fn root(run: &str) -> &'static str {
-    let mut nodes = committed(run).into_iter();
-    nodes
-        .find_map(|n| n.strip_prefix("root "))
-        .expect("a root line")
 }
 
 const SUBCOMMANDS: [&str; 11] = [
@@ -73,9 +65,9 @@ fn table1_prints_table_1_and_exits_0() {
 
 /// `pq runall` at smoke scale and seed 1910 in a fresh directory, with
 /// a stale `atomic_write` temp file planted in `results/`: the run
-/// sweeps the temp file and holds its manifest's `study_digest` and
-/// `contract` to `run`'s committed root and tree. A killed run is
-/// rerun, so this is the run a rerun is.
+/// sweeps the temp file and holds its manifest's `contract` to `run`'s
+/// committed tree. A killed run is rerun, so this is the run a rerun
+/// is.
 fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
     let dir = std::env::temp_dir().join(format!("pq-cli-runall-{}-{run}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -108,7 +100,6 @@ fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
     let text = std::fs::read_to_string(results.join("manifest.json")).expect("manifest");
     let m = Value::parse(&text).expect("manifest JSON");
     let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("manifest has {key}"));
-    assert_eq!(get("study_digest").as_str(), Some(root(run)));
     let field = |n: &Value, k| n.get(k).and_then(Value::as_str).unwrap().to_string();
     let node = |n: &Value| format!("{} {}", field(n, "key"), field(n, "value"));
     let tree: Vec<String> = get("contract").as_arr().unwrap().iter().map(node).collect();
@@ -116,7 +107,17 @@ fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
     assert_eq!((tree.len(), moved), (committed(run).len(), None), "{run}");
     assert_eq!(get("jobs").as_u64(), Some(u64::from(jobs)));
     assert_eq!(get("fault_spec").as_str(), Some(faults.unwrap_or("")));
-    for retired in ["resumable", "resumed_from_cells", "journal_records"] {
+    // The tree holds the digest (`root`), the funnels and the retries
+    // (`grid`); the manifest does not restate them.
+    for retired in [
+        "resumable",
+        "resumed_from_cells",
+        "journal_records",
+        "study_digest",
+        "funnel_ab",
+        "funnel_rating",
+        "runs_retried",
+    ] {
         assert!(m.get(retired).is_none(), "manifest still has {retired}");
     }
     assert!(!stale.exists(), "the stale temp file survived the run");
@@ -134,8 +135,9 @@ fn chaos_runall_at_1_worker_writes_the_pinned_digest() {
     runall_holds_the_pin("chaos", Some(CHAOS_SPEC), 1);
 }
 
-/// `pq edge_cell` at seed 1910 prints exactly one line, `run`'s
-/// committed root, whatever the worker count.
+/// `pq edge_cell` at seed 1910 prints `run`'s committed tree, one
+/// `<key> <value>` line per node, whatever the worker count; a moved
+/// node is named.
 fn edge_cell_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pq"));
     cmd.arg("edge_cell")
@@ -151,17 +153,19 @@ fn edge_cell_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
         "edge_cell failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 digest");
-    assert_eq!(stdout, format!("study_digest={}\n", root(run)));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 tree");
+    let tree: Vec<&str> = stdout.lines().collect();
+    let moved = tree.iter().zip(committed(run)).find(|(a, b)| **a != *b);
+    assert_eq!((tree.len(), moved), (committed(run).len(), None), "{run}");
 }
 
 #[test]
-fn edge_cell_at_4_workers_prints_the_pinned_digest() {
+fn edge_cell_at_4_workers_prints_the_pinned_tree() {
     edge_cell_holds_the_pin("edge_cell", None, 4);
 }
 
 #[test]
-fn chaos_edge_cell_at_1_worker_prints_the_pinned_digest() {
+fn chaos_edge_cell_at_1_worker_prints_the_pinned_tree() {
     edge_cell_holds_the_pin("edge_cell_chaos", Some(CHAOS_SPEC), 1);
 }
 

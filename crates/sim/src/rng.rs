@@ -105,18 +105,18 @@ impl SimRng {
         }
     }
 
-    /// Uniform integer in `[0, n)` using Lemire rejection; `n = 0`
-    /// returns 0.
+    /// Uniform integer in `[0, n)` by rejection; `n = 0` returns 0.
     #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         if n == 0 {
             return 0;
         }
-        // Rejection sampling to remove modulo bias.
-        let threshold = n.wrapping_neg() % n;
+        // Rejecting draws under 2⁶⁴ mod n removes the modulo bias. That
+        // threshold is below n, so a draw of at least n is kept without
+        // computing it.
         loop {
             let r = self.next_u64();
-            if r >= threshold {
+            if r >= n || r >= n.wrapping_neg() % n {
                 return r % n;
             }
         }
@@ -266,6 +266,48 @@ mod tests {
         }
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "counts {counts:?}");
+        }
+    }
+
+    /// `below` keeps exactly the draws the two-division form keeps,
+    /// which computes the threshold 2⁶⁴ mod n on every call. Above 2⁶³
+    /// about half the draws fall under n, so the threshold branch is
+    /// taken, and at 3 · 2⁶² a quarter of them are rejected.
+    #[test]
+    fn below_matches_the_two_division_reference() {
+        fn reference(rng: &mut SimRng, n: u64) -> u64 {
+            if n == 0 {
+                return 0;
+            }
+            let threshold = n.wrapping_neg() % n;
+            loop {
+                let r = rng.next_u64();
+                if r >= threshold {
+                    return r % n;
+                }
+            }
+        }
+        let ns = [
+            0,
+            1,
+            2,
+            3,
+            5,
+            1_000,
+            1 << 32,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            3 << 62,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for (seed, n) in (0..).zip(ns) {
+            let (mut fast, mut slow) = (SimRng::new(seed), SimRng::new(seed));
+            for _ in 0..10_000 {
+                assert_eq!(fast.below(n), reference(&mut slow, n), "n = {n}");
+            }
+            assert_eq!(fast.next_u64(), slow.next_u64(), "n = {n}: streams apart");
         }
     }
 

@@ -364,14 +364,23 @@ fn zero_rtt_saves_a_round_trip() {
 /// Goodput of the second half of one `bytes`-byte response on a fresh
 /// `proto` connection over `net`, in bit/s: the bytes that arrive
 /// after the first instant at which half of them had, over the time
-/// until the last one does.
-fn second_half_goodput(proto: Protocol, net: &pq_sim::NetworkConfig, bytes: u64) -> f64 {
+/// until the last one does. The connection is observed from open
+/// (which changes nothing but its records), and `watch` sees the
+/// world after each instant it runs.
+fn second_half_goodput(
+    proto: Protocol,
+    net: &pq_sim::NetworkConfig,
+    bytes: u64,
+    mut watch: impl FnMut(&MiniWorld),
+) -> f64 {
     let mut w = MiniWorld::new(proto, net, 11, SimTime::ZERO);
+    w.conn.observe();
     w.request(SimTime::ZERO, 1, 400, bytes);
     let key = if proto.is_quic() { 1 } else { 0 };
     let mut half = None;
     while let Some(at) = w.queue.peek_time().filter(|&at| at <= HORIZON) {
         w.run_until(at);
+        watch(&w);
         let delivered = w.client_progress.get(&key).map_or(0, |p| p.0);
         if delivered >= bytes {
             break;
@@ -436,7 +445,7 @@ fn clean_link_goodput_is_the_shaped_rate() {
             if (kind, proto) == (NetworkKind::Dsl, Protocol::Tcp) {
                 continue;
             }
-            let got = second_half_goodput(proto, &net, BULK);
+            let got = second_half_goodput(proto, &net, BULK, |_| {});
             let shaped = shaped_goodput(proto, &net);
             assert!(
                 (0.95 * shaped..=shaped).contains(&got),
@@ -447,15 +456,106 @@ fn clean_link_goodput_is_the_shaped_rate() {
     }
 }
 
+/// One window cut of the server's sender, as the known answer of
+/// Deviation 11 records it.
+#[derive(Debug, PartialEq, Eq)]
+struct Cut {
+    /// When, in ns.
+    at: u64,
+    /// `true` for an RTO, `false` for a new recovery episode.
+    rto: bool,
+    /// The window before and after, bytes.
+    cwnd: (u64, u64),
+    /// `snd_una` at the cut.
+    snd_una: u64,
+    /// The recovery point before the cut and the one it set.
+    recovery_point: (u64, u64),
+}
+
 #[test]
 fn deviation_11_stock_tcp_underfills_dsl() {
-    // EXPERIMENTS.md Deviation 11: in the second 5 MB, one overflow of
-    // DSL's 12 ms queue costs stock TCP two window cuts 74 ms apart
+    // EXPERIMENTS.md Deviation 11: in the second 5 MB, two overflows of
+    // DSL's 12 ms queue cost stock TCP two window cuts 74 ms apart
     // (110 → 77 → 56 kB), under the 75 kB BDP, and the link idles
     // while Cubic regrows: 93.7 % of the shaped rate. The fix flips
-    // this test.
+    // the goodput assertion.
+    use crate::api::Connection;
+    use crate::wire::TCP_MSS;
+    use pq_sim::Direction;
     let net = NetworkKind::Dsl.config();
-    let got = second_half_goodput(Protocol::Tcp, &net, BULK);
+    let mut cuts: Vec<Cut> = Vec::new();
+    let mut exit_burst = None;
+    let (mut seen, mut cwnd, mut last) = (0, 0, (0, 0, 0));
+    let got = second_half_goodput(Protocol::Tcp, &net, BULK, |w| {
+        let Connection::Tcp(c) = &w.conn else {
+            unreachable!("a TCP world")
+        };
+        let now = c.server_recovery();
+        let half_delivered = w.client_progress.get(&0).is_some_and(|p| p.0 >= BULK / 2);
+        for ev in w.traces[seen..]
+            .iter()
+            .filter(|ev| ev.dir == Direction::Down)
+        {
+            match ev.kind {
+                ConnEventKind::Ack { cwnd: after, .. } => {
+                    if let Some(cut) = cuts.last_mut().filter(|cut| cut.cwnd.1 == 0) {
+                        cut.cwnd.1 = after;
+                    }
+                    cwnd = after;
+                }
+                ConnEventKind::CongestionEvent | ConnEventKind::Rto { .. } if half_delivered => {
+                    cuts.push(Cut {
+                        at: ev.at.as_nanos(),
+                        rto: matches!(ev.kind, ConnEventKind::Rto { .. }),
+                        cwnd: (cwnd, 0),
+                        snd_una: now.0,
+                        recovery_point: (last.2, now.2),
+                    })
+                }
+                _ => {}
+            }
+        }
+        seen = w.traces.len();
+        // The instant the first cut's recovery ends: `snd_una` passes
+        // its recovery point, and what that releases leaves at once.
+        if let Some(first) = cuts.first().filter(|_| exit_burst.is_none()) {
+            let point = first.recovery_point.1;
+            if last.0 < point && now.0 >= point {
+                exit_burst = Some(((now.1 - last.1) / TCP_MSS, last.1 - last.0));
+            }
+        }
+        last = now;
+    });
+    // Both cuts are new recovery episodes, not RTOs. The second is
+    // taken after `snd_una` (5 711 520) passed the first one's recovery
+    // point (5 656 040), RFC 6582's rule for a new episode, so it is
+    // not a second cut for one loss.
+    assert_eq!(
+        cuts,
+        [
+            Cut {
+                at: 2_046_535_680,
+                rto: false,
+                cwnd: (110_281, 77_213),
+                snd_una: 5_543_620,
+                recovery_point: (700_800, 5_656_040),
+            },
+            Cut {
+                at: 2_120_951_040,
+                rto: false,
+                cwnd: (79_901, 55_941),
+                snd_una: 5_711_520,
+                recovery_point: (5_656_040, 5_793_280),
+            },
+        ]
+    );
+    // Its losses are new ones: while the hole at 5 543 620 stood, new
+    // data filled stock TCP's 128 KiB receive window (131 400 bytes
+    // past `snd_una`) and stopped; the retransmission's ACK then freed
+    // the window at once, and the unpaced sender put 42 segments on
+    // the wire in one instant, more than DSL's 12 ms queue holds.
+    assert_eq!(exit_burst, Some((42, 131_400)));
+
     let shaped = shaped_goodput(Protocol::Tcp, &net);
     assert!(
         got < 0.95 * shaped,

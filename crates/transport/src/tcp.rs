@@ -780,6 +780,17 @@ impl TcpConnection {
 }
 
 #[cfg(test)]
+impl TcpConnection {
+    /// The server sender's `(snd_una, snd_nxt, recovery_until)`: where
+    /// its cumulative ACK, its next new byte and its recovery point
+    /// stand.
+    pub(crate) fn server_recovery(&self) -> (u64, u64, u64) {
+        let s = &self.s2c_snd;
+        (s.snd_una, s.snd_nxt, s.recovery_until)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Protocol;

@@ -2,10 +2,15 @@
 //! [`pq_bench::contract()`] tree of six runs, one `<run> <key> <value>`
 //! line per node — each stimulus cell's metrics, the votes, funnels
 //! and sessions, the grid's retries and quarantines, the text of every
-//! `pq` view and the `root` study digest that `pq runall` and `pq
-//! edge_cell` print at `PQ_SCALE=smoke PQ_SEED=1910`. Each test
-//! recomputes one run through the public API and compares it line by
-//! line.
+//! `pq` view and the `root` study digest. At `PQ_SCALE=smoke
+//! PQ_SEED=1910`, `pq runall`'s manifest carries the `smoke` (or
+//! `chaos`) tree and `pq edge_cell` prints the `edge_cell` (or
+//! `edge_cell_chaos`) tree. Each test recomputes one run through the
+//! public API and compares it line by line.
+//!
+//! The participants, hence the `sessions` node, depend only on the
+//! study seed, not on the grid: the five runs at seed 1910 share one
+//! `sessions` hash, and only `quic_mbx` (seed 9) has its own.
 //!
 //! A run that moved fails naming the run, every node that moved and,
 //! for a cell, each field, and writes the whole tree this binary
