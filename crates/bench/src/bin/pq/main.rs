@@ -101,18 +101,12 @@ fn write_outputs(name: &str, knobs: &Knobs) {
     }
 }
 
-/// One line on the counting allocator's totals and its heaviest phase.
+/// One line on the counting allocator's totals.
 fn alloc_summary() -> String {
     let snap = pq_prof::alloc_snapshot();
     let mib = |bytes: u64| bytes as f64 / f64::from(1 << 20);
-    let top = snap
-        .phases
-        .iter()
-        .max_by_key(|p| p.bytes)
-        .map(|p| format!(", top phase {} ({:.1} MiB)", p.phase, mib(p.bytes)))
-        .unwrap_or_default();
     format!(
-        "alloc: {} allocations, {:.1} MiB total, {:.1} MiB peak live{top}",
+        "alloc: {} allocations, {:.1} MiB total, {:.1} MiB peak live",
         snap.total_allocs,
         mib(snap.total_bytes),
         mib(snap.peak_bytes),

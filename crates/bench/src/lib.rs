@@ -72,9 +72,10 @@
 //! ```
 //!
 //! `runall` additionally writes `results/manifest.json` — scale, seed,
-//! git rev, per-phase wall-times, per-protocol PLT p50/p90/p99 and the
+//! git rev, per-phase wall-times, event and page-load counts and the
 //! contract tree of the views it printed (see
-//! [`manifest::manifest_json`]). Its timings are one sample from one
+//! [`manifest::manifest_json`]); its smoke-scale stdout is
+//! `results/runall_smoke.txt`. Its timings are one sample from one
 //! machine; speed is measured by `benches/perf`.
 
 #![forbid(unsafe_code)]

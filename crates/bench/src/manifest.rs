@@ -2,8 +2,8 @@
 //!
 //! One `results/manifest.json` per experiment execution, declared once
 //! in [`manifest_json`]: scale, seed, git revision, per-phase
-//! wall-times, the per-protocol PLT histogram summaries, fault and
-//! quarantine accounting, and the run's [`contract`](crate::contract())
+//! wall-times, event and page-load counts, fault and quarantine
+//! accounting, and the run's [`contract`](crate::contract())
 //! tree, which `results/contract.txt` pins and which alone holds the
 //! retry count (`grid`) and the [`study_digest`] (`root`). The funnels
 //! are only a hash there (`funnels`); their counts are in `pq table3`'s
@@ -12,7 +12,7 @@
 
 use crate::Experiment;
 use pq_obs::json::Value;
-use pq_obs::{MetricSnapshot, PhaseTimer};
+use pq_obs::PhaseTimer;
 use pq_study::StudyData;
 
 /// The study digest's per-byte multiplier: 2⁴⁸ + 0x1b3. This is **not**
@@ -156,12 +156,11 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `git_rev` | `git rev-parse --short HEAD`, or `unknown` outside a checkout |
 /// | `created_unix` | Unix timestamp (seconds) of manifest creation |
 /// | `phases` | `[{name, secs}]` wall seconds in execution order |
-/// | `plt_ms` | `[{protocol, count, p50, p90, p99}]` from the `web.plt_ms{proto}` histograms |
 /// | `sim_events`, `pageloads` | `sim.events_processed` / `web.pageloads` counters |
 /// | `fault_spec` | the spec of the run's fault plan, as `PQ_FAULTS` spelled it (empty = injection off) |
 /// | `faults_injected` | `fault.injected` counter |
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
-/// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes, phases: [{phase, allocs, bytes}]}` |
+/// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes}` |
 /// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
 /// | `contract` | `[{key, value}]`: `contract`, node by node |
 pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, String)>) -> Value {
@@ -175,30 +174,6 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, 
         .map(|(name, secs)| Value::obj().with("name", name.as_str()).with("secs", *secs))
         .collect();
     let stacks = &e.spec.stacks;
-    let plt_ms: Vec<Value> = stacks
-        .iter()
-        .filter_map(|p| {
-            let name = format!("web.plt_ms{{proto=\"{}\"}}", p.label());
-            let MetricSnapshot::Histogram {
-                count,
-                p50,
-                p90,
-                p99,
-                ..
-            } = reg.get(&name)?
-            else {
-                return None;
-            };
-            Some(
-                Value::obj()
-                    .with("protocol", p.label())
-                    .with("count", count)
-                    .with("p50", p50)
-                    .with("p90", p90)
-                    .with("p99", p99),
-            )
-        })
-        .collect();
     let cells_quarantined: Vec<Value> = e
         .stimuli
         .quarantined()
@@ -228,7 +203,6 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, 
                 .map_or(0, |d| d.as_secs()),
         )
         .with("phases", phases)
-        .with("plt_ms", plt_ms)
         .with("sim_events", reg.counter_value("sim.events_processed"))
         .with("pageloads", reg.counter_value("web.pageloads"))
         .with(
@@ -238,23 +212,12 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, 
         .with("faults_injected", reg.counter_value("fault.injected"))
         .with("cells_quarantined", cells_quarantined);
     if let Some(snap) = alloc {
-        let phases: Vec<Value> = snap
-            .phases
-            .iter()
-            .map(|p| {
-                Value::obj()
-                    .with("phase", p.phase.as_str())
-                    .with("allocs", p.allocs)
-                    .with("bytes", p.bytes)
-            })
-            .collect();
         out.set(
             "alloc",
             Value::obj()
                 .with("total_allocs", snap.total_allocs)
                 .with("total_bytes", snap.total_bytes)
-                .with("peak_bytes", snap.peak_bytes)
-                .with("phases", phases),
+                .with("peak_bytes", snap.peak_bytes),
         );
     }
     let edge_stacks: Vec<Value> = stacks
@@ -348,19 +311,18 @@ mod tests {
         fields.iter().map(|(k, _)| k.as_str()).collect()
     }
 
-    /// The schema CI's Python reads: 13 keys on every run, `alloc` only
+    /// The schema CI's Python reads: 12 keys on every run, `alloc` only
     /// while the counting allocator is on, `edge` only with an edge
     /// stack in the grid, in this order, and `contract` last.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
-        const ALWAYS: [&str; 12] = [
+        const ALWAYS: [&str; 11] = [
             "scale",
             "seed",
             "jobs",
             "git_rev",
             "created_unix",
             "phases",
-            "plt_ms",
             "sim_events",
             "pageloads",
             "fault_spec",
@@ -391,9 +353,6 @@ mod tests {
             node.get("value").and_then(Value::as_str),
             Some("0123456789abcdef")
         );
-        let plt = get("plt_ms").as_arr().expect("one row per stack");
-        assert_eq!(keys(&plt[0]), ["protocol", "count", "p50", "p90", "p99"]);
-        assert_eq!(plt[0].get("protocol").and_then(Value::as_str), Some("TCP+"));
 
         pq_prof::set_alloc_enabled(true);
         let edge = timer.phase("edge", || {
@@ -404,16 +363,8 @@ mod tests {
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["alloc", "edge", "contract"]);
         let alloc = m.get("alloc").expect("alloc block");
-        assert_eq!(
-            keys(alloc),
-            ["total_allocs", "total_bytes", "peak_bytes", "phases"]
-        );
-        let by_phase = alloc.get("phases").and_then(Value::as_arr).expect("phases");
-        assert!(by_phase.iter().any(|p| {
-            keys(p) == ["phase", "allocs", "bytes"]
-                && p.get("phase").and_then(Value::as_str) == Some("edge")
-                && p.get("allocs").and_then(Value::as_u64) > Some(0)
-        }));
+        assert_eq!(keys(alloc), ["total_allocs", "total_bytes", "peak_bytes"]);
+        assert!(alloc.get("total_allocs").and_then(Value::as_u64) > Some(0));
         let block = m.get("edge").expect("edge block");
         assert_eq!(
             keys(block),

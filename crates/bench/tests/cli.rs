@@ -1,8 +1,9 @@
 //! The `pq` binary: a known subcommand runs, anything else gets the
 //! list of subcommands on stderr and exit status 2; `pq runall`'s own
 //! manifest carries the smoke and chaos runs' trees from
-//! `results/contract.txt`, `pq edge_cell` prints the edge-cell runs'
-//! trees, and the trace and profiler knobs write their files.
+//! `results/contract.txt` and its smoke stdout is
+//! `results/runall_smoke.txt`, `pq edge_cell` prints the edge-cell
+//! runs' trees, and the trace and profiler knobs write their files.
 
 use pq_bench::CHAOS_SPEC;
 use pq_obs::json::Value;
@@ -66,9 +67,9 @@ fn table1_prints_table_1_and_exits_0() {
 /// `pq runall` at smoke scale and seed 1910 in a fresh directory, with
 /// a stale `atomic_write` temp file planted in `results/`: the run
 /// sweeps the temp file and holds its manifest's `contract` to `run`'s
-/// committed tree. A killed run is rerun, so this is the run a rerun
-/// is.
-fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
+/// committed tree, and its stdout to `stdout` where one is given. A
+/// killed run is rerun, so this is the run a rerun is.
+fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32, stdout: Option<&str>) {
     let dir = std::env::temp_dir().join(format!("pq-cli-runall-{}-{run}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let results = dir.join("results");
@@ -117,22 +118,41 @@ fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
         "funnel_ab",
         "funnel_rating",
         "runs_retried",
+        "plt_ms",
     ] {
         assert!(m.get(retired).is_none(), "manifest still has {retired}");
     }
     assert!(!stale.exists(), "the stale temp file survived the run");
+    if let Some(want) = stdout {
+        // Every printed table and figure, Table 1's values and Table
+        // 2's measured columns included, which no contract node covers.
+        let got = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let moved = got
+            .lines()
+            .zip(want.lines())
+            .position(|(a, b)| a != b)
+            .map(|i| i + 1);
+        assert!(
+            got == want,
+            "{run}: stdout differs from the recording (first moved line {moved:?}, \
+             {} vs {} lines)",
+            got.lines().count(),
+            want.lines().count()
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn smoke_runall_at_4_workers_writes_the_pinned_digest() {
-    runall_holds_the_pin("smoke", None, 4);
+    let recorded = include_str!("../../../results/runall_smoke.txt");
+    runall_holds_the_pin("smoke", None, 4, Some(recorded));
 }
 
 #[test]
 fn chaos_runall_at_1_worker_writes_the_pinned_digest() {
-    runall_holds_the_pin("chaos", Some(CHAOS_SPEC), 1);
+    runall_holds_the_pin("chaos", Some(CHAOS_SPEC), 1, None);
 }
 
 /// `pq edge_cell` at seed 1910 prints `run`'s committed tree, one

@@ -94,14 +94,12 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
 /// the buffer. Returns the number of events written.
 ///
 /// Ring overflow is never silent: when the buffer dropped events
-/// since the last drain, a `trace.dropped` counter records how many
-/// and a tracer warning (which itself lands in the exported file)
-/// says so once, with the remedy.
+/// since the last drain, a tracer warning (which itself lands in the
+/// exported file) says how many, once, with the remedy.
 pub fn export(path: &Path) -> std::io::Result<usize> {
     let t = tracer();
     let (_, _, dropped) = t.stats();
     if dropped > 0 {
-        crate::metrics::registry().counter_add("trace.dropped", dropped);
         t.warn(
             "trace",
             format!(

@@ -14,11 +14,10 @@
 //!   load, so the instrumented hot paths cost (near) nothing when
 //!   disabled. [`Tracer::set_level`] turns it on and
 //!   [`Tracer::set_capacity`] sizes the ring.
-//! * [`metrics`] — a process-global registry of counters and
-//!   log-bucketed histograms (p50/p90/p99), read by name through typed
-//!   accessors: the run manifest, `benches/perf` and the tests are its
-//!   readers, and [`names::METRIC_NAMES`] lists only series one of
-//!   them reads. Always on (the emitting layers batch updates — the
+//! * [`metrics`] — a process-global registry of named `u64` counters,
+//!   read by name: the run manifest, `benches/perf` and the tests are
+//!   its readers, and [`names::METRIC_NAMES`] lists only counters one
+//!   of them reads. Always on (the emitting layers batch updates — the
 //!   page load adds its event and link counts once, at its end — so
 //!   the per-event cost stays negligible).
 //! * [`export`] — the trace buffer's serialiser: the Chrome
@@ -29,7 +28,7 @@
 //!   has no network access, so `serde` is not available; this module
 //!   fills the gap with ~300 auditable lines).
 //! * [`timing`] — wall-clock phase timers for the experiment harness.
-//! * [`names`] — the declared metric and span-frame names a run is
+//! * [`names`] — the declared counter and span-frame names a run is
 //!   held to.
 //!
 //! Like every library crate, pq-obs reads no environment: it is
@@ -57,6 +56,6 @@ pub mod names;
 pub mod timing;
 pub mod trace;
 
-pub use metrics::{registry, MetricSnapshot, Registry};
+pub use metrics::{registry, Registry};
 pub use timing::PhaseTimer;
 pub use trace::{enabled, tracer, ArgValue, Event, EventKind, Level, Tracer};

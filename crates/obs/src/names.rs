@@ -11,9 +11,9 @@
 //!
 //! Keep both lists sorted.
 
-/// Every metric name the workspace emits through the registry sinks
-/// (`counter_add` / `observe`). Formatted names are checked by their
-/// literal prefix before the first `{`. A series is listed — and
+/// Every counter name the workspace emits through
+/// `Registry::counter_add`. Formatted names are checked by their
+/// literal prefix before the first `{`. A counter is listed — and
 /// emitted — only while something reads it: the run manifest,
 /// `benches/perf`, CI or a test.
 pub const METRIC_NAMES: &[&str] = &[
@@ -32,10 +32,8 @@ pub const METRIC_NAMES: &[&str] = &[
     "sim.link.offered",
     "sim.link.random_lost",
     "sim.link.tail_dropped",
-    "trace.dropped",
     "web.pageloads",
     "web.pageloads_incomplete",
-    "web.plt_ms",
 ];
 
 /// Every span frame name in collapsed-stack output. Entries with

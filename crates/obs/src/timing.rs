@@ -35,18 +35,16 @@ impl PhaseTimer {
         Self::default()
     }
 
-    /// Run `f`, timing it as phase `name`. Returns `f`'s output. The
-    /// phase also scopes `pq-prof` attribution: allocations inside `f`
-    /// land on this phase's slot and a profiler span of the same name
-    /// roots the phase's folded sub-tree (both inert unless profiling
-    /// is enabled).
+    /// Run `f`, timing it as phase `name`. Returns `f`'s output. A
+    /// `pq-prof` span of the same name roots the phase's folded
+    /// sub-tree (inert unless spans are enabled).
     pub fn phase<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
         let t = tracer();
         let start_ns = t.wall_ns();
         #[expect(clippy::disallowed_methods, reason = "harness phase timing only")]
         let started = Instant::now();
         let out = {
-            let _prof = pq_prof::phase_scope(name);
+            let _prof = pq_prof::span(name);
             f()
         };
         let secs = started.elapsed().as_secs_f64();

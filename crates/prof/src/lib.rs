@@ -1,7 +1,8 @@
-//! # pq-prof — hot-path profiling and allocation attribution, zero deps
+//! # pq-prof — hot-path profiling and allocation counting, zero deps
 //!
-//! Answers "where inside the hot loop do the time and allocations go"
-//! without disturbing the workspace's determinism contract. Everything
+//! Answers "where inside the hot loop does the time go, and how much
+//! does the run allocate" without disturbing the workspace's
+//! determinism contract. Everything
 //! here is *off-path*: with both subsystems disabled (the default)
 //! every instrumentation site costs one relaxed atomic load, and with
 //! them enabled the profile observes wall-clock time and heap traffic
@@ -16,14 +17,14 @@
 //!   that any flamegraph tool consumes.
 //! * [`alloc`] — a counting [`std::alloc::GlobalAlloc`] wrapper around
 //!   the system allocator (installed here as the `#[global_allocator]`)
-//!   attributing allocation count/bytes to the current harness phase,
-//!   plus a live-bytes peak (an RSS estimate).
+//!   keeping allocation count and bytes, plus a live-bytes peak (an RSS
+//!   estimate).
 //!
 //! This crate reads no environment variables and writes no output on
 //! its own: the `pq` binary parses `PQ_PROF_ALLOC` / `PQ_PROF_OUT`
 //! with its other knobs, calls [`configure`] before the run (spans run
 //! exactly when `PQ_PROF_OUT` names a file) and writes the folded
-//! profile after it; `pq-bench` folds the allocation report into the
+//! profile after it; `pq-bench` folds the allocation totals into the
 //! run manifest.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
@@ -32,9 +33,7 @@
 pub mod alloc;
 pub mod span;
 
-pub use alloc::{
-    alloc_enabled, alloc_snapshot, reset_alloc, set_alloc_enabled, AllocSnapshot, PhaseAlloc,
-};
+pub use alloc::{alloc_enabled, alloc_snapshot, reset_alloc, set_alloc_enabled, AllocSnapshot};
 pub use span::{
     current_path, flush_thread, folded, reset_spans, set_spans_enabled, span, span_dyn, span_with,
     spans_enabled, worker_span, write_folded, Span,
@@ -44,37 +43,6 @@ pub use span::{
 /// per allocation while disabled (the default); see [`alloc`].
 #[global_allocator]
 static COUNTING_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
-
-/// Guard returned by [`phase_scope`]: restores the previous allocation
-/// phase and closes the phase's profiler span on drop.
-pub struct PhaseScope {
-    prev: Option<usize>,
-    _span: Span,
-}
-
-/// Enter a named harness phase: allocations are attributed to `name`
-/// until the guard drops, and a profiler span of the same name wraps
-/// the phase in the folded output. Inert (and free) when both
-/// subsystems are disabled.
-pub fn phase_scope(name: &str) -> PhaseScope {
-    let prev = if alloc_enabled() {
-        Some(alloc::enter_phase(name))
-    } else {
-        None
-    };
-    PhaseScope {
-        prev,
-        _span: span(name),
-    }
-}
-
-impl Drop for PhaseScope {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            alloc::set_phase(prev);
-        }
-    }
-}
 
 /// Enable/disable both subsystems at once (the `pq-obs` init path).
 pub fn configure(alloc_on: bool, spans_on: bool) {
@@ -94,29 +62,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn phase_scope_attributes_allocations() {
-        let _g = span::test_lock();
-        reset();
-        set_alloc_enabled(true);
-        let before = alloc_snapshot();
-        {
-            let _p = phase_scope("probe_phase");
-            let v: Vec<u8> = Vec::with_capacity(64 * 1024);
-            std::hint::black_box(&v);
-        }
-        set_alloc_enabled(false);
-        let after = alloc_snapshot();
-        assert!(after.total_allocs > before.total_allocs);
-        let phase = after
-            .phases
-            .iter()
-            .find(|p| p.phase == "probe_phase")
-            .expect("phase registered");
-        assert!(phase.allocs >= 1, "phase saw the Vec allocation");
-        assert!(phase.bytes >= 64 * 1024);
-    }
-
-    #[test]
     fn disabled_profiling_is_inert() {
         let _g = span::test_lock();
         reset();
@@ -124,8 +69,7 @@ mod tests {
         set_spans_enabled(false);
         let before = alloc_snapshot();
         {
-            let _p = phase_scope("invisible");
-            let _s = span("also_invisible");
+            let _s = span("invisible");
             let v: Vec<u8> = vec![0; 4096];
             std::hint::black_box(&v);
         }

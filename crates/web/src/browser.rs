@@ -50,8 +50,6 @@ const TID_LEG_BASE: u32 = 60;
 /// Tunables of one page load.
 #[derive(Clone, Debug)]
 pub struct LoadOptions {
-    /// Give up after this much virtual time.
-    pub horizon: SimDuration,
     /// Scale factor on client-side processing costs (parse, script
     /// execution, image decode, style+layout). 1.0 = calibrated
     /// defaults; 0.0 disables processing entirely (network-only loads,
@@ -71,7 +69,6 @@ pub struct LoadOptions {
 impl Default for LoadOptions {
     fn default() -> Self {
         LoadOptions {
-            horizon: SimDuration::from_secs(300),
             processing_scale: 1.0,
             faults: None,
             edge: None,
@@ -217,29 +214,12 @@ pub fn load_page(
 ) -> PageLoadResult {
     // Degenerate (`custom_net`-style) configs are clamped with one
     // tracer warning rather than simulated as garbage; valid configs
-    // pass through untouched, so baselines are unaffected. Use
-    // [`try_load_page`] to surface the error instead.
+    // pass through untouched, so baselines are unaffected.
     let net = net.clone().checked().unwrap_or_else(|e| {
         pq_obs::tracer().warn("sim", format!("{e}; clamped to usable values"));
         net.clone().sanitized()
     });
     load_page_with_config(site, &net, &protocol.config(&net), seed, opts)
-}
-
-/// Validating variant of [`load_page`]: rejects degenerate network
-/// configurations (zero bandwidth, loss outside `[0,1]`, NaN) instead
-/// of simulating garbage. Prefer this at boundaries that accept
-/// user-supplied (`custom_net`-style) parameters.
-pub fn try_load_page(
-    site: &Website,
-    net: &NetworkConfig,
-    protocol: Protocol,
-    seed: u64,
-    opts: &LoadOptions,
-) -> Result<PageLoadResult, pq_fault::PqError> {
-    let net = net.clone().checked()?;
-    let cfg = protocol.config(&net);
-    Ok(load_page_with_config(site, &net, &cfg, seed, opts))
 }
 
 /// Load with an explicit stack configuration — the knob-by-knob API
@@ -775,16 +755,14 @@ impl Loader<'_> {
     }
 
     /// End-of-load bookkeeping: FVC/LVC/PLT markers on the page track;
-    /// the load's events, its links' counters and the per-protocol
-    /// metric histograms in the global registry.
+    /// the load's events and its links' counters in the global
+    /// registry.
     fn obs_finish(&self, metrics: &MetricSet, plt: SimTime, complete: bool) {
-        let label = self.cfg.protocol.label();
         let reg = pq_obs::registry();
         reg.counter_add("web.pageloads", 1);
         if !complete {
             reg.counter_add("web.pageloads_incomplete", 1);
         }
-        reg.observe(&format!("web.plt_ms{{proto=\"{label}\"}}"), metrics.plt_ms);
         let add = |name, n| {
             if n > 0 {
                 reg.counter_add(name, n);
@@ -913,8 +891,11 @@ impl Loader<'_> {
     }
 
     fn run(mut self) -> PageLoadResult {
-        let horizon = SimTime::ZERO + self.opts.horizon;
-        let max_events = 200_000_000u64;
+        /// A load gives up after this much virtual time…
+        const HORIZON: SimDuration = SimDuration::from_secs(300);
+        /// …or after this many events.
+        const MAX_EVENTS: u64 = 200_000_000;
+        let horizon = SimTime::ZERO + HORIZON;
 
         // Run until onload fired AND the first-paint gate opened (the
         // gate's layout event can be scheduled past the last object on
@@ -923,7 +904,7 @@ impl Loader<'_> {
             let Some((stamp, source)) = pq_sim::lane::earliest(&self.q, &self.lanes) else {
                 break;
             };
-            if stamp.time() > horizon || self.q.processed() > max_events {
+            if stamp.time() > horizon || self.q.processed() > MAX_EVENTS {
                 break;
             }
             match source {

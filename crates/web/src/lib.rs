@@ -34,7 +34,7 @@ mod mux;
 pub mod object;
 pub mod website;
 
-pub use browser::{load_page, load_page_with_config, try_load_page, LoadOptions, PageLoadResult};
+pub use browser::{load_page, load_page_with_config, LoadOptions, PageLoadResult};
 pub use catalogue::{corpus, corpus_specs, site, LAB_SITES};
 pub use object::{ObjectId, ObjectKind, WebObject};
 pub use website::{SiteSpec, Website};
