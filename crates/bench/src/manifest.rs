@@ -14,6 +14,7 @@ use crate::Experiment;
 use pq_obs::json::Value;
 use pq_obs::PhaseTimer;
 use pq_study::StudyData;
+use std::collections::BTreeMap;
 
 /// The study digest's per-byte multiplier: 2⁴⁸ + 0x1b3. This is **not**
 /// the FNV-1a/64 prime (2⁴⁰ + 0x1b3, `0x0000_0100_0000_01b3`), and it
@@ -142,8 +143,10 @@ pub fn study_digest(data: &StudyData) -> u64 {
 }
 
 /// Everything a `runall` execution leaves behind for machines: the
-/// finished experiment, the phase timer, the global metrics registry
-/// and the run's contract tree as one JSON object.
+/// finished experiment, the phase timer, the registry's counters as
+/// the experiment ended (`pq_obs::registry().snapshot()`, so they count
+/// the grid's loads and no view's) and the run's contract tree as one
+/// JSON object.
 ///
 /// Keys, in order; readers are CI (`.github/workflows/ci.yml`) and the
 /// tests, through [`Value::get`]:
@@ -156,18 +159,23 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `git_rev` | `git rev-parse --short HEAD`, or `unknown` outside a checkout |
 /// | `created_unix` | Unix timestamp (seconds) of manifest creation |
 /// | `phases` | `[{name, secs}]` wall seconds in execution order |
-/// | `sim_events`, `pageloads` | `sim.events_processed` / `web.pageloads` counters |
+/// | `sim_events`, `pageloads` | the grid's `sim.events_processed` / `web.pageloads` counters |
 /// | `fault_spec` | the spec of the run's fault plan, as `PQ_FAULTS` spelled it (empty = injection off) |
-/// | `faults_injected` | `fault.injected` counter |
+/// | `faults_injected` | the grid's `fault.injected` counter |
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
 /// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes}` |
 /// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
 /// | `contract` | `[{key, value}]`: `contract`, node by node |
-pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, String)>) -> Value {
+pub fn manifest_json(
+    e: &Experiment,
+    timer: &PhaseTimer,
+    counters: &BTreeMap<String, u64>,
+    contract: Vec<(String, String)>,
+) -> Value {
     // Before anything below allocates: the report is of the run, not
     // of writing the report.
     let alloc = pq_prof::alloc_enabled().then(pq_prof::alloc_snapshot);
-    let reg = pq_obs::registry();
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
     let phases: Vec<Value> = timer
         .phases()
         .iter()
@@ -203,13 +211,13 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, 
                 .map_or(0, |d| d.as_secs()),
         )
         .with("phases", phases)
-        .with("sim_events", reg.counter_value("sim.events_processed"))
-        .with("pageloads", reg.counter_value("web.pageloads"))
+        .with("sim_events", count("sim.events_processed"))
+        .with("pageloads", count("web.pageloads"))
         .with(
             "fault_spec",
             e.spec.faults.as_ref().map_or("", |p| p.spec.as_str()),
         )
-        .with("faults_injected", reg.counter_value("fault.injected"))
+        .with("faults_injected", count("fault.injected"))
         .with("cells_quarantined", cells_quarantined);
     if let Some(snap) = alloc {
         out.set(
@@ -235,10 +243,10 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, 
                 .with("stacks", edge_stacks)
                 .with("pool_size", cfg.pool_size)
                 .with("replicas", cfg.replicas)
-                .with("conns_opened", reg.counter_value("edge.conns_opened"))
-                .with("conns_reused", reg.counter_value("edge.conns_reused"))
-                .with("conns_evicted", reg.counter_value("edge.conns_evicted"))
-                .with("mbx_early_retx", reg.counter_value("edge.mbx_early_retx")),
+                .with("conns_opened", count("edge.conns_opened"))
+                .with("conns_reused", count("edge.conns_reused"))
+                .with("conns_evicted", count("edge.conns_evicted"))
+                .with("mbx_early_retx", count("edge.mbx_early_retx")),
         );
     }
     let contract: Vec<Value> = contract
@@ -334,7 +342,7 @@ mod tests {
             tiny_experiment(&[Protocol::TcpPlus, Protocol::Quic])
         });
         let tree = || vec![("root".to_string(), "0123456789abcdef".to_string())];
-        let m = manifest_json(&plain, &timer, tree());
+        let m = manifest_json(&plain, &timer, &pq_obs::registry().snapshot(), tree());
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["contract"]);
         let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("{key} present"));
@@ -358,7 +366,7 @@ mod tests {
         let edge = timer.phase("edge", || {
             tiny_experiment(&[Protocol::Quic, Protocol::QuicMbx])
         });
-        let m = manifest_json(&edge, &timer, tree());
+        let m = manifest_json(&edge, &timer, &pq_obs::registry().snapshot(), tree());
         pq_prof::set_alloc_enabled(false);
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["alloc", "edge", "contract"]);

@@ -601,9 +601,8 @@ pub fn print_ablation(e: &Experiment, out: &mut String) -> fmt::Result {
 
 /// Ablations 2 and 3: 40 + 20 page loads at fixed seeds, whatever the
 /// experiment. [`print_ablation`] runs them on its first call in a
-/// process only: a later render reuses the text, so its 60 loads do not
-/// count again in the registry's `web.pageloads` / `sim.events_processed`
-/// or appear again in a trace.
+/// process only: a later render (a test binary's second `contract()`)
+/// reuses the text instead of loading and tracing them again.
 fn fixed_seed_ablations(out: &mut String) -> fmt::Result {
     writeln!(
         out,

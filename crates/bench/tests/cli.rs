@@ -67,9 +67,17 @@ fn table1_prints_table_1_and_exits_0() {
 /// `pq runall` at smoke scale and seed 1910 in a fresh directory, with
 /// a stale `atomic_write` temp file planted in `results/`: the run
 /// sweeps the temp file and holds its manifest's `contract` to `run`'s
-/// committed tree, and its stdout to `stdout` where one is given. A
-/// killed run is rerun, so this is the run a rerun is.
-fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32, stdout: Option<&str>) {
+/// committed tree, its `(pageloads, sim_events)` to `grid` — the
+/// grid's loads and events, none of a view's — and its stdout to
+/// `stdout` where one is given. A killed run is rerun, so this is the
+/// run a rerun is.
+fn runall_holds_the_pin(
+    run: &str,
+    faults: Option<&str>,
+    jobs: u32,
+    grid: (u64, u64),
+    stdout: Option<&str>,
+) {
     let dir = std::env::temp_dir().join(format!("pq-cli-runall-{}-{run}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let results = dir.join("results");
@@ -107,6 +115,8 @@ fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32, stdout: Opti
     let moved = tree.iter().zip(committed(run)).find(|(a, b)| a != b);
     assert_eq!((tree.len(), moved), (committed(run).len(), None), "{run}");
     assert_eq!(get("jobs").as_u64(), Some(u64::from(jobs)));
+    let count = |key| get(key).as_u64().unwrap();
+    assert_eq!((count("pageloads"), count("sim_events")), grid, "{run}");
     assert_eq!(get("fault_spec").as_str(), Some(faults.unwrap_or("")));
     // The tree holds the digest (`root`), the funnels and the retries
     // (`grid`); the manifest does not restate them.
@@ -147,12 +157,12 @@ fn runall_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32, stdout: Opti
 #[test]
 fn smoke_runall_at_4_workers_writes_the_pinned_digest() {
     let recorded = include_str!("../../../results/runall_smoke.txt");
-    runall_holds_the_pin("smoke", None, 4, Some(recorded));
+    runall_holds_the_pin("smoke", None, 4, (240, 2_098_621), Some(recorded));
 }
 
 #[test]
 fn chaos_runall_at_1_worker_writes_the_pinned_digest() {
-    runall_holds_the_pin("chaos", Some(CHAOS_SPEC), 1, None);
+    runall_holds_the_pin("chaos", Some(CHAOS_SPEC), 1, (1_316, 15_648_690), None);
 }
 
 /// `pq edge_cell` at seed 1910 prints `run`'s committed tree, one

@@ -45,20 +45,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "ablation",
     "agreement",
     "edge:dispatch",
-    "edge:mbx",
-    "event:arrival",
-    "event:defer",
-    "event:edge-arrival",
-    "event:edge-respond",
-    "event:edge-timer",
-    "event:edge-tx-down",
-    "event:edge-tx-up",
-    "event:gate",
-    "event:process",
-    "event:respond",
-    "event:timer",
-    "event:tx-down",
-    "event:tx-up",
     "experiment",
     "fig3",
     "fig4",

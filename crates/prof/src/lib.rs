@@ -1,8 +1,8 @@
-//! # pq-prof — hot-path profiling and allocation counting, zero deps
+//! # pq-prof — span profiling and allocation counting, zero deps
 //!
-//! Answers "where inside the hot loop does the time go, and how much
-//! does the run allocate" without disturbing the workspace's
-//! determinism contract. Everything
+//! Answers "where does a run's time go — by phase, page load and
+//! worker — and how much does the run allocate" without disturbing the
+//! workspace's determinism contract. Everything
 //! here is *off-path*: with both subsystems disabled (the default)
 //! every instrumentation site costs one relaxed atomic load, and with
 //! them enabled the profile observes wall-clock time and heap traffic
@@ -14,7 +14,10 @@
 //! * [`span`](mod@span) — a scoped span-stack profiler. [`span::span`] guards
 //!   push enter/exit markers onto a thread-local stack; exits fold
 //!   self-time into collapsed-stack lines (`a;b;c <self-nanoseconds>`)
-//!   that any flamegraph tool consumes.
+//!   that any flamegraph tool consumes. Its frames are coarse on
+//!   purpose: an armed span builds its path string, which costs more
+//!   than a simulated event, so the event loop opens none (a page load
+//!   returns its events counted by kind instead).
 //! * [`alloc`] — a counting [`std::alloc::GlobalAlloc`] wrapper around
 //!   the system allocator (installed here as the `#[global_allocator]`)
 //!   keeping allocation count and bytes, plus a live-bytes peak (an RSS
@@ -35,7 +38,7 @@ pub mod span;
 
 pub use alloc::{alloc_enabled, alloc_snapshot, reset_alloc, set_alloc_enabled, AllocSnapshot};
 pub use span::{
-    current_path, flush_thread, folded, reset_spans, set_spans_enabled, span, span_dyn, span_with,
+    current_path, flush_thread, folded, reset_spans, set_spans_enabled, span, span_dyn,
     spans_enabled, worker_span, write_folded, Span,
 };
 

@@ -10,8 +10,9 @@
 //! that `inferno` or `flamegraph.pl` consume.
 //!
 //! Disabled (the default), [`span`] costs one relaxed atomic load and
-//! constructs nothing — instrumentation sites stay on the hot path
-//! permanently. Time is observed, never fed back: nothing here can
+//! constructs nothing. Armed, it formats its path, so it belongs on
+//! phases, page loads, workers and proxied requests, not on each
+//! event. Time is observed, never fed back: nothing here can
 //! perturb simulated behaviour, only measure it.
 
 use std::cell::RefCell;
@@ -96,18 +97,6 @@ pub fn span(name: &str) -> Span {
         None => name.to_string(),
     });
     push_frame(path)
-}
-
-/// Like [`span`] but the name is picked lazily — `name` runs only when
-/// profiling is enabled, so a site that maps a value to its static
-/// bucket name (e.g. the event loop's per-event-type buckets) pays
-/// one relaxed load and no match on the disabled path.
-#[inline]
-pub fn span_with(name: impl FnOnce() -> &'static str) -> Span {
-    if !spans_enabled() {
-        return Span { armed: false };
-    }
-    span(name())
 }
 
 /// Like [`span`] but the name is built lazily — the closure runs only
@@ -313,31 +302,6 @@ mod tests {
             let _a = span("ghost");
         }
         assert!(folded().is_empty());
-    }
-
-    #[test]
-    fn span_with_names_lazily_and_folds_like_span() {
-        let _g = test_lock();
-        reset_spans();
-        set_spans_enabled(false);
-        {
-            let _off = span_with(|| unreachable!("disabled: the name is never picked"));
-        }
-        assert!(folded().is_empty());
-        set_spans_enabled(true);
-        {
-            let _a = span("outer");
-            let _b = span_with(|| "event:timer");
-        }
-        {
-            let _a = span("outer");
-            let _b = span("event:timer");
-        }
-        set_spans_enabled(false);
-        let rows = folded();
-        let bucket = rows.iter().find(|(p, _, _)| p == "outer;event:timer");
-        assert_eq!(bucket.map(|b| b.1), Some(2), "same bucket either way");
-        reset_spans();
     }
 
     #[test]

@@ -97,6 +97,9 @@ pub struct PageLoadResult {
     pub retransmits: u64,
     /// Connections opened (= origins contacted).
     pub connections: u32,
+    /// Events the load popped, by kind ([`EVENT_KINDS`]); they sum to
+    /// the `sim.events_processed` it adds to the registry.
+    pub events: [u64; EVENT_KINDS.len()],
 }
 
 /// What the event queue holds: timers. Link tx-dones and packets in
@@ -314,29 +317,49 @@ pub fn load_page_with_config(
     loader.run()
 }
 
-/// Profiler bucket name for an event — the per-event-type subdivision
-/// of the `experiment` phase in the folded profile.
-fn ev_name(ev: Ev) -> &'static str {
+/// What a page load's event loop fires, by kind: slot `i` of
+/// [`PageLoadResult::events`] counts `EVENT_KINDS[i]`. Timers come out
+/// of the event queue's heap (a stale wake-up counts as a `timer`);
+/// tx-dones and arrivals out of the links' lanes. The `edge-` kinds are
+/// a proxy leg's timers and responses, and the origin segment's lanes.
+pub const EVENT_KINDS: [&str; 13] = [
+    "tx-up",
+    "tx-down",
+    "arrival",
+    "timer",
+    "respond",
+    "process",
+    "defer",
+    "gate",
+    "edge-tx-up",
+    "edge-tx-down",
+    "edge-arrival",
+    "edge-timer",
+    "edge-respond",
+];
+
+/// The [`EVENT_KINDS`] index of a timer…
+fn timer_kind(ev: Ev) -> usize {
     match ev {
-        Ev::Wake(key, _) if leg_of(key).is_some() => "event:edge-timer",
-        Ev::Wake(..) => "event:timer",
-        Ev::Respond(key, _) if leg_of(key).is_some() => "event:edge-respond",
-        Ev::Respond(..) => "event:respond",
-        Ev::Processed(..) => "event:process",
-        Ev::DeferredRequest(..) => "event:defer",
-        Ev::GateOpen => "event:gate",
+        Ev::Wake(key, _) if leg_of(key).is_some() => 11, // edge-timer
+        Ev::Wake(..) => 3,                               // timer
+        Ev::Respond(key, _) if leg_of(key).is_some() => 12, // edge-respond
+        Ev::Respond(..) => 4,                            // respond
+        Ev::Processed(..) => 5,                          // process
+        Ev::DeferredRequest(..) => 6,                    // defer
+        Ev::GateOpen => 7,                               // gate
     }
 }
 
-/// The same for what a lane fires.
-fn lane_ev_name(lane: usize, what: LaneEvent) -> &'static str {
+/// …and of what a lane fires.
+fn lane_kind(lane: usize, what: LaneEvent) -> usize {
     match (what, lane) {
-        (LaneEvent::TxDone, UP) => "event:tx-up",
-        (LaneEvent::TxDone, DOWN) => "event:tx-down",
-        (LaneEvent::TxDone, O_UP) => "event:edge-tx-up",
-        (LaneEvent::TxDone, _) => "event:edge-tx-down",
-        (LaneEvent::Arrival, UP | DOWN) => "event:arrival",
-        (LaneEvent::Arrival, _) => "event:edge-arrival",
+        (LaneEvent::TxDone, UP) => 0,         // tx-up
+        (LaneEvent::TxDone, DOWN) => 1,       // tx-down
+        (LaneEvent::TxDone, O_UP) => 8,       // edge-tx-up
+        (LaneEvent::TxDone, _) => 9,          // edge-tx-down
+        (LaneEvent::Arrival, UP | DOWN) => 2, // arrival
+        (LaneEvent::Arrival, _) => 10,        // edge-arrival
     }
 }
 
@@ -802,7 +825,6 @@ impl Loader<'_> {
     /// A lane fired: its link finished a packet, or a packet came out
     /// of its far end.
     fn on_lane(&mut self, now: SimTime, lane: usize, what: LaneEvent) {
-        let _ev_span = pq_prof::span_with(|| lane_ev_name(lane, what));
         let Some(l) = self.lanes.get_mut(lane) else {
             return;
         };
@@ -820,7 +842,6 @@ impl Loader<'_> {
             // buffered packets onto the access downlink — then forward
             // the packet onto the backbone toward the origin.
             (Junction::Middlebox(mbx), UP) => {
-                let _sp = pq_prof::span("edge:mbx");
                 let mut retx = std::mem::take(&mut self.retx_buf);
                 mbx.on_uplink(&pkt, &mut retx);
                 for r in retx.drain(..) {
@@ -833,7 +854,6 @@ impl Loader<'_> {
             // for possible early retransmit, then forward it down the
             // access link to the client.
             (Junction::Middlebox(mbx), O_DOWN) => {
-                let _sp = pq_prof::span("edge:mbx");
                 mbx.on_downlink(now, &pkt);
                 return self.send(now, DOWN, pkt);
             }
@@ -856,7 +876,6 @@ impl Loader<'_> {
 
     /// A timer popped off the event queue.
     fn on_timer(&mut self, now: SimTime, ev: Ev) {
-        let _ev_span = pq_prof::span_with(|| ev_name(ev));
         match ev {
             Ev::Wake(key, version) => {
                 let c = self.conn_mut(key);
@@ -896,6 +915,12 @@ impl Loader<'_> {
         /// …or after this many events.
         const MAX_EVENTS: u64 = 200_000_000;
         let horizon = SimTime::ZERO + HORIZON;
+        let mut events = [0; EVENT_KINDS.len()];
+        let mut count = |kind: usize| {
+            if let Some(n) = events.get_mut(kind) {
+                *n += 1;
+            }
+        };
 
         // Run until onload fired AND the first-paint gate opened (the
         // gate's layout event can be scheduled past the last object on
@@ -910,10 +935,12 @@ impl Loader<'_> {
             match source {
                 Source::Heap => {
                     let Some((now, ev)) = self.q.pop() else { break };
+                    count(timer_kind(ev));
                     self.on_timer(now, ev);
                 }
                 Source::Lane(lane, what) => {
                     self.q.advance(stamp);
+                    count(lane_kind(lane, what));
                     self.on_lane(stamp.time(), lane, what);
                 }
             }
@@ -940,6 +967,7 @@ impl Loader<'_> {
             plt,
             retransmits: conns().map(|c| c.conn.retransmits()).sum::<u64>(),
             connections: conns().count() as u32,
+            events,
             timeline: self.timeline,
         }
     }

@@ -5,7 +5,9 @@
 //! (multi-origin, wide size spread), HTTP/2-over-TCP and
 //! HTTP-over-gQUIC mappings, and a progressive-rendering browser that
 //! loads a site through the emulated access link and produces the
-//! visual timeline the metrics crate consumes.
+//! visual timeline the metrics crate consumes. A load also returns what
+//! its event loop did: retransmits, connections, and its events counted
+//! by kind ([`EVENT_KINDS`]).
 
 #![forbid(unsafe_code)]
 // The digest-feeding set (README "Static analysis"), non-test code only.
@@ -34,7 +36,7 @@ mod mux;
 pub mod object;
 pub mod website;
 
-pub use browser::{load_page, load_page_with_config, LoadOptions, PageLoadResult};
+pub use browser::{load_page, load_page_with_config, LoadOptions, PageLoadResult, EVENT_KINDS};
 pub use catalogue::{corpus, corpus_specs, site, LAB_SITES};
 pub use object::{ObjectId, ObjectKind, WebObject};
 pub use website::{SiteSpec, Website};

@@ -7,12 +7,18 @@
 //! stack, so a change that adds, drops or reorders an event fails
 //! `cargo test` with the stack named.
 //!
-//! So is which events they are: with the span profiler on, every pop
-//! lands in an `event:*` bucket named after what fired — a timer out of
-//! the queue's heap, or a tx-done / arrival out of a link's lane — and
-//! the per-stack vector of bucket counts is pinned, so a lane firing
-//! under the wrong name, or two sources trading events at an unchanged
-//! total, fails with the stack named too.
+//! So is which events they are: a load returns its events counted by
+//! kind (`PageLoadResult::events`, over `web::EVENT_KINDS`) — a timer
+//! out of the queue's heap, or a tx-done / arrival out of a link's lane
+//! — and the per-stack vector is pinned and must add up to the events
+//! the registry saw the load pop, so a lane firing under the wrong
+//! kind, or two sources trading events at an unchanged total, fails
+//! with the stack named too.
+//!
+//! So is what the span profiler makes of a load: exactly one
+//! `load:<stack>` frame, and under a terminating proxy one
+//! `edge:dispatch` frame per proxied request — no frame per event,
+//! whose cost would swamp the events it timed.
 //!
 //! So is what an event costs the heap: the same loads run once more
 //! under pq-prof's counting allocator against a per-stack ceiling on
@@ -43,6 +49,20 @@ use perceiving_quic::prelude::*;
 
 const SEED: u64 = 1910;
 
+/// Events popped per kind of `web::EVENT_KINDS`, one row per [`PINS`]
+/// row; each row sums to its stack's event count. Measured when all
+/// thirteen kinds still went through the one heap.
+const MIX: [[u64; 13]; 8] = [
+    [164, 181, 327, 367, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [161, 179, 322, 443, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [144, 171, 301, 490, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [128, 178, 291, 465, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [138, 178, 300, 499, 22, 22, 19, 1, 0, 0, 0, 0, 0],
+    [120, 185, 291, 579, 0, 22, 19, 1, 184, 201, 385, 453, 22],
+    [186, 228, 395, 626, 22, 22, 19, 1, 178, 347, 521, 0, 0],
+    [174, 191, 349, 745, 0, 22, 19, 1, 175, 197, 372, 444, 22],
+];
+
 /// `(stack, events popped, PLT in ns, retransmits, connections,
 /// allocation ceiling per event)` of `corpus()[0]` over DA2GC at seed
 /// 1910. The ceiling is the measured allocations / events of the whole
@@ -55,37 +75,6 @@ const SEED: u64 = 1910;
 /// 0.202). One more allocation per event adds 1.0 and fails every row,
 /// and an ACK path that stops reusing its buffers fails the TCP rows.
 /// Lower it when the hot path gets leaner.
-/// The `event:*` buckets, in the order [`MIX`] counts them.
-const KINDS: [&str; 13] = [
-    "tx-up",
-    "tx-down",
-    "arrival",
-    "timer",
-    "respond",
-    "process",
-    "defer",
-    "gate",
-    "edge-tx-up",
-    "edge-tx-down",
-    "edge-arrival",
-    "edge-timer",
-    "edge-respond",
-];
-
-/// Events popped per bucket, one row per [`PINS`] row; each row sums to
-/// its stack's event count. Measured at PR 17, when all thirteen kinds
-/// still went through the one heap.
-const MIX: [[u64; 13]; 8] = [
-    [164, 181, 327, 367, 22, 22, 19, 1, 0, 0, 0, 0, 0],
-    [161, 179, 322, 443, 22, 22, 19, 1, 0, 0, 0, 0, 0],
-    [144, 171, 301, 490, 22, 22, 19, 1, 0, 0, 0, 0, 0],
-    [128, 178, 291, 465, 22, 22, 19, 1, 0, 0, 0, 0, 0],
-    [138, 178, 300, 499, 22, 22, 19, 1, 0, 0, 0, 0, 0],
-    [120, 185, 291, 579, 0, 22, 19, 1, 184, 201, 385, 453, 22],
-    [186, 228, 395, 626, 22, 22, 19, 1, 178, 347, 521, 0, 0],
-    [174, 191, 349, 745, 0, 22, 19, 1, 175, 197, 372, 444, 22],
-];
-
 const PINS: [(Protocol, u64, u64, u64, u32, f64); 8] = [
     (Protocol::Tcp, 1103, 7_241_476_178, 54, 3, 0.14),
     (Protocol::TcpPlus, 1169, 8_508_982_084, 82, 3, 0.14),
@@ -96,6 +85,11 @@ const PINS: [(Protocol, u64, u64, u64, u32, f64); 8] = [
     (Protocol::QuicMbx, 2545, 5_360_158_814, 173, 3, 0.18),
     (Protocol::H2Edge, 2711, 7_263_496_965, 191, 11, 0.15),
 ];
+
+/// `edge:dispatch` frames of the stacks whose proxy dispatches requests
+/// (one per object of the page); every other stack folds to its
+/// `load:<stack>` frame alone.
+const DISPATCHES: [(Protocol, u64); 2] = [(Protocol::QuicEdge, 22), (Protocol::H2Edge, 22)];
 
 /// Track rows below the object rows of the traced `QUIC-EDGE` load:
 /// the page, the one client connection, and the proxy's legs in the
@@ -215,8 +209,8 @@ fn load_counted(site: &Website, protocol: Protocol) -> (PageLoadResult, [u64; 5]
 #[test]
 fn every_stack_executes_its_pinned_event_sequence() {
     let site = web::corpus().into_iter().next().expect("corpus site 0");
-    for ((protocol, events, plt_ns, retransmits, connections, _), links) in
-        PINS.into_iter().zip(LINKS)
+    for ((protocol, events, plt_ns, retransmits, connections, _), (links, mix)) in
+        PINS.into_iter().zip(LINKS.into_iter().zip(MIX))
     {
         let (r, [popped, moved @ ..]) = load_counted(&site, protocol);
         assert_eq!(
@@ -233,13 +227,25 @@ fn every_stack_executes_its_pinned_event_sequence() {
              packets moved",
             protocol.label()
         );
+        assert_eq!(
+            r.events,
+            mix,
+            "{}: the event mix moved (kinds {:?})",
+            protocol.label(),
+            web::EVENT_KINDS
+        );
+        assert_eq!(
+            r.events.iter().sum::<u64>(),
+            popped,
+            "{}: the kinds do not add up to the events popped",
+            protocol.label()
+        );
     }
 
-    // With the span profiler on, the loop opens one `event:*` span per
-    // pop — the lazily named spans must leave the sequence alone and
-    // sort every event into its pinned bucket.
+    // With the span profiler on, the sequence holds and the load folds
+    // to its one `load:<stack>` frame plus its proxy's dispatches.
     pq_prof::set_spans_enabled(true);
-    for ((protocol, events, plt_ns, ..), mix) in PINS.into_iter().zip(MIX) {
+    for (protocol, events, plt_ns, ..) in PINS {
         pq_prof::reset_spans();
         let (r, popped) = load(&site, protocol);
         assert_eq!(
@@ -248,29 +254,16 @@ fn every_stack_executes_its_pinned_event_sequence() {
             "{}: profiling moved the event sequence",
             protocol.label()
         );
-        // Exactly `load:<stack>;event:<kind>`: deeper paths are spans
-        // opened inside an event.
-        let root = format!("load:{};event:", protocol.label());
-        let folded = pq_prof::folded();
-        let buckets: Vec<(&str, u64)> = folded
-            .iter()
-            .filter_map(|(path, count, _)| Some((path.strip_prefix(&root)?, *count)))
-            .filter(|(kind, _)| !kind.contains(';'))
+        let root = format!("load:{}", protocol.label());
+        let mut want = vec![(root.clone(), 1)];
+        if let Some(&(_, n)) = DISPATCHES.iter().find(|d| d.0 == protocol) {
+            want.push((format!("{root};edge:dispatch"), n));
+        }
+        let rows: Vec<(String, u64)> = pq_prof::folded()
+            .into_iter()
+            .map(|(path, count, _)| (path, count))
             .collect();
-        let count_of = |kind| buckets.iter().find(|b| b.0 == kind).map_or(0, |b| b.1);
-        assert_eq!(
-            KINDS.map(count_of),
-            mix,
-            "{}: the event mix moved (buckets {KINDS:?})",
-            protocol.label()
-        );
-        assert_eq!(
-            (buckets.len(), mix.iter().sum::<u64>()),
-            (mix.iter().filter(|&&n| n > 0).count(), events),
-            "{}: an event:* bucket outside the pinned ones, or a row that \
-             does not add up to the events popped",
-            protocol.label()
-        );
+        assert_eq!(rows, want, "{}: the profile's frames", protocol.label());
     }
     pq_prof::set_spans_enabled(false);
     pq_prof::reset_spans();
