@@ -29,9 +29,6 @@ pub fn run(spec: &RunSpec) {
     timer.phase("table1", report::print_table1);
     timer.phase("table2", report::print_table2);
     let e = timer.phase("experiment", || crate::experiment("runall", spec));
-    // The grid's counts, before the views' own loads (the ablation's)
-    // add theirs.
-    let counters = pq_obs::registry().snapshot();
     let views = report::VIEWS.map(|(name, view)| {
         timer.phase(name, || {
             let text = report::render(view, &e);
@@ -39,7 +36,7 @@ pub fn run(spec: &RunSpec) {
             text
         })
     });
-    let manifest = manifest_json(&e, &timer, &counters, contract::tree(&e, &views)).to_pretty();
+    let manifest = manifest_json(&e, &timer, contract::tree(&e, &views)).to_pretty();
     match pq_ckpt::atomic_write("results/manifest.json", manifest.as_bytes()) {
         Ok(()) => eprintln!("[runall] wrote results/manifest.json"),
         Err(err) => eprintln!("[runall] failed to write manifest: {err}"),

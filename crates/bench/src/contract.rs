@@ -17,9 +17,9 @@ use std::collections::BTreeMap;
 ///
 /// | Key | Value |
 /// |-----|-------|
-/// | `cell/<site>/<network>/<stack>` | each built stimulus, `name=value` per field: every `MetricSet` field, `runs`, `mean_plt_ms`, `mean_retransmits`, `video_secs` |
+/// | `cell/<site>/<network>/<stack>` | each built stimulus, `name=value` per field: every `MetricSet` field, `runs`, `mean_plt_ms`, `mean_retransmits`, `video_secs`, and `events`, what the cell's loads popped (retries included) |
 /// | `ab`, `ratings`, `funnels`, `sessions` | 16 hex digits over the A/B votes, the rating votes, both studies' funnels and both studies' sessions |
-/// | `grid` | `quarantined=<n> runs_retried=<n> quarantine_list=<hex>` |
+/// | `grid` | `quarantined=<n> runs_retried=<n> quarantine_list=<hex> loads=<n> events=<n> faults=<n>`: the last three over every load of the grid, quarantined cells' included |
 /// | one per [`report::VIEWS`] entry | 16 hex digits over the text that view prints |
 /// | `root` | [`study_digest`] |
 ///
@@ -50,7 +50,7 @@ pub fn tree(e: &Experiment, views: &[String; report::VIEWS.len()]) -> Vec<(Strin
             );
             let value = format!(
                 "fvc_ms={} lvc_ms={} si_ms={} vc85_ms={} plt_ms={} runs={} mean_plt_ms={} \
-                 mean_retransmits={} video_secs={}",
+                 mean_retransmits={} video_secs={} events={}",
                 m.fvc_ms,
                 m.lvc_ms,
                 m.si_ms,
@@ -59,7 +59,8 @@ pub fn tree(e: &Experiment, views: &[String; report::VIEWS.len()]) -> Vec<(Strin
                 s.runs,
                 s.mean_plt_ms,
                 s.mean_retransmits,
-                s.video_secs
+                s.video_secs,
+                s.counts.events_total()
             );
             (key, value)
         })
@@ -75,15 +76,19 @@ pub fn tree(e: &Experiment, views: &[String; report::VIEWS.len()]) -> Vec<(Strin
             for text in [&q.site, &q.network, &q.protocol, &q.reason] {
                 h.str(text);
             }
-            h.u64(u64::from(q.attempts));
+            h.u64(q.counts.loads);
         }
     });
+    let counts = e.stimuli.counts();
     nodes.push((
         "grid".into(),
         format!(
-            "quarantined={} runs_retried={} quarantine_list={list}",
+            "quarantined={} runs_retried={} quarantine_list={list} loads={} events={} faults={}",
             quarantined.len(),
-            e.stimuli.runs_retried()
+            e.stimuli.runs_retried(),
+            counts.loads,
+            counts.events_total(),
+            counts.faults_injected
         ),
     ));
     for ((name, _), text) in report::VIEWS.iter().zip(views) {

@@ -40,8 +40,8 @@
 //! stalls, truncated responses and handshake-flight drops, all keyed
 //! by `(fault seed, cell coordinates)` so the run is still
 //! bit-identical at any `PQ_JOBS`. The manifest then records
-//! `fault_spec`, `faults_injected` and `cells_quarantined` next to the
-//! tree, whose `grid` node counts the retried runs.
+//! `fault_spec` and `cells_quarantined` next to the tree, whose `grid`
+//! node counts the retried runs and the injected faults.
 //!
 //! ## Observability
 //!

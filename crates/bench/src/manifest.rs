@@ -2,10 +2,10 @@
 //!
 //! One `results/manifest.json` per experiment execution, declared once
 //! in [`manifest_json`]: scale, seed, git revision, per-phase
-//! wall-times, event and page-load counts, fault and quarantine
-//! accounting, and the run's [`contract`](crate::contract())
-//! tree, which `results/contract.txt` pins and which alone holds the
-//! retry count (`grid`) and the [`study_digest`] (`root`). The funnels
+//! wall-times, the fault spec and the quarantined cells, and the run's
+//! [`contract`](crate::contract()) tree, which `results/contract.txt`
+//! pins and which alone holds the grid's loads, events, faults and
+//! retries (`grid`) and the [`study_digest`] (`root`). The funnels
 //! are only a hash there (`funnels`); their counts are in `pq table3`'s
 //! output. Its timings are one sample from one machine; speed is
 //! measured by `benches/perf`.
@@ -14,7 +14,6 @@ use crate::Experiment;
 use pq_obs::json::Value;
 use pq_obs::PhaseTimer;
 use pq_study::StudyData;
-use std::collections::BTreeMap;
 
 /// The study digest's per-byte multiplier: 2⁴⁸ + 0x1b3. This is **not**
 /// the FNV-1a/64 prime (2⁴⁰ + 0x1b3, `0x0000_0100_0000_01b3`), and it
@@ -143,10 +142,8 @@ pub fn study_digest(data: &StudyData) -> u64 {
 }
 
 /// Everything a `runall` execution leaves behind for machines: the
-/// finished experiment, the phase timer, the registry's counters as
-/// the experiment ended (`pq_obs::registry().snapshot()`, so they count
-/// the grid's loads and no view's) and the run's contract tree as one
-/// JSON object.
+/// finished experiment, the phase timer and the run's contract tree as
+/// one JSON object.
 ///
 /// Keys, in order; readers are CI (`.github/workflows/ci.yml`) and the
 /// tests, through [`Value::get`]:
@@ -159,23 +156,18 @@ pub fn study_digest(data: &StudyData) -> u64 {
 /// | `git_rev` | `git rev-parse --short HEAD`, or `unknown` outside a checkout |
 /// | `created_unix` | Unix timestamp (seconds) of manifest creation |
 /// | `phases` | `[{name, secs}]` wall seconds in execution order |
-/// | `sim_events`, `pageloads` | the grid's `sim.events_processed` / `web.pageloads` counters |
 /// | `fault_spec` | the spec of the run's fault plan, as `PQ_FAULTS` spelled it (empty = injection off) |
-/// | `faults_injected` | the grid's `fault.injected` counter |
 /// | `cells_quarantined` | `[{site, network, protocol, reason, attempts}]` cells that exhausted their retries |
 /// | `alloc` | only under `PQ_PROF_ALLOC=1`: `{total_allocs, total_bytes, peak_bytes}` |
-/// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}` |
+/// | `edge` | only with an edge stack in the grid: `{stacks, pool_size, replicas, conns_opened, conns_reused, conns_evicted, mbx_early_retx}`, the counts summed over the grid's loads |
 /// | `contract` | `[{key, value}]`: `contract`, node by node |
-pub fn manifest_json(
-    e: &Experiment,
-    timer: &PhaseTimer,
-    counters: &BTreeMap<String, u64>,
-    contract: Vec<(String, String)>,
-) -> Value {
+///
+/// The grid's loads, events and injected faults are the tree's `grid`
+/// node, and the manifest does not restate them.
+pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, String)>) -> Value {
     // Before anything below allocates: the report is of the run, not
     // of writing the report.
     let alloc = pq_prof::alloc_enabled().then(pq_prof::alloc_snapshot);
-    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
     let phases: Vec<Value> = timer
         .phases()
         .iter()
@@ -192,7 +184,7 @@ pub fn manifest_json(
                 .with("network", q.network.as_str())
                 .with("protocol", q.protocol.as_str())
                 .with("reason", q.reason.as_str())
-                .with("attempts", q.attempts)
+                .with("attempts", q.counts.loads)
         })
         .collect();
     let mut out = Value::obj()
@@ -211,13 +203,10 @@ pub fn manifest_json(
                 .map_or(0, |d| d.as_secs()),
         )
         .with("phases", phases)
-        .with("sim_events", count("sim.events_processed"))
-        .with("pageloads", count("web.pageloads"))
         .with(
             "fault_spec",
             e.spec.faults.as_ref().map_or("", |p| p.spec.as_str()),
         )
-        .with("faults_injected", count("fault.injected"))
         .with("cells_quarantined", cells_quarantined);
     if let Some(snap) = alloc {
         out.set(
@@ -237,16 +226,17 @@ pub fn manifest_json(
         // The grid's loads leave `LoadOptions.edge` at `None`, which
         // means exactly this config.
         let cfg = pq_edge::EdgeConfig::default();
+        let counts = e.stimuli.counts();
         out.set(
             "edge",
             Value::obj()
                 .with("stacks", edge_stacks)
                 .with("pool_size", cfg.pool_size)
                 .with("replicas", cfg.replicas)
-                .with("conns_opened", count("edge.conns_opened"))
-                .with("conns_reused", count("edge.conns_reused"))
-                .with("conns_evicted", count("edge.conns_evicted"))
-                .with("mbx_early_retx", count("edge.mbx_early_retx")),
+                .with("conns_opened", counts.conns_opened)
+                .with("conns_reused", counts.conns_reused)
+                .with("conns_evicted", counts.conns_evicted)
+                .with("mbx_early_retx", counts.mbx_early_retx),
         );
     }
     let contract: Vec<Value> = contract
@@ -319,22 +309,19 @@ mod tests {
         fields.iter().map(|(k, _)| k.as_str()).collect()
     }
 
-    /// The schema CI's Python reads: 12 keys on every run, `alloc` only
+    /// The schema CI's Python reads: 9 keys on every run, `alloc` only
     /// while the counting allocator is on, `edge` only with an edge
     /// stack in the grid, in this order, and `contract` last.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
-        const ALWAYS: [&str; 11] = [
+        const ALWAYS: [&str; 8] = [
             "scale",
             "seed",
             "jobs",
             "git_rev",
             "created_unix",
             "phases",
-            "sim_events",
-            "pageloads",
             "fault_spec",
-            "faults_injected",
             "cells_quarantined",
         ];
         let mut timer = PhaseTimer::new();
@@ -342,7 +329,7 @@ mod tests {
             tiny_experiment(&[Protocol::TcpPlus, Protocol::Quic])
         });
         let tree = || vec![("root".to_string(), "0123456789abcdef".to_string())];
-        let m = manifest_json(&plain, &timer, &pq_obs::registry().snapshot(), tree());
+        let m = manifest_json(&plain, &timer, tree());
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["contract"]);
         let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("{key} present"));
@@ -366,7 +353,7 @@ mod tests {
         let edge = timer.phase("edge", || {
             tiny_experiment(&[Protocol::Quic, Protocol::QuicMbx])
         });
-        let m = manifest_json(&edge, &timer, &pq_obs::registry().snapshot(), tree());
+        let m = manifest_json(&edge, &timer, tree());
         pq_prof::set_alloc_enabled(false);
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["alloc", "edge", "contract"]);

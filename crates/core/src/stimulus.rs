@@ -11,7 +11,7 @@ use pq_fault::FaultPlan;
 use pq_metrics::{typical_run, MetricSet};
 use pq_sim::{NetworkKind, SimRng};
 use pq_transport::Protocol;
-use pq_web::{load_page, LoadOptions, Website};
+use pq_web::{load_page, LoadCounts, LoadOptions, Website};
 use std::sync::Arc;
 
 /// One experimental condition.
@@ -57,6 +57,9 @@ pub struct Stimulus {
     pub mean_retransmits: f64,
     /// Video duration in seconds (load + 1 s padding).
     pub video_secs: f64,
+    /// What every page load of this cell counted, valid and retried
+    /// runs alike.
+    pub counts: LoadCounts,
 }
 
 /// A grid cell that exhausted its retry budget without producing a
@@ -74,8 +77,9 @@ pub struct QuarantinedCell {
     pub protocol: String,
     /// Why the cell was given up on (last failure class observed).
     pub reason: String,
-    /// Page loads attempted before giving up.
-    pub attempts: u32,
+    /// What the page loads it attempted before giving up counted
+    /// (`counts.loads` of them).
+    pub counts: LoadCounts,
 }
 
 /// All stimuli of a study.
@@ -90,8 +94,6 @@ pub struct StimulusSet {
     /// Cells that never produced a valid run (deterministic grid
     /// order).
     quarantined: Vec<QuarantinedCell>,
-    /// Invalid page loads that were discarded and re-run.
-    runs_retried: u64,
 }
 
 /// The page-load seed of one `(study seed, site, network, protocol,
@@ -118,13 +120,9 @@ pub fn run_seed(seed: u64, site: &str, network: NetworkKind, protocol: Protocol,
         .next_u64()
 }
 
-/// One successfully built cell: the stimulus plus the number of
-/// discarded (retried) runs behind it.
-type CellOk = (Stimulus, u64);
-/// One failed cell: the quarantine reason plus attempts consumed.
-type CellErr = (String, u32);
-/// Outcome of building a single grid cell.
-type CellResult = Result<CellOk, CellErr>;
+/// Outcome of building a single grid cell: its stimulus, or the
+/// record of its quarantine (boxed: quarantines are rare).
+type CellResult = Result<Stimulus, Box<QuarantinedCell>>;
 
 /// One cell of the site × network × protocol grid: where it sits and
 /// what it loads.
@@ -217,12 +215,13 @@ impl StimulusSet {
             let net = cond.network.config();
             let mut all = Vec::with_capacity(runs as usize);
             let mut retx = 0u64;
-            let mut retried = 0u64;
+            let mut counts = LoadCounts::default();
             let mut attempt = 0u32;
             let max_budget = runs.saturating_mul(MAX_BUDGET_FACTOR);
             while attempt < max_budget && (all.len() as u32) < runs {
                 let rs = run_seed(seed, &site.name, cond.network, cond.protocol, attempt);
                 let res = load_page(site, &net, cond.protocol, rs, &opts);
+                counts += res.counts;
                 // Validity filtering only engages under an active
                 // fault plan: the fault-free pipeline accepts every run
                 // exactly as before (bit-identity).
@@ -230,82 +229,74 @@ impl StimulusSet {
                 if valid {
                     retx += res.retransmits;
                     all.push(res.metrics);
-                } else {
-                    retried += 1;
                 }
                 attempt += 1;
             }
+            let quarantine = |reason: String| {
+                Err(Box::new(QuarantinedCell {
+                    site: site.name.clone(),
+                    network: cond.network.name().to_string(),
+                    protocol: cond.protocol.label().to_string(),
+                    reason,
+                    counts,
+                }))
+            };
             if all.is_empty() {
-                return Err((format!("no valid run in {attempt} attempts"), attempt));
+                return quarantine(format!("no valid run in {attempt} attempts"));
             }
             let Some(&metrics) = typical_run(&all).and_then(|idx| all.get(idx)) else {
-                return Err(("typical-run selection failed".into(), attempt));
+                return quarantine("typical-run selection failed".into());
             };
             let mean_plt = all.iter().map(|m| m.plt_ms).sum::<f64>() / all.len() as f64;
             let got = all.len() as u32;
-            Ok((
-                Stimulus {
-                    condition: *cond,
-                    metrics,
-                    log_metrics: LogMetrics::of(&metrics),
-                    mean_plt_ms: mean_plt,
-                    runs: got,
-                    mean_retransmits: retx as f64 / f64::from(got),
-                    video_secs: metrics.plt_ms / 1000.0 + 1.0,
-                },
-                retried,
-            ))
+            Ok(Stimulus {
+                condition: *cond,
+                metrics,
+                log_metrics: LogMetrics::of(&metrics),
+                mean_plt_ms: mean_plt,
+                runs: got,
+                mean_retransmits: retx as f64 / f64::from(got),
+                video_secs: metrics.plt_ms / 1000.0 + 1.0,
+                counts,
+            })
         };
-
-        let outcomes = pq_par::par_map(&cells, build_cell);
 
         let mut grid = vec![None; sites.len() * NET_PROTOCOLS];
         let mut quarantined = Vec::new();
-        let mut runs_retried = 0u64;
-        for (cell, outcome) in cells.into_iter().zip(outcomes) {
-            let c = cell.cond;
-            let (reason, attempts) = match outcome {
-                Ok((stim, retried)) => {
-                    runs_retried += retried;
+        for outcome in pq_par::par_map(&cells, build_cell) {
+            match outcome {
+                Ok(stim) => {
+                    let c = stim.condition;
                     if let Some(slot) = grid.get_mut(grid_idx(c.site, c.network, c.protocol)) {
                         *slot = Some(stim);
                     }
-                    continue;
                 }
-                Err(failed) => failed,
-            };
-            // Every attempt of a quarantined cell was a discarded
-            // re-run; count them too.
-            runs_retried += u64::from(attempts);
-            let (network, protocol) = (c.network.name(), c.protocol.label());
-            pq_obs::tracer().warn(
-                "fault",
-                format!(
-                    "quarantined cell {}/{network}/{protocol}: {reason} ({attempts} attempts)",
-                    cell.site.name
-                ),
-            );
-            quarantined.push(QuarantinedCell {
-                site: cell.site.name.clone(),
-                network: network.to_string(),
-                protocol: protocol.to_string(),
-                reason,
-                attempts,
-            });
+                Err(q) => {
+                    pq_obs::tracer().warn(
+                        "fault",
+                        format!(
+                            "quarantined cell {}/{}/{}: {} ({} attempts)",
+                            q.site, q.network, q.protocol, q.reason, q.counts.loads
+                        ),
+                    );
+                    quarantined.push(*q);
+                }
+            }
         }
-        let reg = pq_obs::registry();
-        if runs_retried > 0 {
-            reg.counter_add("run.retries", runs_retried);
-        }
-        if !quarantined.is_empty() {
-            reg.counter_add("run.quarantined", quarantined.len() as u64);
-        }
-        StimulusSet {
+        let set = StimulusSet {
             site_names: sites.iter().map(|s| s.name.clone()).collect(),
             grid,
             quarantined,
-            runs_retried,
+        };
+        let reg = pq_obs::registry();
+        let runs_retried = set.runs_retried();
+        if runs_retried > 0 {
+            reg.counter_add("run.retries", runs_retried);
         }
+        if !set.quarantined.is_empty() {
+            reg.counter_add("run.quarantined", set.quarantined.len() as u64);
+        }
+        set
     }
 
     /// Look up one condition's stimulus; `None` when the cell was
@@ -321,9 +312,23 @@ impl StimulusSet {
         &self.quarantined
     }
 
-    /// Invalid page loads discarded and re-run during the build.
+    /// What every page load of the build counted, quarantined cells'
+    /// included.
+    pub fn counts(&self) -> LoadCounts {
+        let cells = self.iter().map(|s| s.counts);
+        let quarantined = self.quarantined.iter().map(|q| q.counts);
+        let mut total = LoadCounts::default();
+        for counts in cells.chain(quarantined) {
+            total += counts;
+        }
+        total
+    }
+
+    /// Invalid page loads discarded and re-run during the build: every
+    /// load is either one of a stimulus's valid runs or a retry.
     pub fn runs_retried(&self) -> u64 {
-        self.runs_retried
+        let valid: u64 = self.iter().map(|s| u64::from(s.runs)).sum();
+        self.counts().loads - valid
     }
 
     /// Number of sites.

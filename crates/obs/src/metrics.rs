@@ -2,9 +2,10 @@
 //!
 //! A single process-global [`Registry`] accumulates counters across an
 //! entire experiment (thousands of simulated page loads). Readers take
-//! values by name: [`Registry::counter_value`] (the run manifest,
-//! `benches/perf`) and [`Registry::snapshot`] (the emitted-name check
-//! in `tests/determinism.rs`).
+//! values by name: [`Registry::counter_value`] (`benches/perf` and
+//! tests) and [`Registry::snapshot`] (the emitted-name check in
+//! `tests/determinism.rs`). Nothing else in the workspace reads it
+//! back.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};

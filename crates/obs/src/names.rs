@@ -1,7 +1,7 @@
 //! The declared name registries.
 //!
-//! The run manifest, `benches/perf` and the profile tooling all address
-//! series and frames *by name*; a typo'd literal silently creates a
+//! `benches/perf` and the profile tooling address series and frames
+//! *by name*; a typo'd literal silently creates a
 //! parallel series nobody reads. These constants make the name sets
 //! explicit, and `tests/determinism.rs` holds a run to them: after a
 //! profiled study it rejects any registry series or profiler frame
@@ -14,10 +14,10 @@
 /// Every counter name the workspace emits through
 /// `Registry::counter_add`. Formatted names are checked by their
 /// literal prefix before the first `{`. A counter is listed — and
-/// emitted — only while something reads it: the run manifest,
-/// `benches/perf`, CI or a test.
+/// emitted — only while something reads it: `benches/perf` or a test.
+/// (The workspace itself reads counts as values: a page load returns
+/// its `pq_web::LoadCounts`.)
 pub const METRIC_NAMES: &[&str] = &[
-    "edge.conns_evicted",
     "edge.conns_opened",
     "edge.conns_reused",
     "edge.mbx_early_retx",

@@ -397,10 +397,24 @@ impl QuicEndpoint {
         let mut rate_sample = None;
         let mut largest_newly = None;
 
+        // The ranges come highest first (`RangeSet::highest_into`), so
+        // the first one holds the largest packet number ACKed…
+        debug_assert!(ranges
+            .windows(2)
+            .all(|w| matches!(w, [hi, lo] if lo.end <= hi.start)));
+        if let Some(top) = ranges.first() {
+            self.largest_acked = Some(
+                self.largest_acked
+                    .map_or(top.end - 1, |l| l.max(top.end - 1)),
+            );
+        }
         for r in ranges {
-            // Most advertised ranges lie wholly below the oldest
-            // outstanding packet (retired long ago): clamping to the
-            // log's span makes those cost one comparison.
+            // …and once one lies wholly below the oldest outstanding
+            // packet (retired long ago), so do all the rest: most of an
+            // ACK's ranges do.
+            if r.end <= self.sent.first_pn() {
+                break;
+            }
             let outstanding = r.start.max(self.sent.first_pn())..r.end.min(self.sent.end());
             for pn in outstanding {
                 let Some(sp) = self.unlog(pn) else {
@@ -423,7 +437,6 @@ impl QuicEndpoint {
                     rtt_sample = Some(now - sp.sent_at);
                 }
             }
-            self.largest_acked = Some(self.largest_acked.map_or(r.end - 1, |l| l.max(r.end - 1)));
         }
 
         if let Some(s) = rtt_sample {
@@ -1042,9 +1055,10 @@ mod tests {
         server_sent(&mut c, 6..7, t, false);
         server_sent(&mut c, 7..11, t, true);
         // ACK 9 loses pns 2 and 5 (old) and 6 (nothing in it): no cutback.
+        // Its ranges come highest first, as a receiver writes them.
         c.on_packet(
             SimTime::from_millis(70),
-            &ack(3, &[(3, 5), (9, 10)]),
+            &ack(3, &[(9, 10), (3, 5)]),
             Direction::Up,
         );
         assert_eq!(outstanding(&c, 0..11), [7, 8, 10]);

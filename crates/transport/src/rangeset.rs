@@ -173,6 +173,11 @@ impl RangeSet {
 
     /// True when `v` is covered.
     pub fn contains(&self, v: u64) -> bool {
+        // At or past the top — an in-order arrival — there is nothing
+        // to search.
+        if v >= self.max_end() {
+            return false;
+        }
         let i = self.ranges.partition_point(|r| r.end <= v);
         self.ranges.get(i).is_some_and(|r| r.contains(v))
     }

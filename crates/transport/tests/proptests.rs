@@ -123,8 +123,10 @@ proptest! {
             prop_assert_eq!(newly, model.len() as u64 - before, "newly-covered accounting");
             prop_assert_eq!(rs.covered(), model.len() as u64);
         }
-        // Membership agrees everywhere.
-        for v in 0..240 {
+        // Membership agrees everywhere, at the top range's end and just
+        // past it too.
+        let top = rs.max_end();
+        for v in (0..240).chain([top.saturating_sub(1), top, top + 1]) {
             prop_assert_eq!(rs.contains(v), model.contains(&v), "value {}", v);
         }
         // Ranges are sorted, disjoint, non-adjacent.
@@ -149,7 +151,8 @@ proptest! {
         rs.remove_below(cut);
         model.retain(|&v| v >= cut);
         prop_assert_eq!(rs.covered(), model.len() as u64);
-        for v in 0..240 {
+        let top = rs.max_end();
+        for v in (0..240).chain([top.saturating_sub(1), top, top + 1]) {
             prop_assert_eq!(rs.contains(v), model.contains(&v));
         }
     }

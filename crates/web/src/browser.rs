@@ -97,9 +97,107 @@ pub struct PageLoadResult {
     pub retransmits: u64,
     /// Connections opened (= origins contacted).
     pub connections: u32,
-    /// Events the load popped, by kind ([`EVENT_KINDS`]); they sum to
-    /// the `sim.events_processed` it adds to the registry.
+    /// What the load counted: its events by kind, its links' packets,
+    /// its faults and its junction's work.
+    pub counts: LoadCounts,
+}
+
+/// What one page load counted, as a value. `+=` sums two field by
+/// field, so a grid cell or a whole grid totals its loads the same
+/// way; a load publishes its own to the process-global registry once,
+/// as it ends, and nothing in the workspace reads them back from
+/// there.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LoadCounts {
+    /// Page loads: 1 for one load.
+    pub loads: u64,
+    /// Loads that did not finish before the horizon.
+    pub incomplete: u64,
+    /// Events popped, by kind ([`EVENT_KINDS`]).
     pub events: [u64; EVENT_KINDS.len()],
+    /// Packets offered to the links…
+    pub offered: u64,
+    /// …delivered out of their far ends…
+    pub delivered: u64,
+    /// …turned away by a full queue…
+    pub tail_dropped: u64,
+    /// …lost at random (the network's loss rate)…
+    pub random_lost: u64,
+    /// …and destroyed by an injected link fault.
+    pub fault_lost: u64,
+    /// Faults injected: each handshake-flight drop, server stall and
+    /// truncated response, plus every packet in `fault_lost`.
+    pub faults_injected: u64,
+    /// Proxy legs the terminating proxy opened…
+    pub conns_opened: u64,
+    /// …requests it sent over an open leg…
+    pub conns_reused: u64,
+    /// …and legs its pools evicted.
+    pub conns_evicted: u64,
+    /// Buffered packets the middlebox retransmitted early.
+    pub mbx_early_retx: u64,
+}
+
+impl LoadCounts {
+    /// Events popped, all kinds together.
+    pub fn events_total(&self) -> u64 {
+        self.events.iter().sum()
+    }
+
+    /// Add what `link` did with the packets offered to it.
+    fn add_link(&mut self, link: &LinkStats) {
+        self.offered += link.offered;
+        self.delivered += link.delivered;
+        self.tail_dropped += link.tail_dropped;
+        self.random_lost += link.lost;
+        self.fault_lost += link.fault_lost;
+    }
+
+    /// The registry's one writer in this crate: add each series this
+    /// load moved. The registry serves `benches/perf` only, so a count
+    /// it does not read (`conns_evicted`) is not published.
+    fn publish(&self) {
+        let reg = pq_obs::registry();
+        let series = [
+            ("web.pageloads", self.loads),
+            ("web.pageloads_incomplete", self.incomplete),
+            ("sim.events_processed", self.events_total()),
+            ("sim.link.offered", self.offered),
+            ("sim.link.delivered", self.delivered),
+            ("sim.link.tail_dropped", self.tail_dropped),
+            ("sim.link.random_lost", self.random_lost),
+            ("sim.link.fault_lost", self.fault_lost),
+            ("fault.injected", self.faults_injected),
+            ("edge.conns_opened", self.conns_opened),
+            ("edge.conns_reused", self.conns_reused),
+            ("edge.mbx_early_retx", self.mbx_early_retx),
+        ];
+        for (name, n) in series {
+            if n > 0 {
+                reg.counter_add(name, n);
+            }
+        }
+    }
+}
+
+impl std::ops::AddAssign for LoadCounts {
+    fn add_assign(&mut self, other: LoadCounts) {
+        self.loads += other.loads;
+        self.incomplete += other.incomplete;
+        for (n, m) in self.events.iter_mut().zip(other.events) {
+            *n += m;
+        }
+        self.offered += other.offered;
+        self.delivered += other.delivered;
+        self.tail_dropped += other.tail_dropped;
+        self.random_lost += other.random_lost;
+        self.fault_lost += other.fault_lost;
+        self.faults_injected += other.faults_injected;
+        self.conns_opened += other.conns_opened;
+        self.conns_reused += other.conns_reused;
+        self.conns_evicted += other.conns_evicted;
+        self.mbx_early_retx += other.mbx_early_retx;
+    }
 }
 
 /// What the event queue holds: timers. Link tx-dones and packets in
@@ -204,6 +302,8 @@ struct Loader<'a> {
     progress_buf: Vec<Progress>,
     /// The middlebox's early retransmits for one uplink packet.
     retx_buf: Vec<Packet<Wire>>,
+    /// What the load has counted so far.
+    counts: LoadCounts,
 }
 
 /// Load `site` over `net` with `protocol`; `seed` drives every source
@@ -310,6 +410,7 @@ pub fn load_page_with_config(
         ready_buf: Vec::new(),
         progress_buf: Vec::new(),
         retx_buf: Vec::new(),
+        counts: LoadCounts::default(),
     };
 
     let _load_span = pq_prof::span_dyn(|| format!("load:{}", protocol.label()));
@@ -318,7 +419,7 @@ pub fn load_page_with_config(
 }
 
 /// What a page load's event loop fires, by kind: slot `i` of
-/// [`PageLoadResult::events`] counts `EVENT_KINDS[i]`. Timers come out
+/// [`LoadCounts::events`] counts `EVENT_KINDS[i]`. Timers come out
 /// of the event queue's heap (a stale wake-up counts as a `timer`);
 /// tx-dones and arrivals out of the links' lanes. The `edge-` kinds are
 /// a proxy leg's timers and responses, and the origin segment's lanes.
@@ -419,10 +520,10 @@ impl Loader<'_> {
         self.pump(now, key);
     }
 
-    /// Record one injected fault: bump the global counter and drop an
-    /// instant on the page track's `fault` category.
+    /// Record one injected fault: count it and drop an instant on the
+    /// page track's `fault` category.
     fn note_fault(&mut self, now: SimTime, what: &str, detail: u64) {
-        pq_obs::registry().counter_add("fault.injected", 1);
+        self.counts.faults_injected += 1;
         let Some(pid) = self.obs_track() else { return };
         pq_obs::tracer().instant(
             Level::Info,
@@ -777,32 +878,23 @@ impl Loader<'_> {
         self.object_progress(now, p.object, got);
     }
 
-    /// End-of-load bookkeeping: FVC/LVC/PLT markers on the page track;
-    /// the load's events and its links' counters in the global
-    /// registry.
-    fn obs_finish(&self, metrics: &MetricSet, plt: SimTime, complete: bool) {
-        let reg = pq_obs::registry();
-        reg.counter_add("web.pageloads", 1);
-        if !complete {
-            reg.counter_add("web.pageloads_incomplete", 1);
+    /// End-of-load bookkeeping: the load's counts, finished and
+    /// published once.
+    fn finish_counts(&mut self, complete: bool) -> LoadCounts {
+        debug_assert_eq!(self.counts.events_total(), self.q.processed());
+        self.counts.loads = 1;
+        self.counts.incomplete = u64::from(!complete);
+        for l in &self.lanes {
+            self.counts.add_link(l.link().stats());
         }
-        let add = |name, n| {
-            if n > 0 {
-                reg.counter_add(name, n);
-            }
-        };
-        let links = |count: fn(&LinkStats) -> u64| -> u64 {
-            self.lanes.iter().map(|l| count(l.link().stats())).sum()
-        };
-        add("sim.events_processed", self.q.processed());
-        add("sim.link.offered", links(|s| s.offered));
-        add("sim.link.delivered", links(|s| s.delivered));
-        add("sim.link.tail_dropped", links(|s| s.tail_dropped));
-        add("sim.link.random_lost", links(|s| s.lost));
-        add("sim.link.fault_lost", links(|s| s.fault_lost));
-        add("fault.injected", links(|s| s.fault_lost));
-        self.junction.obs_finish();
+        self.counts.faults_injected += self.counts.fault_lost;
+        self.junction.count(&mut self.counts);
+        self.counts.publish();
+        self.counts
+    }
 
+    /// FVC/LVC/PLT markers on the page track.
+    fn obs_finish(&self, metrics: &MetricSet, plt: SimTime) {
         let Some(pid) = self.obs_track() else { return };
         let t = pq_obs::tracer();
         let mark = |name: &'static str, at: Option<SimTime>, ms: f64| {
@@ -874,6 +966,13 @@ impl Loader<'_> {
         }
     }
 
+    /// Count one event of kind `kind` ([`EVENT_KINDS`]).
+    fn count(&mut self, kind: usize) {
+        if let Some(n) = self.counts.events.get_mut(kind) {
+            *n += 1;
+        }
+    }
+
     /// A timer popped off the event queue.
     fn on_timer(&mut self, now: SimTime, ev: Ev) {
         match ev {
@@ -915,12 +1014,6 @@ impl Loader<'_> {
         /// …or after this many events.
         const MAX_EVENTS: u64 = 200_000_000;
         let horizon = SimTime::ZERO + HORIZON;
-        let mut events = [0; EVENT_KINDS.len()];
-        let mut count = |kind: usize| {
-            if let Some(n) = events.get_mut(kind) {
-                *n += 1;
-            }
-        };
 
         // Run until onload fired AND the first-paint gate opened (the
         // gate's layout event can be scheduled past the last object on
@@ -935,12 +1028,12 @@ impl Loader<'_> {
             match source {
                 Source::Heap => {
                     let Some((now, ev)) = self.q.pop() else { break };
-                    count(timer_kind(ev));
+                    self.count(timer_kind(ev));
                     self.on_timer(now, ev);
                 }
                 Source::Lane(lane, what) => {
                     self.q.advance(stamp);
-                    count(lane_kind(lane, what));
+                    self.count(lane_kind(lane, what));
                     self.on_lane(stamp.time(), lane, what);
                 }
             }
@@ -955,7 +1048,8 @@ impl Loader<'_> {
             .unwrap_or_else(|| self.q.now().min(horizon))
             .max(last_paint);
         let metrics = MetricSet::from_timeline(&self.timeline, plt);
-        self.obs_finish(&metrics, plt, complete);
+        let counts = self.finish_counts(complete);
+        self.obs_finish(&metrics, plt);
         let legs = match &self.junction {
             Junction::Proxy(proxy) => proxy.legs.as_slice(),
             Junction::Direct | Junction::Middlebox(_) => &[],
@@ -967,7 +1061,7 @@ impl Loader<'_> {
             plt,
             retransmits: conns().map(|c| c.conn.retransmits()).sum::<u64>(),
             connections: conns().count() as u32,
-            events,
+            counts,
             timeline: self.timeline,
         }
     }

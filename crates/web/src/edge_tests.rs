@@ -68,16 +68,14 @@ fn proxy_pools_multi_origin_site_over_fewer_legs() {
 
 #[test]
 fn proxy_reuses_pooled_connections() {
-    let reg = pq_obs::registry();
-    let before = reg.counter_value("edge.conns_reused");
     let net = NetworkKind::Dsl.config();
     // Many objects, few origins: dispatches outnumber the pool.
     let r = load("wikipedia.org", &net, Protocol::H2Edge, 9);
     assert!(r.complete);
-    let after = reg.counter_value("edge.conns_reused");
     assert!(
-        after > before,
-        "multi-object site must reuse proxy legs ({before} → {after})"
+        r.counts.conns_reused > 0,
+        "multi-object site must reuse proxy legs: {:?}",
+        r.counts
     );
 }
 
@@ -109,17 +107,16 @@ fn middlebox_early_retransmits_on_lossy_link() {
     // DA2GC's 3.3% loss gives the middlebox plenty to recover; sum
     // early retransmits over seeds so one lucky loss-free load can't
     // fail the test.
-    let reg = pq_obs::registry();
-    let before = reg.counter_value("edge.mbx_early_retx");
     let net = NetworkKind::Da2gc.config();
+    let mut early = 0;
     for seed in 0..5 {
         let r = load("w3.org", &net, Protocol::QuicMbx, seed);
         assert!(r.complete, "seed {seed}: incomplete");
+        early += r.counts.mbx_early_retx;
     }
-    let after = reg.counter_value("edge.mbx_early_retx");
     assert!(
-        after > before,
-        "middlebox must early-retransmit on a 3.3%-loss link ({before} → {after})"
+        early > 0,
+        "middlebox must early-retransmit on a 3.3%-loss link"
     );
 }
 

@@ -11,6 +11,7 @@
 //! where the load adds itself up. A proxy leg is an ordinary connection
 //! ([`ConnState`]) that lives here under its own index.
 
+use crate::browser::LoadCounts;
 use crate::http2::H2Mux;
 use crate::mux::ConnState;
 use crate::object::ObjectId;
@@ -154,17 +155,18 @@ impl Junction {
         (junction, client_net, Some(origin_net))
     }
 
-    /// End-of-load bookkeeping: the junction's `edge.*` counters.
-    pub(crate) fn obs_finish(&self) {
-        let reg = pq_obs::registry();
+    /// Add what the junction did this load to `counts`: the proxy's
+    /// pool opens, reuses and evictions, or the middlebox's early
+    /// retransmits.
+    pub(crate) fn count(&self, counts: &mut LoadCounts) {
         match self {
             Junction::Direct => {}
-            Junction::Middlebox(m) => reg.counter_add("edge.mbx_early_retx", m.early_retransmits()),
+            Junction::Middlebox(m) => counts.mbx_early_retx += m.early_retransmits(),
             Junction::Proxy(p) => {
                 let st = p.pools.stats();
-                reg.counter_add("edge.conns_opened", st.opened);
-                reg.counter_add("edge.conns_reused", st.reused);
-                reg.counter_add("edge.conns_evicted", st.evicted);
+                counts.conns_opened += st.opened;
+                counts.conns_reused += st.reused;
+                counts.conns_evicted += st.evicted;
             }
         }
     }

@@ -6,8 +6,11 @@
 //! HTTP-over-gQUIC mappings, and a progressive-rendering browser that
 //! loads a site through the emulated access link and produces the
 //! visual timeline the metrics crate consumes. A load also returns what
-//! its event loop did: retransmits, connections, and its events counted
-//! by kind ([`EVENT_KINDS`]).
+//! it counted, as one [`LoadCounts`] value: its events by kind
+//! ([`EVENT_KINDS`]), its links' packets, its injected faults and its
+//! edge junction's work; callers sum those values instead of reading
+//! the process-global registry, which each load feeds once, for
+//! `benches/perf` alone.
 
 #![forbid(unsafe_code)]
 // The digest-feeding set (README "Static analysis"), non-test code only.
@@ -36,7 +39,9 @@ mod mux;
 pub mod object;
 pub mod website;
 
-pub use browser::{load_page, load_page_with_config, LoadOptions, PageLoadResult, EVENT_KINDS};
+pub use browser::{
+    load_page, load_page_with_config, LoadCounts, LoadOptions, PageLoadResult, EVENT_KINDS,
+};
 pub use catalogue::{corpus, corpus_specs, site, LAB_SITES};
 pub use object::{ObjectId, ObjectKind, WebObject};
 pub use website::{SiteSpec, Website};

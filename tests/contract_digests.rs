@@ -1,8 +1,8 @@
 //! The contract: `results/contract.txt` holds the
 //! [`pq_bench::contract()`] tree of six runs, one `<run> <key> <value>`
-//! line per node — each stimulus cell's metrics, the votes, funnels
-//! and sessions, the grid's retries and quarantines, the text of every
-//! `pq` view and the `root` study digest. At `PQ_SCALE=smoke
+//! line per node — each stimulus cell's metrics and events, the votes,
+//! funnels and sessions, the grid's retries, quarantines, loads, events
+//! and faults, the text of every `pq` view and the `root` study digest. At `PQ_SCALE=smoke
 //! PQ_SEED=1910`, `pq runall`'s manifest carries the `smoke` (or
 //! `chaos`) tree and `pq edge_cell` prints the `edge_cell` (or
 //! `edge_cell_chaos`) tree. Each test recomputes one run through the

@@ -8,12 +8,11 @@
 //! `cargo test` with the stack named.
 //!
 //! So is which events they are: a load returns its events counted by
-//! kind (`PageLoadResult::events`, over `web::EVENT_KINDS`) — a timer
-//! out of the queue's heap, or a tx-done / arrival out of a link's lane
-//! — and the per-stack vector is pinned and must add up to the events
-//! the registry saw the load pop, so a lane firing under the wrong
-//! kind, or two sources trading events at an unchanged total, fails
-//! with the stack named too.
+//! kind (`PageLoadResult::counts.events`, over `web::EVENT_KINDS`) — a
+//! timer out of the queue's heap, or a tx-done / arrival out of a
+//! link's lane — and the per-stack vector is pinned, so a lane firing
+//! under the wrong kind, or two sources trading events at an unchanged
+//! total, fails with the stack named too.
 //!
 //! So is what the span profiler makes of a load: exactly one
 //! `load:<stack>` frame, and under a terminating proxy one
@@ -35,14 +34,16 @@
 //! and pacing-hold instants) — and, from what its links hand back, of
 //! each link event (queue-bytes counters, tail-drop and loss instants).
 //!
-//! So is what the links did: every load's `sim.link.*` deltas — packets
-//! offered, delivered, tail-dropped and randomly lost — are pinned with
-//! its event count, which the page load folds into the registry once,
-//! as it ends.
+//! So is what the links did: every load's packets offered, delivered,
+//! tail-dropped and randomly lost, out of its `LoadCounts`, are pinned
+//! with its event count.
 //!
-//! One `#[test]` in its own binary: `sim.events_processed` lives in
-//! the process-global obs registry and the span profiler, the
-//! allocation counters and the tracer are process-global too, so
+//! So is what `benches/perf` reads: a load publishes its `LoadCounts`
+//! to the process-global registry once, as it ends, and every series it
+//! publishes must move by exactly that load's count.
+//!
+//! One `#[test]` in its own binary: the registry, the span profiler,
+//! the allocation counters and the tracer are process-global, so
 //! nothing else may run beside it.
 
 use perceiving_quic::prelude::*;
@@ -168,17 +169,28 @@ const TCP_PLUS_LINK: [(&str, u64); 5] = [
     ("uplink random loss", 7),
 ];
 
-/// The registry counters a load moves: events popped, then the links'
-/// offered, delivered, tail-dropped and randomly lost packets.
-const COUNTERS: [&str; 5] = [
-    "sim.events_processed",
-    "sim.link.offered",
-    "sim.link.delivered",
-    "sim.link.tail_dropped",
-    "sim.link.random_lost",
+/// One count of a load's `LoadCounts`.
+type Count = fn(&web::LoadCounts) -> u64;
+
+/// Every registry series a load publishes, with the count it must move
+/// by.
+const SERIES: [(&str, Count); 12] = [
+    ("web.pageloads", |c| c.loads),
+    ("web.pageloads_incomplete", |c| c.incomplete),
+    ("sim.events_processed", |c| c.events.iter().sum()),
+    ("sim.link.offered", |c| c.offered),
+    ("sim.link.delivered", |c| c.delivered),
+    ("sim.link.tail_dropped", |c| c.tail_dropped),
+    ("sim.link.random_lost", |c| c.random_lost),
+    ("sim.link.fault_lost", |c| c.fault_lost),
+    ("fault.injected", |c| c.faults_injected),
+    ("edge.conns_opened", |c| c.conns_opened),
+    ("edge.conns_reused", |c| c.conns_reused),
+    ("edge.mbx_early_retx", |c| c.mbx_early_retx),
 ];
 
-/// The last four [`COUNTERS`] of each [`PINS`] row's load.
+/// Packets each [`PINS`] row's load offered its links, and of those
+/// the links delivered, tail-dropped and lost at random.
 const LINKS: [[u64; 4]; 8] = [
     [386, 329, 41, 16],
     [408, 324, 68, 16],
@@ -192,18 +204,30 @@ const LINKS: [[u64; 4]; 8] = [
 
 /// One load and the number of events its queue popped.
 fn load(site: &Website, protocol: Protocol) -> (PageLoadResult, u64) {
-    let (result, [events, ..]) = load_counted(site, protocol);
+    let result = load_with(site, protocol, &LoadOptions::default());
+    let events = result.counts.events_total();
     (result, events)
 }
 
-/// One load and how far it moved each of [`COUNTERS`].
-fn load_counted(site: &Website, protocol: Protocol) -> (PageLoadResult, [u64; 5]) {
-    let read = || COUNTERS.map(|name| pq_obs::registry().counter_value(name));
+fn load_with(site: &Website, protocol: Protocol, opts: &LoadOptions) -> PageLoadResult {
+    load_page(site, &NetworkKind::Da2gc.config(), protocol, SEED, opts)
+}
+
+/// One load, holding every [`SERIES`] to the load's own counts.
+fn load_published(site: &Website, protocol: Protocol, opts: &LoadOptions) -> PageLoadResult {
+    let read = || SERIES.map(|(name, _)| pq_obs::registry().counter_value(name));
     let before = read();
-    let net = NetworkKind::Da2gc.config();
-    let result = load_page(site, &net, protocol, SEED, &LoadOptions::default());
+    let r = load_with(site, protocol, opts);
     let after = read();
-    (result, std::array::from_fn(|i| after[i] - before[i]))
+    let moved: [u64; SERIES.len()] = std::array::from_fn(|i| after[i] - before[i]);
+    assert_eq!(
+        moved,
+        SERIES.map(|(_, count)| count(&r.counts)),
+        "{}: the registry moved by other than the load's counts (series {:?})",
+        protocol.label(),
+        SERIES.map(|(name, _)| name)
+    );
+    r
 }
 
 #[test]
@@ -212,7 +236,8 @@ fn every_stack_executes_its_pinned_event_sequence() {
     for ((protocol, events, plt_ns, retransmits, connections, _), (links, mix)) in
         PINS.into_iter().zip(LINKS.into_iter().zip(MIX))
     {
-        let (r, [popped, moved @ ..]) = load_counted(&site, protocol);
+        let r = load_published(&site, protocol, &LoadOptions::default());
+        let popped = r.counts.events_total();
         assert_eq!(
             (popped, r.plt.as_nanos(), r.retransmits, r.connections),
             (events, plt_ns, retransmits, connections),
@@ -220,24 +245,36 @@ fn every_stack_executes_its_pinned_event_sequence() {
              was added, dropped or reordered",
             protocol.label()
         );
+        let c = &r.counts;
         assert_eq!(
-            moved,
+            [c.offered, c.delivered, c.tail_dropped, c.random_lost],
             links,
             "{}: the links' (offered, delivered, tail-dropped, randomly lost) \
              packets moved",
             protocol.label()
         );
         assert_eq!(
-            r.events,
+            c.events,
             mix,
             "{}: the event mix moved (kinds {:?})",
             protocol.label(),
             web::EVENT_KINDS
         );
-        assert_eq!(
-            r.events.iter().sum::<u64>(),
-            popped,
-            "{}: the kinds do not add up to the events popped",
+    }
+
+    // Under faults, a load publishes both halves of `fault.injected`:
+    // the faults it injected itself and the packets its links' fault
+    // clauses destroyed.
+    let faults = pq_fault::FaultPlan::parse(pq_bench::CHAOS_SPEC).expect("chaos spec parses");
+    let faulted = LoadOptions {
+        faults: Some(std::sync::Arc::new(faults)),
+        ..LoadOptions::default()
+    };
+    for protocol in [Protocol::Quic, Protocol::H2Edge] {
+        let c = load_published(&site, protocol, &faulted).counts;
+        assert!(
+            c.faults_injected > c.fault_lost && c.fault_lost > 0,
+            "{}: {c:?}",
             protocol.label()
         );
     }

@@ -99,6 +99,7 @@ fn zero_processing_ablation_still_works() {
 // ---------------------------------------------------------------------------
 
 use perceiving_quic::fault::FaultPlan;
+use perceiving_quic::study::stimulus::run_seed;
 use perceiving_quic::study::StimulusSet;
 use std::sync::Arc;
 
@@ -314,7 +315,7 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
         &[Protocol::Tcp, Protocol::Quic],
         2,
         7,
-        Some(faults),
+        Some(faults.clone()),
     );
     assert_eq!(set.quarantined().len(), 2, "{:?}", set.quarantined());
     assert!(set.iter().next().is_none(), "no cell can survive trunc:p=1");
@@ -323,13 +324,107 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
     // machine's speed.
     for q in set.quarantined() {
         assert_eq!(q.reason, "no valid run in 16 attempts", "{q:?}");
-        assert_eq!(q.attempts, 16, "{q:?}");
+        assert_eq!(q.counts.loads, 16, "{q:?}");
     }
+    assert_counts_sum_every_attempt(
+        &set,
+        &sites,
+        &[NetworkKind::Dsl],
+        &[Protocol::Tcp, Protocol::Quic],
+        2,
+        7,
+        &faults,
+    );
     assert_eq!(set.runs_retried(), 32, "every attempt of both cells");
     // Graceful degradation: the studies vote on nothing, but run.
     let data = run_study(&set, 7);
     assert!(data.ab.is_empty());
     assert!(data.ratings.is_empty());
+}
+
+/// Re-run every attempt `build_with_faults` made for each cell of
+/// `set` — `run_seed(seed, site, network, stack, attempt)` for attempt
+/// 0, 1, … until `runs` loads were valid (complete, well-ordered) or
+/// the cell's budget of 8 × `runs` ran out — and hold each cell's
+/// `counts`, quarantined cells' included, to the sum of its attempts'
+/// `PageLoadResult::counts`, and the set's `counts()` to the sum over
+/// every cell.
+fn assert_counts_sum_every_attempt(
+    set: &StimulusSet,
+    sites: &[Website],
+    networks: &[NetworkKind],
+    stacks: &[Protocol],
+    runs: u32,
+    seed: u64,
+    faults: &Arc<FaultPlan>,
+) {
+    let opts = LoadOptions {
+        faults: Some(faults.clone()),
+        ..LoadOptions::default()
+    };
+    let mut total = web::LoadCounts::default();
+    for (si, site) in sites.iter().enumerate() {
+        for &network in networks {
+            for &stack in stacks {
+                let (mut counts, mut valid, mut attempt) = (web::LoadCounts::default(), 0, 0);
+                while valid < runs && attempt < 8 * runs {
+                    let rs = run_seed(seed, &site.name, network, stack, attempt);
+                    let r = load_page(site, &network.config(), stack, rs, &opts);
+                    valid += u32::from(r.complete && r.metrics.well_ordered());
+                    counts += r.counts;
+                    attempt += 1;
+                }
+                let cell = format!("{}/{}/{}", site.name, network.name(), stack.label());
+                let built = match set.get(si as u16, network, stack) {
+                    Some(s) => {
+                        assert_eq!(s.runs, valid, "{cell}");
+                        s.counts
+                    }
+                    None => {
+                        let q = set.quarantined().iter().find(|q| {
+                            (q.site.as_str(), q.network.as_str(), q.protocol.as_str())
+                                == (site.name.as_str(), network.name(), stack.label())
+                        });
+                        q.unwrap_or_else(|| panic!("{cell} neither built nor quarantined"))
+                            .counts
+                    }
+                };
+                assert_eq!(built, counts, "{cell}: counts are not its attempts' sum");
+                total += counts;
+            }
+        }
+    }
+    assert_eq!(
+        set.counts(),
+        total,
+        "the set's counts are not its cells' sum"
+    );
+}
+
+#[test]
+fn cell_counts_sum_retried_and_quarantined_attempts() {
+    // Truncated bodies: some cells retry their way to a valid run,
+    // others never find one and are quarantined.
+    let faults = plan("seed=3;trunc:p=0.15");
+    let sites: Vec<Website> = ["apache.org", "wikipedia.org"]
+        .iter()
+        .map(|n| web::site(n).unwrap())
+        .collect();
+    let (networks, stacks) = (
+        [NetworkKind::Lte],
+        [Protocol::Tcp, Protocol::Quic, Protocol::H2Edge],
+    );
+    let set =
+        StimulusSet::build_with_faults(&sites, &networks, &stacks, 1, 5, Some(faults.clone()));
+    assert!(
+        set.iter().any(|s| s.counts.loads > u64::from(s.runs)),
+        "no built cell retried"
+    );
+    assert_eq!(set.quarantined().len(), 1, "{:?}", set.quarantined());
+    assert_counts_sum_every_attempt(&set, &sites, &networks, &stacks, 1, 5, &faults);
+    // Every load is a stimulus's valid run or a retry.
+    assert_eq!(set.runs_retried(), 24);
+    assert_eq!(set.counts().loads, 24 + 5);
 }
 
 #[test]
