@@ -10,13 +10,14 @@
 //! none is silently swallowed.
 
 use pq_bench::{RunSpec, Scale};
-use pq_fault::FaultPlan;
 use pq_obs::trace::DEFAULT_RING_CAPACITY;
 use pq_obs::Level;
 use pq_transport::Protocol;
 use std::ffi::OsString;
 use std::path::PathBuf;
-use std::sync::Arc;
+
+/// The knobs that make the [`RunSpec`].
+pub const RUN_KNOBS: [&str; 4] = ["PQ_SCALE", "PQ_SEED", "PQ_STACKS", "PQ_FAULTS"];
 
 /// `(category, message)` warnings, in the order the knobs were parsed.
 pub type Warnings = Vec<(&'static str, String)>;
@@ -46,6 +47,8 @@ pub struct Knobs {
     /// warns with them once the tracer level is set, so they reach the
     /// exported trace as well as stderr.
     pub warnings: Warnings,
+    /// The knobs that are set, in lookup order.
+    pub set: Vec<&'static str>,
 }
 
 /// Push a `(category, message)` warning onto `$to`.
@@ -55,17 +58,20 @@ macro_rules! warn {
     };
 }
 
-/// The lookup, and the warnings parsing has collected so far.
+/// The lookup, and the warnings and set knobs parsing has collected
+/// so far.
 struct Env<F> {
     lookup: F,
     warnings: Warnings,
+    set: Vec<&'static str>,
 }
 
 impl<F: Fn(&str) -> Option<OsString>> Env<F> {
     /// `name` as text; a value that is not Unicode warns and reads as
     /// unset.
-    fn text(&mut self, name: &str) -> Option<String> {
+    fn text(&mut self, name: &'static str) -> Option<String> {
         let value = (self.lookup)(name)?.into_string();
+        self.set.push(name);
         if value.is_err() {
             warn!(
                 self.warnings,
@@ -76,8 +82,10 @@ impl<F: Fn(&str) -> Option<OsString>> Env<F> {
     }
 
     /// `name` as a path, which need not be Unicode.
-    fn path(&self, name: &str) -> Option<PathBuf> {
-        (self.lookup)(name).map(PathBuf::from)
+    fn path(&mut self, name: &'static str) -> Option<PathBuf> {
+        let value = (self.lookup)(name)?;
+        self.set.push(name);
+        Some(PathBuf::from(value))
     }
 }
 
@@ -88,6 +96,7 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
     let mut env = Env {
         lookup,
         warnings: Vec::new(),
+        set: Vec::new(),
     };
     // `Some(None)`: set to an unknown level, which warns.
     let level = env.text("PQ_TRACE").map(|raw| {
@@ -146,7 +155,6 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
         .is_some_and(|v| !v.is_empty() && v != "0");
     let prof_out = env.path("PQ_PROF_OUT");
 
-    let default = RunSpec::default();
     let scale = match env.text("PQ_SCALE").as_deref() {
         None | Some("reduced") => Scale::Reduced,
         Some("smoke") => Scale::Smoke,
@@ -160,15 +168,16 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
             Scale::Reduced
         }
     };
-    let seed = env.text("PQ_SEED").map_or(default.seed, |s| {
-        s.parse().unwrap_or_else(|_| {
-            warn!(
+    let mut spec = RunSpec::at(scale);
+    if let Some(raw) = env.text("PQ_SEED") {
+        match raw.parse() {
+            Ok(seed) => spec.seed = seed,
+            Err(_) => warn!(
                 env.warnings,
-                "bench", "unparsable PQ_SEED={s:?}; defaulting to 1910"
-            );
-            default.seed
-        })
-    });
+                "bench", "unparsable PQ_SEED={raw:?}; defaulting to 1910"
+            ),
+        }
+    }
     let jobs = match env.text("PQ_JOBS").map(|raw| (raw.parse::<usize>(), raw)) {
         None => pq_par::available_jobs(),
         Some((Ok(n), _)) if n >= 1 => n,
@@ -183,43 +192,35 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
             fallback
         }
     };
-    let faults = env
-        .text("PQ_FAULTS")
-        .filter(|spec| !spec.trim().is_empty())
-        .and_then(|spec| match FaultPlan::parse(&spec) {
-            Ok(plan) if plan.is_empty() => {
-                warn!(
+    if let Some(raw) = env.text("PQ_STACKS") {
+        spec.stacks = stacks(&raw, &mut env.warnings);
+    }
+    if let Some(raw) = env.text("PQ_FAULTS").filter(|raw| !raw.trim().is_empty()) {
+        match spec.clone().with_faults(&raw) {
+            Ok(faulted) => match &faulted.faults {
+                None => warn!(
                     env.warnings,
-                    "fault", "PQ_FAULTS={spec:?} names no fault class; fault injection stays OFF"
-                );
-                None
-            }
-            Ok(plan) => {
-                let (summary, seed) = (plan.summary(), plan.seed);
-                warn!(
-                    env.warnings,
-                    "fault", "fault injection ACTIVE: {summary} (seed {seed})"
-                );
-                Some(Arc::new(plan))
-            }
-            Err(err) => {
-                warn!(
-                    env.warnings,
-                    "fault", "unparsable PQ_FAULTS: {err}; fault injection stays OFF"
-                );
-                None
-            }
-        });
-    let stacks = env
-        .text("PQ_STACKS")
-        .map_or(default.stacks, |raw| stacks(&raw, &mut env.warnings));
+                    "fault", "PQ_FAULTS={raw:?} names no fault class; fault injection stays OFF"
+                ),
+                Some(plan) => {
+                    warn!(
+                        env.warnings,
+                        "fault",
+                        "fault injection ACTIVE: {} (seed {})",
+                        plan.summary(),
+                        plan.seed
+                    );
+                    spec = faulted;
+                }
+            },
+            Err(err) => warn!(
+                env.warnings,
+                "fault", "unparsable PQ_FAULTS: {err}; fault injection stays OFF"
+            ),
+        }
+    }
     Knobs {
-        spec: RunSpec {
-            scale,
-            seed,
-            stacks,
-            faults,
-        },
+        spec,
         jobs,
         trace,
         trace_buf,
@@ -227,6 +228,7 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
         prof_alloc,
         prof_out,
         warnings: env.warnings,
+        set: env.set,
     }
 }
 
@@ -282,7 +284,7 @@ mod tests {
     #[test]
     fn nothing_set_is_the_default_run() {
         let k = knobs(&[]);
-        assert_eq!(k.spec.scale, Scale::Reduced);
+        assert_eq!((k.spec.sites.len(), k.spec.runs), (12, 11));
         assert_eq!(k.spec.seed, 1910);
         assert_eq!(k.spec.stacks, Protocol::ALL);
         assert!(k.spec.faults.is_none());
@@ -293,6 +295,7 @@ mod tests {
         assert!(!k.prof_alloc);
         assert_eq!(k.prof_out, None);
         assert!(k.warnings.is_empty(), "{:?}", k.warnings);
+        assert!(k.set.is_empty(), "{:?}", k.set);
     }
 
     /// README's knob table and what [`parse`] reads cannot drift: the
@@ -330,14 +333,15 @@ mod tests {
 
     #[test]
     fn each_knob_parses_and_a_malformed_one_gives_its_default() {
-        let scale = |v| knobs(&[("PQ_SCALE", v)]).spec.scale;
+        let grid = |spec: RunSpec| (spec.sites.len(), spec.runs);
         for (v, want) in [
             ("smoke", Scale::Smoke),
             ("reduced", Scale::Reduced),
             ("full", Scale::Full),
             ("huge", Scale::Reduced),
         ] {
-            assert_eq!(scale(v), want, "PQ_SCALE={v}");
+            let got = grid(knobs(&[("PQ_SCALE", v)]).spec);
+            assert_eq!(got, grid(RunSpec::at(want)), "PQ_SCALE={v}");
         }
 
         let seed = |v| knobs(&[("PQ_SEED", v)]).spec.seed;
@@ -418,6 +422,10 @@ mod tests {
         // Spans run exactly when `PQ_PROF_OUT` names a file.
         let k = knobs(&[("PQ_PROF_OUT", "p.folded")]);
         assert_eq!(k.prof_out, Some(PathBuf::from("p.folded")));
+
+        // Set, in lookup order, whether the value parses or not.
+        let k = knobs(&[("PQ_SEED", "x"), ("PQ_TRACE_OUT", "t.json")]);
+        assert_eq!(k.set, ["PQ_TRACE_OUT", "PQ_SEED"]);
     }
 
     /// Every value that is malformed or cannot take effect warns, under
@@ -542,7 +550,7 @@ mod tests {
             "PQ_SCALE" | "PQ_TRACE_OUT" => Some(OsString::from_vec(b"\xff.json".to_vec())),
             _ => None,
         });
-        assert_eq!(k.spec.scale, Scale::Reduced);
+        assert_eq!(k.spec.sites.len(), 12);
         assert_eq!(
             k.trace_out,
             Some(PathBuf::from(OsString::from_vec(b"\xff.json".to_vec())))

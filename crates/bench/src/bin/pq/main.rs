@@ -1,40 +1,58 @@
 //! `pq` — the experiment harness, one subcommand per artefact (see
 //! [`commands`] and the table in `pq-bench`'s crate docs). Every `PQ_*`
 //! knob is parsed from the environment once, here ([`knobs::parse`],
-//! README "Knobs"): every subcommand gets the resulting [`RunSpec`],
-//! and the tracer, the profiler and the pool are configured before the
-//! command runs and their outputs written after it, here and nowhere
-//! else.
+//! README "Knobs"): every subcommand that runs a grid gets the
+//! resulting [`RunSpec`], a set run knob that a subcommand does not
+//! read warns, and the tracer, the profiler and the pool are
+//! configured before the command runs and their outputs written after
+//! it, here and nowhere else.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-mod edge_cell;
 mod knobs;
 mod runall;
 
 use knobs::Knobs;
 use pq_bench::{report, Experiment, RunSpec};
 
-/// What a subcommand needs before it can run.
+/// What a subcommand runs.
 enum Cmd {
-    /// The spec: it prints a static table or drives its own pipeline.
-    Plain(fn(&RunSpec)),
-    /// The experiment the spec describes ([`experiment`]), of which it
-    /// prints one view. `runall` runs every one of these as a phase.
+    /// A static table.
+    Table(fn()),
+    /// One view of the experiment the spec describes. `runall` runs
+    /// every one of these as a phase.
     View(report::View),
+    /// The spec's [`RunSpec::edge_cell`]: its contract tree as `<key>
+    /// <value>` lines, `results/contract.txt`'s `edge_cell` run (or
+    /// `edge_cell_chaos`) at any `PQ_JOBS`.
+    EdgeCell,
+    /// Every table and view, then the manifest ([`runall::run`]).
+    Runall,
 }
 
-use Cmd::{Plain, View};
+use Cmd::{EdgeCell, Runall, Table, View};
+
+impl Cmd {
+    /// The run knobs this command does not read: each one that is set
+    /// warns.
+    fn unread(&self) -> &'static [&'static str] {
+        match self {
+            Table(_) => &knobs::RUN_KNOBS,
+            EdgeCell => &["PQ_SCALE", "PQ_STACKS"],
+            View(_) | Runall => &[],
+        }
+    }
+}
 
 /// The subcommands that are not [`report::VIEWS`]: in paper order,
 /// `table1` and `table2` come before the views, `edge_cell` and
 /// `runall` after them.
 const PLAIN: [(&str, Cmd); 4] = [
-    ("table1", Plain(|_| report::print_table1())),
-    ("table2", Plain(|_| report::print_table2())),
-    ("edge_cell", Plain(edge_cell::run)),
-    ("runall", Plain(runall::run)),
+    ("table1", Table(report::print_table1)),
+    ("table2", Table(report::print_table2)),
+    ("edge_cell", EdgeCell),
+    ("runall", Runall),
 ];
 
 /// Every subcommand, in paper order.
@@ -66,10 +84,23 @@ fn main() {
     for (cat, msg) in &knobs.warnings {
         tracer.warn(cat, msg.as_str());
     }
+    for knob in cmd.unread().iter().filter(|knob| knobs.set.contains(knob)) {
+        tracer.warn(
+            "bench",
+            format!("{knob} is set but `pq {name}` does not read it; ignoring it"),
+        );
+    }
     pq_par::set_jobs(Some(knobs.jobs));
+    let spec = &knobs.spec;
     match cmd {
-        Plain(run) => run(&knobs.spec),
-        View(view) => print!("{}", report::render(view, &experiment(&name, &knobs.spec))),
+        Table(print) => print(),
+        View(view) => print!("{}", report::render(view, &experiment(&name, spec))),
+        EdgeCell => {
+            for (key, value) in pq_bench::contract(&experiment(&name, &spec.edge_cell())) {
+                println!("{key} {value}");
+            }
+        }
+        Runall => runall::run(spec),
     }
     write_outputs(&name, &knobs);
 }
@@ -113,22 +144,13 @@ fn alloc_summary() -> String {
     )
 }
 
-/// Run the experiment `spec` describes, echoing its setup and its wall
+/// Run the experiment `spec` describes, echoing the spec and its wall
 /// time on stderr under `[header]`.
 fn experiment(header: &str, spec: &RunSpec) -> Experiment {
-    let (sites, runs) = spec.scale.params();
-    eprintln!(
-        "[{header}] scale={} ({sites} sites × 4 networks × {} stacks × {runs} runs), \
-         seed={}, jobs={}{}",
-        spec.scale.label(),
-        spec.stacks.len(),
-        spec.seed,
-        pq_par::jobs(),
-        spec.faults.as_ref().map_or("", |_| ", faults=ON"),
-    );
+    eprintln!("[{header}] {spec}, jobs={}", pq_par::jobs());
     #[expect(clippy::disallowed_methods, reason = "stderr progress line only")]
     let t0 = std::time::Instant::now();
-    let e = pq_bench::run_experiment(spec);
+    let e = spec.run();
     eprintln!("[{header}] pipeline done in {:.1?}", t0.elapsed());
     e
 }

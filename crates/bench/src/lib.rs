@@ -18,9 +18,10 @@
 //! | `edge_cell` | extra — one edge-stack grid cell's contract tree, for CI |
 //! | `runall` | every table and figure above, in order, plus the run manifest |
 //!
-//! The binary parses its `PQ_*` knobs once into a [`RunSpec`]; the
-//! library reads no environment. `PQ_SCALE=full` matches the paper (36
-//! sites × 4 networks × 5 stacks × 31 runs).
+//! Every grid the workspace runs is a [`RunSpec`] value, which the
+//! binary parses its `PQ_*` knobs into once; the library reads no
+//! environment. `PQ_SCALE=full` is the paper's grid (36 sites × 4
+//! networks × 5 stacks × 31 runs).
 //!
 //! ## Parallel execution
 //!
@@ -71,9 +72,9 @@
 //! # then load results/trace.json into https://ui.perfetto.dev
 //! ```
 //!
-//! `runall` additionally writes `results/manifest.json` — scale, seed,
-//! git rev, per-phase wall-times, event and page-load counts and the
-//! contract tree of the views it printed (see
+//! `runall` additionally writes `results/manifest.json` — grid size,
+//! seed, git rev, per-phase wall-times and the contract tree of the
+//! views it printed, whose `grid` node counts the loads and events (see
 //! [`manifest::manifest_json`]); its smoke-scale stdout is
 //! `results/runall_smoke.txt`. Its timings are one sample from one
 //! machine; speed is measured by `benches/perf`.
@@ -88,14 +89,16 @@ pub mod report;
 
 pub use contract::contract;
 
-use pq_fault::FaultPlan;
+use pq_fault::{FaultPlan, PqError};
 use pq_sim::NetworkKind;
+use pq_study::stimulus::load_attempt;
 use pq_study::{run_study_with, StimulusSet, StudyData};
 use pq_transport::Protocol;
-use pq_web::{catalogue, Website};
+use pq_web::{PageLoadResult, Website};
+use std::fmt;
 use std::sync::Arc;
 
-/// How much of the full condition space to simulate.
+/// `PQ_SCALE`: how much of the paper's grid [`RunSpec::at`] names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// 4 sites × 3 runs — seconds; CI smoke tests.
@@ -106,70 +109,142 @@ pub enum Scale {
     Full,
 }
 
-impl Scale {
-    /// (sites, runs per condition).
-    pub fn params(self) -> (usize, u32) {
-        match self {
-            Scale::Smoke => (4, 3),
-            Scale::Reduced => (12, 11),
-            Scale::Full => (36, 31),
-        }
-    }
-
-    /// Human label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Smoke => "smoke",
-            Scale::Reduced => "reduced",
-            Scale::Full => "full",
-        }
-    }
-}
-
 /// The chaos spec of the CI `chaos-smoke` job and of every chaos run in
 /// `results/contract.txt`; `tests/contract_digests.rs` holds `ci.yml` to
 /// this spelling.
 pub const CHAOS_SPEC: &str = "seed=7;gel:pgb=0.02,pbg=0.3,bad=0.4;flap:at=1200,dur=300;\
                               stall:p=0.05,ms=800;trunc:p=0.03;hs:p=0.05";
 
-/// The corpus subset for a scale: always includes the five lab sites
-/// and the §4.4 named sites first.
-pub fn sites_for(scale: Scale) -> Vec<Website> {
-    let (n, _) = scale.params();
-    catalogue::corpus().into_iter().take(n.max(4)).collect()
-}
-
-/// One run's configuration, of which [`run_experiment`] and
-/// [`edge_cell`] are functions. The `pq` binary parses it from
-/// `PQ_SCALE`, `PQ_SEED`, `PQ_STACKS` and `PQ_FAULTS`; unset, they give
-/// [`RunSpec::default`].
+/// One grid: `sites` × `networks` × `stacks`, each cell loaded until
+/// `runs` loads are valid, at `seed`, under `faults`. Three methods run
+/// it: [`stimuli`](RunSpec::stimuli), [`load`](RunSpec::load) and
+/// [`run`](RunSpec::run). `pq` parses it from `PQ_SCALE`
+/// ([`RunSpec::at`]), `PQ_SEED`, `PQ_STACKS` and `PQ_FAULTS`
+/// ([`RunSpec::with_faults`]); unset, they give [`RunSpec::default`].
 #[derive(Clone, Debug)]
 pub struct RunSpec {
-    /// How much of the condition space to simulate.
-    pub scale: Scale,
-    /// Study seed (default 1910, the paper's arXiv month).
-    pub seed: u64,
+    /// The grid's sites; a stimulus's `site` indexes this list.
+    pub sites: Vec<Website>,
+    /// The grid's networks.
+    pub networks: Vec<NetworkKind>,
     /// Protocol stacks of the grid, sorted and deduplicated (default:
     /// the paper's five, whose [`Protocol::pairs_for`] is Figure 4's).
     pub stacks: Vec<Protocol>,
+    /// Valid page loads per cell (the paper: ≥ 31).
+    pub runs: u32,
+    /// Stimulus and study seed (default 1910, the paper's arXiv month).
+    pub seed: u64,
     /// Fault plan, never an empty one (`None` = injection off).
     pub faults: Option<Arc<FaultPlan>>,
 }
 
-impl Default for RunSpec {
-    fn default() -> RunSpec {
+impl RunSpec {
+    /// The paper's grid at `scale`: the first sites of the corpus (the
+    /// five lab sites and the §4.4 named sites come first) × Table 2's
+    /// networks × Table 1's stacks, at seed 1910, with no faults.
+    pub fn at(scale: Scale) -> RunSpec {
+        let (sites, runs) = match scale {
+            Scale::Smoke => (4, 3),
+            Scale::Reduced => (12, 11),
+            Scale::Full => (36, 31),
+        };
         RunSpec {
-            scale: Scale::Reduced,
-            seed: 1910,
+            sites: pq_web::corpus().into_iter().take(sites).collect(),
+            networks: NetworkKind::ALL.to_vec(),
             stacks: Protocol::ALL.to_vec(),
+            runs,
+            seed: 1910,
             faults: None,
         }
+    }
+
+    /// `pq edge_cell`'s grid: wikipedia.org × LTE × [`edge_stacks`] ×
+    /// 3 runs, at this spec's seed and under its fault plan.
+    /// `results/contract.txt` pins its [`contract()`], clean and under
+    /// the chaos spec.
+    pub fn edge_cell(&self) -> RunSpec {
+        RunSpec {
+            sites: vec![pq_web::site("wikipedia.org").expect("corpus site")],
+            networks: vec![NetworkKind::Lte],
+            stacks: edge_stacks(),
+            runs: 3,
+            seed: self.seed,
+            faults: self.faults.clone(),
+        }
+    }
+
+    /// This grid under the fault plan `spec` spells (README "Fault
+    /// injection"); a plan with no fault class turns injection off.
+    pub fn with_faults(self, spec: &str) -> Result<RunSpec, PqError> {
+        let plan = FaultPlan::parse(spec)?;
+        Ok(RunSpec {
+            faults: (!plan.is_empty()).then(|| Arc::new(plan)),
+            ..self
+        })
+    }
+
+    /// Build the grid: every cell's typical video, or its quarantine.
+    pub fn stimuli(&self) -> StimulusSet {
+        StimulusSet::build_with_faults(
+            &self.sites,
+            &self.networks,
+            &self.stacks,
+            self.runs,
+            self.seed,
+            self.faults.clone(),
+        )
+    }
+
+    /// Attempt `attempt` of the cell of `sites[site]`, `network` and
+    /// `stack`: the very page load [`stimuli`](RunSpec::stimuli) runs
+    /// for it; `None` when `site` is not an index into `sites`.
+    pub fn load(
+        &self,
+        site: u16,
+        network: NetworkKind,
+        stack: Protocol,
+        attempt: u32,
+    ) -> Option<PageLoadResult> {
+        let (site, faults) = (self.sites.get(usize::from(site))?, self.faults.as_ref());
+        Some(load_attempt(
+            self.seed, site, network, stack, attempt, faults,
+        ))
+    }
+
+    /// Build the grid and run both studies over it.
+    pub fn run(&self) -> Experiment {
+        let stimuli = self.stimuli();
+        let pairs = Protocol::pairs_for(&self.stacks);
+        let data = run_study_with(&stimuli, &pairs, &self.stacks, self.seed);
+        Experiment {
+            spec: self.clone(),
+            stimuli,
+            data,
+        }
+    }
+}
+
+impl Default for RunSpec {
+    fn default() -> RunSpec {
+        RunSpec::at(Scale::Reduced)
+    }
+}
+
+/// `4 sites × 4 networks × 5 stacks × 3 runs, seed=1910`, then
+/// `, faults=ON` under a fault plan.
+impl fmt::Display for RunSpec {
+    fn fmt(&self, f: &mut fmt::Formatter) -> fmt::Result {
+        let (sites, networks, stacks) = (self.sites.len(), self.networks.len(), self.stacks.len());
+        let (runs, seed) = (self.runs, self.seed);
+        let grid = format!("{sites} sites × {networks} networks × {stacks} stacks × {runs} runs");
+        let faults = self.faults.as_ref().map_or("", |_| ", faults=ON");
+        write!(f, "{grid}, seed={seed}{faults}")
     }
 }
 
 /// A fully executed experiment: stimuli plus both studies' raw data.
 pub struct Experiment {
-    /// The configuration it ran.
+    /// The grid it built.
     pub spec: RunSpec,
     /// Typical videos per condition.
     pub stimuli: StimulusSet,
@@ -177,69 +252,14 @@ pub struct Experiment {
     pub data: StudyData,
 }
 
-/// Run the full pipeline (stimulus production + both studies) that
-/// `spec` describes.
-pub fn run_experiment(spec: &RunSpec) -> Experiment {
-    let (sites, runs) = (sites_for(spec.scale), spec.scale.params().1);
-    let (stimuli, data) = grid(spec, &sites, &NetworkKind::ALL, &spec.stacks, runs);
-    Experiment {
-        spec: spec.clone(),
-        stimuli,
-        data,
-    }
-}
-
 /// The three edge stacks plus their Table-1 A/B partners (QUIC, TCP+),
 /// sorted: the smallest grid where every edge pair runs.
-/// `PQ_STACKS=edge` selects it, and [`edge_cell`] runs it.
+/// `PQ_STACKS=edge` selects it, and [`RunSpec::edge_cell`] runs it.
 pub fn edge_stacks() -> Vec<Protocol> {
     let mut stacks = vec![Protocol::Quic, Protocol::TcpPlus];
     stacks.extend(Protocol::EDGE);
     stacks.sort_unstable();
     stacks
-}
-
-/// Page loads per condition in [`edge_cell`].
-pub const EDGE_CELL_RUNS: u32 = 3;
-
-/// `pq edge_cell`: wikipedia.org × LTE × [`edge_stacks`] ×
-/// [`EDGE_CELL_RUNS`] runs, through both studies, under `spec`'s seed
-/// and fault plan; the experiment's spec has `spec`'s scale and
-/// [`edge_stacks`]. `results/contract.txt` pins its [`contract()`],
-/// clean and under the chaos spec.
-pub fn edge_cell(spec: &RunSpec) -> Experiment {
-    let spec = RunSpec {
-        stacks: edge_stacks(),
-        ..spec.clone()
-    };
-    let sites = [pq_web::site("wikipedia.org").expect("corpus site")];
-    let (stimuli, data) = grid(
-        &spec,
-        &sites,
-        &[NetworkKind::Lte],
-        &spec.stacks,
-        EDGE_CELL_RUNS,
-    );
-    Experiment {
-        spec,
-        stimuli,
-        data,
-    }
-}
-
-/// Build the grid under `spec`'s seed and fault plan, and run both
-/// studies over it.
-fn grid(
-    spec: &RunSpec,
-    sites: &[Website],
-    networks: &[NetworkKind],
-    stacks: &[Protocol],
-    runs: u32,
-) -> (StimulusSet, StudyData) {
-    let faults = spec.faults.clone();
-    let stimuli = StimulusSet::build_with_faults(sites, networks, stacks, runs, spec.seed, faults);
-    let data = run_study_with(&stimuli, &Protocol::pairs_for(stacks), stacks, spec.seed);
-    (stimuli, data)
 }
 
 /// Pretty vote-share bar for terminal tables. Out-of-range shares are
@@ -264,41 +284,86 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_params() {
-        assert_eq!(Scale::Smoke.params(), (4, 3));
-        assert_eq!(Scale::Full.params(), (36, 31));
-        assert_eq!(Scale::Full.label(), "full");
-    }
-
-    #[test]
-    fn sites_include_lab_domains_at_every_scale() {
-        let sites = sites_for(Scale::Smoke);
-        assert!(sites.iter().any(|s| s.name == "wikipedia.org"));
-        assert_eq!(sites_for(Scale::Full).len(), 36);
+    fn each_scale_names_a_leading_slice_of_the_corpus() {
+        for (scale, sites, runs) in [
+            (Scale::Smoke, 4, 3),
+            (Scale::Reduced, 12, 11),
+            (Scale::Full, 36, 31),
+        ] {
+            let spec = RunSpec::at(scale);
+            assert_eq!((spec.sites.len(), spec.runs), (sites, runs), "{scale:?}");
+            assert!(spec.sites.iter().any(|s| s.name == "wikipedia.org"));
+            assert_eq!(spec.networks, NetworkKind::ALL);
+            assert_eq!(spec.stacks, Protocol::ALL);
+        }
+        let smoke = RunSpec::at(Scale::Smoke);
+        assert_eq!(
+            smoke.to_string(),
+            "4 sites × 4 networks × 5 stacks × 3 runs, seed=1910"
+        );
+        let chaos = smoke
+            .with_faults(CHAOS_SPEC)
+            .expect("the chaos spec parses");
+        assert!(chaos.to_string().ends_with(", faults=ON"));
+        assert!(chaos.load(4, NetworkKind::Dsl, Protocol::Quic, 0).is_none());
+        // A plan with no fault class is no plan; an unparsable one is
+        // an error.
+        assert!(chaos
+            .clone()
+            .with_faults("seed=7")
+            .unwrap()
+            .faults
+            .is_none());
+        assert!(chaos.with_faults("gel:pgb=2").is_err());
     }
 
     #[test]
     fn smoke_experiment_runs() {
-        let e = run_experiment(&RunSpec {
-            scale: Scale::Smoke,
+        let e = RunSpec {
             seed: 5,
-            ..RunSpec::default()
-        });
+            ..RunSpec::at(Scale::Smoke)
+        }
+        .run();
         assert!(!e.data.ab.is_empty());
         assert!(!e.data.ratings.is_empty());
         assert_eq!(e.stimuli.site_count(), 4);
     }
 
     /// `PQ_SCALE=smoke PQ_SEED=1910`, built once for every test that
-    /// pins what a `pq` view prints of it.
-    fn smoke_1910() -> &'static Experiment {
+    /// pins what a `pq` view or the manifest shows of it.
+    pub(crate) fn smoke_1910() -> &'static Experiment {
         static SMOKE: std::sync::OnceLock<Experiment> = std::sync::OnceLock::new();
-        SMOKE.get_or_init(|| {
-            run_experiment(&RunSpec {
-                scale: Scale::Smoke,
-                ..RunSpec::default()
-            })
-        })
+        SMOKE.get_or_init(|| RunSpec::at(Scale::Smoke).run())
+    }
+
+    /// `pq-perf`'s `lossy_edge_serial` grid cut to its first site at 31
+    /// runs: DA2GC and MSS × all eight stacks under that workload's
+    /// fault plan, at seed 1910. The pins are what a direct
+    /// `StimulusSet::build_with_faults` + `run_study_with` call
+    /// returned before the grid went through [`RunSpec`].
+    #[test]
+    fn the_spec_runs_the_lossy_edge_grid_at_one_site() {
+        let spec = RunSpec {
+            sites: RunSpec::at(Scale::Reduced).sites[..1].to_vec(),
+            networks: vec![NetworkKind::Da2gc, NetworkKind::Mss],
+            stacks: Protocol::ALL_WITH_EDGE.to_vec(),
+            runs: 31,
+            ..RunSpec::default()
+        }
+        .with_faults("seed=7;gel:pgb=0.01,pbg=0.5,bad=0.2;stall:p=0.05,ms=400;hs:p=0.05")
+        .expect("the lossy plan parses");
+        let e = spec.run();
+        let counts = e.stimuli.counts();
+        assert_eq!(
+            (counts.loads, counts.events_total(), counts.faults_injected),
+            (501, 803_877, 1598)
+        );
+        assert_eq!(e.stimuli.runs_retried(), 5);
+        assert_eq!(e.stimuli.quarantined().len(), 0);
+        assert_eq!(
+            format!("{:016x}", manifest::study_digest(&e.data)),
+            "f24deb5e802a001c"
+        );
     }
 
     #[test]

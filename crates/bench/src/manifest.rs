@@ -1,7 +1,7 @@
 //! The machine-readable run manifest written by `pq runall`.
 //!
 //! One `results/manifest.json` per experiment execution, declared once
-//! in [`manifest_json`]: scale, seed, git revision, per-phase
+//! in [`manifest_json`]: grid size, seed, git revision, per-phase
 //! wall-times, the fault spec and the quarantined cells, and the run's
 //! [`contract`](crate::contract()) tree, which `results/contract.txt`
 //! pins and which alone holds the grid's loads, events, faults and
@@ -150,8 +150,9 @@ pub fn study_digest(data: &StudyData) -> u64 {
 ///
 /// | Key | Value |
 /// |-----|-------|
-/// | `scale` | experiment scale label (`smoke` / `reduced` / `full`) |
-/// | `seed` | study seed |
+/// | `sites` | sites in the grid (`PQ_SCALE`: 4 / 12 / 36) |
+/// | `runs` | valid page loads per cell (`PQ_SCALE`: 3 / 11 / 31) |
+/// | `seed` | stimulus and study seed |
 /// | `jobs` | `pq-par` worker count the run executed with (`PQ_JOBS`) |
 /// | `git_rev` | `git rev-parse --short HEAD`, or `unknown` outside a checkout |
 /// | `created_unix` | Unix timestamp (seconds) of manifest creation |
@@ -188,7 +189,8 @@ pub fn manifest_json(e: &Experiment, timer: &PhaseTimer, contract: Vec<(String, 
         })
         .collect();
     let mut out = Value::obj()
-        .with("scale", e.spec.scale.label())
+        .with("sites", e.spec.sites.len())
+        .with("runs", e.spec.runs)
         .with("seed", e.spec.seed)
         .with("jobs", pq_par::jobs())
         .with("git_rev", git_rev())
@@ -285,21 +287,16 @@ mod tests {
         assert_ne!(h.0, pq_ckpt::fnv1a(&bytes));
     }
 
-    /// One site on one network: enough for every manifest block.
+    /// One site on one network under `stacks`.
     fn tiny_experiment(stacks: &[Protocol]) -> Experiment {
-        let sites = vec![pq_web::catalogue::site("wikipedia.org").unwrap()];
-        let stimuli =
-            pq_study::StimulusSet::build(&sites, &[pq_sim::NetworkKind::Lte], stacks, 2, 1910);
-        let data = pq_study::run_study_with(&stimuli, &Protocol::pairs_for(stacks), stacks, 1910);
-        Experiment {
-            spec: crate::RunSpec {
-                scale: crate::Scale::Smoke,
-                stacks: stacks.to_vec(),
-                ..crate::RunSpec::default()
-            },
-            stimuli,
-            data,
+        crate::RunSpec {
+            sites: vec![pq_web::catalogue::site("wikipedia.org").unwrap()],
+            networks: vec![pq_sim::NetworkKind::Lte],
+            stacks: stacks.to_vec(),
+            runs: 2,
+            ..crate::RunSpec::default()
         }
+        .run()
     }
 
     fn keys(v: &Value) -> Vec<&str> {
@@ -309,13 +306,14 @@ mod tests {
         fields.iter().map(|(k, _)| k.as_str()).collect()
     }
 
-    /// The schema CI's Python reads: 9 keys on every run, `alloc` only
+    /// The schema CI's Python reads: 10 keys on every run, `alloc` only
     /// while the counting allocator is on, `edge` only with an edge
     /// stack in the grid, in this order, and `contract` last.
     #[test]
     fn manifest_keys_are_pinned_and_alloc_edge_are_conditional() {
-        const ALWAYS: [&str; 8] = [
-            "scale",
+        const ALWAYS: [&str; 9] = [
+            "sites",
+            "runs",
             "seed",
             "jobs",
             "git_rev",
@@ -325,15 +323,14 @@ mod tests {
             "cells_quarantined",
         ];
         let mut timer = PhaseTimer::new();
-        let plain = timer.phase("experiment", || {
-            tiny_experiment(&[Protocol::TcpPlus, Protocol::Quic])
-        });
+        let plain = timer.phase("experiment", crate::tests::smoke_1910);
         let tree = || vec![("root".to_string(), "0123456789abcdef".to_string())];
-        let m = manifest_json(&plain, &timer, tree());
+        let m = manifest_json(plain, &timer, tree());
         assert_eq!(keys(&m)[..ALWAYS.len()], ALWAYS);
         assert_eq!(keys(&m)[ALWAYS.len()..], ["contract"]);
         let get = |key: &str| m.get(key).unwrap_or_else(|| panic!("{key} present"));
-        assert_eq!(get("scale").as_str(), Some("smoke"));
+        assert_eq!(get("sites").as_u64(), Some(4));
+        assert_eq!(get("runs").as_u64(), Some(3));
         assert_eq!(get("seed").as_u64(), Some(1910));
         assert_eq!(get("fault_spec").as_str(), Some(""));
         let phases = get("phases").as_arr().expect("phases array");
@@ -384,9 +381,13 @@ mod tests {
 
     #[test]
     fn study_digest_deterministic_and_seed_sensitive() {
-        let sites = vec![pq_web::catalogue::site("apache.org").unwrap()];
-        let stimuli =
-            pq_study::StimulusSet::build(&sites, &pq_sim::NetworkKind::ALL, &Protocol::ALL, 2, 77);
+        let stimuli = crate::RunSpec {
+            sites: vec![pq_web::catalogue::site("apache.org").unwrap()],
+            runs: 2,
+            seed: 77,
+            ..crate::RunSpec::default()
+        }
+        .stimuli();
         let a = pq_study::run_study(&stimuli, 1);
         let b = pq_study::run_study(&stimuli, 1);
         let c = pq_study::run_study(&stimuli, 2);

@@ -52,16 +52,24 @@ fn missing_or_unknown_subcommand_lists_all_eleven_and_exits_2() {
     }
 }
 
+/// A static table reads no run knob, so each one that is set warns.
 #[test]
 fn table1_prints_table_1_and_exits_0() {
     let out = Command::new(env!("CARGO_BIN_EXE_pq"))
         .arg("table1")
+        .env("PQ_SCALE", "full")
+        .env("PQ_SEED", "5")
         .output()
         .expect("spawn pq");
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf-8 table");
     assert!(stdout.starts_with("== Table 1: protocol configurations =="));
     assert!(stdout.lines().any(|l| l.starts_with("QUIC+BBR")));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for knob in ["PQ_SCALE", "PQ_SEED"] {
+        let warning = format!("{knob} is set but `pq table1` does not read it");
+        assert!(stderr.contains(&warning), "{stderr}");
+    }
 }
 
 /// `pq runall` at smoke scale and seed 1910 in a fresh directory, with
@@ -161,23 +169,27 @@ fn chaos_runall_at_1_worker_writes_the_pinned_digest() {
 }
 
 /// `pq edge_cell` at seed 1910 prints `run`'s committed tree, one
-/// `<key> <value>` line per node, whatever the worker count; a moved
-/// node is named.
-fn edge_cell_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
+/// `<key> <value>` line per node, whatever the worker count and
+/// whatever `PQ_STACKS` says, which it does not read and names on
+/// stderr when set; a moved node is named.
+fn edge_cell_holds_the_pin(run: &str, faults: Option<&str>, stacks: Option<&str>, jobs: u32) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pq"));
     cmd.arg("edge_cell")
         .env("PQ_SEED", "1910")
         .env("PQ_JOBS", jobs.to_string())
+        .env_remove("PQ_STACKS")
         .env_remove("PQ_FAULTS");
     if let Some(spec) = faults {
         cmd.env("PQ_FAULTS", spec);
     }
+    if let Some(stacks) = stacks {
+        cmd.env("PQ_STACKS", stacks);
+    }
     let out = cmd.output().expect("spawn pq");
-    assert!(
-        out.status.success(),
-        "edge_cell failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "edge_cell failed: {stderr}");
+    let warning = "PQ_STACKS is set but `pq edge_cell` does not read it";
+    assert_eq!(stderr.contains(warning), stacks.is_some(), "{stderr}");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 tree");
     let tree: Vec<&str> = stdout.lines().collect();
     let moved = tree.iter().zip(committed(run)).find(|(a, b)| **a != *b);
@@ -186,12 +198,13 @@ fn edge_cell_holds_the_pin(run: &str, faults: Option<&str>, jobs: u32) {
 
 #[test]
 fn edge_cell_at_4_workers_prints_the_pinned_tree() {
-    edge_cell_holds_the_pin("edge_cell", None, 4);
+    edge_cell_holds_the_pin("edge_cell", None, None, 4);
+    edge_cell_holds_the_pin("edge_cell", None, Some("all"), 4);
 }
 
 #[test]
 fn chaos_edge_cell_at_1_worker_prints_the_pinned_tree() {
-    edge_cell_holds_the_pin("edge_cell_chaos", Some(CHAOS_SPEC), 1);
+    edge_cell_holds_the_pin("edge_cell_chaos", Some(CHAOS_SPEC), None, 1);
 }
 
 /// `pq table2` with each knob that names an output file set, and no

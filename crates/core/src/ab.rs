@@ -294,12 +294,13 @@ mod tests {
             .iter()
             .map(|n| catalogue::site(n).unwrap())
             .collect();
-        StimulusSet::build(
+        StimulusSet::build_with_faults(
             &sites,
             &[NetworkKind::Lte, NetworkKind::Mss],
             &[Protocol::Tcp, Protocol::Quic],
             3,
             1,
+            None,
         )
     }
 

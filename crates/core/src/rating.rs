@@ -338,12 +338,13 @@ mod tests {
             .iter()
             .map(|n| catalogue::site(n).unwrap())
             .collect();
-        StimulusSet::build(
+        StimulusSet::build_with_faults(
             &sites,
             &NetworkKind::ALL,
             &[Protocol::Tcp, Protocol::Quic],
             3,
             2,
+            None,
         )
     }
 

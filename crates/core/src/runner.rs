@@ -161,7 +161,7 @@ mod tests {
             .iter()
             .map(|n| catalogue::site(n).unwrap())
             .collect();
-        StimulusSet::build(&sites, &NetworkKind::ALL, &Protocol::ALL, 2, 77)
+        StimulusSet::build_with_faults(&sites, &NetworkKind::ALL, &Protocol::ALL, 2, 77, None)
     }
 
     #[test]

@@ -11,7 +11,7 @@ use pq_fault::FaultPlan;
 use pq_metrics::{typical_run, MetricSet};
 use pq_sim::{NetworkKind, SimRng};
 use pq_transport::Protocol;
-use pq_web::{load_page, LoadCounts, LoadOptions, Website};
+use pq_web::{load_page, LoadCounts, LoadOptions, PageLoadResult, Website};
 use std::sync::Arc;
 
 /// One experimental condition.
@@ -102,11 +102,11 @@ pub struct StimulusSet {
 /// This is the determinism linchpin of the parallel pipeline: the
 /// seed is a *pure function* of the cell coordinates — no RNG state is
 /// ever threaded sequentially from one cell to the next — so
-/// [`StimulusSet::build`] can execute the grid in any chunk order, on
-/// any number of `pq-par` workers, and still produce bit-identical
-/// output. A regression test pins a known value so an accidental
-/// re-derivation (which would silently invalidate every recorded
-/// baseline) cannot slip through.
+/// [`StimulusSet::build_with_faults`] can execute the grid in any chunk
+/// order, on any number of `pq-par` workers, and still produce
+/// bit-identical output. A regression test pins a known value so an
+/// accidental re-derivation (which would silently invalidate every
+/// recorded baseline) cannot slip through.
 #[expect(
     clippy::disallowed_methods,
     reason = "this IS the sanctioned derivation point: the pure (seed, cell) → page-load-seed function"
@@ -118,6 +118,26 @@ pub fn run_seed(seed: u64, site: &str, network: NetworkKind, protocol: Protocol,
             u64::from(run),
         )
         .next_u64()
+}
+
+/// Attempt `attempt` of the `(site, network, protocol)` cell at study
+/// seed `seed` under `faults`: the page load
+/// [`StimulusSet::build_with_faults`] runs for it, seeded by
+/// [`run_seed`].
+pub fn load_attempt(
+    seed: u64,
+    site: &Website,
+    network: NetworkKind,
+    protocol: Protocol,
+    attempt: u32,
+    faults: Option<&Arc<FaultPlan>>,
+) -> PageLoadResult {
+    let opts = LoadOptions {
+        faults: faults.cloned(),
+        ..LoadOptions::default()
+    };
+    let rs = run_seed(seed, &site.name, network, protocol, attempt);
+    load_page(site, &network.config(), protocol, rs, &opts)
 }
 
 /// Outcome of building a single grid cell: its stimulus, or the
@@ -133,41 +153,27 @@ struct Cell<'a> {
 
 impl StimulusSet {
     /// Build stimuli for every combination, loading each condition
-    /// `runs` times (the paper uses ≥31), with no fault injection.
+    /// until `runs` loads are valid (the paper uses ≥31), under a fault
+    /// plan (`None`, or an empty plan, = no injection).
     ///
     /// The site × network × protocol grid executes on the `pq-par`
     /// pool (`PQ_JOBS` workers); each cell's RNG derives from
     /// [`run_seed`] alone, so the result is bit-identical to a serial
     /// build regardless of worker count.
-    pub fn build(
-        sites: &[Website],
-        networks: &[NetworkKind],
-        protocols: &[Protocol],
-        runs: u32,
-        seed: u64,
-    ) -> StimulusSet {
-        Self::build_with_faults(sites, networks, protocols, runs, seed, None)
-    }
-
-    /// [`build`] under a fault plan (`None`, or an empty plan, = no
-    /// injection).
     ///
     /// With a plan active, each run is *validated* (complete page load
     /// with well-ordered metrics, the paper's R1/R4 checks) and invalid
-    /// runs are discarded and re-run with fresh per-attempt seeds, up
-    /// to 8 × the requested runs per cell — the testbed's "re-run
-    /// until ≥31 valid" protocol in miniature. A cell that never yields
-    /// a valid run is quarantined: recorded in
+    /// runs are discarded and re-run as the cell's next
+    /// [`load_attempt`], up to 8 × the requested runs per cell — the
+    /// testbed's "re-run until ≥31 valid" protocol in miniature. A
+    /// cell that never yields a valid run is quarantined: recorded in
     /// [`StimulusSet::quarantined`] and skipped by every consumer,
-    /// while the rest of the grid proceeds. With no plan the build path
-    /// is byte-for-byte the pre-fault pipeline: every run is accepted
-    /// as-is, so output stays bit-identical.
+    /// while the rest of the grid proceeds. With no plan every run is
+    /// accepted as-is.
     ///
     /// Every cell is built once. A panic while building one is a bug,
     /// not a fault to quarantine: it reaches the caller with its
     /// message and ends the run.
-    ///
-    /// [`build`]: StimulusSet::build
     pub fn build_with_faults(
         sites: &[Website],
         networks: &[NetworkKind],
@@ -181,10 +187,6 @@ impl StimulusSet {
         const MAX_BUDGET_FACTOR: u32 = 8;
 
         let plan = faults.filter(|p| !p.is_empty());
-        let opts = LoadOptions {
-            faults: plan.clone(),
-            ..LoadOptions::default()
-        };
 
         // Enumerate the grid in canonical (site, network, protocol)
         // order; the scatter-gather preserves that order.
@@ -211,16 +213,14 @@ impl StimulusSet {
         // Each load ends at its simulated horizon or event cap, so a
         // cell does at most `max_budget` bounded loads.
         let build_cell = |cell: &Cell| -> CellResult {
-            let (cond, site) = (&cell.cond, cell.site);
-            let net = cond.network.config();
+            let (cond, site, faults) = (&cell.cond, cell.site, plan.as_ref());
             let mut all = Vec::with_capacity(runs as usize);
             let mut retx = 0u64;
             let mut counts = LoadCounts::default();
             let mut attempt = 0u32;
             let max_budget = runs.saturating_mul(MAX_BUDGET_FACTOR);
             while attempt < max_budget && (all.len() as u32) < runs {
-                let rs = run_seed(seed, &site.name, cond.network, cond.protocol, attempt);
-                let res = load_page(site, &net, cond.protocol, rs, &opts);
+                let res = load_attempt(seed, site, cond.network, cond.protocol, attempt, faults);
                 counts += res.counts;
                 // Validity filtering only engages under an active
                 // fault plan: the fault-free pipeline accepts every run
@@ -361,12 +361,13 @@ mod tests {
             .iter()
             .map(|n| catalogue::site(n).unwrap())
             .collect();
-        let set = StimulusSet::build(
+        let set = StimulusSet::build_with_faults(
             &sites,
             &[NetworkKind::Dsl, NetworkKind::Lte],
             &[Protocol::Tcp, Protocol::Quic],
             3,
             42,
+            None,
         );
         assert_eq!(set.site_count(), 2);
         assert_eq!(set.iter().count(), 2 * 2 * 2);
@@ -381,8 +382,22 @@ mod tests {
     #[test]
     fn deterministic_build() {
         let sites = vec![catalogue::site("apache.org").unwrap()];
-        let a = StimulusSet::build(&sites, &[NetworkKind::Dsl], &[Protocol::Quic], 2, 7);
-        let b = StimulusSet::build(&sites, &[NetworkKind::Dsl], &[Protocol::Quic], 2, 7);
+        let a = StimulusSet::build_with_faults(
+            &sites,
+            &[NetworkKind::Dsl],
+            &[Protocol::Quic],
+            2,
+            7,
+            None,
+        );
+        let b = StimulusSet::build_with_faults(
+            &sites,
+            &[NetworkKind::Dsl],
+            &[Protocol::Quic],
+            2,
+            7,
+            None,
+        );
         assert_eq!(
             a.get(0, NetworkKind::Dsl, Protocol::Quic)
                 .unwrap()
@@ -398,12 +413,13 @@ mod tests {
     #[test]
     fn built_cells_hold_their_log_metrics() {
         let sites = vec![catalogue::site("apache.org").unwrap()];
-        let set = StimulusSet::build(
+        let set = StimulusSet::build_with_faults(
             &sites,
             &[NetworkKind::Mss],
             &[Protocol::Tcp, Protocol::Quic],
             2,
             7,
+            None,
         );
         let bits = |l: &LogMetrics| [l.si, l.fvc, l.lvc].map(f64::to_bits);
         assert_eq!(set.iter().count(), 2);
@@ -463,12 +479,13 @@ mod tests {
             .map(|n| catalogue::site(n).unwrap())
             .collect();
         let build = || {
-            StimulusSet::build(
+            StimulusSet::build_with_faults(
                 &sites,
                 &[NetworkKind::Dsl, NetworkKind::Lte],
                 &[Protocol::Tcp, Protocol::Quic],
                 3,
                 42,
+                None,
             )
         };
         pq_par::set_jobs(Some(1));
@@ -559,12 +576,13 @@ mod tests {
     #[test]
     fn quic_typical_video_faster_than_stock_tcp_on_lte() {
         let sites = vec![catalogue::site("wikipedia.org").unwrap()];
-        let set = StimulusSet::build(
+        let set = StimulusSet::build_with_faults(
             &sites,
             &[NetworkKind::Lte],
             &[Protocol::Tcp, Protocol::Quic],
             5,
             11,
+            None,
         );
         let tcp = set.get(0, NetworkKind::Lte, Protocol::Tcp).unwrap();
         let quic = set.get(0, NetworkKind::Lte, Protocol::Quic).unwrap();

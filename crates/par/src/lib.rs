@@ -27,7 +27,7 @@
 //! Parallel output is **bit-identical** to serial output because the
 //! engine preserves item order in the gathered result and because
 //! every call site derives its randomness purely from `(seed, cell
-//! indices)` — e.g. `StimulusSet::build` keys each page load's RNG as
+//! indices)` — e.g. the stimulus grid keys each page load's RNG as
 //! `fork_idx("site/net/proto", run)` from the root seed, and the study
 //! runner keys each participant as `fork_idx(group, id)`. No RNG is
 //! ever threaded sequentially across cells, so which worker claims

@@ -3,7 +3,7 @@
 
 use pq_bench::{Experiment, RunSpec};
 use pq_sim::NetworkKind;
-use pq_study::{run_study_with, StimulusSet};
+use pq_study::run_study_with;
 use pq_transport::Protocol;
 
 /// `results/contract.txt`: one `<run> <key> <value>` line per node of
@@ -23,7 +23,8 @@ pub fn committed(run: &str) -> Vec<(String, String)> {
 }
 
 /// apache.org and wikipedia.org × `networks` × `stacks` × `runs` page
-/// loads at stimulus seed `seed`, through both studies at `study_seed`.
+/// loads at stimulus seed `seed`, through both studies at `study_seed`;
+/// the experiment's spec is the grid's.
 pub fn experiment(
     networks: &[NetworkKind],
     stacks: &[Protocol],
@@ -31,15 +32,20 @@ pub fn experiment(
     seed: u64,
     study_seed: u64,
 ) -> Experiment {
-    let sites = ["apache.org", "wikipedia.org"].map(|n| pq_web::site(n).expect("corpus site"));
-    let stimuli = StimulusSet::build(&sites, networks, stacks, runs, seed);
+    let spec = RunSpec {
+        sites: ["apache.org", "wikipedia.org"]
+            .map(|n| pq_web::site(n).expect("corpus site"))
+            .to_vec(),
+        networks: networks.to_vec(),
+        stacks: stacks.to_vec(),
+        runs,
+        seed,
+        faults: None,
+    };
+    let stimuli = spec.stimuli();
     let data = run_study_with(&stimuli, &Protocol::pairs_for(stacks), stacks, study_seed);
     Experiment {
-        spec: RunSpec {
-            seed: study_seed,
-            stacks: stacks.to_vec(),
-            ..RunSpec::default()
-        },
+        spec,
         stimuli,
         data,
     }

@@ -27,10 +27,9 @@ mod common;
 
 use common::committed;
 use pq_bench::contract::diff;
-use pq_bench::{contract, edge_cell, run_experiment, Experiment, RunSpec, Scale, CHAOS_SPEC};
-use pq_fault::FaultPlan;
+use pq_bench::{contract, Experiment, RunSpec, Scale, CHAOS_SPEC};
 use pq_transport::Protocol;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Every contract run, in file order.
 const RUNS: [&str; 6] = [
@@ -42,25 +41,23 @@ const RUNS: [&str; 6] = [
     "quic_mbx",
 ];
 
-fn chaos() -> Option<Arc<FaultPlan>> {
+/// `PQ_SCALE=smoke PQ_SEED=1910` over `stacks`.
+fn smoke(stacks: &[Protocol]) -> RunSpec {
+    RunSpec {
+        stacks: stacks.to_vec(),
+        ..RunSpec::at(Scale::Smoke)
+    }
+}
+
+/// [`smoke`] over Table 1's stacks under `PQ_FAULTS=`[`CHAOS_SPEC`].
+fn chaos() -> RunSpec {
     assert!(
         include_str!("../.github/workflows/ci.yml")
             .contains(&format!("PQ_FAULTS: \"{CHAOS_SPEC}\"")),
         "the CI chaos-smoke job must run pq_bench::CHAOS_SPEC verbatim"
     );
-    Some(Arc::new(
-        FaultPlan::parse(CHAOS_SPEC).expect("chaos spec parses"),
-    ))
-}
-
-/// `PQ_SCALE=smoke PQ_SEED=1910` over `stacks`, under `faults`.
-fn smoke(stacks: &[Protocol], faults: Option<Arc<FaultPlan>>) -> RunSpec {
-    RunSpec {
-        scale: Scale::Smoke,
-        seed: 1910,
-        stacks: stacks.to_vec(),
-        faults,
-    }
+    let spec = smoke(&Protocol::ALL).with_faults(CHAOS_SPEC);
+    spec.expect("the chaos spec parses")
 }
 
 type Tree = Vec<(String, String)>;
@@ -99,31 +96,27 @@ fn holds(run: &'static str, e: &Experiment) {
 
 #[test]
 fn smoke_digest() {
-    holds("smoke", &run_experiment(&smoke(&Protocol::ALL, None)));
+    holds("smoke", &smoke(&Protocol::ALL).run());
 }
 
 #[test]
 fn all_stacks_digest() {
-    let e = run_experiment(&smoke(&Protocol::ALL_WITH_EDGE, None));
-    holds("all_stacks", &e);
+    holds("all_stacks", &smoke(&Protocol::ALL_WITH_EDGE).run());
 }
 
 #[test]
 fn chaos_digest() {
-    holds("chaos", &run_experiment(&smoke(&Protocol::ALL, chaos())));
+    holds("chaos", &chaos().run());
 }
 
 #[test]
 fn edge_cell_digest() {
-    holds("edge_cell", &edge_cell(&smoke(&Protocol::ALL, None)));
+    holds("edge_cell", &smoke(&Protocol::ALL).edge_cell().run());
 }
 
 #[test]
 fn edge_cell_chaos_digest() {
-    holds(
-        "edge_cell_chaos",
-        &edge_cell(&smoke(&Protocol::ALL, chaos())),
-    );
+    holds("edge_cell_chaos", &chaos().edge_cell().run());
 }
 
 #[test]

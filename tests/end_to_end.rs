@@ -3,8 +3,8 @@
 //! assertions.
 
 use perceiving_quic::prelude::*;
-use perceiving_quic::study::stimulus::run_seed;
 use perceiving_quic::study::{self, ab_shares, Group};
+use pq_bench::RunSpec;
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -18,7 +18,13 @@ fn mini_study() -> (StimulusSet, StudyData) {
         .iter()
         .map(|n| web::site(n).expect("corpus"))
         .collect();
-    let stimuli = StimulusSet::build(&sites, &NetworkKind::ALL, &Protocol::ALL, 5, 99);
+    let grid = RunSpec {
+        sites,
+        runs: 5,
+        seed: 99,
+        ..RunSpec::default()
+    };
+    let stimuli = grid.stimuli();
     let data = run_study(&stimuli, 99);
     (stimuli, data)
 }
@@ -154,7 +160,15 @@ fn speed_index_correlates_best_and_plt_worst_on_slow_networks() {
     .iter()
     .map(|n| web::site(n).expect("corpus"))
     .collect();
-    let stimuli = StimulusSet::build(&sites, &[NetworkKind::Mss], &[Protocol::Quic], 5, 7);
+    let grid = RunSpec {
+        sites,
+        networks: vec![NetworkKind::Mss],
+        stacks: vec![Protocol::Quic],
+        runs: 5,
+        seed: 7,
+        faults: None,
+    };
+    let stimuli = grid.stimuli();
     let data = perceiving_quic::study::run_study_with(
         &stimuli,
         &[(Protocol::Quic, Protocol::Quic)],
@@ -206,9 +220,16 @@ fn table3_funnel_structure() {
 
 #[test]
 fn determinism_across_the_whole_pipeline() {
-    let sites = vec![web::site("apache.org").unwrap()];
+    let grid = RunSpec {
+        sites: vec![web::site("apache.org").unwrap()],
+        networks: vec![NetworkKind::Lte],
+        stacks: vec![Protocol::Quic],
+        runs: 3,
+        seed: 5,
+        faults: None,
+    };
     let build = || {
-        let stimuli = StimulusSet::build(&sites, &[NetworkKind::Lte], &[Protocol::Quic], 3, 5);
+        let stimuli = grid.stimuli();
         let data = perceiving_quic::study::run_study_with(
             &stimuli,
             &[(Protocol::Quic, Protocol::Quic)],
@@ -234,9 +255,9 @@ fn every_stack_completes() {
     }
 }
 
-/// The fault-free loads of the paper grid (`corpus()[..12]` × 4
-/// networks × the five stacks × 11 runs at seed 1910, default
-/// `LoadOptions`) that never reach onload within the 300 s horizon:
+/// The fault-free loads of the paper grid (`RunSpec::at(Reduced)`:
+/// `corpus()[..12]` × 4 networks × the five stacks × 11 runs at seed
+/// 1910) that never reach onload within the 300 s horizon:
 /// `(site, stack, run)`, all on DA2GC, each with thousands of
 /// retransmissions. EXPERIMENTS.md lists them as an open input; a fix
 /// or a named deviation turns each assertion below into `complete`.
@@ -250,11 +271,11 @@ const INCOMPLETE_DA2GC_LOADS: [(&str, Protocol, u32); 5] = [
 
 #[test]
 fn five_fault_free_paper_grid_loads_stay_incomplete() {
-    let net = NetworkKind::Da2gc.config();
+    let grid = RunSpec::at(pq_bench::Scale::Reduced);
     for (name, protocol, run) in INCOMPLETE_DA2GC_LOADS {
-        let site = web::site(name).expect("corpus");
-        let seed = run_seed(1910, name, NetworkKind::Da2gc, protocol, run);
-        let r = load_page(&site, &net, protocol, seed, &LoadOptions::default());
+        let site = grid.sites.iter().position(|s| s.name == name);
+        let site = site.expect("a site of the paper grid") as u16;
+        let r = grid.load(site, NetworkKind::Da2gc, protocol, run).unwrap();
         assert!(
             !r.complete,
             "{name} {protocol} run {run} on DA2GC now completes ({} retransmits)",

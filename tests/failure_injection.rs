@@ -94,17 +94,38 @@ fn zero_processing_ablation_still_works() {
 
 // ---------------------------------------------------------------------------
 // pq-fault spec-driven cases: the injector is threaded explicitly via
-// `LoadOptions::faults` / `build_with_faults` (never the process
+// `LoadOptions::faults` or a grid's `RunSpec` (never the process
 // global, so tests cannot interfere with each other).
 // ---------------------------------------------------------------------------
 
 use perceiving_quic::fault::FaultPlan;
-use perceiving_quic::study::stimulus::run_seed;
-use perceiving_quic::study::StimulusSet;
+use pq_bench::RunSpec;
 use std::sync::Arc;
 
+/// The plan of one page load outside any grid.
 fn plan(spec: &str) -> Arc<FaultPlan> {
     Arc::new(FaultPlan::parse(spec).expect("valid fault spec"))
+}
+
+/// `sites` × `networks` × `stacks` × `runs` at `seed` under the fault
+/// `spec`.
+fn faulted(
+    sites: &[&str],
+    networks: &[NetworkKind],
+    stacks: &[Protocol],
+    runs: u32,
+    seed: u64,
+    spec: &str,
+) -> RunSpec {
+    let grid = RunSpec {
+        sites: sites.iter().map(|n| web::site(n).unwrap()).collect(),
+        networks: networks.to_vec(),
+        stacks: stacks.to_vec(),
+        runs,
+        seed,
+        faults: None,
+    };
+    grid.with_faults(spec).expect("valid fault spec")
 }
 
 #[test]
@@ -212,30 +233,12 @@ fn faulted_tree(
     runs: u32,
     jobs: usize,
 ) -> Vec<(String, String)> {
-    let sites: Vec<Website> = sites.iter().map(|n| web::site(n).unwrap()).collect();
-    let faults = Some(plan(spec));
+    let networks = [NetworkKind::Dsl, NetworkKind::Lte];
+    let grid = faulted(sites, &networks, stacks, runs, 13, spec);
     perceiving_quic::par::set_jobs(Some(jobs));
-    let stimuli = StimulusSet::build_with_faults(
-        &sites,
-        &[NetworkKind::Dsl, NetworkKind::Lte],
-        stacks,
-        runs,
-        13,
-        faults.clone(),
-    );
-    let data =
-        perceiving_quic::study::run_study_with(&stimuli, &Protocol::pairs_for(stacks), stacks, 13);
+    let e = grid.run();
     perceiving_quic::par::set_jobs(None);
-    pq_bench::contract(&pq_bench::Experiment {
-        spec: pq_bench::RunSpec {
-            seed: 13,
-            stacks: stacks.to_vec(),
-            faults,
-            ..Default::default()
-        },
-        stimuli,
-        data,
-    })
+    pq_bench::contract(&e)
 }
 
 /// [`faulted_tree`] at 1 and 4 workers: a failure names every node
@@ -270,14 +273,13 @@ fn grid_cells_complete_or_quarantine_under_faults() {
     // Moderate fault mix over a small grid: every cell must either
     // survive (valid stimulus present) or be quarantined — never lost
     // silently, never a panic.
-    let faults = plan("seed=3;gel:pgb=0.01,pbg=0.3,bad=0.3;stall:p=0.05,ms=800");
-    let sites = vec![
-        web::site("apache.org").unwrap(),
-        web::site("gov.uk").unwrap(),
-    ];
-    let networks = [NetworkKind::Dsl, NetworkKind::Lte];
-    let protocols = [Protocol::Tcp, Protocol::Quic];
-    let set = StimulusSet::build_with_faults(&sites, &networks, &protocols, 2, 5, Some(faults));
+    let (networks, protocols) = (
+        [NetworkKind::Dsl, NetworkKind::Lte],
+        [Protocol::Tcp, Protocol::Quic],
+    );
+    let spec = "seed=3;gel:pgb=0.01,pbg=0.3,bad=0.3;stall:p=0.05,ms=800";
+    let grid = faulted(&["apache.org", "gov.uk"], &networks, &protocols, 2, 5, spec);
+    let (set, sites) = (grid.stimuli(), &grid.sites);
     for (si, site) in sites.iter().enumerate() {
         for net in networks {
             for proto in protocols {
@@ -307,16 +309,16 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
     // complete, so the retry budget drains and *every* cell is
     // quarantined — and the downstream study must still run on the
     // empty set instead of panicking.
-    let faults = plan("trunc:p=1,frac=0.3");
-    let sites = vec![web::site("apache.org").unwrap()];
-    let set = StimulusSet::build_with_faults(
-        &sites,
+    let stacks = [Protocol::Tcp, Protocol::Quic];
+    let grid = faulted(
+        &["apache.org"],
         &[NetworkKind::Dsl],
-        &[Protocol::Tcp, Protocol::Quic],
+        &stacks,
         2,
         7,
-        Some(faults.clone()),
+        "trunc:p=1,frac=0.3",
     );
+    let set = grid.stimuli();
     assert_eq!(set.quarantined().len(), 2, "{:?}", set.quarantined());
     assert!(set.iter().next().is_none(), "no cell can survive trunc:p=1");
     // Liveness is deterministic: a cell makes at most 16 attempts
@@ -326,15 +328,7 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
         assert_eq!(q.reason, "no valid run in 16 attempts", "{q:?}");
         assert_eq!(q.counts.loads, 16, "{q:?}");
     }
-    assert_counts_sum_every_attempt(
-        &set,
-        &sites,
-        &[NetworkKind::Dsl],
-        &[Protocol::Tcp, Protocol::Quic],
-        2,
-        7,
-        &faults,
-    );
+    assert_counts_sum_every_attempt(&grid, &set);
     assert_eq!(set.runs_retried(), 32, "every attempt of both cells");
     // Graceful degradation: the studies vote on nothing, but run.
     let data = run_study(&set, 7);
@@ -342,34 +336,22 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
     assert!(data.ratings.is_empty());
 }
 
-/// Re-run every attempt `build_with_faults` made for each cell of
-/// `set` — `run_seed(seed, site, network, stack, attempt)` for attempt
-/// 0, 1, … until `runs` loads were valid (complete, well-ordered) or
-/// the cell's budget of 8 × `runs` ran out — and hold each cell's
-/// `counts`, quarantined cells' included, to the sum of its attempts'
+/// Re-run every attempt `grid.stimuli()` made for each cell of `set` —
+/// `grid.load(site, network, stack, attempt)` for attempt 0, 1, … until
+/// `runs` loads were valid (complete, well-ordered) or the cell's
+/// budget of 8 × `runs` ran out — and hold each cell's `counts`,
+/// quarantined cells' included, to the sum of its attempts'
 /// `PageLoadResult::counts`, and the set's `counts()` to the sum over
 /// every cell.
-fn assert_counts_sum_every_attempt(
-    set: &StimulusSet,
-    sites: &[Website],
-    networks: &[NetworkKind],
-    stacks: &[Protocol],
-    runs: u32,
-    seed: u64,
-    faults: &Arc<FaultPlan>,
-) {
-    let opts = LoadOptions {
-        faults: Some(faults.clone()),
-        ..LoadOptions::default()
-    };
+fn assert_counts_sum_every_attempt(grid: &RunSpec, set: &StimulusSet) {
+    let runs = grid.runs;
     let mut total = web::LoadCounts::default();
-    for (si, site) in sites.iter().enumerate() {
-        for &network in networks {
-            for &stack in stacks {
+    for (si, site) in grid.sites.iter().enumerate() {
+        for &network in &grid.networks {
+            for &stack in &grid.stacks {
                 let (mut counts, mut valid, mut attempt) = (web::LoadCounts::default(), 0, 0);
                 while valid < runs && attempt < 8 * runs {
-                    let rs = run_seed(seed, &site.name, network, stack, attempt);
-                    let r = load_page(site, &network.config(), stack, rs, &opts);
+                    let r = grid.load(si as u16, network, stack, attempt).unwrap();
                     valid += u32::from(r.complete && r.metrics.well_ordered());
                     counts += r.counts;
                     attempt += 1;
@@ -405,23 +387,23 @@ fn assert_counts_sum_every_attempt(
 fn cell_counts_sum_retried_and_quarantined_attempts() {
     // Truncated bodies: some cells retry their way to a valid run,
     // others never find one and are quarantined.
-    let faults = plan("seed=3;trunc:p=0.15");
-    let sites: Vec<Website> = ["apache.org", "wikipedia.org"]
-        .iter()
-        .map(|n| web::site(n).unwrap())
-        .collect();
-    let (networks, stacks) = (
-        [NetworkKind::Lte],
-        [Protocol::Tcp, Protocol::Quic, Protocol::H2Edge],
+    let stacks = [Protocol::Tcp, Protocol::Quic, Protocol::H2Edge];
+    let sites = ["apache.org", "wikipedia.org"];
+    let grid = faulted(
+        &sites,
+        &[NetworkKind::Lte],
+        &stacks,
+        1,
+        5,
+        "seed=3;trunc:p=0.15",
     );
-    let set =
-        StimulusSet::build_with_faults(&sites, &networks, &stacks, 1, 5, Some(faults.clone()));
+    let set = grid.stimuli();
     assert!(
         set.iter().any(|s| s.counts.loads > u64::from(s.runs)),
         "no built cell retried"
     );
     assert_eq!(set.quarantined().len(), 1, "{:?}", set.quarantined());
-    assert_counts_sum_every_attempt(&set, &sites, &networks, &stacks, 1, 5, &faults);
+    assert_counts_sum_every_attempt(&grid, &set);
     // Every load is a stimulus's valid run or a retry.
     assert_eq!(set.runs_retried(), 24);
     assert_eq!(set.counts().loads, 24 + 5);

@@ -25,11 +25,14 @@ const MAX_PEAK_BYTES: u64 = 3_689_915;
 
 /// Two sites × every network × the five Table 1 stacks, one run each.
 fn stimuli() -> StimulusSet {
-    let sites: Vec<Website> = ["apache.org", "wikipedia.org"]
-        .iter()
-        .map(|n| site(n).expect("corpus site"))
-        .collect();
-    StimulusSet::build(&sites, &NetworkKind::ALL, &Protocol::ALL, 1, 1910)
+    let grid = pq_bench::RunSpec {
+        sites: ["apache.org", "wikipedia.org"]
+            .map(|n| site(n).expect("corpus site"))
+            .to_vec(),
+        runs: 1,
+        ..pq_bench::RunSpec::default()
+    };
+    grid.stimuli()
 }
 
 #[test]
