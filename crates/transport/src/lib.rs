@@ -58,7 +58,6 @@ pub mod rate;
 pub mod rtt;
 pub(crate) mod seglog;
 pub(crate) mod sender;
-pub(crate) mod sentlog;
 pub mod tcp;
 pub mod wire;
 

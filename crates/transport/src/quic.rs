@@ -17,8 +17,8 @@ use crate::config::StackConfig;
 use crate::idmap::{IdMap, IdSet};
 use crate::rangeset::{Range, RangeSet};
 use crate::rate::TxRecord;
+use crate::seglog::SegLog;
 use crate::sender::SenderCore;
-use crate::sentlog::SentLog;
 use crate::wire::{QuicFrame, QuicPacket, Wire};
 use pq_sim::{ConnId, Direction, Packet, SimDuration, SimTime};
 
@@ -85,12 +85,12 @@ struct RecvStream {
 #[derive(Debug)]
 struct QuicEndpoint {
     /// Congestion control, pacing, RTT and the RTO / pacing timers;
-    /// its `bytes_in_flight` counts ack-eliciting packets only.
+    /// its `bytes_in_flight` counts ack-eliciting packets only (the RTO
+    /// is armed while it is > 0).
     core: SenderCore,
     next_pn: u64,
-    sent: SentLog<SentPacket>,
-    /// Ack-eliciting packets in `sent` (the RTO is armed while > 0).
-    eliciting_in_flight: u32,
+    /// Outstanding packets by packet number.
+    sent: SegLog<SentPacket>,
     largest_acked: Option<u64>,
     /// Receive state: which packet numbers arrived.
     recv_pns: RangeSet,
@@ -130,8 +130,7 @@ impl QuicEndpoint {
         QuicEndpoint {
             core: SenderCore::new(is_client, cfg),
             next_pn: 1,
-            sent: SentLog::new(),
-            eliciting_in_flight: 0,
+            sent: SegLog::new(),
             largest_acked: None,
             recv_pns: RangeSet::new(),
             max_ack_ranges: cfg.max_sack_blocks,
@@ -216,8 +215,7 @@ impl QuicEndpoint {
 
     /// Log a packet that just left as `pn`.
     fn log_sent(&mut self, now: SimTime, pn: u64, size: u32, frame: Option<SentFrame>) {
-        self.eliciting_in_flight += u32::from(frame.is_some());
-        self.sent.push(
+        self.sent.insert(
             pn,
             SentPacket {
                 size,
@@ -226,17 +224,6 @@ impl QuicEndpoint {
                 tx: self.core.rate.on_send(now),
             },
         );
-    }
-
-    /// Take `pn` out of the sent log (ACKed or declared lost).
-    fn unlog(&mut self, pn: u64) -> Option<SentPacket> {
-        let sp = self.sent.remove(pn)?;
-        if sp.ack_eliciting() {
-            self.eliciting_in_flight -= 1;
-            self.core.bytes_in_flight =
-                self.core.bytes_in_flight.saturating_sub(u64::from(sp.size));
-        }
-        Some(sp)
     }
 
     /// Emit a packet carrying nothing but the pending ACK frame.
@@ -412,31 +399,35 @@ impl QuicEndpoint {
             // …and once one lies wholly below the oldest outstanding
             // packet (retired long ago), so do all the rest: most of an
             // ACK's ranges do.
-            if r.end <= self.sent.first_pn() {
+            if self.sent.first().is_none_or(|first| r.end <= first) {
                 break;
             }
-            let outstanding = r.start.max(self.sent.first_pn())..r.end.min(self.sent.end());
-            for pn in outstanding {
-                let Some(sp) = self.unlog(pn) else {
-                    continue; // ACKed before, or declared lost
-                };
-                if sp.ack_eliciting() {
-                    newly_acked_bytes += u64::from(sp.size);
-                }
-                largest_newly = Some(largest_newly.map_or(pn, |l: u64| l.max(pn)));
-                if let Some(SentFrame::Stream { id, offset, len }) = sp.frame {
-                    if let Some(s) = self.send_streams.get_mut(id) {
-                        s.acked.insert(offset, offset + u64::from(len));
+            // What is no longer in the log was ACKed before, or
+            // declared lost.
+            self.sent.take_where(
+                r.start,
+                r.end,
+                |_, _| true,
+                |pn, sp| {
+                    if sp.ack_eliciting() {
+                        self.core.on_left_flight(u64::from(sp.size));
+                        newly_acked_bytes += u64::from(sp.size);
                     }
-                }
-                let sample = self.core.rate.on_ack(now, u64::from(sp.size), sp.tx);
-                if sample.is_some() {
-                    rate_sample = sample;
-                }
-                if Some(pn) == largest_newly {
-                    rtt_sample = Some(now - sp.sent_at);
-                }
-            }
+                    largest_newly = Some(largest_newly.map_or(pn, |l: u64| l.max(pn)));
+                    if let Some(SentFrame::Stream { id, offset, len }) = sp.frame {
+                        if let Some(s) = self.send_streams.get_mut(id) {
+                            s.acked.insert(offset, offset + u64::from(len));
+                        }
+                    }
+                    let sample = self.core.rate.on_ack(now, u64::from(sp.size), sp.tx);
+                    if sample.is_some() {
+                        rate_sample = sample;
+                    }
+                    if Some(pn) == largest_newly {
+                        rtt_sample = Some(now - sp.sent_at);
+                    }
+                },
+            );
         }
 
         if let Some(s) = rtt_sample {
@@ -453,27 +444,25 @@ impl QuicEndpoint {
                 .srtt_or(SimDuration::from_millis(100))
                 .max(self.core.rtt.latest())
                 .mul_f64(1.125);
-            for pn in self.sent.first_pn()..largest.min(self.sent.end()) {
-                let Some(sp) = self.sent.get(pn) else {
-                    continue;
-                };
-                let by_count = largest >= pn + PKT_THRESH;
-                let by_time = sp.sent_at + time_thresh <= now;
-                if !(by_count || by_time) {
-                    continue;
-                }
-                let Some(sp) = self.unlog(pn) else {
-                    continue; // `get` just found it
-                };
+            let lost = |pn: u64, sp: &SentPacket| {
+                largest >= pn + PKT_THRESH || sp.sent_at + time_thresh <= now
+            };
+            self.sent.take_where(0, largest, lost, |pn, sp| {
                 if sp.ack_eliciting() {
+                    self.core.on_left_flight(u64::from(sp.size));
                     // Only real data losses are congestion signals; a
                     // "lost" pure-ACK packet carries nothing.
                     max_lost_eliciting = Some(pn);
                 }
                 if let Some(frame) = sp.frame {
-                    self.requeue_frame(frame);
+                    Self::requeue_frame(
+                        frame,
+                        &mut self.hs_queue,
+                        &mut self.send_streams,
+                        &mut self.lossy_streams,
+                    );
                 }
-            }
+            });
         }
         if let Some(lost_pn) = max_lost_eliciting {
             // New cutback only for losses of packets sent after the
@@ -486,16 +475,22 @@ impl QuicEndpoint {
 
         self.core
             .on_acked(now, newly_acked_bytes, rtt_sample, rate_sample, out);
-        self.core.rearm_rto(now, self.eliciting_in_flight > 0);
+        self.core.rearm_rto(now, self.core.bytes_in_flight > 0);
         self.try_send(now, conn, out);
     }
 
-    /// Queue a lost packet's frame for retransmission.
-    fn requeue_frame(&mut self, frame: SentFrame) {
+    /// Queue a lost packet's frame for retransmission: handshake
+    /// frames on `hs_queue`, stream data in its stream's `lost` set.
+    fn requeue_frame(
+        frame: SentFrame,
+        hs_queue: &mut Vec<SentFrame>,
+        send_streams: &mut IdMap<SendStream>,
+        lossy_streams: &mut IdSet,
+    ) {
         match frame {
-            SentFrame::Chlo | SentFrame::Shlo { .. } => self.hs_queue.push(frame),
+            SentFrame::Chlo | SentFrame::Shlo { .. } => hs_queue.push(frame),
             SentFrame::Stream { id, offset, len } => {
-                let Some(s) = self.send_streams.get_mut(id) else {
+                let Some(s) = send_streams.get_mut(id) else {
                     return;
                 };
                 // Only re-queue what the peer hasn't ACKed: the gaps
@@ -511,7 +506,7 @@ impl QuicEndpoint {
                 }
                 s.lost.insert(gap_start, end);
                 if !s.lost.is_empty() {
-                    self.lossy_streams.insert(id);
+                    lossy_streams.insert(id);
                 }
             }
         }
@@ -519,14 +514,21 @@ impl QuicEndpoint {
 
     fn on_rto(&mut self, now: SimTime, conn: ConnId, out: &mut Vec<Output>) {
         self.core.on_rto(now, self.next_pn, out);
-        // Declare everything outstanding lost.
-        for pn in self.sent.first_pn()..self.sent.end() {
-            if let Some(frame) = self.unlog(pn).and_then(|sp| sp.frame) {
-                self.requeue_frame(frame);
+        // Declare everything outstanding lost, oldest first.
+        while let Some((_, sp)) = self.sent.pop_front() {
+            if sp.ack_eliciting() {
+                self.core.on_left_flight(u64::from(sp.size));
+            }
+            if let Some(frame) = sp.frame {
+                Self::requeue_frame(
+                    frame,
+                    &mut self.hs_queue,
+                    &mut self.send_streams,
+                    &mut self.lossy_streams,
+                );
             }
         }
         self.cutback_pn = self.next_pn;
-        self.core.rearm_rto(now, true);
         self.try_send(now, conn, out);
     }
 

@@ -1,20 +1,26 @@
-//! The TCP scoreboard: segments in flight by starting sequence number.
+//! The in-flight log both stacks keep: what was sent, by key.
 //!
-//! Fresh segments always start above everything already sent, and the
-//! cumulative ACK retires the oldest ones, so an ordered map is more
-//! than the job needs: a start-ordered deque appends at the back and
-//! trims at the front in O(1). A segment SACKed or declared lost in
-//! the middle leaves a hole that keeps its start; a retransmission of
-//! the same bytes refills it in place, and one that starts elsewhere
-//! is inserted at its binary-searched position (rare: only partial
-//! SACK coverage splits a segment's bytes).
+//! TCP keys a segment by its starting sequence number, QUIC a packet
+//! by its packet number. Fresh entries always key above everything
+//! already sent, and ACKs retire the oldest ones first, so an ordered
+//! map is more than the job needs: a key-ordered deque appends at the
+//! back and trims at the front in O(1). An entry ACKed or declared
+//! lost in the middle leaves a hole that keeps its key. A TCP
+//! retransmission of the same bytes refills it in place, and one that
+//! starts elsewhere is inserted at its binary-searched position (rare:
+//! only partial SACK coverage splits a segment's bytes); QUIC never
+//! reuses a packet number, so all its inserts append.
+//!
+//! The log knows no loss rule: each stack passes its own to
+//! [`SegLog::take_where`] as `pick` (TCP: the SACK cutoff and the RACK
+//! watermark; QUIC: the packet and time thresholds).
 
 use std::collections::VecDeque;
 
-/// Entries keyed by a start that fresh entries only grow, ascending.
+/// Entries keyed by a number that fresh entries only grow, ascending.
 #[derive(Debug)]
 pub(crate) struct SegLog<T> {
-    /// Strictly ascending starts; `None` = a hole. The front and back
+    /// Strictly ascending keys; `None` = a hole. The front and back
     /// slots are always occupied, so an empty deque is an empty log.
     slots: VecDeque<(u64, Option<T>)>,
 }
@@ -30,25 +36,34 @@ impl<T> SegLog<T> {
         self.slots.is_empty()
     }
 
-    /// Index of the first slot starting at or above `start`.
-    fn position(&self, start: u64) -> usize {
+    /// The oldest entry's key.
+    pub(crate) fn first(&self) -> Option<u64> {
+        self.slots.front().map(|s| s.0)
+    }
+
+    /// Index of the first slot keyed at or above `key`.
+    fn position(&self, key: u64) -> usize {
         match (self.slots.front(), self.slots.back()) {
-            (Some(front), _) if start <= front.0 => 0,
-            (_, Some(back)) if start > back.0 => self.slots.len(),
-            _ => self.slots.partition_point(|s| s.0 < start),
+            (Some(front), _) if key <= front.0 => 0,
+            (_, Some(back)) if key > back.0 => self.slots.len(),
+            _ => self.slots.partition_point(|s| s.0 < key),
         }
     }
 
-    /// Log `value` at `start`, replacing whatever starts there.
-    pub(crate) fn insert(&mut self, start: u64, value: T) {
-        let i = self.position(start);
+    /// Log `value` at `key`, replacing whatever is keyed there.
+    pub(crate) fn insert(&mut self, key: u64, value: T) {
+        if self.slots.back().is_none_or(|back| back.0 < key) {
+            self.slots.push_back((key, Some(value)));
+            return;
+        }
+        let i = self.position(key);
         match self.slots.get_mut(i) {
-            Some(slot) if slot.0 == start => slot.1 = Some(value),
-            _ => self.slots.insert(i, (start, Some(value))),
+            Some(slot) if slot.0 == key => slot.1 = Some(value),
+            _ => self.slots.insert(i, (key, Some(value))),
         }
     }
 
-    /// Take the oldest entry if it starts below `below`.
+    /// Take the oldest entry if it is keyed below `below`.
     pub(crate) fn pop_front_below(&mut self, below: u64) -> Option<(u64, T)> {
         if self.slots.front()?.0 >= below {
             return None;
@@ -58,27 +73,29 @@ impl<T> SegLog<T> {
 
     /// Take the oldest entry.
     pub(crate) fn pop_front(&mut self) -> Option<(u64, T)> {
-        let (start, value) = self.slots.pop_front()?;
+        let (key, value) = self.slots.pop_front()?;
         self.trim();
-        Some((start, value?))
+        Some((key, value?))
     }
 
-    /// Take every entry starting in `[from, to)` that `pick` selects,
-    /// appending them to `out` in ascending order; holes stay behind.
+    /// Take every entry keyed in `[from, to)` that `pick` selects,
+    /// handing each to `take` in ascending order; holes stay behind.
     pub(crate) fn take_where(
         &mut self,
         from: u64,
         to: u64,
         mut pick: impl FnMut(u64, &T) -> bool,
-        out: &mut Vec<(u64, T)>,
+        mut take: impl FnMut(u64, T),
     ) {
         let first = self.position(from);
-        for (start, slot) in self.slots.range_mut(first..) {
-            if *start >= to {
+        for (key, slot) in self.slots.range_mut(first..) {
+            if *key >= to {
                 break;
             }
-            if slot.as_ref().is_some_and(|v| pick(*start, v)) {
-                out.extend(slot.take().map(|v| (*start, v)));
+            if slot.as_ref().is_some_and(|v| pick(*key, v)) {
+                if let Some(v) = slot.take() {
+                    take(*key, v);
+                }
             }
         }
         self.trim();
@@ -96,6 +113,15 @@ impl<T> SegLog<T> {
 }
 
 #[cfg(test)]
+impl<T> SegLog<T> {
+    /// The entry keyed at `key`, if any.
+    pub(crate) fn get(&self, key: u64) -> Option<&T> {
+        let slot = self.slots.get(self.position(key))?;
+        slot.1.as_ref().filter(|_| slot.0 == key)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -109,33 +135,52 @@ mod tests {
             .collect()
     }
 
+    /// Take what `pick` selects in `[from, to)`, in the order `take` saw it.
+    fn taken<T>(
+        log: &mut SegLog<T>,
+        from: u64,
+        to: u64,
+        pick: impl FnMut(u64, &T) -> bool,
+    ) -> Vec<(u64, T)> {
+        let mut out = Vec::new();
+        log.take_where(from, to, pick, |k, v| out.push((k, v)));
+        out
+    }
+
     #[test]
     fn holes_refill_in_place_and_ends_trim() {
         let mut log = SegLog::new();
         for seq in [0u64, 10, 20, 30] {
             log.insert(seq, seq + 10);
         }
-        let mut out = Vec::new();
-        log.take_where(10, 30, |s, _| s == 10, &mut out);
-        assert_eq!(out, vec![(10, 20)]);
+        log.insert(30, 35);
+        assert_eq!(log.slots.len(), 4, "a key at the back is replaced");
+        assert_eq!(taken(&mut log, 10, 30, |s, _| s == 10), vec![(10, 20)]);
         assert_eq!(log.slots.len(), 4, "a hole in the middle stays");
+        assert_eq!(log.get(10), None);
         log.insert(10, 15);
         assert_eq!(log.slots.len(), 4, "the retransmission refills it");
         log.insert(15, 20);
         assert_eq!(
             entries(&log),
-            vec![(0, 10), (10, 15), (15, 20), (20, 30), (30, 40)]
+            vec![(0, 10), (10, 15), (15, 20), (20, 30), (30, 35)]
         );
-        out.clear();
-        log.take_where(0, 100, |s, _| s != 15, &mut out);
-        assert_eq!(out.len(), 4);
+        assert_eq!(
+            taken(&mut log, 0, 100, |s, _| s != 15),
+            vec![(0, 10), (10, 15), (20, 30), (30, 35)],
+            "`take` sees entries in ascending order"
+        );
         assert_eq!(log.slots.len(), 1, "holes at both ends are trimmed");
+        assert_eq!(log.first(), Some(15));
         assert_eq!(log.pop_front_below(15), None);
         assert_eq!(log.pop_front_below(16), Some((15, 20)));
         assert!(log.is_empty());
+        assert_eq!(log.first(), None);
+        log.insert(50, 1);
+        assert_eq!((log.first(), log.get(50)), (Some(50), Some(&1)));
     }
 
-    /// A TCP sender's segment: `[start, end)` and a tag.
+    /// A sent entry: `[key, end)` and a tag.
     #[derive(Clone, Copy, Debug, PartialEq)]
     struct Seg {
         end: u64,
@@ -143,14 +188,18 @@ mod tests {
     }
 
     proptest! {
-        /// The log agrees with a `BTreeMap<u64, _>` under the moves the
-        /// TCP sender makes: fresh appends, retransmissions refilling a
-        /// hole or landing between entries, the cumulative ACK's front
-        /// trim with a partially covered segment re-inserted at the ACK
-        /// point, SACK / loss removals over a window, and the RTO drain.
+        /// The log agrees with a `BTreeMap<u64, _>` under the moves
+        /// both senders make. TCP's: fresh appends, retransmissions
+        /// refilling a hole or landing between entries, the cumulative
+        /// ACK's front trim with a partially covered segment
+        /// re-inserted at the ACK point, and SACK / loss removals over a
+        /// window. QUIC's: consecutive packet numbers, one ACKed
+        /// number taken (present or not, anywhere), the oldest taken,
+        /// and every entry of an ACK range taken. Both: the RTO's
+        /// drain, oldest first.
         #[test]
         fn matches_a_btreemap_scoreboard(
-            ops in prop::collection::vec((0u8..10, 0u64..64, 1u64..16), 1..200)
+            ops in prop::collection::vec((0u8..14, 0u64..64, 1u64..16), 1..200)
         ) {
             let mut log: SegLog<Seg> = SegLog::new();
             let mut model: BTreeMap<u64, Seg> = BTreeMap::new();
@@ -158,7 +207,7 @@ mod tests {
             let mut snd_nxt = 0u64;
             // Bytes out of flight (SACKed or lost) a retransmission may resend.
             let mut gone: Vec<(u64, u64)> = Vec::new();
-            let (mut out, mut want) = (Vec::new(), Vec::new());
+            let mut want = Vec::new();
             for (op, a, len) in ops {
                 match op {
                     // A fresh segment.
@@ -210,13 +259,31 @@ mod tests {
                             g.0 = g.0.max(snd_una);
                         }
                     }
-                    // SACK retirement or loss marking over a window.
-                    7..=8 => {
-                        let from = snd_una + a.saturating_sub(8);
-                        let to = from + 4 * len;
-                        let pick = |s: u64, seg: &Seg| !(s ^ seg.tag ^ len).is_multiple_of(3);
-                        out.clear();
-                        log.take_where(from, to, pick, &mut out);
+                    // Consecutive packet numbers, one key each.
+                    9 => {
+                        for _ in 0..len {
+                            let seg = Seg { end: snd_nxt + 1, tag: a };
+                            log.insert(snd_nxt, seg);
+                            model.insert(snd_nxt, seg);
+                            snd_nxt += 1;
+                        }
+                    }
+                    // Removals: SACK retirement or loss marking over a
+                    // window (7, 8), one key in the recent window
+                    // (10), the oldest entry (11), a whole ACK range
+                    // (12).
+                    7 | 8 | 10..=12 => {
+                        let (from, to) = match op {
+                            10 => (snd_nxt.saturating_sub(a), snd_nxt.saturating_sub(a) + 1),
+                            11 => {
+                                let first = model.keys().next().copied().unwrap_or(snd_nxt);
+                                (first, first + 1)
+                            }
+                            _ => (snd_una + a.saturating_sub(8), snd_una + a.saturating_sub(8) + 4 * len),
+                        };
+                        let all = op >= 10;
+                        let pick = |s: u64, seg: &Seg| all || !(s ^ seg.tag ^ len).is_multiple_of(3);
+                        let out = taken(&mut log, from, to, pick);
                         want.clear();
                         let picked = model.range(from..to).filter(|(s, g)| pick(**s, g));
                         want.extend(picked.map(|(s, g)| (*s, *g)));
@@ -238,8 +305,12 @@ mod tests {
                 let want: Vec<(u64, Seg)> = model.iter().map(|(s, g)| (*s, *g)).collect();
                 prop_assert_eq!(entries(&log), want);
                 prop_assert_eq!(log.is_empty(), model.is_empty());
+                prop_assert_eq!(log.first(), model.keys().next().copied());
+                for key in snd_nxt.saturating_sub(5)..snd_nxt + 2 {
+                    prop_assert_eq!(log.get(key), model.get(&key));
+                }
                 let starts: Vec<u64> = log.slots.iter().map(|s| s.0).collect();
-                prop_assert!(starts.windows(2).all(|w| w[0] < w[1]), "starts ascend: {:?}", starts);
+                prop_assert!(starts.windows(2).all(|w| w[0] < w[1]), "keys ascend: {:?}", starts);
             }
         }
     }

@@ -6,10 +6,11 @@
 //! controller, pacer, RTT and delivery-rate estimators, the RTO and
 //! pacing timers, the bytes-in-flight count and the gates a packet
 //! passes before it may leave. What stays in [`crate::tcp`] and
-//! [`crate::quic`] is what differs between the stacks — SACK scoreboard
-//! vs packet-number log, byte stream vs streams, 2-RTT vs 1-RTT
-//! handshake — including *which* bytes count as in flight and *when* a
-//! loss starts a new recovery episode.
+//! [`crate::quic`] is what differs between the stacks — byte stream vs
+//! streams, 2-RTT vs 1-RTT handshake, and the loss rule (the in-flight
+//! log is shared, [`crate::seglog::SegLog`]; which entries a stack
+//! declares lost is not) — including *which* bytes count as in flight
+//! and *when* a loss starts a new recovery episode.
 
 use crate::api::{ConnEvent, ConnEventKind, Output};
 use crate::cc::{AckInfo, CongestionControl};
@@ -130,6 +131,11 @@ impl SenderCore {
         }
     }
 
+    /// `size` tracked bytes left flight: ACKed or declared lost.
+    pub(crate) fn on_left_flight(&mut self, size: u64) {
+        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(size);
+    }
+
     /// Count and report one retransmission; `what` names `detail` (the
     /// sequence number or stream being resent).
     pub(crate) fn note_retransmit(
@@ -186,12 +192,13 @@ impl SenderCore {
     }
 
     /// The retransmission timeout fired: report it (`detail` is where
-    /// the stack's send state stood), back the timer off and collapse
-    /// the window. The caller then declares what was outstanding lost
-    /// and calls [`SenderCore::rearm_rto`].
+    /// the stack's send state stood), back the timer off, re-arm it and
+    /// collapse the window. The caller then declares what was
+    /// outstanding lost.
     pub(crate) fn on_rto(&mut self, now: SimTime, detail: u64, out: &mut Vec<Output>) {
         self.trace(now, ConnEventKind::Rto { detail }, out);
         self.rtt.on_rto_fired();
+        self.rto_at = Some(now + self.rtt.rto());
         self.cc.on_rto(now);
     }
 

@@ -75,9 +75,6 @@ struct TcpSender {
     peer_rwnd: u64,
     slow_start_after_idle: bool,
     initial_window: u64,
-    /// Scratch for the segments an ACK picks out of `inflight`
-    /// (SACK-retired, marked lost); kept for its capacity.
-    picked: Vec<(u64, SentSeg)>,
 }
 
 impl TcpSender {
@@ -96,7 +93,6 @@ impl TcpSender {
             peer_rwnd: cfg.recv_buffer_bytes,
             slow_start_after_idle: cfg.slow_start_after_idle,
             initial_window: cfg.initial_window_bytes(),
-            picked: Vec::new(),
         }
     }
 
@@ -193,11 +189,11 @@ impl TcpSender {
             // non-retransmitted one (Karn's rule).
             while let Some((start, mut seg)) = self.inflight.pop_front_below(cum) {
                 let acked = seg.end.min(cum) - start;
-                self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(acked);
+                self.core.on_left_flight(acked);
                 if seg.end <= cum && !seg.retx {
                     rtt_sample = Some(now - seg.sent_at);
                 }
-                self.track_delivered(seg.sent_at, start);
+                self.newest_delivered = self.newest_delivered.max((seg.sent_at, start));
                 let sample = self.core.rate.on_ack(now, acked, seg.tx);
                 if sample.is_some() {
                     rate_sample = sample;
@@ -223,27 +219,22 @@ impl TcpSender {
             if added > 0 {
                 newly_acked += added;
                 // Retire fully-SACKed segments.
-                let mut covered = std::mem::take(&mut self.picked);
-                let sacked = &self.sacked;
                 self.inflight.take_where(
                     r.start.saturating_sub(self.core.mss),
                     r.end,
-                    |s, seg| sacked.contains_range(s, seg.end),
-                    &mut covered,
+                    |s, seg| self.sacked.contains_range(s, seg.end),
+                    |start, seg| {
+                        self.core.on_left_flight(seg.end - start);
+                        if !seg.retx {
+                            rtt_sample = Some(now - seg.sent_at);
+                        }
+                        self.newest_delivered = self.newest_delivered.max((seg.sent_at, start));
+                        let sample = self.core.rate.on_ack(now, seg.end - start, seg.tx);
+                        if sample.is_some() {
+                            rate_sample = sample;
+                        }
+                    },
                 );
-                for (start, seg) in covered.drain(..) {
-                    self.core.bytes_in_flight =
-                        self.core.bytes_in_flight.saturating_sub(seg.end - start);
-                    if !seg.retx {
-                        rtt_sample = Some(now - seg.sent_at);
-                    }
-                    self.track_delivered(seg.sent_at, start);
-                    let sample = self.core.rate.on_ack(now, seg.end - start, seg.tx);
-                    if sample.is_some() {
-                        rate_sample = sample;
-                    }
-                }
-                self.picked = covered;
                 // Anything the receiver holds beyond this block was
                 // also delivered; the watermark advances via segments.
             }
@@ -260,25 +251,20 @@ impl TcpSender {
         // "≥ DUP_THRESH·MSS SACKed above it" holds exactly for the
         // segments ending at or below one cutoff, found once per ACK.
         if let Some(cutoff) = self.sacked.start_of_top(DUP_THRESH_SEGS * self.core.mss) {
-            let mut to_mark = std::mem::take(&mut self.picked);
-            let (sacked, newest_delivered) = (&self.sacked, self.newest_delivered);
             self.inflight.take_where(
                 0,
                 cutoff,
                 |start, seg| {
                     seg.end <= cutoff
-                        && newest_delivered > (seg.sent_at, start)
-                        && !sacked.contains_range(start, seg.end)
+                        && self.newest_delivered > (seg.sent_at, start)
+                        && !self.sacked.contains_range(start, seg.end)
                 },
-                &mut to_mark,
+                |start, seg| {
+                    self.core.on_left_flight(seg.end - start);
+                    self.lost.insert(start, seg.end);
+                    lost_any = true;
+                },
             );
-            for (start, seg) in to_mark.drain(..) {
-                self.core.bytes_in_flight =
-                    self.core.bytes_in_flight.saturating_sub(seg.end - start);
-                self.lost.insert(start, seg.end);
-                lost_any = true;
-            }
-            self.picked = to_mark;
             if lost_any {
                 // Exclude any SACKed slivers.
                 for r in self.sacked.iter() {
@@ -299,25 +285,18 @@ impl TcpSender {
         self.try_send(now, out);
     }
 
-    fn track_delivered(&mut self, sent_at: SimTime, seq: u64) {
-        if (sent_at, seq) > self.newest_delivered {
-            self.newest_delivered = (sent_at, seq);
-        }
-    }
-
     /// Fire the retransmission timeout.
     fn on_rto(&mut self, now: SimTime, out: &mut Vec<Output>) {
         self.core.on_rto(now, self.snd_una, out);
         // Everything unSACKed in flight is presumed lost.
         while let Some((start, seg)) = self.inflight.pop_front() {
-            self.core.bytes_in_flight = self.core.bytes_in_flight.saturating_sub(seg.end - start);
+            self.core.on_left_flight(seg.end - start);
             self.lost.insert(start, seg.end);
         }
         for r in self.sacked.iter() {
             self.lost.remove(r.start, r.end);
         }
         self.recovery_until = self.snd_nxt;
-        self.core.rearm_rto(now, true);
         self.try_send(now, out);
     }
 }
@@ -638,9 +617,8 @@ impl TcpConnection {
                 }
             }
             (TcpSegKind::Ack { cum, sacks }, dir) => {
-                // An ACK arriving at the server acknowledges s2c data …
-                // no: an ACK arriving at the *server* came from the
-                // client and acknowledges *server* data (s2c pipe).
+                // An ACK arriving at the server came from the client and
+                // acknowledges the server's (s2c) data.
                 let snd = match dir {
                     Direction::Up => &mut self.s2c_snd,
                     Direction::Down => &mut self.c2s_snd,
