@@ -32,7 +32,9 @@
 //! connections' records, a pinned number of each `transport` event
 //! (handshake spans, cwnd / ssthresh / sRTT counters, retransmit, RTO
 //! and pacing-hold instants) — and, from what its links hand back, of
-//! each link event (queue-bytes counters, tail-drop and loss instants).
+//! each link event (queue-bytes counters, tail-drop and loss instants),
+//! and, from its objects, its `web` rows (each object's waterfall span
+//! and the FVC / LVC / PLT markers, with their instants).
 //!
 //! So is what the links did: every load's packets offered, delivered,
 //! tail-dropped and randomly lost, out of its `LoadCounts`, are pinned
@@ -167,6 +169,67 @@ const TCP_PLUS_LINK: [(&str, u64); 5] = [
     ("downlink tail drop", 68),
     ("uplink queue bytes", 14),
     ("uplink random loss", 7),
+];
+
+/// `web`-category events per name of the traced `QUIC-EDGE` load,
+/// sorted by name: each object's request→processed span, named by its
+/// kind and size, and the FVC / LVC / PLT markers; with how many there
+/// are, their summed start instants and their summed durations, in ns.
+const QUIC_EDGE_WEB: [(&str, u64, u64, u64); 25] = [
+    ("Beacon 15155", 1, 2113156041, 2348250960),
+    ("Beacon 1567", 1, 2426165372, 2305463846),
+    ("Beacon 19405", 1, 2392510290, 2306452262),
+    ("Css 14691", 1, 1255330297, 2021971702),
+    ("Css 1596", 1, 936329401, 892051016),
+    ("Css 7071", 1, 827606662, 915014303),
+    ("Css 825", 1, 1215512127, 392641359),
+    ("FVC", 1, 1636905005, 0),
+    ("Font 17316", 1, 1386905005, 2778348156),
+    ("Font 2526", 1, 1386905005, 2199886629),
+    ("Html 9305", 1, 0, 1071035733),
+    ("Image 12929", 1, 951304088, 1123919400),
+    ("Image 315", 1, 1895703864, 2053510178),
+    ("Image 5915", 1, 1331450888, 1629905260),
+    ("Image 737", 1, 1651837317, 2287393177),
+    ("Image 7838", 1, 1333451785, 2436904337),
+    ("LVC", 1, 4165253161, 0),
+    ("PLT", 1, 4731629218, 0),
+    ("Script 1041", 1, 1336764141, 577552815),
+    ("Script 1356", 1, 1274251513, 617841499),
+    ("Script 14698", 1, 1256532630, 2170838210),
+    ("Script 27185", 1, 1333417427, 2415566101),
+    ("Script 4939", 1, 813079832, 573825173),
+    ("Script 5550", 1, 1120898527, 589446531),
+    ("Xhr 8028", 1, 972863550, 1907423825),
+];
+
+/// The same for `TCP+`.
+const TCP_PLUS_WEB: [(&str, u64, u64, u64); 25] = [
+    ("Beacon 15155", 1, 2874460055, 5634522029),
+    ("Beacon 1567", 1, 3187469386, 3129479097),
+    ("Beacon 19405", 1, 3153814304, 3118347855),
+    ("Css 14691", 1, 2014001832, 1925557084),
+    ("Css 1596", 1, 1741007772, 416482564),
+    ("Css 7071", 1, 1687488450, 6230389590),
+    ("Css 825", 1, 1997636653, 860925888),
+    ("FVC", 1, 2495181115, 0),
+    ("Font 17316", 1, 2245181115, 5620929175),
+    ("Font 2526", 1, 2245181115, 2399867442),
+    ("Html 9305", 1, 0, 1840903850),
+    ("Image 12929", 1, 1755982459, 927472321),
+    ("Image 315", 1, 2657007878, 448830655),
+    ("Image 5915", 1, 2092754902, 2365405165),
+    ("Image 737", 1, 2410508852, 411363229),
+    ("Image 7838", 1, 2094755799, 3570201622),
+    ("LVC", 1, 7866110290, 0),
+    ("PLT", 1, 8508982084, 0),
+    ("Script 1041", 1, 2098068155, 881016836),
+    ("Script 1356", 1, 2059008518, 920296973),
+    ("Script 14698", 1, 2015204165, 2784047522),
+    ("Script 27185", 1, 2094721441, 2869783966),
+    ("Script 4939", 1, 1672961620, 572219495),
+    ("Script 5550", 1, 1930841856, 1051399435),
+    ("Xhr 8028", 1, 1777541921, 1015814370),
 ];
 
 /// One count of a load's `LoadCounts`.
@@ -333,18 +396,20 @@ fn every_stack_executes_its_pinned_event_sequence() {
     // exactly its page, connection and leg rows, with every object's
     // row at `100 + id`, and draws its pinned transport events.
     pq_obs::tracer().set_level(pq_obs::Level::Debug);
-    for (protocol, want, transport, link) in [
+    for (protocol, want, transport, link, web) in [
         (
             Protocol::QuicEdge,
             &QUIC_EDGE_ROWS[..],
             &QUIC_EDGE_TRANSPORT[..],
             &QUIC_EDGE_LINK[..],
+            &QUIC_EDGE_WEB[..],
         ),
         (
             Protocol::TcpPlus,
             &TCP_PLUS_ROWS[..],
             &TCP_PLUS_TRANSPORT[..],
             &TCP_PLUS_LINK[..],
+            &TCP_PLUS_WEB[..],
         ),
     ] {
         let (r, popped) = load(&site, protocol);
@@ -388,6 +453,14 @@ fn every_stack_executes_its_pinned_event_sequence() {
             "{}: link events per name",
             protocol.label()
         );
+        assert_eq!(
+            web_rows(pid),
+            web.iter()
+                .map(|&(n, c, ts, dur)| (n.to_string(), c, ts, dur))
+                .collect::<Vec<_>>(),
+            "{}: web events per name",
+            protocol.label()
+        );
     }
     pq_obs::tracer().set_level(pq_obs::Level::Off);
 }
@@ -408,6 +481,26 @@ fn events_per_name(pid: u32, cats: &[&str]) -> Vec<(String, u64)> {
     }
     counts.sort();
     counts
+}
+
+/// The `web`-category events the tracer holds for load `pid`, per
+/// name, sorted by name: `(name, count, Σ ts ns, Σ duration ns)`.
+fn web_rows(pid: u32) -> Vec<(String, u64, u64, u64)> {
+    let mut rows: Vec<(String, u64, u64, u64)> = Vec::new();
+    let snapshot = pq_obs::tracer().snapshot();
+    for ev in snapshot.iter().filter(|e| e.pid == pid && e.cat == "web") {
+        let i = match rows.iter().position(|r| r.0 == ev.name) {
+            Some(i) => i,
+            None => {
+                rows.push((ev.name.clone(), 0, 0, 0));
+                rows.len() - 1
+            }
+        };
+        let row = &mut rows[i];
+        (row.1, row.2, row.3) = (row.1 + 1, row.2 + ev.ts_ns, row.3 + ev.dur_ns);
+    }
+    rows.sort();
+    rows
 }
 
 /// The tracer process of the page load the tracer knows as `process`,
