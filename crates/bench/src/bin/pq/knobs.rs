@@ -1,16 +1,15 @@
 //! The knobs, parsed once: [`parse`] turns every `PQ_*` variable the
 //! workspace reads (README "Knobs") into one [`Knobs`] value before any
 //! subcommand runs: `PQ_SCALE`, `PQ_SEED`, `PQ_STACKS` and `PQ_FAULTS`
-//! into the [`RunSpec`], `PQ_JOBS` for the pool, `PQ_TRACE`,
-//! `PQ_TRACE_BUF` and `PQ_TRACE_OUT` for the tracer, and
-//! `PQ_PROF_ALLOC` and `PQ_PROF_OUT` for the profiler. An output runs
-//! exactly when its knob names a file: `PQ_TRACE_OUT` turns the tracer
-//! on, `PQ_PROF_OUT` the span profiler. A malformed value, or one that
+//! into the [`RunSpec`], `PQ_JOBS` for the pool, `PQ_TRACE` and
+//! `PQ_TRACE_OUT` for the trace, and `PQ_PROF_ALLOC` and `PQ_PROF_OUT`
+//! for the profiler. An output runs exactly when its knob names a file:
+//! `PQ_TRACE_OUT` turns the trace on (the grid's page loads, replayed
+//! at exit, and the harness's rows), `PQ_PROF_OUT` the span profiler. A malformed value, or one that
 //! cannot take effect, gives its documented default and a warning;
 //! none is silently swallowed.
 
 use pq_bench::{RunSpec, Scale};
-use pq_obs::trace::DEFAULT_RING_CAPACITY;
 use pq_obs::Level;
 use pq_transport::Protocol;
 use std::ffi::OsString;
@@ -31,9 +30,6 @@ pub struct Knobs {
     /// The tracer's level: `PQ_TRACE` (default: info) while
     /// `PQ_TRACE_OUT` names a file, else off.
     pub trace: Level,
-    /// `PQ_TRACE_BUF`: the trace ring's capacity in events (default:
-    /// [`DEFAULT_RING_CAPACITY`]).
-    pub trace_buf: usize,
     /// `PQ_TRACE_OUT`: where the Chrome trace goes at exit; `None`
     /// while tracing is off.
     pub trace_out: Option<PathBuf>,
@@ -109,21 +105,19 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
         }
         level
     });
-    let trace_buf = env.text("PQ_TRACE_BUF");
     let trace_out = env.path("PQ_TRACE_OUT");
     let trace = match (&trace_out, level) {
         (None, _) => Level::Off,
         (Some(_), None) => Level::Info,
         (Some(_), Some(level)) => level.unwrap_or(Level::Off),
     };
-    let (trace_buf, trace_out) = if trace == Level::Off {
+    let trace_out = if trace == Level::Off {
         let (why, remedy) = match trace_out {
             None => ("PQ_TRACE_OUT is not set", "set PQ_TRACE_OUT"),
             Some(_) => ("PQ_TRACE is off", "unset PQ_TRACE"),
         };
         for (name, set) in [
             ("PQ_TRACE", level.flatten().is_some() && trace_out.is_none()),
-            ("PQ_TRACE_BUF", trace_buf.is_some()),
             ("PQ_TRACE_OUT", trace_out.is_some()),
         ] {
             if set {
@@ -134,21 +128,9 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
                 );
             }
         }
-        (DEFAULT_RING_CAPACITY, None)
+        None
     } else {
-        let capacity = trace_buf.map_or(DEFAULT_RING_CAPACITY, |raw| match raw.parse() {
-            Ok(capacity) if capacity > 0 => capacity,
-            _ => {
-                warn!(
-                    env.warnings,
-                    "obs",
-                    "invalid PQ_TRACE_BUF={raw:?} (want a positive integer); \
-                     keeping the default ({DEFAULT_RING_CAPACITY})"
-                );
-                DEFAULT_RING_CAPACITY
-            }
-        });
-        (capacity, trace_out)
+        trace_out
     };
     let prof_alloc = env
         .text("PQ_PROF_ALLOC")
@@ -223,7 +205,6 @@ pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Knobs {
         spec,
         jobs,
         trace,
-        trace_buf,
         trace_out,
         prof_alloc,
         prof_out,
@@ -290,7 +271,6 @@ mod tests {
         assert!(k.spec.faults.is_none());
         assert_eq!(k.jobs, pq_par::available_jobs());
         assert_eq!(k.trace, Level::Off);
-        assert_eq!(k.trace_buf, DEFAULT_RING_CAPACITY);
         assert_eq!(k.trace_out, None);
         assert!(!k.prof_alloc);
         assert_eq!(k.prof_out, None);
@@ -403,18 +383,6 @@ mod tests {
         }
         assert_eq!(trace(&[("PQ_TRACE_OUT", "t.json")]), (Level::Info, out));
 
-        let trace_buf = |v| knobs(&[("PQ_TRACE_OUT", "t.json"), ("PQ_TRACE_BUF", v)]).trace_buf;
-        for (v, want) in [
-            ("64", 64),
-            ("0", DEFAULT_RING_CAPACITY),
-            ("abc", DEFAULT_RING_CAPACITY),
-        ] {
-            assert_eq!(trace_buf(v), want, "PQ_TRACE_BUF={v}");
-        }
-        // The ring's size is moot while tracing is off.
-        let k = knobs(&[("PQ_TRACE_BUF", "64")]);
-        assert_eq!(k.trace_buf, DEFAULT_RING_CAPACITY);
-
         let prof_alloc = |v| knobs(&[("PQ_PROF_ALLOC", v)]).prof_alloc;
         for (v, want) in [("1", true), ("yes", true), ("0", false), ("", false)] {
             assert_eq!(prof_alloc(v), want, "PQ_PROF_ALLOC={v:?}");
@@ -438,14 +406,7 @@ mod tests {
             (&[("PQ_SCALE", "smoke"), ("PQ_SEED", "7")][..], &[][..]),
             (&[("PQ_JOBS", "2"), ("PQ_STACKS", "all")], &[]),
             (&[("PQ_FAULTS", "")], &[]),
-            (
-                &[
-                    ("PQ_TRACE", "info"),
-                    ("PQ_TRACE_BUF", "64"),
-                    ("PQ_TRACE_OUT", "t.json"),
-                ],
-                &[],
-            ),
+            (&[("PQ_TRACE", "info"), ("PQ_TRACE_OUT", "t.json")], &[]),
             (&[("PQ_TRACE_OUT", "t.json")], &[]),
             (&[("PQ_PROF_ALLOC", "1"), ("PQ_PROF_OUT", "p.folded")], &[]),
             (&[("PQ_PROF_OUT", "p.folded")], &[]),
@@ -482,8 +443,8 @@ mod tests {
                     ("edge", "PQ_STACKS=\"bogus\" selected no stacks"),
                 ],
             ),
-            // Trace knobs: unknown levels, bad capacity, and each one
-            // that cannot take effect while tracing is off.
+            // Trace knobs: unknown levels, and each one that cannot
+            // take effect while tracing is off.
             (
                 &[("PQ_TRACE", "bogus")],
                 &[("obs", "unknown PQ_TRACE=\"bogus\"")],
@@ -503,31 +464,12 @@ mod tests {
                 ],
             ),
             (
-                &[("PQ_TRACE_OUT", "t.json"), ("PQ_TRACE_BUF", "0")],
-                &[("obs", "invalid PQ_TRACE_BUF=\"0\"")],
-            ),
-            (
                 &[("PQ_TRACE", "info")],
                 &[("obs", "PQ_TRACE is set but PQ_TRACE_OUT is not set")],
             ),
             (
-                &[("PQ_TRACE_BUF", "64")],
-                &[("obs", "PQ_TRACE_BUF is set but PQ_TRACE_OUT is not set")],
-            ),
-            (
                 &[("PQ_TRACE", "off"), ("PQ_TRACE_OUT", "t.json")],
                 &[("obs", "PQ_TRACE_OUT is set but PQ_TRACE is off")],
-            ),
-            (
-                &[
-                    ("PQ_TRACE", "off"),
-                    ("PQ_TRACE_BUF", "64"),
-                    ("PQ_TRACE_OUT", "t.json"),
-                ],
-                &[
-                    ("obs", "PQ_TRACE_BUF is set but PQ_TRACE is off"),
-                    ("obs", "PQ_TRACE_OUT is set but PQ_TRACE is off"),
-                ],
             ),
         ] {
             let got = knobs(vars).warnings;

@@ -5,7 +5,9 @@
 //! resulting [`RunSpec`], a set run knob that a subcommand does not
 //! read warns, and the tracer, the profiler and the pool are
 //! configured before the command runs and their outputs written after
-//! it, here and nowhere else.
+//! it, here and nowhere else. The trace holds the page loads of the
+//! grid the command ran, replayed and drawn one at a time
+//! ([`trace_loads`]).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
@@ -15,6 +17,9 @@ mod runall;
 
 use knobs::Knobs;
 use pq_bench::{report, Experiment, RunSpec};
+use pq_obs::export::ChromeTrace;
+use pq_obs::Level;
+use pq_web::LoadCounts;
 
 /// What a subcommand runs.
 enum Cmd {
@@ -78,7 +83,6 @@ fn main() {
     )]
     let knobs = knobs::parse(|var| std::env::var_os(var));
     let tracer = pq_obs::tracer();
-    tracer.set_capacity(knobs.trace_buf);
     tracer.set_level(knobs.trace);
     pq_prof::configure(knobs.prof_alloc, knobs.prof_out.is_some());
     for (cat, msg) in &knobs.warnings {
@@ -92,23 +96,29 @@ fn main() {
     }
     pq_par::set_jobs(Some(knobs.jobs));
     let spec = &knobs.spec;
-    match cmd {
-        Table(print) => print(),
-        View(view) => print!("{}", report::render(view, &experiment(&name, spec))),
-        EdgeCell => {
-            for (key, value) in pq_bench::contract(&experiment(&name, &spec.edge_cell())) {
+    let ran = match cmd {
+        Table(print) => {
+            print();
+            None
+        }
+        View(view) => Some(experiment(&name, spec)).inspect(|e| {
+            print!("{}", report::render(view, e));
+        }),
+        EdgeCell => Some(experiment(&name, &spec.edge_cell())).inspect(|e| {
+            for (key, value) in pq_bench::contract(e) {
                 println!("{key} {value}");
             }
-        }
-        Runall => runall::run(spec),
-    }
-    write_outputs(&name, &knobs);
+        }),
+        Runall => Some(runall::run(spec)),
+    };
+    write_outputs(&name, &knobs, ran.as_ref());
 }
 
 /// At exit: the allocation summary on stderr, then the folded profile
-/// and the Chrome trace wherever the knobs name a path.
+/// and the Chrome trace wherever the knobs name a path; the trace
+/// draws the page loads of `ran`, the grid the command ran.
 /// A failed write warns rather than failing a finished run.
-fn write_outputs(name: &str, knobs: &Knobs) {
+fn write_outputs(name: &str, knobs: &Knobs, ran: Option<&Experiment>) {
     if knobs.prof_alloc {
         eprintln!("[{name}] {}", alloc_summary());
     }
@@ -121,15 +131,48 @@ fn write_outputs(name: &str, knobs: &Knobs) {
         }
     }
     if let Some(path) = &knobs.trace_out {
-        let (_, recorded, dropped) = pq_obs::tracer().stats();
-        match pq_obs::export::export(path) {
-            Ok(n) => eprintln!(
-                "[{name}] wrote {} ({n} events; {recorded} recorded, {dropped} dropped by the ring)",
-                path.display()
-            ),
+        let loads = |trace: &mut ChromeTrace| match ran {
+            Some(e) if knobs.trace >= Level::Info => trace_loads(e, knobs.trace, trace),
+            _ => Ok(()),
+        };
+        match pq_obs::export::export(path, loads) {
+            Ok(n) => eprintln!("[{name}] wrote {} ({n} events)", path.display()),
             Err(e) => eprintln!("[{name}] error: failed to write {}: {e}", path.display()),
         }
     }
+}
+
+/// Every page load `e`'s grid ran, replayed with its record on and
+/// drawn at `level` into `trace`, one load at a time and in grid order:
+/// attempts `0..loads` of each cell, quarantined cells' included. Each
+/// load is a pure function of `(seed, cell, attempt)`, so the replay is
+/// the run; a cell whose replayed counts differ from its own panics.
+fn trace_loads(e: &Experiment, level: Level, trace: &mut ChromeTrace) -> std::io::Result<()> {
+    let (spec, stimuli) = (&e.spec, &e.stimuli);
+    for (si, site) in (0u16..).zip(&spec.sites) {
+        for &network in &spec.networks {
+            for &stack in &spec.stacks {
+                let cell = (site.name.as_str(), network.name(), stack.label());
+                let quarantined = stimuli
+                    .quarantined()
+                    .iter()
+                    .find(|q| (q.site.as_str(), q.network.as_str(), q.protocol.as_str()) == cell);
+                let want = stimuli.get(si, network, stack).map(|s| s.counts);
+                let want = want.or(quarantined.map(|q| q.counts)).unwrap_or_default();
+                let mut got = LoadCounts::default();
+                for attempt in 0..want.loads as u32 {
+                    let load = spec.load(si, network, stack, attempt, true);
+                    let load = load.expect("a site of the grid");
+                    got += load.counts;
+                    if let Some(p) = load.render(site, level) {
+                        trace.process(&p)?;
+                    }
+                }
+                assert_eq!(got, want, "the replay of {cell:?} is not the run");
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One line on the counting allocator's totals.

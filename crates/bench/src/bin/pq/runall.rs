@@ -11,9 +11,9 @@
 //! start.
 
 use pq_bench::manifest::manifest_json;
-use pq_bench::{contract, report, RunSpec};
+use pq_bench::{contract, report, Experiment, RunSpec};
 
-pub fn run(spec: &RunSpec) {
+pub fn run(spec: &RunSpec) -> Experiment {
     match pq_ckpt::recover_stale_temps("results") {
         Ok(removed) => {
             for path in removed {
@@ -41,4 +41,5 @@ pub fn run(spec: &RunSpec) {
         Ok(()) => eprintln!("[runall] wrote results/manifest.json"),
         Err(err) => eprintln!("[runall] failed to write manifest: {err}"),
     }
+    e
 }

@@ -50,19 +50,21 @@
 //! [`pq_obs`]'s tracer before the command runs and writes the trace
 //! after it:
 //!
-//! * `PQ_TRACE_OUT` — turns the tracer on: where to write the
-//!   collected events on exit, in Chrome trace-event format (open in
-//!   Perfetto or `chrome://tracing`).
+//! * `PQ_TRACE_OUT` — turns tracing on: where to write the trace on
+//!   exit, in Chrome trace-event format (open in Perfetto or
+//!   `chrome://tracing`).
 //! * `PQ_TRACE` — trace level (`off`/`warn`/`info`/`debug`; default
-//!   `info`). At `info` each page load records its waterfall:
-//!   per-object request→processed spans, one track per connection with
-//!   cwnd/ssthresh/sRTT counters, retransmit and RTO instants,
-//!   handshake spans, and FVC/LVC/PLT markers.
-//! * `PQ_TRACE_BUF` — ring capacity in events (default 262144; the
-//!   ring overwrites oldest on overflow).
+//!   `info`). At `info` each page load of the grid the command ran is
+//!   one process with its waterfall: per-object request→processed
+//!   spans, one track per connection with cwnd/ssthresh/sRTT counters,
+//!   retransmit and RTO instants, handshake spans, and FVC/LVC/PLT
+//!   markers; `debug` adds pacing holds and the links' rows.
 //!
-//! Without `PQ_TRACE_OUT`, or with `PQ_TRACE=off`, a set `PQ_TRACE`,
-//! `PQ_TRACE_OUT` or `PQ_TRACE_BUF` warns that it has no effect.
+//! The loads are not traced while the grid runs: at exit `pq` replays
+//! each one with [`RunSpec::load`] and its record on, in grid order,
+//! and streams its rows to the file before the next. Without
+//! `PQ_TRACE_OUT`, or with `PQ_TRACE=off`, a set `PQ_TRACE` or
+//! `PQ_TRACE_OUT` warns that it has no effect.
 //!
 //! Worked waterfall example:
 //!
@@ -94,7 +96,7 @@ use pq_sim::NetworkKind;
 use pq_study::stimulus::load_attempt;
 use pq_study::{run_study_with, StimulusSet, StudyData};
 use pq_transport::Protocol;
-use pq_web::{PageLoadResult, Website};
+use pq_web::{LoadOptions, PageLoadResult, Website};
 use std::fmt;
 use std::sync::Arc;
 
@@ -197,17 +199,24 @@ impl RunSpec {
 
     /// Attempt `attempt` of the cell of `sites[site]`, `network` and
     /// `stack`: the very page load [`stimuli`](RunSpec::stimuli) runs
-    /// for it; `None` when `site` is not an index into `sites`.
+    /// for it, keeping its [`LoadRecord`](pq_web::LoadRecord) if
+    /// `record`; `None` when `site` is not an index into `sites`.
     pub fn load(
         &self,
         site: u16,
         network: NetworkKind,
         stack: Protocol,
         attempt: u32,
+        record: bool,
     ) -> Option<PageLoadResult> {
-        let (site, faults) = (self.sites.get(usize::from(site))?, self.faults.as_ref());
+        let site = self.sites.get(usize::from(site))?;
+        let opts = LoadOptions {
+            faults: self.faults.clone(),
+            record,
+            ..LoadOptions::default()
+        };
         Some(load_attempt(
-            self.seed, site, network, stack, attempt, faults,
+            self.seed, site, network, stack, attempt, &opts,
         ))
     }
 
@@ -305,7 +314,9 @@ mod tests {
             .with_faults(CHAOS_SPEC)
             .expect("the chaos spec parses");
         assert!(chaos.to_string().ends_with(", faults=ON"));
-        assert!(chaos.load(4, NetworkKind::Dsl, Protocol::Quic, 0).is_none());
+        assert!(chaos
+            .load(4, NetworkKind::Dsl, Protocol::Quic, 0, false)
+            .is_none());
         // A plan with no fault class is no plan; an unparsable one is
         // an error.
         assert!(chaos

@@ -3,7 +3,8 @@
 //! manifest carries the smoke and chaos runs' trees from
 //! `results/contract.txt` and its smoke stdout is
 //! `results/runall_smoke.txt`, `pq edge_cell` prints the edge-cell
-//! runs' trees, and the trace and profiler knobs write their files.
+//! runs' trees, the trace and profiler knobs write their files, and the
+//! trace holds the grid's page loads, the same at any worker count.
 
 use pq_bench::CHAOS_SPEC;
 use pq_obs::json::Value;
@@ -205,6 +206,86 @@ fn edge_cell_at_4_workers_prints_the_pinned_tree() {
 #[test]
 fn chaos_edge_cell_at_1_worker_prints_the_pinned_tree() {
     edge_cell_holds_the_pin("edge_cell_chaos", Some(CHAOS_SPEC), None, 1);
+}
+
+/// `PQ_TRACE=debug PQ_TRACE_OUT=… pq edge_cell` under the chaos spec:
+/// `(the tree's grid loads, the page-load processes, their rows)`, the
+/// rows as JSON text in file order, metadata included.
+fn traced_edge_cell(dir: &std::path::Path, jobs: u32) -> (u64, usize, Vec<String>) {
+    let path = dir.join(format!("trace-{jobs}.json"));
+    let out = Command::new(env!("CARGO_BIN_EXE_pq"))
+        .arg("edge_cell")
+        .env("PQ_SEED", "1910")
+        .env("PQ_JOBS", jobs.to_string())
+        .env("PQ_FAULTS", CHAOS_SPEC)
+        .env("PQ_TRACE", "debug")
+        .env("PQ_TRACE_OUT", &path)
+        .env_remove("PQ_STACKS")
+        .output()
+        .expect("spawn pq");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "edge_cell failed: {stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 tree");
+    let grid = stdout.lines().find_map(|l| l.strip_prefix("grid "));
+    let loads = grid
+        .and_then(|g| g.split(' ').find_map(|f| f.strip_prefix("loads=")))
+        .and_then(|n| n.parse().ok())
+        .expect("the tree's grid node counts its loads");
+
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    let doc = Value::parse(&text).expect("trace JSON");
+    let rows = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("a traceEvents array");
+    let str_of = |row: &Value, key: &str| row.get(key).and_then(Value::as_str).map(str::to_string);
+    // Page-load processes are named "site · stack · seed N".
+    let pids: Vec<u64> = rows
+        .iter()
+        .filter(|r| str_of(r, "name").as_deref() == Some("process_name"))
+        .filter(|r| {
+            r.get("args")
+                .and_then(|a| str_of(a, "name"))
+                .is_some_and(|n| n.contains(" · "))
+        })
+        .filter_map(|r| r.get("pid").and_then(Value::as_u64))
+        .collect();
+    let load_rows: Vec<String> = rows
+        .iter()
+        .filter(|r| {
+            r.get("pid")
+                .and_then(Value::as_u64)
+                .is_some_and(|p| pids.contains(&p))
+        })
+        .map(Value::to_string)
+        .collect();
+    (loads, pids.len(), load_rows)
+}
+
+/// The traced edge cell under the chaos spec, at one worker and at
+/// four: one page-load process per load of the grid, retries included
+/// and the ablation view's loads not, and the same rows either way —
+/// a load's rows are replayed in grid order, whatever ran them first.
+#[test]
+fn the_trace_is_the_grid_at_any_worker_count() {
+    let dir = std::env::temp_dir().join(format!("pq-cli-trace-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let (loads, processes, one) = traced_edge_cell(&dir, 1);
+    assert_eq!(processes as u64, loads, "page-load processes at PQ_JOBS=1");
+    assert!(
+        one.iter().any(|r| r.contains(" queue bytes\"")),
+        "no Debug link rows"
+    );
+    let (loads, processes, four) = traced_edge_cell(&dir, 4);
+    assert_eq!(processes as u64, loads, "page-load processes at PQ_JOBS=4");
+    let moved = one.iter().zip(&four).position(|(a, b)| a != b);
+    assert_eq!(
+        (one.len(), moved),
+        (four.len(), None),
+        "the load rows differ between PQ_JOBS=1 and PQ_JOBS=4"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `pq table2` with each knob that names an output file set, and no

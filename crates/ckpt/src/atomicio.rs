@@ -36,28 +36,38 @@ fn temp_path_for(path: &Path) -> io::Result<PathBuf> {
 /// the temp file is removed and the previous `path` contents are
 /// untouched. Parent directories are created as needed.
 pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |out| out.write_all(bytes))
+}
+
+/// [`atomic_write`] of what `write` streams into a buffered temp file,
+/// for output too large to hold in memory at once; `write`'s value is
+/// returned once the file is in place.
+pub fn atomic_write_with<T>(
+    path: impl AsRef<Path>,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<T>,
+) -> io::Result<T> {
     let path = path.as_ref();
     if let Some(d) = parent_dir(path) {
         fs::create_dir_all(d)?;
     }
     let tmp = temp_path_for(path)?;
-    let write = (|| {
+    let written = (|| {
         #[expect(clippy::disallowed_methods, reason = "atomic_write's own temp file")]
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+        let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
+        let value = write(&mut out)?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         fs::rename(&tmp, path)?;
         if let Some(d) = parent_dir(path) {
             if let Ok(dir) = fs::File::open(d) {
                 let _ = dir.sync_all();
             }
         }
-        Ok(())
+        Ok(value)
     })();
-    if write.is_err() {
+    if written.is_err() {
         let _ = fs::remove_file(&tmp);
     }
-    write
+    written
 }
 
 /// Remove stale `*.pq-tmp.*` files in `dir` — leftovers from a

@@ -2,7 +2,8 @@
 //!
 //! * [`atomicio`] — `atomic_write` (same-directory temp file + fsync +
 //!   rename) for everything under `results/`, so a killed process can
-//!   never leave a half-written manifest, plus `recover_stale_temps`,
+//!   never leave a half-written manifest (`atomic_write_with` streams
+//!   into the temp file, for a trace too large to hold in memory), plus `recover_stale_temps`,
 //!   which `pq runall` calls at start to sweep the temp files such a
 //!   process left behind (it returns what it removed; the caller
 //!   reports it). A killed run is not resumed: it is rerun, and
@@ -25,6 +26,6 @@ pub mod atomicio;
 pub mod fnv;
 pub mod journal;
 
-pub use atomicio::{atomic_write, recover_stale_temps};
+pub use atomicio::{atomic_write, atomic_write_with, recover_stale_temps};
 pub use fnv::fnv1a;
 pub use journal::{journal_append, journal_complete, journal_open, Record};

@@ -15,7 +15,7 @@ use crate::participant::Group;
 use crate::rating::{run_rating_study, site_tastes, RatingVotes};
 use crate::session::{population, Session, StudyKind};
 use crate::stimulus::StimulusSet;
-use pq_obs::{ArgValue, Level};
+use pq_obs::{ArgValue, Event, Level};
 use pq_transport::Protocol;
 
 /// One study over the three pools — the block both studies run
@@ -37,21 +37,15 @@ fn over_pools<V>(
         study(group, &pop, &mut votes);
         if pq_obs::enabled(Level::Info) {
             let t = pq_obs::tracer();
-            t.span(
-                Level::Info,
-                "study",
-                format!("{kind:?} {}", group.name()),
-                0,
-                0,
-                start_ns,
-                t.wall_ns(),
-                vec![
-                    ("votes", ArgValue::U64((votes.len() - before) as u64)),
-                    ("recruited", ArgValue::U64(u64::from(funnel.recruited))),
-                    ("survivors", ArgValue::U64(u64::from(funnel.survivors()))),
-                    ("jobs", ArgValue::U64(pq_par::jobs() as u64)),
-                ],
-            );
+            let args = vec![
+                ("votes", ArgValue::U64((votes.len() - before) as u64)),
+                ("recruited", ArgValue::U64(u64::from(funnel.recruited))),
+                ("survivors", ArgValue::U64(u64::from(funnel.survivors()))),
+                ("jobs", ArgValue::U64(pq_par::jobs() as u64)),
+            ];
+            let name = format!("{kind:?} {}", group.name());
+            let span = Event::span("study", name, 0, 0, start_ns, t.wall_ns(), args);
+            t.record(Level::Info, span);
         }
         sessions.extend(pop);
         funnel

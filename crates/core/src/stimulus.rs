@@ -121,23 +121,19 @@ pub fn run_seed(seed: u64, site: &str, network: NetworkKind, protocol: Protocol,
 }
 
 /// Attempt `attempt` of the `(site, network, protocol)` cell at study
-/// seed `seed` under `faults`: the page load
-/// [`StimulusSet::build_with_faults`] runs for it, seeded by
-/// [`run_seed`].
+/// seed `seed`, loaded with `opts`: with [`StimulusSet::build_with_faults`]'s
+/// options (its fault plan, and nothing else set), the page load it
+/// runs for it, seeded by [`run_seed`].
 pub fn load_attempt(
     seed: u64,
     site: &Website,
     network: NetworkKind,
     protocol: Protocol,
     attempt: u32,
-    faults: Option<&Arc<FaultPlan>>,
+    opts: &LoadOptions,
 ) -> PageLoadResult {
-    let opts = LoadOptions {
-        faults: faults.cloned(),
-        ..LoadOptions::default()
-    };
     let rs = run_seed(seed, &site.name, network, protocol, attempt);
-    load_page(site, &network.config(), protocol, rs, &opts)
+    load_page(site, &network.config(), protocol, rs, opts)
 }
 
 /// Outcome of building a single grid cell: its stimulus, or the
@@ -187,6 +183,10 @@ impl StimulusSet {
         const MAX_BUDGET_FACTOR: u32 = 8;
 
         let plan = faults.filter(|p| !p.is_empty());
+        let opts = LoadOptions {
+            faults: plan.clone(),
+            ..LoadOptions::default()
+        };
 
         // Enumerate the grid in canonical (site, network, protocol)
         // order; the scatter-gather preserves that order.
@@ -213,14 +213,14 @@ impl StimulusSet {
         // Each load ends at its simulated horizon or event cap, so a
         // cell does at most `max_budget` bounded loads.
         let build_cell = |cell: &Cell| -> CellResult {
-            let (cond, site, faults) = (&cell.cond, cell.site, plan.as_ref());
+            let (cond, site) = (&cell.cond, cell.site);
             let mut all = Vec::with_capacity(runs as usize);
             let mut retx = 0u64;
             let mut counts = LoadCounts::default();
             let mut attempt = 0u32;
             let max_budget = runs.saturating_mul(MAX_BUDGET_FACTOR);
             while attempt < max_budget && (all.len() as u32) < runs {
-                let res = load_attempt(seed, site, cond.network, cond.protocol, attempt, faults);
+                let res = load_attempt(seed, site, cond.network, cond.protocol, attempt, &opts);
                 counts += res.counts;
                 // Validity filtering only engages under an active
                 // fault plan: the fault-free pipeline accepts every run

@@ -6,7 +6,7 @@
 //! phases show up in the exported trace, and keeps the
 //! `(name, seconds)` pairs for the run manifest.
 
-use crate::trace::{tracer, ArgValue, Level};
+use crate::trace::{tracer, ArgValue, Event, Level};
 use std::time::Instant;
 
 /// Measures a sequence of named phases in wall time.
@@ -49,15 +49,10 @@ impl PhaseTimer {
         };
         let secs = started.elapsed().as_secs_f64();
         if crate::trace::enabled(Level::Info) {
-            t.span(
+            let args = vec![("secs", ArgValue::F64(secs))];
+            t.record(
                 Level::Info,
-                "bench",
-                name,
-                0,
-                0,
-                start_ns,
-                t.wall_ns(),
-                vec![("secs", ArgValue::F64(secs))],
+                Event::span("bench", name, 0, 0, start_ns, t.wall_ns(), args),
             );
         }
         self.phases.push((name.to_string(), secs));

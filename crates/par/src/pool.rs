@@ -33,7 +33,7 @@ use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pq_obs::{ArgValue, Level};
+use pq_obs::{ArgValue, Event, Level};
 
 /// Target number of chunks per worker: small enough that claiming a
 /// chunk is negligible next to a page-load simulation, large enough
@@ -108,16 +108,10 @@ where
             local_tasks += out.len() as u64;
             parts.push((start, out));
             if pq_obs::enabled(Level::Debug) {
-                tracer.span(
-                    Level::Debug,
-                    "par",
-                    format!("chunk {start}..{end}"),
-                    pid,
-                    0,
-                    t0,
-                    tracer.wall_ns(),
-                    vec![("items", ArgValue::U64((end - start) as u64))],
-                );
+                let args = vec![("items", ArgValue::U64((end - start) as u64))];
+                let chunk = format!("chunk {start}..{end}");
+                let span = Event::span("par", chunk, pid, 0, t0, tracer.wall_ns(), args);
+                tracer.record(Level::Debug, span);
             }
         }
     }
@@ -127,19 +121,13 @@ where
     pq_obs::registry().counter_add(&format!("par.worker_tasks{{worker=\"{id}\"}}"), local_tasks);
     pq_prof::flush_thread();
     if traced {
-        tracer.span(
-            Level::Info,
-            "par",
-            format!("worker-{id}"),
-            pid,
-            0,
-            started_ns,
-            tracer.wall_ns(),
-            vec![
-                ("tasks", ArgValue::U64(local_tasks)),
-                ("chunks", ArgValue::U64(parts.len() as u64)),
-            ],
-        );
+        let args = vec![
+            ("tasks", ArgValue::U64(local_tasks)),
+            ("chunks", ArgValue::U64(parts.len() as u64)),
+        ];
+        let (name, end) = (format!("worker-{id}"), tracer.wall_ns());
+        let span = Event::span("par", name, pid, 0, started_ns, end, args);
+        tracer.record(Level::Info, span);
     }
     parts
 }

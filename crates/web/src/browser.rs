@@ -25,27 +25,16 @@ use crate::object::{Got, ObjectId, Progress};
 use crate::website::Website;
 use pq_edge::EdgeConfig;
 use pq_metrics::{MetricSet, VisualTimeline};
-use pq_obs::{ArgValue, Level};
 use pq_sim::{
-    ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, LinkStats, Loss,
-    NetworkConfig, Packet, PushOutcome, SimDuration, SimRng, SimTime, Source,
+    ConnId, Direction, EventQueue, Lane, LaneEvent, Link, LinkConfig, LinkStats, NetworkConfig,
+    Packet, SimDuration, SimRng, SimTime, Source,
 };
-use pq_transport::{ConnEvent, ConnEventKind, Connection, Output, Protocol, StackConfig, Wire};
+use pq_transport::{Connection, Output, Protocol, StackConfig, Wire};
 
 mod page;
+mod record;
 use page::ObjState;
-
-/// Trace-track layout of one page load (one tracer `pid` per load):
-/// `tid 0` carries the page-level markers (FVC/LVC/PLT, link queues,
-/// drops and losses), `tid 1 + ci` one row per connection, `tid 60 + li` one
-/// per proxy leg, `tid 100 + obj` one row per web object.
-const TID_PAGE: u32 = 0;
-/// First connection row.
-const TID_CONN_BASE: u32 = 1;
-/// First web-object row.
-const TID_OBJ_BASE: u32 = 100;
-/// First proxy-leg (origin-side connection) row.
-const TID_LEG_BASE: u32 = 60;
+pub use record::{ConnRecord, LaneNote, LoadRecord};
 
 /// Tunables of one page load.
 #[derive(Clone, Debug)]
@@ -64,6 +53,10 @@ pub struct LoadOptions {
     /// `EdgeConfig::default()`. Ignored entirely by the Table-1
     /// stacks, which keep their single-link topology bit-for-bit.
     pub edge: Option<EdgeConfig>,
+    /// Keep a [`LoadRecord`] of what the load did, for its trace
+    /// ([`PageLoadResult::render`]); off by default. The load is the
+    /// same load either way.
+    pub record: bool,
 }
 
 impl Default for LoadOptions {
@@ -72,6 +65,7 @@ impl Default for LoadOptions {
             processing_scale: 1.0,
             faults: None,
             edge: None,
+            record: false,
         }
     }
 }
@@ -100,6 +94,8 @@ pub struct PageLoadResult {
     /// What the load counted: its events by kind, its links' packets,
     /// its faults and its junction's work.
     pub counts: LoadCounts,
+    /// What it recorded, with [`LoadOptions::record`] on.
+    pub record: Option<Box<LoadRecord>>,
 }
 
 /// What one page load counted, as a value. `+=` sums two field by
@@ -249,20 +245,12 @@ fn lane_of(dir: Direction, origin: bool) -> usize {
 
 /// Connections go by key: the browser's by index, a proxy's legs by
 /// `LEG_KEY_BASE` + theirs — as event targets, as handshake-fault keys
-/// and as trace details alike.
+/// and in the load's record alike.
 const LEG_KEY_BASE: u32 = 1000;
 
 /// The proxy leg `key` names, if it names one.
 fn leg_of(key: u32) -> Option<u32> {
     key.checked_sub(LEG_KEY_BASE)
-}
-
-/// The trace row of connection `key`.
-fn conn_tid(key: u32) -> u32 {
-    match leg_of(key) {
-        None => TID_CONN_BASE + key,
-        Some(li) => TID_LEG_BASE + li,
-    }
 }
 
 struct Loader<'a> {
@@ -287,8 +275,8 @@ struct Loader<'a> {
     gate_scheduled: bool,
     /// Onload instant (set when the last object finishes processing).
     plt_at: Option<SimTime>,
-    /// Tracer process id of this page load (`None` with tracing off).
-    obs_pid: Option<u32>,
+    /// What the load records (`None` unless [`LoadOptions::record`]).
+    record: Option<Box<LoadRecord>>,
     /// Per-load fault view (`None` = injection off).
     faults: Option<pq_fault::LoadFaults>,
     /// Scratch buffers of the pump loop: routing an output needs
@@ -351,21 +339,6 @@ pub fn load_page_with_config(
         .filter(|p| !p.is_empty())
         .map(|p| pq_fault::LoadFaults::new(p.clone(), seed));
 
-    // One tracer process per page load; every connection, object and
-    // link event of this load lands on its tracks.
-    let obs_pid = if pq_obs::enabled(Level::Info) {
-        let t = pq_obs::tracer();
-        let pid = t.new_pid(&format!(
-            "{} · {} · seed {seed}",
-            site.name,
-            protocol.label()
-        ));
-        t.name_track(pid, TID_PAGE, "page");
-        Some(pid)
-    } else {
-        None
-    };
-
     let q = EventQueue::new();
     // Edge stacks split the path at the junction; Table-1 stacks keep
     // the single end-to-end link untouched. Fault clauses bind to each
@@ -404,7 +377,9 @@ pub fn load_page_with_config(
         gate_open: false,
         gate_scheduled: false,
         plt_at: None,
-        obs_pid,
+        record: opts
+            .record
+            .then(|| Box::new(LoadRecord::new(seed, protocol, site.objects.len()))),
         faults,
         out_buf: Vec::new(),
         ready_buf: Vec::new(),
@@ -481,9 +456,11 @@ impl Loader<'_> {
         table.get_mut(index as usize)
     }
 
-    /// The tracer process of this load, while anyone is listening.
-    fn obs_track(&self) -> Option<u32> {
-        self.obs_pid.filter(|_| pq_obs::enabled(Level::Info))
+    /// Note something in the load's record, if it keeps one.
+    fn note(&mut self, f: impl FnOnce(&mut LoadRecord)) {
+        if let Some(r) = self.record.as_deref_mut() {
+            f(r);
+        }
     }
 
     /// Issue the request on the connection to the object's origin, or
@@ -508,7 +485,7 @@ impl Loader<'_> {
                 key
             }
         };
-        self.obs_request(now, id);
+        self.note(|r| r.requested(id, now));
         self.send_request(now, key, id);
     }
 
@@ -520,20 +497,10 @@ impl Loader<'_> {
         self.pump(now, key);
     }
 
-    /// Record one injected fault: count it and drop an instant on the
-    /// page track's `fault` category.
-    fn note_fault(&mut self, now: SimTime, what: &str, detail: u64) {
+    /// Count one injected fault, and note it in the record.
+    fn note_fault(&mut self, now: SimTime, what: &'static str, detail: u64) {
         self.counts.faults_injected += 1;
-        let Some(pid) = self.obs_track() else { return };
-        pq_obs::tracer().instant(
-            Level::Info,
-            "fault",
-            what.to_string(),
-            pid,
-            TID_PAGE,
-            now.as_nanos(),
-            vec![("id", ArgValue::U64(detail))],
-        );
+        self.note(|r| r.faults.push((now, what, detail)));
     }
 
     /// Open connection `key` — the next of its table — to `origin`,
@@ -555,13 +522,15 @@ impl Loader<'_> {
         if hs_lost && conn.discard_pending_sends() > 0 {
             self.note_fault(now, "handshake flight lost", u64::from(key));
         }
-        if let Some(pid) = self.obs_pid {
-            let name = match leg {
-                None => format!("conn {key} ({})", self.cfg.protocol.label()),
-                Some(li) => format!("leg {li} (H2 → origin {origin})"),
-            };
+        if let Some(r) = self.record.as_deref_mut() {
             conn.observe();
-            pq_obs::tracer().name_track(pid, conn_tid(key), &name);
+            r.conns.push(ConnRecord {
+                key,
+                origin,
+                protocol: cfg.protocol,
+                opened: now,
+                handshake: None,
+            });
         }
         if let Some((table, _)) = self.table_mut(key) {
             table.push(ConnState {
@@ -569,8 +538,6 @@ impl Loader<'_> {
                 mux,
                 origin,
                 wake_version: 0,
-                opened: now,
-                protocol: cfg.protocol,
             });
         }
     }
@@ -637,69 +604,9 @@ impl Loader<'_> {
             return;
         };
         let outcome = l.push(&mut self.q, now, pkt);
-        if self.obs_pid.is_some() && !matches!(outcome, PushOutcome::StartedTx(_)) {
-            self.obs_push(now, lane, outcome);
+        if let Some(r) = self.record.as_deref_mut() {
+            r.pushed(now, lane, &outcome, l.link().queued_bytes());
         }
-    }
-
-    /// At Debug, a packet that waits in `lane`'s queue samples the
-    /// queue's bytes on the page row; one the full queue turns away is
-    /// a tail-drop instant there.
-    #[cold]
-    #[inline(never)]
-    fn obs_push(&self, now: SimTime, lane: usize, outcome: PushOutcome) {
-        let Some(pid) = self.obs_pid.filter(|_| pq_obs::enabled(Level::Debug)) else {
-            return;
-        };
-        let Some(l) = self.lanes.get(lane) else {
-            return;
-        };
-        let (t, name, queued) = (pq_obs::tracer(), lane_name(lane), l.link().queued_bytes());
-        match outcome {
-            PushOutcome::Queued => t.counter(
-                Level::Debug,
-                "sim",
-                format!("{name} queue bytes"),
-                pid,
-                TID_PAGE,
-                now.as_nanos(),
-                queued as f64,
-            ),
-            PushOutcome::TailDropped => t.instant(
-                Level::Debug,
-                "sim",
-                format!("{name} tail drop"),
-                pid,
-                TID_PAGE,
-                now.as_nanos(),
-                vec![("queued_bytes", ArgValue::U64(queued))],
-            ),
-            PushOutcome::StartedTx(_) => {}
-        }
-    }
-
-    /// At Debug, a packet `lane`'s link destroyed is an instant on the
-    /// page row: a random loss under `sim`, an injected one under
-    /// `fault`.
-    #[cold]
-    #[inline(never)]
-    fn obs_loss(&self, now: SimTime, lane: usize, loss: Loss, size: u32) {
-        let Some(pid) = self.obs_pid.filter(|_| pq_obs::enabled(Level::Debug)) else {
-            return;
-        };
-        let (cat, what) = match loss {
-            Loss::Random => ("sim", "random loss"),
-            Loss::Fault => ("fault", "injected loss"),
-        };
-        pq_obs::tracer().instant(
-            Level::Debug,
-            cat,
-            format!("{} {what}", lane_name(lane)),
-            pid,
-            TID_PAGE,
-            now.as_nanos(),
-            vec![("size", ArgValue::U64(u64::from(size)))],
-        );
     }
 
     fn route_output(&mut self, now: SimTime, key: u32, out: Output) {
@@ -717,8 +624,8 @@ impl Loader<'_> {
                 };
                 self.send(now, lane_of(dir, at_origin), pkt);
             }
-            Output::HandshakeDone => self.obs_handshake(now, key),
-            Output::Trace(ev) => self.obs_conn_event(key, ev),
+            Output::HandshakeDone => self.note(|r| r.handshake(key, now)),
+            Output::Trace(ev) => self.note(|r| r.conn_events.push((key, ev))),
             Output::ServerStreamProgress {
                 stream,
                 delivered,
@@ -745,90 +652,6 @@ impl Loader<'_> {
                 }
                 self.progress_buf = progress;
             }
-        }
-    }
-
-    /// Connection `key` finished its handshake: its span on the
-    /// connection's row.
-    fn obs_handshake(&mut self, now: SimTime, key: u32) {
-        let Some(pid) = self.obs_track() else { return };
-        // A 0-RTT resumption is established as it opens: nothing to draw.
-        let Some(c) = self.conn_mut(key).filter(|c| c.opened < now) else {
-            return;
-        };
-        pq_obs::tracer().span(
-            Level::Info,
-            "transport",
-            "handshake",
-            pid,
-            conn_tid(key),
-            c.opened.as_nanos(),
-            now.as_nanos(),
-            vec![("protocol", ArgValue::Str(c.protocol.label().to_string()))],
-        );
-    }
-
-    /// Draw connection `key`'s record on its row: cwnd / ssthresh /
-    /// sRTT counters and retransmit and RTO instants at Info, pacing
-    /// holds at Debug.
-    fn obs_conn_event(&self, key: u32, ev: ConnEvent) {
-        let Some(pid) = self.obs_track() else { return };
-        let (t, tid, ts) = (pq_obs::tracer(), conn_tid(key), ev.at.as_nanos());
-        let dir = match ev.dir {
-            Direction::Up => "up",
-            Direction::Down => "down",
-        };
-        let instant = |level, name: &str, args| {
-            t.instant(
-                level,
-                "transport",
-                format!("{name} {dir}"),
-                pid,
-                tid,
-                ts,
-                args,
-            );
-        };
-        let counter = |name: &str, value| {
-            t.counter(
-                Level::Info,
-                "transport",
-                format!("{name} {dir}"),
-                pid,
-                tid,
-                ts,
-                value,
-            );
-        };
-        match ev.kind {
-            ConnEventKind::Ack {
-                cwnd,
-                ssthresh,
-                srtt,
-            } => {
-                counter("cwnd", cwnd as f64);
-                // Cubic's initial ssthresh is "infinite"; skip the
-                // sentinel so the counter chart stays readable.
-                if let Some(ss) = ssthresh.filter(|&ss| ss < u64::MAX / 2) {
-                    counter("ssthresh", ss as f64);
-                }
-                if let Some(rtt) = srtt {
-                    counter("srtt_ms", rtt.as_millis_f64());
-                }
-            }
-            ConnEventKind::Retransmit { what, detail } => {
-                instant(
-                    Level::Info,
-                    "retransmit",
-                    vec![(what, ArgValue::U64(detail))],
-                );
-            }
-            ConnEventKind::Rto { .. } => instant(Level::Info, "RTO", Vec::new()),
-            ConnEventKind::PacingHold { wait } if pq_obs::enabled(Level::Debug) => {
-                let wait_ns = ArgValue::U64(wait.as_nanos());
-                instant(Level::Debug, "pacing hold", vec![("wait_ns", wait_ns)]);
-            }
-            ConnEventKind::PacingHold { .. } | ConnEventKind::CongestionEvent => {}
         }
     }
 
@@ -893,27 +716,6 @@ impl Loader<'_> {
         self.counts
     }
 
-    /// FVC/LVC/PLT markers on the page track.
-    fn obs_finish(&self, metrics: &MetricSet, plt: SimTime) {
-        let Some(pid) = self.obs_track() else { return };
-        let t = pq_obs::tracer();
-        let mark = |name: &'static str, at: Option<SimTime>, ms: f64| {
-            let Some(at) = at else { return };
-            t.instant(
-                Level::Info,
-                "web",
-                name,
-                pid,
-                TID_PAGE,
-                at.as_nanos(),
-                vec![("ms", ArgValue::F64(ms))],
-            );
-        };
-        mark("FVC", self.timeline.first_change(), metrics.fvc_ms);
-        mark("LVC", self.timeline.last_change(), metrics.lvc_ms);
-        mark("PLT", Some(plt), metrics.plt_ms);
-    }
-
     /// A lane fired: its link finished a packet, or a packet came out
     /// of its far end.
     fn on_lane(&mut self, now: SimTime, lane: usize, what: LaneEvent) {
@@ -922,8 +724,8 @@ impl Loader<'_> {
         };
         if what == LaneEvent::TxDone {
             let lost = l.on_tx_done(&mut self.q, now);
-            if let Some((loss, size)) = lost.filter(|_| self.obs_pid.is_some()) {
-                self.obs_loss(now, lane, loss, size);
+            if let (Some(r), Some((loss, size))) = (self.record.as_deref_mut(), lost) {
+                r.lanes.push((now, lane, LaneNote::Lost(loss, size)));
             }
             return;
         }
@@ -1049,7 +851,6 @@ impl Loader<'_> {
             .max(last_paint);
         let metrics = MetricSet::from_timeline(&self.timeline, plt);
         let counts = self.finish_counts(complete);
-        self.obs_finish(&metrics, plt);
         let legs = match &self.junction {
             Junction::Proxy(proxy) => proxy.legs.as_slice(),
             Junction::Direct | Junction::Middlebox(_) => &[],
@@ -1063,6 +864,7 @@ impl Loader<'_> {
             connections: conns().count() as u32,
             counts,
             timeline: self.timeline,
+            record: self.record,
         }
     }
 }

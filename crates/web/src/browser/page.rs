@@ -4,11 +4,10 @@
 //! cost main-thread time once delivered, and paint — the visual
 //! completeness curve is built here.
 
-use super::{Ev, Loader, TID_OBJ_BASE};
+use super::{Ev, Loader};
 use crate::mux::Mux;
 use crate::object::{ObjectId, WebObject};
 use crate::website::Website;
-use pq_obs::{ArgValue, Level};
 use pq_sim::{SimDuration, SimTime};
 
 /// Style-recalc + first-layout cost paid once before first paint.
@@ -28,8 +27,6 @@ pub(super) struct ObjState<'a> {
     /// The objects it references, sorted by discovery fraction.
     children: Vec<(f64, ObjectId)>,
     discovered: bool,
-    /// Request-issue instant (waterfall span start).
-    req_at: Option<SimTime>,
     /// Response-stream bytes expected (protocol-specific overheads)…
     pub(super) expect: u64,
     /// …and delivered, as a count and as a fraction.
@@ -48,7 +45,6 @@ pub(super) fn table<'a>(site: &'a Website, mux: &Mux) -> Vec<ObjState<'a>> {
         spec: o,
         children: Vec::new(),
         discovered: false,
-        req_at: None,
         expect: mux.response_bytes(o.size),
         got: 0,
         frac: 0.0,
@@ -115,44 +111,6 @@ impl Loader<'_> {
         self.request_object(now, id);
     }
 
-    /// Note the request-issue instant of `id` — start of its waterfall
-    /// span — and name the object's track row.
-    pub(super) fn obs_request(&mut self, now: SimTime, id: ObjectId) {
-        let Some(o) = self.objs.get_mut(id.0 as usize) else {
-            return;
-        };
-        o.req_at.get_or_insert(now);
-        let kind = o.spec.kind;
-        let Some(pid) = self.obs_track() else { return };
-        let name = format!("obj {} ({kind:?})", id.0);
-        pq_obs::tracer().name_track(pid, TID_OBJ_BASE + id.0, &name);
-    }
-
-    /// Emit the request→processed waterfall span of a finished object.
-    fn obs_object_span(&self, now: SimTime, id: ObjectId) {
-        let (Some(pid), Some(o)) = (self.obs_track(), self.objs.get(id.0 as usize)) else {
-            return;
-        };
-        let spec = o.spec;
-        pq_obs::tracer().span(
-            Level::Info,
-            "web",
-            format!("{:?} {}", spec.kind, spec.size),
-            pid,
-            TID_OBJ_BASE + id.0,
-            o.req_at.unwrap_or(now).as_nanos(),
-            now.as_nanos(),
-            vec![
-                ("origin", ArgValue::U64(u64::from(spec.origin.0))),
-                ("size", ArgValue::U64(spec.size)),
-                (
-                    "render_blocking",
-                    ArgValue::U64(u64::from(spec.render_blocking)),
-                ),
-            ],
-        );
-    }
-
     /// The client has `got` of the object's expected stream bytes.
     pub(super) fn object_progress(&mut self, now: SimTime, id: ObjectId, got: u64) {
         let Some(o) = self.objs.get_mut(id.0 as usize) else {
@@ -190,7 +148,7 @@ impl Loader<'_> {
         if self.n_done == self.objs.len() {
             self.plt_at = Some(now);
         }
-        self.obs_object_span(now, id);
+        self.note(|r| r.processed(id, now));
         self.update_render(now, id, 1.0, true);
         self.release_children(now, id, None);
     }

@@ -10,7 +10,11 @@
 //! ([`EVENT_KINDS`]), its links' packets, its injected faults and its
 //! edge junction's work; callers sum those values instead of reading
 //! the process-global registry, which each load feeds once, for
-//! `benches/perf` alone.
+//! `benches/perf` alone. Asked to ([`LoadOptions::record`]), a load
+//! also keeps a [`LoadRecord`] of what it did — connections, handshakes,
+//! transport records, lane samples and losses, faults, object instants —
+//! which [`PageLoadResult::render`] draws as the load's trace rows; a
+//! load writes no tracer.
 
 #![forbid(unsafe_code)]
 // The digest-feeding set (README "Static analysis"), non-test code only.
@@ -40,7 +44,8 @@ pub mod object;
 pub mod website;
 
 pub use browser::{
-    load_page, load_page_with_config, LoadCounts, LoadOptions, PageLoadResult, EVENT_KINDS,
+    load_page, load_page_with_config, LoadCounts, LoadOptions, LoadRecord, PageLoadResult,
+    EVENT_KINDS,
 };
 pub use catalogue::{corpus, corpus_specs, site, LAB_SITES};
 pub use object::{ObjectId, ObjectKind, WebObject};

@@ -37,16 +37,13 @@ impl Mux {
 }
 
 /// One transport connection, the HTTP mapping it was opened with, the
-/// origin it leads to, the version stamp of its latest scheduled
-/// wake-up (older ones are stale), and when and over which stack it
-/// was opened (its handshake span's start and label).
+/// origin it leads to, and the version stamp of its latest scheduled
+/// wake-up (older ones are stale).
 pub(crate) struct ConnState {
     pub(crate) conn: Connection,
     pub(crate) mux: Mux,
     pub(crate) origin: u16,
     pub(crate) wake_version: u64,
-    pub(crate) opened: SimTime,
-    pub(crate) protocol: Protocol,
 }
 
 impl ConnState {

@@ -275,7 +275,9 @@ fn five_fault_free_paper_grid_loads_stay_incomplete() {
     for (name, protocol, run) in INCOMPLETE_DA2GC_LOADS {
         let site = grid.sites.iter().position(|s| s.name == name);
         let site = site.expect("a site of the paper grid") as u16;
-        let r = grid.load(site, NetworkKind::Da2gc, protocol, run).unwrap();
+        let r = grid
+            .load(site, NetworkKind::Da2gc, protocol, run, false)
+            .unwrap();
         assert!(
             !r.complete,
             "{name} {protocol} run {run} on DA2GC now completes ({} retransmits)",

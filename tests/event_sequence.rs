@@ -24,7 +24,9 @@
 //! allocations per popped event — a measurement of the hot path, where
 //! a static rule could only guess at it.
 //!
-//! So is where a traced load puts its rows: with the tracer at Debug, a
+//! So is what a recorded load traces: with `LoadOptions::record` on,
+//! every stack executes its pinned sequence and writes nothing to the
+//! tracer, even at Debug; rendered at Debug from its record, a
 //! `QUIC-EDGE` and a `TCP+` load name exactly their page, connection
 //! and proxy-leg tracks (tid 0, `1 + ci`, `60 + li`) and put every
 //! object at `100 + id` — what a Chrome-trace reader of
@@ -34,7 +36,8 @@
 //! and pacing-hold instants) — and, from what its links hand back, of
 //! each link event (queue-bytes counters, tail-drop and loss instants),
 //! and, from its objects, its `web` rows (each object's waterfall span
-//! and the FVC / LVC / PLT markers, with their instants).
+//! and the FVC / LVC / PLT markers, with their instants). Rendered at
+//! Info, the same loads draw no link rows and no pacing holds.
 //!
 //! So is what the links did: every load's packets offered, delivered,
 //! tail-dropped and randomly lost, out of its `LoadCounts`, are pinned
@@ -392,10 +395,33 @@ fn every_stack_executes_its_pinned_event_sequence() {
     pq_prof::set_alloc_enabled(false);
     pq_prof::reset_alloc();
 
-    // With the tracer at Debug, the sequence holds and each load names
-    // exactly its page, connection and leg rows, with every object's
-    // row at `100 + id`, and draws its pinned transport events.
+    // With the record on, the sequence holds, and not one tracer event
+    // is recorded with the tracer at Debug.
+    let recording = LoadOptions {
+        record: true,
+        ..LoadOptions::default()
+    };
+    let recorded = || pq_obs::tracer().stats().1;
     pq_obs::tracer().set_level(pq_obs::Level::Debug);
+    for (protocol, events, plt_ns, retransmits, connections, _) in PINS {
+        let before = recorded();
+        let r = load_with(&site, protocol, &recording);
+        assert_eq!(
+            (r.counts.events_total(), r.plt.as_nanos()),
+            (events, plt_ns),
+            "{}: recording moved the event sequence",
+            protocol.label()
+        );
+        assert_eq!((r.retransmits, r.connections), (retransmits, connections));
+        assert!(r.record.is_some(), "{}: no record", protocol.label());
+        assert_eq!(recorded(), before, "{}: wrote the tracer", protocol.label());
+    }
+    pq_obs::tracer().set_level(pq_obs::Level::Off);
+
+    // Rendered at Debug, each load names exactly its page, connection
+    // and leg rows, with every object's row at `100 + id`, and draws its
+    // pinned transport, link and web rows; at Info, the link rows and
+    // the pacing holds stay out.
     for (protocol, want, transport, link, web) in [
         (
             Protocol::QuicEdge,
@@ -412,68 +438,66 @@ fn every_stack_executes_its_pinned_event_sequence() {
             &TCP_PLUS_WEB[..],
         ),
     ] {
-        let (r, popped) = load(&site, protocol);
-        let pin = PINS.iter().find(|p| p.0 == protocol).expect("pinned stack");
-        assert_eq!(
-            (popped, r.plt.as_nanos()),
-            (pin.1, pin.2),
-            "{}: tracing moved the event sequence",
-            protocol.label()
-        );
-        let (pid, rows) = track_rows(&format!(
-            "{} · {} · seed {SEED}",
-            site.name,
-            protocol.label()
-        ));
+        let r = load_with(&site, protocol, &recording);
+        let p = r.render(&site, pq_obs::Level::Debug).expect("a record");
+        let label = protocol.label();
+        assert_eq!(p.name, format!("{} · {label} · seed {SEED}", site.name));
+        let mut rows: Vec<(u64, String)> = p
+            .tracks
+            .iter()
+            .map(|(tid, name)| (u64::from(*tid), name.clone()))
+            .collect();
+        rows.sort();
         let (objects, tracks): (Vec<_>, Vec<_>) =
             rows.into_iter().partition(|(tid, _)| *tid >= 100);
         let want: Vec<(u64, String)> = want.iter().map(|(t, n)| (*t, n.to_string())).collect();
-        assert_eq!(tracks, want, "{}: page / conn / leg rows", protocol.label());
+        assert_eq!(tracks, want, "{label}: page / conn / leg rows");
         assert_eq!(objects.len(), site.objects.len(), "one row per object");
         for (tid, name) in objects {
             let id = tid - 100;
             assert!(
                 name.starts_with(&format!("obj {id} (")),
-                "{}: row {tid} is {name:?}, not object {id}'s",
-                protocol.label()
+                "{label}: row {tid} is {name:?}, not object {id}'s"
             );
         }
         let pinned = |events: &[(&str, u64)]| -> Vec<(String, u64)> {
             events.iter().map(|(n, c)| (n.to_string(), *c)).collect()
         };
         assert_eq!(
-            events_per_name(pid, &["transport"]),
+            events_per_name(&p, &["transport"]),
             pinned(transport),
-            "{}: transport events per name",
-            protocol.label()
+            "{label}: transport events per name"
         );
         assert_eq!(
-            events_per_name(pid, &["sim", "fault"]),
+            events_per_name(&p, &["sim", "fault"]),
             pinned(link),
-            "{}: link events per name",
-            protocol.label()
+            "{label}: link events per name"
         );
         assert_eq!(
-            web_rows(pid),
+            web_rows(&p),
             web.iter()
                 .map(|&(n, c, ts, dur)| (n.to_string(), c, ts, dur))
                 .collect::<Vec<_>>(),
-            "{}: web events per name",
-            protocol.label()
+            "{label}: web events per name"
         );
+        let info = r.render(&site, pq_obs::Level::Info).expect("a record");
+        let held = transport
+            .iter()
+            .filter(|(n, _)| !n.starts_with("pacing hold"));
+        assert_eq!(
+            events_per_name(&info, &["transport"]),
+            pinned(&held.copied().collect::<Vec<_>>()),
+            "{label}: transport events per name at Info"
+        );
+        assert_eq!(events_per_name(&info, &["sim", "fault"]), []);
     }
-    pq_obs::tracer().set_level(pq_obs::Level::Off);
 }
 
-/// How many events of the categories `cats` the tracer holds for load
-/// `pid`, per name, sorted by name.
-fn events_per_name(pid: u32, cats: &[&str]) -> Vec<(String, u64)> {
+/// How many events of the categories `cats` `p` holds, per name,
+/// sorted by name.
+fn events_per_name(p: &pq_obs::Process, cats: &[&str]) -> Vec<(String, u64)> {
     let mut counts: Vec<(String, u64)> = Vec::new();
-    let snapshot = pq_obs::tracer().snapshot();
-    for ev in snapshot
-        .iter()
-        .filter(|e| e.pid == pid && cats.contains(&e.cat))
-    {
+    for ev in p.events.iter().filter(|e| cats.contains(&e.cat)) {
         match counts.iter_mut().find(|(name, _)| *name == ev.name) {
             Some((_, n)) => *n += 1,
             None => counts.push((ev.name.clone(), 1)),
@@ -483,12 +507,11 @@ fn events_per_name(pid: u32, cats: &[&str]) -> Vec<(String, u64)> {
     counts
 }
 
-/// The `web`-category events the tracer holds for load `pid`, per
-/// name, sorted by name: `(name, count, Σ ts ns, Σ duration ns)`.
-fn web_rows(pid: u32) -> Vec<(String, u64, u64, u64)> {
+/// The `web`-category events `p` holds, per name, sorted by name:
+/// `(name, count, Σ ts ns, Σ duration ns)`.
+fn web_rows(p: &pq_obs::Process) -> Vec<(String, u64, u64, u64)> {
     let mut rows: Vec<(String, u64, u64, u64)> = Vec::new();
-    let snapshot = pq_obs::tracer().snapshot();
-    for ev in snapshot.iter().filter(|e| e.pid == pid && e.cat == "web") {
+    for ev in p.events.iter().filter(|e| e.cat == "web") {
         let i = match rows.iter().position(|r| r.0 == ev.name) {
             Some(i) => i,
             None => {
@@ -501,37 +524,4 @@ fn web_rows(pid: u32) -> Vec<(String, u64, u64, u64)> {
     }
     rows.sort();
     rows
-}
-
-/// The tracer process of the page load the tracer knows as `process`,
-/// and the `(tid, name)` rows [`pq_obs::export::to_chrome_trace`]
-/// writes for it, sorted.
-fn track_rows(process: &str) -> (u32, Vec<(u64, String)>) {
-    let json = pq_obs::export::to_chrome_trace(&[]);
-    let trace = pq_obs::json::Value::parse(&json).expect("chrome trace parses");
-    let meta = trace
-        .get("traceEvents")
-        .and_then(|e| e.as_arr())
-        .expect("traceEvents");
-    let field = |row: &pq_obs::json::Value, key: &str| row.get(key).and_then(|v| v.as_u64());
-    let label = |row: &pq_obs::json::Value| {
-        let name = row.get("args")?.get("name")?.as_str()?;
-        Some(name.to_string())
-    };
-    let named = |row: &&pq_obs::json::Value, what: &str| {
-        row.get("name").and_then(|n| n.as_str()) == Some(what)
-    };
-    let pid = meta
-        .iter()
-        .filter(|r| named(r, "process_name"))
-        .find(|r| label(r).as_deref() == Some(process))
-        .and_then(|r| field(r, "pid"))
-        .expect("the load registered its process row");
-    let mut rows: Vec<(u64, String)> = meta
-        .iter()
-        .filter(|r| named(r, "thread_name") && field(r, "pid") == Some(pid))
-        .filter_map(|r| Some((field(r, "tid")?, label(r)?)))
-        .collect();
-    rows.sort();
-    (pid as u32, rows)
 }

@@ -337,7 +337,7 @@ fn total_truncation_quarantines_the_grid_but_study_survives() {
 }
 
 /// Re-run every attempt `grid.stimuli()` made for each cell of `set` —
-/// `grid.load(site, network, stack, attempt)` for attempt 0, 1, … until
+/// `grid.load(site, network, stack, attempt, false)` for attempt 0, 1, … until
 /// `runs` loads were valid (complete, well-ordered) or the cell's
 /// budget of 8 × `runs` ran out — and hold each cell's `counts`,
 /// quarantined cells' included, to the sum of its attempts'
@@ -351,7 +351,9 @@ fn assert_counts_sum_every_attempt(grid: &RunSpec, set: &StimulusSet) {
             for &stack in &grid.stacks {
                 let (mut counts, mut valid, mut attempt) = (web::LoadCounts::default(), 0, 0);
                 while valid < runs && attempt < 8 * runs {
-                    let r = grid.load(si as u16, network, stack, attempt).unwrap();
+                    let r = grid
+                        .load(si as u16, network, stack, attempt, false)
+                        .unwrap();
                     valid += u32::from(r.complete && r.metrics.well_ordered());
                     counts += r.counts;
                     attempt += 1;
